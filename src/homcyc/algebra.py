@@ -76,9 +76,6 @@ class HomAlgebra:
                         out[k] += xi * yj * c
         return tuple(out)
 
-    def basis_product(self, i: int, j: int) -> tuple[Fraction, ...]:
-        return self.mu[i][j]
-
     def apply_alpha(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
         return self.alpha.apply(x)
 

@@ -281,6 +281,20 @@ def cmd_cocycle(args) -> int:
     return EXIT_OK
 
 
+def degree(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def window(text: str) -> int:
+    value = degree(text)
+    if value % 2:
+        raise argparse.ArgumentTypeError(f"must be even, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="homcyc",
                                 description=__doc__)
@@ -290,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("file", help="algebra definition JSON")
         sp.add_argument("--format", choices=("text", "json"), default="text")
         if with_max:
-            sp.add_argument("--max", type=int, default=3,
+            sp.add_argument("--max", type=degree, default=3,
                             help="maximum degree")
 
     sp = sub.add_parser("check", help="validate an algebra file")
@@ -307,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
         common(sp)
         sp.add_argument("--method", choices=("lambda", "bicomplex", "both"),
                         default="both")
-        sp.add_argument("--window", type=int, default=2,
-                        help="periodic truncation window")
+        sp.add_argument("--window", type=window, default=2,
+                        help="periodic truncation window (even, >= 0)")
         sp.add_argument("--representatives", action="store_true")
         sp.add_argument("--experimental-bb", action="store_true",
                         dest="experimental_bb",

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .algebra import HomAlgebra, Violation
 from .coefficients import regular_bimodule
-from .hochschild import cyclic_t, hochschild_b
+from .hochschild import IdentityViolationError, cyclic_t, hochschild_b
 from .linalg import Matrix, Subspace, ZERO, ONE, solve_homogeneous
 
 
@@ -141,5 +141,7 @@ def derivation_cocycle(A: HomAlgebra, rho: TwistedDerivation,
             coords.append(val)
     phi = Functional(1, tuple(coords))
     check = is_cyclic_cocycle(phi, A)
-    assert check.is_cocycle, "derivation cocycle failed the cocycle check"
+    if not check.is_cocycle:
+        raise IdentityViolationError(
+            "derivation cocycle failed the cocycle check")
     return phi

@@ -66,10 +66,6 @@ class DualBimodule:
     right_action = Bimodule.right_action
 
 
-def _matrix_of_product(A: HomAlgebra, i: int, j: int) -> tuple[Fraction, ...]:
-    return A.mu[i][j]
-
-
 def check_bimodule_axioms(V) -> list[Violation]:
     """All three bimodule axiom families on basis triples (a, b, v)."""
     A = V.algebra

@@ -8,8 +8,6 @@ or up (cohomological, d^n: C^n -> C^{n+1}).
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Literal, Sequence
@@ -35,8 +33,8 @@ class ChainComplex:
     dims[n] is the dimension in degree n.  For homological orientation,
     diffs[n] maps degree n to n-1 (and diffs[min_degree] maps to 0 or out
     of the window); for cohomological, diffs[n] maps degree n to n+1.
-    Degrees index dicts so the window may start below zero (periodic
-    truncations).
+    Degrees are >= 0 (periodic windows are shifted first-quadrant
+    towers) and index dicts, so a truncation need not start at 0.
     """
 
     dims: dict[int, int]
@@ -96,7 +94,9 @@ def homology(C: ChainComplex, n: int) -> tuple[int, list[tuple[Fraction, ...]]]:
             reduced.append(r)
     reps_sub = Subspace.from_vectors(C.dim(n), reduced)
     reps = list(reps_sub.basis)
-    assert len(reps) == betti
+    if len(reps) != betti:
+        raise ArithmeticError(f"{len(reps)} representatives for Betti "
+                              f"number {betti} in degree {n}")
     return betti, reps
 
 
@@ -155,14 +155,6 @@ class HomologyReport:
         return "\n".join(lines)
 
 
-def _thread_cap() -> int:
-    """Worker cap from HOMCYC_THREADS; 1 (serial) when unset or invalid."""
-    try:
-        return max(1, int(os.environ.get("HOMCYC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def report_for_complex(C: ChainComplex, degrees: Sequence[int], *,
                        theory: str, algebra_name: str, coefficient_name: str,
                        representatives: bool = False,
@@ -172,24 +164,12 @@ def report_for_complex(C: ChainComplex, degrees: Sequence[int], *,
     kdims: dict[int, int] = {}
     idims: dict[int, int] = {}
     reps: dict[int, list] = {}
-
-    def one_degree(n: int):
-        b, r = homology(C, n)
-        kd = kernel(C.differential(n)).dim
+    for n in degrees:
+        betti[n], r = homology(C, n)
+        kdims[n] = kernel(C.differential(n)).dim
         incoming = n + 1 if C.orientation == "homological" else n - 1
-        idim = image(C.differential(incoming)).dim if incoming in C.dims else 0
-        return n, b, r, kd, idim
-
-    workers = _thread_cap()
-    if workers > 1 and len(degrees) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_degree, degrees))
-    else:
-        results = [one_degree(n) for n in degrees]
-    for n, b, r, kd, idim in results:
-        betti[n] = b
-        kdims[n] = kd
-        idims[n] = idim
+        idims[n] = image(C.differential(incoming)).dim \
+            if incoming in C.dims else 0
         if representatives:
             reps[n] = r
     return HomologyReport(theory=theory, algebra_name=algebra_name,
@@ -252,6 +232,22 @@ class Bicomplex:
                         f"squares do not anticommute at {(p, q)}")
 
 
+def block_matrix(rows: int, cols: int,
+                 blocks: Sequence[tuple[Matrix, int, int]]) -> Matrix:
+    """rows x cols matrix with each (block, row offset, col offset) placed
+    in it and zeros elsewhere."""
+    entries = [[ZERO] * cols for _ in range(rows)]
+    for block, roff, coff in blocks:
+        for i in range(block.rows):
+            brow = block.row(i)
+            out = entries[roff + i]
+            for j in range(block.cols):
+                if brow[j]:
+                    out[coff + j] = brow[j]
+    return Matrix.from_rows(entries) if rows and cols else \
+        Matrix.zero(rows, cols)
+
+
 def total_complex(B: Bicomplex) -> ChainComplex:
     """Direct-sum total complex; d^2 = 0 re-verified on the result."""
     B.check_squares()
@@ -275,27 +271,16 @@ def total_complex(B: Bicomplex) -> ChainComplex:
         tgt = n + step
         if tgt not in degrees:
             continue
-        rows = dims[tgt]
-        cols = dims[n]
-        entries = [[ZERO] * cols for _ in range(rows)]
-
-        def put(block: Matrix, roff: int, coff: int):
-            for i in range(block.rows):
-                brow = block.row(i)
-                for j in range(block.cols):
-                    if brow[j]:
-                        entries[roff + i][coff + j] = brow[j]
-
+        blocks = []
         for (p, q) in degrees[n]:
             coff = offsets[n][(p, q)]
             vcell = (p, q + step)
-            if vcell in offsets.get(tgt, {}):
-                put(B.vmap(p, q), offsets[tgt][vcell], coff)
+            if vcell in offsets[tgt]:
+                blocks.append((B.vmap(p, q), offsets[tgt][vcell], coff))
             hcell = (p + step, q)
-            if hcell in offsets.get(tgt, {}):
-                put(B.hmap(p, q), offsets[tgt][hcell], coff)
-        diffs[n] = Matrix.from_rows(entries) if rows and cols else \
-            Matrix.zero(rows, cols)
+            if hcell in offsets[tgt]:
+                blocks.append((B.hmap(p, q), offsets[tgt][hcell], coff))
+        diffs[n] = block_matrix(dims[tgt], dims[n], blocks)
     C = ChainComplex(dims=dims, diffs=diffs, orientation=B.orientation)
     C.check_d_squared()
     return C

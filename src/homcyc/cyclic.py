@@ -15,11 +15,11 @@ from itertools import product as iproduct
 
 from .algebra import AlgebraMorphism, HomAlgebra, find_unit, validate_morphism
 from .coefficients import dualize_bimodule, regular_bimodule
-from .complexes import (Bicomplex, ChainComplex, HomologyReport, homology,
-                        report_for_complex, total_complex)
+from .complexes import (Bicomplex, ChainComplex, HomologyReport, block_matrix,
+                        homology, report_for_complex, total_complex)
 from .hochschild import (IdentityViolationError, b_prime, cyclic_t,
                          build_hochschild_cohomology_complex,
-                         build_hochschild_homology_complex, chain_dim,
+                         build_hochschild_homology_complex,
                          hochschild_b, norm_N, _tensor_column)
 from .linalg import (Matrix, Subspace, ZERO, ONE, image, kernel, reduce_mod)
 
@@ -55,6 +55,15 @@ def lambda_quotient_subspaces(A: HomAlgebra, n_max: int) -> dict[int, Subspace]:
     return out
 
 
+def cyclic_invariant_subspaces(A: HomAlgebra, n_max: int) -> dict[int, Subspace]:
+    """Per degree, the cyclic cochains ker(Id - t_n^T) in A^{(x)(n+1)}*."""
+    out = {}
+    for n in range(n_max + 1):
+        t_co = cyclic_t(A, n).transpose()
+        out[n] = kernel(Matrix.identity(t_co.rows) - t_co)
+    return out
+
+
 def cyclic_homology_lambda(A: HomAlgebra, n_max: int, *,
                            representatives: bool = False) -> HomologyReport:
     """Homology of C_*(A) / im(Id - t), the cyclic-coinvariants complex."""
@@ -75,101 +84,70 @@ def cyclic_cohomology_lambda(A: HomAlgebra, n_max: int, *,
     from .complexes import sub_complex
     W = dualize_bimodule(regular_bimodule(A))
     C = build_hochschild_cohomology_complex(A, W, n_max + 1)
-    subs = {}
-    for n in range(n_max + 2):
-        t_co = cyclic_t(A, n).transpose()
-        subs[n] = kernel(Matrix.identity(t_co.rows) - t_co)
-    S = sub_complex(C, subs)
+    S = sub_complex(C, cyclic_invariant_subspaces(A, n_max + 1))
     return report_for_complex(S, range(n_max + 1), theory="HC-co-lambda",
                               algebra_name=A.name, coefficient_name=W.name,
                               representatives=representatives)
 
 
-def _chain_ops(A: HomAlgebra, q: int):
-    t = cyclic_t(A, q)
-    ident = Matrix.identity(t.rows)
-    return t, ident
+def cyclic_bicomplex(A: HomAlgebra, n_max: int) -> Bicomplex:
+    """The first-quadrant cyclic bicomplex, homological grading.
 
-
-def cyclic_bicomplex(A: HomAlgebra, n_max: int, *,
-                     p_min: int = 0, p_max: int | None = None) -> Bicomplex:
-    """The (two-sided when p_min < 0) cyclic bicomplex, homological grading.
-
-    Cells: p in [p_min, p_max], q >= 0, p + q <= n_max + 1.  Columns
-    alternate b and -b'; rows alternate (Id - t) and N by column parity.
+    Cells: p, q >= 0, p + q <= n_max + 1, which is exact for total
+    degrees <= n_max.  Columns alternate b and -b'; rows alternate
+    (Id - t) and N by column parity.
     """
-    if p_max is None:
-        p_max = n_max + 1
-    cells = {}
-    for p in range(p_min, p_max + 1):
-        for q in range(0, n_max + 1 - p + 1):
-            cells[(p, q)] = A.dim ** (q + 1)
+    top = n_max + 1
+    cells = {(p, q): A.dim ** (q + 1)
+             for p in range(top + 1) for q in range(top + 1 - p)}
     V = regular_bimodule(A)
-    qs = {q for (_, q) in cells if q >= 1}
-    bq = {q: hochschild_b(A, V, q) for q in qs}
-    bpq = {q: b_prime(A, q) for q in qs}
+    # each operator is built once per row q, and only if some cell uses it
+    b = {q: hochschild_b(A, V, q) for q in range(1, top + 1)}
+    minus_bp = {q: -b_prime(A, q) for q in range(1, top)}
+    one_minus_t = {}
+    for q in range(top):
+        t = cyclic_t(A, q)
+        one_minus_t[q] = Matrix.identity(t.rows) - t
+    N = {q: norm_N(A, q) for q in range(top - 1)}
     vertical = {}
     horizontal = {}
     for (p, q) in cells:
-        if q >= 1 and (p, q - 1) in cells:
-            vertical[(p, q)] = bq[q] if p % 2 == 0 else -bpq[q]
-        if (p - 1, q) in cells:
-            t, ident = _chain_ops(A, q)
-            horizontal[(p, q)] = (ident - t) if p % 2 == 1 else norm_N(A, q)
+        if q >= 1:
+            vertical[(p, q)] = b[q] if p % 2 == 0 else minus_bp[q]
+        if p >= 1:
+            horizontal[(p, q)] = one_minus_t[q] if p % 2 == 1 else N[q]
     return Bicomplex(cell_dims=cells, vertical=vertical,
                      horizontal=horizontal, orientation="homological")
 
 
-def cyclic_homology_bicomplex(A: HomAlgebra, n_max: int, *,
-                              p_cols: int | None = None) -> HomologyReport:
-    """Total homology of the first-quadrant cyclic bicomplex.
-
-    The truncation p + q <= n_max + 1 is exact for degrees <= n_max: no
-    first-quadrant cell of total degree <= n_max + 1 is dropped.
-    """
-    if p_cols is not None and p_cols < n_max + 1:
-        raise ValueError("p_cols must be >= n_max + 1 for an exact window")
-    B = cyclic_bicomplex(A, n_max)
-    T = total_complex(B)
+def cyclic_homology_bicomplex(A: HomAlgebra, n_max: int) -> HomologyReport:
+    """Total homology of the first-quadrant cyclic bicomplex."""
+    T = total_complex(cyclic_bicomplex(A, n_max))
     return report_for_complex(T, range(n_max + 1), theory="HC-bicomplex",
                               algebra_name=A.name,
                               coefficient_name=f"{A.name}-regular")
 
 
-def cocyclic_bicomplex(A: HomAlgebra, n_max: int, *,
-                       p_min: int = 0, p_max: int | None = None) -> Bicomplex:
-    """Dual bicomplex: all operators are transposes, arrows reversed."""
-    if p_max is None:
-        p_max = n_max + 1
-    cells = {}
-    for p in range(p_min, p_max + 1):
-        for q in range(0, n_max + 1 - p + 1):
-            cells[(p, q)] = A.dim ** (q + 1)
-    V = regular_bimodule(A)
-    qs = {q for (_, q) in cells}
-    b_co = {q: hochschild_b(A, V, q + 1).transpose() for q in qs}
-    bp_co = {q: b_prime(A, q + 1).transpose() for q in qs}
-    vertical = {}
-    horizontal = {}
-    for (p, q) in cells:
-        if (p, q + 1) in cells:
-            vertical[(p, q)] = b_co[q] if p % 2 == 0 else -bp_co[q]
-        if (p + 1, q) in cells:
-            t_co = cyclic_t(A, q).transpose()
-            ident = Matrix.identity(t_co.rows)
-            horizontal[(p, q)] = (ident - t_co) if p % 2 == 0 \
-                else norm_N(A, q).transpose()
-    return Bicomplex(cell_dims=cells, vertical=vertical,
-                     horizontal=horizontal, orientation="cohomological")
+def cocyclic_bicomplex(A: HomAlgebra, n_max: int) -> Bicomplex:
+    """The cocyclic bicomplex: `cyclic_bicomplex` with every map
+    transposed and every arrow reversed (Loday, Cyclic Homology, 2.1).
+
+    The chain map out of (p, q) into (p, q-1), resp. (p-1, q), becomes
+    the cochain map out of (p, q-1), resp. (p-1, q), into (p, q).
+    """
+    B = cyclic_bicomplex(A, n_max)
+    return Bicomplex(
+        cell_dims=B.cell_dims,
+        vertical={(p, q - 1): m.transpose()
+                  for (p, q), m in B.vertical.items()},
+        horizontal={(p - 1, q): m.transpose()
+                    for (p, q), m in B.horizontal.items()},
+        orientation="cohomological")
 
 
-def cyclic_cohomology_bicomplex(A: HomAlgebra, n_max: int, *,
-                                p_cols: int | None = None) -> HomologyReport:
+def cyclic_cohomology_bicomplex(A: HomAlgebra, n_max: int) -> HomologyReport:
     """Total cohomology of the first-quadrant cocyclic bicomplex."""
-    if p_cols is not None and p_cols < n_max + 1:
-        raise ValueError("p_cols must be >= n_max + 1 for an exact window")
-    B = cocyclic_bicomplex(A, n_max)
-    T = total_complex(B)
+    T = total_complex(cocyclic_bicomplex(A, n_max))
     return report_for_complex(T, range(n_max + 1), theory="HC-co-bicomplex",
                               algebra_name=A.name,
                               coefficient_name=f"{A.name}-coregular")
@@ -232,12 +210,12 @@ def cyclic_cohomology_both(A: HomAlgebra, n_max: int) -> CyclicReport:
 class PeriodicReport:
     """Window-truncated periodic Betti numbers with stabilization flags.
 
-    Shifting the two-sided bicomplex window left by an even number of
-    columns re-indexes it, so the truncation with window P (even) computes
-    the cyclic groups 2 * (P/2) steps up the periodicity tower:
-    degree n of the window-P run equals HC_{n+P}.  The periodic groups
-    are the limit of that tower; a degree is trusted only when the
-    window P and P + 2 runs agree.
+    The two-sided bicomplex truncated P columns left of zero is, for even
+    P >= 0, the first-quadrant one shifted by P columns, so degree n of
+    the window-P truncation is HC_{n+P}.  One HC tower is computed up to
+    degree n_max + P + 2 and sliced: `betti[n]` is HC_{n+P} and
+    `betti_wider[n]` is HC_{n+P+2}.  The periodic groups are the limit
+    of that tower; a degree is trusted only when the two slices agree.
     """
 
     algebra_name: str
@@ -272,34 +250,31 @@ class PeriodicReport:
         }
 
 
-def _periodic_betti(A: HomAlgebra, n_max: int, window: int,
-                    cohomology: bool) -> dict[int, int]:
-    if window % 2:
-        raise ValueError("window must be even: an odd column shift flips "
-                         "the b/-b' and (Id-t)/N parities")
-    # the window truncates the negative direction only; positive columns
-    # are capped by the triangular bound p + q <= n_max + 1 regardless
-    if cohomology:
-        B = cocyclic_bicomplex(A, n_max, p_min=-window)
-    else:
-        B = cyclic_bicomplex(A, n_max, p_min=-window)
-    T = total_complex(B)
-    return {n: homology(T, n)[0] for n in range(n_max + 1)}
+def _periodic_report(A: HomAlgebra, n_max: int, window: int,
+                     cohomology: bool) -> PeriodicReport:
+    if window < 0 or window % 2:
+        raise ValueError("window must be even and >= 0: an odd column shift "
+                         "flips the b/-b' and (Id-t)/N parities, and a "
+                         "negative one indexes HC below degree 0")
+    build = cocyclic_bicomplex if cohomology else cyclic_bicomplex
+    T = total_complex(build(A, n_max + window + 2))
+    degrees = tuple(range(n_max + 1))
+    hc = {k: homology(T, k)[0]
+          for k in sorted({n + window + s for n in degrees for s in (0, 2)})}
+    return PeriodicReport(A.name, window, degrees,
+                          {n: hc[n + window] for n in degrees},
+                          {n: hc[n + window + 2] for n in degrees},
+                          cohomology=cohomology)
 
 
 def periodic_homology(A: HomAlgebra, n_max: int, *,
                       window: int = 2) -> PeriodicReport:
-    b1 = _periodic_betti(A, n_max, window, cohomology=False)
-    b2 = _periodic_betti(A, n_max, window + 2, cohomology=False)
-    return PeriodicReport(A.name, window, tuple(range(n_max + 1)), b1, b2)
+    return _periodic_report(A, n_max, window, cohomology=False)
 
 
 def periodic_cohomology(A: HomAlgebra, n_max: int, *,
                         window: int = 2) -> PeriodicReport:
-    b1 = _periodic_betti(A, n_max, window, cohomology=True)
-    b2 = _periodic_betti(A, n_max, window + 2, cohomology=True)
-    return PeriodicReport(A.name, window, tuple(range(n_max + 1)), b1, b2,
-                          cohomology=True)
+    return _periodic_report(A, n_max, window, cohomology=True)
 
 
 # ---------------------------------------------------------------------------
@@ -383,23 +358,13 @@ def connes_bB_report(A: HomAlgebra, n_max: int) -> ConnesBBReport:
         offsets[n] = offs
     diffs = {}
     for n in range(1, n_max + 2):
-        rows, cols = dims[n - 1], dims[n]
-        entries = [[ZERO] * cols for _ in range(rows)]
-
-        def put(block, roff, coff):
-            for i in range(block.rows):
-                brow = block.row(i)
-                for j in range(block.cols):
-                    if brow[j]:
-                        entries[roff + i][coff + j] = brow[j]
-
+        blocks = []
         for m, coff in offsets[n].items():
             if m >= 1 and (m - 1) in offsets[n - 1]:
-                put(bmaps[m], offsets[n - 1][m - 1], coff)
+                blocks.append((bmaps[m], offsets[n - 1][m - 1], coff))
             if (m + 1) in offsets[n - 1]:
-                put(Bmaps[m], offsets[n - 1][m + 1], coff)
-        diffs[n] = Matrix.from_rows(entries) if rows and cols else \
-            Matrix.zero(rows, cols)
+                blocks.append((Bmaps[m], offsets[n - 1][m + 1], coff))
+        diffs[n] = block_matrix(dims[n - 1], dims[n], blocks)
     T = ChainComplex(dims=dims, diffs=diffs, orientation="homological")
     T.check_d_squared()
     betti = {n: homology(T, n)[0] for n in range(n_max + 1)}
@@ -527,12 +492,9 @@ def xi_map(assoc: HomAlgebra, twisted: HomAlgebra, n: int) -> Matrix:
     b_tgt = hochschild_b(twisted, regular_bimodule(twisted), n + 1).transpose()
     if b_tgt @ xi_n != xi_next @ b_src:
         raise IdentityViolationError("xi fails to commute with the coboundary")
-    t_co = cyclic_t(assoc, n).transpose()
-    ker_cyc = kernel(Matrix.identity(t_co.rows) - t_co)
-    for v in ker_cyc.basis:
-        w = xi_n.apply(v)
-        residual = (Matrix.identity(t_co.rows) - t_co).apply(w)
-        if any(residual):
+    cyc = cyclic_invariant_subspaces(assoc, n)[n]
+    for v in cyc.basis:
+        if not cyc.contains(xi_n.apply(v)):
             raise IdentityViolationError("xi does not preserve cyclicity")
     return xi_n
 
@@ -545,10 +507,7 @@ def xi_induced_on_cyclic_cohomology(assoc: HomAlgebra, twisted: HomAlgebra,
         assoc, dualize_bimodule(regular_bimodule(assoc)), n + 1)
     CT = build_hochschild_cohomology_complex(
         twisted, dualize_bimodule(regular_bimodule(twisted)), n + 1)
-    subs = {}
-    for k in range(n + 2):
-        t_co = cyclic_t(assoc, k).transpose()
-        subs[k] = kernel(Matrix.identity(t_co.rows) - t_co)
+    subs = cyclic_invariant_subspaces(assoc, n + 1)
     SA = sub_complex(CA, subs)
     ST = sub_complex(CT, subs)  # t is product-independent: same subspaces
     maps = {}

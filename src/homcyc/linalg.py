@@ -132,21 +132,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(not a for a in self.entries)
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in hstack")
-        flat = []
-        for i in range(self.rows):
-            flat.extend(self.row(i))
-            flat.extend(other.row(i))
-        return Matrix(self.rows, self.cols + other.cols, tuple(flat))
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise ValueError("col mismatch in vstack")
-        return Matrix(self.rows + other.rows, self.cols,
-                      self.entries + other.entries)
-
 
 def _integer_rows(m: Matrix) -> list[list[int]]:
     """Scale each row by the lcm of its denominators; rank is unchanged."""
@@ -187,7 +172,9 @@ def _bareiss_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]]
             fac = fi[c]
             for j in range(c + 1, ncols):
                 q, rem = divmod(piv * fi[j] - fac * fr[j], prev)
-                assert rem == 0, "Bareiss exact-division invariant broken"
+                if rem:
+                    raise ArithmeticError(
+                        "Bareiss exact-division invariant broken")
                 fi[j] = q
             fi[c] = 0
         prev = piv

@@ -81,6 +81,18 @@ def test_hp_stabilization(tmp_path, capsys):
     assert all(data["stabilized"].values())
 
 
+@pytest.mark.parametrize("argv", [["hp", "--max", "1", "--window", "3"],
+                                  ["hp", "--window", "-2"],
+                                  ["hh", "--max", "-1"]])
+def test_bad_degree_or_window_exits_2(example_file, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], example_file] + argv[1:])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith(f"homcyc {argv[0]}: error:")
+
+
 def test_duality_command(example_file, capsys):
     assert main(["duality", example_file, "--max", "2"]) == 0
     out = capsys.readouterr().out

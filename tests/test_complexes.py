@@ -95,15 +95,3 @@ def test_cohomological_orientation():
     assert homology(C, 0)[0] == 0
     assert homology(C, 1)[0] == 1
 
-
-def test_thread_env_gives_same_report(monkeypatch):
-    from homcyc.complexes import report_for_complex
-    d1 = Matrix.from_rows([[0, 0], [1, 0]])
-    C = ChainComplex(dims={0: 2, 1: 2, 2: 1}, diffs={1: d1, 2: Matrix.zero(2, 1)})
-    serial = report_for_complex(C, [0, 1], theory="T", algebra_name="a",
-                                coefficient_name="c")
-    monkeypatch.setenv("HOMCYC_THREADS", "4")
-    threaded = report_for_complex(C, [0, 1], theory="T", algebra_name="a",
-                                  coefficient_name="c")
-    assert serial.betti == threaded.betti
-    assert serial.kernel_dims == threaded.kernel_dims

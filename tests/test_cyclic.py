@@ -11,7 +11,8 @@ from homcyc.corpus import (dual_numbers, dual_numbers_projection_twist,
                            standard_corpus, two_dim_unital)
 from homcyc.cyclic import (ChainMapError, connes_bB_report,
                            cyclic_bicomplex, cyclic_cohomology_both,
-                           cyclic_homology_both, cyclic_homology_lambda,
+                           cyclic_cohomology_lambda, cyclic_homology_both,
+                           cyclic_homology_lambda,
                            hochschild_cohomology, hochschild_homology,
                            induced_map_on_homology, lambda_quotient_subspaces,
                            periodic_cohomology, periodic_homology,
@@ -109,18 +110,29 @@ def test_periodic_cohomology_ground_field():
 
 
 def test_periodic_window_is_shifted_cyclic():
-    """Window truncation at even P computes HC_{n+P}: re-indexing fact."""
-    from homcyc.cyclic import _periodic_betti, cyclic_homology_bicomplex
-    A = two_dim_unital()
-    hc = cyclic_homology_bicomplex(A, 4).betti
-    win = _periodic_betti(A, 2, 2, cohomology=False)
-    assert win == {n: hc[n + 2] for n in range(3)}
+    """Window P at degree n is HC_{n+P}, and the wider window HC_{n+P+2},
+    checked against the independent lambda construction."""
+    A = dual_numbers_projection_twist()  # HC_0..HC_4 = 2, 1, 4, 4, 8
+    hc = cyclic_homology_lambda(A, 4).betti
+    hc_co = cyclic_cohomology_lambda(A, 4).betti
+    for window, n_max in ((0, 1), (2, 0)):
+        rep = periodic_homology(A, n_max, window=window)
+        rep_co = periodic_cohomology(A, n_max, window=window)
+        for n in range(n_max + 1):
+            assert rep.betti[n] == hc[n + window]
+            assert rep.betti_wider[n] == hc[n + window + 2]
+            assert rep_co.betti[n] == hc_co[n + window]
+            assert rep_co.betti_wider[n] == hc_co[n + window + 2]
 
 
 def test_periodic_rejects_odd_window():
-    from homcyc.cyclic import _periodic_betti
-    with pytest.raises(ValueError):
-        _periodic_betti(ground_field(), 2, 3, cohomology=False)
+    """Odd windows flip the column parities; negative ones would index
+    HC below degree 0."""
+    for window in (3, -2):
+        with pytest.raises(ValueError):
+            periodic_homology(ground_field(), 2, window=window)
+        with pytest.raises(ValueError):
+            periodic_cohomology(ground_field(), 2, window=window)
 
 
 def test_periodic_k2_stabilizes():
