@@ -49,11 +49,7 @@ def _emit(payload: dict, fmt: str, text: str | None = None) -> None:
 
 
 def cmd_check(args) -> int:
-    try:
-        alg, report = load_algebra(args.file)
-    except (ShapeError, json.JSONDecodeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    alg, report = load_algebra(args.file)
     if alg is None:
         print("invalid: Hom-associativity fails")
         for v in report.violations:
@@ -368,6 +364,11 @@ def main(argv=None) -> int:
             NotStableError) as exc:
         print(f"identity failure: {exc}", file=sys.stderr)
         return EXIT_IDENTITY
+    except (ShapeError, json.JSONDecodeError, OSError) as exc:
+        # an input file that is missing, unreadable or not a well-formed
+        # algebra, for every subcommand
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

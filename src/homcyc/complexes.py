@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Literal, Sequence
 
 from .linalg import (Matrix, Subspace, ZERO, image, kernel, quotient_dim,
-                     reduce_mod, scalar_to_string)
+                     rank as matrix_rank, reduce_mod, scalar_to_string)
 
 Orientation = Literal["homological", "cohomological"]
 
@@ -40,6 +40,9 @@ class ChainComplex:
     dims: dict[int, int]
     diffs: dict[int, Matrix]
     orientation: Orientation = "homological"
+    # rank of the map out of each degree, filled by `rank`
+    _ranks: dict[int, int] = field(default_factory=dict, init=False,
+                                   compare=False, repr=False)
 
     @property
     def min_degree(self) -> int:
@@ -59,6 +62,19 @@ class ChainComplex:
         tgt = n - 1 if self.orientation == "homological" else n + 1
         return Matrix.zero(self.dim(tgt), self.dim(n))
 
+    def rank(self, n: int) -> int:
+        """Rank of the map out of degree n, 0 outside the window.
+
+        Each differential is reduced once per complex: its rank gives
+        the kernel dimension in degree n and the image dimension in the
+        neighbouring degree.
+        """
+        if n not in self.dims:
+            return 0
+        if n not in self._ranks:
+            self._ranks[n] = matrix_rank(self.differential(n))
+        return self._ranks[n]
+
     def check_d_squared(self) -> None:
         step = -1 if self.orientation == "homological" else 1
         for n in sorted(self.dims):
@@ -69,24 +85,37 @@ class ChainComplex:
                 raise BoundarySquareError(f"d o d != 0 out of degree {n}")
 
 
-def homology(C: ChainComplex, n: int) -> tuple[int, list[tuple[Fraction, ...]]]:
+def homology(C: ChainComplex, n: int, *, representatives: bool = True
+             ) -> tuple[int, list[tuple[Fraction, ...]]]:
     """Betti number and canonical representatives in degree n.
 
+    The Betti number is dim C_n - rank(out of n) - rank(into n), from the
+    complex's memoised ranks.  With `representatives=False` the
+    representative list is empty; the only other work is the product of
+    the two differentials at degree n, which must vanish or
+    `BoundarySquareError` is raised, so an unchecked complex still fails.
+
     Representatives: kernel basis vectors reduced modulo the image via
-    RREF elimination; zero residuals are dropped, duplicates removed by
-    re-normalizing, so the result is a deterministic basis of a
-    complement of the image inside the kernel.
+    RREF elimination (after checking that the image lies in the kernel);
+    zero residuals are dropped, duplicates removed by re-normalizing, so
+    the result is a deterministic basis of a complement of the image
+    inside the kernel.  Their count must equal the rank Betti number.
     """
     if n not in C.dims:
         raise IndexError(f"degree {n} outside complex window")
     incoming_deg = n + 1 if C.orientation == "homological" else n - 1
-    out_map = C.differential(n)
-    ker = kernel(out_map)
+    betti = C.dim(n) - C.rank(n) - C.rank(incoming_deg)
+    if not representatives:
+        if incoming_deg in C.dims and not (
+                C.differential(n) @ C.differential(incoming_deg)).is_zero():
+            raise BoundarySquareError(f"d o d != 0 into degree {n}")
+        return betti, []
+    ker = kernel(C.differential(n))
     if incoming_deg in C.dims:
         im = image(C.differential(incoming_deg))
     else:
         im = Subspace.zero(C.dim(n))
-    betti = quotient_dim(im, ker)  # raises if im not inside ker
+    quotient_dim(im, ker)  # raises if im not inside ker
     reduced = []
     for v in ker.basis:
         r = reduce_mod(im, v)
@@ -165,11 +194,9 @@ def report_for_complex(C: ChainComplex, degrees: Sequence[int], *,
     idims: dict[int, int] = {}
     reps: dict[int, list] = {}
     for n in degrees:
-        betti[n], r = homology(C, n)
-        kdims[n] = kernel(C.differential(n)).dim
-        incoming = n + 1 if C.orientation == "homological" else n - 1
-        idims[n] = image(C.differential(incoming)).dim \
-            if incoming in C.dims else 0
+        betti[n], r = homology(C, n, representatives=representatives)
+        kdims[n] = C.dim(n) - C.rank(n)
+        idims[n] = C.rank(n + 1 if C.orientation == "homological" else n - 1)
         if representatives:
             reps[n] = r
     return HomologyReport(theory=theory, algebra_name=algebra_name,

@@ -259,7 +259,7 @@ def _periodic_report(A: HomAlgebra, n_max: int, window: int,
     build = cocyclic_bicomplex if cohomology else cyclic_bicomplex
     T = total_complex(build(A, n_max + window + 2))
     degrees = tuple(range(n_max + 1))
-    hc = {k: homology(T, k)[0]
+    hc = {k: homology(T, k, representatives=False)[0]
           for k in sorted({n + window + s for n in degrees for s in (0, 2)})}
     return PeriodicReport(A.name, window, degrees,
                           {n: hc[n + window] for n in degrees},
@@ -367,7 +367,8 @@ def connes_bB_report(A: HomAlgebra, n_max: int) -> ConnesBBReport:
         diffs[n] = block_matrix(dims[n - 1], dims[n], blocks)
     T = ChainComplex(dims=dims, diffs=diffs, orientation="homological")
     T.check_d_squared()
-    betti = {n: homology(T, n)[0] for n in range(n_max + 1)}
+    betti = {n: homology(T, n, representatives=False)[0]
+             for n in range(n_max + 1)}
     cyc = cyclic_homology_bicomplex(A, n_max)
     return ConnesBBReport(A.name, tuple(range(n_max + 1)), b2, anti,
                           betti, dict(cyc.betti))

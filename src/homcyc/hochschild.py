@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .algebra import HomAlgebra
 from .coefficients import Bimodule, DualBimodule, validate_homology_coefficients
@@ -35,11 +35,25 @@ def chain_dim(A: HomAlgebra, V, n: int) -> int:
     return V.dim * A.dim ** n
 
 
+def _tensor_terms(parts: Sequence[Sequence[Fraction]]) -> list[tuple[int, Fraction]]:
+    """(index, coefficient) pairs of a pure tensor's nonzero coordinates,
+    first factor most significant; only nonzero entries are multiplied."""
+    terms = [(0, ONE)]
+    for p in parts:
+        size = len(p)
+        nonzero = [(j, x) for j, x in enumerate(p) if x]
+        terms = [(i * size + j, c * x) for i, c in terms for j, x in nonzero]
+    return terms
+
+
 def _tensor_column(parts: Sequence[Sequence[Fraction]]) -> list[Fraction]:
     """Dense coordinates of a pure tensor, first factor most significant."""
-    col = [ONE]
+    size = 1
     for p in parts:
-        col = [c * x for c in col for x in p]
+        size *= len(p)
+    col = [ZERO] * size
+    for i, c in _tensor_terms(parts):
+        col[i] = c
     return col
 
 
@@ -47,41 +61,53 @@ def _alpha_columns(A: HomAlgebra) -> list[tuple[Fraction, ...]]:
     return [A.alpha.col(j) for j in range(A.dim)]
 
 
-def face_map(A: HomAlgebra, V: Bimodule, n: int, i: int) -> Matrix:
-    """Matrix of the i-th face C_n(A, V) -> C_{n-1}(A, V)."""
-    if not 0 <= i <= n or n < 1:
-        raise IndexError(f"face index {i} out of range for degree {n}")
+def _face_columns(A: HomAlgebra, V: Bimodule, n: int,
+                  faces: Sequence[tuple[int, int]]) -> Iterator[list[Fraction]]:
+    """Per basis tensor of C_n(A, V), in index order, the dense column of
+    sum(sign * delta_i) over the (i, sign) pairs in `faces`, sign = +-1."""
+    for i, _ in faces:
+        if not 0 <= i <= n or n < 1:
+            raise IndexError(f"face index {i} out of range for degree {n}")
     d, m = A.dim, V.dim
     acols = _alpha_columns(A)
     rows_dim = m * d ** (n - 1)
-    cols = []
     for v in range(m):
         vvec = tuple(ONE if k == v else ZERO for k in range(m))
         bv = V.beta.apply(vvec)
+        right = [V.right_action(vvec, A.basis_vector(a)) for a in range(d)]
+        left = [V.left_action(A.basis_vector(a), vvec) for a in range(d)]
         for idx in iproduct(range(d), repeat=n):
-            if i == 0:
-                head = V.right_action(vvec, A.basis_vector(idx[0]))
-                parts = [head] + [acols[j] for j in idx[1:]]
-            elif i == n:
-                head = V.left_action(A.basis_vector(idx[-1]), vvec)
-                parts = [head] + [acols[j] for j in idx[:-1]]
-            else:
-                merged = A.mu[idx[i - 1]][idx[i]]
-                parts = [bv] + [acols[j] for j in idx[:i - 1]] + [merged] + \
-                    [acols[j] for j in idx[i + 1:]]
-            cols.append(_tensor_column(parts))
+            col = [ZERO] * rows_dim
+            for i, sign in faces:
+                if i == 0:
+                    parts = [right[idx[0]]] + [acols[j] for j in idx[1:]]
+                elif i == n:
+                    parts = [left[idx[-1]]] + [acols[j] for j in idx[:-1]]
+                else:
+                    parts = [bv] + [acols[j] for j in idx[:i - 1]] + \
+                        [A.mu[idx[i - 1]][idx[i]]] + \
+                        [acols[j] for j in idx[i + 1:]]
+                for k, c in _tensor_terms(parts):
+                    col[k] += c if sign > 0 else -c
+            yield col
+
+
+def _matrix_of_columns(cols: list[list[Fraction]], rows: int) -> Matrix:
     return Matrix.from_rows(cols).transpose() if cols else \
-        Matrix.zero(rows_dim, 0)
+        Matrix.zero(rows, 0)
+
+
+def face_map(A: HomAlgebra, V: Bimodule, n: int, i: int) -> Matrix:
+    """Matrix of the i-th face C_n(A, V) -> C_{n-1}(A, V)."""
+    return _matrix_of_columns(list(_face_columns(A, V, n, [(i, 1)])),
+                              chain_dim(A, V, n - 1))
 
 
 def hochschild_b(A: HomAlgebra, V: Bimodule, n: int) -> Matrix:
-    """Alternating sum of faces, C_n -> C_{n-1}."""
-    total = None
-    for i in range(n + 1):
-        f = face_map(A, V, n, i)
-        f = f if i % 2 == 0 else -f
-        total = f if total is None else total + f
-    return total
+    """Alternating sum of faces, C_n -> C_{n-1}, built in one pass."""
+    faces = [(i, 1 if i % 2 == 0 else -1) for i in range(n + 1)]
+    return _matrix_of_columns(list(_face_columns(A, V, n, faces)),
+                              chain_dim(A, V, n - 1))
 
 
 def b_prime(A: HomAlgebra, n: int) -> Matrix:
@@ -95,9 +121,8 @@ def b_prime(A: HomAlgebra, n: int) -> Matrix:
             merged = A.mu[idx[i]][idx[i + 1]]
             parts = [acols[j] for j in idx[:i]] + [merged] + \
                 [acols[j] for j in idx[i + 2:]]
-            col = _tensor_column(parts)
-            sign = 1 if i % 2 == 0 else -1
-            acc = [a + sign * c for a, c in zip(acc, col)]
+            for k, c in _tensor_terms(parts):
+                acc[k] += c if i % 2 == 0 else -c
         cols.append(acc)
     return Matrix.from_rows(cols).transpose()
 

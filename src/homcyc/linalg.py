@@ -2,9 +2,12 @@
 
 Everything downstream (axiom checks, boundary matrices, Betti numbers)
 reduces to ranks, kernels, images and quotients computed here.  All
-arithmetic is exact: entries are ``fractions.Fraction`` values, row
-reduction is fraction-free (Bareiss) on integer-scaled rows with a final
-normalization pass, and pivoting is deterministic (first nonzero entry in
+arithmetic is exact: entries are ``fractions.Fraction`` values, and row
+reduction is fraction-free (Bareiss) on integer-scaled rows.  Betti
+numbers need only ranks, which `rank` reads off that echelon form with
+no further pass.  `rref` adds a Fraction back-substitution and runs only
+where a canonical basis is needed: homology representatives, induced
+maps and subspaces.  Pivoting is deterministic (first nonzero entry in
 (row, col) order) so bases are reproducible across runs.
 """
 
@@ -207,7 +210,10 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
 
 
 def rank(m: Matrix) -> int:
-    return rref(m)[2]
+    """Rank from the fraction-free echelon form, without back-substitution."""
+    if m.rows == 0 or m.cols == 0:
+        return 0
+    return len(_bareiss_echelon(_integer_rows(m), m.cols)[1])
 
 
 @dataclass(frozen=True)
@@ -255,11 +261,6 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
-
-    def basis_matrix(self) -> Matrix:
-        """Basis vectors as columns (ambient_dim x dim)."""
-        return Matrix(self.dim, self.ambient_dim,
-                      tuple(x for v in self.basis for x in v)).transpose()
 
     def coordinates(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Coordinates of vec in the RREF basis; raises if not a member."""

@@ -176,3 +176,18 @@ def test_json_output_is_deterministic(example_file, capsys):
     main(["hh", example_file, "--max", "2", "--format", "json"])
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize("cmd,content", [
+    ("hh", json.dumps({"dim": 2, "basis": ["a"], "mul": [], "alpha": []})),
+    ("hc", "{not json"),
+    ("hh", None),
+], ids=["malformed-shape", "invalid-json", "missing-file"])
+def test_unreadable_algebra_file_exits_2(tmp_path, capsys, cmd, content):
+    p = tmp_path / "alg.json"
+    if content is not None:
+        p.write_text(content)
+    assert main([cmd, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1

@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homcyc.complexes import (Bicomplex, BoundarySquareError, ChainComplex,
                               NotStableError, homology, quotient_complex,
                               sub_complex, total_complex)
-from homcyc.linalg import Matrix, Subspace
+from homcyc.linalg import Matrix, Subspace, kernel
 
 F = Fraction
 
@@ -95,3 +97,41 @@ def test_cohomological_orientation():
     assert homology(C, 0)[0] == 0
     assert homology(C, 1)[0] == 1
 
+
+def _matrix(rows, cols):
+    return st.lists(st.lists(st.fractions(min_value=-3, max_value=3,
+                                          max_denominator=2),
+                             min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(
+        lambda r: Matrix.from_rows(r) if rows and cols else
+        Matrix.zero(rows, cols))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from(["homological", "cohomological"]))
+def test_rank_betti_matches_representative_count(data, orientation):
+    # C_2 -d2-> C_1 -d1-> C_0 with d2 = (kernel basis of d1) @ R
+    c0, c1, c2 = (data.draw(st.integers(1, 4)) for _ in range(3))
+    d1 = data.draw(_matrix(c0, c1))
+    ker = kernel(d1).basis
+    basis = Matrix(c1, len(ker), tuple(v[i] for i in range(c1) for v in ker))
+    d2 = basis @ data.draw(_matrix(len(ker), c2))
+    if orientation == "homological":
+        diffs = {1: d1, 2: d2}
+    else:
+        diffs = {0: d1.transpose(), 1: d2.transpose()}
+    C = ChainComplex(dims={0: c0, 1: c1, 2: c2}, diffs=diffs,
+                     orientation=orientation)
+    C.check_d_squared()
+    for n in range(3):
+        betti, reps = homology(C, n, representatives=False)
+        assert reps == []
+        assert betti == len(homology(C, n)[1])
+
+
+def test_rank_homology_checks_d_squared():
+    # built without check_d_squared: d1 o d2 = [1] != 0
+    C = ChainComplex(dims={0: 1, 1: 1, 2: 1},
+                     diffs={1: Matrix.identity(1), 2: Matrix.identity(1)})
+    with pytest.raises(BoundarySquareError):
+        homology(C, 1, representatives=False)

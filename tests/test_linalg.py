@@ -24,6 +24,23 @@ def small_matrices(max_dim=5, max_num=6):
             min_size=s[0], max_size=s[0]).map(Matrix.from_rows))
 
 
+def matrices(rows, cols, max_num=6):
+    return st.lists(
+        st.lists(st.fractions(min_value=-max_num, max_value=max_num,
+                              max_denominator=4),
+                 min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows).map(Matrix.from_rows)
+
+
+def low_rank_matrices(max_dim=6):
+    """Products through an inner dimension of at most 2, so mostly
+    rank-deficient, which plain random matrices rarely are."""
+    shapes = st.tuples(st.integers(1, max_dim), st.integers(1, 2),
+                       st.integers(1, max_dim))
+    return shapes.flatmap(lambda s: st.tuples(
+        matrices(s[0], s[1]), matrices(s[1], s[2])).map(lambda ab: ab[0] @ ab[1]))
+
+
 def test_scalar_round_trip():
     for s in ["0", "1", "-3", "2/7", "-11/4"]:
         assert scalar_to_string(scalar_from_string(s)) == s
@@ -141,3 +158,9 @@ def test_zero_and_degenerate_shapes():
     z2 = Matrix.zero(3, 0)
     assert image(z2).dim == 0
     assert rank(Matrix.zero(2, 2)) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(small_matrices(), low_rank_matrices()))
+def test_rank_matches_rref_and_transpose(m):
+    assert rank(m) == rref(m)[2] == rank(m.transpose())
