@@ -43,6 +43,9 @@ class ChainComplex:
     # rank of the map out of each degree, filled by `rank`
     _ranks: dict[int, int] = field(default_factory=dict, init=False,
                                    compare=False, repr=False)
+    # degrees n whose composite out of n `check_d_squared` found zero
+    _squared_zero: set[int] = field(default_factory=set, init=False,
+                                    compare=False, repr=False)
 
     @property
     def min_degree(self) -> int:
@@ -83,6 +86,7 @@ class ChainComplex:
             comp = self.differential(n + step) @ self.differential(n)
             if not comp.is_zero():
                 raise BoundarySquareError(f"d o d != 0 out of degree {n}")
+            self._squared_zero.add(n)
 
 
 def homology(C: ChainComplex, n: int, *, representatives: bool = True
@@ -94,6 +98,7 @@ def homology(C: ChainComplex, n: int, *, representatives: bool = True
     representative list is empty; the only other work is the product of
     the two differentials at degree n, which must vanish or
     `BoundarySquareError` is raised, so an unchecked complex still fails.
+    The product is skipped where `check_d_squared` has already passed.
 
     Representatives: kernel basis vectors reduced modulo the image via
     RREF elimination (after checking that the image lies in the kernel);
@@ -106,8 +111,9 @@ def homology(C: ChainComplex, n: int, *, representatives: bool = True
     incoming_deg = n + 1 if C.orientation == "homological" else n - 1
     betti = C.dim(n) - C.rank(n) - C.rank(incoming_deg)
     if not representatives:
-        if incoming_deg in C.dims and not (
-                C.differential(n) @ C.differential(incoming_deg)).is_zero():
+        if incoming_deg in C.dims and incoming_deg not in C._squared_zero \
+                and not (C.differential(n) @
+                         C.differential(incoming_deg)).is_zero():
             raise BoundarySquareError(f"d o d != 0 into degree {n}")
         return betti, []
     ker = kernel(C.differential(n))

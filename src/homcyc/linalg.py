@@ -1,21 +1,25 @@
 """Exact dense linear algebra over the rationals.
 
 Everything downstream (axiom checks, boundary matrices, Betti numbers)
-reduces to ranks, kernels, images and quotients computed here.  All
-arithmetic is exact: entries are ``fractions.Fraction`` values, and row
-reduction is fraction-free (Bareiss) on integer-scaled rows.  Betti
-numbers need only ranks, which `rank` reads off that echelon form with
-no further pass.  `rref` adds a Fraction back-substitution and runs only
-where a canonical basis is needed: homology representatives, induced
-maps and subspaces.  Pivoting is deterministic (first nonzero entry in
-(row, col) order) so bases are reproducible across runs.
+reduces to products, ranks, kernels, images and quotients computed here.
+All arithmetic is exact: entries are ``fractions.Fraction`` values, but
+the heavy loops run on Python integers.  `_integer_terms` writes a row
+as its nonzero entries over one common denominator; products (`@` and
+`apply`) sum those integers and build one Fraction per nonzero output
+entry, and row reduction is fraction-free (Bareiss) on the same
+integer-scaled rows.  Betti numbers need only ranks, which `rank` reads
+off that echelon form with no further pass.  `rref` adds a Fraction
+back-substitution and runs only where a canonical basis is needed:
+homology representatives, induced maps and subspaces.  Pivoting is
+deterministic (first nonzero entry in (row, col) order) so bases are
+reproducible across runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Scalar = Fraction
@@ -57,7 +61,7 @@ class Matrix:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-            flat.extend(Fraction(x) for x in r)
+            flat.extend(x if type(x) is Fraction else Fraction(x) for x in r)
         return Matrix(nrows, ncols, tuple(flat))
 
     @staticmethod
@@ -111,41 +115,74 @@ class Matrix:
             raise ValueError(
                 f"shape mismatch in @: {self.rows}x{self.cols} @ "
                 f"{other.rows}x{other.cols}")
-        osparse = [[(j, x) for j, x in enumerate(other.row(k)) if x]
-                   for k in range(other.rows)]
-        out = []
-        for i in range(self.rows):
-            srow = self.row(i)
-            acc = [ZERO] * other.cols
-            for k, a in enumerate(srow):
-                if a:
-                    for j, x in osparse[k]:
-                        acc[j] += a * x
-            out.extend(acc)
-        return Matrix(self.rows, other.cols, tuple(out))
+        right = {k: _integer_terms(enumerate(other.row(k)))
+                 for k in range(other.rows)}
+        return Matrix(self.rows, other.cols, tuple(_product(
+            (self.row(i) for i in range(self.rows)), right, other.cols)))
 
     def apply(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Matrix-vector product (vec as a column of coordinates)."""
+        """Matrix-vector product (vec as a column of coordinates): the
+        columns of self at the nonzero coordinates, combined."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(
-            sum((a * v for a, v in zip(self.row(i), vec) if v), ZERO)
-            for i in range(self.rows))
+        e, c = self.entries, self.cols
+        right = {k: _integer_terms(enumerate(e[k::c]))
+                 for k, v in enumerate(vec) if v}
+        return tuple(_product((vec,), right, self.rows))
 
     def is_zero(self) -> bool:
         return all(not a for a in self.entries)
+
+
+def _integer_terms(pairs: Iterable[tuple[int, Fraction]]
+                   ) -> tuple[int, list[tuple[int, int]]]:
+    """(m, [(k, m * x) for each nonzero x]) from (k, x) pairs, m the lcm
+    of the denominators: the entries as integers over m."""
+    terms = [(k, x) for k, x in pairs if x]
+    m = 1
+    for _, x in terms:
+        d = x.denominator
+        if d != 1:
+            m = m // gcd(m, d) * d
+    if m == 1:
+        return 1, [(k, x.numerator) for k, x in terms]
+    return m, [(k, x.numerator * (m // x.denominator)) for k, x in terms]
+
+
+def _product(left_rows: Iterable[Sequence[Fraction]],
+             right: dict[int, tuple[int, list[tuple[int, int]]]],
+             ncols: int) -> list[Fraction]:
+    """Row-major entries of L @ R, exactly, on integers.
+
+    `right[k]` is `_integer_terms` of row k of R (rows not in `right` are
+    zero).  R is brought to one common denominator dn, each row of L to
+    its own m, and an output entry is its integer sum over m * dn: one
+    Fraction per nonzero entry, no Fraction arithmetic.
+    """
+    dn = lcm(*(m for m, _ in right.values()))
+    rows = {k: terms if m == dn else [(j, x * (dn // m)) for j, x in terms]
+            for k, (m, terms) in right.items() if terms}
+    ks = list(rows)
+    out: list[Fraction] = []
+    for row in left_rows:
+        m, terms = _integer_terms(zip(ks, map(row.__getitem__, ks)))
+        acc = [0] * ncols
+        for k, x in terms:
+            for j, y in rows[k]:
+                acc[j] += x * y
+        den = m * dn
+        out.extend(Fraction(v, den) if v else ZERO for v in acc)
+    return out
 
 
 def _integer_rows(m: Matrix) -> list[list[int]]:
     """Scale each row by the lcm of its denominators; rank is unchanged."""
     out = []
     for i in range(m.rows):
-        row = m.row(i)
-        mult = 1
-        for x in row:
-            d = x.denominator
-            mult = mult // gcd(mult, d) * d
-        out.append([int(x * mult) for x in row])
+        row = [0] * m.cols
+        for k, x in _integer_terms(enumerate(m.row(i)))[1]:
+            row[k] = x
+        out.append(row)
     return out
 
 

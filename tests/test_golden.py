@@ -4,15 +4,23 @@ Each file under tests/golden/ is the exact stdout of one `homcyc`
 request on a corpus algebra.  They pin Betti numbers, kernel and image
 dimensions and canonical representatives, so a change to the reduction
 or to the operator build cannot alter the output unnoticed.
+
+The corpus bases have structure constants 0 and ±1.  One more algebra,
+`algebra-two_dim_unital_half.json`, is two_dim_unital in the basis
+e1/2, e2: its constants and its operators have denominators 2 to 8, so
+exact products over a common denominator are pinned byte for byte too.
 """
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from homcyc.algebra import AlgebraMorphism, load_algebra, validate_morphism
 from homcyc.cli import main
 from homcyc.corpus import (dual_numbers_projection_twist, ground_field, k2,
                            k1_plus_k2, two_dim_unital)
+from homcyc.linalg import Matrix
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -46,6 +54,11 @@ def _cases():
 
 CASES = list(_cases())
 
+HALF = GOLDEN / "algebra-two_dim_unital_half.json"
+HALF_CASES = [("hh-two_dim_unital_half", ["hh", "--max", "3"]),
+              ("hc-lambda-two_dim_unital_half",
+               ["hc", "--method", "lambda", "--max", "3"])]
+
 
 @pytest.mark.parametrize("name,alg,argv", CASES,
                          ids=[c[0] for c in CASES])
@@ -55,3 +68,22 @@ def test_golden_cli_output(name, alg, argv, tmp_path, capsys):
     assert main([argv[0], str(path)] + argv[1:]) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_half_basis_algebra_is_two_dim_unital():
+    """The checked-in algebra is two_dim_unital moved by P = diag(2, 1)
+    (coordinates x -> P x), with denominators in its constants."""
+    B, report = load_algebra(str(HALF))
+    assert B is not None, report
+    P = Matrix.from_rows([[2, 0], [0, 1]])
+    ok, bad = validate_morphism(AlgebraMorphism(two_dim_unital(), B, P))
+    assert ok, bad
+    assert Fraction(1, 2) in B.mu[0][0]
+
+
+@pytest.mark.parametrize("name,argv", HALF_CASES,
+                         ids=[c[0] for c in HALF_CASES])
+def test_golden_cli_output_with_denominators(name, argv, capsys):
+    assert main([argv[0], str(HALF)] + argv[1:] +
+                ["--representatives", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()

@@ -164,3 +164,83 @@ def test_zero_and_degenerate_shapes():
 @given(st.one_of(small_matrices(), low_rank_matrices()))
 def test_rank_matches_rref_and_transpose(m):
     assert rank(m) == rref(m)[2] == rank(m.transpose())
+
+
+# --- the integer product kernel behind `@` and `apply` ---------------------
+
+ENTRIES = st.one_of(st.just(F(0)),
+                    st.fractions(min_value=-8, max_value=8, max_denominator=12))
+
+
+@st.composite
+def exact_matrices(draw, rows, cols):
+    """Entries with denominators up to 12, with some whole rows and
+    columns set to zero."""
+    entries = [[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)]
+    zero_rows = draw(st.sets(st.integers(0, rows - 1))) if rows else set()
+    zero_cols = draw(st.sets(st.integers(0, cols - 1))) if cols else set()
+    return Matrix(rows, cols, tuple(
+        F(0) if i in zero_rows or j in zero_cols else entries[i][j]
+        for i in range(rows) for j in range(cols)))
+
+
+@st.composite
+def product_operands(draw, max_dim=4):
+    n, k, m = (draw(st.integers(0, max_dim)) for _ in range(3))
+    return draw(exact_matrices(n, k)), draw(exact_matrices(k, m))
+
+
+def naive_product(a, b):
+    return [[sum((a[i, k] * b[k, j] for k in range(a.cols)), F(0))
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_operands())
+def test_matmul_matches_naive_fraction_product(ab):
+    a, b = ab
+    c = a @ b
+    assert (c.rows, c.cols) == (a.rows, b.cols)
+    assert c.to_rows() == naive_product(a, b)
+    assert all(type(x) is F for x in c.entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda k: st.tuples(
+    st.integers(0, 5).flatmap(lambda n: exact_matrices(n, k)),
+    st.lists(ENTRIES, min_size=k, max_size=k))))
+def test_apply_matches_naive_fraction_product(mv):
+    m, v = mv
+    out = m.apply(v)
+    column = Matrix(len(v), 1, tuple(v))
+    assert list(out) == [r[0] for r in naive_product(m, column)]
+    assert all(type(x) is F for x in out)
+
+
+@pytest.mark.parametrize("n,k,m", [(0, 3, 2), (2, 0, 3), (3, 2, 0),
+                                   (0, 0, 0), (1, 1, 1)])
+def test_product_degenerate_shapes(n, k, m):
+    a = Matrix(n, k, tuple(F(i + 1, 2) for i in range(n * k)))
+    b = Matrix(k, m, tuple(F(-1, i + 3) for i in range(k * m)))
+    c = a @ b
+    assert (c.rows, c.cols) == (n, m)
+    assert c.to_rows() == naive_product(a, b)
+    assert all(type(x) is F for x in c.entries)
+    assert a.apply((F(1, 3),) * k) == tuple(
+        sum((a[i, j] * F(1, 3) for j in range(k)), F(0)) for i in range(n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+    lambda s: st.lists(st.lists(st.integers(-9, 9), min_size=s[1],
+                                max_size=s[1]), min_size=s[0], max_size=s[0])
+    .map(lambda rows: (s, rows))))
+def test_int_and_fraction_entries_agree(shape_rows):
+    (n, k), rows = shape_rows
+    ints = Matrix(n, k, tuple(x for r in rows for x in r))
+    fracs = Matrix(n, k, tuple(F(x) for r in rows for x in r))
+    assert rank(ints) == rank(fracs)
+    prod = ints @ ints.transpose()
+    assert prod == fracs @ fracs.transpose()
+    assert all(type(x) is F for x in prod.entries)
+    assert ints.apply((1,) * k) == fracs.apply((F(1),) * k)
