@@ -125,7 +125,15 @@ def check_dual_bimodule_axioms(W) -> list[Violation]:
 
 
 def regular_bimodule(A: HomAlgebra) -> Bimodule:
-    """V = A acting on itself by mu, beta = alpha."""
+    """V = A acting on itself by mu, beta = alpha.
+
+    Built and checked once per algebra instance, and kept on it.  Equal
+    algebras do not share it: equality ignores the name, which the
+    bimodule's name carries into every report.
+    """
+    cached = vars(A).get("_regular_bimodule")
+    if cached is not None:
+        return cached
     left = tuple(A.left_mult_matrix(A.basis_vector(a)) for a in range(A.dim))
     right = tuple(A.right_mult_matrix(A.basis_vector(a)) for a in range(A.dim))
     V = Bimodule(A, A.dim, left, right, A.alpha, name=f"{A.name}-regular")
@@ -134,6 +142,7 @@ def regular_bimodule(A: HomAlgebra) -> Bimodule:
         raise CoefficientError(
             "regular bimodule axioms fail (algebra not validated?): "
             + str(bad[0]))
+    vars(A)["_regular_bimodule"] = V
     return V
 
 

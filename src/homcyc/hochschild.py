@@ -8,18 +8,33 @@ slot.  Cochains A^{(x)n} -> W use the same (w, i_1..i_n) enumeration;
 with W = (regular)* this makes the identification of a cochain with a
 functional on A^{(x)(n+1)} the identity on coordinates, so the cyclic
 operators on cochains are plain transposes of the chain-level ones.
+
+One integer kernel builds every face-type operator.  `_Faces` writes
+alpha's columns, mu, beta and the action columns of one (algebra,
+coefficients) pair as sparse integer vectors over one common
+denominator D.  A face term in degree n is a tensor product of n of
+these vectors, so every column of a face, of b and of b' is a set of
+integers over D^n, which the matrix keeps as its integer rows (see
+`linalg`).  A coface is a face of the transposed coefficient data,
+transposed: each row of the coboundary is a face column.  t is a signed
+permutation, and N and theta are weighted sums of its powers, written
+down directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Iterator, Sequence
+from math import lcm
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import HomAlgebra
-from .coefficients import Bimodule, DualBimodule, validate_homology_coefficients
+from .coefficients import (Bimodule, DualBimodule, regular_bimodule,
+                           validate_homology_coefficients)
 from .complexes import ChainComplex
-from .linalg import Matrix, ZERO, ONE
+from .linalg import Matrix
+
+SparseVector = list[tuple[int, int]]
 
 
 class CoefficientHypothesisError(ValueError):
@@ -35,123 +50,150 @@ def chain_dim(A: HomAlgebra, V, n: int) -> int:
     return V.dim * A.dim ** n
 
 
-def _tensor_terms(parts: Sequence[Sequence[Fraction]]) -> list[tuple[int, Fraction]]:
-    """(index, coefficient) pairs of a pure tensor's nonzero coordinates,
-    first factor most significant; only nonzero entries are multiplied."""
-    terms = [(0, ONE)]
-    for p in parts:
-        size = len(p)
-        nonzero = [(j, x) for j, x in enumerate(p) if x]
-        terms = [(i * size + j, c * x) for i, c in terms for j, x in nonzero]
-    return terms
+def _kron(a: SparseVector, b: SparseVector, size_b: int) -> SparseVector:
+    """a (x) b for sparse vectors, a's index most significant."""
+    return [(i * size_b + j, x * y) for i, x in a for j, y in b]
 
 
-def _tensor_column(parts: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    """Dense coordinates of a pure tensor, first factor most significant."""
-    size = 1
-    for p in parts:
-        size *= len(p)
-    col = [ZERO] * size
-    for i, c in _tensor_terms(parts):
-        col[i] = c
-    return col
+class _Faces:
+    """alpha's columns, mu, beta and the action columns of one (algebra,
+    coefficients) pair as sparse integer vectors over one denominator D:
+    beta[v] = beta(e_v), left[v][a] = e_a . e_v, right[v][a] = e_v . e_a."""
+
+    def __init__(self, A: HomAlgebra, beta, left, right):
+        alpha = [A.alpha.col(j) for j in range(A.dim)]
+        mu = [list(row) for row in A.mu]
+        vecs = [*alpha, *beta] + [u for rows in (mu, left, right)
+                                  for row in rows for u in row]
+        D = lcm(*(x.denominator for u in vecs for x in u))
+
+        def sparse(u: Sequence[Fraction]) -> SparseVector:
+            return [(k, x.numerator * (D // x.denominator))
+                    for k, x in enumerate(u) if x]
+
+        self.d, self.m, self.D = A.dim, len(beta), D
+        self.alpha = [sparse(u) for u in alpha]
+        self.mu = [[sparse(u) for u in row] for row in mu]
+        self.beta = [sparse(u) for u in beta]
+        self.left = [[sparse(u) for u in row] for row in left]
+        self.right = [[sparse(u) for u in row] for row in right]
+
+    @staticmethod
+    def of(A: HomAlgebra, V, dual: bool = False) -> "_Faces":
+        """The face data of V; with `dual`, of the transposed coefficient
+        data of a dual bimodule, whose faces are its cofaces transposed."""
+        vec = Matrix.row if dual else Matrix.col
+        left, right = (V.right, V.left) if dual else (V.left, V.right)
+        return _Faces(A, [vec(V.beta, v) for v in range(V.dim)],
+                      *([[vec(act[a], v) for a in range(A.dim)]
+                         for v in range(V.dim)] for act in (left, right)))
+
+    def columns(self, n: int, faces: Sequence[tuple[int, int]]
+                ) -> Iterator[dict[int, int]]:
+        """Per basis tensor of C_n, in index order, {row: x} of
+        sum(sign * delta_i) over the (i, sign) pairs in `faces`; each
+        entry is x / D^n.  Prefixes and suffixes of alpha factors are
+        built once per tensor and shared by the faces."""
+        for i, _ in faces:
+            if not 0 <= i <= n or n < 1:
+                raise IndexError(f"face index {i} out of range for degree {n}")
+        d, alpha, mu = self.d, self.alpha, self.mu
+        hi = max((i for i, _ in faces), default=0)
+        lo = min((i for i, _ in faces), default=n)
+        for v in range(self.m):
+            beta, left, right = self.beta[v], self.left[v], self.right[v]
+            for idx in iproduct(range(d), repeat=n):
+                # pre[k]: alpha(e_idx[0]) (x) ... (x) alpha(e_idx[k-1]);
+                # suf[k]: alpha(e_idx[k]) (x) ... (x) alpha(e_idx[n-1])
+                pre = [[(0, 1)]]
+                for k in range(hi - 1):
+                    pre.append(_kron(pre[k], alpha[idx[k]], d))
+                suf = {n: [(0, 1)]}
+                for k in range(n - 1, lo, -1):
+                    suf[k] = _kron(alpha[idx[k]], suf[k + 1], d ** (n - 1 - k))
+                acc: dict[int, int] = {}
+                for i, sign in faces:
+                    if i == 0:
+                        terms = _kron(right[idx[0]], suf[1], d ** (n - 1))
+                    elif i == n:
+                        terms = _kron(left[idx[-1]], pre[n - 1], d ** (n - 1))
+                    else:
+                        terms = _kron(_kron(_kron(beta, pre[i - 1], d ** (i - 1)),
+                                            mu[idx[i - 1]][idx[i]], d),
+                                      suf[i + 1], d ** (n - 1 - i))
+                    for k, x in terms:
+                        acc[k] = acc.get(k, 0) + sign * x
+                yield acc
+
+    def matrix(self, n: int, faces: Sequence[tuple[int, int]], *,
+               transpose: bool = False) -> Matrix:
+        """The signed face sum C_n -> C_{n-1}, or with `transpose` its
+        transpose."""
+        ncols = self.m * self.d ** n
+        return _from_columns(ncols // self.d, ncols, self.columns(n, faces),
+                             self.D ** n, transpose=transpose)
 
 
-def _alpha_columns(A: HomAlgebra) -> list[tuple[Fraction, ...]]:
-    return [A.alpha.col(j) for j in range(A.dim)]
+def _from_columns(nrows: int, ncols: int, columns: Iterable[dict[int, int]],
+                  den: int, *, transpose: bool = False) -> Matrix:
+    """The matrix whose column j holds x / den in row k for each k: x of
+    columns[j], or with `transpose` its transpose, whose integer rows
+    are those columns."""
+    if transpose:
+        return Matrix.from_integer_rows(nrows, [(den, c) for c in columns])
+    rows: list[dict[int, int]] = [{} for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for k, x in col.items():
+            rows[k][j] = x
+    return Matrix.from_integer_rows(ncols, [(den, r) for r in rows])
 
 
-def _face_columns(A: HomAlgebra, V: Bimodule, n: int,
-                  faces: Sequence[tuple[int, int]]) -> Iterator[list[Fraction]]:
-    """Per basis tensor of C_n(A, V), in index order, the dense column of
-    sum(sign * delta_i) over the (i, sign) pairs in `faces`, sign = +-1."""
-    for i, _ in faces:
-        if not 0 <= i <= n or n < 1:
-            raise IndexError(f"face index {i} out of range for degree {n}")
-    d, m = A.dim, V.dim
-    acols = _alpha_columns(A)
-    rows_dim = m * d ** (n - 1)
-    for v in range(m):
-        vvec = tuple(ONE if k == v else ZERO for k in range(m))
-        bv = V.beta.apply(vvec)
-        right = [V.right_action(vvec, A.basis_vector(a)) for a in range(d)]
-        left = [V.left_action(A.basis_vector(a), vvec) for a in range(d)]
-        for idx in iproduct(range(d), repeat=n):
-            col = [ZERO] * rows_dim
-            for i, sign in faces:
-                if i == 0:
-                    parts = [right[idx[0]]] + [acols[j] for j in idx[1:]]
-                elif i == n:
-                    parts = [left[idx[-1]]] + [acols[j] for j in idx[:-1]]
-                else:
-                    parts = [bv] + [acols[j] for j in idx[:i - 1]] + \
-                        [A.mu[idx[i - 1]][idx[i]]] + \
-                        [acols[j] for j in idx[i + 1:]]
-                for k, c in _tensor_terms(parts):
-                    col[k] += c if sign > 0 else -c
-            yield col
-
-
-def _matrix_of_columns(cols: list[list[Fraction]], rows: int) -> Matrix:
-    return Matrix.from_rows(cols).transpose() if cols else \
-        Matrix.zero(rows, 0)
+def _alternating(k: int) -> list[tuple[int, int]]:
+    return [(i, -1 if i % 2 else 1) for i in range(k)]
 
 
 def face_map(A: HomAlgebra, V: Bimodule, n: int, i: int) -> Matrix:
     """Matrix of the i-th face C_n(A, V) -> C_{n-1}(A, V)."""
-    return _matrix_of_columns(list(_face_columns(A, V, n, [(i, 1)])),
-                              chain_dim(A, V, n - 1))
+    return _Faces.of(A, V).matrix(n, [(i, 1)])
 
 
 def hochschild_b(A: HomAlgebra, V: Bimodule, n: int) -> Matrix:
     """Alternating sum of faces, C_n -> C_{n-1}, built in one pass."""
-    faces = [(i, 1 if i % 2 == 0 else -1) for i in range(n + 1)]
-    return _matrix_of_columns(list(_face_columns(A, V, n, faces)),
-                              chain_dim(A, V, n - 1))
+    return _Faces.of(A, V).matrix(n, _alternating(n + 1))
 
 
 def b_prime(A: HomAlgebra, n: int) -> Matrix:
-    """b' on C_n(A) = A^{(x)(n+1)}: all faces except the wrap-around one."""
+    """b' on C_n(A) = A^{(x)(n+1)}: faces 0..n-1 of the regular bimodule,
+    all but the wrap-around one."""
+    return _Faces.of(A, regular_bimodule(A)).matrix(n, _alternating(n))
+
+
+def _rotation_sum(A: HomAlgebra, n: int, weights: Sequence[int]) -> Matrix:
+    """sum_k weights[k] t^k on A^{(x)(n+1)}.  t^k is a signed
+    permutation: row r holds sign^k at the k-fold inverse rotation of r."""
     d = A.dim
-    acols = _alpha_columns(A)
-    cols = []
-    for idx in iproduct(range(d), repeat=n + 1):
-        acc = [ZERO] * d ** n
-        for i in range(n):
-            merged = A.mu[idx[i]][idx[i + 1]]
-            parts = [acols[j] for j in idx[:i]] + [merged] + \
-                [acols[j] for j in idx[i + 2:]]
-            for k, c in _tensor_terms(parts):
-                acc[k] += c if i % 2 == 0 else -c
-        cols.append(acc)
-    return Matrix.from_rows(cols).transpose()
+    size, top = d ** (n + 1), d ** n
+    sign = -1 if n % 2 else 1
+    rows = []
+    for r in range(size):
+        acc: dict[int, int] = {}
+        c, s = r, 1
+        for w in weights:
+            if w:
+                acc[c] = acc.get(c, 0) + s * w
+            c, s = c % top * d + c // top, s * sign
+        rows.append((1, acc))
+    return Matrix.from_integer_rows(size, rows)
 
 
 def cyclic_t(A: HomAlgebra, n: int) -> Matrix:
     """Signed cyclic rotation on A^{(x)(n+1)}: sign (-1)^n, last slot to front."""
-    d = A.dim
-    size = d ** (n + 1)
-    sign = ONE if n % 2 == 0 else -ONE
-    entries = [[ZERO] * size for _ in range(size)]
-    for col_idx, idx in enumerate(iproduct(range(d), repeat=n + 1)):
-        rotated = (idx[-1],) + idx[:-1]
-        row_idx = 0
-        for j in rotated:
-            row_idx = row_idx * d + j
-        entries[row_idx][col_idx] = sign
-    return Matrix.from_rows(entries)
+    return _rotation_sum(A, n, (0, 1))
 
 
 def norm_N(A: HomAlgebra, n: int) -> Matrix:
     """N = Id + t + ... + t^n on A^{(x)(n+1)}."""
-    t = cyclic_t(A, n)
-    size = t.rows
-    total = Matrix.identity(size)
-    power = Matrix.identity(size)
-    for _ in range(n):
-        power = t @ power
-        total = total + power
-    return total
+    return _rotation_sum(A, n, (1,) * (n + 1))
 
 
 def homotopy_theta(A: HomAlgebra, n: int) -> Matrix:
@@ -159,14 +201,7 @@ def homotopy_theta(A: HomAlgebra, n: int) -> Matrix:
 
     These weights satisfy N + theta(Id - t) = (n+1) Id exactly.
     """
-    t = cyclic_t(A, n)
-    size = t.rows
-    total = Matrix.identity(size).scale(n + 1)
-    power = Matrix.identity(size)
-    for i in range(1, n + 1):
-        power = t @ power
-        total = total + power.scale(n + 1 - i)
-    return total
+    return _rotation_sum(A, n, range(n + 1, 0, -1))
 
 
 def check_presimplicial(A: HomAlgebra, V: Bimodule, n: int) -> None:
@@ -205,65 +240,13 @@ def coface_map(A: HomAlgebra, W: DualBimodule, n: int, i: int) -> Matrix:
     """Matrix of the i-th coface C^n(A, W) -> C^{n+1}(A, W)."""
     if not 0 <= i <= n + 1:
         raise IndexError(f"coface index {i} out of range for degree {n}")
-    d, m = A.dim, W.dim
-    acols = _alpha_columns(A)
-    src = m * d ** n
-    tgt = m * d ** (n + 1)
-    entries = [[ZERO] * src for _ in range(tgt)]
-    basis_w = [tuple(ONE if k == w else ZERO for k in range(m))
-               for w in range(m)]
-    for col, (w, idx) in enumerate(
-            ((w, idx) for w in range(m)
-             for idx in iproduct(range(d), repeat=n))):
-        # evaluate delta_i(phi_{w,idx}) on every input basis tensor
-        for trow, jdx in enumerate(iproduct(range(d), repeat=n + 1)):
-            if i == 0:
-                coeff = ONE
-                for k in range(n):
-                    coeff *= acols[jdx[k + 1]][idx[k]]
-                    if not coeff:
-                        break
-                if not coeff:
-                    continue
-                wvec = W.left_action(A.basis_vector(jdx[0]), basis_w[w])
-            elif i == n + 1:
-                coeff = ONE
-                for k in range(n):
-                    coeff *= acols[jdx[k]][idx[k]]
-                    if not coeff:
-                        break
-                if not coeff:
-                    continue
-                wvec = W.right_action(basis_w[w], A.basis_vector(jdx[-1]))
-            else:
-                coeff = ONE
-                for k in range(1, n + 1):
-                    if k < i:
-                        slot = acols[jdx[k - 1]]
-                    elif k == i:
-                        slot = A.mu[jdx[i - 1]][jdx[i]]
-                    else:
-                        slot = acols[jdx[k]]
-                    coeff *= slot[idx[k - 1]]
-                    if not coeff:
-                        break
-                if not coeff:
-                    continue
-                wvec = W.beta.apply(basis_w[w])
-            for wr in range(m):
-                if wvec[wr]:
-                    entries[wr * d ** (n + 1) + trow][col] += coeff * wvec[wr]
-    return Matrix.from_rows(entries)
+    return _Faces.of(A, W, dual=True).matrix(n + 1, [(i, 1)], transpose=True)
 
 
 def cochain_b(A: HomAlgebra, W: DualBimodule, n: int) -> Matrix:
     """Coboundary C^n(A, W) -> C^{n+1}(A, W), alternating sum of cofaces."""
-    total = None
-    for i in range(n + 2):
-        f = coface_map(A, W, n, i)
-        f = f if i % 2 == 0 else -f
-        total = f if total is None else total + f
-    return total
+    return _Faces.of(A, W, dual=True).matrix(n + 1, _alternating(n + 2),
+                                             transpose=True)
 
 
 def check_precosimplicial(A: HomAlgebra, W: DualBimodule, n: int) -> None:
@@ -280,12 +263,21 @@ def check_precosimplicial(A: HomAlgebra, W: DualBimodule, n: int) -> None:
 
 
 def build_hochschild_cohomology_complex(A: HomAlgebra, W: DualBimodule,
-                                        n_max: int) -> ChainComplex:
-    """The cochain complex (C^*(A, W), b) truncated at n_max."""
+                                        n_max: int, *,
+                                        check_identities: bool = True
+                                        ) -> ChainComplex:
+    """The cochain complex (C^*(A, W), b) truncated at n_max.
+
+    With `check_identities`, the pre-cosimplicial identities are checked
+    in every degree n <= n_max - 2, whose cofaces stay in the window.
+    """
     dims = {n: chain_dim(A, W, n) for n in range(n_max + 1)}
     diffs = {n: cochain_b(A, W, n) for n in range(n_max)}
     C = ChainComplex(dims=dims, diffs=diffs, orientation="cohomological")
     C.check_d_squared()
+    if check_identities:
+        for n in range(n_max - 1):
+            check_precosimplicial(A, W, n)
     return C
 
 

@@ -3,22 +3,33 @@
 Everything downstream (axiom checks, boundary matrices, Betti numbers)
 reduces to products, ranks, kernels, images and quotients computed here.
 All arithmetic is exact: entries are ``fractions.Fraction`` values, but
-the heavy loops run on Python integers.  `_integer_terms` writes a row
-as its nonzero entries over one common denominator; products (`@` and
-`apply`) sum those integers and build one Fraction per nonzero output
-entry, and row reduction is fraction-free (Bareiss) on the same
-integer-scaled rows.  Betti numbers need only ranks, which `rank` reads
-off that echelon form with no further pass.  `rref` adds a Fraction
-back-substitution and runs only where a canonical basis is needed:
-homology representatives, induced maps and subspaces.  Pivoting is
-deterministic (first nonzero entry in (row, col) order) so bases are
-reproducible across runs.
+the heavy loops run on Python integers.  Each `Matrix` keeps, beside
+its dense entries, the integer form of its rows: per row, its nonzero
+entries as integers over one common denominator (`_integer_terms`).
+That form is computed at most once, or handed over by the builder
+(`Matrix.from_integer_rows`, which the Hochschild face kernel uses), so
+a matrix that is ~99% zeros is never scanned entry by entry again.
+Products (`@` and `apply`) read it, sum integers over the nonzero
+entries only and build one Fraction per nonzero output entry; when the
+right factor is dense they pack each of its rows into one big integer
+(Kronecker substitution).  Row reduction is fraction-free (Bareiss) on
+the same integer rows.  Betti numbers need only ranks, which `rank`
+reads off that echelon form with no further pass.  `rref` adds a
+Fraction back-substitution and runs only where a canonical basis is
+needed: homology representatives, induced maps and subspaces.  Pivoting
+is deterministic (first nonzero entry in (row, col) order) so bases are
+reproducible across runs; `reduce_mod` and `Subspace.coordinates`
+update only the nonzero positions of each basis vector.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -39,9 +50,22 @@ def scalar_to_string(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# A row in integer form: (m, ks, xs), the entry xs[i] / m in column
+# ks[i] for each i, every xs[i] nonzero and m the lcm of the reduced
+# denominators (so the row is in lowest terms).  Two flat tuples keep it
+# small: a matrix holds this form beside its dense entries.
+IntRow = tuple[int, tuple[int, ...], tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix with Fraction entries, row-major."""
+    """Immutable dense matrix with Fraction entries, row-major.
+
+    Alongside the dense `entries`, a matrix keeps the integer form of its
+    rows (`_int_rows`, one `IntRow` per row), computed at most once or
+    handed over by whoever built the matrix.  Products, `apply`, `rank`
+    and `rref` read that form, so they touch nonzero entries only.
+    """
 
     rows: int
     cols: int
@@ -65,6 +89,29 @@ class Matrix:
         return Matrix(nrows, ncols, tuple(flat))
 
     @staticmethod
+    def from_integer_rows(ncols: int,
+                          int_rows: Sequence[tuple[int, dict[int, int]]]
+                          ) -> "Matrix":
+        """The matrix whose row i holds x / m in column k for each k: x of
+        int_rows[i] = (m, {k: x}), m > 0; zero x are dropped.  The rows
+        are kept, in lowest terms, as the matrix's integer form."""
+        rows = [_lowest(m, tuple(k for k, x in row.items() if x),
+                        tuple(x for x in row.values() if x))
+                for m, row in int_rows]
+        flat = [ZERO] * (len(rows) * ncols)
+        memo: dict[tuple[int, int], Fraction] = {}
+        for i, (m, ks, xs) in enumerate(rows):
+            base = i * ncols
+            for k, x in zip(ks, xs):
+                f = memo.get((x, m))
+                if f is None:
+                    f = memo[x, m] = Fraction(x, m)
+                flat[base + k] = f
+        out = Matrix(len(rows), ncols, tuple(flat))
+        out.__dict__["_int_rows"] = rows
+        return out
+
+    @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
         return Matrix(rows, cols, (ZERO,) * (rows * cols))
 
@@ -72,6 +119,26 @@ class Matrix:
     def identity(n: int) -> "Matrix":
         return Matrix(n, n, tuple(ONE if i == j else ZERO
                                   for i in range(n) for j in range(n)))
+
+    @cached_property
+    def _int_rows(self) -> list[IntRow]:
+        e, c = self.entries, self.cols
+        return [_integer_terms(enumerate(e[i * c:(i + 1) * c]))
+                for i in range(self.rows)]
+
+    @cached_property
+    def _int_cols(self) -> list[IntRow]:
+        """The integer form of the columns: the rows of the transpose."""
+        cols: list[list[tuple[int, int, int]]] = [[] for _ in range(self.cols)]
+        for i, (m, ks, xs) in enumerate(self._int_rows):
+            for k, x in zip(ks, xs):
+                cols[k].append((i, x, m))
+        out = []
+        for col in cols:
+            dn = lcm(*(m for _, _, m in col))
+            out.append(_lowest(dn, tuple(i for i, _, _ in col),
+                               tuple(x * (dn // m) for _, x, m in col)))
+        return out
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
@@ -81,15 +148,19 @@ class Matrix:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j::self.cols] if self.cols else ()
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(self.entries[i * self.cols + j]
-                            for j in range(self.cols) for i in range(self.rows)))
+        e, c = self.entries, self.cols
+        out = Matrix(self.cols, self.rows,
+                     tuple(chain.from_iterable(e[j::c] for j in range(c))))
+        if "_int_rows" in self.__dict__:
+            out.__dict__["_int_rows"] = self._int_cols
+            out.__dict__["_int_cols"] = self._int_rows
+        return out
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -104,7 +175,11 @@ class Matrix:
                       tuple(a - b for a, b in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        out = Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        if "_int_rows" in self.__dict__:
+            out.__dict__["_int_rows"] = [(m, ks, tuple(-x for x in xs))
+                                         for m, ks, xs in self._int_rows]
+        return out
 
     def scale(self, c: Fraction | int) -> "Matrix":
         c = Fraction(c)
@@ -115,72 +190,127 @@ class Matrix:
             raise ValueError(
                 f"shape mismatch in @: {self.rows}x{self.cols} @ "
                 f"{other.rows}x{other.cols}")
-        right = {k: _integer_terms(enumerate(other.row(k)))
-                 for k in range(other.rows)}
-        return Matrix(self.rows, other.cols, tuple(_product(
-            (self.row(i) for i in range(self.rows)), right, other.cols)))
+        return Matrix.from_integer_rows(other.cols, _product(
+            self._int_rows, other._int_rows, other.cols))
 
     def apply(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Matrix-vector product (vec as a column of coordinates): the
         columns of self at the nonzero coordinates, combined."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        e, c = self.entries, self.cols
-        right = {k: _integer_terms(enumerate(e[k::c]))
-                 for k, v in enumerate(vec) if v}
-        return tuple(_product((vec,), right, self.rows))
+        [(m, sums)] = _product([_integer_terms(enumerate(vec))],
+                               self._int_cols, self.rows)
+        out = [ZERO] * self.rows
+        for k, x in sums.items():
+            if x:
+                out[k] = Fraction(x, m)
+        return tuple(out)
 
     def is_zero(self) -> bool:
+        if "_int_rows" in self.__dict__:
+            return not any(ks for _, ks, _ in self._int_rows)
         return all(not a for a in self.entries)
 
 
-def _integer_terms(pairs: Iterable[tuple[int, Fraction]]
-                   ) -> tuple[int, list[tuple[int, int]]]:
-    """(m, [(k, m * x) for each nonzero x]) from (k, x) pairs, m the lcm
-    of the denominators: the entries as integers over m."""
+def _integer_terms(pairs: Iterable[tuple[int, Fraction]]) -> IntRow:
+    """The `IntRow` of the nonzero x among the (k, x) pairs: m is the lcm
+    of their denominators and each x is written as an integer over m."""
     terms = [(k, x) for k, x in pairs if x]
     m = 1
     for _, x in terms:
         d = x.denominator
         if d != 1:
             m = m // gcd(m, d) * d
+    ks = tuple(k for k, _ in terms)
     if m == 1:
-        return 1, [(k, x.numerator) for k, x in terms]
-    return m, [(k, x.numerator * (m // x.denominator)) for k, x in terms]
+        return m, ks, tuple(x.numerator for _, x in terms)
+    return m, ks, tuple(x.numerator * (m // x.denominator) for _, x in terms)
 
 
-def _product(left_rows: Iterable[Sequence[Fraction]],
-             right: dict[int, tuple[int, list[tuple[int, int]]]],
-             ncols: int) -> list[Fraction]:
-    """Row-major entries of L @ R, exactly, on integers.
+def _lowest(m: int, ks: tuple[int, ...], xs: tuple[int, ...]) -> IntRow:
+    """The row xs / m with gcd(m, every x) divided out: its `IntRow`,
+    whose m is the lcm of the reduced denominators."""
+    if not xs:
+        return 1, ks, xs
+    g = gcd(m, *xs)
+    if g == 1:
+        return m, ks, xs
+    return m // g, ks, tuple(x // g for x in xs)
 
-    `right[k]` is `_integer_terms` of row k of R (rows not in `right` are
-    zero).  R is brought to one common denominator dn, each row of L to
-    its own m, and an output entry is its integer sum over m * dn: one
-    Fraction per nonzero entry, no Fraction arithmetic.
+
+def _product(left: Sequence[IntRow], right: Sequence[IntRow],
+             ncols: int) -> list[tuple[int, dict[int, int]]]:
+    """The rows of L @ R, exactly, from the integer rows of L and R, as
+    (denominator, {column: integer sum}) with zero sums allowed.
+
+    R is brought to one common denominator dn and each row of L keeps
+    its own m, so an output row is a set of integer sums over m * dn.
+    Only nonzero entries are multiplied: into a dict per output row, or,
+    when R is dense and L has several rows, by `_packed_sums`.
     """
-    dn = lcm(*(m for m, _ in right.values()))
-    rows = {k: terms if m == dn else [(j, x * (dn // m)) for j, x in terms]
-            for k, (m, terms) in right.items() if terms}
-    ks = list(rows)
-    out: list[Fraction] = []
-    for row in left_rows:
-        m, terms = _integer_terms(zip(ks, map(row.__getitem__, ks)))
-        acc = [0] * ncols
-        for k, x in terms:
-            for j, y in rows[k]:
-                acc[j] += x * y
-        den = m * dn
-        out.extend(Fraction(v, den) if v else ZERO for v in acc)
+    dn = lcm(*(m for m, ks, _ in right if ks))
+    rows = [(ks, xs if m == dn else tuple(x * (dn // m) for x in xs))
+            for m, ks, xs in right]
+    sums = None
+    if len(left) > 1 and \
+            4 * sum(len(ks) for ks, _ in rows) >= ncols * len(rows):
+        sums = _packed_sums(left, rows, ncols)
+    if sums is None:
+        sums = []
+        for _, ks, xs in left:
+            acc: dict[int, int] = {}
+            get = acc.get
+            for k, x in zip(ks, xs):
+                rk, rx = rows[k]
+                for j, y in zip(rk, rx):
+                    acc[j] = get(j, 0) + x * y
+            sums.append(acc)
+    return [(m * dn, acc) for (m, _, _), acc in zip(left, sums)]
+
+
+_HALF = 1 << 63
+
+
+def _packed_sums(left: Sequence[IntRow],
+                 rows: list[tuple[tuple[int, ...], tuple[int, ...]]],
+                 ncols: int) -> list[dict[int, int]] | None:
+    """The integer sums of L @ R by Kronecker substitution, or None when
+    an entry of the product might not fit in 63 bits.
+
+    Row k of R becomes one integer with R[k][j] in its 64-bit slot j, so
+    a row of the product is an integer combination of those, and its
+    entries are read back from the slots, each offset by 2^63 to make it
+    nonnegative.  Every step is exact integer arithmetic.
+    """
+    big = max((abs(x) for _, _, xs in left for x in xs), default=1) * \
+        max((abs(y) for _, ys in rows for y in ys), default=0) * \
+        max(1, *(len(ks) for _, ks, _ in left))
+    if big >= _HALF:
+        return None
+    # in native byte order an array of slots is one integer, slot 0 at
+    # the low end on little-endian hosts and at the high end otherwise
+    order = sys.byteorder
+    base = int.from_bytes(array("Q", [_HALF]) * ncols, order)
+    packed = []
+    for ks, ys in rows:
+        slots = array("Q", [_HALF]) * ncols
+        for j, y in zip(ks, ys):
+            slots[j] = y + _HALF
+        packed.append(int.from_bytes(slots, order) - base)
+    out = []
+    for _, ks, xs in left:
+        slots = array("Q", (sum(x * packed[k] for k, x in zip(ks, xs)) + base)
+                      .to_bytes(8 * ncols, order))
+        out.append({j: v - _HALF for j, v in enumerate(slots) if v != _HALF})
     return out
 
 
 def _integer_rows(m: Matrix) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators; rank is unchanged."""
+    """Dense integer rows, each row scaled by its own m; rank is unchanged."""
     out = []
-    for i in range(m.rows):
+    for _, ks, xs in m._int_rows:
         row = [0] * m.cols
-        for k, x in _integer_terms(enumerate(m.row(i)))[1]:
+        for k, x in zip(ks, xs):
             row[k] = x
         out.append(row)
     return out
@@ -299,16 +429,18 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
 
+    @cached_property
+    def _pivot_terms(self) -> list[tuple[int, list[tuple[int, Fraction]]]]:
+        """Per basis vector, its pivot column and its nonzero entries."""
+        out = []
+        for bvec in self.basis:
+            terms = [(j, x) for j, x in enumerate(bvec) if x]
+            out.append((terms[0][0], terms))
+        return out
+
     def coordinates(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Coordinates of vec in the RREF basis; raises if not a member."""
-        coords = []
-        residual = list(vec)
-        for bvec in self.basis:
-            p = next(j for j, x in enumerate(bvec) if x)
-            c = residual[p]
-            coords.append(c)
-            if c:
-                residual = [a - c * b for a, b in zip(residual, bvec)]
+        coords, residual = _eliminate(self, vec)
         if any(residual):
             raise NotASubspaceError("vector not in subspace")
         return tuple(coords)
@@ -318,15 +450,25 @@ class NotASubspaceError(ValueError):
     pass
 
 
+def _eliminate(sub: Subspace, vec: Sequence[Fraction]
+               ) -> tuple[list[Fraction], list[Fraction]]:
+    """RREF pivot elimination of vec by sub's basis: the coefficient taken
+    of each basis vector, and the residual.  Each basis vector updates
+    only its own nonzero positions, in place."""
+    coords = []
+    residual = list(vec)
+    for p, terms in sub._pivot_terms:
+        c = residual[p]
+        coords.append(c)
+        if c:
+            for j, x in terms:
+                residual[j] -= c * x
+    return coords, residual
+
+
 def reduce_mod(sub: Subspace, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Canonical representative of vec modulo sub (RREF pivot elimination)."""
-    residual = list(vec)
-    for bvec in sub.basis:
-        p = next(j for j, x in enumerate(bvec) if x)
-        c = residual[p]
-        if c:
-            residual = [a - c * b for a, b in zip(residual, bvec)]
-    return tuple(residual)
+    return tuple(_eliminate(sub, vec)[1])
 
 
 def kernel(m: Matrix) -> Subspace:

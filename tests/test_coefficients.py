@@ -57,3 +57,25 @@ def test_coregular_dual_requires_centroid():
         coregular_dual(k_times_k_swap_twist())
     V = coregular_dual(two_dim_unital())
     assert not check_bimodule_axioms(V)
+
+
+def test_regular_bimodule_is_kept_per_algebra_instance(monkeypatch):
+    """Built and axiom-checked once per instance; an equal algebra under
+    another name gets its own bimodule, and its reports keep that name."""
+    import dataclasses
+
+    from homcyc import coefficients, hochschild_homology
+    checked = []
+    check = coefficients.check_bimodule_axioms
+    monkeypatch.setattr(coefficients, "check_bimodule_axioms",
+                        lambda V: checked.append(V.name) or check(V))
+    A = two_dim_unital()
+    B = dataclasses.replace(A, name="renamed")
+    assert A == B
+    VA, VB = regular_bimodule(A), regular_bimodule(B)
+    assert regular_bimodule(A) is VA and regular_bimodule(B) is VB
+    assert (VA.name, VB.name) == ("two_dim_unital-regular", "renamed-regular")
+    assert hochschild_homology(B, 1).coefficient_name == "renamed-regular"
+    assert hochschild_homology(A, 1).coefficient_name == \
+        "two_dim_unital-regular"
+    assert checked == ["two_dim_unital-regular", "renamed-regular"]

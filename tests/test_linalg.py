@@ -172,11 +172,18 @@ ENTRIES = st.one_of(st.just(F(0)),
                     st.fractions(min_value=-8, max_value=8, max_denominator=12))
 
 
+# numerators around 2^31 and 2^70: products near and past the 63-bit
+# slots of the packed product
+WIDE_ENTRIES = st.one_of(ENTRIES, st.builds(
+    F, st.one_of(st.integers(-2 ** 32, 2 ** 32), st.integers(-2 ** 70, 2 ** 70)),
+    st.integers(1, 12)))
+
+
 @st.composite
-def exact_matrices(draw, rows, cols):
-    """Entries with denominators up to 12, with some whole rows and
-    columns set to zero."""
-    entries = [[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)]
+def exact_matrices(draw, rows, cols, elements=ENTRIES):
+    """Entries drawn from `elements` (by default with denominators up to
+    12), with some whole rows and columns set to zero."""
+    entries = [[draw(elements) for _ in range(cols)] for _ in range(rows)]
     zero_rows = draw(st.sets(st.integers(0, rows - 1))) if rows else set()
     zero_cols = draw(st.sets(st.integers(0, cols - 1))) if cols else set()
     return Matrix(rows, cols, tuple(
@@ -185,9 +192,10 @@ def exact_matrices(draw, rows, cols):
 
 
 @st.composite
-def product_operands(draw, max_dim=4):
+def product_operands(draw, max_dim=4, elements=ENTRIES):
     n, k, m = (draw(st.integers(0, max_dim)) for _ in range(3))
-    return draw(exact_matrices(n, k)), draw(exact_matrices(k, m))
+    return draw(exact_matrices(n, k, elements)), \
+        draw(exact_matrices(k, m, elements))
 
 
 def naive_product(a, b):
@@ -203,6 +211,25 @@ def test_matmul_matches_naive_fraction_product(ab):
     assert (c.rows, c.cols) == (a.rows, b.cols)
     assert c.to_rows() == naive_product(a, b)
     assert all(type(x) is F for x in c.entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_operands(max_dim=5, elements=WIDE_ENTRIES))
+def test_matmul_with_wide_entries_matches_naive_product(ab):
+    """Dense operands whose products may or may not fit the packed
+    product's 63-bit slots give the plain Fraction product either way."""
+    a, b = ab
+    assert (a @ b).to_rows() == naive_product(a, b)
+
+
+@pytest.mark.parametrize("big", [2 ** 30, 2 ** 31])
+def test_matmul_at_the_packed_slot_bound(big):
+    """Sums of three products of size 2^60 fit a 63-bit slot, with
+    either sign; at 2^62 the plain path takes over."""
+    a = Matrix.from_rows([[big, -big, big], [-big, -big, -big],
+                          [big, big, big]])
+    b = Matrix.from_rows([[big, -big], [big, big], [-big, -big]])
+    assert (a @ b).to_rows() == naive_product(a, b)
 
 
 @settings(max_examples=150, deadline=None)
