@@ -19,9 +19,8 @@ from .complexes import (Bicomplex, ChainComplex, HomologyReport, block_matrix,
 from .hochschild import (IdentityViolationError, b_prime, cyclic_t,
                          build_hochschild_cohomology_complex,
                          build_hochschild_homology_complex,
-                         hochschild_b, norm_N, _from_columns)
-from .linalg import (Matrix, Subspace, ZERO, ONE, image, kernel, reduce_mod,
-                     _integer_terms)
+                         hochschild_b, norm_N)
+from .linalg import Matrix, Subspace, ZERO, ONE, image, kernel, reduce_mod
 
 
 def hochschild_homology(A: HomAlgebra, n_max: int, *,
@@ -307,15 +306,12 @@ def extra_degeneracy(A: HomAlgebra, unit: tuple[Fraction, ...],
                      n: int) -> Matrix:
     """s: C_n -> C_{n+1}, a_0(x)...(x)a_n -> 1(x)a_0(x)...(x)a_n.
 
-    Built as (unsigned rotation) o (append unit); the unsigned reading of
-    the rotation makes the associative specialization reproduce the
-    classical extra degeneracy.
+    Its matrix is unit (x) Id, that is (unsigned rotation) o (append
+    unit); the unsigned reading of the rotation makes the associative
+    specialization reproduce the classical extra degeneracy.
     """
-    D, ks, xs = _integer_terms(enumerate(unit))
-    size = A.dim ** (n + 1)
-    return _from_columns(A.dim * size, size,
-                         ({j * size + c: x for j, x in zip(ks, xs)}
-                          for c in range(size)), D)
+    return _kron(Matrix.from_rows([[x] for x in unit]),
+                 Matrix.identity(A.dim ** (n + 1)))
 
 
 def connes_boundary(A: HomAlgebra, unit: tuple[Fraction, ...], n: int) -> Matrix:

@@ -148,7 +148,9 @@ class Matrix:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def col(self, j: int) -> tuple[Fraction, ...]:
-        return self.entries[j::self.cols] if self.cols else ()
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} out of range for {self.cols} columns")
+        return self.entries[j::self.cols]
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -246,7 +248,9 @@ def _product(left: Sequence[IntRow], right: Sequence[IntRow],
     R is brought to one common denominator dn and each row of L keeps
     its own m, so an output row is a set of integer sums over m * dn.
     Only nonzero entries are multiplied: into a dict per output row, or,
-    when R is dense and L has several rows, by `_packed_sums`.
+    when R is dense and L has several rows, by `_packed_sums`.  A packed
+    row of R costs one slot per column, zeros included, so packing is
+    kept to R with at least a quarter of its entries nonzero.
     """
     dn = lcm(*(m for m, ks, _ in right if ks))
     rows = [(ks, xs if m == dn else tuple(x * (dn // m) for x in xs))

@@ -1,10 +1,10 @@
 """Reference builds of the Hochschild operators, for the oracle tests.
 
 These are the direct constructions homcyc used before its integer face
-kernel: each face column is a tensor product of Fraction vectors, each
-coface entry is the evaluation of a coface on one basis cochain and one
-basis tensor, and t, N and theta come from a dense rotation matrix and
-its powers.  They read the algebra and coefficient data entry by entry
+kernel: each face column, and each column of the extra degeneracy, is a
+tensor product of Fraction vectors, each coface entry is the evaluation
+of a coface on one basis cochain and one basis tensor, and t, N and
+theta come from a dense rotation matrix and its powers.  They read the algebra and coefficient data entry by entry
 and do their own Fraction arithmetic, so nothing here goes through
 `homcyc.linalg` products or the kernel under test.  Every function
 returns the matrix as a list of rows of Fractions.
@@ -73,6 +73,20 @@ def hochschild_b(A, V, n):
     faces = [(i, (-1) ** i) for i in range(n + 1)]
     return _transpose(list(face_columns(A, V, n, faces)),
                       V.dim * A.dim ** (n - 1))
+
+
+def extra_degeneracy(A, unit, n):
+    """s: C_n -> C_{n+1}, the column of a basis tensor e being unit (x) e."""
+    d = A.dim
+    cols = []
+    for idx in iproduct(range(d), repeat=n + 1):
+        col = [ZERO] * d ** (n + 2)
+        for k, c in _tensor_terms([unit] + [[ONE if j == i else ZERO
+                                              for j in range(d)]
+                                             for i in idx]):
+            col[k] = c
+        cols.append(col)
+    return _transpose(cols, d ** (n + 2))
 
 
 def b_prime(A, n):

@@ -57,6 +57,17 @@ def test_matrix_basic_ops():
     assert a.scale(2)[0, 1] == F(4)
 
 
+def test_col_reads_one_column_and_rejects_out_of_range():
+    a = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    assert [a.col(j) for j in range(3)] == [(F(1), F(4)), (F(2), F(5)),
+                                            (F(3), F(6))]
+    for j in (-1, 3, 4):
+        with pytest.raises(IndexError):
+            a.col(j)
+    with pytest.raises(IndexError):
+        Matrix.zero(2, 0).col(0)
+
+
 def test_matmul_shape_mismatch():
     with pytest.raises(ValueError):
         Matrix.identity(2) @ Matrix.identity(3)
