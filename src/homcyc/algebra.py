@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import (Matrix, Subspace, ZERO, ONE, image, kernel,
+from .linalg import (Matrix, Subspace, ZERO, ONE, image, kernel, restrict,
                      scalar_from_string, scalar_to_string, solve_homogeneous)
 
 MuTensor = tuple[tuple[tuple[Fraction, ...], ...], ...]
@@ -83,12 +83,12 @@ class HomAlgebra:
         return tuple(ONE if k == i else ZERO for k in range(self.dim))
 
     def left_mult_matrix(self, x: Sequence[Fraction]) -> Matrix:
-        cols = [self.product(x, self.basis_vector(j)) for j in range(self.dim)]
-        return Matrix.from_rows(cols).transpose()
+        return Matrix.from_columns(self.dim, [
+            self.product(x, self.basis_vector(j)) for j in range(self.dim)])
 
     def right_mult_matrix(self, x: Sequence[Fraction]) -> Matrix:
-        cols = [self.product(self.basis_vector(j), x) for j in range(self.dim)]
-        return Matrix.from_rows(cols).transpose()
+        return Matrix.from_columns(self.dim, [
+            self.product(self.basis_vector(j), x) for j in range(self.dim)])
 
     def to_json_dict(self) -> dict:
         return {
@@ -311,7 +311,7 @@ class Decomposition:
     @property
     def change_of_basis(self) -> Matrix:
         cols = list(self.basis_a1) + list(self.basis_a2)
-        return Matrix.from_rows(cols).transpose()
+        return Matrix.from_columns(len(cols[0]), cols)
 
 
 class DecompositionError(ValueError):
@@ -326,20 +326,12 @@ def _restrict_algebra(A: HomAlgebra, sub: Subspace, alpha_sub: Matrix | None,
     alpha_sub: the restricted twist in subspace coordinates; computed by
     restriction when None.
     """
-    m = sub.dim
-    basis = sub.basis
-    mu = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            prod = A.product(basis[i], basis[j])
-            row.append(sub.coordinates(prod))
-        mu.append(tuple(row))
+    mu = tuple(tuple(sub.coordinates(A.product(u, v)) for v in sub.basis)
+               for u in sub.basis)
     if alpha_sub is None:
-        cols = [sub.coordinates(A.apply_alpha(basis[j])) for j in range(m)]
-        alpha_sub = Matrix.from_rows(cols).transpose()
-    names = tuple(f"f{i+1}" for i in range(m))
-    return validate_or_raise(m, names, tuple(mu), alpha_sub, name=name)
+        alpha_sub = restrict(A.alpha, sub, sub)
+    names = tuple(f"f{i+1}" for i in range(sub.dim))
+    return validate_or_raise(sub.dim, names, mu, alpha_sub, name=name)
 
 
 def unital_decompose(A: HomAlgebra) -> Decomposition:
@@ -439,12 +431,12 @@ def unitalize(A: HomAlgebra) -> tuple[HomAlgebra, Matrix]:
     # beta: 1 -> abar, abar -> abar, restricted to A it is alpha
     beta_cols = [basis[1], basis[1]] + \
         [embed(A.apply_alpha(A.basis_vector(j))) for j in range(d)]
-    beta = Matrix.from_rows(beta_cols).transpose()
+    beta = Matrix.from_columns(n, beta_cols)
     B = validate_or_raise(n, names, mu, beta, name=A.name + "_unitalized")
     if find_unit(B) is None:
         raise ValueError("unitalization failed to produce a unit")
     emb_cols = [embed(A.basis_vector(j)) for j in range(d)]
-    embedding = Matrix.from_rows(emb_cols).transpose()
+    embedding = Matrix.from_columns(n, emb_cols)
     # embedding must be a morphism of Hom-algebras
     for i in range(d):
         for j in range(d):

@@ -162,12 +162,45 @@ def cmd_duality(args) -> int:
     return EXIT_OK if all_equal else EXIT_IDENTITY
 
 
+def _read_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _read_matrix(path: str, dim: int) -> Matrix:
+    """A dim x dim matrix, given as a JSON list of rows."""
+    try:
+        m = Matrix.from_rows([[scalar_from_string(str(x)) for x in row]
+                              for row in _read_json(path)])
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ShapeError(f"malformed matrix in {path}: {exc}") from exc
+    if (m.rows, m.cols) != (dim, dim):
+        raise ShapeError(f"matrix in {path} is {m.rows}x{m.cols}, "
+                         f"not {dim}x{dim}")
+    return m
+
+
+def _read_functional(path: str, alg: HomAlgebra,
+                     degree: int | None = None) -> Functional:
+    """A functional on alg^{(x)(n+1)}: a JSON object with its "coords"
+    and, unless the degree n is given, its "degree"."""
+    data = _read_json(path)
+    try:
+        n = int(data["degree"]) if degree is None else degree
+        coords = tuple(scalar_from_string(str(x)) for x in data["coords"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ShapeError(f"malformed functional in {path}: {exc}") from exc
+    # dim >= 2, n >= bit length of len give dim^(n+1) > len: no huge power
+    if n < 0 or (alg.dim > 1 and n >= len(coords).bit_length()) or \
+            alg.dim ** (n + 1) != len(coords):
+        raise ShapeError(f"functional in {path} has {len(coords)} "
+                         f"coordinates, not dim^(degree+1) for degree {n}")
+    return Functional(n, coords)
+
+
 def cmd_twist(args) -> int:
     alg = _load(args.file)
-    with open(args.alpha) as fh:
-        rows = json.load(fh)
-    endo = Matrix.from_rows([[scalar_from_string(str(x)) for x in row]
-                             for row in rows])
+    endo = _read_matrix(args.alpha, alg.dim)
     twisted = yau_twist(alg, endo, name=args.name or (alg.name + "_twisted"))
     print(twisted.to_json())
     return EXIT_OK
@@ -241,14 +274,15 @@ def _report_bb(alg, n_max: int, fmt: str) -> None:
 
 
 def cmd_cocycle(args) -> int:
+    need = ("functional",) if args.action == "verify" else \
+        ("derivation", "trace")
+    missing = [f"--{o}" for o in need if getattr(args, o) is None]
+    if missing:
+        args.usage_error(f"cocycle {args.action} needs "
+                         + " and ".join(missing))
     alg = _load(args.file)
     if args.action == "verify":
-        with open(args.functional) as fh:
-            data = json.load(fh)
-        phi = Functional(int(data["degree"]),
-                         tuple(scalar_from_string(str(x))
-                               for x in data["coords"]))
-        check = is_cyclic_cocycle(phi, alg)
+        check = is_cyclic_cocycle(_read_functional(args.functional, alg), alg)
         payload = {"is_cyclic_cocycle": check.is_cocycle,
                    "coboundary_residuals": len(check.coboundary_residuals),
                    "cyclicity_residuals": len(check.cyclicity_residuals)}
@@ -258,14 +292,8 @@ def cmd_cocycle(args) -> int:
         _emit(payload, args.format, text)
         return EXIT_OK if check.is_cocycle else EXIT_INVALID
     # derive
-    with open(args.derivation) as fh:
-        drows = json.load(fh)
-    rho = TwistedDerivation(Matrix.from_rows(
-        [[scalar_from_string(str(x)) for x in row] for row in drows]))
-    with open(args.trace) as fh:
-        tdata = json.load(fh)
-    tr = Functional(0, tuple(scalar_from_string(str(x))
-                             for x in tdata["coords"]))
+    rho = TwistedDerivation(_read_matrix(args.derivation, alg.dim))
+    tr = _read_functional(args.trace, alg, degree=0)
     try:
         phi = derivation_cocycle(alg, rho, tr)
     except CocyclePreconditionError as exc:
@@ -352,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--functional", help="functional JSON (verify)")
     sp.add_argument("--derivation", help="derivation matrix JSON (derive)")
     sp.add_argument("--trace", help="trace functional JSON (derive)")
-    sp.set_defaults(fn=cmd_cocycle)
+    sp.set_defaults(fn=cmd_cocycle, usage_error=sp.error)
     return p
 
 

@@ -14,7 +14,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import HomAlgebra, Violation, is_centroid_element
-from .linalg import Matrix, Subspace, ZERO, ONE, solve_homogeneous
+from .linalg import (Matrix, NotASubspaceError, Subspace, ZERO, ONE, restrict,
+                     solve_homogeneous)
 
 
 class CoefficientError(ValueError):
@@ -211,19 +212,12 @@ def a_circ(A: HomAlgebra) -> RestrictedDual:
     right_amb = [A.left_mult_matrix(A.apply_alpha(A.basis_vector(a))).transpose()
                  for a in range(d)]
 
-    def restrict(mat: Matrix) -> Matrix:
-        cols = []
-        for bvec in sub.basis:
-            w = mat.apply(bvec)
-            try:
-                cols.append(sub.coordinates(w))
-            except ValueError as exc:
-                raise CoefficientError(
-                    "action does not preserve the functional subspace") from exc
-        return Matrix.from_rows(cols).transpose() if cols else Matrix.zero(0, 0)
-
-    left = tuple(restrict(mat) for mat in left_amb)
-    right = tuple(restrict(mat) for mat in right_amb)
+    try:
+        left = tuple(restrict(mat, sub, sub) for mat in left_amb)
+        right = tuple(restrict(mat, sub, sub) for mat in right_amb)
+    except NotASubspaceError as exc:
+        raise CoefficientError(
+            "action does not preserve the functional subspace") from exc
     V = Bimodule(A, m, left, right, Matrix.identity(m),
                  name=f"{A.name}-dual-restricted")
     bad = check_bimodule_axioms(V)

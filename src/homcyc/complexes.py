@@ -12,8 +12,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Literal, Sequence
 
-from .linalg import (Matrix, Subspace, ZERO, image, kernel, quotient_dim,
-                     rank as matrix_rank, reduce_mod, scalar_to_string)
+from .linalg import (Matrix, NotASubspaceError, Subspace, block_matrix,
+                     descend, image, kernel, quotient_dim,
+                     rank as matrix_rank, reduce_mod, restrict,
+                     scalar_to_string)
 
 Orientation = Literal["homological", "cohomological"]
 
@@ -232,24 +234,21 @@ class Bicomplex:
     def dim(self, p: int, q: int) -> int:
         return self.cell_dims.get((p, q), 0)
 
-    def _vstep(self) -> int:
-        return -1 if self.orientation == "homological" else 1
-
-    def _hstep(self) -> int:
+    def _step(self) -> int:
         return -1 if self.orientation == "homological" else 1
 
     def vmap(self, p: int, q: int) -> Matrix:
         if (p, q) in self.vertical:
             return self.vertical[(p, q)]
-        return Matrix.zero(self.dim(p, q + self._vstep()), self.dim(p, q))
+        return Matrix.zero(self.dim(p, q + self._step()), self.dim(p, q))
 
     def hmap(self, p: int, q: int) -> Matrix:
         if (p, q) in self.horizontal:
             return self.horizontal[(p, q)]
-        return Matrix.zero(self.dim(p + self._hstep(), q), self.dim(p, q))
+        return Matrix.zero(self.dim(p + self._step(), q), self.dim(p, q))
 
     def check_squares(self) -> None:
-        vs, hs = self._vstep(), self._hstep()
+        vs = hs = self._step()
         for (p, q) in self.cell_dims:
             if (p, q + 2 * vs) in self.cell_dims:
                 if not (self.vmap(p, q + vs) @ self.vmap(p, q)).is_zero():
@@ -263,22 +262,6 @@ class Bicomplex:
                 if not anti.is_zero():
                     raise BoundarySquareError(
                         f"squares do not anticommute at {(p, q)}")
-
-
-def block_matrix(rows: int, cols: int,
-                 blocks: Sequence[tuple[Matrix, int, int]]) -> Matrix:
-    """rows x cols matrix with each (block, row offset, col offset) placed
-    in it and zeros elsewhere."""
-    entries = [[ZERO] * cols for _ in range(rows)]
-    for block, roff, coff in blocks:
-        for i in range(block.rows):
-            brow = block.row(i)
-            out = entries[roff + i]
-            for j in range(block.cols):
-                if brow[j]:
-                    out[coff + j] = brow[j]
-    return Matrix.from_rows(entries) if rows and cols else \
-        Matrix.zero(rows, cols)
 
 
 def total_complex(B: Bicomplex) -> ChainComplex:
@@ -319,87 +302,51 @@ def total_complex(B: Bicomplex) -> ChainComplex:
     return C
 
 
-def _induced_on_quotient(d: Matrix, sub_tgt: Subspace,
-                         src_reps: list[tuple[Fraction, ...]],
-                         tgt_reps: list[tuple[Fraction, ...]]) -> Matrix:
-    """Differential on quotient coordinates (coset representative bases)."""
-    tgt_space = Subspace.from_vectors(
-        len(tgt_reps[0]) if tgt_reps else d.rows, tgt_reps)
-    cols = []
-    for v in src_reps:
-        w = reduce_mod(sub_tgt, d.apply(v))
-        cols.append(tgt_space.coordinates(w))
-    if not cols:
-        return Matrix.zero(len(tgt_reps), 0)
-    return Matrix.from_rows(cols).transpose()
-
-
 def quotient_complex(C: ChainComplex, subspaces: dict[int, Subspace]) -> ChainComplex:
     """Quotient of C by a d-stable family of subspaces.
 
     Coordinates in degree n: the canonical coset representatives, i.e.
-    the standard basis vectors at non-pivot positions of the subspace's
+    the standard basis vectors at the `free_columns` of the subspace's
     RREF basis.
     """
-    step = -1 if C.orientation == "homological" else 1
-    reps: dict[int, list[tuple[Fraction, ...]]] = {}
-    for n in C.dims:
-        sub = subspaces.get(n, Subspace.zero(C.dim(n)))
-        if sub.ambient_dim != C.dim(n):
-            raise ValueError(f"subspace ambient dim mismatch in degree {n}")
-        pivots = {next(j for j, x in enumerate(b) if x) for b in sub.basis}
-        free = [j for j in range(C.dim(n)) if j not in pivots]
-        reps[n] = [tuple(Fraction(int(j == f)) for j in range(C.dim(n)))
-                   for f in free]
-    dims = {n: len(reps[n]) for n in C.dims}
-    diffs: dict[int, Matrix] = {}
-    for n in C.dims:
-        tgt = n + step
-        if tgt not in C.dims:
-            continue
-        d = C.differential(n)
-        sub_src = subspaces.get(n, Subspace.zero(C.dim(n)))
-        sub_tgt = subspaces.get(tgt, Subspace.zero(C.dim(tgt)))
-        for v in sub_src.basis:
-            if any(reduce_mod(sub_tgt, d.apply(v))):
-                raise NotStableError(
-                    f"differential does not preserve subspace at degree {n}")
-        if reps[tgt]:
-            diffs[n] = _induced_on_quotient(d, sub_tgt, reps[n], reps[tgt])
-        else:
-            diffs[n] = Matrix.zero(0, dims[n])
-    Q = ChainComplex(dims=dims, diffs=diffs, orientation=C.orientation)
-    Q.check_d_squared()
-    return Q
+    subs = _in_degrees(C, subspaces)
+    return _mapped_complex(C, subs, descend,
+                           {n: C.dim(n) - s.dim for n, s in subs.items()})
 
 
 def sub_complex(C: ChainComplex, subspaces: dict[int, Subspace]) -> ChainComplex:
-    """Restriction of C to a d-stable family of subspaces."""
-    step = -1 if C.orientation == "homological" else 1
-    dims = {}
+    """Restriction of C to a d-stable family of subspaces, in the
+    coordinates of their RREF bases."""
+    subs = _in_degrees(C, subspaces)
+    return _mapped_complex(C, subs, restrict,
+                           {n: s.dim for n, s in subs.items()})
+
+
+def _in_degrees(C: ChainComplex, subspaces: dict[int, Subspace]
+                ) -> dict[int, Subspace]:
+    """Per degree of C, the given subspace of C_n, or zero."""
+    subs = {}
     for n in C.dims:
-        sub = subspaces.get(n, Subspace.zero(C.dim(n)))
-        if sub.ambient_dim != C.dim(n):
+        subs[n] = subspaces.get(n, Subspace.zero(C.dim(n)))
+        if subs[n].ambient_dim != C.dim(n):
             raise ValueError(f"subspace ambient dim mismatch in degree {n}")
-        dims[n] = sub.dim
+    return subs
+
+
+def _mapped_complex(C: ChainComplex, subs: dict[int, Subspace],
+                    induced: Callable[[Matrix, Subspace, Subspace], Matrix],
+                    dims: dict[int, int]) -> ChainComplex:
+    """The complex whose differential out of degree n is `induced` of
+    C's, from subs[n] to the subspace in the target degree."""
+    step = -1 if C.orientation == "homological" else 1
     diffs: dict[int, Matrix] = {}
     for n in C.dims:
-        tgt = n + step
-        if tgt not in C.dims:
-            continue
-        d = C.differential(n)
-        sub_src = subspaces.get(n, Subspace.zero(C.dim(n)))
-        sub_tgt = subspaces.get(tgt, Subspace.zero(C.dim(tgt)))
-        cols = []
-        for v in sub_src.basis:
-            w = d.apply(v)
+        if n + step in C.dims:
             try:
-                cols.append(sub_tgt.coordinates(w))
-            except ValueError as exc:
-                raise NotStableError(
-                    f"differential leaves subspace at degree {n}") from exc
-        diffs[n] = Matrix.from_rows(cols).transpose() if cols else \
-            Matrix.zero(dims[tgt], 0)
-    S = ChainComplex(dims=dims, diffs=diffs, orientation=C.orientation)
-    S.check_d_squared()
-    return S
+                diffs[n] = induced(C.differential(n), subs[n], subs[n + step])
+            except NotASubspaceError as exc:
+                raise NotStableError(f"differential does not preserve "
+                                     f"subspace at degree {n}") from exc
+    out = ChainComplex(dims=dims, diffs=diffs, orientation=C.orientation)
+    out.check_d_squared()
+    return out

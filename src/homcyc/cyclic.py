@@ -14,13 +14,14 @@ from fractions import Fraction
 
 from .algebra import AlgebraMorphism, HomAlgebra, find_unit, validate_morphism
 from .coefficients import dualize_bimodule, regular_bimodule
-from .complexes import (Bicomplex, ChainComplex, HomologyReport, block_matrix,
-                        homology, report_for_complex, total_complex)
+from .complexes import (Bicomplex, ChainComplex, HomologyReport, homology,
+                        report_for_complex, total_complex)
 from .hochschild import (IdentityViolationError, b_prime, cyclic_t,
                          build_hochschild_cohomology_complex,
                          build_hochschild_homology_complex,
                          hochschild_b, norm_N)
-from .linalg import Matrix, Subspace, ZERO, ONE, image, kernel, reduce_mod
+from .linalg import (Matrix, NotASubspaceError, Subspace, block_matrix,
+                     descend, image, kron, kernel, reduce_mod, restrict)
 
 
 def hochschild_homology(A: HomAlgebra, n_max: int, *,
@@ -45,22 +46,21 @@ def hochschild_cohomology(A: HomAlgebra, n_max: int, *,
                               representatives=representatives)
 
 
+def _one_minus_t(A: HomAlgebra, n: int) -> Matrix:
+    """Id - t_n on A^{(x)(n+1)}."""
+    t = cyclic_t(A, n)
+    return Matrix.identity(t.rows) - t
+
+
 def lambda_quotient_subspaces(A: HomAlgebra, n_max: int) -> dict[int, Subspace]:
     """Per degree, im(Id - t_n) inside A^{(x)(n+1)}."""
-    out = {}
-    for n in range(n_max + 1):
-        t = cyclic_t(A, n)
-        out[n] = image(Matrix.identity(t.rows) - t)
-    return out
+    return {n: image(_one_minus_t(A, n)) for n in range(n_max + 1)}
 
 
 def cyclic_invariant_subspaces(A: HomAlgebra, n_max: int) -> dict[int, Subspace]:
     """Per degree, the cyclic cochains ker(Id - t_n^T) in A^{(x)(n+1)}*."""
-    out = {}
-    for n in range(n_max + 1):
-        t_co = cyclic_t(A, n).transpose()
-        out[n] = kernel(Matrix.identity(t_co.rows) - t_co)
-    return out
+    return {n: kernel(_one_minus_t(A, n).transpose())
+            for n in range(n_max + 1)}
 
 
 def cyclic_homology_lambda(A: HomAlgebra, n_max: int, *,
@@ -104,10 +104,7 @@ def cyclic_bicomplex(A: HomAlgebra, n_max: int) -> Bicomplex:
     # each operator is built once per row q, and only if some cell uses it
     b = {q: hochschild_b(A, V, q) for q in range(1, top + 1)}
     minus_bp = {q: -b_prime(A, q) for q in range(1, top)}
-    one_minus_t = {}
-    for q in range(top):
-        t = cyclic_t(A, q)
-        one_minus_t[q] = Matrix.identity(t.rows) - t
+    one_minus_t = {q: _one_minus_t(A, q) for q in range(top)}
     N = {q: norm_N(A, q) for q in range(top - 1)}
     vertical = {}
     horizontal = {}
@@ -310,15 +307,13 @@ def extra_degeneracy(A: HomAlgebra, unit: tuple[Fraction, ...],
     unit); the unsigned reading of the rotation makes the associative
     specialization reproduce the classical extra degeneracy.
     """
-    return _kron(Matrix.from_rows([[x] for x in unit]),
-                 Matrix.identity(A.dim ** (n + 1)))
+    return kron(Matrix.from_columns(A.dim, [unit]),
+                Matrix.identity(A.dim ** (n + 1)))
 
 
 def connes_boundary(A: HomAlgebra, unit: tuple[Fraction, ...], n: int) -> Matrix:
     """B = (Id - t_{n+1}) s N : C_n -> C_{n+1}."""
-    s = extra_degeneracy(A, unit, n)
-    t = cyclic_t(A, n + 1)
-    return (Matrix.identity(t.rows) - t) @ s @ norm_N(A, n)
+    return _one_minus_t(A, n + 1) @ extra_degeneracy(A, unit, n) @ norm_N(A, n)
 
 
 def connes_bB_report(A: HomAlgebra, n_max: int) -> ConnesBBReport:
@@ -377,22 +372,8 @@ def tensor_power_matrix(m: Matrix, k: int) -> Matrix:
     """Kronecker power m^{(x)k}, big-endian slot order."""
     out = Matrix.identity(1)
     for _ in range(k):
-        out = _kron(out, m)
+        out = kron(out, m)
     return out
-
-
-def _kron(a: Matrix, b: Matrix) -> Matrix:
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    entries = []
-    for i in range(rows):
-        ai, bi = divmod(i, b.rows)
-        arow = a.row(ai)
-        brow = b.row(bi)
-        for j in range(cols):
-            aj, bj = divmod(j, b.cols)
-            entries.append(arow[aj] * brow[bj])
-    return Matrix(rows, cols, tuple(entries))
 
 
 class ChainMapError(ValueError):
@@ -406,14 +387,10 @@ def _homology_matrix(C_src: ChainComplex, C_tgt: ChainComplex,
     _, reps_tgt = homology(C_tgt, n)
     im_tgt = image(C_tgt.differential(n + 1)) if n + 1 in C_tgt.dims \
         else Subspace.zero(C_tgt.dim(n))
-    cols = []
     tgt_space = Subspace.from_vectors(C_tgt.dim(n), reps_tgt)
-    for v in reps_src:
-        w = reduce_mod(im_tgt, maps[n].apply(v))
-        cols.append(tgt_space.coordinates(w))
-    if not cols:
-        return Matrix.zero(len(reps_tgt), 0)
-    return Matrix.from_rows(cols).transpose()
+    return Matrix.from_columns(len(reps_tgt), [
+        tgt_space.coordinates(reduce_mod(im_tgt, maps[n].apply(v)))
+        for v in reps_src])
 
 
 def induced_map_on_homology(f: AlgebraMorphism, theory: str, n: int) -> Matrix:
@@ -445,24 +422,12 @@ def induced_map_on_homology(f: AlgebraMorphism, theory: str, n: int) -> Matrix:
     QB = quotient_complex(CB, subsB)
     qmaps = {}
     for k in range(n + 2):
-        # descend: the tensor-power map commutes with t, hence with Id - t
-        for v in subsA[k].basis:
-            if any(reduce_mod(subsB[k], tmaps[k].apply(v))):
-                raise ChainMapError(
-                    f"chain map does not descend to lambda quotient at {k}")
-        pivots = {next(j for j, x in enumerate(bv) if x)
-                  for bv in subsB[k].basis}
-        freeB = [j for j in range(CB.dim(k)) if j not in pivots]
-        pivA = {next(j for j, x in enumerate(bv) if x)
-                for bv in subsA[k].basis}
-        freeA = [j for j in range(CA.dim(k)) if j not in pivA]
-        cols = []
-        for fa in freeA:
-            v = tuple(ONE if j == fa else ZERO for j in range(CA.dim(k)))
-            w = reduce_mod(subsB[k], tmaps[k].apply(v))
-            cols.append(tuple(w[j] for j in freeB))
-        qmaps[k] = Matrix.from_rows(cols).transpose() if cols else \
-            Matrix.zero(len(freeB), 0)
+        # the tensor-power map commutes with t, hence with Id - t
+        try:
+            qmaps[k] = descend(tmaps[k], subsA[k], subsB[k])
+        except NotASubspaceError as exc:
+            raise ChainMapError(f"chain map does not descend to lambda "
+                                f"quotient at {k}") from exc
     return _homology_matrix(QA, QB, qmaps, n)
 
 
@@ -509,12 +474,8 @@ def xi_induced_on_cyclic_cohomology(assoc: HomAlgebra, twisted: HomAlgebra,
     subs = cyclic_invariant_subspaces(assoc, n + 1)
     SA = sub_complex(CA, subs)
     ST = sub_complex(CT, subs)  # t is product-independent: same subspaces
-    maps = {}
-    for k in range(n + 2):
-        xi_k = tensor_power_matrix(twisted.alpha, k + 1).transpose()
-        cols = [subs[k].coordinates(xi_k.apply(v)) for v in subs[k].basis]
-        maps[k] = Matrix.from_rows(cols).transpose() if cols else \
-            Matrix.zero(subs[k].dim, 0)
+    maps = {k: restrict(tensor_power_matrix(twisted.alpha, k + 1).transpose(),
+                        subs[k], subs[k]) for k in range(n + 2)}
     for k in range(n + 1):
         if maps[k + 1] @ SA.differential(k) != ST.differential(k) @ maps[k]:
             raise IdentityViolationError(

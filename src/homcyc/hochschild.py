@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iproduct
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .algebra import HomAlgebra
 from .coefficients import (Bimodule, DualBimodule, regular_bimodule,
@@ -128,24 +128,11 @@ class _Faces:
     def matrix(self, n: int, faces: Sequence[tuple[int, int]], *,
                transpose: bool = False) -> Matrix:
         """The signed face sum C_n -> C_{n-1}, or with `transpose` its
-        transpose."""
-        ncols = self.m * self.d ** n
-        return _from_columns(ncols // self.d, ncols, self.columns(n, faces),
-                             self.D ** n, transpose=transpose)
-
-
-def _from_columns(nrows: int, ncols: int, columns: Iterable[dict[int, int]],
-                  den: int, *, transpose: bool = False) -> Matrix:
-    """The matrix whose column j holds x / den in row k for each k: x of
-    columns[j], or with `transpose` its transpose, whose integer rows
-    are those columns."""
-    if transpose:
-        return Matrix.from_integer_rows(nrows, [(den, c) for c in columns])
-    rows: list[dict[int, int]] = [{} for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for k, x in col.items():
-            rows[k][j] = x
-    return Matrix.from_integer_rows(ncols, [(den, r) for r in rows])
+        transpose, whose rows are the face columns."""
+        den = self.D ** n
+        rows = [(den, c) for c in self.columns(n, faces)]
+        out = Matrix.from_integer_rows(self.m * self.d ** (n - 1), rows)
+        return out if transpose else out.transpose()
 
 
 def _alternating(k: int) -> list[tuple[int, int]]:

@@ -1,25 +1,26 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals.
 
 Everything downstream (axiom checks, boundary matrices, Betti numbers)
 reduces to products, ranks, kernels, images and quotients computed here.
-All arithmetic is exact: entries are ``fractions.Fraction`` values, but
-the heavy loops run on Python integers.  Each `Matrix` keeps, beside
-its dense entries, the integer form of its rows: per row, its nonzero
-entries as integers over one common denominator (`_integer_terms`).
-That form is computed at most once, or handed over by the builder
-(`Matrix.from_integer_rows`, which the Hochschild face kernel uses), so
-a matrix that is ~99% zeros is never scanned entry by entry again.
-Products (`@` and `apply`) read it, sum integers over the nonzero
-entries only and build one Fraction per nonzero output entry; when the
-right factor is dense they pack each of its rows into one big integer
-(Kronecker substitution).  Row reduction is fraction-free (Bareiss) on
-the same integer rows.  Betti numbers need only ranks, which `rank`
-reads off that echelon form with no further pass.  `rref` adds a
-Fraction back-substitution and runs only where a canonical basis is
-needed: homology representatives, induced maps and subspaces.  Pivoting
-is deterministic (first nonzero entry in (row, col) order) so bases are
-reproducible across runs; `reduce_mod` and `Subspace.coordinates`
-update only the nonzero positions of each basis vector.
+All arithmetic is exact, and the heavy loops run on Python integers.  A
+`Matrix` stores only its rows, each as its nonzero entries, integers
+over one common denominator (`IntRow`), so a matrix that is ~99% zeros
+costs its nonzero entries alone.  Dense Fraction views (`entries`,
+`row`, `col`) are computed on demand; matrix operations do not read
+them, and only `Subspace`, whose basis vectors are dense, and the
+vectors it reduces are dense.  Products (`@` and `apply`) sum integers
+over the nonzero entries only and write each output row in integer
+form; when the right factor is dense they pack each of its rows into
+one big integer (Kronecker substitution).  Row reduction is fraction-free
+(Bareiss) on the same integer rows.  Betti numbers need only ranks,
+which `rank` reads off that echelon form with no further pass.  `rref`
+adds a Fraction back-substitution and runs only where a canonical basis
+is needed: homology representatives, induced maps and subspaces.
+Pivoting is deterministic (first nonzero entry in (row, col) order) so
+bases are reproducible across runs; `reduce_mod` and
+`Subspace.coordinates` update only the nonzero positions of each basis
+vector.  `restrict` and `descend` give a map on subspaces and on
+quotients in those canonical coordinates.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -51,141 +51,138 @@ def scalar_to_string(x: Fraction) -> str:
 
 
 # A row in integer form: (m, ks, xs), the entry xs[i] / m in column
-# ks[i] for each i, every xs[i] nonzero and m the lcm of the reduced
-# denominators (so the row is in lowest terms).  Two flat tuples keep it
-# small: a matrix holds this form beside its dense entries.
+# ks[i] for each i.  Canonical: ks ascending, every xs[i] nonzero and m
+# the lcm of the reduced denominators (so the row is in lowest terms),
+# which makes equal rows equal tuples.
 IntRow = tuple[int, tuple[int, ...], tuple[int, ...]]
 
+_ZERO_ROW: IntRow = (1, (), ())
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Matrix:
-    """Immutable dense matrix with Fraction entries, row-major.
+    """Immutable matrix over Q, stored as one canonical `IntRow` per row.
 
-    Alongside the dense `entries`, a matrix keeps the integer form of its
-    rows (`_int_rows`, one `IntRow` per row), computed at most once or
-    handed over by whoever built the matrix.  Products, `apply`, `rank`
-    and `rref` read that form, so they touch nonzero entries only.
+    `Matrix(rows, cols, entries)` takes the entries row-major, as ints
+    or Fractions.  `entries`, `row`, `col`, `m[i, j]` and `to_rows` are
+    Fraction views computed from the rows on each call; every operation
+    works on the rows, so it touches nonzero entries only.
     """
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    _int_rows: tuple[IntRow, ...]
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"entry count {len(self.entries)} != {self.rows}x{self.cols}"
-            )
+    def __init__(self, rows: int, cols: int,
+                 entries: Sequence[Fraction | int]):
+        if len(entries) != rows * cols:
+            raise ValueError(f"entry count {len(entries)} != {rows}x{cols}")
+        _init(self, rows, cols, _rows_of(entries[i * cols:(i + 1) * cols]
+                                         for i in range(rows)))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Fraction | int | str]]) -> "Matrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat = []
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            flat.extend(x if type(x) is Fraction else Fraction(x) for x in r)
-        return Matrix(nrows, ncols, tuple(flat))
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged rows")
+        return _matrix(len(rows), ncols, _rows_of(rows))
+
+    @staticmethod
+    def from_columns(nrows: int,
+                     cols: Sequence[Sequence[Fraction | int]]) -> "Matrix":
+        """The nrows x len(cols) matrix whose column j is cols[j]."""
+        if any(len(c) != nrows for c in cols):
+            raise ValueError(f"column length != {nrows}")
+        return _matrix(len(cols), nrows, _rows_of(cols)).transpose()
 
     @staticmethod
     def from_integer_rows(ncols: int,
                           int_rows: Sequence[tuple[int, dict[int, int]]]
                           ) -> "Matrix":
         """The matrix whose row i holds x / m in column k for each k: x of
-        int_rows[i] = (m, {k: x}), m > 0; zero x are dropped.  The rows
-        are kept, in lowest terms, as the matrix's integer form."""
-        rows = [_lowest(m, tuple(k for k, x in row.items() if x),
-                        tuple(x for x in row.values() if x))
-                for m, row in int_rows]
-        flat = [ZERO] * (len(rows) * ncols)
-        memo: dict[tuple[int, int], Fraction] = {}
-        for i, (m, ks, xs) in enumerate(rows):
-            base = i * ncols
-            for k, x in zip(ks, xs):
-                f = memo.get((x, m))
-                if f is None:
-                    f = memo[x, m] = Fraction(x, m)
-                flat[base + k] = f
-        out = Matrix(len(rows), ncols, tuple(flat))
-        out.__dict__["_int_rows"] = rows
-        return out
+        int_rows[i] = (m, {k: x}), m > 0; zero x are dropped."""
+        out = []
+        for m, row in int_rows:
+            ks = sorted(k for k, x in row.items() if x)
+            out.append(_lowest(m, tuple(ks), tuple(row[k] for k in ks)))
+        return _matrix(len(out), ncols, tuple(out))
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, (ZERO,) * (rows * cols))
+        return _matrix(rows, cols, (_ZERO_ROW,) * rows)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, tuple(ONE if i == j else ZERO
-                                  for i in range(n) for j in range(n)))
+        return _matrix(n, n, tuple((1, (i,), (1,)) for i in range(n)))
 
     @cached_property
-    def _int_rows(self) -> list[IntRow]:
-        e, c = self.entries, self.cols
-        return [_integer_terms(enumerate(e[i * c:(i + 1) * c]))
-                for i in range(self.rows)]
-
-    @cached_property
-    def _int_cols(self) -> list[IntRow]:
+    def _int_cols(self) -> tuple[IntRow, ...]:
         """The integer form of the columns: the rows of the transpose."""
-        cols: list[list[tuple[int, int, int]]] = [[] for _ in range(self.cols)]
+        dens = [1] * self.cols
+        for m, ks, _ in self._int_rows:
+            if m != 1:
+                for k in ks:
+                    dens[k] = lcm(dens[k], m)
+        idx: list[list[int]] = [[] for _ in range(self.cols)]
+        vals: list[list[int]] = [[] for _ in range(self.cols)]
         for i, (m, ks, xs) in enumerate(self._int_rows):
             for k, x in zip(ks, xs):
-                cols[k].append((i, x, m))
-        out = []
-        for col in cols:
-            dn = lcm(*(m for _, _, m in col))
-            out.append(_lowest(dn, tuple(i for i, _, _ in col),
-                               tuple(x * (dn // m) for _, x, m in col)))
-        return out
+                idx[k].append(i)
+                vals[k].append(x * (dens[k] // m))
+        return tuple(_lowest(dn, tuple(i), tuple(v))
+                     for dn, i, v in zip(dens, idx, vals))
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
-        return self.entries[i * self.cols + j]
+        return self.row(i)[j]
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        return _dense(self._int_rows[i], self.cols)
 
     def col(self, j: int) -> tuple[Fraction, ...]:
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} out of range for {self.cols} columns")
-        return self.entries[j::self.cols]
+        return _dense(self._int_cols[j], self.rows)
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        """All entries, row-major."""
+        return tuple(x for r in self._int_rows for x in _dense(r, self.cols))
 
     def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        return [list(_dense(r, self.cols)) for r in self._int_rows]
 
     def transpose(self) -> "Matrix":
-        e, c = self.entries, self.cols
-        out = Matrix(self.cols, self.rows,
-                     tuple(chain.from_iterable(e[j::c] for j in range(c))))
-        if "_int_rows" in self.__dict__:
-            out.__dict__["_int_rows"] = self._int_cols
-            out.__dict__["_int_cols"] = self._int_rows
-        return out
+        return _matrix(self.cols, self.rows, self._int_cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
+        """The sum, row by row over the lcm of each pair's denominators."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in +")
-        return Matrix(self.rows, self.cols,
-                      tuple(a + b for a, b in zip(self.entries, other.entries)))
+        out = []
+        for (ma, ka, xa), (mb, kb, xb) in zip(self._int_rows, other._int_rows):
+            m = lcm(ma, mb)
+            acc = {k: x * (m // ma) for k, x in zip(ka, xa)}
+            for k, x in zip(kb, xb):
+                acc[k] = acc.get(k, 0) + x * (m // mb)
+            out.append((m, acc))
+        return Matrix.from_integer_rows(self.cols, out)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in -")
-        return Matrix(self.rows, self.cols,
-                      tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self + -other
 
     def __neg__(self) -> "Matrix":
-        out = Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
-        if "_int_rows" in self.__dict__:
-            out.__dict__["_int_rows"] = [(m, ks, tuple(-x for x in xs))
-                                         for m, ks, xs in self._int_rows]
-        return out
+        return _matrix(self.rows, self.cols, tuple(
+            (m, ks, tuple(-x for x in xs)) for m, ks, xs in self._int_rows))
 
     def scale(self, c: Fraction | int) -> "Matrix":
         c = Fraction(c)
-        return Matrix(self.rows, self.cols, tuple(c * a for a in self.entries))
+        if not c:
+            return Matrix.zero(self.rows, self.cols)
+        p, q = c.numerator, c.denominator
+        return _matrix(self.rows, self.cols, tuple(
+            _lowest(m * q, ks, tuple(x * p for x in xs))
+            for m, ks, xs in self._int_rows))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -209,14 +206,71 @@ class Matrix:
         return tuple(out)
 
     def is_zero(self) -> bool:
-        if "_int_rows" in self.__dict__:
-            return not any(ks for _, ks, _ in self._int_rows)
-        return all(not a for a in self.entries)
+        return not any(ks for _, ks, _ in self._int_rows)
 
 
-def _integer_terms(pairs: Iterable[tuple[int, Fraction]]) -> IntRow:
-    """The `IntRow` of the nonzero x among the (k, x) pairs: m is the lcm
-    of their denominators and each x is written as an integer over m."""
+def _init(m: Matrix, rows: int, cols: int,
+          int_rows: tuple[IntRow, ...]) -> None:
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "_int_rows", int_rows)
+
+
+def _matrix(rows: int, cols: int, int_rows: tuple[IntRow, ...]) -> Matrix:
+    """The matrix with these canonical rows, taken as they are."""
+    out = object.__new__(Matrix)
+    _init(out, rows, cols, int_rows)
+    return out
+
+
+def _rows_of(vectors: Iterable[Sequence[Fraction | int | str]]
+             ) -> tuple[IntRow, ...]:
+    """The canonical rows of dense vectors of Fractions, ints or strings."""
+    return tuple(_integer_terms(enumerate(
+        x if type(x) is Fraction or type(x) is int else Fraction(x)
+        for x in v)) for v in vectors)
+
+
+def _dense(row: IntRow, n: int) -> tuple[Fraction, ...]:
+    """The n entries of an integer row, as Fractions."""
+    m, ks, xs = row
+    out = [ZERO] * n
+    for k, x in zip(ks, xs):
+        out[k] = Fraction(x, m)
+    return tuple(out)
+
+
+def kron(a: Matrix, b: Matrix) -> Matrix:
+    """The Kronecker product a (x) b, a's indices most significant."""
+    rows = []
+    for ma, ka, xa in a._int_rows:
+        for mb, kb, xb in b._int_rows:
+            rows.append(_lowest(ma * mb,
+                                tuple(i * b.cols + j for i in ka for j in kb),
+                                tuple(x * y for x in xa for y in xb)))
+    return _matrix(a.rows * b.rows, a.cols * b.cols, tuple(rows))
+
+
+def block_matrix(rows: int, cols: int,
+                 blocks: Sequence[tuple[Matrix, int, int]]) -> Matrix:
+    """rows x cols matrix with each (block, row offset, col offset) placed
+    in it and zeros elsewhere."""
+    parts: list[list[tuple[int, IntRow]]] = [[] for _ in range(rows)]
+    for block, roff, coff in blocks:
+        for i, r in enumerate(block._int_rows):
+            parts[roff + i].append((coff, r))
+    out = []
+    for part in parts:
+        dn = lcm(*(m for _, (m, _, _) in part))
+        out.append((dn, {coff + k: x * (dn // m) for coff, (m, ks, xs) in part
+                         for k, x in zip(ks, xs)}))
+    return Matrix.from_integer_rows(cols, out)
+
+
+def _integer_terms(pairs: Iterable[tuple[int, Fraction | int]]) -> IntRow:
+    """The `IntRow` of the nonzero x among the (k, x) pairs, k ascending:
+    m is the lcm of their denominators and each x is written as an
+    integer over m."""
     terms = [(k, x) for k, x in pairs if x]
     m = 1
     for _, x in terms:
@@ -375,9 +429,9 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
             f = frows[i][c]
             if f:
                 frows[i] = [a - f * b for a, b in zip(frows[i], frows[k])]
-    flat = [x for r in frows for x in r]
-    flat.extend([ZERO] * ((m.rows - rank) * m.cols))
-    return Matrix(m.rows, m.cols, tuple(flat)), tuple(pivots), rank
+    out = tuple(_integer_terms(enumerate(r)) for r in frows)
+    return _matrix(m.rows, m.cols, out + (_ZERO_ROW,) * (m.rows - rank)), \
+        tuple(pivots), rank
 
 
 def rank(m: Matrix) -> int:
@@ -405,15 +459,12 @@ class Subspace:
     @staticmethod
     def from_vectors(ambient_dim: int,
                      vectors: Iterable[Sequence[Fraction]]) -> "Subspace":
-        vecs = [tuple(Fraction(x) for x in v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length != ambient_dim")
+        vecs = list(vectors)
+        if any(len(v) != ambient_dim for v in vecs):
+            raise ValueError("vector length != ambient_dim")
         if not vecs:
             return Subspace(ambient_dim, ())
-        r, _, rk = rref(Matrix(len(vecs), ambient_dim,
-                               tuple(x for v in vecs for x in v)))
-        return Subspace(ambient_dim, tuple(r.row(i) for i in range(rk)))
+        return _row_space(Matrix.from_rows(vecs))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -423,6 +474,12 @@ class Subspace:
     def full(ambient_dim: int) -> "Subspace":
         ident = Matrix.identity(ambient_dim)
         return Subspace(ambient_dim, tuple(ident.row(i) for i in range(ambient_dim)))
+
+    def free_columns(self) -> list[int]:
+        """The coordinates off the basis pivots: a complement's basis,
+        and the coordinates `descend` gives a quotient by this space."""
+        pivots = {p for p, _ in self._pivot_terms}
+        return [j for j in range(self.ambient_dim) if j not in pivots]
 
     def contains(self, vec: Sequence[Fraction]) -> bool:
         if len(vec) != self.ambient_dim:
@@ -475,24 +532,57 @@ def reduce_mod(sub: Subspace, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(_eliminate(sub, vec)[1])
 
 
+def _row_space(m: Matrix) -> Subspace:
+    r, _, rk = rref(m)
+    return Subspace(m.cols, tuple(r.row(i) for i in range(rk)))
+
+
 def kernel(m: Matrix) -> Subspace:
-    """Null space {x : m x = 0}."""
-    r, pivots, rk = rref(m)
-    free = [j for j in range(m.cols) if j not in pivots]
-    vecs = []
-    for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for k, p in enumerate(pivots):
-            v[p] = -r[k, f]
-        vecs.append(tuple(v))
+    """Null space {x : m x = 0}: per free column f of the RREF, the
+    vector with 1 at f and minus column f of the RREF at the pivots."""
+    r, pivots, _ = rref(m)
+    pivset = set(pivots)
+    free = {f: i for i, f in enumerate(j for j in range(m.cols)
+                                       if j not in pivset)}
+    vecs = [[ZERO] * m.cols for _ in free]
+    for f, i in free.items():
+        vecs[i][f] = ONE
+    for p, (dn, ks, xs) in zip(pivots, r._int_rows):
+        for k, x in zip(ks, xs):
+            i = free.get(k)
+            if i is not None:
+                vecs[i][p] = Fraction(-x, dn)
     return Subspace.from_vectors(m.cols, vecs)
 
 
 def image(m: Matrix) -> Subspace:
     """Column space, RREF-normalized."""
-    return Subspace.from_vectors(m.rows,
-                                 [m.col(j) for j in range(m.cols)])
+    return _row_space(m.transpose())
+
+
+def restrict(m: Matrix, src: Subspace, tgt: Subspace) -> Matrix:
+    """m on src, into tgt: column j holds the coordinates in tgt of
+    m applied to basis vector j of src.  Raises NotASubspaceError
+    unless m maps src into tgt."""
+    return Matrix.from_columns(tgt.dim, [tgt.coordinates(m.apply(v))
+                                         for v in src.basis])
+
+
+def descend(m: Matrix, src: Subspace, tgt: Subspace) -> Matrix:
+    """The map Q^cols / src -> Q^rows / tgt induced by m, in the
+    `free_columns` coordinates of both quotients: column j is m's column
+    at the j-th free coordinate of src, reduced modulo tgt and read at
+    the free coordinates of tgt.  Raises NotASubspaceError unless m
+    maps src into tgt."""
+    for v in src.basis:
+        if any(reduce_mod(tgt, m.apply(v))):
+            raise NotASubspaceError("the map does not send src into tgt")
+    free = tgt.free_columns()
+    cols = []
+    for f in src.free_columns():
+        w = reduce_mod(tgt, m.col(f))
+        cols.append([w[j] for j in free])
+    return Matrix.from_columns(len(free), cols)
 
 
 def quotient_dim(sub: Subspace, sup: Subspace) -> int:

@@ -8,6 +8,10 @@ theta come from a dense rotation matrix and its powers.  They read the algebra a
 and do their own Fraction arithmetic, so nothing here goes through
 `homcyc.linalg` products or the kernel under test.  Every function
 returns the matrix as a list of rows of Fractions.
+
+`induced_on_quotient` is homcyc's earlier construction of a map on
+quotients, the reference for `linalg.descend`.  It uses `Subspace`
+elimination, but neither `descend` nor a matrix product.
 """
 
 from fractions import Fraction
@@ -183,3 +187,22 @@ def rotation_power_sum(A, n, weights):
             power = _matmul(t, power)
         total = [[a + w * b for a, b in zip(r, s)] for r, s in zip(total, power)]
     return total
+
+
+def induced_on_quotient(m, sub_src, sub_tgt):
+    """m on Q^cols / sub_src -> Q^rows / sub_tgt: coset representatives
+    are the unit vectors off the pivots; each representative's image is
+    reduced modulo sub_tgt and given coordinates in the row-reduced span
+    of the target's representatives."""
+    from homcyc.linalg import Subspace, reduce_mod
+
+    def reps(sub):
+        pivots = {next(j for j, x in enumerate(b) if x) for b in sub.basis}
+        return [tuple(Fraction(int(j == f)) for j in range(sub.ambient_dim))
+                for f in range(sub.ambient_dim) if f not in pivots]
+
+    src_reps, tgt_reps = reps(sub_src), reps(sub_tgt)
+    tgt_space = Subspace.from_vectors(sub_tgt.ambient_dim, tgt_reps)
+    cols = [tgt_space.coordinates(reduce_mod(sub_tgt, _apply(m, v)))
+            for v in src_reps]
+    return _transpose(cols, len(tgt_reps))

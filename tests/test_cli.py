@@ -191,3 +191,58 @@ def test_unreadable_algebra_file_exits_2(tmp_path, capsys, cmd, content):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1
+
+
+def _exit_code(argv):
+    """main's return code, or the code of the SystemExit it raised."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("args,files,err_prefix", [
+    (["verify"], {}, "homcyc cocycle: error:"),
+    (["derive"], {}, "homcyc cocycle: error:"),
+    (["derive", "--trace", "{tr}"], {"tr": {"coords": ["1", "0"]}},
+     "homcyc cocycle: error:"),
+    (["verify", "--functional", "{phi}"],
+     {"phi": {"degree": 1, "coords": ["1", "0", "0"]}}, "error: "),
+    (["verify", "--functional", "{phi}"], {"phi": {"coords": ["1", "0"]}},
+     "error: "),
+    (["verify", "--functional", "{phi}"],
+     {"phi": {"degree": 10 ** 9, "coords": ["1"]}}, "error: "),
+    (["derive", "--derivation", "{rho}", "--trace", "{tr}"],
+     {"rho": [["0", "0"], ["0"]], "tr": {"coords": ["1", "0"]}}, "error: "),
+    (["derive", "--derivation", "{rho}", "--trace", "{tr}"],
+     {"rho": [["0", "0"], ["0", "0"]], "tr": {"coords": ["1"]}}, "error: "),
+], ids=["verify-no-functional", "derive-no-options", "derive-no-derivation",
+        "functional-wrong-length", "functional-no-degree",
+        "functional-huge-degree", "ragged-derivation", "trace-wrong-length"])
+def test_malformed_cocycle_input_exits_2(example_file, tmp_path, capsys,
+                                         args, files, err_prefix):
+    paths = {}
+    for name, data in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(data))
+    argv = ["cocycle", args[0], example_file] + \
+        [a.format(**paths) for a in args[1:]]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith(err_prefix)
+    if err_prefix == "error: ":
+        assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("alpha", [[[1, 0], [0]], [[1, 0], [0, 0], [0, 0]],
+                                   5, [["x", 0], [0, 1]]],
+                         ids=["ragged", "not-square", "not-a-list",
+                              "not-a-number"])
+def test_malformed_twist_matrix_exits_2(assoc_file, tmp_path, capsys, alpha):
+    p = tmp_path / "alpha.json"
+    p.write_text(json.dumps(alpha))
+    assert main(["twist", assoc_file, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1

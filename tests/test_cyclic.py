@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference_operators as ref
 from homcyc.algebra import AlgebraMorphism
 from homcyc.coefficients import regular_bimodule
 from homcyc.corpus import (dual_numbers, dual_numbers_projection_twist,
@@ -18,7 +19,8 @@ from homcyc.cyclic import (ChainMapError, connes_bB_report,
                            periodic_cohomology, periodic_homology,
                            tensor_power_matrix, xi_map,
                            xi_induced_on_cyclic_cohomology)
-from homcyc.hochschild import hochschild_b
+from homcyc.complexes import quotient_complex
+from homcyc.hochschild import build_hochschild_homology_complex, hochschild_b
 from homcyc.linalg import Matrix, reduce_mod
 
 F = Fraction
@@ -228,3 +230,16 @@ def test_xi_induced_on_cyclic_cohomology():
 def test_xi_rejects_non_idempotent():
     with pytest.raises(ValueError):
         xi_map(k_times_k(), k_times_k_swap_twist(), 1)
+
+
+def test_lambda_quotient_differentials_match_reference(algebra):
+    """The λ-quotient differentials equal those of the earlier
+    construction through row-reduced coset representatives."""
+    top = 3 if algebra.dim <= 2 else 1
+    C = build_hochschild_homology_complex(algebra, regular_bimodule(algebra),
+                                          top, check_identities=False)
+    subs = lambda_quotient_subspaces(algebra, top)
+    Q = quotient_complex(C, subs)
+    for n in range(1, top + 1):
+        assert Q.differential(n).to_rows() == ref.induced_on_quotient(
+            C.differential(n), subs[n], subs[n - 1])

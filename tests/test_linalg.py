@@ -1,15 +1,17 @@
 """Exact linear algebra: rref, rank, kernel, image, subspaces."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
+import reference_operators as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homcyc.linalg import (Matrix, NotASubspaceError, Subspace, image, kernel,
-                           quotient_dim, rank, reduce_mod, rref,
-                           scalar_from_string, scalar_to_string,
-                           solve_homogeneous)
+from homcyc.linalg import (Matrix, NotASubspaceError, Subspace, block_matrix,
+                           descend, image, kernel, kron, quotient_dim, rank,
+                           reduce_mod, restrict, rref, scalar_from_string,
+                           scalar_to_string, solve_homogeneous)
 
 F = Fraction
 
@@ -191,15 +193,25 @@ WIDE_ENTRIES = st.one_of(ENTRIES, st.builds(
 
 
 @st.composite
-def exact_matrices(draw, rows, cols, elements=ENTRIES):
-    """Entries drawn from `elements` (by default with denominators up to
-    12), with some whole rows and columns set to zero."""
+def exact_entries(draw, rows, cols, elements=ENTRIES):
+    """Dense rows of entries drawn from `elements` (by default with
+    denominators up to 12), with some whole rows and columns set to
+    zero."""
     entries = [[draw(elements) for _ in range(cols)] for _ in range(rows)]
     zero_rows = draw(st.sets(st.integers(0, rows - 1))) if rows else set()
     zero_cols = draw(st.sets(st.integers(0, cols - 1))) if cols else set()
-    return Matrix(rows, cols, tuple(
-        F(0) if i in zero_rows or j in zero_cols else entries[i][j]
-        for i in range(rows) for j in range(cols)))
+    return [[F(0) if i in zero_rows or j in zero_cols else entries[i][j]
+             for j in range(cols)] for i in range(rows)]
+
+
+def from_dense(rows, cols, dense):
+    return Matrix(rows, cols, tuple(x for r in dense for x in r))
+
+
+def exact_matrices(rows, cols, elements=ENTRIES):
+    """`exact_entries` as a Matrix."""
+    return exact_entries(rows, cols, elements).map(
+        lambda dense: from_dense(rows, cols, dense))
 
 
 @st.composite
@@ -282,3 +294,211 @@ def test_int_and_fraction_entries_agree(shape_rows):
     assert prod == fracs @ fracs.transpose()
     assert all(type(x) is F for x in prod.entries)
     assert ints.apply((1,) * k) == fracs.apply((F(1),) * k)
+
+
+# --- the row form: every operation against dense Fraction rows ----------
+
+def shapes(max_dim=4):
+    return st.tuples(st.integers(0, max_dim), st.integers(0, max_dim))
+
+
+@st.composite
+def dense_pairs(draw, max_dim=4):
+    """Two dense matrices of one shape, as (rows, cols, a, b)."""
+    r, c = draw(shapes(max_dim))
+    return r, c, draw(exact_entries(r, c)), draw(exact_entries(r, c))
+
+
+def assert_canonical(m):
+    """Each row: columns ascending, entries nonzero, in lowest terms over
+    the lcm of the reduced denominators."""
+    assert len(m._int_rows) == m.rows
+    for d, ks, xs in m._int_rows:
+        assert list(ks) == sorted(set(ks)) and all(0 <= k < m.cols for k in ks)
+        assert len(ks) == len(xs) and all(xs) and d > 0
+        assert d == lcm(*(F(x, d).denominator for x in xs))
+
+
+def assert_is(m, rows, cols, dense):
+    """m is the rows x cols matrix with these dense rows, in every view."""
+    assert (m.rows, m.cols) == (rows, cols)
+    assert_canonical(m)
+    assert m.to_rows() == dense
+    assert m.entries == tuple(x for r in dense for x in r)
+    assert all(type(x) is F for x in m.entries)
+    for i in range(rows):
+        assert m.row(i) == tuple(dense[i])
+        for j in range(cols):
+            assert m[i, j] == dense[i][j] and type(m[i, j]) is F
+    for j in range(cols):
+        assert m.col(j) == tuple(r[j] for r in dense)
+    assert m == from_dense(rows, cols, dense)
+    assert hash(m) == hash(from_dense(rows, cols, dense))
+
+
+@settings(max_examples=120, deadline=None)
+@given(dense_pairs(), st.fractions(min_value=-5, max_value=5,
+                                   max_denominator=7))
+def test_row_operations_match_dense_reference(pair, c):
+    r, k, a, b = pair
+    ma, mb = from_dense(r, k, a), from_dense(r, k, b)
+    assert_is(ma, r, k, a)
+    assert_is(ma + mb, r, k, [[x + y for x, y in zip(p, q)]
+                              for p, q in zip(a, b)])
+    assert_is(ma - mb, r, k, [[x - y for x, y in zip(p, q)]
+                              for p, q in zip(a, b)])
+    assert_is(-ma, r, k, [[-x for x in p] for p in a])
+    assert_is(ma.scale(c), r, k, [[c * x for x in p] for p in a])
+    assert_is(ma.scale(0), r, k, [[F(0)] * k for _ in a])
+    assert_is(ma.transpose(), k, r, [[p[j] for p in a] for j in range(k)])
+    assert (ma - ma).is_zero() and (ma + (-ma)).is_zero()
+    assert ma.is_zero() == (not any(x for p in a for x in p))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(shapes(3), shapes(3)).flatmap(lambda s: st.tuples(
+    st.just(s), exact_entries(*s[0]), exact_entries(*s[1]))))
+def test_kron_matches_dense_reference(case):
+    ((ra, ca), (rb, cb)), a, b = case
+    dense = [[a[i // rb][j // cb] * b[i % rb][j % cb]
+              for j in range(ca * cb)] for i in range(ra * rb)]
+    assert_is(kron(from_dense(ra, ca, a), from_dense(rb, cb, b)),
+              ra * rb, ca * cb, dense)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shapes().flatmap(lambda s: st.tuples(st.just(s),
+                                            exact_entries(s[1], s[0]))))
+def test_from_columns_matches_dense_reference(case):
+    (r, k), cols = case  # k columns of length r
+    assert_is(Matrix.from_columns(r, cols), r, k,
+              [[col[i] for col in cols] for i in range(r)])
+
+
+def test_from_columns_without_columns_and_ragged():
+    assert_is(Matrix.from_columns(3, []), 3, 0, [[], [], []])
+    assert Matrix.from_columns(3, []) == Matrix.zero(3, 0)
+    assert Matrix.from_columns(0, [(), ()]) == Matrix.zero(0, 2)
+    with pytest.raises(ValueError):
+        Matrix.from_columns(2, [(F(1), F(2)), (F(1),)])
+
+
+def test_block_matrix_merges_rows_at_different_denominators():
+    a = Matrix.from_rows([[F(1, 2), 0], [0, F(-3, 4)]])
+    b = Matrix.from_rows([[F(2, 3)], [F(5)]])
+    m = block_matrix(3, 4, [(a, 1, 0), (b, 1, 3)])
+    assert_is(m, 3, 4, [[F(0)] * 4,
+                        [F(1, 2), F(0), F(0), F(2, 3)],
+                        [F(0), F(-3, 4), F(0), F(5)]])
+    assert m._int_rows[1] == (6, (0, 3), (3, 4))
+    assert_is(block_matrix(2, 0, []), 2, 0, [[], []])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+                 st.integers(0, 2), st.integers(0, 2)).flatmap(
+    lambda s: st.tuples(st.just(s), exact_entries(s[0], s[1]),
+                        exact_entries(s[0], s[2]))))
+def test_block_matrix_matches_dense_reference(case):
+    (r, ca, cb, top, gap), a, b = case
+    rows, cols = r + top + 1, ca + gap + cb
+    dense = [[F(0)] * cols for _ in range(rows)]
+    for i in range(r):
+        dense[top + i][:ca] = a[i]
+        dense[top + i][ca + gap:] = b[i]
+    m = block_matrix(rows, cols, [(from_dense(r, ca, a), top, 0),
+                                  (from_dense(r, cb, b), top, ca + gap)])
+    assert_is(m, rows, cols, dense)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shapes().flatmap(lambda s: st.tuples(
+    st.just(s), exact_entries(*s), st.randoms(use_true_random=False),
+    st.integers(1, 6))))
+def test_equality_and_hash_across_constructors(case):
+    """Every way of building one matrix gives equal matrices, equal
+    hashes and the same canonical rows."""
+    (r, k), dense, rnd, scale = case
+    int_rows = []
+    for row in dense:
+        m = lcm(*(x.denominator for x in row)) * scale
+        items = [(j, int(x * m)) for j, x in enumerate(row)]
+        rnd.shuffle(items)
+        int_rows.append((m, dict(items)))
+    forms = [from_dense(r, k, dense), Matrix.from_rows(dense) if r else
+             Matrix.zero(0, k), Matrix.from_integer_rows(k, int_rows),
+             Matrix.from_columns(r, [[p[j] for p in dense] for j in range(k)]),
+             Matrix.identity(r) @ from_dense(r, k, dense),
+             from_dense(r, k, dense) @ Matrix.identity(k),
+             from_dense(r, k, dense).transpose().transpose(),
+             from_dense(r, k, dense).scale(F(1, 3)).scale(3)]
+    if all(x.denominator == 1 for p in dense for x in p):
+        forms.append(Matrix(r, k, tuple(int(x) for p in dense for x in p)))
+    for m in forms:
+        assert_is(m, r, k, dense)
+        assert m == forms[0] and hash(m) == hash(forms[0])
+        assert m._int_rows == forms[0]._int_rows
+    if any(x for p in dense for x in p):
+        assert forms[0] != forms[0].scale(2)
+
+
+def test_int_and_fraction_entries_build_equal_matrices():
+    ints = Matrix(2, 2, (1, 0, -2, 6))
+    assert ints == Matrix(2, 2, (F(1), F(0), F(-2), F(6)))
+    assert ints == Matrix.from_rows([["1", "0"], ["-2", "6"]])
+    assert hash(ints) == hash(Matrix.from_rows([[1, 0], [-2, 6]]))
+    assert ints != Matrix(2, 2, (1, 0, -2, 5))
+    assert Matrix.zero(2, 3) != Matrix.zero(3, 2)
+    with pytest.raises(ValueError):
+        Matrix(2, 2, (1, 2, 3))
+    with pytest.raises(IndexError):
+        ints[0, 2]
+
+
+# --- maps on subspaces and quotients -------------------------------------
+
+@st.composite
+def stable_pairs(draw, max_dim=4):
+    """(m, src, tgt) with m mapping src into tgt: tgt spans the images
+    of src's vectors and some extra vectors."""
+    r, k = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    m = draw(exact_matrices(r, k))
+    src = Subspace.from_vectors(k, draw(exact_entries(
+        draw(st.integers(0, k)), k)))
+    extra = draw(exact_entries(draw(st.integers(0, r)), r))
+    tgt = Subspace.from_vectors(r, [m.apply(v) for v in src.basis] + extra)
+    return m, src, tgt
+
+
+@settings(max_examples=100, deadline=None)
+@given(stable_pairs())
+def test_descend_matches_quotient_reference(case):
+    m, src, tgt = case
+    q = descend(m, src, tgt)
+    assert (q.rows, q.cols) == (m.rows - tgt.dim, m.cols - src.dim)
+    assert q.to_rows() == ref.induced_on_quotient(m, src, tgt)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stable_pairs())
+def test_restrict_gives_coordinates_in_target(case):
+    m, src, tgt = case
+    res = restrict(m, src, tgt)
+    assert (res.rows, res.cols) == (tgt.dim, src.dim)
+    for j, v in enumerate(src.basis):
+        image_v = [F(0)] * m.rows
+        for c, b in zip(res.col(j), tgt.basis):
+            image_v = [x + c * y for x, y in zip(image_v, b)]
+        assert tuple(image_v) == m.apply(v)
+
+
+def test_descend_and_restrict_reject_unstable_subspaces():
+    m = Matrix.from_rows([[0, 1], [0, 0]])
+    line = Subspace.from_vectors(2, [(F(0), F(1))])
+    with pytest.raises(NotASubspaceError):
+        descend(m, line, Subspace.zero(2))
+    with pytest.raises(NotASubspaceError):
+        restrict(m, line, line)
+    assert descend(m, line, Subspace.from_vectors(2, [(F(1), F(0))])) \
+        == Matrix.zero(1, 1)
+    assert line.free_columns() == [0]
