@@ -112,7 +112,7 @@ def raw_algebra_from_dict(data: dict) -> tuple[int, tuple[str, ...], MuTensor, M
         basis = tuple(str(b) for b in data["basis"])
         mul = data["mul"]
         alpha = data["alpha"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ShapeError(f"malformed algebra data: {exc}") from exc
     name = str(data.get("name", ""))
     if dim < 1:
@@ -124,10 +124,13 @@ def raw_algebra_from_dict(data: dict) -> tuple[int, tuple[str, ...], MuTensor, M
         raise ShapeError("mul tensor is not dim x dim x dim")
     if len(alpha) != dim or any(len(r) != dim for r in alpha):
         raise ShapeError("alpha matrix is not dim x dim")
-    mu = tuple(tuple(tuple(scalar_from_string(str(c)) for c in row)
-                     for row in plane) for plane in mul)
-    amat = Matrix.from_rows([[scalar_from_string(str(c)) for c in row]
-                             for row in alpha])
+    try:
+        mu = tuple(tuple(tuple(scalar_from_string(str(c)) for c in row)
+                         for row in plane) for plane in mul)
+        amat = Matrix.from_rows([[scalar_from_string(str(c)) for c in row]
+                                 for row in alpha])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ShapeError(f"malformed scalar in algebra data: {exc}") from exc
     return dim, basis, mu, amat, name
 
 

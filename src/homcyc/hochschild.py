@@ -208,8 +208,16 @@ def check_presimplicial(A: HomAlgebra, V: Bimodule, n: int) -> None:
 def build_hochschild_homology_complex(A: HomAlgebra, V: Bimodule,
                                       n_max: int, *,
                                       check_identities: bool = True) -> ChainComplex:
-    """The complex (C_*(A, V), b) truncated at n_max."""
-    ok, bad = validate_homology_coefficients(V)
+    """The complex (C_*(A, V), b) truncated at n_max.
+
+    The homology hypotheses on V are checked once per bimodule instance,
+    and the verdict is kept on it: V is immutable, so a bimodule that
+    fails them raises on every build."""
+    verdict = vars(V).get("_homology_hypotheses")
+    if verdict is None:
+        verdict = validate_homology_coefficients(V)
+        vars(V)["_homology_hypotheses"] = verdict
+    ok, bad = verdict
     if not ok:
         raise CoefficientHypothesisError(
             "coefficients violate the homology hypotheses: " + str(bad[0]))

@@ -11,16 +11,17 @@ them, and only `Subspace`, whose basis vectors are dense, and the
 vectors it reduces are dense.  Products (`@` and `apply`) sum integers
 over the nonzero entries only and write each output row in integer
 form; when the right factor is dense they pack each of its rows into
-one big integer (Kronecker substitution).  Row reduction is fraction-free
-(Bareiss) on the same integer rows.  Betti numbers need only ranks,
-which `rank` reads off that echelon form with no further pass.  `rref`
-adds a Fraction back-substitution and runs only where a canonical basis
-is needed: homology representatives, induced maps and subspaces.
-Pivoting is deterministic (first nonzero entry in (row, col) order) so
-bases are reproducible across runs; `reduce_mod` and
-`Subspace.coordinates` update only the nonzero positions of each basis
-vector.  `restrict` and `descend` give a map on subspaces and on
-quotients in those canonical coordinates.
+one big integer (Kronecker substitution).  Row reduction is sparse
+integer elimination on the same rows, each a {column: integer} dict
+that touches only its nonzero entries.  Betti numbers need only ranks,
+which `rank` reads off the echelon form as its number of pivots.
+`rref` adds an integer back-substitution and runs only where a
+canonical basis is needed: homology representatives, induced maps and
+subspaces.  The RREF of a matrix is unique, so it is canonical, and
+bases are reproducible, whatever order the rows are eliminated in;
+`reduce_mod` and `Subspace.coordinates` update only the nonzero
+positions of each basis vector.  `restrict` and `descend` give a map
+on subspaces and on quotients in those canonical coordinates.
 """
 
 from __future__ import annotations
@@ -363,82 +364,69 @@ def _packed_sums(left: Sequence[IntRow],
     return out
 
 
-def _integer_rows(m: Matrix) -> list[list[int]]:
-    """Dense integer rows, each row scaled by its own m; rank is unchanged."""
-    out = []
+def _echelon(m: Matrix) -> dict[int, dict[int, int]]:
+    """Integer row echelon form of m, as {pivot column: row}.  Each row
+    of m, a {column: integer} dict (a multiple of the row, which keeps
+    the row space), is cleared at its lowest column against the pivot
+    row there until there is none, then divided by its content and kept
+    as that column's pivot row.  Rows that reach zero drop out."""
+    pivots: dict[int, dict[int, int]] = {}
     for _, ks, xs in m._int_rows:
-        row = [0] * m.cols
-        for k, x in zip(ks, xs):
-            row[k] = x
-        out.append(row)
-    return out
-
-
-def _bareiss_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form. Returns (echelon rows, pivot cols).
-
-    Pivot choice is deterministic: scan columns left to right, take the
-    first row (top to bottom) with a nonzero entry.
-    """
-    pivots: list[int] = []
-    r = 0
-    prev = 1
-    nrows = len(rows)
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                sel = i
+        row = dict(zip(ks, xs))
+        while row:
+            c = min(row)
+            if c not in pivots:
+                g = gcd(*row.values())
+                pivots[c] = {k: x // g for k, x in row.items()}
                 break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        piv = rows[r][c]
-        fr = rows[r]
-        for i in range(r + 1, nrows):
-            fi = rows[i]
-            fac = fi[c]
-            for j in range(c + 1, ncols):
-                q, rem = divmod(piv * fi[j] - fac * fr[j], prev)
-                if rem:
-                    raise ArithmeticError(
-                        "Bareiss exact-division invariant broken")
-                fi[j] = q
-            fi[c] = 0
-        prev = piv
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r], pivots
+            _clear(row, pivots[c], c)
+    return pivots
+
+
+def _clear(row: dict[int, int], piv: dict[int, int], c: int) -> None:
+    """row := a * row - b * piv in place, zeros dropped, for the least
+    a > 0 and b that make column c of row zero."""
+    g = gcd(piv[c], row[c])
+    a, b = piv[c] // g, row[c] // g
+    if a < 0:
+        a, b = -a, -b
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    for k, y in piv.items():
+        x = row.get(k, 0) - b * y
+        if x:
+            row[k] = x
+        else:
+            del row[k]
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
-    """Reduced row-echelon form, pivot columns, rank."""
-    if m.rows == 0 or m.cols == 0:
-        return m, (), 0
-    rows, pivots = _bareiss_echelon(_integer_rows(m), m.cols)
-    rank = len(pivots)
-    # back-substitute with exact rationals
-    frows: list[list[Fraction]] = [[Fraction(x) for x in r] for r in rows]
-    for k in range(rank - 1, -1, -1):
-        c = pivots[k]
-        piv = frows[k][c]
-        frows[k] = [x / piv for x in frows[k]]
-        for i in range(k):
-            f = frows[i][c]
-            if f:
-                frows[i] = [a - f * b for a, b in zip(frows[i], frows[k])]
-    out = tuple(_integer_terms(enumerate(r)) for r in frows)
-    return _matrix(m.rows, m.cols, out + (_ZERO_ROW,) * (m.rows - rank)), \
-        tuple(pivots), rank
+    """Reduced row-echelon form, pivot columns, rank: `_echelon`, then
+    back-substitution from the highest pivot down, then each row over
+    its pivot entry.  The RREF of a matrix is unique, so it does not
+    depend on the order of elimination."""
+    pivots = _echelon(m)
+    order = sorted(pivots)
+    rows = [pivots[p] for p in order]
+    for i in range(len(order) - 1, 0, -1):
+        p, piv = order[i], rows[i]
+        for row in rows[:i]:
+            if p in row:
+                _clear(row, piv, p)
+    out = []
+    for p, row in zip(order, rows):
+        ks = sorted(row)
+        s = 1 if row[p] > 0 else -1
+        out.append(_lowest(s * row[p], tuple(ks),
+                           tuple(s * row[k] for k in ks)))
+    out += [_ZERO_ROW] * (m.rows - len(out))
+    return _matrix(m.rows, m.cols, tuple(out)), tuple(order), len(order)
 
 
 def rank(m: Matrix) -> int:
-    """Rank from the fraction-free echelon form, without back-substitution."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    return len(_bareiss_echelon(_integer_rows(m), m.cols)[1])
+    """The number of pivots of `_echelon`, with no back-substitution."""
+    return len(_echelon(m))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,9 @@ returns the matrix as a list of rows of Fractions.
 `induced_on_quotient` is homcyc's earlier construction of a map on
 quotients, the reference for `linalg.descend`.  It uses `Subspace`
 elimination, but neither `descend` nor a matrix product.
+
+`rref` is textbook Gauss-Jordan elimination on dense Fraction rows, the
+reference for `linalg.rref` and `linalg.rank`.
 """
 
 from fractions import Fraction
@@ -206,3 +209,25 @@ def induced_on_quotient(m, sub_src, sub_tgt):
     cols = [tgt_space.coordinates(reduce_mod(sub_tgt, _apply(m, v)))
             for v in src_reps]
     return _transpose(cols, len(tgt_reps))
+
+
+def rref(rows, ncols):
+    """Reduced row-echelon form of dense rows by Gauss-Jordan elimination
+    on Fractions, pivoting on the first nonzero entry of each column:
+    (the rows, zero rows last, and the pivot columns)."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if sel is None:
+            continue
+        a[r], a[sel] = a[sel], a[r]
+        p = a[r][c]
+        a[r] = [x / p for x in a[r]]
+        for i in range(len(a)):
+            f = a[i][c]
+            if i != r and f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots

@@ -193,6 +193,28 @@ def test_unreadable_algebra_file_exits_2(tmp_path, capsys, cmd, content):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("cmd,key,value", [
+    ("check", ("mul", 0, 1, 0), "x"),
+    ("hh", ("mul", 0, 1, 0), "x"),
+    ("check", ("alpha", 1, 1), "1/0"),
+    ("check", ("dim",), "two"),
+], ids=["check-mul-not-a-number", "hh-mul-not-a-number",
+        "alpha-zero-denominator", "dim-not-a-number"])
+def test_bad_scalar_in_algebra_file_exits_2(tmp_path, capsys, cmd, key,
+                                            value):
+    data = json.loads(two_dim_unital().to_json())
+    target = data
+    for k in key[:-1]:
+        target = target[k]
+    target[key[-1]] = value
+    p = tmp_path / "alg.json"
+    p.write_text(json.dumps(data))
+    assert main([cmd, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def _exit_code(argv):
     """main's return code, or the code of the SystemExit it raised."""
     try:

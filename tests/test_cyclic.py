@@ -9,7 +9,7 @@ from homcyc.algebra import AlgebraMorphism
 from homcyc.coefficients import regular_bimodule
 from homcyc.corpus import (dual_numbers, dual_numbers_projection_twist,
                            ground_field, k2, k_times_k, k_times_k_swap_twist,
-                           standard_corpus, two_dim_unital)
+                           matrix_2x2, standard_corpus, two_dim_unital)
 from homcyc.cyclic import (ChainMapError, connes_bB_report,
                            cyclic_bicomplex, cyclic_cohomology_both,
                            cyclic_cohomology_lambda, cyclic_homology_both,
@@ -135,6 +135,15 @@ def test_periodic_rejects_odd_window():
             periodic_homology(ground_field(), 2, window=window)
         with pytest.raises(ValueError):
             periodic_cohomology(ground_field(), 2, window=window)
+
+
+def test_periodic_matrix_2x2_is_periodic_of_k():
+    """HP of M_2(k) is HP of k (Morita invariance): 1 in even and 0 in
+    odd degree, at both windows."""
+    A = matrix_2x2()
+    for rep in (periodic_homology(A, 1), periodic_cohomology(A, 1)):
+        assert [rep.betti[n] for n in rep.degrees] == [1, 0]
+        assert [rep.betti_wider[n] for n in rep.degrees] == [1, 0]
 
 
 def test_periodic_k2_stabilizes():

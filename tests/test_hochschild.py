@@ -4,11 +4,16 @@ Everything here is an exact matrix equality over the rationals; any
 failure is either a construction bug or a misstated identity.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from homcyc import hochschild
 from homcyc.coefficients import dualize_bimodule, regular_bimodule
-from homcyc.corpus import standard_corpus, two_dim_unital
-from homcyc.hochschild import (b_prime, build_hochschild_cohomology_complex,
+from homcyc.corpus import (k_times_k_swap_twist, standard_corpus,
+                           two_dim_unital)
+from homcyc.hochschild import (CoefficientHypothesisError, b_prime,
+                               build_hochschild_cohomology_complex,
                                build_hochschild_homology_complex,
                                check_precosimplicial, check_presimplicial,
                                cochain_b, cyclic_t, face_map, hochschild_b,
@@ -143,3 +148,24 @@ def test_complex_builders_check_d_squared(algebra):
 def test_theta_degree_zero_is_identity():
     A = two_dim_unital()
     assert homotopy_theta(A, 0) == Matrix.identity(A.dim)
+
+
+def test_homology_hypotheses_checked_once_per_bimodule(monkeypatch):
+    """A bimodule is validated on its first build only; one that fails
+    the hypotheses (beta = Id against a non-identity alpha) raises on
+    every build."""
+    seen = []
+    validate = hochschild.validate_homology_coefficients
+    monkeypatch.setattr(hochschild, "validate_homology_coefficients",
+                        lambda V: seen.append(V) or validate(V))
+    A = two_dim_unital()
+    V = regular_bimodule(A)
+    build_hochschild_homology_complex(A, V, 2)
+    build_hochschild_homology_complex(A, V, 3)
+    assert len(seen) == 1 and seen[0] is V
+    B = k_times_k_swap_twist()
+    W = replace(regular_bimodule(B), beta=Matrix.identity(B.dim))
+    for _ in range(2):
+        with pytest.raises(CoefficientHypothesisError):
+            build_hochschild_homology_complex(B, W, 1)
+    assert len(seen) == 2 and seen[1] is W

@@ -5,7 +5,7 @@ from math import lcm
 
 import pytest
 import reference_operators as ref
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homcyc.linalg import (Matrix, NotASubspaceError, Subspace, block_matrix,
@@ -453,6 +453,51 @@ def test_int_and_fraction_entries_build_equal_matrices():
         Matrix(2, 2, (1, 2, 3))
     with pytest.raises(IndexError):
         ints[0, 2]
+
+
+# --- rank and rref against Fraction Gauss-Jordan ------------------------
+
+@st.composite
+def echelon_cases(draw, max_dim=6):
+    """(rows, cols, dense rows) for rank and rref: entries with
+    denominators up to 12, numerators up to 2^70 or small integers (so
+    rows with a common factor meet pivots sharing it), some zero rows
+    and columns, and about half the time a product through an inner
+    dimension of at most 2, so of low rank."""
+    r, c = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    elements = draw(st.sampled_from([ENTRIES, WIDE_ENTRIES,
+                                     st.integers(-4, 4).map(F)]))
+    if draw(st.booleans()):
+        return r, c, draw(exact_entries(r, c, elements))
+    inner = draw(st.integers(1, 2))
+    left = draw(exact_entries(r, inner, elements))
+    right = draw(exact_entries(inner, c, elements))
+    return r, c, [[sum((p[k] * right[k][j] for k in range(inner)), F(0))
+                   for j in range(c)] for p in left]
+
+
+@settings(max_examples=300, deadline=None)
+@given(echelon_cases())
+@example((2, 2, [[F(2), F(1)], [F(2), F(2)]]))
+def test_rref_and_rank_match_gauss_jordan(case):
+    r, c, dense = case
+    m = from_dense(r, c, dense)
+    expected, pivots = ref.rref(dense, c)
+    out, got_pivots, rk = rref(m)
+    assert_is(out, r, c, expected)
+    assert got_pivots == tuple(pivots)
+    assert rk == len(pivots) == rank(m)
+
+
+def test_rref_with_negative_pivots_and_denominators():
+    m = Matrix.from_rows([[0, F(-2, 3), 4, 0], [F(-5, 7), 1, 0, 2],
+                          [F(-5, 7), F(1, 3), 4, 2], [0, 0, 0, -3]])
+    assert rank(m) == 3
+    out, pivots, rk = rref(m)
+    assert (pivots, rk) == ((0, 1, 3), 3)
+    assert_is(out, 4, 4, [[F(1), F(0), F(-42, 5), F(0)],
+                          [F(0), F(1), F(-6), F(0)],
+                          [F(0), F(0), F(0), F(1)], [F(0)] * 4])
 
 
 # --- maps on subspaces and quotients -------------------------------------

@@ -39,25 +39,43 @@ def test_every_trace_target_resolves():
         assert callable(_resolve(modname, attr)), name
 
 
-def test_small_runs_reach_the_required_operators(monkeypatch):
+def _count_calls(monkeypatch, modname, names):
     """Rebind counters the way the trace does: in every homcyc module
-    that holds the original function."""
-    names = ["face_map", "coface_map", "cochain_b", "check_presimplicial"]
+    that holds the original function.  Returns the call counts."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        orig = getattr(importlib.import_module("homcyc.hochschild"), name)
+        orig = getattr(importlib.import_module(f"homcyc.{modname}"), name)
 
         def counted(*args, _name=name, _orig=orig, **kwargs):
             calls[_name] += 1
             return _orig(*args, **kwargs)
 
-        for modname, module in list(sys.modules.items()):
-            if module is not None and (modname == "homcyc" or
-                                       modname.startswith("homcyc.")):
+        for key_mod, module in list(sys.modules.items()):
+            if module is not None and (key_mod == "homcyc" or
+                                       key_mod.startswith("homcyc.")):
                 for key, val in list(vars(module).items()):
                     if val is orig:
                         monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_small_runs_reach_the_required_operators(monkeypatch):
+    calls = _count_calls(monkeypatch, "hochschild",
+                         ["face_map", "coface_map", "cochain_b",
+                          "check_presimplicial"])
     A = two_dim_unital()
     homcyc.hochschild_homology(A, 2)
     homcyc.hochschild_cohomology(A, 2)
     assert all(calls.values()), calls
+
+
+def test_representatives_and_lambda_reach_rref(monkeypatch):
+    """`rank` shares no code with `rref`, so Betti numbers alone need
+    not reach it; representatives and the λ-quotient must."""
+    A = two_dim_unital()
+    calls = _count_calls(monkeypatch, "linalg", ["rref"])
+    homcyc.hochschild_homology(A, 1, representatives=True)
+    assert calls["rref"]
+    calls["rref"] = 0
+    homcyc.cyclic_homology_lambda(A, 1)
+    assert calls["rref"]
