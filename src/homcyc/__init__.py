@@ -5,7 +5,7 @@ algebras over the rationals."""
 from .algebra import (AlgebraMorphism, HomAlgebra, direct_sum, find_unit,
                       is_centroid_element, load_algebra, unital_decompose,
                       unitalize, validate, validate_morphism, yau_twist)
-from .coefficients import (Bimodule, DualBimodule, a_circ, coregular_dual,
+from .coefficients import (Bimodule, a_circ, coregular_dual,
                            dualize_bimodule, regular_bimodule,
                            validate_homology_coefficients)
 from .complexes import (Bicomplex, ChainComplex, HomologyReport, homology,

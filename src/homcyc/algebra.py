@@ -3,9 +3,15 @@
 An algebra is a triple (A, mu, alpha): a bilinear product encoded by the
 tensor mu[i][j][k] (coefficient of e_k in e_i * e_j, i the left factor)
 and a twisting endomorphism alpha encoded as a d x d matrix whose column
-j is alpha(e_j).  Validation checks twisted associativity
-alpha(a)(bc) = (ab)alpha(c) and multiplicativity alpha(ab) = alpha(a)alpha(b)
-on basis elements; bilinearity makes the basis checks sufficient.
+j is alpha(e_j).  As a linear map A (x) A -> A the product is the d x d^2
+matrix `product_matrix`, whose column (a, b) is e_a e_b, and every
+structure axiom is an equality of two composites of such matrices:
+twisted associativity alpha(a)(bc) = (ab)alpha(c) is
+mu (alpha (x) mu) = mu (mu (x) alpha), multiplicativity is
+alpha mu = mu (alpha (x) alpha).  Both sides are exact matrices, and
+`axiom_violations` reports each column where they differ as a
+`Violation` at its basis tuple; bilinearity makes the basis tuples
+sufficient.
 """
 
 from __future__ import annotations
@@ -13,10 +19,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import product as iproduct
 from typing import Sequence
 
-from .linalg import (Matrix, Subspace, ZERO, ONE, image, kernel, restrict,
-                     scalar_from_string, scalar_to_string, solve_homogeneous)
+from .linalg import (Matrix, Subspace, ZERO, ONE, block_matrix, image, kernel,
+                     kron, restrict, scalar_from_string, scalar_to_string)
 
 MuTensor = tuple[tuple[tuple[Fraction, ...], ...], ...]
 
@@ -41,6 +49,26 @@ class Violation:
                 f"rhs={[scalar_to_string(x) for x in self.rhs]}")
 
 
+def axiom_violations(families: Sequence[tuple]) -> list[Violation]:
+    """Each family (axiom, lhs, rhs, slot sizes, report order) is an
+    identity lhs = rhs of matrices whose column j is the basis tuple j,
+    decoded big-endian over the slot sizes.  A Violation for each column
+    where lhs and rhs differ, holding both columns and the tuple's slots
+    in report order; sorted by those indices, then by family."""
+    found = []
+    for pos, (axiom, lhs, rhs, slots, order) in enumerate(families):
+        if lhs == rhs:
+            continue
+        for j, idx in enumerate(iproduct(*map(range, slots))):
+            left, right = lhs.col(j), rhs.col(j)
+            if left != right:
+                indices = tuple(idx[k] for k in order)
+                found.append((indices, pos,
+                              Violation(axiom, indices, left, right)))
+    found.sort(key=lambda t: t[:2])
+    return [v for _, _, v in found]
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     valid: bool
@@ -63,18 +91,15 @@ class HomAlgebra:
     alpha: Matrix
     name: str = field(default="", compare=False)
 
+    @cached_property
+    def product_matrix(self) -> Matrix:
+        """mu as the d x d^2 matrix whose column (a, b) is e_a e_b."""
+        return Matrix.from_columns(self.dim, [c for row in self.mu
+                                              for c in row])
+
     def product(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        out = [ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                for k, c in enumerate(self.mu[i][j]):
-                    if c:
-                        out[k] += xi * yj * c
-        return tuple(out)
+        """x y, as mu applied to x (x) y."""
+        return self.product_matrix.apply([a * b for a in x for b in y])
 
     def apply_alpha(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
         return self.alpha.apply(x)
@@ -105,25 +130,35 @@ class HomAlgebra:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
+def _is_grid(x, depth: int, dim: int) -> bool:
+    """Whether x is a list of dim entries that are, below the top level,
+    such lists again, depth levels in all."""
+    return isinstance(x, list) and len(x) == dim and \
+        (depth == 1 or all(_is_grid(y, depth - 1, dim) for y in x))
+
+
 def raw_algebra_from_dict(data: dict) -> tuple[int, tuple[str, ...], MuTensor, Matrix, str]:
-    """Parse and shape-check the algebra JSON format."""
+    """Parse and shape-check the algebra JSON format: an integer dim, a
+    list of dim basis names, and mul and alpha as nested lists of
+    scalars, dim x dim x dim and dim x dim."""
     try:
-        dim = int(data["dim"])
-        basis = tuple(str(b) for b in data["basis"])
-        mul = data["mul"]
-        alpha = data["alpha"]
+        dim = data["dim"]
+        dim = int(dim) if isinstance(dim, str) else dim
+        basis, mul, alpha = data["basis"], data["mul"], data["alpha"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ShapeError(f"malformed algebra data: {exc}") from exc
     name = str(data.get("name", ""))
+    if type(dim) is not int:
+        raise ShapeError(f"dim is not an integer: {dim!r}")
     if dim < 1:
         raise ShapeError("dim must be >= 1")
-    if len(basis) != dim:
-        raise ShapeError("basis names length != dim")
-    if len(mul) != dim or any(len(p) != dim for p in mul) or \
-            any(len(r) != dim for p in mul for r in p):
+    if not _is_grid(basis, 1, dim):
+        raise ShapeError("basis is not a list of dim names")
+    if not _is_grid(mul, 3, dim):
         raise ShapeError("mul tensor is not dim x dim x dim")
-    if len(alpha) != dim or any(len(r) != dim for r in alpha):
+    if not _is_grid(alpha, 2, dim):
         raise ShapeError("alpha matrix is not dim x dim")
+    basis = tuple(str(b) for b in basis)
     try:
         mu = tuple(tuple(tuple(scalar_from_string(str(c)) for c in row)
                          for row in plane) for plane in mul)
@@ -136,7 +171,8 @@ def raw_algebra_from_dict(data: dict) -> tuple[int, tuple[str, ...], MuTensor, M
 
 def validate(dim: int, basis_names: Sequence[str], mu, alpha: Matrix,
              name: str = "") -> tuple[HomAlgebra | None, ValidationReport]:
-    """Check Hom-associativity and multiplicativity on all basis tuples.
+    """Check Hom-associativity and multiplicativity as matrix identities,
+    reporting each failing basis tuple.
 
     Returns (algebra, report); algebra is None when Hom-associativity
     fails.  Multiplicativity failures are reported but the algebra is
@@ -155,28 +191,13 @@ def validate(dim: int, basis_names: Sequence[str], mu, alpha: Matrix,
         raise ShapeError("alpha matrix is not dim x dim")
 
     cand = HomAlgebra(dim, tuple(basis_names), mu, alpha, name=name)
-    violations: list[Violation] = []
-    for a in range(dim):
-        ea = cand.basis_vector(a)
-        for b in range(dim):
-            eb = cand.basis_vector(b)
-            for c in range(dim):
-                ec = cand.basis_vector(c)
-                lhs = cand.product(cand.apply_alpha(ea), cand.product(eb, ec))
-                rhs = cand.product(cand.product(ea, eb), cand.apply_alpha(ec))
-                if lhs != rhs:
-                    violations.append(Violation("hom-associativity",
-                                                (a, b, c), lhs, rhs))
-    mult_violations: list[Violation] = []
-    for a in range(dim):
-        ea = cand.basis_vector(a)
-        for b in range(dim):
-            eb = cand.basis_vector(b)
-            lhs = cand.apply_alpha(cand.product(ea, eb))
-            rhs = cand.product(cand.apply_alpha(ea), cand.apply_alpha(eb))
-            if lhs != rhs:
-                mult_violations.append(Violation("multiplicativity",
-                                                 (a, b), lhs, rhs))
+    m = cand.product_matrix
+    violations = axiom_violations([
+        ("hom-associativity", m @ kron(alpha, m), m @ kron(m, alpha),
+         (dim,) * 3, (0, 1, 2))])
+    mult_violations = axiom_violations([
+        ("multiplicativity", alpha @ m, m @ kron(alpha, alpha), (dim, dim),
+         (0, 1))])
     ok = not violations
     report = ValidationReport(valid=ok,
                               multiplicative=not mult_violations,
@@ -203,15 +224,9 @@ def load_algebra(path_or_dict) -> tuple[HomAlgebra | None, ValidationReport]:
 
 
 def is_associative(A: HomAlgebra) -> bool:
-    for a in range(A.dim):
-        for b in range(A.dim):
-            ab = A.mu[a][b]
-            for c in range(A.dim):
-                lhs = A.product(ab, A.basis_vector(c))
-                rhs = A.product(A.basis_vector(a), A.mu[b][c])
-                if lhs != rhs:
-                    return False
-    return True
+    """mu (mu (x) Id) = mu (Id (x) mu)."""
+    m, ident = A.product_matrix, Matrix.identity(A.dim)
+    return m @ kron(m, ident) == m @ kron(ident, m)
 
 
 def alpha_is_idempotent(A: HomAlgebra) -> bool:
@@ -219,15 +234,10 @@ def alpha_is_idempotent(A: HomAlgebra) -> bool:
 
 
 def is_algebra_endomorphism(A: HomAlgebra, endo: Matrix) -> tuple[bool, list[Violation]]:
-    """f(xy) = f(x)f(y) on basis pairs (no twist-intertwining condition)."""
-    bad = []
-    for a in range(A.dim):
-        for b in range(A.dim):
-            lhs = endo.apply(A.mu[a][b])
-            rhs = A.product(endo.apply(A.basis_vector(a)),
-                            endo.apply(A.basis_vector(b)))
-            if lhs != rhs:
-                bad.append(Violation("algebra-endomorphism", (a, b), lhs, rhs))
+    """f mu = mu (f (x) f) (no twist-intertwining condition)."""
+    m = A.product_matrix
+    bad = axiom_violations([("algebra-endomorphism", endo @ m,
+                             m @ kron(endo, endo), (A.dim, A.dim), (0, 1))])
     return not bad, bad
 
 
@@ -284,21 +294,15 @@ def find_unit(A: HomAlgebra) -> tuple[Fraction, ...] | None:
 
 
 def is_centroid_element(A: HomAlgebra) -> tuple[bool, list[Violation]]:
-    """alpha(x)y = x alpha(y) = alpha(xy) on all basis pairs."""
-    bad = []
-    for a in range(A.dim):
-        ea = A.basis_vector(a)
-        aa = A.apply_alpha(ea)
-        for b in range(A.dim):
-            eb = A.basis_vector(b)
-            ab = A.apply_alpha(eb)
-            s1 = A.product(aa, eb)
-            s2 = A.product(ea, ab)
-            s3 = A.apply_alpha(A.mu[a][b])
-            if s1 != s2:
-                bad.append(Violation("centroid alpha(x)y=xalpha(y)", (a, b), s1, s2))
-            if s2 != s3:
-                bad.append(Violation("centroid xalpha(y)=alpha(xy)", (a, b), s2, s3))
+    """alpha(x)y = x alpha(y) = alpha(xy): mu (alpha (x) Id) =
+    mu (Id (x) alpha) = alpha mu."""
+    m, alpha, ident = A.product_matrix, A.alpha, Matrix.identity(A.dim)
+    x_alpha_y = m @ kron(ident, alpha)
+    pair = (A.dim, A.dim)
+    bad = axiom_violations([
+        ("centroid alpha(x)y=xalpha(y)", m @ kron(alpha, ident), x_alpha_y,
+         pair, (0, 1)),
+        ("centroid xalpha(y)=alpha(xy)", x_alpha_y, alpha @ m, pair, (0, 1))])
     return not bad, bad
 
 
@@ -346,11 +350,9 @@ def unital_decompose(A: HomAlgebra) -> Decomposition:
     if A.product(x, x) != x:
         raise DecompositionError("alpha(1) is not idempotent; contradicts "
                                  "the unital characterization")
-    for j in range(A.dim):
-        ej = A.basis_vector(j)
-        if A.product(x, ej) != A.product(ej, x):
-            raise DecompositionError("alpha(1) is not central; contradicts "
-                                     "the unital characterization")
+    if A.left_mult_matrix(x) != A.right_mult_matrix(x):
+        raise DecompositionError("alpha(1) is not central; contradicts "
+                                 "the unital characterization")
     y = tuple(u - xi for u, xi in zip(unit, x))
     sub1 = image(A.right_mult_matrix(x))
     sub2 = image(A.right_mult_matrix(y))
@@ -371,10 +373,11 @@ def idempotent_twist_decompose(A: HomAlgebra) -> tuple[HomAlgebra, HomAlgebra]:
         raise ValueError("twist is not idempotent (alpha^2 != alpha)")
     ker_sub = kernel(A.alpha)
     im_sub = image(A.alpha)
-    for u in ker_sub.basis:
-        for v in ker_sub.basis + im_sub.basis:
-            if any(A.product(u, v)) or any(A.product(v, u)):
-                raise ValueError("kernel of alpha is not a square-zero ideal")
+    K = Matrix.from_columns(A.dim, ker_sub.basis)
+    KB = Matrix.from_columns(A.dim, ker_sub.basis + im_sub.basis)
+    m = A.product_matrix
+    if not ((m @ kron(K, KB)).is_zero() and (m @ kron(KB, K)).is_zero()):
+        raise ValueError("kernel of alpha is not a square-zero ideal")
     k_alg = _restrict_algebra(A, ker_sub, Matrix.zero(ker_sub.dim, ker_sub.dim),
                               name=A.name + "_K") if ker_sub.dim else None
     b_alg = _restrict_algebra(A, im_sub, None, name=A.name + "_B") \
@@ -440,16 +443,9 @@ def unitalize(A: HomAlgebra) -> tuple[HomAlgebra, Matrix]:
         raise ValueError("unitalization failed to produce a unit")
     emb_cols = [embed(A.basis_vector(j)) for j in range(d)]
     embedding = Matrix.from_columns(n, emb_cols)
-    # embedding must be a morphism of Hom-algebras
-    for i in range(d):
-        for j in range(d):
-            lhs = embedding.apply(A.mu[i][j])
-            rhs = B.product(embedding.apply(A.basis_vector(i)),
-                            embedding.apply(A.basis_vector(j)))
-            if lhs != rhs:
-                raise ValueError("embedding does not preserve products")
-    if (beta @ embedding) != (embedding @ A.alpha):
-        raise ValueError("embedding does not intertwine the twists")
+    ok, bad = validate_morphism(AlgebraMorphism(A, B, embedding))
+    if not ok:
+        raise ValueError("embedding is not a morphism: " + str(bad[0]))
     return B, embedding
 
 
@@ -457,24 +453,13 @@ def direct_sum(A: HomAlgebra, B: HomAlgebra, name: str = "") -> HomAlgebra:
     d = A.dim + B.dim
     names = tuple(f"a_{s}" for s in A.basis_names) + \
         tuple(f"b_{s}" for s in B.basis_names)
-    mu = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            if i < A.dim and j < A.dim:
-                row.append(tuple(A.mu[i][j]) + (ZERO,) * B.dim)
-            elif i >= A.dim and j >= A.dim:
-                row.append((ZERO,) * A.dim + tuple(B.mu[i - A.dim][j - A.dim]))
-            else:
-                row.append((ZERO,) * d)
-        mu.append(tuple(row))
-    alpha_rows = []
-    for i in range(d):
-        if i < A.dim:
-            alpha_rows.append(list(A.alpha.row(i)) + [ZERO] * B.dim)
-        else:
-            alpha_rows.append([ZERO] * A.dim + list(B.alpha.row(i - A.dim)))
-    return validate_or_raise(d, names, tuple(mu), Matrix.from_rows(alpha_rows),
+    za, zb = (ZERO,) * A.dim, (ZERO,) * B.dim
+    mu = [[A.mu[i][j] + zb for j in range(A.dim)] + [za + zb] * B.dim
+          for i in range(A.dim)] + \
+        [[za + zb] * A.dim + [za + B.mu[i][j] for j in range(B.dim)]
+         for i in range(B.dim)]
+    alpha = block_matrix(d, d, [(A.alpha, 0, 0), (B.alpha, A.dim, A.dim)])
+    return validate_or_raise(d, names, mu, alpha,
                              name=name or f"{A.name}+{B.name}")
 
 
@@ -486,22 +471,13 @@ class AlgebraMorphism:
 
 
 def validate_morphism(f: AlgebraMorphism) -> tuple[bool, list[Violation]]:
-    """f(xy) = f(x)f(y) and f o alpha_src = alpha_tgt o f on the basis."""
+    """f mu_src = mu_tgt (f (x) f), then f alpha_src = alpha_tgt f."""
     A, B, m = f.source, f.target, f.matrix
     if (m.rows, m.cols) != (B.dim, A.dim):
         raise ShapeError("morphism matrix shape mismatch")
-    bad = []
-    for a in range(A.dim):
-        for b in range(A.dim):
-            lhs = m.apply(A.mu[a][b])
-            rhs = B.product(m.apply(A.basis_vector(a)),
-                            m.apply(A.basis_vector(b)))
-            if lhs != rhs:
-                bad.append(Violation("morphism-product", (a, b), lhs, rhs))
-    if (m @ A.alpha) != (B.alpha @ m):
-        for a in range(A.dim):
-            lhs = m.apply(A.apply_alpha(A.basis_vector(a)))
-            rhs = B.alpha.apply(m.apply(A.basis_vector(a)))
-            if lhs != rhs:
-                bad.append(Violation("morphism-twist", (a,), lhs, rhs))
+    bad = axiom_violations([
+        ("morphism-product", m @ A.product_matrix,
+         B.product_matrix @ kron(m, m), (A.dim, A.dim), (0, 1))])
+    bad += axiom_violations([
+        ("morphism-twist", m @ A.alpha, B.alpha @ m, (A.dim,), (0,))])
     return not bad, bad

@@ -201,7 +201,14 @@ def _read_functional(path: str, alg: HomAlgebra,
 def cmd_twist(args) -> int:
     alg = _load(args.file)
     endo = _read_matrix(args.alpha, alg.dim)
-    twisted = yau_twist(alg, endo, name=args.name or (alg.name + "_twisted"))
+    try:
+        twisted = yau_twist(alg, endo,
+                            name=args.name or (alg.name + "_twisted"))
+    except ValueError as exc:
+        # the algebra is not associative with alpha = Id, or endo is not
+        # an algebra map
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     print(twisted.to_json())
     return EXIT_OK
 

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
 from typing import Sequence
 
-from .algebra import HomAlgebra, Violation
+from .algebra import HomAlgebra, Violation, axiom_violations
 from .coefficients import regular_bimodule
 from .hochschild import IdentityViolationError, cyclic_t, hochschild_b
-from .linalg import Matrix, Subspace, ZERO, ONE, solve_homogeneous
+from .linalg import Matrix, Subspace, ZERO, kron, solve_homogeneous
 
 
 @dataclass(frozen=True)
@@ -31,12 +30,9 @@ class Functional:
 
 def trace_space(A: HomAlgebra) -> Subspace:
     """Solutions of phi(e_i e_j) = phi(e_j e_i) inside A*."""
-    constraints = []
-    for i in range(A.dim):
-        for j in range(i + 1, A.dim):
-            constraints.append([a - b for a, b in
-                                zip(A.mu[i][j], A.mu[j][i])])
-    return solve_homogeneous(constraints, A.dim)
+    return solve_homogeneous([[a - b for a, b in zip(A.mu[i][j], A.mu[j][i])]
+                              for i in range(A.dim)
+                              for j in range(i + 1, A.dim)], A.dim)
 
 
 @dataclass(frozen=True)
@@ -57,20 +53,16 @@ def is_cyclic_cocycle(phi: Functional, A: HomAlgebra) -> CocycleCheck:
     size = A.dim ** (n + 1)
     if len(phi.coords) != size:
         raise ValueError("functional coordinate length mismatch")
-    V = regular_bimodule(A)
-    b_co = hochschild_b(A, V, n + 1).transpose()
-    cob = b_co.apply(phi.coords)
-    co_res = []
-    for row, idx in enumerate(iproduct(range(A.dim), repeat=n + 2)):
-        if cob[row]:
-            co_res.append(Violation("hochschild-cocycle", idx,
-                                    (cob[row],), (ZERO,)))
-    t_co = cyclic_t(A, n).transpose()
-    diff = (Matrix.identity(size) - t_co).apply(phi.coords)
-    cyc_res = []
-    for row, idx in enumerate(iproduct(range(A.dim), repeat=n + 1)):
-        if diff[row]:
-            cyc_res.append(Violation("cyclicity", idx, (diff[row],), (ZERO,)))
+    # phi as a row: phi o b and phi o (Id - t), each zero at every tuple
+    row = Matrix.from_rows([phi.coords])
+    b = hochschild_b(A, regular_bimodule(A), n + 1)
+    tuples = (A.dim,) * (n + 2)
+    co_res = axiom_violations([
+        ("hochschild-cocycle", row @ b, Matrix.zero(1, b.cols), tuples,
+         range(n + 2))])
+    cyc_res = axiom_violations([
+        ("cyclicity", row - row @ cyclic_t(A, n), Matrix.zero(1, size),
+         tuples[1:], range(n + 1))])
     return CocycleCheck(not co_res and not cyc_res,
                         tuple(co_res), tuple(cyc_res))
 
@@ -88,20 +80,15 @@ class TwistedDerivation:
 
 def validate_twisted_derivation(A: HomAlgebra, rho: TwistedDerivation
                                 ) -> tuple[bool, list[Violation]]:
+    """rho mu = mu (rho (x) Id) + mu (Id (x) rho) at basis pairs, then
+    alpha rho = rho alpha = rho."""
     m = rho.matrix
     if (m.rows, m.cols) != (A.dim, A.dim):
         raise ValueError("derivation matrix shape mismatch")
-    bad = []
-    for a in range(A.dim):
-        ea = A.basis_vector(a)
-        for b in range(A.dim):
-            eb = A.basis_vector(b)
-            lhs = m.apply(A.mu[a][b])
-            rhs = tuple(x + y for x, y in zip(
-                A.product(m.apply(ea), eb),
-                A.product(ea, m.apply(eb))))
-            if lhs != rhs:
-                bad.append(Violation("leibniz", (a, b), lhs, rhs))
+    mu, ident = A.product_matrix, Matrix.identity(A.dim)
+    bad = axiom_violations([
+        ("leibniz", m @ mu, mu @ kron(m, ident) + mu @ kron(ident, m),
+         (A.dim, A.dim), (0, 1))])
     if (A.alpha @ m) != m or (m @ A.alpha) != m:
         bad.append(Violation("twist-compat alpha*rho=rho*alpha=rho", (),
                              (), ()))
@@ -132,14 +119,9 @@ def derivation_cocycle(A: HomAlgebra, rho: TwistedDerivation,
         if tr(rho.matrix.apply(A.basis_vector(a))):
             raise CocyclePreconditionError(
                 f"tr does not vanish on rho(e{a + 1})")
-    d = A.dim
-    coords = []
-    for i in range(d):
-        ei = A.basis_vector(i)
-        for j in range(d):
-            val = tr(A.product(ei, rho.matrix.apply(A.basis_vector(j))))
-            coords.append(val)
-    phi = Functional(1, tuple(coords))
+    # phi(a, b) = tr(mu(a (x) rho(b))): phi = (mu (Id (x) rho))^T tr
+    rho_b = A.product_matrix @ kron(Matrix.identity(A.dim), rho.matrix)
+    phi = Functional(1, rho_b.transpose().apply(tr.coords))
     check = is_cyclic_cocycle(phi, A)
     if not check.is_cocycle:
         raise IdentityViolationError(

@@ -2,19 +2,28 @@
 
 A bimodule (V, beta) over (A, alpha) is stored by its action matrices:
 left[a] is the matrix of v -> e_a . v and right[a] the matrix of
-v -> v . e_a, both m x m, plus the coefficient endomorphism beta.
+v -> v . e_a, both m x m, plus the coefficient endomorphism beta.  One
+type, `Bimodule`, holds both bimodules and dual bimodules; its `dual`
+tag says which axiom set the data satisfies and, for the Hochschild
+operators, whether the data enter as chains or as cochains.
 Functionals live in the dual basis, so every dual construction is a
 matrix transpose.
+
+The axioms are matrix identities.  Written as maps out of tensor
+products, the actions are L: A (x) V -> V, the m x dm matrix whose
+column (a, v) is e_a . e_v, and R: V (x) A -> V, the m x md matrix
+whose column (v, a) is e_v . e_a.  Each axiom equates two composites of
+L, R, beta and the algebra's `product_matrix` and alpha, and
+`axiom_violations` reports each basis tuple where they differ.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from dataclasses import dataclass, replace
 
-from .algebra import HomAlgebra, Violation, is_centroid_element
-from .linalg import (Matrix, NotASubspaceError, Subspace, ZERO, ONE, restrict,
+from .algebra import (HomAlgebra, Violation, axiom_violations,
+                      is_centroid_element)
+from .linalg import (Matrix, NotASubspaceError, Subspace, kron, restrict,
                      solve_homogeneous)
 
 
@@ -24,8 +33,11 @@ class CoefficientError(ValueError):
 
 @dataclass(frozen=True)
 class Bimodule:
-    """Validated A-bimodule: twisted left/right module axioms plus
-    the compatibility alpha(a).(v.b) = (a.v).alpha(b)."""
+    """A-bimodule data: the twisted left and right module axioms plus
+    the compatibility alpha(a).(v.b) = (a.v).alpha(b).  With `dual`, the
+    data of a dual bimodule instead, which satisfies the dual-module
+    axioms a.(alpha(b).v) = beta((ab).v), its right mirror and the same
+    compatibility."""
 
     algebra: HomAlgebra
     dim: int
@@ -33,96 +45,61 @@ class Bimodule:
     right: tuple[Matrix, ...]  # right[a]: v -> v . e_a
     beta: Matrix
     name: str = ""
-
-    def left_action(self, x: Sequence[Fraction], v: Sequence[Fraction]):
-        out = [ZERO] * self.dim
-        for a, xa in enumerate(x):
-            if xa:
-                w = self.left[a].apply(v)
-                out = [o + xa * wi for o, wi in zip(out, w)]
-        return tuple(out)
-
-    def right_action(self, v: Sequence[Fraction], x: Sequence[Fraction]):
-        out = [ZERO] * self.dim
-        for a, xa in enumerate(x):
-            if xa:
-                w = self.right[a].apply(v)
-                out = [o + xa * wi for o, wi in zip(out, w)]
-        return tuple(out)
+    dual: bool = False
 
 
-@dataclass(frozen=True)
-class DualBimodule:
-    """Same data layout as Bimodule, but satisfying the dual-module
-    axioms a.(alpha(b).v) = beta((ab).v) and its right mirror."""
+def _transposed(V: Bimodule, **changes) -> Bimodule:
+    """V's actions on functionals, in the dual basis: left[a] and
+    right[a] become right[a] and left[a] transposed, beta beta^T."""
+    return replace(V, left=tuple(r.transpose() for r in V.right),
+                   right=tuple(x.transpose() for x in V.left),
+                   beta=V.beta.transpose(), **changes)
 
-    algebra: HomAlgebra
-    dim: int
-    left: tuple[Matrix, ...]
-    right: tuple[Matrix, ...]
-    beta: Matrix
-    name: str = ""
 
-    left_action = Bimodule.left_action
-    right_action = Bimodule.right_action
+def _actions(V: Bimodule) -> tuple[Matrix, Matrix]:
+    """L (column (a, v) is e_a . e_v) and R (column (v, a) is e_v . e_a)."""
+    d, m = V.algebra.dim, V.dim
+    return (Matrix.from_columns(m, [V.left[a].col(v) for a in range(d)
+                                    for v in range(m)]),
+            Matrix.from_columns(m, [V.right[a].col(v) for v in range(m)
+                                    for a in range(d)]))
+
+
+def _compatibility(V: Bimodule, axiom: str, L: Matrix, R: Matrix):
+    """alpha(a).(v.b) = (a.v).alpha(b), reported at (a, b, v)."""
+    A = V.algebra
+    return (axiom, L @ kron(A.alpha, R), R @ kron(L, A.alpha),
+            (A.dim, V.dim, A.dim), (0, 2, 1))
 
 
 def check_bimodule_axioms(V) -> list[Violation]:
-    """All three bimodule axiom families on basis triples (a, b, v)."""
+    """L (mu (x) beta) = L (alpha (x) L), R (beta (x) mu) = R (R (x) alpha)
+    and the compatibility, at basis triples (a, b, v)."""
     A = V.algebra
-    bad = []
-    alpha_cols = [A.apply_alpha(A.basis_vector(a)) for a in range(A.dim)]
-    for a in range(A.dim):
-        for b in range(A.dim):
-            ab = A.mu[a][b]
-            for vi in range(V.dim):
-                v = tuple(ONE if k == vi else ZERO for k in range(V.dim))
-                lhs = V.left_action(ab, V.beta.apply(v))
-                rhs = V.left_action(alpha_cols[a], V.left_action(A.basis_vector(b), v))
-                if lhs != rhs:
-                    bad.append(Violation("left-module", (a, b, vi), lhs, rhs))
-                lhs = V.right_action(V.beta.apply(v), ab)
-                rhs = V.right_action(V.right_action(v, A.basis_vector(a)),
-                                     alpha_cols[b])
-                if lhs != rhs:
-                    bad.append(Violation("right-module", (a, b, vi), lhs, rhs))
-                lhs = V.left_action(alpha_cols[a],
-                                    V.right_action(v, A.basis_vector(b)))
-                rhs = V.right_action(V.left_action(A.basis_vector(a), v),
-                                     alpha_cols[b])
-                if lhs != rhs:
-                    bad.append(Violation("bimodule-compat", (a, b, vi), lhs, rhs))
-    return bad
+    d, m, mu, alpha, beta = A.dim, V.dim, A.product_matrix, A.alpha, V.beta
+    L, R = _actions(V)
+    return axiom_violations([
+        ("left-module", L @ kron(mu, beta), L @ kron(alpha, L), (d, d, m),
+         (0, 1, 2)),
+        ("right-module", R @ kron(beta, mu), R @ kron(R, alpha), (m, d, d),
+         (1, 2, 0)),
+        _compatibility(V, "bimodule-compat", L, R)])
 
 
 def check_dual_bimodule_axioms(W) -> list[Violation]:
-    """Dual left/right module axioms plus the shared compatibility."""
+    """L (Id (x) L (alpha (x) Id)) = beta L (mu (x) Id), its right mirror
+    R (R (Id (x) alpha) (x) Id) = beta R (Id (x) mu), and the
+    compatibility, at basis triples (a, b, v)."""
     A = W.algebra
-    bad = []
-    alpha_cols = [A.apply_alpha(A.basis_vector(a)) for a in range(A.dim)]
-    for a in range(A.dim):
-        for b in range(A.dim):
-            ab = A.mu[a][b]
-            for vi in range(W.dim):
-                v = tuple(ONE if k == vi else ZERO for k in range(W.dim))
-                lhs = W.left_action(A.basis_vector(a),
-                                    W.left_action(alpha_cols[b], v))
-                rhs = W.beta.apply(W.left_action(ab, v))
-                if lhs != rhs:
-                    bad.append(Violation("dual-left-module", (a, b, vi), lhs, rhs))
-                lhs = W.right_action(W.right_action(v, alpha_cols[a]),
-                                     A.basis_vector(b))
-                rhs = W.beta.apply(W.right_action(v, ab))
-                if lhs != rhs:
-                    bad.append(Violation("dual-right-module", (a, b, vi), lhs, rhs))
-                lhs = W.left_action(alpha_cols[a],
-                                    W.right_action(v, A.basis_vector(b)))
-                rhs = W.right_action(W.left_action(A.basis_vector(a), v),
-                                     alpha_cols[b])
-                if lhs != rhs:
-                    bad.append(Violation("dual-bimodule-compat", (a, b, vi),
-                                         lhs, rhs))
-    return bad
+    d, m, mu, alpha, beta = A.dim, W.dim, A.product_matrix, A.alpha, W.beta
+    id_a, id_v = Matrix.identity(d), Matrix.identity(m)
+    L, R = _actions(W)
+    return axiom_violations([
+        ("dual-left-module", L @ kron(id_a, L @ kron(alpha, id_v)),
+         beta @ L @ kron(mu, id_v), (d, d, m), (0, 1, 2)),
+        ("dual-right-module", R @ kron(R @ kron(id_v, alpha), id_a),
+         beta @ R @ kron(id_v, mu), (m, d, d), (1, 2, 0)),
+        _compatibility(W, "dual-bimodule-compat", L, R)])
 
 
 def regular_bimodule(A: HomAlgebra) -> Bimodule:
@@ -149,31 +126,21 @@ def regular_bimodule(A: HomAlgebra) -> Bimodule:
 
 def validate_homology_coefficients(V: Bimodule) -> tuple[bool, list[Violation]]:
     """Extra hypotheses for the homology theory:
-    beta(v.a) = beta(v).alpha(a) and beta(a.v) = alpha(a).beta(v)."""
+    beta(v.a) = beta(v).alpha(a) and beta(a.v) = alpha(a).beta(v), that
+    is beta R = R (beta (x) alpha) and beta L = L (alpha (x) beta)."""
     A = V.algebra
-    bad = []
-    for a in range(A.dim):
-        ea = A.basis_vector(a)
-        aa = A.apply_alpha(ea)
-        for vi in range(V.dim):
-            v = tuple(ONE if k == vi else ZERO for k in range(V.dim))
-            lhs = V.beta.apply(V.right_action(v, ea))
-            rhs = V.right_action(V.beta.apply(v), aa)
-            if lhs != rhs:
-                bad.append(Violation("beta(v.a)=beta(v).alpha(a)", (a, vi), lhs, rhs))
-            lhs = V.beta.apply(V.left_action(ea, v))
-            rhs = V.left_action(aa, V.beta.apply(v))
-            if lhs != rhs:
-                bad.append(Violation("beta(a.v)=alpha(a).beta(v)", (a, vi), lhs, rhs))
+    L, R = _actions(V)
+    bad = axiom_violations([
+        ("beta(v.a)=beta(v).alpha(a)", V.beta @ R, R @ kron(V.beta, A.alpha),
+         (V.dim, A.dim), (1, 0)),
+        ("beta(a.v)=alpha(a).beta(v)", V.beta @ L, L @ kron(A.alpha, V.beta),
+         (A.dim, V.dim), (0, 1))])
     return not bad, bad
 
 
-def dualize_bimodule(V: Bimodule) -> DualBimodule:
+def dualize_bimodule(V: Bimodule) -> Bimodule:
     """V* with (a.f)(v) = f(v.a), (f.a)(v) = f(a.v), beta* = f o beta."""
-    left = tuple(V.right[a].transpose() for a in range(V.algebra.dim))
-    right = tuple(V.left[a].transpose() for a in range(V.algebra.dim))
-    W = DualBimodule(V.algebra, V.dim, left, right, V.beta.transpose(),
-                     name=f"{V.name}-dual")
+    W = _transposed(V, name=f"{V.name}-dual", dual=True)
     bad = check_dual_bimodule_axioms(W)
     if bad:
         raise CoefficientError("dual of a bimodule fails dual axioms: "
@@ -193,17 +160,12 @@ def a_circ(A: HomAlgebra) -> RestrictedDual:
     """The subspace {f : f(x alpha(y)) = f(alpha(xy)) = f(alpha(x)y)} of A*
     with actions (a.f)(b) = f(b alpha(a)), (f.a)(b) = f(alpha(a) b), beta = Id.
     """
-    d = A.dim
-    constraints = []
-    for i in range(d):
-        ei = A.basis_vector(i)
-        for j in range(d):
-            ej = A.basis_vector(j)
-            u = A.product(ei, A.apply_alpha(ej))       # x alpha(y)
-            w = A.apply_alpha(A.mu[i][j])              # alpha(xy)
-            z = A.product(A.apply_alpha(ei), ej)       # alpha(x) y
-            constraints.append([a - b for a, b in zip(u, w)])
-            constraints.append([a - b for a, b in zip(w, z)])
+    d, mu, ident = A.dim, A.product_matrix, Matrix.identity(A.dim)
+    alpha_xy = A.alpha @ mu
+    # the rows of each difference's transpose are constraints on f
+    constraints = [row for diff in (mu @ kron(ident, A.alpha) - alpha_xy,
+                                    alpha_xy - mu @ kron(A.alpha, ident))
+                   for row in diff.transpose().to_rows()]
     sub = solve_homogeneous(constraints, d)
     m = sub.dim
     # actions on A*: (a.f) = (R_{alpha(a)})^T f, (f.a) = (L_{alpha(a)})^T f
@@ -238,13 +200,7 @@ def coregular_dual(A: HomAlgebra) -> Bimodule:
         raise CoefficientError(
             "alpha is not in the centroid; coregular actions would not "
             "give a bimodule: " + str(bad[0]))
-    d = A.dim
-    left = tuple(A.right_mult_matrix(A.basis_vector(a)).transpose()
-                 for a in range(d))
-    right = tuple(A.left_mult_matrix(A.basis_vector(a)).transpose()
-                  for a in range(d))
-    V = Bimodule(A, d, left, right, A.alpha.transpose(),
-                 name=f"{A.name}-coregular")
+    V = _transposed(regular_bimodule(A), name=f"{A.name}-coregular")
     axiom_bad = check_bimodule_axioms(V)
     if axiom_bad:
         raise CoefficientError("coregular dual fails bimodule axioms: "

@@ -15,10 +15,11 @@ coefficients) pair as sparse integer vectors over one common
 denominator D.  A face term in degree n is a tensor product of n of
 these vectors, so every column of a face, of b and of b' is a set of
 integers over D^n, which the matrix keeps as its integer rows (see
-`linalg`).  A coface is a face of the transposed coefficient data,
-transposed: each row of the coboundary is a face column.  t is a signed
-permutation, and N and theta are weighted sums of its powers, written
-down directly.
+`linalg`).  The cochain coefficients are a `Bimodule` tagged `dual`, and
+a coface is a face of its transposed coefficient data, transposed: each
+row of the coboundary is a face column.  The face data of a bimodule are
+built once and kept on it.  t is a signed permutation, and N and theta
+are weighted sums of its powers, written down directly.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from math import lcm
 from typing import Iterator, Sequence
 
 from .algebra import HomAlgebra
-from .coefficients import (Bimodule, DualBimodule, regular_bimodule,
+from .coefficients import (Bimodule, regular_bimodule,
                            validate_homology_coefficients)
 from .complexes import ChainComplex
 from .linalg import Matrix
@@ -79,14 +80,21 @@ class _Faces:
         self.right = [[sparse(u) for u in row] for row in right]
 
     @staticmethod
-    def of(A: HomAlgebra, V, dual: bool = False) -> "_Faces":
-        """The face data of V; with `dual`, of the transposed coefficient
-        data of a dual bimodule, whose faces are its cofaces transposed."""
-        vec = Matrix.row if dual else Matrix.col
-        left, right = (V.right, V.left) if dual else (V.left, V.right)
-        return _Faces(A, [vec(V.beta, v) for v in range(V.dim)],
-                      *([[vec(act[a], v) for a in range(A.dim)]
-                         for v in range(V.dim)] for act in (left, right)))
+    def of(A: HomAlgebra, V: Bimodule) -> "_Faces":
+        """The face data of V; for a dual bimodule, of its transposed
+        coefficient data, whose faces are its cofaces transposed.  Built
+        once per bimodule instance and kept on it when A is V's algebra:
+        V is immutable, so its face data never change."""
+        faces = vars(V).get("_faces") if A is V.algebra else None
+        if faces is None:
+            vec = Matrix.row if V.dual else Matrix.col
+            left, right = (V.right, V.left) if V.dual else (V.left, V.right)
+            faces = _Faces(A, [vec(V.beta, v) for v in range(V.dim)],
+                           *([[vec(act[a], v) for a in range(A.dim)]
+                              for v in range(V.dim)] for act in (left, right)))
+            if A is V.algebra:
+                vars(V)["_faces"] = faces
+        return faces
 
     def columns(self, n: int, faces: Sequence[tuple[int, int]]
                 ) -> Iterator[dict[int, int]]:
@@ -231,20 +239,19 @@ def build_hochschild_homology_complex(A: HomAlgebra, V: Bimodule,
     return C
 
 
-def coface_map(A: HomAlgebra, W: DualBimodule, n: int, i: int) -> Matrix:
+def coface_map(A: HomAlgebra, W: Bimodule, n: int, i: int) -> Matrix:
     """Matrix of the i-th coface C^n(A, W) -> C^{n+1}(A, W)."""
     if not 0 <= i <= n + 1:
         raise IndexError(f"coface index {i} out of range for degree {n}")
-    return _Faces.of(A, W, dual=True).matrix(n + 1, [(i, 1)], transpose=True)
+    return _Faces.of(A, W).matrix(n + 1, [(i, 1)], transpose=True)
 
 
-def cochain_b(A: HomAlgebra, W: DualBimodule, n: int) -> Matrix:
+def cochain_b(A: HomAlgebra, W: Bimodule, n: int) -> Matrix:
     """Coboundary C^n(A, W) -> C^{n+1}(A, W), alternating sum of cofaces."""
-    return _Faces.of(A, W, dual=True).matrix(n + 1, _alternating(n + 2),
-                                             transpose=True)
+    return _Faces.of(A, W).matrix(n + 1, _alternating(n + 2), transpose=True)
 
 
-def check_precosimplicial(A: HomAlgebra, W: DualBimodule, n: int) -> None:
+def check_precosimplicial(A: HomAlgebra, W: Bimodule, n: int) -> None:
     """delta_i delta_j = delta_j delta_{i-1} for j < i on C^n."""
     low = [coface_map(A, W, n, i) for i in range(n + 2)]
     high = [coface_map(A, W, n + 1, i) for i in range(n + 3)]
@@ -257,7 +264,7 @@ def check_precosimplicial(A: HomAlgebra, W: DualBimodule, n: int) -> None:
                     f"pre-cosimplicial identity fails at n={n}, i={i}, j={j}")
 
 
-def build_hochschild_cohomology_complex(A: HomAlgebra, W: DualBimodule,
+def build_hochschild_cohomology_complex(A: HomAlgebra, W: Bimodule,
                                         n_max: int, *,
                                         check_identities: bool = True
                                         ) -> ChainComplex:

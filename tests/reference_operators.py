@@ -15,6 +15,13 @@ elimination, but neither `descend` nor a matrix product.
 
 `rref` is textbook Gauss-Jordan elimination on dense Fraction rows, the
 reference for `linalg.rref` and `linalg.rank`.
+
+The axiom checks at the end are homcyc's earlier checks of the structure
+axioms, one loop over basis tuples each, evaluating both sides of every
+instance with their own Fraction products and actions.  They are the
+reference for the matrix-identity checks in `homcyc.algebra`,
+`homcyc.coefficients` and `homcyc.cocycles`, and return the same
+`Violation` lists in the same order.
 """
 
 from fractions import Fraction
@@ -231,3 +238,207 @@ def rref(rows, ncols):
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
     return a, pivots
+
+
+# ---------------------------------------------------------------------------
+# Structure axioms, checked one basis tuple at a time.
+
+def _basis(n, i):
+    return tuple(ONE if k == i else ZERO for k in range(n))
+
+
+def multiply(A, x, y):
+    out = [ZERO] * A.dim
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            if xi and yj:
+                for k, c in enumerate(A.mu[i][j]):
+                    out[k] += xi * yj * c
+    return tuple(out)
+
+
+def _map(m, vec):
+    return tuple(_apply(m, vec))
+
+
+def _act(mats, x, v):
+    """sum_a x_a mats[a] v: the left action x.v with mats = left, the
+    right action v.x with mats = right."""
+    out = [ZERO] * len(v)
+    for a, xa in enumerate(x):
+        if xa:
+            out = [o + xa * w for o, w in zip(out, _apply(mats[a], v))]
+    return tuple(out)
+
+
+def algebra_violations(A):
+    """Hom-associativity at every (a, b, c), then multiplicativity at
+    every (a, b): the violations of `homcyc.algebra.validate`."""
+    from homcyc.algebra import Violation
+    d = A.dim
+    e = [_basis(d, i) for i in range(d)]
+    bad = []
+    for a, b, c in iproduct(range(d), repeat=3):
+        lhs = multiply(A, _map(A.alpha, e[a]), multiply(A, e[b], e[c]))
+        rhs = multiply(A, multiply(A, e[a], e[b]), _map(A.alpha, e[c]))
+        if lhs != rhs:
+            bad.append(Violation("hom-associativity", (a, b, c), lhs, rhs))
+    for a, b in iproduct(range(d), repeat=2):
+        lhs = _map(A.alpha, multiply(A, e[a], e[b]))
+        rhs = multiply(A, _map(A.alpha, e[a]), _map(A.alpha, e[b]))
+        if lhs != rhs:
+            bad.append(Violation("multiplicativity", (a, b), lhs, rhs))
+    return bad
+
+
+def is_associative(A):
+    e = [_basis(A.dim, i) for i in range(A.dim)]
+    return all(multiply(A, multiply(A, e[a], e[b]), e[c]) ==
+               multiply(A, e[a], multiply(A, e[b], e[c]))
+               for a, b, c in iproduct(range(A.dim), repeat=3))
+
+
+def _product_violations(axiom, A, f, B):
+    """f(e_a e_b) = f(e_a) f(e_b), products of A and of B."""
+    from homcyc.algebra import Violation
+    bad = []
+    for a, b in iproduct(range(A.dim), repeat=2):
+        lhs = _map(f, multiply(A, _basis(A.dim, a), _basis(A.dim, b)))
+        rhs = multiply(B, _map(f, _basis(A.dim, a)), _map(f, _basis(A.dim, b)))
+        if lhs != rhs:
+            bad.append(Violation(axiom, (a, b), lhs, rhs))
+    return bad
+
+
+def endomorphism_violations(A, endo):
+    return _product_violations("algebra-endomorphism", A, endo, A)
+
+
+def morphism_violations(A, B, m):
+    """Products at every (a, b), then the twists at every a."""
+    from homcyc.algebra import Violation
+    bad = _product_violations("morphism-product", A, m, B)
+    for a in range(A.dim):
+        lhs = _map(m, _map(A.alpha, _basis(A.dim, a)))
+        rhs = _map(B.alpha, _map(m, _basis(A.dim, a)))
+        if lhs != rhs:
+            bad.append(Violation("morphism-twist", (a,), lhs, rhs))
+    return bad
+
+
+def centroid_violations(A):
+    from homcyc.algebra import Violation
+    bad = []
+    for a, b in iproduct(range(A.dim), repeat=2):
+        ea, eb = _basis(A.dim, a), _basis(A.dim, b)
+        s1 = multiply(A, _map(A.alpha, ea), eb)
+        s2 = multiply(A, ea, _map(A.alpha, eb))
+        s3 = _map(A.alpha, multiply(A, ea, eb))
+        if s1 != s2:
+            bad.append(Violation("centroid alpha(x)y=xalpha(y)", (a, b),
+                                 s1, s2))
+        if s2 != s3:
+            bad.append(Violation("centroid xalpha(y)=alpha(xy)", (a, b),
+                                 s2, s3))
+    return bad
+
+
+def derivation_violations(A, rho):
+    """The Leibniz rule at every (a, b), then the twist condition."""
+    from homcyc.algebra import Violation
+    bad = []
+    for a, b in iproduct(range(A.dim), repeat=2):
+        ea, eb = _basis(A.dim, a), _basis(A.dim, b)
+        lhs = _map(rho, multiply(A, ea, eb))
+        rhs = tuple(x + y for x, y in zip(multiply(A, _map(rho, ea), eb),
+                                          multiply(A, ea, _map(rho, eb))))
+        if lhs != rhs:
+            bad.append(Violation("leibniz", (a, b), lhs, rhs))
+    ident = [_basis(A.dim, j) for j in range(A.dim)]
+    rho_cols = [_map(rho, v) for v in ident]
+    if any(_map(A.alpha, c) != c for c in rho_cols) or \
+            any(_map(rho, _map(A.alpha, v)) != c
+                for v, c in zip(ident, rho_cols)):
+        bad.append(Violation("twist-compat alpha*rho=rho*alpha=rho", (),
+                             (), ()))
+    return bad
+
+
+def bimodule_violations(V):
+    """Left module, right module and compatibility at every (a, b, v)."""
+    from homcyc.algebra import Violation
+    A = V.algebra
+    bad = []
+    for a, b, vi in iproduct(range(A.dim), range(A.dim), range(V.dim)):
+        ea, eb, v = _basis(A.dim, a), _basis(A.dim, b), _basis(V.dim, vi)
+        aa, ab = _map(A.alpha, ea), _map(A.alpha, eb)
+        prod = multiply(A, ea, eb)
+        for axiom, lhs, rhs in [
+                ("left-module", _act(V.left, prod, _map(V.beta, v)),
+                 _act(V.left, aa, _act(V.left, eb, v))),
+                ("right-module", _act(V.right, prod, _map(V.beta, v)),
+                 _act(V.right, ab, _act(V.right, ea, v))),
+                ("bimodule-compat", _act(V.left, aa, _act(V.right, eb, v)),
+                 _act(V.right, ab, _act(V.left, ea, v)))]:
+            if lhs != rhs:
+                bad.append(Violation(axiom, (a, b, vi), lhs, rhs))
+    return bad
+
+
+def dual_bimodule_violations(W):
+    """Dual left module, dual right module and compatibility at every
+    (a, b, v)."""
+    from homcyc.algebra import Violation
+    A = W.algebra
+    bad = []
+    for a, b, vi in iproduct(range(A.dim), range(A.dim), range(W.dim)):
+        ea, eb, v = _basis(A.dim, a), _basis(A.dim, b), _basis(W.dim, vi)
+        aa, ab = _map(A.alpha, ea), _map(A.alpha, eb)
+        prod = multiply(A, ea, eb)
+        for axiom, lhs, rhs in [
+                ("dual-left-module", _act(W.left, ea, _act(W.left, ab, v)),
+                 _map(W.beta, _act(W.left, prod, v))),
+                ("dual-right-module", _act(W.right, eb, _act(W.right, aa, v)),
+                 _map(W.beta, _act(W.right, prod, v))),
+                ("dual-bimodule-compat",
+                 _act(W.left, aa, _act(W.right, eb, v)),
+                 _act(W.right, ab, _act(W.left, ea, v)))]:
+            if lhs != rhs:
+                bad.append(Violation(axiom, (a, b, vi), lhs, rhs))
+    return bad
+
+
+def homology_hypothesis_violations(V):
+    """beta(v.a) = beta(v).alpha(a), then beta(a.v) = alpha(a).beta(v),
+    at every (a, v)."""
+    from homcyc.algebra import Violation
+    A = V.algebra
+    bad = []
+    for a, vi in iproduct(range(A.dim), range(V.dim)):
+        ea, v = _basis(A.dim, a), _basis(V.dim, vi)
+        aa, bv = _map(A.alpha, ea), _map(V.beta, v)
+        for axiom, lhs, rhs in [
+                ("beta(v.a)=beta(v).alpha(a)",
+                 _map(V.beta, _act(V.right, ea, v)), _act(V.right, aa, bv)),
+                ("beta(a.v)=alpha(a).beta(v)",
+                 _map(V.beta, _act(V.left, ea, v)), _act(V.left, aa, bv))]:
+            if lhs != rhs:
+                bad.append(Violation(axiom, (a, vi), lhs, rhs))
+    return bad
+
+
+def cocycle_residuals(A, V, n, coords):
+    """The nonzero entries of b^T phi and of (Id - t^T) phi for phi of
+    degree n, from the dense reference b and t, as the residual
+    Violations of `homcyc.cocycles.is_cyclic_cocycle`."""
+    from homcyc.algebra import Violation
+    b, t = hochschild_b(A, V, n + 1), cyclic_t(A, n)
+    cob = [sum((b[r][c] * x for r, x in enumerate(coords) if x), ZERO)
+           for c in range(len(b[0]))]
+    diff = [coords[c] - sum((t[r][c] * x for r, x in enumerate(coords)
+                             if x), ZERO) for c in range(len(coords))]
+    co = [Violation("hochschild-cocycle", idx, (x,), (ZERO,)) for idx, x in
+          zip(iproduct(range(A.dim), repeat=n + 2), cob) if x]
+    cyc = [Violation("cyclicity", idx, (x,), (ZERO,)) for idx, x in
+           zip(iproduct(range(A.dim), repeat=n + 1), diff) if x]
+    return co, cyc

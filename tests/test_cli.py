@@ -109,6 +109,20 @@ def test_twist_round_trip(assoc_file, tmp_path, capsys):
     assert main(["check", str(out_file)]) == 0
 
 
+@pytest.mark.parametrize("algebra,alpha", [
+    ("example_file", [[1, 0], [0, 0]]),
+    ("assoc_file", [[2, 0], [0, 0]]),
+], ids=["not-associative", "not-an-algebra-map"])
+def test_twist_precondition_failure_exits_2(request, tmp_path, capsys,
+                                            algebra, alpha):
+    p = tmp_path / "alpha.json"
+    p.write_text(json.dumps(alpha))
+    assert main(["twist", request.getfixturevalue(algebra), str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_dual_space_command(example_file, capsys):
     assert main(["dual-space", example_file, "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -198,8 +212,17 @@ def test_unreadable_algebra_file_exits_2(tmp_path, capsys, cmd, content):
     ("hh", ("mul", 0, 1, 0), "x"),
     ("check", ("alpha", 1, 1), "1/0"),
     ("check", ("dim",), "two"),
+    ("check", ("mul",), None),
+    ("hh", ("mul",), [[1, 2], [3, 4]]),
+    ("check", ("alpha",), 3),
+    ("hh", ("alpha",), [1, 2]),
+    ("hh", ("mul", 0, 0), "10"),
+    ("check", ("dim",), 2.7),
+    ("check", ("basis",), "ab"),
 ], ids=["check-mul-not-a-number", "hh-mul-not-a-number",
-        "alpha-zero-denominator", "dim-not-a-number"])
+        "alpha-zero-denominator", "dim-not-a-number", "mul-null",
+        "mul-too-shallow", "alpha-scalar", "alpha-too-shallow",
+        "mul-entry-a-string", "dim-not-an-integer", "basis-a-string"])
 def test_bad_scalar_in_algebra_file_exits_2(tmp_path, capsys, cmd, key,
                                             value):
     data = json.loads(two_dim_unital().to_json())

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import reference_operators as ref
 from homcyc.algebra import (find_unit, is_centroid_element, load_algebra,
                             validate_or_raise)
-from homcyc.coefficients import (DualBimodule, coregular_dual, dualize_bimodule,
+from homcyc.coefficients import (Bimodule, coregular_dual, dualize_bimodule,
                                  regular_bimodule)
 from homcyc.corpus import (dual_numbers_projection_twist, ground_field,
                            k1_plus_k2, k_times_k_projection_twist,
@@ -202,7 +202,8 @@ def test_cohomology_builder_checks_precosimplicial_identities():
     not delta^0 delta^0 = 1.  Only the pre-cosimplicial check sees it."""
     A = ground_field()
     one = Matrix.identity(1)
-    W = DualBimodule(A, 1, (one,), (one,), one.scale(2), name="broken")
+    W = Bimodule(A, 1, (one,), (one,), one.scale(2), name="broken",
+                 dual=True)
     with pytest.raises(IdentityViolationError):
         build_hochschild_cohomology_complex(A, W, 2)
     C = build_hochschild_cohomology_complex(A, W, 2, check_identities=False)

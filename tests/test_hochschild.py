@@ -169,3 +169,27 @@ def test_homology_hypotheses_checked_once_per_bimodule(monkeypatch):
         with pytest.raises(CoefficientHypothesisError):
             build_hochschild_homology_complex(B, W, 1)
     assert len(seen) == 2 and seen[1] is W
+
+
+def test_face_data_built_once_per_bimodule(monkeypatch):
+    """One hh and one hhco run build the face data of the regular
+    bimodule and of its dual once each.  Data for an algebra other than
+    the bimodule's own, even an equal one, are built afresh."""
+    built = []
+    init = hochschild._Faces.__init__
+    monkeypatch.setattr(hochschild._Faces, "__init__",
+                        lambda self, A, *data: built.append(A) or
+                        init(self, A, *data))
+    from homcyc import hochschild_cohomology, hochschild_homology
+    A = two_dim_unital()
+    hochschild_homology(A, 3)
+    hochschild_cohomology(A, 3)
+    assert len(built) == 2
+    V = regular_bimodule(A)
+    face_map(A, V, 2, 1)
+    assert len(built) == 2
+    B = replace(A)
+    assert B == A and B is not A
+    face_map(B, V, 2, 1)
+    face_map(B, V, 2, 1)
+    assert len(built) == 4
