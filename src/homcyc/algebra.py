@@ -24,7 +24,8 @@ from itertools import product as iproduct
 from typing import Sequence
 
 from .linalg import (Matrix, Subspace, ZERO, ONE, block_matrix, image, kernel,
-                     kron, restrict, scalar_from_string, scalar_to_string)
+                     kron, restrict, scalar_from_string, scalar_to_string,
+                     vanishes)
 
 MuTensor = tuple[tuple[tuple[Fraction, ...], ...], ...]
 
@@ -226,11 +227,12 @@ def load_algebra(path_or_dict) -> tuple[HomAlgebra | None, ValidationReport]:
 def is_associative(A: HomAlgebra) -> bool:
     """mu (mu (x) Id) = mu (Id (x) mu)."""
     m, ident = A.product_matrix, Matrix.identity(A.dim)
-    return m @ kron(m, ident) == m @ kron(ident, m)
+    return vanishes((1, m, kron(m, ident)), (-1, m, kron(ident, m)))
 
 
 def alpha_is_idempotent(A: HomAlgebra) -> bool:
-    return (A.alpha @ A.alpha) == A.alpha
+    return vanishes((1, A.alpha, A.alpha),
+                    (-1, Matrix.identity(A.dim), A.alpha))
 
 
 def is_algebra_endomorphism(A: HomAlgebra, endo: Matrix) -> tuple[bool, list[Violation]]:
@@ -376,7 +378,7 @@ def idempotent_twist_decompose(A: HomAlgebra) -> tuple[HomAlgebra, HomAlgebra]:
     K = Matrix.from_columns(A.dim, ker_sub.basis)
     KB = Matrix.from_columns(A.dim, ker_sub.basis + im_sub.basis)
     m = A.product_matrix
-    if not ((m @ kron(K, KB)).is_zero() and (m @ kron(KB, K)).is_zero()):
+    if not (vanishes((1, m, kron(K, KB))) and vanishes((1, m, kron(KB, K)))):
         raise ValueError("kernel of alpha is not a square-zero ideal")
     k_alg = _restrict_algebra(A, ker_sub, Matrix.zero(ker_sub.dim, ker_sub.dim),
                               name=A.name + "_K") if ker_sub.dim else None

@@ -14,7 +14,8 @@ from typing import Sequence
 from .algebra import HomAlgebra, Violation, axiom_violations
 from .coefficients import regular_bimodule
 from .hochschild import IdentityViolationError, cyclic_t, hochschild_b
-from .linalg import Matrix, Subspace, ZERO, kron, solve_homogeneous
+from .linalg import (Matrix, Subspace, ZERO, kron, solve_homogeneous,
+                     vanishes)
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,8 @@ def validate_twisted_derivation(A: HomAlgebra, rho: TwistedDerivation
     bad = axiom_violations([
         ("leibniz", m @ mu, mu @ kron(m, ident) + mu @ kron(ident, m),
          (A.dim, A.dim), (0, 1))])
-    if (A.alpha @ m) != m or (m @ A.alpha) != m:
+    if not (vanishes((1, A.alpha, m), (-1, ident, m)) and
+            vanishes((1, m, A.alpha), (-1, m, ident))):
         bad.append(Violation("twist-compat alpha*rho=rho*alpha=rho", (),
                              (), ()))
     return not bad, bad

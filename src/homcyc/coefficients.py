@@ -139,12 +139,21 @@ def validate_homology_coefficients(V: Bimodule) -> tuple[bool, list[Violation]]:
 
 
 def dualize_bimodule(V: Bimodule) -> Bimodule:
-    """V* with (a.f)(v) = f(v.a), (f.a)(v) = f(a.v), beta* = f o beta."""
+    """V* with (a.f)(v) = f(v.a), (f.a)(v) = f(a.v), beta* = f o beta.
+
+    Built and checked once per bimodule instance, and kept on it, as
+    `regular_bimodule` is kept on its algebra: V is immutable, so its
+    dual never changes, and the dual keeps its own face data.
+    """
+    cached = vars(V).get("_dual")
+    if cached is not None:
+        return cached
     W = _transposed(V, name=f"{V.name}-dual", dual=True)
     bad = check_dual_bimodule_axioms(W)
     if bad:
         raise CoefficientError("dual of a bimodule fails dual axioms: "
                                + str(bad[0]))
+    vars(V)["_dual"] = W
     return W
 
 

@@ -3,6 +3,11 @@
 One ChainComplex type serves both gradings: `orientation` records whether
 the stored map at degree n goes down (homological, d_n: C_n -> C_{n-1})
 or up (cohomological, d^n: C^n -> C^{n+1}).
+
+Every square that must vanish (d o d, and v^2, h^2 and vh + hv in a
+bicomplex) is one `linalg.vanishes` call, and a complex remembers the
+degrees whose d o d it has found zero, so each is checked once however
+many reports read it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Callable, Literal, Sequence
 from .linalg import (Matrix, NotASubspaceError, Subspace, block_matrix,
                      descend, image, kernel, quotient_dim,
                      rank as matrix_rank, reduce_mod, restrict,
-                     scalar_to_string)
+                     scalar_to_string, vanishes)
 
 Orientation = Literal["homological", "cohomological"]
 
@@ -81,12 +86,15 @@ class ChainComplex:
         return self._ranks[n]
 
     def check_d_squared(self) -> None:
+        """d o d = 0 out of every degree, each composite one `vanishes`
+        call.  Degrees already found zero are skipped, so a complex is
+        checked once however often it is asked."""
         step = -1 if self.orientation == "homological" else 1
         for n in sorted(self.dims):
-            if n + step not in self.dims:
+            if n + step not in self.dims or n in self._squared_zero:
                 continue
-            comp = self.differential(n + step) @ self.differential(n)
-            if not comp.is_zero():
+            if not vanishes((1, self.differential(n + step),
+                             self.differential(n))):
                 raise BoundarySquareError(f"d o d != 0 out of degree {n}")
             self._squared_zero.add(n)
 
@@ -114,8 +122,8 @@ def homology(C: ChainComplex, n: int, *, representatives: bool = True
     betti = C.dim(n) - C.rank(n) - C.rank(incoming_deg)
     if not representatives:
         if incoming_deg in C.dims and incoming_deg not in C._squared_zero \
-                and not (C.differential(n) @
-                         C.differential(incoming_deg)).is_zero():
+                and not vanishes((1, C.differential(n),
+                                  C.differential(incoming_deg))):
             raise BoundarySquareError(f"d o d != 0 into degree {n}")
         return betti, []
     ker = kernel(C.differential(n))
@@ -251,15 +259,14 @@ class Bicomplex:
         vs = hs = self._step()
         for (p, q) in self.cell_dims:
             if (p, q + 2 * vs) in self.cell_dims:
-                if not (self.vmap(p, q + vs) @ self.vmap(p, q)).is_zero():
+                if not vanishes((1, self.vmap(p, q + vs), self.vmap(p, q))):
                     raise BoundarySquareError(f"vertical^2 != 0 at {(p, q)}")
             if (p + 2 * hs, q) in self.cell_dims:
-                if not (self.hmap(p + hs, q) @ self.hmap(p, q)).is_zero():
+                if not vanishes((1, self.hmap(p + hs, q), self.hmap(p, q))):
                     raise BoundarySquareError(f"horizontal^2 != 0 at {(p, q)}")
             if (p + hs, q + vs) in self.cell_dims:
-                anti = self.vmap(p + hs, q) @ self.hmap(p, q) + \
-                    self.hmap(p, q + vs) @ self.vmap(p, q)
-                if not anti.is_zero():
+                if not vanishes((1, self.vmap(p + hs, q), self.hmap(p, q)),
+                                (1, self.hmap(p, q + vs), self.vmap(p, q))):
                     raise BoundarySquareError(
                         f"squares do not anticommute at {(p, q)}")
 

@@ -21,7 +21,8 @@ from .hochschild import (IdentityViolationError, b_prime, cyclic_t,
                          build_hochschild_homology_complex,
                          hochschild_b, norm_N)
 from .linalg import (Matrix, NotASubspaceError, Subspace, block_matrix,
-                     descend, image, kron, kernel, reduce_mod, restrict)
+                     descend, image, kron, kernel, reduce_mod, restrict,
+                     vanishes)
 
 
 def hochschild_homology(A: HomAlgebra, n_max: int, *,
@@ -323,16 +324,11 @@ def connes_bB_report(A: HomAlgebra, n_max: int) -> ConnesBBReport:
     V = regular_bimodule(A)
     bmaps = {n: hochschild_b(A, V, n) for n in range(1, n_max + 2)}
     Bmaps = {n: connes_boundary(A, unit, n) for n in range(0, n_max + 2)}
-    b2 = all((Bmaps[n + 1] @ Bmaps[n]).is_zero() for n in range(n_max + 1))
-    anti = True
-    for n in range(0, n_max + 1):
-        # b_{n+1} B_n + B_{n-1} b_n = 0 on C_n
-        acc = bmaps[n + 1] @ Bmaps[n]
-        if n >= 1:
-            acc = acc + Bmaps[n - 1] @ bmaps[n]
-        if not acc.is_zero():
-            anti = False
-            break
+    b2 = all(vanishes((1, Bmaps[n + 1], Bmaps[n])) for n in range(n_max + 1))
+    # b_{n+1} B_n + B_{n-1} b_n = 0 on C_n
+    anti = all(vanishes((1, bmaps[n + 1], Bmaps[n]),
+                        *([(1, Bmaps[n - 1], bmaps[n])] if n >= 1 else []))
+               for n in range(n_max + 1))
     if not (b2 and anti):
         return ConnesBBReport(A.name, tuple(range(n_max + 1)), b2, anti)
     # assemble the (b, B) total complex: Tot_n = (+)_j C_{n-2j}
@@ -409,7 +405,8 @@ def induced_map_on_homology(f: AlgebraMorphism, theory: str, n: int) -> Matrix:
     CB = build_hochschild_homology_complex(Bg, VB, n + 1, check_identities=False)
     tmaps = {k: tensor_power_matrix(f.matrix, k + 1) for k in range(n + 2)}
     for k in range(1, n + 2):
-        if tmaps[k - 1] @ CA.differential(k) != CB.differential(k) @ tmaps[k]:
+        if not vanishes((1, tmaps[k - 1], CA.differential(k)),
+                        (-1, CB.differential(k), tmaps[k])):
             raise ChainMapError(f"chain map fails to commute with b at degree {k}")
     if theory == "HH":
         return _homology_matrix(CA, CB, tmaps, n)
@@ -452,7 +449,7 @@ def xi_map(assoc: HomAlgebra, twisted: HomAlgebra, n: int) -> Matrix:
     xi_next = tensor_power_matrix(alpha, n + 2).transpose()
     b_src = hochschild_b(assoc, regular_bimodule(assoc), n + 1).transpose()
     b_tgt = hochschild_b(twisted, regular_bimodule(twisted), n + 1).transpose()
-    if b_tgt @ xi_n != xi_next @ b_src:
+    if not vanishes((1, b_tgt, xi_n), (-1, xi_next, b_src)):
         raise IdentityViolationError("xi fails to commute with the coboundary")
     cyc = cyclic_invariant_subspaces(assoc, n)[n]
     for v in cyc.basis:
@@ -477,7 +474,8 @@ def xi_induced_on_cyclic_cohomology(assoc: HomAlgebra, twisted: HomAlgebra,
     maps = {k: restrict(tensor_power_matrix(twisted.alpha, k + 1).transpose(),
                         subs[k], subs[k]) for k in range(n + 2)}
     for k in range(n + 1):
-        if maps[k + 1] @ SA.differential(k) != ST.differential(k) @ maps[k]:
+        if not vanishes((1, maps[k + 1], SA.differential(k)),
+                        (-1, ST.differential(k), maps[k])):
             raise IdentityViolationError(
                 f"restricted xi fails to commute at degree {k}")
     return _homology_matrix(SA, ST, maps, n)

@@ -20,6 +20,14 @@ a coface is a face of its transposed coefficient data, transposed: each
 row of the coboundary is a face column.  The face data of a bimodule are
 built once and kept on it.  t is a signed permutation, and N and theta
 are weighted sums of its powers, written down directly.
+
+The (co)simplicial identities are checked degree by degree.  All faces
+(or cofaces) of one degree come from one pass of the kernel, which
+shares the alpha prefixes and suffixes of each tensor among them, and a
+checked build hands each degree's list on to the check of the degree
+above, so every degree's faces are built once per build and kept no
+longer.  Each identity is one `linalg.vanishes` call, which sums the two
+products' integer rows and builds no product matrix.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from .algebra import HomAlgebra
 from .coefficients import (Bimodule, regular_bimodule,
                            validate_homology_coefficients)
 from .complexes import ChainComplex
-from .linalg import Matrix
+from .linalg import Matrix, vanishes
 
 SparseVector = list[tuple[int, int]]
 
@@ -96,18 +104,18 @@ class _Faces:
                 vars(V)["_faces"] = faces
         return faces
 
-    def columns(self, n: int, faces: Sequence[tuple[int, int]]
-                ) -> Iterator[dict[int, int]]:
-        """Per basis tensor of C_n, in index order, {row: x} of
-        sum(sign * delta_i) over the (i, sign) pairs in `faces`; each
-        entry is x / D^n.  Prefixes and suffixes of alpha factors are
-        built once per tensor and shared by the faces."""
-        for i, _ in faces:
+    def _terms(self, n: int, faces: Sequence[int]
+               ) -> Iterator[list[SparseVector]]:
+        """Per basis tensor of C_n, in index order, the column of each
+        face delta_i, i in `faces`, as a sparse vector whose entries are
+        x / D^n.  Prefixes and suffixes of alpha factors are built once
+        per tensor and shared by the faces."""
+        for i in faces:
             if not 0 <= i <= n or n < 1:
                 raise IndexError(f"face index {i} out of range for degree {n}")
         d, alpha, mu = self.d, self.alpha, self.mu
-        hi = max((i for i, _ in faces), default=0)
-        lo = min((i for i, _ in faces), default=n)
+        hi = max(faces, default=0)
+        lo = min(faces, default=n)
         for v in range(self.m):
             beta, left, right = self.beta[v], self.left[v], self.right[v]
             for idx in iproduct(range(d), repeat=n):
@@ -119,36 +127,64 @@ class _Faces:
                 suf = {n: [(0, 1)]}
                 for k in range(n - 1, lo, -1):
                     suf[k] = _kron(alpha[idx[k]], suf[k + 1], d ** (n - 1 - k))
-                acc: dict[int, int] = {}
-                for i, sign in faces:
+                out = []
+                for i in faces:
                     if i == 0:
-                        terms = _kron(right[idx[0]], suf[1], d ** (n - 1))
+                        out.append(_kron(right[idx[0]], suf[1], d ** (n - 1)))
                     elif i == n:
-                        terms = _kron(left[idx[-1]], pre[n - 1], d ** (n - 1))
+                        out.append(_kron(left[idx[-1]], pre[n - 1],
+                                         d ** (n - 1)))
                     else:
-                        terms = _kron(_kron(_kron(beta, pre[i - 1], d ** (i - 1)),
-                                            mu[idx[i - 1]][idx[i]], d),
-                                      suf[i + 1], d ** (n - 1 - i))
-                    for k, x in terms:
-                        acc[k] = acc.get(k, 0) + sign * x
-                yield acc
+                        out.append(_kron(
+                            _kron(_kron(beta, pre[i - 1], d ** (i - 1)),
+                                  mu[idx[i - 1]][idx[i]], d),
+                            suf[i + 1], d ** (n - 1 - i)))
+                yield out
+
+    def _matrix(self, n: int, cols: list[tuple[int, dict[int, int]]],
+                transpose: bool) -> Matrix:
+        """The map C_n -> C_{n-1} with these columns, or its transpose."""
+        out = Matrix.from_integer_rows(self.m * self.d ** (n - 1), cols)
+        return out if transpose else out.transpose()
 
     def matrix(self, n: int, faces: Sequence[tuple[int, int]], *,
                transpose: bool = False) -> Matrix:
-        """The signed face sum C_n -> C_{n-1}, or with `transpose` its
-        transpose, whose rows are the face columns."""
+        """The signed face sum over the (i, sign) pairs in `faces`,
+        C_n -> C_{n-1}, or with `transpose` its transpose, whose rows
+        are the face columns."""
+        signs = [sign for _, sign in faces]
         den = self.D ** n
-        rows = [(den, c) for c in self.columns(n, faces)]
-        out = Matrix.from_integer_rows(self.m * self.d ** (n - 1), rows)
-        return out if transpose else out.transpose()
+        cols = []
+        for parts in self._terms(n, [i for i, _ in faces]):
+            acc: dict[int, int] = {}
+            for sign, terms in zip(signs, parts):
+                for k, x in terms:
+                    acc[k] = acc.get(k, 0) + sign * x
+            cols.append((den, acc))
+        return self._matrix(n, cols, transpose)
+
+    def each(self, n: int, *, transpose: bool = False) -> list[Matrix]:
+        """Every face delta_0, ..., delta_n at degree n (or with
+        `transpose` their transposes), from one pass of `_terms`."""
+        den = self.D ** n
+        cols: list[list[tuple[int, dict[int, int]]]] = \
+            [[] for _ in range(n + 1)]
+        for parts in self._terms(n, range(n + 1)):
+            for out, terms in zip(cols, parts):
+                out.append((den, dict(terms)))
+        return [self._matrix(n, c, transpose) for c in cols]
 
 
 def _alternating(k: int) -> list[tuple[int, int]]:
     return [(i, -1 if i % 2 else 1) for i in range(k)]
 
 
-def face_map(A: HomAlgebra, V: Bimodule, n: int, i: int) -> Matrix:
-    """Matrix of the i-th face C_n(A, V) -> C_{n-1}(A, V)."""
+def face_map(A: HomAlgebra, V: Bimodule, n: int, i: int | None = None
+             ) -> Matrix | list[Matrix]:
+    """Matrix of the i-th face C_n(A, V) -> C_{n-1}(A, V); with i
+    omitted, the list of all n + 1 faces, built in one pass."""
+    if i is None:
+        return _Faces.of(A, V).each(n)
     return _Faces.of(A, V).matrix(n, [(i, 1)])
 
 
@@ -199,18 +235,22 @@ def homotopy_theta(A: HomAlgebra, n: int) -> Matrix:
     return _rotation_sum(A, n, range(n + 1, 0, -1))
 
 
-def check_presimplicial(A: HomAlgebra, V: Bimodule, n: int) -> None:
-    """delta_i delta_j = delta_{j-1} delta_i for i < j at degree n."""
-    faces_n = [face_map(A, V, n, i) for i in range(n + 1)]
-    faces_m = [face_map(A, V, n - 1, i) for i in range(n)] if n >= 2 else []
-    for j in range(1, n + 1):
-        for i in range(j):
-            if n >= 2:
-                lhs = faces_m[i] @ faces_n[j]
-                rhs = faces_m[j - 1] @ faces_n[i]
-                if lhs != rhs:
+def check_presimplicial(A: HomAlgebra, V: Bimodule, n: int,
+                        lower: list[Matrix] | None = None) -> list[Matrix]:
+    """delta_i delta_j = delta_{j-1} delta_i for i < j at degree n, each
+    pair one `vanishes` call.  `lower` is `face_map(A, V, n - 1)` when
+    the caller has it from the degree below; the faces of degree n are
+    returned, for the degree above."""
+    faces_n = face_map(A, V, n)
+    if n >= 2:
+        faces_m = face_map(A, V, n - 1) if lower is None else lower
+        for j in range(1, n + 1):
+            for i in range(j):
+                if not vanishes((1, faces_m[i], faces_n[j]),
+                                (-1, faces_m[j - 1], faces_n[i])):
                     raise IdentityViolationError(
                         f"presimplicial identity fails at n={n}, i={i}, j={j}")
+    return faces_n
 
 
 def build_hochschild_homology_complex(A: HomAlgebra, V: Bimodule,
@@ -234,13 +274,18 @@ def build_hochschild_homology_complex(A: HomAlgebra, V: Bimodule,
     C = ChainComplex(dims=dims, diffs=diffs, orientation="homological")
     C.check_d_squared()
     if check_identities:
+        faces = None
         for n in range(2, n_max + 1):
-            check_presimplicial(A, V, n)
+            faces = check_presimplicial(A, V, n, faces)
     return C
 
 
-def coface_map(A: HomAlgebra, W: Bimodule, n: int, i: int) -> Matrix:
-    """Matrix of the i-th coface C^n(A, W) -> C^{n+1}(A, W)."""
+def coface_map(A: HomAlgebra, W: Bimodule, n: int, i: int | None = None
+               ) -> Matrix | list[Matrix]:
+    """Matrix of the i-th coface C^n(A, W) -> C^{n+1}(A, W); with i
+    omitted, the list of all n + 2 cofaces, built in one pass."""
+    if i is None:
+        return _Faces.of(A, W).each(n + 1, transpose=True)
     if not 0 <= i <= n + 1:
         raise IndexError(f"coface index {i} out of range for degree {n}")
     return _Faces.of(A, W).matrix(n + 1, [(i, 1)], transpose=True)
@@ -251,17 +296,20 @@ def cochain_b(A: HomAlgebra, W: Bimodule, n: int) -> Matrix:
     return _Faces.of(A, W).matrix(n + 1, _alternating(n + 2), transpose=True)
 
 
-def check_precosimplicial(A: HomAlgebra, W: Bimodule, n: int) -> None:
-    """delta_i delta_j = delta_j delta_{i-1} for j < i on C^n."""
-    low = [coface_map(A, W, n, i) for i in range(n + 2)]
-    high = [coface_map(A, W, n + 1, i) for i in range(n + 3)]
+def check_precosimplicial(A: HomAlgebra, W: Bimodule, n: int,
+                          lower: list[Matrix] | None = None) -> list[Matrix]:
+    """delta_i delta_j = delta_j delta_{i-1} for j < i on C^n, each pair
+    one `vanishes` call.  `lower` is `coface_map(A, W, n)` when the
+    caller has it from the degree below; the cofaces of degree n + 1 are
+    returned, for the degree above."""
+    low = coface_map(A, W, n) if lower is None else lower
+    high = coface_map(A, W, n + 1)
     for i in range(1, n + 3):
         for j in range(min(i, n + 2)):
-            lhs = high[i] @ low[j]
-            rhs = high[j] @ low[i - 1]
-            if lhs != rhs:
+            if not vanishes((1, high[i], low[j]), (-1, high[j], low[i - 1])):
                 raise IdentityViolationError(
                     f"pre-cosimplicial identity fails at n={n}, i={i}, j={j}")
+    return high
 
 
 def build_hochschild_cohomology_complex(A: HomAlgebra, W: Bimodule,
@@ -278,8 +326,9 @@ def build_hochschild_cohomology_complex(A: HomAlgebra, W: Bimodule,
     C = ChainComplex(dims=dims, diffs=diffs, orientation="cohomological")
     C.check_d_squared()
     if check_identities:
+        cofaces = None
         for n in range(n_max - 1):
-            check_precosimplicial(A, W, n)
+            cofaces = check_precosimplicial(A, W, n, cofaces)
     return C
 
 

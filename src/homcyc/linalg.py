@@ -22,6 +22,9 @@ bases are reproducible, whatever order the rows are eliminated in;
 `reduce_mod` and `Subspace.coordinates` update only the nonzero
 positions of each basis vector.  `restrict` and `descend` give a map
 on subspaces and on quotients in those canonical coordinates.
+Identity checks need only know whether a signed sum of products is
+zero: `vanishes` adds the products' integer sums row by row and builds
+no product matrix.
 """
 
 from __future__ import annotations
@@ -325,6 +328,45 @@ def _product(left: Sequence[IntRow], right: Sequence[IntRow],
                     acc[j] = get(j, 0) + x * y
             sums.append(acc)
     return [(m * dn, acc) for (m, _, _), acc in zip(left, sums)]
+
+
+def vanishes(*terms: tuple[int, Matrix, Matrix]) -> bool:
+    """Whether sum(sign * (a @ b)) over the (sign, a, b) terms is exactly
+    the zero matrix; an empty sum vanishes.
+
+    Each product comes from `_product` as integer sums over one
+    denominator per row; row by row they are brought to the lcm of
+    those denominators and added, and no product `Matrix` is built.
+    Every identity check between products is a call to this: lhs = rhs
+    is `vanishes((1, *lhs), (-1, *rhs))`.
+    """
+    shape = None
+    prods = []
+    for sign, a, b in terms:
+        if a.cols != b.rows:
+            raise ValueError(
+                f"shape mismatch in @: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+        if shape is not None and shape != (a.rows, b.cols):
+            raise ValueError("shape mismatch in +")
+        shape = (a.rows, b.cols)
+        prods.append((sign, _product(a._int_rows, b._int_rows, b.cols)))
+    if len(prods) == 1:
+        return not any(any(sums.values()) for _, sums in prods[0][1])
+    signs = [sign for sign, _ in prods]
+    opposite = len(prods) == 2 and signs[0] == -signs[1]
+    for row in zip(*(rows for _, rows in prods)):
+        if opposite and row[0] == row[1]:
+            continue  # equal sums over one denominator cancel
+        m = lcm(*(dn for dn, _ in row))
+        acc: dict[int, int] = {}
+        get = acc.get
+        for sign, (dn, sums) in zip(signs, row):
+            c = sign * (m // dn)
+            for k, x in sums.items():
+                acc[k] = get(k, 0) + c * x
+        if any(acc.values()):
+            return False
+    return True
 
 
 _HALF = 1 << 63

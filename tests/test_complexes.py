@@ -135,3 +135,37 @@ def test_rank_homology_checks_d_squared():
                      diffs={1: Matrix.identity(1), 2: Matrix.identity(1)})
     with pytest.raises(BoundarySquareError):
         homology(C, 1, representatives=False)
+
+
+def test_one_hh_report_checks_each_composite_once(monkeypatch):
+    """The build checks d o d out of every degree; the report and the
+    Betti numbers then skip the degrees already found zero."""
+    from homcyc import complexes, hochschild_homology
+    from homcyc.corpus import two_dim_unital
+    seen = []
+    vanishes = complexes.vanishes
+    monkeypatch.setattr(complexes, "vanishes",
+                        lambda *terms: seen.append(terms) or vanishes(*terms))
+    hochschild_homology(two_dim_unital(), 4)
+    # degrees 0..5, a composite out of each of 1..5
+    assert len(seen) == 5
+    assert all(len(terms) == 1 for terms in seen)
+
+
+def test_check_d_squared_skips_degrees_found_zero(monkeypatch):
+    from homcyc import complexes
+    C = ChainComplex(dims={0: 1, 1: 1, 2: 1},
+                     diffs={1: Matrix.zero(1, 1), 2: Matrix.identity(1)})
+    calls = []
+    vanishes = complexes.vanishes
+    monkeypatch.setattr(complexes, "vanishes",
+                        lambda *terms: calls.append(terms) or vanishes(*terms))
+    C.check_d_squared()
+    C.check_d_squared()
+    assert len(calls) == 2
+    bad = ChainComplex(dims=C.dims, diffs={1: Matrix.identity(1),
+                                           2: Matrix.identity(1)})
+    for _ in range(2):
+        with pytest.raises(BoundarySquareError,
+                           match="out of degree 2"):
+            bad.check_d_squared()

@@ -109,8 +109,11 @@ def _half_algebra():
 def test_faces_b_and_b_prime_match_reference(B, data):
     n = data.draw(st.integers(1, MAX_N[B.dim]))
     for V in _chain_coefficients(B):
+        faces = face_map(B, V, n)
+        assert len(faces) == n + 1
         for i in range(n + 1):
             assert face_map(B, V, n, i).to_rows() == ref.face_map(B, V, n, i)
+            assert faces[i] == face_map(B, V, n, i)
         assert hochschild_b(B, V, n).to_rows() == ref.hochschild_b(B, V, n)
     assert b_prime(B, n).to_rows() == ref.b_prime(B, n)
 
@@ -120,9 +123,12 @@ def test_faces_b_and_b_prime_match_reference(B, data):
 def test_cofaces_and_cochain_b_match_reference(B, data):
     n = data.draw(st.integers(0, MAX_N[B.dim] - 1))
     for W in _cochain_coefficients(B):
+        cofaces = coface_map(B, W, n)
+        assert len(cofaces) == n + 2
         for i in range(n + 2):
             assert coface_map(B, W, n, i).to_rows() == \
                 ref.coface_map(B, W, n, i)
+            assert cofaces[i] == coface_map(B, W, n, i)
         assert cochain_b(B, W, n).to_rows() == ref.cochain_b(B, W, n)
 
 

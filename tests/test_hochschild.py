@@ -16,8 +16,8 @@ from homcyc.hochschild import (CoefficientHypothesisError, b_prime,
                                build_hochschild_cohomology_complex,
                                build_hochschild_homology_complex,
                                check_precosimplicial, check_presimplicial,
-                               cochain_b, cyclic_t, face_map, hochschild_b,
-                               homotopy_theta, norm_N)
+                               cochain_b, coface_map, cyclic_t, face_map,
+                               hochschild_b, homotopy_theta, norm_N)
 from homcyc.linalg import Matrix, image, kernel
 
 N_MAX = 5
@@ -169,6 +169,38 @@ def test_homology_hypotheses_checked_once_per_bimodule(monkeypatch):
         with pytest.raises(CoefficientHypothesisError):
             build_hochschild_homology_complex(B, W, 1)
     assert len(seen) == 2 and seen[1] is W
+
+
+def test_face_kernel_runs_once_per_degree(monkeypatch):
+    """A checked hh build and a checked hhco build to degree N each run
+    the all-faces pass once per degree 1..N: the faces of degree n serve
+    the check at n and, handed on, the check at n + 1."""
+    passes = []
+    each = hochschild._Faces.each
+    monkeypatch.setattr(hochschild._Faces, "each",
+                        lambda self, n, **kw: passes.append(n) or
+                        each(self, n, **kw))
+    A = two_dim_unital()
+    V = regular_bimodule(A)
+    build_hochschild_homology_complex(A, V, 5)
+    assert sorted(passes) == [1, 2, 3, 4, 5]
+    passes.clear()
+    build_hochschild_cohomology_complex(A, dualize_bimodule(V), 5)
+    assert sorted(passes) == [1, 2, 3, 4, 5]
+
+
+def test_all_faces_at_once_equal_each_face():
+    A = two_dim_unital()
+    V = regular_bimodule(A)
+    W = dualize_bimodule(V)
+    for n in range(1, 4):
+        faces = face_map(A, V, n)
+        assert faces == [face_map(A, V, n, i) for i in range(n + 1)]
+    for n in range(3):
+        cofaces = coface_map(A, W, n)
+        assert cofaces == [coface_map(A, W, n, i) for i in range(n + 2)]
+    with pytest.raises(IndexError):
+        face_map(A, V, 0)
 
 
 def test_face_data_built_once_per_bimodule(monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from homcyc.linalg import (Matrix, NotASubspaceError, Subspace, block_matrix,
                            descend, image, kernel, kron, quotient_dim, rank,
                            reduce_mod, restrict, rref, scalar_from_string,
-                           scalar_to_string, solve_homogeneous)
+                           scalar_to_string, solve_homogeneous, vanishes)
 
 F = Fraction
 
@@ -278,6 +278,97 @@ def test_product_degenerate_shapes(n, k, m):
     assert all(type(x) is F for x in c.entries)
     assert a.apply((F(1, 3),) * k) == tuple(
         sum((a[i, j] * F(1, 3) for j in range(k)), F(0)) for i in range(n))
+
+
+# --- vanishes: a signed sum of products, tested for zero -----------------
+
+NONZERO = st.fractions(min_value=-6, max_value=6,
+                       max_denominator=6).filter(bool)
+
+
+@st.composite
+def product_sums(draw):
+    """One or two (sign, a, b) terms of one shape, dense or sparse, with
+    entries that have denominators, some past the packed product's
+    63-bit slots.  A second term is independent, or the first product
+    again ("same"), or the first product as a.scale(c) @ b.scale(1/c)
+    with the sign flipped, so its rows have other denominators but the
+    sum vanishes ("rescaled"); "nudged" then moves one entry of a by 1.
+    """
+    elements = draw(st.sampled_from([ENTRIES, WIDE_ENTRIES]))
+    n, k, m = (draw(st.integers(0, 4)) for _ in range(3))
+    a, b = draw(exact_matrices(n, k, elements)), \
+        draw(exact_matrices(k, m, elements))
+    sign = draw(st.sampled_from([1, -1]))
+    kind = draw(st.sampled_from(
+        ["one", "independent", "same", "rescaled", "nudged"]))
+    terms = [(sign, a, b)]
+    if kind == "independent":
+        terms.append((draw(st.sampled_from([1, -1])),
+                      draw(exact_matrices(n, k, elements)),
+                      draw(exact_matrices(k, m, elements))))
+    elif kind == "same":
+        terms.append((-sign, a, b))
+    elif kind in ("rescaled", "nudged"):
+        c = draw(NONZERO)
+        a2 = a.scale(c)
+        if kind == "nudged" and n and k:
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, k - 1))
+            a2 = a2 + Matrix(n, k, tuple(int((r, s) == (i, j))
+                                         for r in range(n) for s in range(k)))
+        terms.append((-sign, a2, b.scale(1 / c)))
+    return terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_sums())
+def test_vanishes_matches_the_sum_of_products(terms):
+    """vanishes is the sum of sign * (a @ b), built as matrices, tested
+    with `is_zero`."""
+    sign, a, b = terms[0]
+    total = (a @ b).scale(sign)
+    for sign, a, b in terms[1:]:
+        total = total + (a @ b).scale(sign)
+    assert vanishes(*terms) == total.is_zero()
+
+
+def test_vanishes_takes_the_packed_product(monkeypatch):
+    """Dense right factors go through the packed sums, sparse ones and
+    entries past the slot bound do not, and the verdict is exact on
+    either path."""
+    import homcyc.linalg as linalg
+    packed = []
+    orig = linalg._packed_sums
+    monkeypatch.setattr(linalg, "_packed_sums",
+                        lambda *args: packed.append(orig(*args)) or packed[-1])
+    a = Matrix.from_rows([[1, F(1, 2)], [F(-1, 3), 2], [0, 0]])
+    b = Matrix.from_rows([[2, -1, F(1, 4)], [3, 5, -2]])
+    assert vanishes((1, a, b), (-1, a.scale(3), b.scale(F(1, 3))))
+    assert not vanishes((1, a, b), (-1, a, b.scale(2)))
+    assert packed and all(p is not None for p in packed)
+    big = Matrix.from_rows([[2 ** 40, 1], [1, -2 ** 40]])
+    square = big @ big
+    packed.clear()
+    assert vanishes((1, big, big), (-1, square, Matrix.identity(2)))
+    assert packed == [None, None]
+    packed.clear()
+    sparse = Matrix.identity(8)
+    assert not vanishes((1, sparse, sparse))
+    assert vanishes((1, sparse, sparse), (-1, sparse, sparse))
+    assert not packed
+
+
+def test_vanishes_edge_cases():
+    a = Matrix.from_rows([[1, 2], [3, 4]])
+    assert vanishes()
+    assert vanishes((1, Matrix.zero(3, 2), a))
+    assert vanishes((1, Matrix.zero(0, 2), a), (-1, Matrix.zero(0, 2), a))
+    assert vanishes((1, Matrix.zero(2, 0), Matrix.zero(0, 3)))
+    assert not vanishes((1, a, Matrix.identity(2)))
+    with pytest.raises(ValueError, match="shape mismatch in @"):
+        vanishes((1, a, Matrix.zero(3, 2)))
+    with pytest.raises(ValueError, match="shape mismatch in \\+"):
+        vanishes((1, a, a), (-1, a, Matrix.zero(2, 3)))
 
 
 @settings(max_examples=80, deadline=None)
