@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .algebra import (DecompositionError, HomAlgebra, ShapeError,
                       alpha_is_idempotent, find_unit, is_centroid_element,
@@ -24,7 +25,7 @@ from .cyclic import (connes_bB_report, cyclic_cohomology_bicomplex,
                      cyclic_homology_lambda, hochschild_cohomology,
                      hochschild_homology, periodic_cohomology,
                      periodic_homology)
-from .hochschild import IdentityViolationError
+from .hochschild import IdentityViolationError, tensor_label
 from .linalg import Matrix, scalar_from_string, scalar_to_string
 
 EXIT_OK = 0
@@ -88,12 +89,11 @@ def cmd_homology(args) -> int:
     theory = args.theory
     n = args.max
     reps = args.representatives
-    if theory == "hh":
-        rep = hochschild_homology(alg, n, representatives=reps)
-        _emit(rep.to_json_dict(), args.format, rep.to_text())
-    elif theory == "hhco":
-        rep = hochschild_cohomology(alg, n, representatives=reps)
-        _emit(rep.to_json_dict(), args.format, rep.to_text())
+    if theory in ("hh", "hhco"):
+        rep = (hochschild_homology if theory == "hh"
+               else hochschild_cohomology)(alg, n, representatives=reps)
+        _emit(rep.to_json_dict(), args.format,
+              rep.to_text(partial(tensor_label, alg)))
     elif theory in ("hc", "hcco"):
         if args.method == "both":
             both = (cyclic_homology_both if theory == "hc"

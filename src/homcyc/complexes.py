@@ -72,6 +72,16 @@ class ChainComplex:
         tgt = n - 1 if self.orientation == "homological" else n + 1
         return Matrix.zero(self.dim(tgt), self.dim(n))
 
+    def incoming(self, n: int) -> int:
+        """The degree whose stored map lands in degree n."""
+        return n + 1 if self.orientation == "homological" else n - 1
+
+    def boundaries(self, n: int) -> Subspace:
+        """The image of the map into degree n (zero if none is stored)."""
+        if self.incoming(n) in self.dims:
+            return image(self.differential(self.incoming(n)))
+        return Subspace.zero(self.dim(n))
+
     def rank(self, n: int) -> int:
         """Rank of the map out of degree n, 0 outside the window.
 
@@ -118,7 +128,7 @@ def homology(C: ChainComplex, n: int, *, representatives: bool = True
     """
     if n not in C.dims:
         raise IndexError(f"degree {n} outside complex window")
-    incoming_deg = n + 1 if C.orientation == "homological" else n - 1
+    incoming_deg = C.incoming(n)
     betti = C.dim(n) - C.rank(n) - C.rank(incoming_deg)
     if not representatives:
         if incoming_deg in C.dims and incoming_deg not in C._squared_zero \
@@ -127,10 +137,7 @@ def homology(C: ChainComplex, n: int, *, representatives: bool = True
             raise BoundarySquareError(f"d o d != 0 into degree {n}")
         return betti, []
     ker = kernel(C.differential(n))
-    if incoming_deg in C.dims:
-        im = image(C.differential(incoming_deg))
-    else:
-        im = Subspace.zero(C.dim(n))
+    im = C.boundaries(n)
     quotient_dim(im, ker)  # raises if im not inside ker
     reduced = []
     for v in ker.basis:
@@ -212,7 +219,7 @@ def report_for_complex(C: ChainComplex, degrees: Sequence[int], *,
     for n in degrees:
         betti[n], r = homology(C, n, representatives=representatives)
         kdims[n] = C.dim(n) - C.rank(n)
-        idims[n] = C.rank(n + 1 if C.orientation == "homological" else n - 1)
+        idims[n] = C.rank(C.incoming(n))
         if representatives:
             reps[n] = r
     return HomologyReport(theory=theory, algebra_name=algebra_name,

@@ -21,8 +21,8 @@ from .hochschild import (IdentityViolationError, b_prime, cyclic_t,
                          build_hochschild_homology_complex,
                          hochschild_b, norm_N)
 from .linalg import (Matrix, NotASubspaceError, Subspace, block_matrix,
-                     descend, image, kron, kernel, reduce_mod, restrict,
-                     vanishes)
+                     descend, image, kron, kernel, maps_into, reduce_mod,
+                     restrict, vanishes)
 
 
 def hochschild_homology(A: HomAlgebra, n_max: int, *,
@@ -381,8 +381,7 @@ def _homology_matrix(C_src: ChainComplex, C_tgt: ChainComplex,
     """Matrix of the induced map on degree-n homology representatives."""
     _, reps_src = homology(C_src, n)
     _, reps_tgt = homology(C_tgt, n)
-    im_tgt = image(C_tgt.differential(n + 1)) if n + 1 in C_tgt.dims \
-        else Subspace.zero(C_tgt.dim(n))
+    im_tgt = C_tgt.boundaries(n)
     tgt_space = Subspace.from_vectors(C_tgt.dim(n), reps_tgt)
     return Matrix.from_columns(len(reps_tgt), [
         tgt_space.coordinates(reduce_mod(im_tgt, maps[n].apply(v)))
@@ -452,9 +451,8 @@ def xi_map(assoc: HomAlgebra, twisted: HomAlgebra, n: int) -> Matrix:
     if not vanishes((1, b_tgt, xi_n), (-1, xi_next, b_src)):
         raise IdentityViolationError("xi fails to commute with the coboundary")
     cyc = cyclic_invariant_subspaces(assoc, n)[n]
-    for v in cyc.basis:
-        if not cyc.contains(xi_n.apply(v)):
-            raise IdentityViolationError("xi does not preserve cyclicity")
+    if not maps_into(xi_n, cyc, cyc):
+        raise IdentityViolationError("xi does not preserve cyclicity")
     return xi_n
 
 

@@ -332,19 +332,12 @@ def build_hochschild_cohomology_complex(A: HomAlgebra, W: Bimodule,
     return C
 
 
-def tensor_label(A: HomAlgebra, V, n: int, index: int,
-                 coefficient_names: Sequence[str] | None = None) -> str:
-    """Human-readable label like ``e1(x)e1(x)e2`` for a basis tensor."""
-    d = A.dim
-    tensor_part = index % d ** n
-    v = index // d ** n
-    slots = []
-    rem = tensor_part
-    for k in range(n):
-        power = d ** (n - 1 - k)
-        slots.append(rem // power)
-        rem %= power
-    names = coefficient_names if coefficient_names is not None else \
-        (V.algebra.basis_names if hasattr(V, "algebra") else A.basis_names)
-    parts = [str(names[v])] + [A.basis_names[s] for s in slots]
-    return "⊗".join(parts)
+def tensor_label(A: HomAlgebra, n: int, index: int) -> str:
+    """The label ``e1⊗e1⊗e2`` of basis tensor `index` in degree n, with
+    coefficients in A or its dual: n + 1 slots, the coefficient's the
+    most significant."""
+    names = []
+    for _ in range(n + 1):
+        index, slot = divmod(index, A.dim)
+        names.append(A.basis_names[slot])
+    return "⊗".join(reversed(names))

@@ -2,26 +2,25 @@
 
 Everything downstream (axiom checks, boundary matrices, Betti numbers)
 reduces to products, ranks, kernels, images and quotients computed here.
-All arithmetic is exact, and the heavy loops run on Python integers.  A
-`Matrix` stores only its rows, each as its nonzero entries, integers
-over one common denominator (`IntRow`), so a matrix that is ~99% zeros
-costs its nonzero entries alone.  Dense Fraction views (`entries`,
-`row`, `col`) are computed on demand; matrix operations do not read
-them, and only `Subspace`, whose basis vectors are dense, and the
-vectors it reduces are dense.  Products (`@` and `apply`) sum integers
-over the nonzero entries only and write each output row in integer
-form; when the right factor is dense they pack each of its rows into
-one big integer (Kronecker substitution).  Row reduction is sparse
-integer elimination on the same rows, each a {column: integer} dict
-that touches only its nonzero entries.  Betti numbers need only ranks,
-which `rank` reads off the echelon form as its number of pivots.
-`rref` adds an integer back-substitution and runs only where a
-canonical basis is needed: homology representatives, induced maps and
-subspaces.  The RREF of a matrix is unique, so it is canonical, and
-bases are reproducible, whatever order the rows are eliminated in;
-`reduce_mod` and `Subspace.coordinates` update only the nonzero
-positions of each basis vector.  `restrict` and `descend` give a map
-on subspaces and on quotients in those canonical coordinates.
+All arithmetic is exact and runs on Python integers.  A `Matrix` stores
+only its rows, each as its nonzero entries, integers over one common
+denominator (`IntRow`), so a matrix that is ~99% zeros costs its nonzero
+entries alone; dense Fraction views (`entries`, `row`, `col`) are
+computed on demand and no operation reads them.  Products (`@`, `apply`)
+sum integers over the nonzero entries only, packing the rows of a dense
+right factor into big integers (Kronecker substitution).  Row reduction
+is sparse integer elimination on {column: integer} dicts: `rank` counts
+the pivots of the echelon form, and `rref` adds a back-substitution
+where a canonical basis is needed.  The RREF is unique, so it does not
+depend on the order of elimination.
+
+A `Subspace` is its RREF, a `Matrix` of the nonzero rows (`rows`).  Its
+`quotient`, the identity at the free columns minus the RREF entries at
+the pivots, maps onto the quotient by the subspace in `free_columns`
+coordinates and has the subspace as its kernel.  Membership,
+`reduce_mod`, `kernel` and the check that a map sends one subspace into
+another are products with it; `restrict` reads m @ src.rows^T at tgt's
+pivots, and `descend` reduces m's columns at src's free columns.
 Identity checks need only know whether a signed sum of products is
 zero: `vanishes` adds the products' integer sums row by row and builds
 no product matrix.
@@ -473,18 +472,23 @@ def rank(m: Matrix) -> int:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of Q^ambient_dim given by an RREF-normalized basis.
+    """Subspace S of Q^ambient_dim, stored as its RREF: `rows` holds the
+    nonzero rows, so equal subspaces have identical representations, and
+    `basis` is their dense Fraction view, computed on each call."""
 
-    Basis vectors are the nonzero rows of an RREF matrix, so two equal
-    subspaces have identical representations.
-    """
+    rows: Matrix
 
-    ambient_dim: int
-    basis: tuple[tuple[Fraction, ...], ...]
+    @property
+    def ambient_dim(self) -> int:
+        return self.rows.cols
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.rows.rows
+
+    @property
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(_dense(r, self.ambient_dim) for r in self.rows._int_rows)
 
     @staticmethod
     def from_vectors(ambient_dim: int,
@@ -493,96 +497,80 @@ class Subspace:
         if any(len(v) != ambient_dim for v in vecs):
             raise ValueError("vector length != ambient_dim")
         if not vecs:
-            return Subspace(ambient_dim, ())
+            return Subspace.zero(ambient_dim)
         return _row_space(Matrix.from_rows(vecs))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, ())
+        return Subspace(Matrix.zero(0, ambient_dim))
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        ident = Matrix.identity(ambient_dim)
-        return Subspace(ambient_dim, tuple(ident.row(i) for i in range(ambient_dim)))
-
-    def free_columns(self) -> list[int]:
-        """The coordinates off the basis pivots: a complement's basis,
-        and the coordinates `descend` gives a quotient by this space."""
-        pivots = {p for p, _ in self._pivot_terms}
-        return [j for j in range(self.ambient_dim) if j not in pivots]
-
-    def contains(self, vec: Sequence[Fraction]) -> bool:
-        if len(vec) != self.ambient_dim:
-            raise ValueError("vector length mismatch")
-        residual = reduce_mod(self, vec)
-        return not any(residual)
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
+        return Subspace(Matrix.identity(ambient_dim))
 
     @cached_property
-    def _pivot_terms(self) -> list[tuple[int, list[tuple[int, Fraction]]]]:
-        """Per basis vector, its pivot column and its nonzero entries."""
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot column of each row, ascending."""
+        return tuple(ks[0] for _, ks, _ in self.rows._int_rows)
+
+    def free_columns(self) -> list[int]:
+        """The coordinates off the pivots: a complement's basis, and the
+        coordinates of the quotient by this space."""
+        pivots = set(self.pivots)
+        return [j for j in range(self.ambient_dim) if j not in pivots]
+
+    @cached_property
+    def quotient(self) -> Matrix:
+        """The map Q^ambient_dim -> Q^ambient_dim / S in `free_columns`
+        coordinates: row f is e_f - sum_i rows[i][f] e_(pivot i).  Its
+        kernel is exactly S, and it is the identity on the free
+        coordinates."""
+        cols = self.rows._int_cols
         out = []
-        for bvec in self.basis:
-            terms = [(j, x) for j, x in enumerate(bvec) if x]
-            out.append((terms[0][0], terms))
-        return out
+        for f in self.free_columns():
+            dn, ks, xs = cols[f]
+            row = {self.pivots[i]: -x for i, x in zip(ks, xs)}
+            row[f] = dn
+            out.append((dn, row))
+        return Matrix.from_integer_rows(self.ambient_dim, out)
+
+    def contains(self, vec: Sequence[Fraction]) -> bool:
+        return not any(self.quotient.apply(vec))
+
+    def contains_subspace(self, other: "Subspace") -> bool:
+        return vanishes((1, self.quotient, other.rows.transpose()))
 
     def coordinates(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Coordinates of vec in the RREF basis; raises if not a member."""
-        coords, residual = _eliminate(self, vec)
-        if any(residual):
+        """Coordinates of vec in the RREF basis, which are its entries at
+        the pivots; raises if vec is not a member."""
+        if not self.contains(vec):
             raise NotASubspaceError("vector not in subspace")
-        return tuple(coords)
+        return tuple(vec[p] for p in self.pivots)
 
 
 class NotASubspaceError(ValueError):
     pass
 
 
-def _eliminate(sub: Subspace, vec: Sequence[Fraction]
-               ) -> tuple[list[Fraction], list[Fraction]]:
-    """RREF pivot elimination of vec by sub's basis: the coefficient taken
-    of each basis vector, and the residual.  Each basis vector updates
-    only its own nonzero positions, in place."""
-    coords = []
-    residual = list(vec)
-    for p, terms in sub._pivot_terms:
-        c = residual[p]
-        coords.append(c)
-        if c:
-            for j, x in terms:
-                residual[j] -= c * x
-    return coords, residual
-
-
 def reduce_mod(sub: Subspace, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Canonical representative of vec modulo sub (RREF pivot elimination)."""
-    return tuple(_eliminate(sub, vec)[1])
+    """Canonical representative of vec modulo sub: `sub.quotient` of vec
+    at the free columns, zero at the pivots."""
+    out = [ZERO] * sub.ambient_dim
+    for f, x in zip(sub.free_columns(), sub.quotient.apply(vec)):
+        out[f] = x
+    return tuple(out)
 
 
 def _row_space(m: Matrix) -> Subspace:
     r, _, rk = rref(m)
-    return Subspace(m.cols, tuple(r.row(i) for i in range(rk)))
+    return Subspace(_matrix(rk, m.cols, r._int_rows[:rk]))
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Null space {x : m x = 0}: per free column f of the RREF, the
-    vector with 1 at f and minus column f of the RREF at the pivots."""
-    r, pivots, _ = rref(m)
-    pivset = set(pivots)
-    free = {f: i for i, f in enumerate(j for j in range(m.cols)
-                                       if j not in pivset)}
-    vecs = [[ZERO] * m.cols for _ in free]
-    for f, i in free.items():
-        vecs[i][f] = ONE
-    for p, (dn, ks, xs) in zip(pivots, r._int_rows):
-        for k, x in zip(ks, xs):
-            i = free.get(k)
-            if i is not None:
-                vecs[i][p] = Fraction(-x, dn)
-    return Subspace.from_vectors(m.cols, vecs)
+    """Null space {x : m x = 0}: the row space of the quotient map by
+    m's row space, whose row f is the vector with 1 at free column f and
+    minus column f of the RREF at the pivots."""
+    return _row_space(_row_space(m).quotient)
 
 
 def image(m: Matrix) -> Subspace:
@@ -590,12 +578,21 @@ def image(m: Matrix) -> Subspace:
     return _row_space(m.transpose())
 
 
+def maps_into(m: Matrix, src: Subspace, tgt: Subspace) -> bool:
+    """Whether m maps src into tgt: tgt's quotient map kills m on every
+    basis vector of src, one vanishing product."""
+    return vanishes((1, tgt.quotient @ m, src.rows.transpose()))
+
+
 def restrict(m: Matrix, src: Subspace, tgt: Subspace) -> Matrix:
-    """m on src, into tgt: column j holds the coordinates in tgt of
-    m applied to basis vector j of src.  Raises NotASubspaceError
-    unless m maps src into tgt."""
-    return Matrix.from_columns(tgt.dim, [tgt.coordinates(m.apply(v))
-                                         for v in src.basis])
+    """m on src, into tgt: column j holds the coordinates in tgt of m
+    applied to basis vector j of src, the entries of m @ src.rows^T at
+    tgt's pivots.  Raises NotASubspaceError unless m maps src into tgt."""
+    if not maps_into(m, src, tgt):
+        raise NotASubspaceError("the map does not send src into tgt")
+    images = m @ src.rows.transpose()
+    return _matrix(tgt.dim, src.dim,
+                   tuple(images._int_rows[p] for p in tgt.pivots))
 
 
 def descend(m: Matrix, src: Subspace, tgt: Subspace) -> Matrix:
@@ -604,9 +601,8 @@ def descend(m: Matrix, src: Subspace, tgt: Subspace) -> Matrix:
     at the j-th free coordinate of src, reduced modulo tgt and read at
     the free coordinates of tgt.  Raises NotASubspaceError unless m
     maps src into tgt."""
-    for v in src.basis:
-        if any(reduce_mod(tgt, m.apply(v))):
-            raise NotASubspaceError("the map does not send src into tgt")
+    if not maps_into(m, src, tgt):
+        raise NotASubspaceError("the map does not send src into tgt")
     free = tgt.free_columns()
     cols = []
     for f in src.free_columns():

@@ -9,12 +9,13 @@ and do their own Fraction arithmetic, so nothing here goes through
 `homcyc.linalg` products or the kernel under test.  Every function
 returns the matrix as a list of rows of Fractions.
 
-`induced_on_quotient` is homcyc's earlier construction of a map on
-quotients, the reference for `linalg.descend`.  It uses `Subspace`
-elimination, but neither `descend` nor a matrix product.
-
 `rref` is textbook Gauss-Jordan elimination on dense Fraction rows, the
-reference for `linalg.rref` and `linalg.rank`.
+reference for `linalg.rref` and `linalg.rank`.  `reduce_mod` is
+homcyc's earlier dense pivot elimination of a vector by that RREF, the
+reference for `linalg.reduce_mod`, `Subspace.coordinates` and
+`Subspace.contains`.  `induced_on_quotient` is homcyc's earlier
+construction of a map on quotients from the two, the reference for
+`linalg.descend`; it reads a `Subspace` only through its dense `basis`.
 
 The axiom checks at the end are homcyc's earlier checks of the structure
 axioms, one loop over basis tuples each, evaluating both sides of every
@@ -199,25 +200,6 @@ def rotation_power_sum(A, n, weights):
     return total
 
 
-def induced_on_quotient(m, sub_src, sub_tgt):
-    """m on Q^cols / sub_src -> Q^rows / sub_tgt: coset representatives
-    are the unit vectors off the pivots; each representative's image is
-    reduced modulo sub_tgt and given coordinates in the row-reduced span
-    of the target's representatives."""
-    from homcyc.linalg import Subspace, reduce_mod
-
-    def reps(sub):
-        pivots = {next(j for j, x in enumerate(b) if x) for b in sub.basis}
-        return [tuple(Fraction(int(j == f)) for j in range(sub.ambient_dim))
-                for f in range(sub.ambient_dim) if f not in pivots]
-
-    src_reps, tgt_reps = reps(sub_src), reps(sub_tgt)
-    tgt_space = Subspace.from_vectors(sub_tgt.ambient_dim, tgt_reps)
-    cols = [tgt_space.coordinates(reduce_mod(sub_tgt, _apply(m, v)))
-            for v in src_reps]
-    return _transpose(cols, len(tgt_reps))
-
-
 def rref(rows, ncols):
     """Reduced row-echelon form of dense rows by Gauss-Jordan elimination
     on Fractions, pivoting on the first nonzero entry of each column:
@@ -238,6 +220,43 @@ def rref(rows, ncols):
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
     return a, pivots
+
+
+def reduce_mod(rows, vec):
+    """Pivot elimination of vec by the RREF of the span of rows: each
+    basis vector in turn takes off its multiple that clears vec's entry
+    at its pivot.  Returns (the multiple taken of each basis vector, the
+    residual); vec lies in the span exactly when the residual is zero."""
+    basis, pivots = rref(rows, len(vec))
+    coords, residual = [], list(vec)
+    for p, b in zip(pivots, basis):
+        c = residual[p]
+        coords.append(c)
+        if c:
+            residual = [x - c * y for x, y in zip(residual, b)]
+    return coords, residual
+
+
+def induced_on_quotient(m, sub_src, sub_tgt):
+    """m on Q^cols / sub_src -> Q^rows / sub_tgt: coset representatives
+    are the unit vectors off the pivots; each representative's image is
+    reduced modulo sub_tgt and given coordinates in the row-reduced span
+    of the target's representatives."""
+
+    def reps(sub):
+        _, pivots = rref(sub.basis, sub.ambient_dim)
+        return [[Fraction(int(j == f)) for j in range(sub.ambient_dim)]
+                for f in range(sub.ambient_dim) if f not in pivots]
+
+    src_reps, tgt_reps = reps(sub_src), reps(sub_tgt)
+    cols = []
+    for v in src_reps:
+        _, residual = reduce_mod(sub_tgt.basis, _apply(m, v))
+        coords, rest = reduce_mod(tgt_reps, residual)
+        if any(rest):
+            raise ValueError("residual off the coset representatives")
+        cols.append(coords)
+    return _transpose(cols, len(tgt_reps))
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,22 @@ def test_hh_betti(example_file, capsys):
         data["betti"] == {"0": 2, "1": 1}
 
 
+def test_hochschild_text_prints_cycles_as_tensors(example_file, capsys):
+    """hh and hhco text label representatives by their tensors; the
+    lambda quotient's coordinates are not tensors and keep x{i}."""
+    assert main(["hh", example_file, "--max", "2", "--representatives"]) == 0
+    out = capsys.readouterr().out
+    assert "cycle[1]: 1*e2⊗e2" in out
+    assert "cycle[2]: 1*e2⊗e1⊗e2 + -1*e2⊗e2⊗e1" in out
+    assert main(["hhco", example_file, "--max", "1",
+                 "--representatives"]) == 0
+    assert "cycle[0]: 1*e1\n" in capsys.readouterr().out
+    assert main(["hc", example_file, "--max", "1", "--method", "lambda",
+                 "--representatives"]) == 0
+    out = capsys.readouterr().out
+    assert "cycle[0]: 1*x0" in out and "⊗" not in out
+
+
 def test_hc_both_methods(example_file, capsys):
     assert main(["hc", example_file, "--max", "1", "--method", "both",
                  "--format", "json"]) == 0

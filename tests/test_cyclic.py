@@ -146,6 +146,14 @@ def test_periodic_matrix_2x2_is_periodic_of_k():
         assert [rep.betti_wider[n] for n in rep.degrees] == [1, 0]
 
 
+def test_matrix_2x2_cyclic_homology_is_that_of_k():
+    """HC of M_2(k) is HC(k) = 1, 0, 1, 0, 1 (Morita invariance), by
+    the lambda quotient and the bicomplex alike, to degree 4."""
+    rep = cyclic_homology_both(matrix_2x2(), 4)
+    rep.require_agreement()
+    assert [rep.betti_lambda[n] for n in range(5)] == [1, 0, 1, 0, 1]
+
+
 def test_periodic_k2_stabilizes():
     rep = periodic_homology(k2(), 3)
     assert all(rep.stabilized.values())
@@ -229,11 +237,15 @@ def test_xi_map_commutes():
 
 
 def test_xi_induced_on_cyclic_cohomology():
+    """HC^0 = traces, full on both commutative algebras.  Each degree's
+    representatives are reduced modulo the image of d^(n-1), the map
+    into degree n of a cochain complex, not of d^(n+1)."""
     assoc = dual_numbers()
     tw = dual_numbers_projection_twist()
-    m = xi_induced_on_cyclic_cohomology(assoc, tw, 0)
-    # HC^0 = traces; both algebras are commutative with full trace space
-    assert m.rows == 2 and m.cols == 2
+    shapes = [(2, 2), (1, 0), (4, 2), (4, 0)]
+    for n, shape in enumerate(shapes):
+        m = xi_induced_on_cyclic_cohomology(assoc, tw, n)
+        assert (m.rows, m.cols) == shape
 
 
 def test_xi_rejects_non_idempotent():

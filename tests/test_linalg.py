@@ -638,3 +638,72 @@ def test_descend_and_restrict_reject_unstable_subspaces():
     assert descend(m, line, Subspace.from_vectors(2, [(F(1), F(0))])) \
         == Matrix.zero(1, 1)
     assert line.free_columns() == [0]
+
+
+# --- subspaces against dense pivot elimination ---------------------------
+
+SPAN_ENTRIES = st.sampled_from([F(1), F(-1), F(2), F(-1, 2), F(3, 4), F(0)])
+
+
+def dense_rows(rows, cols):
+    return st.lists(st.lists(SPAN_ENTRIES, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def subspace_cases(draw, max_dim=5):
+    """(n, spanning rows, vectors): the zero space, the full space or the
+    span of k drawn rows through an inner dimension of at most n, so
+    often dependent and of rank below n, and a drawn vector and a
+    combination of the rows to reduce by it."""
+    n = draw(st.integers(1, max_dim))
+    kind = draw(st.sampled_from(["span", "zero", "full", "span"]))
+    if kind == "zero":
+        rows = []
+    elif kind == "full":
+        rows = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    else:
+        k, inner = draw(st.integers(1, n + 1)), draw(st.integers(1, n))
+        left, right = draw(dense_rows(k, inner)), draw(dense_rows(inner, n))
+        rows = [[sum((p[t] * right[t][j] for t in range(inner)), F(0))
+                 for j in range(n)] for p in left]
+    coeffs = draw(dense_rows(1, len(rows)))[0]
+    member = [sum((c * r[j] for c, r in zip(coeffs, rows)), F(0))
+              for j in range(n)]
+    return n, rows, [draw(dense_rows(1, n))[0], member]
+
+
+@settings(max_examples=150, deadline=None)
+@given(subspace_cases())
+def test_subspace_matches_dense_elimination(case):
+    n, rows, vectors = case
+    sub = Subspace.from_vectors(n, rows)
+    basis, pivots = ref.rref(rows, n)
+    assert sub.basis == tuple(tuple(b) for b in basis[:len(pivots)])
+    assert sub.free_columns() == [j for j in range(n) if j not in pivots]
+    for v in vectors:
+        coords, residual = ref.reduce_mod(rows, v)
+        assert reduce_mod(sub, v) == tuple(residual)
+        assert sub.contains(v) == (not any(residual))
+        if any(residual):
+            with pytest.raises(NotASubspaceError):
+                sub.coordinates(v)
+        else:
+            assert sub.coordinates(v) == tuple(coords)
+    q = sub.quotient
+    assert (q.rows, q.cols) == (n - sub.dim, n)
+    assert vanishes((1, q, sub.rows.transpose()))
+    assert rank(q) == n - sub.dim
+
+
+@pytest.mark.parametrize("sub", [Subspace.zero(3), Subspace.full(3),
+                                 Subspace.from_vectors(3, [(1, 2, 0)])],
+                         ids=["zero", "full", "line"])
+def test_subspace_rejects_wrong_length_vectors(sub):
+    for vec in [(F(1), F(0)), (F(1), F(0), F(0), F(0))]:
+        with pytest.raises(ValueError, match="length"):
+            reduce_mod(sub, vec)
+        with pytest.raises(ValueError, match="length"):
+            sub.coordinates(vec)
+        with pytest.raises(ValueError, match="length"):
+            sub.contains(vec)
