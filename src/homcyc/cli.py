@@ -18,7 +18,7 @@ from .cocycles import (CocyclePreconditionError, Functional,
                        TwistedDerivation, derivation_cocycle,
                        is_cyclic_cocycle, trace_space)
 from .coefficients import a_circ
-from .complexes import BoundarySquareError, NotStableError
+from .complexes import BoundarySquareError, NotStableError, text_table
 from .cyclic import (connes_bB_report, cyclic_cohomology_bicomplex,
                      cyclic_cohomology_both, cyclic_cohomology_lambda,
                      cyclic_homology_bicomplex, cyclic_homology_both,
@@ -122,44 +122,36 @@ def cmd_homology(args) -> int:
 
 def _cyclic_text(cr) -> str:
     kind = "cyclic cohomology" if cr.cohomology else "cyclic homology"
-    lines = [f"{kind} of {cr.algebra_name} (lambda vs bicomplex)"]
-    lines.append(f"{'degree':>8} {'lambda':>8} {'bicomplex':>10} {'agree':>6}")
-    for n in cr.degrees:
-        lines.append(f"{n:>8} {cr.betti_lambda[n]:>8} "
-                     f"{cr.betti_bicomplex[n]:>10} "
-                     f"{'yes' if cr.agreement[n] else 'NO':>6}")
-    return "\n".join(lines)
+    return text_table(
+        f"{kind} of {cr.algebra_name} (lambda vs bicomplex)",
+        [("degree", 8), ("lambda", 8), ("bicomplex", 10), ("agree", 6)],
+        [(n, cr.betti_lambda[n], cr.betti_bicomplex[n],
+          "yes" if cr.agreement[n] else "NO") for n in cr.degrees])
 
 
 def _periodic_text(pr) -> str:
-    kind = "periodic cyclic cohomology" if pr.cohomology else "periodic cyclic homology"
-    lines = [f"{kind} of {pr.algebra_name} (window {pr.window} vs {pr.window + 2})"]
-    lines.append(f"{'degree':>8} {'betti':>6} {'wider':>6} {'stable':>7}")
-    for n in pr.degrees:
-        lines.append(f"{n:>8} {pr.betti[n]:>6} {pr.betti_wider[n]:>6} "
-                     f"{'yes' if pr.stabilized[n] else 'no':>7}")
-    return "\n".join(lines)
+    kind = "periodic cyclic " + ("cohomology" if pr.cohomology else "homology")
+    return text_table(
+        f"{kind} of {pr.algebra_name} "
+        f"(window {pr.window} vs {pr.window + 2})",
+        [("degree", 8), ("betti", 6), ("wider", 6), ("stable", 7)],
+        [(n, pr.betti[n], pr.betti_wider[n],
+          "yes" if pr.stabilized[n] else "no") for n in pr.degrees])
 
 
 def cmd_duality(args) -> int:
     alg = _load(args.file)
     hh = hochschild_homology(alg, args.max, check_identities=False)
     hhco = hochschild_cohomology(alg, args.max)
-    rows = []
-    all_equal = True
-    for n in range(args.max + 1):
-        eq = hh.betti[n] == hhco.betti[n]
-        all_equal = all_equal and eq
-        rows.append((n, hh.betti[n], hhco.betti[n], eq))
+    rows = [(n, hh.betti[n], hhco.betti[n]) for n in range(args.max + 1)]
     payload = {"algebra": alg.name,
                "rows": [{"degree": n, "homology": a, "cohomology": b,
-                         "equal": e} for n, a, b, e in rows]}
-    lines = [f"duality check for {alg.name}: dim H_n(A,A) vs dim H^n(A,A*)"]
-    lines.append(f"{'degree':>8} {'H_n':>6} {'H^n':>6} {'equal':>6}")
-    for n, a, b, e in rows:
-        lines.append(f"{n:>8} {a:>6} {b:>6} {'yes' if e else 'NO':>6}")
-    _emit(payload, args.format, "\n".join(lines))
-    return EXIT_OK if all_equal else EXIT_IDENTITY
+                         "equal": a == b} for n, a, b in rows]}
+    _emit(payload, args.format, text_table(
+        f"duality check for {alg.name}: dim H_n(A,A) vs dim H^n(A,A*)",
+        [("degree", 8), ("H_n", 6), ("H^n", 6), ("equal", 6)],
+        [(n, a, b, "yes" if a == b else "NO") for n, a, b in rows]))
+    return EXIT_OK if all(a == b for _, a, b in rows) else EXIT_IDENTITY
 
 
 def _read_json(path: str):
@@ -167,11 +159,17 @@ def _read_json(path: str):
         return json.load(fh)
 
 
+def _list(x) -> list:
+    if type(x) is not list:  # a JSON string is not a list of characters
+        raise TypeError(f"expected a list, got {json.dumps(x)[:40]}")
+    return x
+
+
 def _read_matrix(path: str, dim: int) -> Matrix:
     """A dim x dim matrix, given as a JSON list of rows."""
     try:
-        m = Matrix.from_rows([[scalar_from_string(str(x)) for x in row]
-                              for row in _read_json(path)])
+        m = Matrix.from_rows([[scalar_from_string(str(x)) for x in _list(row)]
+                              for row in _list(_read_json(path))])
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ShapeError(f"malformed matrix in {path}: {exc}") from exc
     if (m.rows, m.cols) != (dim, dim):
@@ -186,8 +184,11 @@ def _read_functional(path: str, alg: HomAlgebra,
     and, unless the degree n is given, its "degree"."""
     data = _read_json(path)
     try:
-        n = int(data["degree"]) if degree is None else degree
-        coords = tuple(scalar_from_string(str(x)) for x in data["coords"])
+        n = data["degree"] if degree is None else degree
+        if type(n) is not int:
+            raise TypeError(f"degree {json.dumps(n)} is not an integer")
+        coords = tuple(scalar_from_string(str(x))
+                       for x in _list(data["coords"]))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ShapeError(f"malformed functional in {path}: {exc}") from exc
     # dim >= 2, n >= bit length of len give dim^(n+1) > len: no huge power

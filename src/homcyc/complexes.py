@@ -5,9 +5,12 @@ the stored map at degree n goes down (homological, d_n: C_n -> C_{n-1})
 or up (cohomological, d^n: C^n -> C^{n+1}).
 
 Every square that must vanish (d o d, and v^2, h^2 and vh + hv in a
-bicomplex) is one `linalg.vanishes` call, and a complex remembers the
-degrees whose d o d it has found zero, so each is checked once however
-many reports read it.
+bicomplex) is one `linalg.vanishes` call, made once for each distinct
+sum of maps, and a complex remembers the degrees whose d o d it has
+found zero, so each is checked once however many reports read it.
+Homology classes are the cycles under the quotient map by the
+boundaries, one product (`homology_classes`); representatives and
+induced maps are read from them.
 """
 
 from __future__ import annotations
@@ -15,11 +18,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Literal, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Literal, Sequence
 
 from .linalg import (Matrix, NotASubspaceError, Subspace, block_matrix,
                      descend, image, kernel, quotient_dim,
-                     rank as matrix_rank, reduce_mod, restrict,
+                     rank as matrix_rank, restrict,
                      scalar_to_string, vanishes)
 
 Orientation = Literal["homological", "cohomological"]
@@ -109,47 +113,62 @@ class ChainComplex:
             self._squared_zero.add(n)
 
 
+def _betti(C: ChainComplex, n: int) -> int:
+    """dim C_n - rank(out of n) - rank(into n), from the memoised ranks."""
+    if n not in C.dims:
+        raise IndexError(f"degree {n} outside complex window")
+    return C.dim(n) - C.rank(n) - C.rank(C.incoming(n))
+
+
+def homology_classes(C: ChainComplex, n: int) -> tuple[Subspace, Subspace]:
+    """The boundaries B in degree n, and the homology classes H: the
+    image of the cycles Z under B's quotient map, i.e. Z / B in B's
+    `free_columns` coordinates.  Raises NotASubspaceError unless B lies
+    in Z, and ArithmeticError unless dim H is the rank Betti number."""
+    B = C.boundaries(n)
+    Z = kernel(C.differential(n))
+    quotient_dim(B, Z)  # raises unless B lies in Z
+    H = image(B.quotient @ Z.rows.transpose())
+    if H.dim != _betti(C, n):
+        raise ArithmeticError(f"{H.dim} classes for Betti number "
+                              f"{_betti(C, n)} in degree {n}")
+    return B, H
+
+
 def homology(C: ChainComplex, n: int, *, representatives: bool = True
              ) -> tuple[int, list[tuple[Fraction, ...]]]:
     """Betti number and canonical representatives in degree n.
 
-    The Betti number is dim C_n - rank(out of n) - rank(into n), from the
-    complex's memoised ranks.  With `representatives=False` the
-    representative list is empty; the only other work is the product of
-    the two differentials at degree n, which must vanish or
-    `BoundarySquareError` is raised, so an unchecked complex still fails.
-    The product is skipped where `check_d_squared` has already passed.
-
-    Representatives: kernel basis vectors reduced modulo the image via
-    RREF elimination (after checking that the image lies in the kernel);
-    zero residuals are dropped, duplicates removed by re-normalizing, so
-    the result is a deterministic basis of a complement of the image
-    inside the kernel.  Their count must equal the rank Betti number.
+    The Betti number comes from the memoised ranks.  The representatives
+    are the RREF rows of `homology_classes`' H put back at the free
+    columns of the boundaries: the RREF of the cycles reduced modulo the
+    boundaries, a basis of a complement of the boundaries in the cycles.
+    With `representatives=False` the list is empty, and the only other
+    work is the composite of the two differentials at n, which must
+    vanish (`BoundarySquareError`) unless `check_d_squared` passed.
     """
-    if n not in C.dims:
-        raise IndexError(f"degree {n} outside complex window")
+    if representatives:
+        B, H = homology_classes(C, n)
+        lift = Matrix.from_integer_rows(
+            C.dim(n), [(1, {f: 1}) for f in B.free_columns()])
+        return H.dim, [tuple(r) for r in (H.rows @ lift).to_rows()]
+    betti = _betti(C, n)
     incoming_deg = C.incoming(n)
-    betti = C.dim(n) - C.rank(n) - C.rank(incoming_deg)
-    if not representatives:
-        if incoming_deg in C.dims and incoming_deg not in C._squared_zero \
-                and not vanishes((1, C.differential(n),
-                                  C.differential(incoming_deg))):
-            raise BoundarySquareError(f"d o d != 0 into degree {n}")
-        return betti, []
-    ker = kernel(C.differential(n))
-    im = C.boundaries(n)
-    quotient_dim(im, ker)  # raises if im not inside ker
-    reduced = []
-    for v in ker.basis:
-        r = reduce_mod(im, v)
-        if any(r):
-            reduced.append(r)
-    reps_sub = Subspace.from_vectors(C.dim(n), reduced)
-    reps = list(reps_sub.basis)
-    if len(reps) != betti:
-        raise ArithmeticError(f"{len(reps)} representatives for Betti "
-                              f"number {betti} in degree {n}")
-    return betti, reps
+    if incoming_deg in C.dims and incoming_deg not in C._squared_zero \
+            and not vanishes((1, C.differential(n),
+                              C.differential(incoming_deg))):
+        raise BoundarySquareError(f"d o d != 0 into degree {n}")
+    return betti, []
+
+
+def text_table(title: str, columns: Sequence[tuple[str, int]],
+               rows: Iterable[Sequence]) -> str:
+    """The title, a header of the column names, then one line per row:
+    each cell right-aligned to its column's width, cells joined by a
+    space."""
+    return "\n".join([title] + [
+        " ".join(f"{x:>{width}}" for x, (_, width) in zip(row, columns))
+        for row in [[name for name, _ in columns], *rows]])
 
 
 @dataclass(frozen=True)
@@ -190,20 +209,18 @@ class HomologyReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
     def to_text(self, label_fn: Callable[[int, int], str] | None = None) -> str:
-        lines = [f"{self.theory} of {self.algebra_name} "
-                 f"(coefficients: {self.coefficient_name})"]
-        lines.append(f"{'degree':>8} {'dim ker':>8} {'dim im':>8} {'betti':>6}")
-        for n in self.degrees:
-            lines.append(f"{n:>8} {self.kernel_dims[n]:>8} "
-                         f"{self.image_dims[n]:>8} {self.betti[n]:>6}")
+        lines = [text_table(
+            f"{self.theory} of {self.algebra_name} "
+            f"(coefficients: {self.coefficient_name})",
+            [("degree", 8), ("dim ker", 8), ("dim im", 8), ("betti", 6)],
+            [(n, self.kernel_dims[n], self.image_dims[n], self.betti[n])
+             for n in self.degrees])]
+        label = label_fn or (lambda n, i: f"x{i}")
         for n, reps in sorted(self.representatives.items()):
             for v in reps:
-                terms = []
-                for i, x in enumerate(v):
-                    if x:
-                        lbl = label_fn(n, i) if label_fn else f"x{i}"
-                        terms.append(f"{scalar_to_string(x)}*{lbl}")
-                lines.append(f"  cycle[{n}]: " + " + ".join(terms))
+                lines.append(f"  cycle[{n}]: " + " + ".join(
+                    f"{scalar_to_string(x)}*{label(n, i)}"
+                    for i, x in enumerate(v) if x))
         return "\n".join(lines)
 
 
@@ -212,22 +229,16 @@ def report_for_complex(C: ChainComplex, degrees: Sequence[int], *,
                        representatives: bool = False,
                        metadata: dict | None = None) -> HomologyReport:
     C.check_d_squared()
-    betti: dict[int, int] = {}
-    kdims: dict[int, int] = {}
-    idims: dict[int, int] = {}
-    reps: dict[int, list] = {}
-    for n in degrees:
-        betti[n], r = homology(C, n, representatives=representatives)
-        kdims[n] = C.dim(n) - C.rank(n)
-        idims[n] = C.rank(C.incoming(n))
-        if representatives:
-            reps[n] = r
-    return HomologyReport(theory=theory, algebra_name=algebra_name,
-                          coefficient_name=coefficient_name,
-                          orientation=C.orientation,
-                          degrees=tuple(degrees), betti=betti,
-                          kernel_dims=kdims, image_dims=idims,
-                          representatives=reps, metadata=metadata or {})
+    hom = {n: homology(C, n, representatives=representatives)
+           for n in degrees}
+    return HomologyReport(
+        theory=theory, algebra_name=algebra_name,
+        coefficient_name=coefficient_name, orientation=C.orientation,
+        degrees=tuple(degrees), betti={n: b for n, (b, _) in hom.items()},
+        kernel_dims={n: C.dim(n) - C.rank(n) for n in hom},
+        image_dims={n: C.rank(C.incoming(n)) for n in hom},
+        representatives={n: r for n, (_, r) in hom.items()}
+        if representatives else {}, metadata=metadata or {})
 
 
 @dataclass(frozen=True)
@@ -263,38 +274,38 @@ class Bicomplex:
         return Matrix.zero(self.dim(p + self._step(), q), self.dim(p, q))
 
     def check_squares(self) -> None:
-        vs = hs = self._step()
+        """v^2 = 0, h^2 = 0 and vh + hv = 0 cell by cell.  Cells that
+        share their maps share the sum, and each distinct sum is
+        evaluated once; a repeat of a failing sum is never reached, so
+        the first error is the same as checking every cell."""
+        s, v, h = self._step(), self.vmap, self.hmap
+        seen: dict[tuple, list] = {}  # holds the maps, so ids stay unique
         for (p, q) in self.cell_dims:
-            if (p, q + 2 * vs) in self.cell_dims:
-                if not vanishes((1, self.vmap(p, q + vs), self.vmap(p, q))):
-                    raise BoundarySquareError(f"vertical^2 != 0 at {(p, q)}")
-            if (p + 2 * hs, q) in self.cell_dims:
-                if not vanishes((1, self.hmap(p + hs, q), self.hmap(p, q))):
-                    raise BoundarySquareError(f"horizontal^2 != 0 at {(p, q)}")
-            if (p + hs, q + vs) in self.cell_dims:
-                if not vanishes((1, self.vmap(p + hs, q), self.hmap(p, q)),
-                                (1, self.hmap(p, q + vs), self.vmap(p, q))):
-                    raise BoundarySquareError(
-                        f"squares do not anticommute at {(p, q)}")
+            for tgt, terms, error in [
+                    ((p, q + 2 * s), [(1, v(p, q + s), v(p, q))],
+                     "vertical^2 != 0"),
+                    ((p + 2 * s, q), [(1, h(p + s, q), h(p, q))],
+                     "horizontal^2 != 0"),
+                    ((p + s, q + s), [(1, v(p + s, q), h(p, q)),
+                                      (1, h(p, q + s), v(p, q))],
+                     "squares do not anticommute")]:
+                key = tuple((c, id(a), id(b)) for c, a, b in terms)
+                if tgt in self.cell_dims and key not in seen:
+                    seen[key] = terms
+                    if not vanishes(*terms):
+                        raise BoundarySquareError(f"{error} at {(p, q)}")
 
 
 def total_complex(B: Bicomplex) -> ChainComplex:
     """Direct-sum total complex; d^2 = 0 re-verified on the result."""
     B.check_squares()
     degrees: dict[int, list[tuple[int, int]]] = {}
-    for (p, q) in B.cell_dims:
+    for (p, q) in sorted(B.cell_dims):
         degrees.setdefault(p + q, []).append((p, q))
-    for cells in degrees.values():
-        cells.sort()
-    dims = {n: sum(B.dim(p, q) for p, q in cells)
-            for n, cells in degrees.items()}
-    offsets: dict[int, dict[tuple[int, int], int]] = {}
+    dims, offsets = {}, {}
     for n, cells in degrees.items():
-        off = 0
-        offsets[n] = {}
-        for cell in cells:
-            offsets[n][cell] = off
-            off += B.dim(*cell)
+        offs = list(accumulate((B.dim(*c) for c in cells), initial=0))
+        dims[n], offsets[n] = offs[-1], dict(zip(cells, offs))
     step = -1 if B.orientation == "homological" else 1
     diffs: dict[int, Matrix] = {}
     for n in degrees:
@@ -323,35 +334,25 @@ def quotient_complex(C: ChainComplex, subspaces: dict[int, Subspace]) -> ChainCo
     the standard basis vectors at the `free_columns` of the subspace's
     RREF basis.
     """
-    subs = _in_degrees(C, subspaces)
-    return _mapped_complex(C, subs, descend,
-                           {n: C.dim(n) - s.dim for n, s in subs.items()})
+    return _mapped_complex(C, subspaces, quotient=True)
 
 
 def sub_complex(C: ChainComplex, subspaces: dict[int, Subspace]) -> ChainComplex:
     """Restriction of C to a d-stable family of subspaces, in the
     coordinates of their RREF bases."""
-    subs = _in_degrees(C, subspaces)
-    return _mapped_complex(C, subs, restrict,
-                           {n: s.dim for n, s in subs.items()})
+    return _mapped_complex(C, subspaces, quotient=False)
 
 
-def _in_degrees(C: ChainComplex, subspaces: dict[int, Subspace]
-                ) -> dict[int, Subspace]:
-    """Per degree of C, the given subspace of C_n, or zero."""
-    subs = {}
-    for n in C.dims:
-        subs[n] = subspaces.get(n, Subspace.zero(C.dim(n)))
-        if subs[n].ambient_dim != C.dim(n):
+def _mapped_complex(C: ChainComplex, subspaces: dict[int, Subspace],
+                    quotient: bool) -> ChainComplex:
+    """The complex whose differential out of degree n is C's, taken by
+    `descend` (quotient) or `restrict` from the subspace of C_n, zero
+    where none is given, to the one in the target degree."""
+    subs = {n: subspaces.get(n, Subspace.zero(C.dim(n))) for n in C.dims}
+    for n, sub in subs.items():
+        if sub.ambient_dim != C.dim(n):
             raise ValueError(f"subspace ambient dim mismatch in degree {n}")
-    return subs
-
-
-def _mapped_complex(C: ChainComplex, subs: dict[int, Subspace],
-                    induced: Callable[[Matrix, Subspace, Subspace], Matrix],
-                    dims: dict[int, int]) -> ChainComplex:
-    """The complex whose differential out of degree n is `induced` of
-    C's, from subs[n] to the subspace in the target degree."""
+    induced = descend if quotient else restrict
     step = -1 if C.orientation == "homological" else 1
     diffs: dict[int, Matrix] = {}
     for n in C.dims:
@@ -361,6 +362,8 @@ def _mapped_complex(C: ChainComplex, subs: dict[int, Subspace],
             except NotASubspaceError as exc:
                 raise NotStableError(f"differential does not preserve "
                                      f"subspace at degree {n}") from exc
+    dims = {n: C.dim(n) - sub.dim if quotient else sub.dim
+            for n, sub in subs.items()}
     out = ChainComplex(dims=dims, diffs=diffs, orientation=C.orientation)
     out.check_d_squared()
     return out

@@ -12,17 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import AlgebraMorphism, HomAlgebra, find_unit, validate_morphism
+from .algebra import (AlgebraMorphism, HomAlgebra, alpha_is_idempotent,
+                      find_unit, is_associative, validate_morphism)
 from .coefficients import dualize_bimodule, regular_bimodule
 from .complexes import (Bicomplex, ChainComplex, HomologyReport, homology,
-                        report_for_complex, total_complex)
+                        homology_classes, quotient_complex,
+                        report_for_complex, sub_complex, total_complex)
 from .hochschild import (IdentityViolationError, b_prime, cyclic_t,
                          build_hochschild_cohomology_complex,
                          build_hochschild_homology_complex,
                          hochschild_b, norm_N)
-from .linalg import (Matrix, NotASubspaceError, Subspace, block_matrix,
-                     descend, image, kron, kernel, maps_into, reduce_mod,
-                     restrict, vanishes)
+from .linalg import (Matrix, NotASubspaceError, Subspace, descend, image,
+                     kron, kernel, maps_into, restrict, vanishes)
 
 
 def hochschild_homology(A: HomAlgebra, n_max: int, *,
@@ -67,7 +68,6 @@ def cyclic_invariant_subspaces(A: HomAlgebra, n_max: int) -> dict[int, Subspace]
 def cyclic_homology_lambda(A: HomAlgebra, n_max: int, *,
                            representatives: bool = False) -> HomologyReport:
     """Homology of C_*(A) / im(Id - t), the cyclic-coinvariants complex."""
-    from .complexes import quotient_complex
     V = regular_bimodule(A)
     C = build_hochschild_homology_complex(A, V, n_max + 1,
                                           check_identities=False)
@@ -81,7 +81,6 @@ def cyclic_homology_lambda(A: HomAlgebra, n_max: int, *,
 def cyclic_cohomology_lambda(A: HomAlgebra, n_max: int, *,
                              representatives: bool = False) -> HomologyReport:
     """Cohomology of the cyclic-invariant subcomplex ker(Id - t)."""
-    from .complexes import sub_complex
     W = dualize_bimodule(regular_bimodule(A))
     C = build_hochschild_cohomology_complex(A, W, n_max + 1,
                                             check_identities=False)
@@ -131,14 +130,16 @@ def cocyclic_bicomplex(A: HomAlgebra, n_max: int) -> Bicomplex:
     transposed and every arrow reversed (Loday, Cyclic Homology, 2.1).
 
     The chain map out of (p, q) into (p, q-1), resp. (p-1, q), becomes
-    the cochain map out of (p, q-1), resp. (p-1, q), into (p, q).
+    the cochain map out of (p, q-1), resp. (p-1, q), into (p, q).  A map
+    shared along a row is transposed once and stays shared.
     """
     B = cyclic_bicomplex(A, n_max)
+    maps = {id(m): m for m in [*B.vertical.values(), *B.horizontal.values()]}
+    tr = {k: m.transpose() for k, m in maps.items()}
     return Bicomplex(
         cell_dims=B.cell_dims,
-        vertical={(p, q - 1): m.transpose()
-                  for (p, q), m in B.vertical.items()},
-        horizontal={(p - 1, q): m.transpose()
+        vertical={(p, q - 1): tr[id(m)] for (p, q), m in B.vertical.items()},
+        horizontal={(p - 1, q): tr[id(m)]
                     for (p, q), m in B.horizontal.items()},
         orientation="cohomological")
 
@@ -331,29 +332,14 @@ def connes_bB_report(A: HomAlgebra, n_max: int) -> ConnesBBReport:
                for n in range(n_max + 1))
     if not (b2 and anti):
         return ConnesBBReport(A.name, tuple(range(n_max + 1)), b2, anti)
-    # assemble the (b, B) total complex: Tot_n = (+)_j C_{n-2j}
-    dims = {}
-    offsets = {}
-    for n in range(n_max + 2):
-        comps = [n - 2 * j for j in range((n // 2) + 1)]
-        offs = {}
-        off = 0
-        for m in comps:
-            offs[m] = off
-            off += A.dim ** (m + 1)
-        dims[n] = off
-        offsets[n] = offs
-    diffs = {}
-    for n in range(1, n_max + 2):
-        blocks = []
-        for m, coff in offsets[n].items():
-            if m >= 1 and (m - 1) in offsets[n - 1]:
-                blocks.append((bmaps[m], offsets[n - 1][m - 1], coff))
-            if (m + 1) in offsets[n - 1]:
-                blocks.append((Bmaps[m], offsets[n - 1][m + 1], coff))
-        diffs[n] = block_matrix(dims[n - 1], dims[n], blocks)
-    T = ChainComplex(dims=dims, diffs=diffs, orientation="homological")
-    T.check_d_squared()
+    # Loday's (b, B)-bicomplex: cell (p, q), 0 <= p <= q, is C_{q-p}, with
+    # b down the columns and B along the rows, so Tot_n = (+)_p C_{n-2p}
+    cells = {(p, q): A.dim ** (q - p + 1) for q in range(n_max + 2)
+             for p in range(q + 1) if p + q <= n_max + 1}
+    T = total_complex(Bicomplex(
+        cell_dims=cells,
+        vertical={(p, q): bmaps[q - p] for p, q in cells if q > p},
+        horizontal={(p, q): Bmaps[q - p] for p, q in cells if p > 0}))
     betti = {n: homology(T, n, representatives=False)[0]
              for n in range(n_max + 1)}
     cyc = cyclic_homology_bicomplex(A, n_max)
@@ -378,14 +364,13 @@ class ChainMapError(ValueError):
 
 def _homology_matrix(C_src: ChainComplex, C_tgt: ChainComplex,
                      maps: dict[int, Matrix], n: int) -> Matrix:
-    """Matrix of the induced map on degree-n homology representatives."""
+    """Matrix of the induced map on degree-n homology classes: the
+    target's quotient by its boundaries after the chain map, restricted
+    to the source representatives, read in the target classes."""
     _, reps_src = homology(C_src, n)
-    _, reps_tgt = homology(C_tgt, n)
-    im_tgt = C_tgt.boundaries(n)
-    tgt_space = Subspace.from_vectors(C_tgt.dim(n), reps_tgt)
-    return Matrix.from_columns(len(reps_tgt), [
-        tgt_space.coordinates(reduce_mod(im_tgt, maps[n].apply(v)))
-        for v in reps_src])
+    B_tgt, H_tgt = homology_classes(C_tgt, n)
+    return restrict(B_tgt.quotient @ maps[n],
+                    Subspace.from_vectors(C_src.dim(n), reps_src), H_tgt)
 
 
 def induced_map_on_homology(f: AlgebraMorphism, theory: str, n: int) -> Matrix:
@@ -411,7 +396,6 @@ def induced_map_on_homology(f: AlgebraMorphism, theory: str, n: int) -> Matrix:
         return _homology_matrix(CA, CB, tmaps, n)
     if theory != "HC":
         raise ValueError("theory must be 'HH' or 'HC'")
-    from .complexes import quotient_complex
     subsA = lambda_quotient_subspaces(A, n + 1)
     subsB = lambda_quotient_subspaces(Bg, n + 1)
     QA = quotient_complex(CA, subsA)
@@ -438,7 +422,6 @@ def xi_map(assoc: HomAlgebra, twisted: HomAlgebra, n: int) -> Matrix:
     an idempotent algebra endomorphism.  Verified to commute with the
     coboundaries and to preserve cyclicity.
     """
-    from .algebra import alpha_is_idempotent, is_associative
     if not is_associative(assoc) or assoc.alpha != Matrix.identity(assoc.dim):
         raise ValueError("source must be associative with alpha = Id")
     if not alpha_is_idempotent(twisted):
@@ -459,7 +442,6 @@ def xi_map(assoc: HomAlgebra, twisted: HomAlgebra, n: int) -> Matrix:
 def xi_induced_on_cyclic_cohomology(assoc: HomAlgebra, twisted: HomAlgebra,
                                     n: int) -> Matrix:
     """Matrix of the map HC^n(A) -> HC^n(A_alpha) induced by xi."""
-    from .complexes import sub_complex
     CA = build_hochschild_cohomology_complex(
         assoc, dualize_bimodule(regular_bimodule(assoc)), n + 1,
         check_identities=False)

@@ -16,6 +16,13 @@ reference for `linalg.reduce_mod`, `Subspace.coordinates` and
 `Subspace.contains`.  `induced_on_quotient` is homcyc's earlier
 construction of a map on quotients from the two, the reference for
 `linalg.descend`; it reads a `Subspace` only through its dense `basis`.
+`homology_representatives` and `homology_matrix` are homcyc's earlier
+per-vector homology: each kernel vector reduced modulo the image with
+`reduce_mod`, and each source class pushed through the chain map and
+read in the target classes; they are the reference for
+`complexes.homology` and the induced maps of `homcyc.cyclic`.
+`bB_total_differentials` is homcyc's earlier hand assembly of the
+(b, B) total complex, the reference for its build as a `Bicomplex`.
 
 The axiom checks at the end are homcyc's earlier checks of the structure
 axioms, one loop over basis tuples each, evaluating both sides of every
@@ -257,6 +264,81 @@ def induced_on_quotient(m, sub_src, sub_tgt):
             raise ValueError("residual off the coset representatives")
         cols.append(coords)
     return _transpose(cols, len(tgt_reps))
+
+
+def _rows_apply(rows, vec):
+    return [sum((r[j] * x for j, x in enumerate(vec) if x), ZERO)
+            for r in rows]
+
+
+def homology_representatives(d_out, d_in, dim):
+    """The canonical homology representatives in a degree of dimension
+    dim, from the dense rows of the map out of it and of the map into
+    it: the kernel basis of d_out, each vector reduced modulo the
+    column space of d_in, zero residuals dropped, and the RREF of the
+    rest."""
+    a, pivots = rref(d_out, dim)
+    kernel = []
+    for f in range(dim):
+        if f not in pivots:
+            v = [ZERO] * dim
+            v[f] = ONE
+            for row, p in zip(a, pivots):
+                v[p] = -row[f]
+            kernel.append(v)
+    image_rows = [list(c) for c in zip(*d_in)]
+    residuals = [r for v in kernel
+                 for r in [reduce_mod(image_rows, v)[1]] if any(r)]
+    basis, pivots = rref(residuals, dim)
+    return [tuple(r) for r in basis[:len(pivots)]]
+
+
+def homology_matrix(src, tgt, m):
+    """The induced map on homology in one degree: src and tgt are
+    (d_out, d_in, dim) of that degree, m the dense rows of the chain map
+    there.  Column j is the image of source representative j, reduced
+    modulo the target's image and given coordinates in the target
+    representatives."""
+    reps_src = homology_representatives(*src)
+    reps_tgt = homology_representatives(*tgt)
+    image_rows = [list(c) for c in zip(*tgt[1])]
+    cols = []
+    for v in reps_src:
+        _, residual = reduce_mod(image_rows, _rows_apply(m, v))
+        coords, rest = reduce_mod(reps_tgt, residual)
+        if any(rest):
+            raise ValueError("residual off the target representatives")
+        cols.append(coords)
+    return _transpose(cols, len(reps_tgt))
+
+
+def bB_total_differentials(b, B, dim, n_max):
+    """The (b, B) total complex assembled block by block: Tot_n is
+    C_n + C_{n-2} + ..., in that order, and d_n places b_m: C_m ->
+    C_(m-1) and B_m: C_m -> C_(m+1) at their offsets.  b and B map m to
+    dense rows, dim(m) is dim C_m.  Returns ({n: dim Tot_n}, {n: dense
+    rows of d_n}) for n up to n_max + 1."""
+    dims, offsets = {}, {}
+    for n in range(n_max + 2):
+        off, offsets[n] = 0, {}
+        for m in range(n, -1, -2):
+            offsets[n][m] = off
+            off += dim(m)
+        dims[n] = off
+    diffs = {}
+    for n in range(1, n_max + 2):
+        rows = [[ZERO] * dims[n] for _ in range(dims[n - 1])]
+        for m, coff in offsets[n].items():
+            blocks = []
+            if m >= 1 and m - 1 in offsets[n - 1]:
+                blocks.append((b[m], offsets[n - 1][m - 1]))
+            if m + 1 in offsets[n - 1]:
+                blocks.append((B[m], offsets[n - 1][m + 1]))
+            for block, roff in blocks:
+                for i, r in enumerate(block):
+                    rows[roff + i][coff:coff + len(r)] = r
+        diffs[n] = rows
+    return dims, diffs
 
 
 # ---------------------------------------------------------------------------

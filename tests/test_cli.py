@@ -277,9 +277,22 @@ def _exit_code(argv):
      {"rho": [["0", "0"], ["0"]], "tr": {"coords": ["1", "0"]}}, "error: "),
     (["derive", "--derivation", "{rho}", "--trace", "{tr}"],
      {"rho": [["0", "0"], ["0", "0"]], "tr": {"coords": ["1"]}}, "error: "),
+    (["verify", "--functional", "{phi}"],
+     {"phi": {"degree": 0, "coords": "10"}}, "error: "),
+    (["verify", "--functional", "{phi}"],
+     {"phi": {"degree": True, "coords": ["0"] * 4}}, "error: "),
+    (["verify", "--functional", "{phi}"],
+     {"phi": {"degree": 1.5, "coords": ["0"] * 4}}, "error: "),
+    (["derive", "--derivation", "{rho}", "--trace", "{tr}"],
+     {"rho": ["00", ["0", "0"]], "tr": {"coords": ["1", "0"]}}, "error: "),
+    (["derive", "--derivation", "{rho}", "--trace", "{tr}"],
+     {"rho": [["0", "0"], ["0", "0"]], "tr": {"coords": "10"}}, "error: "),
 ], ids=["verify-no-functional", "derive-no-options", "derive-no-derivation",
         "functional-wrong-length", "functional-no-degree",
-        "functional-huge-degree", "ragged-derivation", "trace-wrong-length"])
+        "functional-huge-degree", "ragged-derivation", "trace-wrong-length",
+        "functional-coords-a-string", "functional-degree-a-bool",
+        "functional-degree-a-float", "derivation-row-a-string",
+        "trace-coords-a-string"])
 def test_malformed_cocycle_input_exits_2(example_file, tmp_path, capsys,
                                          args, files, err_prefix):
     paths = {}
@@ -297,9 +310,10 @@ def test_malformed_cocycle_input_exits_2(example_file, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("alpha", [[[1, 0], [0]], [[1, 0], [0, 0], [0, 0]],
-                                   5, [["x", 0], [0, 1]]],
+                                   5, [["x", 0], [0, 1]], ["10", "01"],
+                                   [[1, 0], "01"]],
                          ids=["ragged", "not-square", "not-a-list",
-                              "not-a-number"])
+                              "not-a-number", "rows-strings", "row-a-string"])
 def test_malformed_twist_matrix_exits_2(assoc_file, tmp_path, capsys, alpha):
     p = tmp_path / "alpha.json"
     p.write_text(json.dumps(alpha))

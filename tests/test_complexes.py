@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_operators as ref
 from homcyc.complexes import (Bicomplex, BoundarySquareError, ChainComplex,
-                              NotStableError, homology, quotient_complex,
-                              sub_complex, total_complex)
-from homcyc.linalg import Matrix, Subspace, kernel
+                              NotStableError, homology, homology_classes,
+                              quotient_complex, sub_complex, total_complex)
+from homcyc.linalg import Matrix, NotASubspaceError, Subspace, kernel
 
 F = Fraction
 
@@ -107,11 +108,10 @@ def _matrix(rows, cols):
         Matrix.zero(rows, cols))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data(), st.sampled_from(["homological", "cohomological"]))
-def test_rank_betti_matches_representative_count(data, orientation):
-    # C_2 -d2-> C_1 -d1-> C_0 with d2 = (kernel basis of d1) @ R
-    c0, c1, c2 = (data.draw(st.integers(1, 4)) for _ in range(3))
+def _complex(data, orientation, least_dim=1):
+    """C_2 -d2-> C_1 -d1-> C_0 with d2 = (kernel basis of d1) @ R, or
+    its transpose in cohomological orientation; d^2 = 0 is checked."""
+    c0, c1, c2 = (data.draw(st.integers(least_dim, 4)) for _ in range(3))
     d1 = data.draw(_matrix(c0, c1))
     ker = kernel(d1).basis
     basis = Matrix(c1, len(ker), tuple(v[i] for i in range(c1) for v in ker))
@@ -123,6 +123,13 @@ def test_rank_betti_matches_representative_count(data, orientation):
     C = ChainComplex(dims={0: c0, 1: c1, 2: c2}, diffs=diffs,
                      orientation=orientation)
     C.check_d_squared()
+    return C
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from(["homological", "cohomological"]))
+def test_rank_betti_matches_representative_count(data, orientation):
+    C = _complex(data, orientation)
     for n in range(3):
         betti, reps = homology(C, n, representatives=False)
         assert reps == []
@@ -169,3 +176,43 @@ def test_check_d_squared_skips_degrees_found_zero(monkeypatch):
         with pytest.raises(BoundarySquareError,
                            match="out of degree 2"):
             bad.check_d_squared()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(["homological", "cohomological"]))
+def test_representatives_match_per_vector_reduction(data, orientation):
+    """The classes read from one product are the representatives of
+    reducing each kernel vector modulo the image, byte for byte."""
+    C = _complex(data, orientation, least_dim=0)
+    for n in range(3):
+        out, into = C.differential(n), C.differential(C.incoming(n))
+        assert homology(C, n)[1] == ref.homology_representatives(
+            out.to_rows(), into.to_rows(), C.dim(n))
+
+
+def test_homology_classes_in_free_coordinates():
+    """B = span(e2) in Q^3 and Z = span(e1, e2): H is the cycles modulo
+    B in B's free coordinates (e1, e3), that is span(e1) there."""
+    d1 = Matrix.from_rows([[0, 0, 1]])
+    d2 = Matrix.from_rows([[0], [1], [0]])
+    C = ChainComplex(dims={0: 1, 1: 3, 2: 1}, diffs={1: d1, 2: d2})
+    B, H = homology_classes(C, 1)
+    assert B == Subspace.from_vectors(3, [(0, 1, 0)])
+    assert B.free_columns() == [0, 2]
+    assert H == Subspace.from_vectors(2, [(1, 0)])
+    assert homology(C, 1)[1] == [(F(1), F(0), F(0))]
+
+
+def test_homology_classes_require_boundaries_in_cycles():
+    C = ChainComplex(dims={0: 1, 1: 1, 2: 1},
+                     diffs={1: Matrix.identity(1), 2: Matrix.identity(1)})
+    with pytest.raises(NotASubspaceError):
+        homology_classes(C, 1)
+
+
+def test_homology_classes_count_must_equal_rank_betti():
+    """A rank that disagrees with the classes is an ArithmeticError."""
+    C = ChainComplex(dims={0: 2, 1: 1}, diffs={1: Matrix.zero(2, 1)})
+    C._ranks[1] = 1  # a wrong memoised rank: Betti 0 in degree 1
+    with pytest.raises(ArithmeticError):
+        homology_classes(C, 1)

@@ -1,16 +1,20 @@
 """Cyclic and periodic (co)homology: both constructions, functoriality."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import reference_operators as ref
-from homcyc.algebra import AlgebraMorphism
+from homcyc import cyclic
+from homcyc.algebra import AlgebraMorphism, find_unit, load_algebra
 from homcyc.coefficients import regular_bimodule
 from homcyc.corpus import (dual_numbers, dual_numbers_projection_twist,
-                           ground_field, k2, k_times_k, k_times_k_swap_twist,
-                           matrix_2x2, standard_corpus, two_dim_unital)
-from homcyc.cyclic import (ChainMapError, connes_bB_report,
+                           ground_field, k1_plus_k2, k2, k_times_k,
+                           k_times_k_swap_twist, matrix_2x2, standard_corpus,
+                           truncated_polynomials, two_dim_unital)
+from homcyc.cyclic import (ChainMapError, cocyclic_bicomplex,
+                           connes_boundary, connes_bB_report,
                            cyclic_bicomplex, cyclic_cohomology_both,
                            cyclic_cohomology_lambda, cyclic_homology_both,
                            cyclic_homology_lambda,
@@ -19,7 +23,7 @@ from homcyc.cyclic import (ChainMapError, connes_bB_report,
                            periodic_cohomology, periodic_homology,
                            tensor_power_matrix, xi_map,
                            xi_induced_on_cyclic_cohomology)
-from homcyc.complexes import quotient_complex
+from homcyc.complexes import quotient_complex, total_complex
 from homcyc.hochschild import build_hochschild_homology_complex, hochschild_b
 from homcyc.linalg import Matrix, reduce_mod
 
@@ -166,6 +170,54 @@ def test_bicomplex_squares(algebra):
     B.check_squares()
 
 
+def test_check_squares_evaluates_each_distinct_sum_once(monkeypatch):
+    """Each row of the cyclic bicomplex shares b, -b', Id - t and N, and
+    the cocyclic one transposes each shared map once, so both make 27
+    distinct checks over their 45 cells at n_max = 5."""
+    from homcyc import complexes
+    calls = []
+    vanishes = complexes.vanishes
+    monkeypatch.setattr(complexes, "vanishes",
+                        lambda *terms: calls.append(terms) or vanishes(*terms))
+    for build in (cyclic_bicomplex, cocyclic_bicomplex):
+        calls.clear()
+        build(two_dim_unital(), 5).check_squares()
+        assert len(calls) == 27
+        assert len({tuple((s, id(a), id(b)) for s, a, b in terms)
+                    for terms in calls}) == 27
+
+
+UNITAL = [ground_field, k2, k1_plus_k2, two_dim_unital, k_times_k,
+          dual_numbers, truncated_polynomials, matrix_2x2]
+
+
+@pytest.mark.parametrize("make", UNITAL, ids=lambda f: f.__name__)
+def test_bB_total_complex_matches_hand_assembly(make, monkeypatch):
+    """The (b,B) total complex built from its Bicomplex has the
+    dimensions and differentials of the block-by-block assembly, at
+    every n_max <= 3; where an identity fails, none is built."""
+    A = make()
+    unit = find_unit(A)
+    V = regular_bimodule(A)
+    built = []
+    monkeypatch.setattr(cyclic, "total_complex",
+                        lambda B: built.append(total_complex(B)) or built[-1])
+    for n_max in range(4):
+        built.clear()
+        rep = connes_bB_report(A, n_max)
+        if not rep.identities_hold:
+            assert not built
+            continue
+        b = {m: hochschild_b(A, V, m).to_rows() for m in range(1, n_max + 2)}
+        B = {m: connes_boundary(A, unit, m).to_rows()
+             for m in range(n_max + 1)}
+        dims, diffs = ref.bB_total_differentials(
+            b, B, lambda m: A.dim ** (m + 1), n_max)
+        T = built[0]
+        assert T.dims == dims
+        assert {n: T.differential(n).to_rows() for n in diffs} == diffs
+
+
 def test_connes_bB_on_associative_identity_twist():
     """At alpha = Id the (b,B) identities hold and the total homology
     matches the cyclic bicomplex."""
@@ -226,6 +278,44 @@ def test_induced_map_rejects_non_morphism():
     f = AlgebraMorphism(A, B, Matrix.from_rows([[1], [2]]))
     with pytest.raises(ChainMapError):
         induced_map_on_homology(f, "HH", 1)
+
+
+HALF = Path(__file__).parent / "golden" / "algebra-two_dim_unital_half.json"
+
+
+def _degree(C, n):
+    """(map out of n, map into n, dim C_n) as dense rows."""
+    return (C.differential(n).to_rows(),
+            C.differential(C.incoming(n)).to_rows(), C.dim(n))
+
+
+@pytest.mark.parametrize("theory", ["HH", "HC"])
+def test_induced_maps_match_per_vector_reference(theory):
+    """Along two_dim_unital -> its basis e1/2, e2, the induced map on
+    HH_n and HC_n, n <= 3, is that of pushing each representative
+    through the chain map and reducing it vector by vector.  The λ
+    quotients and the map on them come from the reference too."""
+    A = two_dim_unital()
+    half, _ = load_algebra(str(HALF))
+    f = AlgebraMorphism(A, half, Matrix.from_rows([[2, 0], [0, 1]]))
+    CA, CB = (build_hochschild_homology_complex(
+        X, regular_bimodule(X), 4, check_identities=False) for X in (A, half))
+    subsA = lambda_quotient_subspaces(A, 4)
+    subsB = lambda_quotient_subspaces(half, 4)
+    for n in range(4):
+        t = tensor_power_matrix(f.matrix, n + 1)
+        if theory == "HH":
+            src, tgt, m = _degree(CA, n), _degree(CB, n), t.to_rows()
+        else:
+            src, tgt = ((ref.induced_on_quotient(C.differential(n), s[n],
+                                                 s[n - 1]) if n else [],
+                         ref.induced_on_quotient(C.differential(n + 1),
+                                                 s[n + 1], s[n]),
+                         C.dim(n) - s[n].dim)
+                        for C, s in ((CA, subsA), (CB, subsB)))
+            m = ref.induced_on_quotient(t, subsA[n], subsB[n])
+        assert induced_map_on_homology(f, theory, n).to_rows() == \
+            ref.homology_matrix(src, tgt, m)
 
 
 def test_xi_map_commutes():

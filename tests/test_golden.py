@@ -9,6 +9,12 @@ The corpus bases have structure constants 0 and ±1.  One more algebra,
 `algebra-two_dim_unital_half.json`, is two_dim_unital in the basis
 e1/2, e2: its constants and its operators have denominators 2 to 8, so
 exact products over a common denominator are pinned byte for byte too.
+
+`hh-bb-*.json` pin the experimental (b,B) report after the `hh` report;
+on two_dim_unital bB + Bb fails and only the failure is reported.  The
+`text-*.txt` files pin the text tables of `hh`/`hhco` with
+representatives, `hc --method lambda` with representatives, `hc`/`hcco
+--method both`, `hp`/`hpco` and `duality`.
 """
 
 from fractions import Fraction
@@ -54,6 +60,31 @@ def _cases():
 
 CASES = list(_cases())
 
+BB_CASES = [(f"hh-bb-{alg}.json", alg,
+             ["hh", "--max", "3", "--experimental-bb", "--format", "json"])
+            for alg in ("ground_field", "k2", "two_dim_unital")]
+
+TEXT_CASES = [
+    ("text-hh-two_dim_unital.txt", "two_dim_unital",
+     ["hh", "--max", "3", "--representatives"]),
+    ("text-hhco-k1+k2.txt", "k1+k2",
+     ["hhco", "--max", "2", "--representatives"]),
+    ("text-hc-lambda-two_dim_unital.txt", "two_dim_unital",
+     ["hc", "--max", "3", "--method", "lambda", "--representatives"]),
+    ("text-hc-both-two_dim_unital.txt", "two_dim_unital",
+     ["hc", "--max", "3", "--method", "both"]),
+    ("text-hcco-both-k1+k2.txt", "k1+k2",
+     ["hcco", "--max", "3", "--method", "both"]),
+    ("text-hp-dual_numbers_twisted.txt", "dual_numbers_twisted",
+     ["hp", "--max", "1"]),
+    ("text-hpco-dual_numbers_twisted.txt", "dual_numbers_twisted",
+     ["hpco", "--max", "1"]),
+    ("text-duality-two_dim_unital.txt", "two_dim_unital",
+     ["duality", "--max", "3"]),
+    ("text-duality-dual_numbers_twisted.txt", "dual_numbers_twisted",
+     ["duality", "--max", "3"]),
+]
+
 HALF = GOLDEN / "algebra-two_dim_unital_half.json"
 HALF_CASES = [("hh-two_dim_unital_half", ["hh", "--max", "3"]),
               ("hc-lambda-two_dim_unital_half",
@@ -68,6 +99,16 @@ def test_golden_cli_output(name, alg, argv, tmp_path, capsys):
     assert main([argv[0], str(path)] + argv[1:]) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name,alg,argv", BB_CASES + TEXT_CASES,
+                         ids=[c[0] for c in BB_CASES + TEXT_CASES])
+def test_golden_bb_and_text_output(name, alg, argv, tmp_path, capsys):
+    path = tmp_path / "alg.json"
+    path.write_text(ALGEBRAS[alg][0]().to_json())
+    assert main([argv[0], str(path)] + argv[1:]) == 0
+    assert capsys.readouterr().out == \
+        (GOLDEN / name).read_text(encoding="utf-8")
 
 
 def test_half_basis_algebra_is_two_dim_unital():
