@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 
 from .algebra import (HomAlgebra, Violation, axiom_violations,
                       is_centroid_element)
-from .linalg import (Matrix, NotASubspaceError, Subspace, kron, restrict,
-                     solve_homogeneous)
+from .linalg import (Matrix, NotASubspaceError, Subspace, block_matrix, kron,
+                     permute_columns, restrict, solve_homogeneous)
 
 
 class CoefficientError(ValueError):
@@ -57,12 +57,20 @@ def _transposed(V: Bimodule, **changes) -> Bimodule:
 
 
 def _actions(V: Bimodule) -> tuple[Matrix, Matrix]:
-    """L (column (a, v) is e_a . e_v) and R (column (v, a) is e_v . e_a)."""
+    """L = [left[0] ... left[d-1]] (column (a, v) is e_a . e_v), and R,
+    [right[0] ... right[d-1]] read at (v, a) (column (v, a) is e_v . e_a)."""
     d, m = V.algebra.dim, V.dim
-    return (Matrix.from_columns(m, [V.left[a].col(v) for a in range(d)
-                                    for v in range(m)]),
-            Matrix.from_columns(m, [V.right[a].col(v) for v in range(m)
-                                    for a in range(d)]))
+    L, R = (block_matrix(m, d * m, [(act[a], 0, a * m) for a in range(d)])
+            for act in (V.left, V.right))
+    return L, permute_columns(R, [k % m * d + k // m for k in range(d * m)])
+
+
+def chain_data(V: Bimodule) -> tuple[Matrix, Matrix, Matrix]:
+    """L, R and beta of V as Hochschild chain coefficients; for a dual
+    bimodule, those of its transposed data, whose faces are its cofaces
+    transposed."""
+    U = _transposed(V) if V.dual else V
+    return (*_actions(U), U.beta)
 
 
 def _compatibility(V: Bimodule, axiom: str, L: Matrix, R: Matrix):
@@ -143,7 +151,7 @@ def dualize_bimodule(V: Bimodule) -> Bimodule:
 
     Built and checked once per bimodule instance, and kept on it, as
     `regular_bimodule` is kept on its algebra: V is immutable, so its
-    dual never changes, and the dual keeps its own face data.
+    dual never changes.
     """
     cached = vars(V).get("_dual")
     if cached is not None:

@@ -135,23 +135,31 @@ def homology_classes(C: ChainComplex, n: int) -> tuple[Subspace, Subspace]:
     return B, H
 
 
+def representative_space(C: ChainComplex, n: int) -> Subspace:
+    """The span of the canonical representatives in degree n: H's RREF
+    rows (`homology_classes`) put back at the boundaries' free columns,
+    which ascend, so the lifted rows are still an RREF."""
+    B, H = homology_classes(C, n)
+    lift = Matrix.from_integer_rows(
+        C.dim(n), [(1, {f: 1}) for f in B.free_columns()])
+    return Subspace(H.rows @ lift)
+
+
 def homology(C: ChainComplex, n: int, *, representatives: bool = True
              ) -> tuple[int, list[tuple[Fraction, ...]]]:
     """Betti number and canonical representatives in degree n.
 
     The Betti number comes from the memoised ranks.  The representatives
-    are the RREF rows of `homology_classes`' H put back at the free
-    columns of the boundaries: the RREF of the cycles reduced modulo the
-    boundaries, a basis of a complement of the boundaries in the cycles.
-    With `representatives=False` the list is empty, and the only other
-    work is the composite of the two differentials at n, which must
-    vanish (`BoundarySquareError`) unless `check_d_squared` passed.
+    are the rows of `representative_space`: the RREF of the cycles
+    reduced modulo the boundaries, a basis of a complement of the
+    boundaries in the cycles.  With `representatives=False` the list is
+    empty, and the only other work is the composite of the two
+    differentials at n, which must vanish (`BoundarySquareError`) unless
+    `check_d_squared` passed.
     """
     if representatives:
-        B, H = homology_classes(C, n)
-        lift = Matrix.from_integer_rows(
-            C.dim(n), [(1, {f: 1}) for f in B.free_columns()])
-        return H.dim, [tuple(r) for r in (H.rows @ lift).to_rows()]
+        reps = representative_space(C, n)
+        return reps.dim, [tuple(r) for r in reps.rows.to_rows()]
     betti = _betti(C, n)
     incoming_deg = C.incoming(n)
     if incoming_deg in C.dims and incoming_deg not in C._squared_zero \

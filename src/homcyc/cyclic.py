@@ -17,7 +17,8 @@ from .algebra import (AlgebraMorphism, HomAlgebra, alpha_is_idempotent,
 from .coefficients import dualize_bimodule, regular_bimodule
 from .complexes import (Bicomplex, ChainComplex, HomologyReport, homology,
                         homology_classes, quotient_complex,
-                        report_for_complex, sub_complex, total_complex)
+                        report_for_complex, representative_space,
+                        sub_complex, total_complex)
 from .hochschild import (IdentityViolationError, b_prime, cyclic_t,
                          build_hochschild_cohomology_complex,
                          build_hochschild_homology_complex,
@@ -367,10 +368,9 @@ def _homology_matrix(C_src: ChainComplex, C_tgt: ChainComplex,
     """Matrix of the induced map on degree-n homology classes: the
     target's quotient by its boundaries after the chain map, restricted
     to the source representatives, read in the target classes."""
-    _, reps_src = homology(C_src, n)
     B_tgt, H_tgt = homology_classes(C_tgt, n)
-    return restrict(B_tgt.quotient @ maps[n],
-                    Subspace.from_vectors(C_src.dim(n), reps_src), H_tgt)
+    return restrict(B_tgt.quotient @ maps[n], representative_space(C_src, n),
+                    H_tgt)
 
 
 def induced_map_on_homology(f: AlgebraMorphism, theory: str, n: int) -> Matrix:

@@ -9,41 +9,38 @@ with W = (regular)* this makes the identification of a cochain with a
 functional on A^{(x)(n+1)} the identity on coordinates, so the cyclic
 operators on cochains are plain transposes of the chain-level ones.
 
-One integer kernel builds every face-type operator.  `_Faces` writes
-alpha's columns, mu, beta and the action columns of one (algebra,
-coefficients) pair as sparse integer vectors over one common
-denominator D.  A face term in degree n is a tensor product of n of
-these vectors, so every column of a face, of b and of b' is a set of
-integers over D^n, which the matrix keeps as its integer rows (see
-`linalg`).  The cochain coefficients are a `Bimodule` tagged `dual`, and
-a coface is a face of its transposed coefficient data, transposed: each
-row of the coboundary is a face column.  The face data of a bimodule are
-built once and kept on it.  t is a signed permutation, and N and theta
-are weighted sums of its powers, written down directly.
+Every face is a Kronecker product (`linalg.kron`) of the structure
+matrices.  With L: A (x) V -> V and R: V (x) A -> V the actions, beta
+the coefficient map (`coefficients.chain_data`), mu the product and
+alpha^k the k-th tensor power of alpha, on C_n(A, V):
 
-The (co)simplicial identities are checked degree by degree.  All faces
-(or cofaces) of one degree come from one pass of the kernel, which
-shares the alpha prefixes and suffixes of each tensor among them, and a
-checked build hands each degree's list on to the check of the degree
-above, so every degree's faces are built once per build and kept no
-longer.  Each identity is one `linalg.vanishes` call, which sums the two
-products' integer rows and builds no product matrix.
+    delta_0 = R (x) alpha^(n-1)
+    delta_i = beta (x) alpha^(i-1) (x) mu (x) alpha^(n-1-i),  0 < i < n
+    delta_n = L (x) alpha^(n-1), read with the last input slot first
+
+b and b' are signed sums of faces, each added into `linalg.signed_sum`
+as it is built, so one face is alive at a time.  A dual `Bimodule`
+(the cochain coefficients) has its transposed data as chain data: a
+coface is a face of those, transposed, and the coboundary their signed
+sum, transposed.  t is a signed permutation, and N and theta are
+weighted sums of its powers.  Every operator raises IndexError outside
+its degrees.
+
+A checked build hands each degree's faces (or cofaces) on to the
+check of the (co)simplicial identities in the degree above, so they are
+built once per build; each identity is one `linalg.vanishes` call.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import product as iproduct
-from math import lcm
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .algebra import HomAlgebra
-from .coefficients import (Bimodule, regular_bimodule,
+from .coefficients import (Bimodule, chain_data, regular_bimodule,
                            validate_homology_coefficients)
 from .complexes import ChainComplex
-from .linalg import Matrix, vanishes
-
-SparseVector = list[tuple[int, int]]
+from .linalg import Matrix, kron, permute_columns, signed_sum, vanishes
 
 
 class CoefficientHypothesisError(ValueError):
@@ -59,120 +56,29 @@ def chain_dim(A: HomAlgebra, V, n: int) -> int:
     return V.dim * A.dim ** n
 
 
-def _kron(a: SparseVector, b: SparseVector, size_b: int) -> SparseVector:
-    """a (x) b for sparse vectors, a's index most significant."""
-    return [(i * size_b + j, x * y) for i, x in a for j, y in b]
+def _faces(A: HomAlgebra, V: Bimodule, n: int,
+           faces: Sequence[tuple[int, int]]) -> Iterator[tuple[int, Matrix]]:
+    """(sign, delta_i) on C_n(A, V) for each (i, sign) in `faces`, built
+    when asked for; IndexError unless n >= 1 and every 0 <= i <= n."""
+    if n < 1 or not all(0 <= i <= n for i, _ in faces):
+        raise IndexError(f"no faces {[i for i, _ in faces]} in degree {n}")
+    L, R, beta = chain_data(V)
+    d, m, top = A.dim, V.dim, A.dim ** (n - 1)
+    power = list(accumulate([A.alpha] * (n - 1), kron,
+                            initial=Matrix.identity(1)))  # alpha^(x)k
 
+    def face(i: int) -> Matrix:
+        if i == 0:
+            return kron(R, power[n - 1])
+        if i < n:
+            return kron(kron(kron(beta, power[i - 1]), A.product_matrix),
+                        power[n - 1 - i])
+        # input (a, v, rest) of L (x) alpha^(n-1) is tensor (v, rest, a)
+        return permute_columns(kron(L, power[n - 1]), [
+            (k // top % m * top + k % top) * d + k // (top * m)
+            for k in range(m * d * top)])
 
-class _Faces:
-    """alpha's columns, mu, beta and the action columns of one (algebra,
-    coefficients) pair as sparse integer vectors over one denominator D:
-    beta[v] = beta(e_v), left[v][a] = e_a . e_v, right[v][a] = e_v . e_a."""
-
-    def __init__(self, A: HomAlgebra, beta, left, right):
-        alpha = [A.alpha.col(j) for j in range(A.dim)]
-        mu = [list(row) for row in A.mu]
-        vecs = [*alpha, *beta] + [u for rows in (mu, left, right)
-                                  for row in rows for u in row]
-        D = lcm(*(x.denominator for u in vecs for x in u))
-
-        def sparse(u: Sequence[Fraction]) -> SparseVector:
-            return [(k, x.numerator * (D // x.denominator))
-                    for k, x in enumerate(u) if x]
-
-        self.d, self.m, self.D = A.dim, len(beta), D
-        self.alpha = [sparse(u) for u in alpha]
-        self.mu = [[sparse(u) for u in row] for row in mu]
-        self.beta = [sparse(u) for u in beta]
-        self.left = [[sparse(u) for u in row] for row in left]
-        self.right = [[sparse(u) for u in row] for row in right]
-
-    @staticmethod
-    def of(A: HomAlgebra, V: Bimodule) -> "_Faces":
-        """The face data of V; for a dual bimodule, of its transposed
-        coefficient data, whose faces are its cofaces transposed.  Built
-        once per bimodule instance and kept on it when A is V's algebra:
-        V is immutable, so its face data never change."""
-        faces = vars(V).get("_faces") if A is V.algebra else None
-        if faces is None:
-            vec = Matrix.row if V.dual else Matrix.col
-            left, right = (V.right, V.left) if V.dual else (V.left, V.right)
-            faces = _Faces(A, [vec(V.beta, v) for v in range(V.dim)],
-                           *([[vec(act[a], v) for a in range(A.dim)]
-                              for v in range(V.dim)] for act in (left, right)))
-            if A is V.algebra:
-                vars(V)["_faces"] = faces
-        return faces
-
-    def _terms(self, n: int, faces: Sequence[int]
-               ) -> Iterator[list[SparseVector]]:
-        """Per basis tensor of C_n, in index order, the column of each
-        face delta_i, i in `faces`, as a sparse vector whose entries are
-        x / D^n.  Prefixes and suffixes of alpha factors are built once
-        per tensor and shared by the faces."""
-        for i in faces:
-            if not 0 <= i <= n or n < 1:
-                raise IndexError(f"face index {i} out of range for degree {n}")
-        d, alpha, mu = self.d, self.alpha, self.mu
-        hi = max(faces, default=0)
-        lo = min(faces, default=n)
-        for v in range(self.m):
-            beta, left, right = self.beta[v], self.left[v], self.right[v]
-            for idx in iproduct(range(d), repeat=n):
-                # pre[k]: alpha(e_idx[0]) (x) ... (x) alpha(e_idx[k-1]);
-                # suf[k]: alpha(e_idx[k]) (x) ... (x) alpha(e_idx[n-1])
-                pre = [[(0, 1)]]
-                for k in range(hi - 1):
-                    pre.append(_kron(pre[k], alpha[idx[k]], d))
-                suf = {n: [(0, 1)]}
-                for k in range(n - 1, lo, -1):
-                    suf[k] = _kron(alpha[idx[k]], suf[k + 1], d ** (n - 1 - k))
-                out = []
-                for i in faces:
-                    if i == 0:
-                        out.append(_kron(right[idx[0]], suf[1], d ** (n - 1)))
-                    elif i == n:
-                        out.append(_kron(left[idx[-1]], pre[n - 1],
-                                         d ** (n - 1)))
-                    else:
-                        out.append(_kron(
-                            _kron(_kron(beta, pre[i - 1], d ** (i - 1)),
-                                  mu[idx[i - 1]][idx[i]], d),
-                            suf[i + 1], d ** (n - 1 - i)))
-                yield out
-
-    def _matrix(self, n: int, cols: list[tuple[int, dict[int, int]]],
-                transpose: bool) -> Matrix:
-        """The map C_n -> C_{n-1} with these columns, or its transpose."""
-        out = Matrix.from_integer_rows(self.m * self.d ** (n - 1), cols)
-        return out if transpose else out.transpose()
-
-    def matrix(self, n: int, faces: Sequence[tuple[int, int]], *,
-               transpose: bool = False) -> Matrix:
-        """The signed face sum over the (i, sign) pairs in `faces`,
-        C_n -> C_{n-1}, or with `transpose` its transpose, whose rows
-        are the face columns."""
-        signs = [sign for _, sign in faces]
-        den = self.D ** n
-        cols = []
-        for parts in self._terms(n, [i for i, _ in faces]):
-            acc: dict[int, int] = {}
-            for sign, terms in zip(signs, parts):
-                for k, x in terms:
-                    acc[k] = acc.get(k, 0) + sign * x
-            cols.append((den, acc))
-        return self._matrix(n, cols, transpose)
-
-    def each(self, n: int, *, transpose: bool = False) -> list[Matrix]:
-        """Every face delta_0, ..., delta_n at degree n (or with
-        `transpose` their transposes), from one pass of `_terms`."""
-        den = self.D ** n
-        cols: list[list[tuple[int, dict[int, int]]]] = \
-            [[] for _ in range(n + 1)]
-        for parts in self._terms(n, range(n + 1)):
-            for out, terms in zip(cols, parts):
-                out.append((den, dict(terms)))
-        return [self._matrix(n, c, transpose) for c in cols]
+    return ((sign, face(i)) for i, sign in faces)
 
 
 def _alternating(k: int) -> list[tuple[int, int]]:
@@ -182,26 +88,28 @@ def _alternating(k: int) -> list[tuple[int, int]]:
 def face_map(A: HomAlgebra, V: Bimodule, n: int, i: int | None = None
              ) -> Matrix | list[Matrix]:
     """Matrix of the i-th face C_n(A, V) -> C_{n-1}(A, V); with i
-    omitted, the list of all n + 1 faces, built in one pass."""
-    if i is None:
-        return _Faces.of(A, V).each(n)
-    return _Faces.of(A, V).matrix(n, [(i, 1)])
+    omitted, the list of all n + 1 faces."""
+    faces = [f for _, f in _faces(A, V, n, _alternating(n + 1)
+                                  if i is None else [(i, 1)])]
+    return faces if i is None else faces[0]
 
 
 def hochschild_b(A: HomAlgebra, V: Bimodule, n: int) -> Matrix:
-    """Alternating sum of faces, C_n -> C_{n-1}, built in one pass."""
-    return _Faces.of(A, V).matrix(n, _alternating(n + 1))
+    """Alternating sum of faces, C_n -> C_{n-1}."""
+    return signed_sum(_faces(A, V, n, _alternating(n + 1)))
 
 
 def b_prime(A: HomAlgebra, n: int) -> Matrix:
     """b' on C_n(A) = A^{(x)(n+1)}: faces 0..n-1 of the regular bimodule,
     all but the wrap-around one."""
-    return _Faces.of(A, regular_bimodule(A)).matrix(n, _alternating(n))
+    return signed_sum(_faces(A, regular_bimodule(A), n, _alternating(n)))
 
 
 def _rotation_sum(A: HomAlgebra, n: int, weights: Sequence[int]) -> Matrix:
     """sum_k weights[k] t^k on A^{(x)(n+1)}.  t^k is a signed
     permutation: row r holds sign^k at the k-fold inverse rotation of r."""
+    if n < 0:
+        raise IndexError(f"no chain space in degree {n}")
     d = A.dim
     size, top = d ** (n + 1), d ** n
     sign = -1 if n % 2 else 1
@@ -283,17 +191,16 @@ def build_hochschild_homology_complex(A: HomAlgebra, V: Bimodule,
 def coface_map(A: HomAlgebra, W: Bimodule, n: int, i: int | None = None
                ) -> Matrix | list[Matrix]:
     """Matrix of the i-th coface C^n(A, W) -> C^{n+1}(A, W); with i
-    omitted, the list of all n + 2 cofaces, built in one pass."""
-    if i is None:
-        return _Faces.of(A, W).each(n + 1, transpose=True)
-    if not 0 <= i <= n + 1:
-        raise IndexError(f"coface index {i} out of range for degree {n}")
-    return _Faces.of(A, W).matrix(n + 1, [(i, 1)], transpose=True)
+    omitted, the list of all n + 2 cofaces: the faces of degree n + 1
+    of W's chain data (`chain_data`), transposed."""
+    faces = _alternating(n + 2) if i is None else [(i, 1)]
+    cofaces = [f.transpose() for _, f in _faces(A, W, n + 1, faces)]
+    return cofaces if i is None else cofaces[0]
 
 
 def cochain_b(A: HomAlgebra, W: Bimodule, n: int) -> Matrix:
     """Coboundary C^n(A, W) -> C^{n+1}(A, W), alternating sum of cofaces."""
-    return _Faces.of(A, W).matrix(n + 1, _alternating(n + 2), transpose=True)
+    return signed_sum(_faces(A, W, n + 1, _alternating(n + 2))).transpose()
 
 
 def check_precosimplicial(A: HomAlgebra, W: Bimodule, n: int,

@@ -21,9 +21,10 @@ coordinates and has the subspace as its kernel.  Membership,
 `reduce_mod`, `kernel` and the check that a map sends one subspace into
 another are products with it; `restrict` reads m @ src.rows^T at tgt's
 pivots, and `descend` reduces m's columns at src's free columns.
-Identity checks need only know whether a signed sum of products is
-zero: `vanishes` adds the products' integer sums row by row and builds
-no product matrix.
+Every row sum goes through `_add_row`: `signed_sum` (a stream of
+signed matrices, one held at a time), `+`, `-`, `block_matrix`, and
+`vanishes`, which tests a signed sum of products for zero and builds no
+product matrix.
 """
 
 from __future__ import annotations
@@ -159,33 +160,19 @@ class Matrix:
         return _matrix(self.cols, self.rows, self._int_cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        """The sum, row by row over the lcm of each pair's denominators."""
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in +")
-        out = []
-        for (ma, ka, xa), (mb, kb, xb) in zip(self._int_rows, other._int_rows):
-            m = lcm(ma, mb)
-            acc = {k: x * (m // ma) for k, x in zip(ka, xa)}
-            for k, x in zip(kb, xb):
-                acc[k] = acc.get(k, 0) + x * (m // mb)
-            out.append((m, acc))
-        return Matrix.from_integer_rows(self.cols, out)
+        return signed_sum([(1, self), (1, other)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + -other
+        return signed_sum([(1, self), (-1, other)])
 
     def __neg__(self) -> "Matrix":
-        return _matrix(self.rows, self.cols, tuple(
-            (m, ks, tuple(-x for x in xs)) for m, ks, xs in self._int_rows))
+        return self.scale(-1)
 
     def scale(self, c: Fraction | int) -> "Matrix":
         c = Fraction(c)
-        if not c:
-            return Matrix.zero(self.rows, self.cols)
-        p, q = c.numerator, c.denominator
-        return _matrix(self.rows, self.cols, tuple(
-            _lowest(m * q, ks, tuple(x * p for x in xs))
-            for m, ks, xs in self._int_rows))
+        return Matrix.from_integer_rows(self.cols, [
+            (m * c.denominator, {k: x * c.numerator for k, x in zip(ks, xs)})
+            for m, ks, xs in self._int_rows])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -202,11 +189,7 @@ class Matrix:
             raise ValueError("vector length mismatch")
         [(m, sums)] = _product([_integer_terms(enumerate(vec))],
                                self._int_cols, self.rows)
-        out = [ZERO] * self.rows
-        for k, x in sums.items():
-            if x:
-                out[k] = Fraction(x, m)
-        return tuple(out)
+        return _dense((m, sums.keys(), sums.values()), self.rows)
 
     def is_zero(self) -> bool:
         return not any(ks for _, ks, _ in self._int_rows)
@@ -245,29 +228,70 @@ def _dense(row: IntRow, n: int) -> tuple[Fraction, ...]:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """The Kronecker product a (x) b, a's indices most significant."""
+    if b.cols == 1 and b._int_rows == ((1, (0,), (1,)),):
+        return a  # b is the 1 x 1 identity
     rows = []
     for ma, ka, xa in a._int_rows:
+        offsets = [i * b.cols for i in ka]
         for mb, kb, xb in b._int_rows:
             rows.append(_lowest(ma * mb,
-                                tuple(i * b.cols + j for i in ka for j in kb),
+                                tuple(i + j for i in offsets for j in kb),
                                 tuple(x * y for x in xa for y in xb)))
     return _matrix(a.rows * b.rows, a.cols * b.cols, tuple(rows))
+
+
+def permute_columns(m: Matrix, perm: Sequence[int]) -> Matrix:
+    """m with its column k moved to column perm[k], perm a permutation."""
+    return Matrix.from_integer_rows(m.cols, [
+        (dn, {perm[k]: x for k, x in zip(ks, xs)})
+        for dn, ks, xs in m._int_rows])
+
+
+def signed_sum(terms: Iterable[tuple[int, Matrix]]) -> Matrix:
+    """sum(sign * m) over one or more (sign, m) terms, all of one shape.
+
+    Each term is added row by row into running integer sums (`_add_row`)
+    as it arrives, and then let go: a generator of terms keeps one of
+    them alive at a time.
+    """
+    shape = None
+    for sign, m in terms:
+        if shape is None:
+            shape = (m.rows, m.cols)
+            dens, sums = [1] * m.rows, [{} for _ in range(m.rows)]
+        elif shape != (m.rows, m.cols):
+            raise ValueError("shape mismatch in +")
+        for i, (dn, ks, xs) in enumerate(m._int_rows):
+            dens[i] = _add_row(sums[i], dens[i], dn, ks, xs, sign)
+        del m
+    return Matrix.from_integer_rows(shape[1], list(zip(dens, sums)))
+
+
+def _add_row(acc: dict[int, int], den: int, m: int, ks, xs, c: int) -> int:
+    """acc / den + c * xs / m (xs[i] in column ks[i]), written into acc
+    in place; returns the denominator of the sum, lcm(den, m)."""
+    if m != den:
+        common = lcm(den, m)
+        for k in acc:
+            acc[k] *= common // den
+        c *= common // m
+        den = common
+    get = acc.get
+    for k, x in zip(ks, xs):
+        acc[k] = get(k, 0) + c * x
+    return den
 
 
 def block_matrix(rows: int, cols: int,
                  blocks: Sequence[tuple[Matrix, int, int]]) -> Matrix:
     """rows x cols matrix with each (block, row offset, col offset) placed
-    in it and zeros elsewhere."""
-    parts: list[list[tuple[int, IntRow]]] = [[] for _ in range(rows)]
+    in it and zeros elsewhere, added up by `_add_row`."""
+    dens, sums = [1] * rows, [{} for _ in range(rows)]
     for block, roff, coff in blocks:
-        for i, r in enumerate(block._int_rows):
-            parts[roff + i].append((coff, r))
-    out = []
-    for part in parts:
-        dn = lcm(*(m for _, (m, _, _) in part))
-        out.append((dn, {coff + k: x * (dn // m) for coff, (m, ks, xs) in part
-                         for k, x in zip(ks, xs)}))
-    return Matrix.from_integer_rows(cols, out)
+        for i, (m, ks, xs) in enumerate(block._int_rows, roff):
+            dens[i] = _add_row(sums[i], dens[i], m, [coff + k for k in ks],
+                               xs, 1)
+    return Matrix.from_integer_rows(cols, list(zip(dens, sums)))
 
 
 def _integer_terms(pairs: Iterable[tuple[int, Fraction | int]]) -> IntRow:
@@ -280,17 +304,13 @@ def _integer_terms(pairs: Iterable[tuple[int, Fraction | int]]) -> IntRow:
         d = x.denominator
         if d != 1:
             m = m // gcd(m, d) * d
-    ks = tuple(k for k, _ in terms)
-    if m == 1:
-        return m, ks, tuple(x.numerator for _, x in terms)
-    return m, ks, tuple(x.numerator * (m // x.denominator) for _, x in terms)
+    return m, tuple(k for k, _ in terms), \
+        tuple(x.numerator * (m // x.denominator) for _, x in terms)
 
 
 def _lowest(m: int, ks: tuple[int, ...], xs: tuple[int, ...]) -> IntRow:
     """The row xs / m with gcd(m, every x) divided out: its `IntRow`,
     whose m is the lcm of the reduced denominators."""
-    if not xs:
-        return 1, ks, xs
     g = gcd(m, *xs)
     if g == 1:
         return m, ks, xs
@@ -334,35 +354,28 @@ def vanishes(*terms: tuple[int, Matrix, Matrix]) -> bool:
     the zero matrix; an empty sum vanishes.
 
     Each product comes from `_product` as integer sums over one
-    denominator per row; row by row they are brought to the lcm of
-    those denominators and added, and no product `Matrix` is built.
+    denominator per row; row by row they are added up by `_add_row`,
+    and no product `Matrix` is built.
     Every identity check between products is a call to this: lhs = rhs
     is `vanishes((1, *lhs), (-1, *rhs))`.
     """
-    shape = None
-    prods = []
+    shape, signs, prods = None, [], []
     for sign, a, b in terms:
         if a.cols != b.rows:
             raise ValueError(
                 f"shape mismatch in @: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-        if shape is not None and shape != (a.rows, b.cols):
+        if shape not in (None, (a.rows, b.cols)):
             raise ValueError("shape mismatch in +")
         shape = (a.rows, b.cols)
-        prods.append((sign, _product(a._int_rows, b._int_rows, b.cols)))
-    if len(prods) == 1:
-        return not any(any(sums.values()) for _, sums in prods[0][1])
-    signs = [sign for sign, _ in prods]
-    opposite = len(prods) == 2 and signs[0] == -signs[1]
-    for row in zip(*(rows for _, rows in prods)):
+        signs.append(sign)
+        prods.append(_product(a._int_rows, b._int_rows, b.cols))
+    opposite = len(signs) == 2 and signs[0] == -signs[1]
+    for row in zip(*prods):
         if opposite and row[0] == row[1]:
             continue  # equal sums over one denominator cancel
-        m = lcm(*(dn for dn, _ in row))
-        acc: dict[int, int] = {}
-        get = acc.get
+        acc, den = {}, 1
         for sign, (dn, sums) in zip(signs, row):
-            c = sign * (m // dn)
-            for k, x in sums.items():
-                acc[k] = get(k, 0) + c * x
+            den = _add_row(acc, den, dn, sums.keys(), sums.values(), sign)
         if any(acc.values()):
             return False
     return True
@@ -409,15 +422,16 @@ def _echelon(m: Matrix) -> dict[int, dict[int, int]]:
     """Integer row echelon form of m, as {pivot column: row}.  Each row
     of m, a {column: integer} dict (a multiple of the row, which keeps
     the row space), is cleared at its lowest column against the pivot
-    row there until there is none, then divided by its content and kept
-    as that column's pivot row.  Rows that reach zero drop out."""
+    row there until there is none, then divided by its content, signed
+    to make its pivot entry positive, and kept as that column's pivot
+    row.  Rows that reach zero drop out."""
     pivots: dict[int, dict[int, int]] = {}
     for _, ks, xs in m._int_rows:
         row = dict(zip(ks, xs))
         while row:
             c = min(row)
             if c not in pivots:
-                g = gcd(*row.values())
+                g = gcd(*row.values()) * (1 if row[c] > 0 else -1)
                 pivots[c] = {k: x // g for k, x in row.items()}
                 break
             _clear(row, pivots[c], c)
@@ -444,9 +458,10 @@ def _clear(row: dict[int, int], piv: dict[int, int], c: int) -> None:
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Reduced row-echelon form, pivot columns, rank: `_echelon`, then
-    back-substitution from the highest pivot down, then each row over
-    its pivot entry.  The RREF of a matrix is unique, so it does not
-    depend on the order of elimination."""
+    back-substitution from the highest pivot down, which keeps each
+    pivot entry positive, then each row over its pivot entry.  The RREF
+    of a matrix is unique, so it does not depend on the order of
+    elimination."""
     pivots = _echelon(m)
     order = sorted(pivots)
     rows = [pivots[p] for p in order]
@@ -455,14 +470,9 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
         for row in rows[:i]:
             if p in row:
                 _clear(row, piv, p)
-    out = []
-    for p, row in zip(order, rows):
-        ks = sorted(row)
-        s = 1 if row[p] > 0 else -1
-        out.append(_lowest(s * row[p], tuple(ks),
-                           tuple(s * row[k] for k in ks)))
-    out += [_ZERO_ROW] * (m.rows - len(out))
-    return _matrix(m.rows, m.cols, tuple(out)), tuple(order), len(order)
+    out = [(row[p], row) for p, row in zip(order, rows)]
+    out += [(1, {})] * (m.rows - len(out))
+    return Matrix.from_integer_rows(m.cols, out), tuple(order), len(order)
 
 
 def rank(m: Matrix) -> int:
@@ -496,9 +506,7 @@ class Subspace:
         vecs = list(vectors)
         if any(len(v) != ambient_dim for v in vecs):
             raise ValueError("vector length != ambient_dim")
-        if not vecs:
-            return Subspace.zero(ambient_dim)
-        return _row_space(Matrix.from_rows(vecs))
+        return _row_space(_matrix(len(vecs), ambient_dim, _rows_of(vecs)))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":

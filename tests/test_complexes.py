@@ -7,9 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_operators as ref
+from homcyc.coefficients import dualize_bimodule, regular_bimodule
 from homcyc.complexes import (Bicomplex, BoundarySquareError, ChainComplex,
                               NotStableError, homology, homology_classes,
-                              quotient_complex, sub_complex, total_complex)
+                              quotient_complex, representative_space,
+                              sub_complex, total_complex)
+from homcyc.corpus import standard_corpus
+from homcyc.hochschild import (build_hochschild_cohomology_complex,
+                               build_hochschild_homology_complex)
 from homcyc.linalg import Matrix, NotASubspaceError, Subspace, kernel
 
 F = Fraction
@@ -216,3 +221,16 @@ def test_homology_classes_count_must_equal_rank_betti():
     C._ranks[1] = 1  # a wrong memoised rank: Betti 0 in degree 1
     with pytest.raises(ArithmeticError):
         homology_classes(C, 1)
+
+
+@pytest.mark.parametrize("A", standard_corpus(), ids=lambda A: A.name)
+def test_representative_space_is_the_rref_of_the_representatives(A):
+    """The lifted classes are already the RREF of the representatives:
+    row reducing them again gives the same Subspace, row for row."""
+    V = regular_bimodule(A)
+    for C in (build_hochschild_homology_complex(A, V, 3),
+              build_hochschild_cohomology_complex(A, dualize_bimodule(V), 3)):
+        for n in C.dims:
+            _, reps = homology(C, n)
+            assert representative_space(C, n) == \
+                Subspace.from_vectors(C.dim(n), reps)

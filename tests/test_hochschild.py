@@ -172,21 +172,22 @@ def test_homology_hypotheses_checked_once_per_bimodule(monkeypatch):
 
 
 def test_face_kernel_runs_once_per_degree(monkeypatch):
-    """A checked hh build and a checked hhco build to degree N each run
-    the all-faces pass once per degree 1..N: the faces of degree n serve
-    the check at n and, handed on, the check at n + 1."""
+    """A checked hh build and a checked hhco build to degree N each ask
+    for the faces (cofaces) of each degree once: the list of degree n
+    serves the check at n and, handed on, the check at n + 1."""
     passes = []
-    each = hochschild._Faces.each
-    monkeypatch.setattr(hochschild._Faces, "each",
-                        lambda self, n, **kw: passes.append(n) or
-                        each(self, n, **kw))
+    for name in ("face_map", "coface_map"):
+        build = getattr(hochschild, name)
+        monkeypatch.setattr(hochschild, name,
+                            lambda A, V, n, i=None, _build=build:
+                            passes.append(n) or _build(A, V, n, i))
     A = two_dim_unital()
     V = regular_bimodule(A)
     build_hochschild_homology_complex(A, V, 5)
     assert sorted(passes) == [1, 2, 3, 4, 5]
     passes.clear()
     build_hochschild_cohomology_complex(A, dualize_bimodule(V), 5)
-    assert sorted(passes) == [1, 2, 3, 4, 5]
+    assert sorted(passes) == [0, 1, 2, 3, 4]
 
 
 def test_all_faces_at_once_equal_each_face():
@@ -203,25 +204,30 @@ def test_all_faces_at_once_equal_each_face():
         face_map(A, V, 0)
 
 
-def test_face_data_built_once_per_bimodule(monkeypatch):
-    """One hh and one hhco run build the face data of the regular
-    bimodule and of its dual once each.  Data for an algebra other than
-    the bimodule's own, even an equal one, are built afresh."""
-    built = []
-    init = hochschild._Faces.__init__
-    monkeypatch.setattr(hochschild._Faces, "__init__",
-                        lambda self, A, *data: built.append(A) or
-                        init(self, A, *data))
-    from homcyc import hochschild_cohomology, hochschild_homology
+# each operator at a degree where it has no chain space, or a face index
+# past the last face
+OUTSIDE = {
+    "face_map(0)": lambda A, V, W: face_map(A, V, 0),
+    "face_map(-1)": lambda A, V, W: face_map(A, V, -1),
+    "face_map(2, 3)": lambda A, V, W: face_map(A, V, 2, 3),
+    "face_map(2, -1)": lambda A, V, W: face_map(A, V, 2, -1),
+    "hochschild_b(0)": lambda A, V, W: hochschild_b(A, V, 0),
+    "b_prime(0)": lambda A, V, W: b_prime(A, 0),
+    "cyclic_t(-1)": lambda A, V, W: cyclic_t(A, -1),
+    "norm_N(-1)": lambda A, V, W: norm_N(A, -1),
+    "homotopy_theta(-1)": lambda A, V, W: homotopy_theta(A, -1),
+    "coface_map(-1)": lambda A, V, W: coface_map(A, W, -1),
+    "coface_map(1, 3)": lambda A, V, W: coface_map(A, W, 1, 3),
+    "cochain_b(-1)": lambda A, V, W: cochain_b(A, W, -1),
+    "check_presimplicial(0)": lambda A, V, W: check_presimplicial(A, V, 0),
+    "check_precosimplicial(-1)":
+        lambda A, V, W: check_precosimplicial(A, W, -1),
+}
+
+
+@pytest.mark.parametrize("call", OUTSIDE.values(), ids=OUTSIDE.keys())
+def test_operators_raise_index_error_outside_their_degrees(call):
     A = two_dim_unital()
-    hochschild_homology(A, 3)
-    hochschild_cohomology(A, 3)
-    assert len(built) == 2
     V = regular_bimodule(A)
-    face_map(A, V, 2, 1)
-    assert len(built) == 2
-    B = replace(A)
-    assert B == A and B is not A
-    face_map(B, V, 2, 1)
-    face_map(B, V, 2, 1)
-    assert len(built) == 4
+    with pytest.raises(IndexError):
+        call(A, V, dualize_bimodule(V))

@@ -37,3 +37,19 @@ def test_row_format_stays_in_linalg(path):
     found = sorted((line, name) for line, name in _names(tree)
                    if name in PRIVATE)
     assert not found, f"{path.name} names linalg's row format: {found}"
+
+
+# how a bimodule's actions become L and R, and how a dual bimodule's
+# data are read as chain data, stay in `coefficients`: other modules ask
+# `chain_data` for them
+COEFFICIENT_PRIVATE = {"_actions", "_transposed"}
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.name != "coefficients.py"),
+                         ids=lambda p: p.name)
+def test_dual_reading_stays_in_coefficients(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = sorted((line, name) for line, name in _names(tree)
+                   if name in COEFFICIENT_PRIVATE)
+    assert not found, f"{path.name} names coefficients' internals: {found}"
