@@ -141,7 +141,7 @@ def _periodic_text(pr) -> str:
 
 def cmd_duality(args) -> int:
     alg = _load(args.file)
-    hh = hochschild_homology(alg, args.max, check_identities=False)
+    hh = hochschild_homology(alg, args.max)
     hhco = hochschild_cohomology(alg, args.max)
     rows = [(n, hh.betti[n], hhco.betti[n]) for n in range(args.max + 1)]
     payload = {"algebra": alg.name,

@@ -68,9 +68,13 @@ def _actions(V: Bimodule) -> tuple[Matrix, Matrix]:
 def chain_data(V: Bimodule) -> tuple[Matrix, Matrix, Matrix]:
     """L, R and beta of V as Hochschild chain coefficients; for a dual
     bimodule, those of its transposed data, whose faces are its cofaces
-    transposed."""
-    U = _transposed(V) if V.dual else V
-    return (*_actions(U), U.beta)
+    transposed.  Built once per bimodule instance and kept on it, as
+    its dual is."""
+    data = vars(V).get("_chain_data")
+    if data is None:
+        U = _transposed(V) if V.dual else V
+        data = vars(V)["_chain_data"] = (*_actions(U), U.beta)
+    return data
 
 
 def _compatibility(V: Bimodule, axiom: str, L: Matrix, R: Matrix):

@@ -6,8 +6,8 @@ or up (cohomological, d^n: C^n -> C^{n+1}).
 
 Every square that must vanish (d o d, and v^2, h^2 and vh + hv in a
 bicomplex) is one `linalg.vanishes` call, made once for each distinct
-sum of maps, and a complex remembers the degrees whose d o d it has
-found zero, so each is checked once however many reports read it.
+sum of maps.  A ChainComplex checks its d o d once, when it is built,
+so nothing that reads one checks it again.
 Homology classes are the cycles under the quotient map by the
 boundaries, one product (`homology_classes`); representatives and
 induced maps are read from them.
@@ -46,7 +46,7 @@ class ChainComplex:
     of the window); for cohomological, diffs[n] maps degree n to n+1.
     Degrees are >= 0 (periodic windows are shifted first-quadrant
     towers) and index dicts, so a truncation need not start at 0.
-    """
+    Construction raises BoundarySquareError unless d o d = 0."""
 
     dims: dict[int, int]
     diffs: dict[int, Matrix]
@@ -54,9 +54,9 @@ class ChainComplex:
     # rank of the map out of each degree, filled by `rank`
     _ranks: dict[int, int] = field(default_factory=dict, init=False,
                                    compare=False, repr=False)
-    # degrees n whose composite out of n `check_d_squared` found zero
-    _squared_zero: set[int] = field(default_factory=set, init=False,
-                                    compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.check_d_squared()
 
     @property
     def min_degree(self) -> int:
@@ -100,17 +100,13 @@ class ChainComplex:
         return self._ranks[n]
 
     def check_d_squared(self) -> None:
-        """d o d = 0 out of every degree, each composite one `vanishes`
-        call.  Degrees already found zero are skipped, so a complex is
-        checked once however often it is asked."""
+        """d o d = 0 out of every degree, in ascending order, each
+        composite one `vanishes` call; run once, by construction."""
         step = -1 if self.orientation == "homological" else 1
         for n in sorted(self.dims):
-            if n + step not in self.dims or n in self._squared_zero:
-                continue
-            if not vanishes((1, self.differential(n + step),
-                             self.differential(n))):
+            if n + step in self.dims and not vanishes(
+                    (1, self.differential(n + step), self.differential(n))):
                 raise BoundarySquareError(f"d o d != 0 out of degree {n}")
-            self._squared_zero.add(n)
 
 
 def _betti(C: ChainComplex, n: int) -> int:
@@ -153,20 +149,12 @@ def homology(C: ChainComplex, n: int, *, representatives: bool = True
     are the rows of `representative_space`: the RREF of the cycles
     reduced modulo the boundaries, a basis of a complement of the
     boundaries in the cycles.  With `representatives=False` the list is
-    empty, and the only other work is the composite of the two
-    differentials at n, which must vanish (`BoundarySquareError`) unless
-    `check_d_squared` passed.
+    empty.
     """
     if representatives:
         reps = representative_space(C, n)
         return reps.dim, [tuple(r) for r in reps.rows.to_rows()]
-    betti = _betti(C, n)
-    incoming_deg = C.incoming(n)
-    if incoming_deg in C.dims and incoming_deg not in C._squared_zero \
-            and not vanishes((1, C.differential(n),
-                              C.differential(incoming_deg))):
-        raise BoundarySquareError(f"d o d != 0 into degree {n}")
-    return betti, []
+    return _betti(C, n), []
 
 
 def text_table(title: str, columns: Sequence[tuple[str, int]],
@@ -236,7 +224,6 @@ def report_for_complex(C: ChainComplex, degrees: Sequence[int], *,
                        theory: str, algebra_name: str, coefficient_name: str,
                        representatives: bool = False,
                        metadata: dict | None = None) -> HomologyReport:
-    C.check_d_squared()
     hom = {n: homology(C, n, representatives=representatives)
            for n in degrees}
     return HomologyReport(
@@ -305,7 +292,7 @@ class Bicomplex:
 
 
 def total_complex(B: Bicomplex) -> ChainComplex:
-    """Direct-sum total complex; d^2 = 0 re-verified on the result."""
+    """Direct-sum total complex of B, whose squares are checked first."""
     B.check_squares()
     degrees: dict[int, list[tuple[int, int]]] = {}
     for (p, q) in sorted(B.cell_dims):
@@ -330,9 +317,7 @@ def total_complex(B: Bicomplex) -> ChainComplex:
             if hcell in offsets[tgt]:
                 blocks.append((B.hmap(p, q), offsets[tgt][hcell], coff))
         diffs[n] = block_matrix(dims[tgt], dims[n], blocks)
-    C = ChainComplex(dims=dims, diffs=diffs, orientation=B.orientation)
-    C.check_d_squared()
-    return C
+    return ChainComplex(dims=dims, diffs=diffs, orientation=B.orientation)
 
 
 def quotient_complex(C: ChainComplex, subspaces: dict[int, Subspace]) -> ChainComplex:
@@ -372,6 +357,4 @@ def _mapped_complex(C: ChainComplex, subspaces: dict[int, Subspace],
                                      f"subspace at degree {n}") from exc
     dims = {n: C.dim(n) - sub.dim if quotient else sub.dim
             for n, sub in subs.items()}
-    out = ChainComplex(dims=dims, diffs=diffs, orientation=C.orientation)
-    out.check_d_squared()
-    return out
+    return ChainComplex(dims=dims, diffs=diffs, orientation=C.orientation)

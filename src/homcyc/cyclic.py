@@ -28,12 +28,10 @@ from .linalg import (Matrix, NotASubspaceError, Subspace, descend, image,
 
 
 def hochschild_homology(A: HomAlgebra, n_max: int, *,
-                        representatives: bool = False,
-                        check_identities: bool = True) -> HomologyReport:
+                        representatives: bool = False) -> HomologyReport:
     """HH of A with coefficients in the regular bimodule."""
     V = regular_bimodule(A)
-    C = build_hochschild_homology_complex(A, V, n_max + 1,
-                                          check_identities=check_identities)
+    C = build_hochschild_homology_complex(A, V, n_max + 1)
     return report_for_complex(C, range(n_max + 1), theory="HH",
                               algebra_name=A.name, coefficient_name=V.name,
                               representatives=representatives)

@@ -168,7 +168,8 @@ def build_hochschild_homology_complex(A: HomAlgebra, V: Bimodule,
 
     The homology hypotheses on V are checked once per bimodule instance,
     and the verdict is kept on it: V is immutable, so a bimodule that
-    fails them raises on every build."""
+    fails them raises on every build.  The ChainComplex checks b o b = 0;
+    `check_identities` then checks the presimplicial identities."""
     verdict = vars(V).get("_homology_hypotheses")
     if verdict is None:
         verdict = validate_homology_coefficients(V)
@@ -180,7 +181,6 @@ def build_hochschild_homology_complex(A: HomAlgebra, V: Bimodule,
     dims = {n: chain_dim(A, V, n) for n in range(n_max + 1)}
     diffs = {n: hochschild_b(A, V, n) for n in range(1, n_max + 1)}
     C = ChainComplex(dims=dims, diffs=diffs, orientation="homological")
-    C.check_d_squared()
     if check_identities:
         faces = None
         for n in range(2, n_max + 1):
@@ -225,13 +225,13 @@ def build_hochschild_cohomology_complex(A: HomAlgebra, W: Bimodule,
                                         ) -> ChainComplex:
     """The cochain complex (C^*(A, W), b) truncated at n_max.
 
-    With `check_identities`, the pre-cosimplicial identities are checked
-    in every degree n <= n_max - 2, whose cofaces stay in the window.
+    The ChainComplex checks b o b = 0; then `check_identities` checks
+    the pre-cosimplicial identities in every degree n <= n_max - 2,
+    whose cofaces stay in the window.
     """
     dims = {n: chain_dim(A, W, n) for n in range(n_max + 1)}
     diffs = {n: cochain_b(A, W, n) for n in range(n_max)}
     C = ChainComplex(dims=dims, diffs=diffs, orientation="cohomological")
-    C.check_d_squared()
     if check_identities:
         cofaces = None
         for n in range(n_max - 1):

@@ -146,7 +146,7 @@ def test_criterion_5_operator_identity_suite():
 def test_criterion_6_duality():
     ok = True
     for A in standard_corpus():
-        hh = hochschild_homology(A, 4, check_identities=False).betti
+        hh = hochschild_homology(A, 4).betti
         hhco = hochschild_cohomology(A, 4).betti
         ok = ok and hh == hhco
     report(6, ok, "dim H_n(A, A) = dim H^n(A, A*) for n <= 4")

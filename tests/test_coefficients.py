@@ -106,3 +106,24 @@ def test_dual_bimodule_is_kept_per_bimodule(monkeypatch):
     assert dualize_bimodule(U) is not W
     assert dualize_bimodule(U) == W
     assert len(checked) == 2
+
+
+def test_chain_data_is_built_once_per_bimodule(monkeypatch):
+    """A checked HH-co build asks for the chain data at every coboundary
+    and coface; the actions are built once per bimodule: the regular
+    one's and its dual's for their axioms, and the dual's transposed
+    data once, for its chain data."""
+    from homcyc import coefficients, hochschild_cohomology
+    seen = []
+    actions = coefficients._actions
+    monkeypatch.setattr(coefficients, "_actions",
+                        lambda V: seen.append(V) or actions(V))
+    A = two_dim_unital()
+    hochschild_cohomology(A, 4)
+    V = regular_bimodule(A)
+    W = dualize_bimodule(V)
+    assert len(seen) == 3
+    assert seen[0] is V and seen[1] is W
+    assert seen[2] is not V and seen[2] is not W
+    assert coefficients.chain_data(W) is coefficients.chain_data(W)
+    assert len(seen) == 3

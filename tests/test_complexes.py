@@ -7,25 +7,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_operators as ref
+from homcyc import complexes
 from homcyc.coefficients import dualize_bimodule, regular_bimodule
 from homcyc.complexes import (Bicomplex, BoundarySquareError, ChainComplex,
                               NotStableError, homology, homology_classes,
-                              quotient_complex, representative_space,
-                              sub_complex, total_complex)
+                              quotient_complex, report_for_complex,
+                              representative_space, sub_complex,
+                              total_complex)
 from homcyc.corpus import standard_corpus
 from homcyc.hochschild import (build_hochschild_cohomology_complex,
                                build_hochschild_homology_complex)
 from homcyc.linalg import Matrix, NotASubspaceError, Subspace, kernel
 
 F = Fraction
+OUT_OF = "^d o d != 0 out of degree %d$"
 
 
 def test_d_squared_violation_raises():
     d2 = Matrix.from_rows([[1], [0]])
     d1 = Matrix.from_rows([[1, 1]])
-    C = ChainComplex(dims={0: 1, 1: 2, 2: 1}, diffs={1: d1, 2: d2})
-    with pytest.raises(BoundarySquareError):
-        C.check_d_squared()
+    with pytest.raises(BoundarySquareError, match=OUT_OF % 2):
+        ChainComplex(dims={0: 1, 1: 2, 2: 1}, diffs={1: d1, 2: d2})
+    with pytest.raises(BoundarySquareError, match=OUT_OF % 0):
+        ChainComplex(dims={0: 1, 1: 2, 2: 1},
+                     diffs={0: d1.transpose(), 1: d2.transpose()},
+                     orientation="cohomological")
 
 
 def test_homology_of_exact_and_trivial_complexes():
@@ -99,7 +105,6 @@ def test_cohomological_orientation():
     d0 = Matrix.from_rows([[1], [0]])
     C = ChainComplex(dims={0: 1, 1: 2}, diffs={0: d0},
                      orientation="cohomological")
-    C.check_d_squared()
     assert homology(C, 0)[0] == 0
     assert homology(C, 1)[0] == 1
 
@@ -115,7 +120,8 @@ def _matrix(rows, cols):
 
 def _complex(data, orientation, least_dim=1):
     """C_2 -d2-> C_1 -d1-> C_0 with d2 = (kernel basis of d1) @ R, or
-    its transpose in cohomological orientation; d^2 = 0 is checked."""
+    its transpose in cohomological orientation; construction checks
+    d^2 = 0."""
     c0, c1, c2 = (data.draw(st.integers(least_dim, 4)) for _ in range(3))
     d1 = data.draw(_matrix(c0, c1))
     ker = kernel(d1).basis
@@ -125,10 +131,8 @@ def _complex(data, orientation, least_dim=1):
         diffs = {1: d1, 2: d2}
     else:
         diffs = {0: d1.transpose(), 1: d2.transpose()}
-    C = ChainComplex(dims={0: c0, 1: c1, 2: c2}, diffs=diffs,
-                     orientation=orientation)
-    C.check_d_squared()
-    return C
+    return ChainComplex(dims={0: c0, 1: c1, 2: c2}, diffs=diffs,
+                        orientation=orientation)
 
 
 @settings(max_examples=40, deadline=None)
@@ -142,17 +146,16 @@ def test_rank_betti_matches_representative_count(data, orientation):
 
 
 def test_rank_homology_checks_d_squared():
-    # built without check_d_squared: d1 o d2 = [1] != 0
-    C = ChainComplex(dims={0: 1, 1: 1, 2: 1},
+    """d1 o d2 = [1] != 0: no complex exists to take the homology of."""
+    with pytest.raises(BoundarySquareError, match=OUT_OF % 2):
+        ChainComplex(dims={0: 1, 1: 1, 2: 1},
                      diffs={1: Matrix.identity(1), 2: Matrix.identity(1)})
-    with pytest.raises(BoundarySquareError):
-        homology(C, 1, representatives=False)
 
 
 def test_one_hh_report_checks_each_composite_once(monkeypatch):
-    """The build checks d o d out of every degree; the report and the
-    Betti numbers then skip the degrees already found zero."""
-    from homcyc import complexes, hochschild_homology
+    """The build checks d o d out of every degree, once; the report and
+    the Betti numbers check nothing more."""
+    from homcyc import hochschild_homology
     from homcyc.corpus import two_dim_unital
     seen = []
     vanishes = complexes.vanishes
@@ -164,23 +167,22 @@ def test_one_hh_report_checks_each_composite_once(monkeypatch):
     assert all(len(terms) == 1 for terms in seen)
 
 
-def test_check_d_squared_skips_degrees_found_zero(monkeypatch):
-    from homcyc import complexes
-    C = ChainComplex(dims={0: 1, 1: 1, 2: 1},
-                     diffs={1: Matrix.zero(1, 1), 2: Matrix.identity(1)})
+def test_construction_checks_each_composite_once(monkeypatch):
+    """One `vanishes` call per composite d o d, in ascending degree
+    order, all made by construction: reports and homology make none."""
     calls = []
     vanishes = complexes.vanishes
     monkeypatch.setattr(complexes, "vanishes",
                         lambda *terms: calls.append(terms) or vanishes(*terms))
-    C.check_d_squared()
-    C.check_d_squared()
-    assert len(calls) == 2
-    bad = ChainComplex(dims=C.dims, diffs={1: Matrix.identity(1),
-                                           2: Matrix.identity(1)})
-    for _ in range(2):
-        with pytest.raises(BoundarySquareError,
-                           match="out of degree 2"):
-            bad.check_d_squared()
+    d = {1: Matrix.zero(1, 1), 2: Matrix.identity(1), 3: Matrix.zero(1, 1)}
+    C = ChainComplex(dims={0: 1, 1: 1, 2: 1, 3: 1}, diffs=d)
+    assert calls == [((1, C.differential(n - 1), d[n]),) for n in (1, 2, 3)]
+    report_for_complex(C, range(4), theory="T", algebra_name="a",
+                       coefficient_name="c", representatives=True)
+    for n in range(4):
+        homology(C, n, representatives=False)
+        homology(C, n)
+    assert len(calls) == 3
 
 
 @settings(max_examples=60, deadline=None)
@@ -208,9 +210,14 @@ def test_homology_classes_in_free_coordinates():
     assert homology(C, 1)[1] == [(F(1), F(0), F(0))]
 
 
-def test_homology_classes_require_boundaries_in_cycles():
-    C = ChainComplex(dims={0: 1, 1: 1, 2: 1},
-                     diffs={1: Matrix.identity(1), 2: Matrix.identity(1)})
+def test_homology_classes_require_boundaries_in_cycles(monkeypatch):
+    """Cycles that miss a boundary raise: here a `kernel` that drops the
+    cycle e1, the one boundary of C_2 -> C_1 = Q^2 -> 0."""
+    C = ChainComplex(dims={0: 1, 1: 2, 2: 1},
+                     diffs={1: Matrix.zero(1, 2),
+                            2: Matrix.from_rows([[1], [0]])})
+    monkeypatch.setattr(complexes, "kernel",
+                        lambda m: Subspace.from_vectors(2, [(0, 1)]))
     with pytest.raises(NotASubspaceError):
         homology_classes(C, 1)
 

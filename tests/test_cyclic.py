@@ -89,7 +89,7 @@ def test_method_agreement_cohomology(algebra):
 
 
 def test_duality_dimensions(algebra):
-    hh = hochschild_homology(algebra, 4, check_identities=False)
+    hh = hochschild_homology(algebra, 4)
     hhco = hochschild_cohomology(algebra, 4)
     assert hh.betti == hhco.betti
 

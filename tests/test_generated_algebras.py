@@ -16,12 +16,17 @@ The regular dual A* is a dual bimodule only when alpha^2 = Id: for
 every g with entries in -2..2, conjugation twists with alpha^2 != Id
 fail the dual compatibility axiom, so A* is refused and only the
 homology checks run on them.
+
+A third family moves each corpus algebra of dimension at most 3 to a
+drawn unimodular integer basis: its HH, HH-co and HC (lambda and
+bicomplex) Betti numbers up to degree 2 must not change.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homcyc.algebra import direct_sum, yau_twist
@@ -33,10 +38,12 @@ from homcyc.corpus import (dual_numbers, dual_numbers_projection_twist,
                            ground_field, k1_plus_k2, k2,
                            k_times_k_projection_twist, k_times_k_swap_twist,
                            matrix_2x2, truncated_polynomials, two_dim_unital)
-from homcyc.cyclic import cyclic_homology_both
+from homcyc.cyclic import (cyclic_homology_both, hochschild_cohomology,
+                           hochschild_homology)
 from homcyc.hochschild import (build_hochschild_cohomology_complex,
                                build_hochschild_homology_complex)
 from homcyc.linalg import Matrix
+from test_face_golden import moved
 
 SUMMANDS = [ground_field, k2, two_dim_unital, k1_plus_k2, dual_numbers,
             dual_numbers_projection_twist, k_times_k_projection_twist,
@@ -98,3 +105,40 @@ def test_twisted_matrix_algebras_pass_the_cross_checks(A):
 @given(direct_sums())
 def test_direct_sums_pass_the_cross_checks(A):
     _check(A)
+
+
+def _det(rows):
+    """Determinant by expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+@st.composite
+def unimodular_bases(draw):
+    """A corpus algebra of dimension <= 3 and the rows of an integer
+    matrix with entries in -2..2 and determinant +-1: all rows but the
+    last drawn freely, the last among those that make it unimodular."""
+    make = draw(st.sampled_from(SUMMANDS))
+    d = make().dim
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d,
+                                  max_size=d), min_size=d - 1,
+                         max_size=d - 1))
+    last = [list(r) for r in product(range(-2, 3), repeat=d)
+            if abs(_det(rows + [list(r)])) == 1]
+    assume(last)
+    return make, rows + [draw(st.sampled_from(last))]
+
+
+def _betti_to_degree_2(A):
+    hc = cyclic_homology_both(A, 2)
+    return (hochschild_homology(A, 2).betti, hochschild_cohomology(A, 2).betti,
+            hc.betti_lambda, hc.betti_bicomplex)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unimodular_bases())
+def test_betti_numbers_do_not_depend_on_the_basis(case):
+    make, p = case
+    assert _betti_to_degree_2(moved(make, p)) == _betti_to_degree_2(make())
