@@ -58,18 +58,24 @@ def _transposed(V: Bimodule, **changes) -> Bimodule:
 
 def _actions(V: Bimodule) -> tuple[Matrix, Matrix]:
     """L = [left[0] ... left[d-1]] (column (a, v) is e_a . e_v), and R,
-    [right[0] ... right[d-1]] read at (v, a) (column (v, a) is e_v . e_a)."""
-    d, m = V.algebra.dim, V.dim
-    L, R = (block_matrix(m, d * m, [(act[a], 0, a * m) for a in range(d)])
-            for act in (V.left, V.right))
-    return L, permute_columns(R, [k % m * d + k // m for k in range(d * m)])
+    [right[0] ... right[d-1]] read at (v, a) (column (v, a) is e_v . e_a).
+    Built once per bimodule instance and kept on it: its axiom check,
+    the homology hypotheses and its chain data all read them."""
+    actions = vars(V).get("_actions")
+    if actions is None:
+        d, m = V.algebra.dim, V.dim
+        L, R = (block_matrix(m, d * m, [(act[a], 0, a * m) for a in range(d)])
+                for act in (V.left, V.right))
+        actions = vars(V)["_actions"] = L, permute_columns(
+            R, [k % m * d + k // m for k in range(d * m)])
+    return actions
 
 
 def chain_data(V: Bimodule) -> tuple[Matrix, Matrix, Matrix]:
-    """L, R and beta of V as Hochschild chain coefficients; for a dual
-    bimodule, those of its transposed data, whose faces are its cofaces
-    transposed.  Built once per bimodule instance and kept on it, as
-    its dual is."""
+    """L, R and beta of V as Hochschild chain coefficients: V's own
+    `_actions`, or for a dual bimodule those of its transposed data,
+    whose faces are its cofaces transposed.  Built once per bimodule
+    instance and kept on it, as its dual is."""
     data = vars(V).get("_chain_data")
     if data is None:
         U = _transposed(V) if V.dual else V

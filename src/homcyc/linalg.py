@@ -7,8 +7,15 @@ only its rows, each as its nonzero entries, integers over one common
 denominator (`IntRow`), so a matrix that is ~99% zeros costs its nonzero
 entries alone; dense Fraction views (`entries`, `row`, `col`) are
 computed on demand and no operation reads them.  Products (`@`, `apply`)
-sum integers over the nonzero entries only, packing the rows of a dense
-right factor into big integers (Kronecker substitution).  Row reduction
+and `vanishes`, which tests a signed sum of products for zero and builds
+no product, sum integers over the nonzero entries only, row by row
+(`_sums`).  A dense right factor, one with at least a quarter of its
+entries nonzero, is instead packed by Kronecker substitution, each row
+one big integer with an entry in each 16-, 32- or 64-bit slot: once per
+matrix and slot width, kept on the matrix with the slot bound's numbers
+(`_norms`), and used by every product and check it enters.  The slots
+are the narrowest that hold the bound on the sum, so `vanishes` decides
+a row on one integer, and `@` reads the row's slots back.  Row reduction
 is sparse integer elimination on {column: integer} dicts: `rank` counts
 the pivots of the echelon form, and `rref` adds a back-substitution
 where a canonical basis is needed.  The RREF is unique, so it does not
@@ -21,10 +28,8 @@ coordinates and has the subspace as its kernel.  Membership,
 `reduce_mod`, `kernel` and the check that a map sends one subspace into
 another are products with it; `restrict` reads m @ src.rows^T at tgt's
 pivots, and `descend` reduces m's columns at src's free columns.
-Every row sum goes through `_add_row`: `signed_sum` (a stream of
-signed matrices, one held at a time), `+`, `-`, `block_matrix`, and
-`vanishes`, which tests a signed sum of products for zero and builds no
-product matrix.
+Sums of matrices go through `_add_row`: `signed_sum` (a stream of
+signed matrices, one held at a time), `+`, `-` and `block_matrix`.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Scalar = Fraction
@@ -121,20 +127,17 @@ class Matrix:
 
     @cached_property
     def _int_cols(self) -> tuple[IntRow, ...]:
-        """The integer form of the columns: the rows of the transpose."""
-        dens = [1] * self.cols
-        for m, ks, _ in self._int_rows:
-            if m != 1:
-                for k in ks:
-                    dens[k] = lcm(dens[k], m)
-        idx: list[list[int]] = [[] for _ in range(self.cols)]
-        vals: list[list[int]] = [[] for _ in range(self.cols)]
+        """The integer form of the columns: the rows of the transpose,
+        read over `_dn` and each put in lowest terms."""
+        idx = [[] for _ in range(self.cols)]
+        vals = [[] for _ in range(self.cols)]
         for i, (m, ks, xs) in enumerate(self._int_rows):
+            s = self._dn // m
             for k, x in zip(ks, xs):
                 idx[k].append(i)
-                vals[k].append(x * (dens[k] // m))
-        return tuple(_lowest(dn, tuple(i), tuple(v))
-                     for dn, i, v in zip(dens, idx, vals))
+                vals[k].append(x * s)
+        return tuple(_lowest(self._dn, tuple(i), tuple(v))
+                     for i, v in zip(idx, vals))
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
@@ -175,21 +178,35 @@ class Matrix:
             for m, ks, xs in self._int_rows])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError(
-                f"shape mismatch in @: {self.rows}x{self.cols} @ "
-                f"{other.rows}x{other.cols}")
-        return Matrix.from_integer_rows(other.cols, _product(
-            self._int_rows, other._int_rows, other.cols))
+        return Matrix.from_integer_rows(other.cols, [
+            (den, acc) for den, _, acc in _sums([(1, self, other)], True)])
 
     def apply(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Matrix-vector product (vec as a column of coordinates): the
         columns of self at the nonzero coordinates, combined."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        [(m, sums)] = _product([_integer_terms(enumerate(vec))],
-                               self._int_cols, self.rows)
-        return _dense((m, sums.keys(), sums.values()), self.rows)
+        m, ks, xs = _integer_terms(enumerate(vec))
+        cols = self._int_cols
+        dn = lcm(*{cols[k][0] for k in ks})
+        sums = _row_sums({}, 1, ks, xs, cols, dn)
+        return _dense((m * dn, sums.keys(), sums.values()), self.rows)
+
+    @cached_property
+    def _dn(self) -> int:
+        """The common denominator of the rows (a zero row's is 1)."""
+        return lcm(*{m for m, _, _ in self._int_rows})
+
+    @cached_property
+    def _norms(self) -> tuple[int, int]:
+        """(l1, top): the largest l1 norm of an integer row, and at
+        least 1, and the largest |integer| of a row.  Over the common
+        denominator D of its row, an entry of sign * (a @ b) is at most
+        D * |sign| * a's l1 * b's top, and so is an entry of b over its
+        own common denominator."""
+        return max((sum(map(abs, xs)) for *_, xs in self._int_rows),
+                   default=0) or 1, max((max(map(abs, xs)) for *_, xs in
+                                         self._int_rows if xs), default=0)
 
     def is_zero(self) -> bool:
         return not any(ks for _, ks, _ in self._int_rows)
@@ -299,11 +316,7 @@ def _integer_terms(pairs: Iterable[tuple[int, Fraction | int]]) -> IntRow:
     m is the lcm of their denominators and each x is written as an
     integer over m."""
     terms = [(k, x) for k, x in pairs if x]
-    m = 1
-    for _, x in terms:
-        d = x.denominator
-        if d != 1:
-            m = m // gcd(m, d) * d
+    m = lcm(*{x.denominator for _, x in terms})
     return m, tuple(k for k, _ in terms), \
         tuple(x.numerator * (m // x.denominator) for _, x in terms)
 
@@ -317,49 +330,62 @@ def _lowest(m: int, ks: tuple[int, ...], xs: tuple[int, ...]) -> IntRow:
     return m // g, ks, tuple(x // g for x in xs)
 
 
-def _product(left: Sequence[IntRow], right: Sequence[IntRow],
-             ncols: int) -> list[tuple[int, dict[int, int]]]:
-    """The rows of L @ R, exactly, from the integer rows of L and R, as
-    (denominator, {column: integer sum}) with zero sums allowed.
+# slot width in bits -> typecode of an unsigned array item of that width
+_SLOTS = {16: "H", 32: "I", 64: "Q"}
 
-    R is brought to one common denominator dn and each row of L keeps
-    its own m, so an output row is a set of integer sums over m * dn.
-    Only nonzero entries are multiplied: into a dict per output row, or,
-    when R is dense and L has several rows, by `_packed_sums`.  A packed
-    row of R costs one slot per column, zeros included, so packing is
-    kept to R with at least a quarter of its entries nonzero.
+
+def _row_sums(acc, c, ks, xs, rows, dn):
+    """acc plus c times the row xs (xs[i] in column ks[i]) @ the rows, each
+    taken over dn, a multiple of its denominator; summed into acc in place
+    over nonzero entries only."""
+    get = acc.get
+    for k, x in zip(ks, xs):
+        m, rk, rx = rows[k]
+        x *= c * (dn // m)
+        for j, y in zip(rk, rx):
+            acc[j] = get(j, 0) + x * y
+    return acc
+
+
+def _packing(b: Matrix, w: int):
+    """(base, packed): b's rows by Kronecker substitution, made once per
+    slot width w and kept on b, in its `_packs`.  Row k is the integer
+    sum_j y_j 2^(w j), y_j its entry in column j over `b._dn`: the array
+    of unsigned w-bit slots y_j + 2^(w - 1), read as one integer in
+    native byte order (slot 0 at the low end on little-endian hosts and
+    at the high end otherwise), minus base, the integer of the offsets
+    2^(w - 1) alone."""
+    packs = vars(b).setdefault("_packs", {})
+    if w not in packs:
+        offsets = array(_SLOTS[w], [1 << (w - 1)]) * b.cols
+        base, packed = int.from_bytes(offsets, sys.byteorder), []
+        for m, ks, ys in b._int_rows:
+            slots, s = offsets[:], b._dn // m
+            for j, y in zip(ks, ys):
+                slots[j] += y * s
+            packed.append(int.from_bytes(slots, sys.byteorder) - base)
+        packs[w] = base, packed
+    return packs[w]
+
+
+def _sums(terms, read=False):
+    """Row by row, sum(sign * (a @ b)) over the (sign, a, b) terms, all
+    of one shape, exactly: (D, total, acc) for row i, over D, the row's
+    common denominator.
+
+    Term t adds sign * D / (m * dn) times the row xs / m of a @ b's rows
+    over dn, `b._dn`.  The row is summed over nonzero entries only into
+    acc, {column: integer}, and total is 0, unless a has several rows
+    and some b is dense, with at least a quarter of its entries nonzero.
+    Then max D times |sign| * a's l1 * b's top (`Matrix._norms`), summed
+    over the terms, bounds every entry of the sum, and of each b, and
+    picks the narrowest `_SLOTS` width w with bound < 2^(w - 1); past 63
+    bits there is none.  With w every b is packed (`_packing`), and the
+    row is total, one integer combination of the packed rows: each
+    w-bit slot holds one entry, so total is zero exactly when the row
+    is.  With `read`, acc holds the slots read back.
     """
-    dn = lcm(*(m for m, ks, _ in right if ks))
-    rows = [(ks, xs if m == dn else tuple(x * (dn // m) for x in xs))
-            for m, ks, xs in right]
-    sums = None
-    if len(left) > 1 and \
-            4 * sum(len(ks) for ks, _ in rows) >= ncols * len(rows):
-        sums = _packed_sums(left, rows, ncols)
-    if sums is None:
-        sums = []
-        for _, ks, xs in left:
-            acc: dict[int, int] = {}
-            get = acc.get
-            for k, x in zip(ks, xs):
-                rk, rx = rows[k]
-                for j, y in zip(rk, rx):
-                    acc[j] = get(j, 0) + x * y
-            sums.append(acc)
-    return [(m * dn, acc) for (m, _, _), acc in zip(left, sums)]
-
-
-def vanishes(*terms: tuple[int, Matrix, Matrix]) -> bool:
-    """Whether sum(sign * (a @ b)) over the (sign, a, b) terms is exactly
-    the zero matrix; an empty sum vanishes.
-
-    Each product comes from `_product` as integer sums over one
-    denominator per row; row by row they are added up by `_add_row`,
-    and no product `Matrix` is built.
-    Every identity check between products is a call to this: lhs = rhs
-    is `vanishes((1, *lhs), (-1, *rhs))`.
-    """
-    shape, signs, prods = None, [], []
+    shape = None
     for sign, a, b in terms:
         if a.cols != b.rows:
             raise ValueError(
@@ -367,55 +393,46 @@ def vanishes(*terms: tuple[int, Matrix, Matrix]) -> bool:
         if shape not in (None, (a.rows, b.cols)):
             raise ValueError("shape mismatch in +")
         shape = (a.rows, b.cols)
-        signs.append(sign)
-        prods.append(_product(a._int_rows, b._int_rows, b.cols))
-    opposite = len(signs) == 2 and signs[0] == -signs[1]
-    for row in zip(*prods):
-        if opposite and row[0] == row[1]:
-            continue  # equal sums over one denominator cancel
-        acc, den = {}, 1
-        for sign, (dn, sums) in zip(signs, row):
-            den = _add_row(acc, den, dn, sums.keys(), sums.values(), sign)
-        if any(acc.values()):
-            return False
-    return True
+    if shape is None:
+        return
+    dens = list(map(lcm, *([m * b._dn for m, _, _ in a._int_rows]
+                           for _, a, b in terms)))
+    dense = shape[0] > 1 and any(
+        4 * sum(len(ks) for _, ks, _ in b._int_rows) >= b.rows * b.cols
+        for *_, b in terms)
+    w = dense and next((w for w in _SLOTS if max(dens) * sum(
+        abs(s) * a._norms[0] * b._norms[1] for s, a, b in terms)
+        < 1 << (w - 1)), 0)
+    terms = [(sign, a._int_rows, b._int_rows, b._dn, w and _packing(b, w))
+             for sign, a, b in terms]
+    for i, D in enumerate(dens):
+        total, acc = 0, {}
+        for sign, left, rows, dn, packed in terms:
+            m, ks, xs = left[i]
+            c = sign * (D // (m * dn))
+            if w:
+                total += c * sum(map(mul, xs, map(packed[1].__getitem__, ks)))
+            else:
+                _row_sums(acc, c, ks, xs, rows, dn)
+        if w and read:  # every b has the same columns, so the same base
+            half = 1 << (w - 1)
+            acc = {j: v - half for j, v in enumerate(array(_SLOTS[w], (
+                total + packed[0]).to_bytes(w // 8 * shape[1], sys.byteorder)))
+                if v != half}
+        yield D, total, acc
 
 
-_HALF = 1 << 63
-
-
-def _packed_sums(left: Sequence[IntRow],
-                 rows: list[tuple[tuple[int, ...], tuple[int, ...]]],
-                 ncols: int) -> list[dict[int, int]] | None:
-    """The integer sums of L @ R by Kronecker substitution, or None when
-    an entry of the product might not fit in 63 bits.
-
-    Row k of R becomes one integer with R[k][j] in its 64-bit slot j, so
-    a row of the product is an integer combination of those, and its
-    entries are read back from the slots, each offset by 2^63 to make it
-    nonnegative.  Every step is exact integer arithmetic.
+def vanishes(*terms: tuple[int, Matrix, Matrix]) -> bool:
+    """Whether sum(sign * (a @ b)) over the (sign, a, b) terms is exactly
+    the zero matrix; an empty sum vanishes.  No product is built: each
+    row of the sum comes from `_sums` and is tested as it comes, as one
+    integer of packed slots when some b is dense (each b packed once,
+    at the narrowest slot width that holds the sum, and kept), else as
+    one {column: integer} dict.  Every identity check between products
+    is a call to this: lhs = rhs is `vanishes((1, *lhs), (-1, *rhs))`.
     """
-    big = max((abs(x) for _, _, xs in left for x in xs), default=1) * \
-        max((abs(y) for _, ys in rows for y in ys), default=0) * \
-        max(1, *(len(ks) for _, ks, _ in left))
-    if big >= _HALF:
-        return None
-    # in native byte order an array of slots is one integer, slot 0 at
-    # the low end on little-endian hosts and at the high end otherwise
-    order = sys.byteorder
-    base = int.from_bytes(array("Q", [_HALF]) * ncols, order)
-    packed = []
-    for ks, ys in rows:
-        slots = array("Q", [_HALF]) * ncols
-        for j, y in zip(ks, ys):
-            slots[j] = y + _HALF
-        packed.append(int.from_bytes(slots, order) - base)
-    out = []
-    for _, ks, xs in left:
-        slots = array("Q", (sum(x * packed[k] for k, x in zip(ks, xs)) + base)
-                      .to_bytes(8 * ncols, order))
-        out.append({j: v - _HALF for j, v in enumerate(slots) if v != _HALF})
-    return out
+    return not any(total or any(acc.values())
+                   for _, total, acc in _sums(terms))
 
 
 def _echelon(m: Matrix) -> dict[int, dict[int, int]]:

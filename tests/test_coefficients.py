@@ -127,3 +127,24 @@ def test_chain_data_is_built_once_per_bimodule(monkeypatch):
     assert seen[2] is not V and seen[2] is not W
     assert coefficients.chain_data(W) is coefficients.chain_data(W)
     assert len(seen) == 3
+
+
+def test_actions_are_built_once_per_bimodule(monkeypatch):
+    """A checked HH build reads the regular bimodule's L and R three
+    times: for its axioms, for the homology hypotheses and for its chain
+    data.  They are built once, on the first read, and kept on it."""
+    from homcyc import coefficients, hochschild_homology
+    asked, built = [], []
+    actions, relabel = coefficients._actions, coefficients.permute_columns
+    monkeypatch.setattr(coefficients, "_actions",
+                        lambda V: asked.append(V.name) or actions(V))
+    monkeypatch.setattr(
+        coefficients, "permute_columns",
+        lambda m, perm: built.append(m.rows) or relabel(m, perm))
+    A = two_dim_unital()
+    hochschild_homology(A, 4)
+    assert asked == ["two_dim_unital-regular"] * 3
+    assert built == [2]
+    V = regular_bimodule(A)
+    assert coefficients.chain_data(V)[:2] == actions(V)
+    assert built == [2]

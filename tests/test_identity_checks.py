@@ -4,12 +4,12 @@ reference.
 homcyc tests every chain-level identity as one signed sum of products
 with `linalg.vanishes`.  Here one entry of the input is corrupted: a
 structure constant or a twist entry of an algebra built without
-validation (so its faces break Hom-associativity or multiplicativity),
-one entry of a bicomplex map, or one entry of a chain map.  Each check
-must raise the exception type and message that a dense Fraction
-evaluation of the same identities, in the same order, names first:
-the same (n, i, j), cell or degree.  Where no identity fails, the check
-must pass.
+validation, in its own basis or in a dense one (so its faces break
+Hom-associativity or multiplicativity), one entry of a bicomplex map,
+or one entry of a chain map.  Each check must raise the exception type
+and message that a dense Fraction evaluation of the same identities,
+in the same order, names first: the same (n, i, j), cell or degree.
+Where no identity fails, the check must pass.
 """
 
 import dataclasses
@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_operators as ref
+from test_face_golden import moved
 from homcyc import cyclic, hochschild
 from homcyc.algebra import AlgebraMorphism, HomAlgebra, load_algebra
 from homcyc.coefficients import Bimodule, dualize_bimodule, regular_bimodule
@@ -43,11 +44,20 @@ HALF = Path(__file__).parent / "golden" / "algebra-two_dim_unital_half.json"
 CHANGES = [F(1), F(-1), F(1, 2), F(2)]
 
 
+# a dense unimodular change of basis per dimension, det P = 1
+DENSE_BASES = {2: [[1, 2], [-2, -3]], 3: [[1, 1, 1], [1, 2, 3], [1, 3, 6]]}
+
+
 @st.composite
 def corrupted_algebras(draw):
-    """A corpus algebra with one structure constant or one twist entry
+    """A corpus algebra, in its own basis or moved to a dense unimodular
+    one (whose faces are dense, so their identities are decided on
+    packed integers), with one structure constant or one twist entry
     moved, built without validation."""
-    A = draw(st.sampled_from(BASES))()
+    make = draw(st.sampled_from(BASES))
+    A = make()
+    if draw(st.booleans()):
+        A = moved(make, DENSE_BASES[A.dim])
     d = A.dim
     delta = draw(st.sampled_from(CHANGES))
     if draw(st.booleans()):

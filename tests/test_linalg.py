@@ -226,8 +226,29 @@ def naive_product(a, b):
              for j in range(b.cols)] for i in range(a.rows)]
 
 
+def slot_edge(top):
+    """Two rows times a dense right factor whose products reach +-top:
+    the largest |entry| of the product is exactly its slot bound, so
+    top = 2^15 - 1 fits a 16-bit slot and 2^15 and 2^31 do not fit
+    16 and 32 bits.  The first product sums two terms (7 = 3 + 4 times
+    top / 7) when 7 divides top."""
+    if top % 7 == 0:
+        return (Matrix.from_rows([[3, 4], [-3, -4]]),
+                Matrix.from_rows([[top // 7, 1], [top // 7, -1]]))
+    return (Matrix.from_rows([[1], [-1]]), Matrix.from_rows([[top, -1]]))
+
+
+# a product whose rows, over 7, are (65536, -1): in 16-bit slots they
+# would cancel, so the slot bound must take in the denominators
+SEVENTHS = (Matrix.from_rows([[1, 1], [1, 1]]),
+            Matrix.from_rows([[9362, 0], [F(2, 7), F(-1, 7)]]))
+
+
 @settings(max_examples=150, deadline=None)
 @given(product_operands())
+@example(slot_edge(2 ** 15 - 1))
+@example(slot_edge(2 ** 15))
+@example(slot_edge(2 ** 31))
 def test_matmul_matches_naive_fraction_product(ab):
     a, b = ab
     c = a @ b
@@ -238,6 +259,10 @@ def test_matmul_matches_naive_fraction_product(ab):
 
 @settings(max_examples=100, deadline=None)
 @given(product_operands(max_dim=5, elements=WIDE_ENTRIES))
+@example(slot_edge(7 * 4681))  # 2^15 - 1 as 3 * 4681 + 4 * 4681
+@example(SEVENTHS)
+@example((Matrix.from_rows([[F(1, 2), 3], [-1, F(2, 3)]]),
+          Matrix.from_rows([[2 ** 15, -1], [F(1, 5), 2 ** 31]])))
 def test_matmul_with_wide_entries_matches_naive_product(ab):
     """Dense operands whose products may or may not fit the packed
     product's 63-bit slots give the plain Fraction product either way."""
@@ -320,8 +345,46 @@ def product_sums(draw):
     return terms
 
 
+def edge_sum(top):
+    """Two terms whose sum has entries +-top, with a summed slot bound of
+    exactly top: at 2^15 - 1 the sum is decided in 16-bit slots."""
+    a, h = Matrix.from_rows([[1], [-1]]), top // 2
+    return [(1, a, Matrix.from_rows([[top - h, 1]])),
+            (1, a, Matrix.from_rows([[h, -1]]))]
+
+
+def doubled_edge(top):
+    """slot_edge(top) twice: each term fits its slot, the sum does not."""
+    a, b = slot_edge(top)
+    return [(1, a, b), (1, a, b)]
+
+
+COLUMN = Matrix.from_rows([[1], [2]])
+HALVES = Matrix.from_rows([[F(1, 2), 1], [F(-1, 3), 2]])
+DENSE = Matrix.from_rows([[1, 2], [3, F(-4, 5)]])
+
+
 @settings(max_examples=300, deadline=None)
 @given(product_sums())
+@example(edge_sum(2 ** 15 - 1))
+@example(edge_sum(2 ** 15))
+@example(edge_sum(2 ** 31))
+@example(doubled_edge(7 * 4681))
+# two terms that each overflow a 16-bit slot and cancel, or do not
+@example([(1, COLUMN, Matrix.from_rows([[40000, 1]])),
+          (-1, COLUMN.scale(2), Matrix.from_rows([[20000, F(1, 2)]]))])
+@example([(1, COLUMN, Matrix.from_rows([[40000, 1]])),
+          (-1, COLUMN.scale(2), Matrix.from_rows([[20001, F(1, 2)]]))])
+# one product against itself with its rows over other denominators
+@example([(1, HALVES, DENSE), (-1, HALVES.scale(F(1, 4)), DENSE.scale(4))])
+@example([(1, HALVES, DENSE), (1, HALVES.scale(F(1, 4)), DENSE.scale(-4))])
+@example([(1, HALVES, DENSE), (-1, HALVES.scale(6), DENSE.scale(F(1, 7)))])
+# rows (65536, -1) over 7, whose 16-bit slots would cancel: the bound
+# must take in the row denominators of the sum and of the right factor
+@example([(1, Matrix.from_rows([[1], [1]]), Matrix.from_rows([[9362, 0]])),
+          (1, Matrix.from_rows([[F(1, 7)], [F(1, 7)]]),
+           Matrix.from_rows([[2, -1]]))])
+@example([(1, *SEVENTHS)])
 def test_vanishes_matches_the_sum_of_products(terms):
     """vanishes is the sum of sign * (a @ b), built as matrices, tested
     with `is_zero`."""
@@ -333,29 +396,46 @@ def test_vanishes_matches_the_sum_of_products(terms):
 
 
 def test_vanishes_takes_the_packed_product(monkeypatch):
-    """Dense right factors go through the packed sums, sparse ones and
-    entries past the slot bound do not, and the verdict is exact on
-    either path."""
+    """A sum with a dense right factor compares packed integers: each
+    right factor is packed once per slot width and kept on it, so
+    repeated checks, and products with it, reuse the packing.  Sparse
+    right factors, and sums whose slot bound passes 63 bits, take the
+    dict sums.  The verdict is exact on either path."""
     import homcyc.linalg as linalg
-    packed = []
-    orig = linalg._packed_sums
-    monkeypatch.setattr(linalg, "_packed_sums",
-                        lambda *args: packed.append(orig(*args)) or packed[-1])
+    packed, summed = [], []
+    pack, row_sums = linalg._packing, linalg._row_sums
+    monkeypatch.setattr(linalg, "_packing",
+                        lambda b, w: packed.append(w) or pack(b, w))
+    monkeypatch.setattr(linalg, "_row_sums",
+                        lambda *args: summed.append(1) or row_sums(*args))
     a = Matrix.from_rows([[1, F(1, 2)], [F(-1, 3), 2], [0, 0]])
     b = Matrix.from_rows([[2, -1, F(1, 4)], [3, 5, -2]])
-    assert vanishes((1, a, b), (-1, a.scale(3), b.scale(F(1, 3))))
-    assert not vanishes((1, a, b), (-1, a, b.scale(2)))
-    assert packed and all(p is not None for p in packed)
+    a3, b3 = a.scale(3), b.scale(F(1, 3))
+    assert vanishes((1, a, b), (-1, a3, b3))
+    kept = vars(b)["_packs"][16]
+    for _ in range(3):
+        assert vanishes((1, a, b), (-1, a3, b3))
+        assert not vanishes((1, a, b), (-1, a, b.scale(2)))
+    assert (a @ b).to_rows() == naive_product(a, b)
+    assert set(packed) == {16} and not summed
+    assert list(vars(b)["_packs"]) == [16] and vars(b)["_packs"][16] is kept
+    # the narrowest width that holds the summed bound
+    wide = Matrix.from_rows([[40000, -1], [1, 40000]])
+    assert vanishes((1, a, wide), (-1, a, wide))
+    assert not vanishes((1, a, wide), (1, a, wide))
+    assert list(vars(wide)["_packs"]) == [32] and not summed
     big = Matrix.from_rows([[2 ** 40, 1], [1, -2 ** 40]])
     square = big @ big
     packed.clear()
     assert vanishes((1, big, big), (-1, square, Matrix.identity(2)))
-    assert packed == [None, None]
-    packed.clear()
+    assert not vanishes((1, big, big), (-1, big, Matrix.identity(2)))
+    assert not packed and summed
+    summed.clear()
     sparse = Matrix.identity(8)
     assert not vanishes((1, sparse, sparse))
     assert vanishes((1, sparse, sparse), (-1, sparse, sparse))
-    assert not packed
+    assert not packed and summed
+    assert "_packs" not in vars(sparse)
 
 
 def test_vanishes_edge_cases():

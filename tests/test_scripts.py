@@ -24,3 +24,25 @@ def _script(name):
 def test_script_main_exits_0(name, capsys):
     assert _script(name).main(["--max", "1"]) == 0
     assert capsys.readouterr().out
+
+
+def test_compile_weight_marks_the_largest_module(capsys, tmp_path):
+    """One row per module of homcyc, with integer counts, and the
+    module with the largest compile peak marked; a directory without
+    modules exits 2."""
+    assert _script("compile_weight").main([]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["module", "lines", "nodes", "peak_kb"]
+    table = {r.split()[0]: r.split() for r in rows}
+    assert "linalg.py" in table and "__init__.py" in table
+    assert all(int(lines) > 0 and int(nodes) > 0 and int(peak) > 0
+               for _, lines, nodes, peak, *_ in table.values())
+    marked = [name for name, r in table.items() if r[-1] == "*"]
+    assert len(marked) == 1
+    assert int(table[marked[0]][3]) == max(int(r[3]) for r in table.values())
+    # Module, Assign, Name, Store, Constant
+    (tmp_path / "one.py").write_text("x = 1\n")
+    assert _script("compile_weight").main(["--src", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split()[:3] == \
+        ["one.py", "1", "5"]
+    assert _script("compile_weight").main(["--src", str(tmp_path / "no")]) == 2
