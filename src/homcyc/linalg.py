@@ -562,9 +562,6 @@ class Subspace:
     def contains(self, vec: Sequence[Fraction]) -> bool:
         return not any(self.quotient.apply(vec))
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return vanishes((1, self.quotient, other.rows.transpose()))
-
     def coordinates(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Coordinates of vec in the RREF basis, which are its entries at
         the pivots; raises if vec is not a member."""
@@ -612,10 +609,10 @@ def maps_into(m: Matrix, src: Subspace, tgt: Subspace) -> bool:
 def restrict(m: Matrix, src: Subspace, tgt: Subspace) -> Matrix:
     """m on src, into tgt: column j holds the coordinates in tgt of m
     applied to basis vector j of src, the entries of m @ src.rows^T at
-    tgt's pivots.  Raises NotASubspaceError unless m maps src into tgt."""
-    if not maps_into(m, src, tgt):
-        raise NotASubspaceError("the map does not send src into tgt")
+    tgt's pivots.  Raises NotASubspaceError unless tgt.quotient kills it."""
     images = m @ src.rows.transpose()
+    if not vanishes((1, tgt.quotient, images)):
+        raise NotASubspaceError("the map does not send src into tgt")
     return _matrix(tgt.dim, src.dim,
                    tuple(images._int_rows[p] for p in tgt.pivots))
 
@@ -640,7 +637,7 @@ def quotient_dim(sub: Subspace, sup: Subspace) -> int:
     """dim(sup / sub); raises NotASubspaceError unless sub is inside sup."""
     if sub.ambient_dim != sup.ambient_dim:
         raise NotASubspaceError("ambient dimensions differ")
-    if not sup.contains_subspace(sub):
+    if not vanishes((1, sup.quotient, sub.rows.transpose())):
         raise NotASubspaceError("first argument is not contained in second")
     return sup.dim - sub.dim
 

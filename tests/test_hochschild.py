@@ -10,6 +10,7 @@ import pytest
 
 from homcyc import hochschild
 from homcyc.coefficients import dualize_bimodule, regular_bimodule
+from homcyc.cyclic import cyclic_bicomplex
 from homcyc.corpus import (k_times_k_swap_twist, standard_corpus,
                            two_dim_unital)
 from homcyc.hochschild import (CoefficientHypothesisError, b_prime,
@@ -135,6 +136,20 @@ def test_cochain_b_is_transpose_of_chain_b(algebra):
             hochschild_b(algebra, V, n + 1).transpose()
 
 
+def test_b_is_b_prime_plus_the_last_face(algebra):
+    """b = b' + (-1)^n delta_n on C_n(A), as the cyclic bicomplex builds
+    b, whose vertical maps are the standalone b and -b'."""
+    V = regular_bimodule(algebra)
+    for n in range(1, 5):
+        assert hochschild_b(algebra, V, n) == b_prime(algebra, n) + \
+            face_map(algebra, V, n, n).scale((-1) ** n)
+    B = cyclic_bicomplex(algebra, 3)
+    assert {q for _, q in B.vertical} == {1, 2, 3, 4}
+    for (p, q), m in B.vertical.items():
+        assert m == (hochschild_b(algebra, V, q) if p % 2 == 0
+                     else -b_prime(algebra, q))
+
+
 def test_complex_builders_check_d_squared(algebra):
     V = regular_bimodule(algebra)
     C = build_hochschild_homology_complex(algebra, V, 4)
@@ -172,22 +187,29 @@ def test_homology_hypotheses_checked_once_per_bimodule(monkeypatch):
 
 
 def test_face_kernel_runs_once_per_degree(monkeypatch):
-    """A checked hh build and a checked hhco build to degree N each ask
-    for the faces (cofaces) of each degree once: the list of degree n
-    serves the check at n and, handed on, the check at n + 1."""
-    passes = []
-    for name in ("face_map", "coface_map"):
-        build = getattr(hochschild, name)
-        monkeypatch.setattr(hochschild, name,
-                            lambda A, V, n, i=None, _build=build:
-                            passes.append(n) or _build(A, V, n, i))
+    """A checked hh build, a checked hhco build and the cyclic bicomplex
+    to degree N each build every face (n, i) of the degrees they use
+    once: the checked builds read b (the coboundary) and the identities
+    from one list per degree, and the bicomplex adds delta_q to b'_q."""
+    built = []
+    faces = hochschild._faces
+
+    def counted(A, V, n, which):
+        built.extend((n, i) for i, _ in which)
+        return faces(A, V, n, which)
+
+    monkeypatch.setattr(hochschild, "_faces", counted)
     A = two_dim_unital()
     V = regular_bimodule(A)
+    every = sorted((n, i) for n in range(1, 6) for i in range(n + 1))
     build_hochschild_homology_complex(A, V, 5)
-    assert sorted(passes) == [1, 2, 3, 4, 5]
-    passes.clear()
+    assert sorted(built) == every
+    built.clear()
     build_hochschild_cohomology_complex(A, dualize_bimodule(V), 5)
-    assert sorted(passes) == [0, 1, 2, 3, 4]
+    assert sorted(built) == every
+    built.clear()
+    cyclic_bicomplex(A, 4)
+    assert sorted(built) == every
 
 
 def test_all_faces_at_once_equal_each_face():

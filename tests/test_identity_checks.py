@@ -284,11 +284,11 @@ def test_chain_map_check_names_the_first_failing_degree(which, n, data):
         _raises_as(expected, lambda: induced_map_on_homology(f, "HH", n))
 
 
-def _with_corrupted_lists(mp, name, moves):
-    """Rebind hochschild.<name> so that, in its list of all maps of
-    degree n, entry (r, c) of map i is moved by delta for each
+def _with_corrupted_faces(mp, moves):
+    """Rebind hochschild.face_map so that, in its list of all faces of
+    degree n, entry (r, c) of face i is moved by delta for each
     (n, i, r, c, delta) in `moves`."""
-    orig = getattr(hochschild, name)
+    orig = hochschild.face_map
 
     def corrupted(A, V, n, i=None):
         out = orig(A, V, n, i)
@@ -298,16 +298,26 @@ def _with_corrupted_lists(mp, name, moves):
                     out[i0] = _moved(out[i0], r, c, delta)
         return out
 
-    mp.setattr(hochschild, name, corrupted)
+    mp.setattr(hochschild, "face_map", corrupted)
+
+
+def _alternating_sum(maps):
+    """sum (-1)^i maps[i] over dense maps of one shape."""
+    return [[sum(x if i % 2 == 0 else -x for i, x in enumerate(entries))
+             for entries in zip(*rows)] for rows in zip(*maps)]
 
 
 def _build_with_moved_entries(A, cochains, moves, top):
     """Move entry (r, c) of map i of degree n by delta, for each
     (n, i, r, c, delta) in `moves`, in the dense faces (or cofaces) and
     in homcyc's, and check the checked build to degree `top` against
-    the dense identities.  The maps of each degree are built once and
-    reused for the degree above, so a moved entry is seen in both
-    degrees it enters."""
+    the dense reference: d o d of the differentials summed from the
+    moved maps, then the identities.  A checked build reads each
+    degree's faces from one list, so a moved entry enters the
+    differential and both degrees' identities it takes part in.  The
+    cofaces are the transposed faces of degree n + 1 of W's chain data,
+    so a coface move is a move of (c, r) in one of those faces.  Returns
+    the reference's (exception type, message), or None."""
     V = regular_bimodule(A)
     W = dualize_bimodule(V)
     # the check at degree n reads the maps of degrees n - 1 and n (faces)
@@ -316,17 +326,24 @@ def _build_with_moved_entries(A, cochains, moves, top):
         {n: _faces(A, V, n) for n in range(1, top + 1)}
     for n0, i0, r, c, delta in moves:
         maps[n0][i0][r][c] += delta
+    diffs = {n: _alternating_sum(m) for n, m in maps.items()}
+    if cochains:
+        expected = \
+            _square_failure(diffs, [(n, n + 1) for n in range(top - 1)]) or \
+            _first(_precosimplicial_failure(n, maps[n], maps[n + 1])
+                   for n in range(top - 1))
+        moves = [(n0 + 1, i0, c, r, delta) for n0, i0, r, c, delta in moves]
+        build = build_hochschild_cohomology_complex
+    else:
+        expected = \
+            _square_failure(diffs, [(n, n - 1) for n in range(2, top + 1)]) \
+            or _first(_presimplicial_failure(n, maps[n - 1], maps[n])
+                      for n in range(2, top + 1))
+        build = build_hochschild_homology_complex
     with pytest.MonkeyPatch.context() as mp:
-        if cochains:
-            _with_corrupted_lists(mp, "coface_map", moves)
-            _raises_as(_first(_precosimplicial_failure(n, maps[n], maps[n + 1])
-                              for n in range(top - 1)),
-                       lambda: build_hochschild_cohomology_complex(A, W, top))
-        else:
-            _with_corrupted_lists(mp, "face_map", moves)
-            _raises_as(_first(_presimplicial_failure(n, maps[n - 1], maps[n])
-                              for n in range(2, top + 1)),
-                       lambda: build_hochschild_homology_complex(A, V, top))
+        _with_corrupted_faces(mp, moves)
+        _raises_as(expected, lambda: build(A, W if cochains else V, top))
+    return expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -335,7 +352,9 @@ def _build_with_moved_entries(A, cochains, moves, top):
 def test_checked_builds_name_the_first_pair_corrupted_faces_break(
         make, cochains, data):
     """One or two entries of faces (or cofaces) are moved, each in one
-    map of one degree; the first failing (n, i, j) is the reference's."""
+    map of one degree; the build fails where the reference does, on
+    d o d of the moved differentials or else at its first failing
+    (n, i, j)."""
     A = make()
     top = 3 if A.dim == 2 else 2
     degrees = range(top) if cochains else range(1, top + 1)
@@ -354,15 +373,30 @@ def test_checked_builds_name_the_first_pair_corrupted_faces_break(
     _build_with_moved_entries(A, cochains, moves, top)
 
 
-@pytest.mark.parametrize("make,cochains,moves", [
-    (two_dim_unital, False, [(3, 0, 4, 0, 1), (3, 1, 2, 0, 1)]),
-    (two_dim_unital, True, [(2, 0, 0, 4, 1), (2, 1, 0, 2, 1)]),
-    (k1_plus_k2, False, [(3, 0, 5, 0, 1), (3, 1, 3, 1, 1)]),
-    (k1_plus_k2, True, [(2, 0, 0, 5, 1), (2, 1, 2, 3, 1)]),
+# the balanced cases add to each move the opposite move in face 3 at
+# the same entry, so that b is unchanged and d o d holds
+@pytest.mark.parametrize("make,cochains,moves,balance", [
+    (two_dim_unital, False, [(3, 0, 4, 0, 1), (3, 1, 2, 0, 1)],
+     [(3, 3, 4, 0, 1), (3, 3, 2, 0, -1)]),
+    (two_dim_unital, True, [(2, 0, 0, 4, 1), (2, 1, 0, 2, 1)],
+     [(2, 3, 0, 4, 1), (2, 3, 0, 2, -1)]),
+    (k1_plus_k2, False, [(3, 0, 5, 0, 1), (3, 1, 3, 1, 1)],
+     [(3, 3, 5, 0, 1), (3, 3, 3, 1, -1)]),
+    (k1_plus_k2, True, [(2, 0, 0, 5, 1), (2, 1, 2, 3, 1)],
+     [(2, 3, 0, 5, 1), (2, 3, 2, 3, -1)]),
 ], ids=["faces-2dim", "cofaces-2dim", "faces-3dim", "cofaces-3dim"])
-def test_pairs_are_checked_in_order(make, cochains, moves):
+def test_pairs_are_checked_in_order(make, cochains, moves, balance):
     """Moves in the top maps that break two pairs of the last degree
     checked and none before, (1, 2) and (0, 3) for faces, (2, 1) and
-    (3, 0) for cofaces: the check reports the pair it reaches first in
-    its loop order (j, then i, for faces; i, then j, for cofaces)."""
-    _build_with_moved_entries(make(), cochains, moves, 3)
+    (3, 0) for cofaces.  They enter the top differential too, so the
+    build reports d o d out of the top degree, as the reference does.
+    Balanced, they break more pairs of that degree but leave b as it
+    is, and the check reports the pair it reaches first in its loop
+    order (j, then i, for faces; i, then j, for cofaces)."""
+    A = make()
+    kind, _ = _build_with_moved_entries(A, cochains, moves, 3)
+    assert kind is BoundarySquareError
+    first = "pre-cosimplicial identity fails at n=1, i=2, j=1" if cochains \
+        else "presimplicial identity fails at n=3, i=1, j=2"
+    assert _build_with_moved_entries(A, cochains, moves + balance, 3) == \
+        (IdentityViolationError, first)

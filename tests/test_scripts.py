@@ -5,6 +5,7 @@ public API, so a change to that API can break them without failing any
 other test."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +47,22 @@ def test_compile_weight_marks_the_largest_module(capsys, tmp_path):
     assert capsys.readouterr().out.splitlines()[1].split()[:3] == \
         ["one.py", "1", "5"]
     assert _script("compile_weight").main(["--src", str(tmp_path / "no")]) == 2
+
+
+def test_job_peaks_prints_every_corpus_job(capsys, monkeypatch):
+    """One row per job of the benchmark's corpus_betti table, each with
+    a time and a tracemalloc peak, after the results are checked."""
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    assert _script("job_peaks").main(["--workload", "corpus_betti",
+                                      "--seed", "3"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["job", "ms", "peak_kb"]
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        SCRIPTS.parent / "perfbench" / "workloads.py")
+    table = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(table)
+    jobs = sorted(" ".join(map(str, job)) for job in table.CORPUS_JOBS)
+    assert sorted(r.rsplit(None, 2)[0] for r in rows) == jobs
+    assert all(float(r.split()[-2]) > 0 and int(r.split()[-1]) >= 0
+               for r in rows)
