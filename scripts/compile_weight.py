@@ -4,14 +4,22 @@
 For every module under src/homcyc: its line count, its AST node count
 and the tracemalloc peak of `compile()` on its source, in KB.  The
 largest module by compile peak is marked with `*`.  When bytecode
-caching is off, `import homcyc` compiles every module, and the largest
-compile peak can set a short run's peak memory.
+caching is off, a process compiles every module it imports, and the
+largest compile peak can set a short run's peak memory.
+
+With `--cli ARGS...`, only the modules that a fresh
+`python -m homcyc.cli ARGS...` loads are weighed, the request's own
+`cli.py` included, and a last row sums them.  The request runs once,
+without writing bytecode; its output is discarded.
 
     python3 scripts/compile_weight.py
+    python3 scripts/compile_weight.py --cli check A.json
 """
 
 import argparse
 import ast
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -32,12 +40,37 @@ def weigh(path: Path) -> tuple[int, int, int]:
     return len(source.splitlines()), nodes, peak
 
 
+def cli_modules(package: Path, argv: list[str]) -> list[Path]:
+    """The source files of `package` that `python -m <package>.cli argv`
+    compiles: those its `-X importtime` report lists, and `cli.py`,
+    which runs as __main__ and is not imported."""
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    proc = subprocess.run(
+        [sys.executable, "-B", "-X", "importtime", "-m",
+         f"{package.name}.cli", *argv],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True)
+    names = {"cli"}
+    for line in proc.stderr.splitlines():
+        if line.startswith("import time:"):
+            name = line.rsplit("|", 1)[1].strip()
+            if name == package.name:
+                names.add("__init__")
+            elif name.startswith(package.name + "."):
+                names.add(name[len(package.name) + 1:])
+    return [package / f"{name}.py" for name in sorted(names)]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", type=Path, default=SRC,
                     help="package directory to weigh (default: homcyc's)")
+    ap.add_argument("--cli", nargs=argparse.REMAINDER, metavar="ARGS",
+                    help="weigh only what `python -m homcyc.cli ARGS` loads")
     args = ap.parse_args(argv)
-    rows = [(p.name, *weigh(p)) for p in sorted(args.src.glob("*.py"))]
+    paths = sorted(args.src.glob("*.py")) if args.cli is None else \
+        cli_modules(args.src, args.cli)
+    rows = [(p.name, *weigh(p)) for p in paths if p.is_file()]
     if not rows:
         print(f"no modules under {args.src}", file=sys.stderr)
         return 2
@@ -46,6 +79,9 @@ def main(argv=None) -> int:
     for name, lines, nodes, peak in rows:
         mark = " *" if peak == top else ""
         print(f"{name:<18} {lines:>6} {nodes:>6} {peak / 1024:>8.0f}{mark}")
+    if args.cli is not None:
+        lines, nodes, peak = (sum(r[i] for r in rows) for i in (1, 2, 3))
+        print(f"{'total':<18} {lines:>6} {nodes:>6} {peak / 1024:>8.0f}")
     return 0
 
 

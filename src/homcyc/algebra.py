@@ -26,12 +26,9 @@ from typing import Sequence
 from .linalg import (Matrix, Subspace, ZERO, ONE, block_matrix, image, kernel,
                      kron, restrict, scalar_from_string, scalar_to_string,
                      vanishes)
+from .errors import ShapeError
 
 MuTensor = tuple[tuple[tuple[Fraction, ...], ...], ...]
-
-
-class ShapeError(ValueError):
-    """Raised when raw algebra data has inconsistent tensor shapes."""
 
 
 @dataclass(frozen=True)

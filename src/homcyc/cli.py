@@ -2,6 +2,15 @@
 
 Exit codes: 0 success, 2 validation failure, 3 a chain-level identity
 the theory asserts failed (always surfaced, never swallowed).
+
+A request loads `algebra`, `linalg` and `errors`, and each command
+imports the modules it computes with when it runs, so that a request
+compiles no other: `check`, `twist` and `decompose` need `algebra`
+only; `dual-space` needs `coefficients`; `hh`, `hhco` and `duality`
+`hochschild`; `hc`, `hcco`, `hp`, `hpco` and `--experimental-bb`
+`cyclic`; `cocycle` `cocycles`.  Those imports name the module, as in
+`from .cyclic import x`: `from . import cyclic` asks the package first,
+and that imports the whole API.
 """
 
 from __future__ import annotations
@@ -11,21 +20,11 @@ import json
 import sys
 from functools import partial
 
-from .algebra import (DecompositionError, HomAlgebra, ShapeError,
-                      alpha_is_idempotent, find_unit, is_centroid_element,
-                      load_algebra, unital_decompose, yau_twist)
-from .cocycles import (CocyclePreconditionError, Functional,
-                       TwistedDerivation, derivation_cocycle,
-                       is_cyclic_cocycle, trace_space)
-from .coefficients import a_circ
-from .complexes import BoundarySquareError, NotStableError, text_table
-from .cyclic import (connes_bB_report, cyclic_cohomology_bicomplex,
-                     cyclic_cohomology_both, cyclic_cohomology_lambda,
-                     cyclic_homology_bicomplex, cyclic_homology_both,
-                     cyclic_homology_lambda, hochschild_cohomology,
-                     hochschild_homology, periodic_cohomology,
-                     periodic_homology)
-from .hochschild import IdentityViolationError, tensor_label
+from .algebra import (DecompositionError, HomAlgebra, alpha_is_idempotent,
+                      find_unit, is_centroid_element, load_algebra,
+                      unital_decompose, yau_twist)
+from .errors import (BoundarySquareError, CoefficientError,
+                     IdentityViolationError, NotStableError, ShapeError)
 from .linalg import Matrix, scalar_from_string, scalar_to_string
 
 EXIT_OK = 0
@@ -90,11 +89,17 @@ def cmd_homology(args) -> int:
     n = args.max
     reps = args.representatives
     if theory in ("hh", "hhco"):
+        from .hochschild import (hochschild_cohomology, hochschild_homology,
+                                 tensor_label)
         rep = (hochschild_homology if theory == "hh"
                else hochschild_cohomology)(alg, n, representatives=reps)
         _emit(rep.to_json_dict(), args.format,
               rep.to_text(partial(tensor_label, alg)))
     elif theory in ("hc", "hcco"):
+        from .cyclic import (cyclic_cohomology_bicomplex,
+                             cyclic_cohomology_both, cyclic_cohomology_lambda,
+                             cyclic_homology_bicomplex, cyclic_homology_both,
+                             cyclic_homology_lambda)
         if args.method == "both":
             both = (cyclic_homology_both if theory == "hc"
                     else cyclic_cohomology_both)
@@ -110,6 +115,7 @@ def cmd_homology(args) -> int:
                    else cyclic_cohomology_bicomplex)(alg, n)
             _emit(rep.to_json_dict(), args.format, rep.to_text())
     elif theory in ("hp", "hpco"):
+        from .cyclic import periodic_cohomology, periodic_homology
         fn = periodic_homology if theory == "hp" else periodic_cohomology
         prep = fn(alg, n, window=args.window)
         _emit(prep.to_json_dict(), args.format, _periodic_text(prep))
@@ -121,6 +127,7 @@ def cmd_homology(args) -> int:
 
 
 def _cyclic_text(cr) -> str:
+    from .complexes import text_table
     kind = "cyclic cohomology" if cr.cohomology else "cyclic homology"
     return text_table(
         f"{kind} of {cr.algebra_name} (lambda vs bicomplex)",
@@ -130,6 +137,7 @@ def _cyclic_text(cr) -> str:
 
 
 def _periodic_text(pr) -> str:
+    from .complexes import text_table
     kind = "periodic cyclic " + ("cohomology" if pr.cohomology else "homology")
     return text_table(
         f"{kind} of {pr.algebra_name} "
@@ -140,6 +148,8 @@ def _periodic_text(pr) -> str:
 
 
 def cmd_duality(args) -> int:
+    from .complexes import text_table
+    from .hochschild import hochschild_cohomology, hochschild_homology
     alg = _load(args.file)
     hh = hochschild_homology(alg, args.max)
     hhco = hochschild_cohomology(alg, args.max)
@@ -179,9 +189,10 @@ def _read_matrix(path: str, dim: int) -> Matrix:
 
 
 def _read_functional(path: str, alg: HomAlgebra,
-                     degree: int | None = None) -> Functional:
-    """A functional on alg^{(x)(n+1)}: a JSON object with its "coords"
-    and, unless the degree n is given, its "degree"."""
+                     degree: int | None = None):
+    """A `cocycles.Functional` on alg^{(x)(n+1)}: a JSON object with its
+    "coords" and, unless the degree n is given, its "degree"."""
+    from .cocycles import Functional
     data = _read_json(path)
     try:
         n = data["degree"] if degree is None else degree
@@ -215,6 +226,7 @@ def cmd_twist(args) -> int:
 
 
 def cmd_dual_space(args) -> int:
+    from .coefficients import a_circ
     alg = _load(args.file)
     rd = a_circ(alg)
     payload = {
@@ -255,6 +267,7 @@ def cmd_decompose(args) -> int:
 
 def _report_bb(alg, n_max: int, fmt: str) -> None:
     """Experimental (b,B) check: outcomes are reported, never asserted."""
+    from .cyclic import connes_bB_report
     try:
         rep = connes_bB_report(alg, n_max)
     except ValueError as exc:
@@ -288,6 +301,8 @@ def cmd_cocycle(args) -> int:
     if missing:
         args.usage_error(f"cocycle {args.action} needs "
                          + " and ".join(missing))
+    from .cocycles import (CocyclePreconditionError, TwistedDerivation,
+                           derivation_cocycle, is_cyclic_cocycle)
     alg = _load(args.file)
     if args.action == "verify":
         check = is_cyclic_cocycle(_read_functional(args.functional, alg), alg)
@@ -328,8 +343,9 @@ def window(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # --help shows the docstring but its last paragraph, on imports
     p = argparse.ArgumentParser(prog="homcyc",
-                                description=__doc__)
+                                description=__doc__.rsplit("\n\n", 1)[0])
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, with_max=True):
@@ -400,9 +416,11 @@ def main(argv=None) -> int:
             NotStableError) as exc:
         print(f"identity failure: {exc}", file=sys.stderr)
         return EXIT_IDENTITY
-    except (ShapeError, json.JSONDecodeError, OSError) as exc:
+    except (ShapeError, CoefficientError, json.JSONDecodeError,
+            OSError) as exc:
         # an input file that is missing, unreadable or not a well-formed
-        # algebra, for every subcommand
+        # algebra, for every subcommand; or an algebra whose dual A* is
+        # not a dual bimodule, which the cochain theories need
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

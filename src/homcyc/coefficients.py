@@ -25,10 +25,7 @@ from .algebra import (HomAlgebra, Violation, axiom_violations,
                       is_centroid_element)
 from .linalg import (Matrix, NotASubspaceError, Subspace, block_matrix, kron,
                      permute_columns, restrict, solve_homogeneous)
-
-
-class CoefficientError(ValueError):
-    pass
+from .errors import CoefficientError
 
 
 @dataclass(frozen=True)

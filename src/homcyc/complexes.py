@@ -25,16 +25,9 @@ from .linalg import (Matrix, NotASubspaceError, Subspace, block_matrix,
                      descend, image, kernel, quotient_dim,
                      rank as matrix_rank, restrict,
                      scalar_to_string, vanishes)
+from .errors import BoundarySquareError, NotStableError
 
 Orientation = Literal["homological", "cohomological"]
-
-
-class BoundarySquareError(ValueError):
-    """d o d != 0: a construction bug or a violated chain-level identity."""
-
-
-class NotStableError(ValueError):
-    """The differential does not preserve the given family of subspaces."""
 
 
 @dataclass(frozen=True)
@@ -51,7 +44,8 @@ class ChainComplex:
     dims: dict[int, int]
     diffs: dict[int, Matrix]
     orientation: Orientation = "homological"
-    # rank of the map out of each degree, filled by `rank`
+    # rank of the map out of each degree, filled by `rank` and by
+    # `homology_classes`
     _ranks: dict[int, int] = field(default_factory=dict, init=False,
                                    compare=False, repr=False)
 
@@ -120,9 +114,13 @@ def homology_classes(C: ChainComplex, n: int) -> tuple[Subspace, Subspace]:
     """The boundaries B in degree n, and the homology classes H: the
     image of the cycles Z under B's quotient map, i.e. Z / B in B's
     `free_columns` coordinates.  Raises NotASubspaceError unless B lies
-    in Z, and ArithmeticError unless dim H is the rank Betti number."""
+    in Z, and ArithmeticError unless dim H is the rank Betti number.
+    The rank out of degree n, unless already known, is read off Z,
+    whose elimination counted its pivots; the incoming map's rank is
+    still reduced on its own, which cross-checks B."""
     B = C.boundaries(n)
     Z = kernel(C.differential(n))
+    C._ranks.setdefault(n, Z.ambient_dim - Z.dim)
     quotient_dim(B, Z)  # raises unless B lies in Z
     H = image(B.quotient @ Z.rows.transpose())
     if H.dim != _betti(C, n):

@@ -1,5 +1,7 @@
 """Cyclic and periodic (co)homology: quotient/invariant method and the
 bicomplex method, plus the comparison and functoriality machinery.
+`hochschild_homology` and `hochschild_cohomology` live in `hochschild`
+and are re-exported here.
 
 Cochain-level operators are transposes of the chain-level ones: the
 basis conventions in `hochschild` make the identification of a cochain
@@ -22,29 +24,10 @@ from .complexes import (Bicomplex, ChainComplex, HomologyReport, homology,
 from .hochschild import (IdentityViolationError, b_prime, cyclic_t,
                          build_hochschild_cohomology_complex,
                          build_hochschild_homology_complex, face_map,
-                         hochschild_b, norm_N)
+                         hochschild_b, hochschild_cohomology,
+                         hochschild_homology, norm_N)
 from .linalg import (Matrix, NotASubspaceError, Subspace, descend, image,
                      kron, kernel, maps_into, restrict, signed_sum, vanishes)
-
-
-def hochschild_homology(A: HomAlgebra, n_max: int, *,
-                        representatives: bool = False) -> HomologyReport:
-    """HH of A with coefficients in the regular bimodule."""
-    V = regular_bimodule(A)
-    C = build_hochschild_homology_complex(A, V, n_max + 1)
-    return report_for_complex(C, range(n_max + 1), theory="HH",
-                              algebra_name=A.name, coefficient_name=V.name,
-                              representatives=representatives)
-
-
-def hochschild_cohomology(A: HomAlgebra, n_max: int, *,
-                          representatives: bool = False) -> HomologyReport:
-    """Hochschild cohomology of A with coefficients in (regular)*."""
-    W = dualize_bimodule(regular_bimodule(A))
-    C = build_hochschild_cohomology_complex(A, W, n_max + 1)
-    return report_for_complex(C, range(n_max + 1), theory="HH-co",
-                              algebra_name=A.name, coefficient_name=W.name,
-                              representatives=representatives)
 
 
 def _one_minus_t(A: HomAlgebra, n: int) -> Matrix:

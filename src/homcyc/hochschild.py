@@ -1,4 +1,5 @@
-"""Chain-level operators: face maps, b, b', t, N, theta, and cofaces.
+"""Chain-level operators: face maps, b, b', t, N, theta, and cofaces;
+the complexes they build, and the HH and HH-co reports.
 
 Basis conventions.  The degree-n chain space is V (x) A^{(x)n} with basis
 tensors enumerated big-endian: index = v * d^n + sum_k i_k * d^(n-k), so
@@ -40,19 +41,15 @@ from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .algebra import HomAlgebra
-from .coefficients import (Bimodule, chain_data, regular_bimodule,
-                           validate_homology_coefficients)
-from .complexes import ChainComplex
+from .coefficients import (Bimodule, chain_data, dualize_bimodule,
+                           regular_bimodule, validate_homology_coefficients)
+from .complexes import ChainComplex, HomologyReport, report_for_complex
+from .errors import IdentityViolationError
 from .linalg import Matrix, kron, permute_columns, signed_sum, vanishes
 
 
 class CoefficientHypothesisError(ValueError):
     """The bimodule does not satisfy the extra homology-theorem hypotheses."""
-
-
-class IdentityViolationError(ValueError):
-    """A chain-level identity asserted by the theory fails: either the
-    input algebra is malformed or the construction has a bug."""
 
 
 def chain_dim(A: HomAlgebra, V, n: int) -> int:
@@ -294,6 +291,26 @@ def build_hochschild_cohomology_complex(A: HomAlgebra, W: Bimodule,
     if failure is not None:
         raise failure
     return C
+
+
+def hochschild_homology(A: HomAlgebra, n_max: int, *,
+                        representatives: bool = False) -> HomologyReport:
+    """HH of A with coefficients in the regular bimodule."""
+    V = regular_bimodule(A)
+    C = build_hochschild_homology_complex(A, V, n_max + 1)
+    return report_for_complex(C, range(n_max + 1), theory="HH",
+                              algebra_name=A.name, coefficient_name=V.name,
+                              representatives=representatives)
+
+
+def hochschild_cohomology(A: HomAlgebra, n_max: int, *,
+                          representatives: bool = False) -> HomologyReport:
+    """Hochschild cohomology of A with coefficients in (regular)*."""
+    W = dualize_bimodule(regular_bimodule(A))
+    C = build_hochschild_cohomology_complex(A, W, n_max + 1)
+    return report_for_complex(C, range(n_max + 1), theory="HH-co",
+                              algebra_name=A.name, coefficient_name=W.name,
+                              representatives=representatives)
 
 
 def tensor_label(A: HomAlgebra, n: int, index: int) -> str:

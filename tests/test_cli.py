@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from homcyc.algebra import yau_twist
 from homcyc.cli import main
-from homcyc.corpus import (dual_numbers, ground_field, two_dim_unital)
+from homcyc.corpus import (dual_numbers, ground_field, matrix_2x2,
+                           two_dim_unital)
+from homcyc.linalg import Matrix
 
 
 @pytest.fixture()
@@ -321,3 +324,38 @@ def test_malformed_twist_matrix_exits_2(assoc_file, tmp_path, capsys, alpha):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.fixture()
+def shear_file(tmp_path):
+    """mat2 Yau-twisted by x -> g x g^-1 with g = [[1, 1], [0, 1]]: a
+    valid algebra with alpha^2 != Id, whose dual A* fails the
+    dual-bimodule axioms."""
+    g_conj = Matrix.from_columns(4, [[1, -1, 0, 0], [0, 1, 0, 0],
+                                     [1, -1, 1, -1], [0, 1, 0, 1]])
+    p = tmp_path / "shear.json"
+    p.write_text(yau_twist(matrix_2x2(), g_conj, name="mat2_shear").to_json())
+    return str(p)
+
+
+@pytest.mark.parametrize("argv", [
+    ["hhco"], ["hcco", "--method", "lambda"], ["hcco", "--method", "both"],
+    ["duality"]], ids=["hhco", "hcco-lambda", "hcco-both", "duality"])
+def test_dual_bimodule_failure_exits_2(shear_file, capsys, argv):
+    """A* is needed and refused: one error line naming the failed axiom,
+    no traceback."""
+    assert main([argv[0], shear_file, "--max", "1", *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "dual-bimodule-compat fails at (1,1,1)" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["hcco", "--max", "1", "--method", "bicomplex"],
+    ["hpco", "--max", "0", "--window", "0"]],
+    ids=["hcco-bicomplex", "hpco"])
+def test_cochain_theories_without_the_dual_bimodule_exit_0(shear_file,
+                                                           capsys, argv):
+    assert main([argv[0], shear_file, *argv[1:], "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["betti"]["0"] >= 0

@@ -145,6 +145,37 @@ def test_rank_betti_matches_representative_count(data, orientation):
         assert betti == len(homology(C, n)[1])
 
 
+def test_representatives_reduce_each_cochain_differential_once(monkeypatch):
+    """With representatives, the rank out of degree n is read off the
+    cycles' elimination: in a cochain complex, whose incoming ranks are
+    known by the time they are asked for, every differential is
+    row-reduced once (for its kernel), not twice.  A chain complex
+    still reduces each incoming map on its own, as a cross-check of the
+    boundaries."""
+    from homcyc import linalg
+    from homcyc.corpus import two_dim_unital
+    A = two_dim_unital()
+    C = build_hochschild_cohomology_complex(
+        A, dualize_bimodule(regular_bimodule(A)), 4)
+    reduced = []
+    echelon = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon",
+                        lambda m: reduced.append(m) or echelon(m))
+    report = report_for_complex(C, range(4), theory="HH-co",
+                                algebra_name=A.name, coefficient_name="",
+                                representatives=True)
+    assert [sum(m is C.diffs[n] for m in reduced) for n in range(4)] == \
+        [1, 1, 1, 1]
+    assert report.betti == {n: len(report.representatives[n])
+                            for n in range(4)}
+    H = build_hochschild_homology_complex(A, regular_bimodule(A), 4)
+    reduced.clear()
+    report_for_complex(H, range(4), theory="HH", algebra_name=A.name,
+                       coefficient_name="", representatives=True)
+    assert [sum(m is H.diffs[n] for m in reduced) for n in range(1, 5)] == \
+        [2, 2, 2, 1]
+
+
 def test_rank_homology_checks_d_squared():
     """d1 o d2 = [1] != 0: no complex exists to take the homology of."""
     with pytest.raises(BoundarySquareError, match=OUT_OF % 2):

@@ -49,6 +49,27 @@ def test_compile_weight_marks_the_largest_module(capsys, tmp_path):
     assert _script("compile_weight").main(["--src", str(tmp_path / "no")]) == 2
 
 
+def test_compile_weight_cli_weighs_the_modules_a_request_loads(capsys,
+                                                               tmp_path):
+    """With --cli, one row per module that the request loads, cli.py
+    included, and a total row that sums every column."""
+    from homcyc.corpus import two_dim_unital
+    alg = tmp_path / "alg.json"
+    alg.write_text(two_dim_unital().to_json())
+    assert _script("compile_weight").main(
+        ["--cli", "check", str(alg), "--format", "json"]) == 0
+    header, *rows, total = capsys.readouterr().out.splitlines()
+    assert header.split() == ["module", "lines", "nodes", "peak_kb"]
+    assert [r.split()[0] for r in rows] == [
+        "__init__.py", "algebra.py", "cli.py", "errors.py", "linalg.py"]
+    cells = [[int(x) for x in r.split()[1:4]] for r in rows]
+    assert total.split()[0] == "total"
+    assert [int(x) for x in total.split()[1:3]] == \
+        [sum(c[0] for c in cells), sum(c[1] for c in cells)]
+    # each peak is rounded to a KB, so their sum may differ by one per row
+    assert abs(int(total.split()[3]) - sum(c[2] for c in cells)) <= len(rows)
+
+
 def test_job_peaks_prints_every_corpus_job(capsys, monkeypatch):
     """One row per job of the benchmark's corpus_betti table, each with
     a time and a tracemalloc peak, after the results are checked."""
