@@ -9,8 +9,12 @@ largest compile peak can set a short run's peak memory.
 
 With `--cli ARGS...`, only the modules that a fresh
 `python -m homcyc.cli ARGS...` loads are weighed, the request's own
-`cli.py` included, and a last row sums them.  The request runs once,
-without writing bytecode; its output is discarded.
+`cli.py` included, and a last row sums them.  A second table then
+lists every other module the request imports that a bare interpreter
+(`python -c pass`) does not, with its self and cumulative import time
+in microseconds, largest cumulative first, so a heavy standard-library
+import shows.  Each interpreter runs once, without writing bytecode;
+the request's output is discarded.
 
     python3 scripts/compile_weight.py
     python3 scripts/compile_weight.py --cli check A.json
@@ -40,25 +44,39 @@ def weigh(path: Path) -> tuple[int, int, int]:
     return len(source.splitlines()), nodes, peak
 
 
-def cli_modules(package: Path, argv: list[str]) -> list[Path]:
+def imports(argv: list[str], env: dict) -> dict[str, tuple[int, int]]:
+    """{module: (self us, cumulative us)} from the `-X importtime`
+    report of `python argv`, run without writing bytecode."""
+    proc = subprocess.run([sys.executable, "-B", "-X", "importtime", *argv],
+                          env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True)
+    out = {}
+    for line in proc.stderr.splitlines():
+        if line.startswith("import time:") and "|" in line:
+            own, cumulative, name = line[12:].split("|")
+            if own.strip().isdigit():
+                out[name.strip()] = int(own), int(cumulative)
+    return out
+
+
+def cli_imports(package: Path, argv: list[str]
+                ) -> tuple[list[Path], dict[str, tuple[int, int]]]:
     """The source files of `package` that `python -m <package>.cli argv`
     compiles: those its `-X importtime` report lists, and `cli.py`,
-    which runs as __main__ and is not imported."""
+    which runs as __main__ and is not imported; and the other modules
+    it imports that `python -c pass` does not, with their times."""
     env = dict(os.environ, PYTHONPATH=str(package.parent))
-    proc = subprocess.run(
-        [sys.executable, "-B", "-X", "importtime", "-m",
-         f"{package.name}.cli", *argv],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-        text=True)
-    names = {"cli"}
-    for line in proc.stderr.splitlines():
-        if line.startswith("import time:"):
-            name = line.rsplit("|", 1)[1].strip()
-            if name == package.name:
-                names.add("__init__")
-            elif name.startswith(package.name + "."):
-                names.add(name[len(package.name) + 1:])
-    return [package / f"{name}.py" for name in sorted(names)]
+    loaded = imports(["-m", f"{package.name}.cli", *argv], env)
+    bare = imports(["-c", "pass"], env)
+    names, other = {"cli"}, {}
+    for name, times in loaded.items():
+        if name == package.name:
+            names.add("__init__")
+        elif name.startswith(package.name + "."):
+            names.add(name[len(package.name) + 1:])
+        elif name not in bare:
+            other[name] = times
+    return [package / f"{name}.py" for name in sorted(names)], other
 
 
 def main(argv=None) -> int:
@@ -68,8 +86,8 @@ def main(argv=None) -> int:
     ap.add_argument("--cli", nargs=argparse.REMAINDER, metavar="ARGS",
                     help="weigh only what `python -m homcyc.cli ARGS` loads")
     args = ap.parse_args(argv)
-    paths = sorted(args.src.glob("*.py")) if args.cli is None else \
-        cli_modules(args.src, args.cli)
+    paths, other = (sorted(args.src.glob("*.py")), None) \
+        if args.cli is None else cli_imports(args.src, args.cli)
     rows = [(p.name, *weigh(p)) for p in paths if p.is_file()]
     if not rows:
         print(f"no modules under {args.src}", file=sys.stderr)
@@ -82,6 +100,10 @@ def main(argv=None) -> int:
     if args.cli is not None:
         lines, nodes, peak = (sum(r[i] for r in rows) for i in (1, 2, 3))
         print(f"{'total':<18} {lines:>6} {nodes:>6} {peak / 1024:>8.0f}")
+        print(f"\n{'import':<24} {'self_us':>8} {'cumul_us':>8}")
+        for name, (own, cumulative) in sorted(
+                other.items(), key=lambda kv: (-kv[1][1], kv[0])):
+            print(f"{name:<24} {own:>8} {cumulative:>8}")
     return 0
 
 

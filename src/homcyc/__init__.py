@@ -2,8 +2,9 @@
 (co)homology for finite-dimensional multiplicative Hom-associative
 algebras over the rationals.
 
-`import homcyc` loads `algebra` (and with it `linalg`) only, so that a
-command-line request compiles no module its subcommand does not use.
+`import homcyc` loads `algebra` (and with it `linalg`, `errors` and
+`records`) only, so that a command-line request compiles no module its
+subcommand does not use; none of them imports `dataclasses`.
 Any other lookup on the package, of an exported name or of a submodule
 name, as `from homcyc import corpus` makes, first imports the whole
 public API, so no later computation pays for an import.  An exported

@@ -17,7 +17,6 @@ sufficient.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iproduct
@@ -27,11 +26,12 @@ from .linalg import (Matrix, Subspace, ZERO, ONE, block_matrix, image, kernel,
                      kron, restrict, scalar_from_string, scalar_to_string,
                      vanishes)
 from .errors import ShapeError
+from .records import Field, record
 
 MuTensor = tuple[tuple[tuple[Fraction, ...], ...], ...]
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     """One failed axiom instance, with both sides evaluated."""
 
@@ -67,7 +67,7 @@ def axiom_violations(families: Sequence[tuple]) -> list[Violation]:
     return [v for _, _, v in found]
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     valid: bool
     multiplicative: bool
@@ -79,7 +79,7 @@ def _freeze_mu(mu) -> MuTensor:
                  for plane in mu)
 
 
-@dataclass(frozen=True)
+@record
 class HomAlgebra:
     """Validated multiplicative Hom-associative algebra."""
 
@@ -87,7 +87,7 @@ class HomAlgebra:
     basis_names: tuple[str, ...]
     mu: MuTensor
     alpha: Matrix
-    name: str = field(default="", compare=False)
+    name: str = Field(default="", compare=False)
 
     @cached_property
     def product_matrix(self) -> Matrix:
@@ -305,7 +305,7 @@ def is_centroid_element(A: HomAlgebra) -> tuple[bool, list[Violation]]:
     return not bad, bad
 
 
-@dataclass(frozen=True)
+@record
 class Decomposition:
     """A = A1 (+) A2 with the change of basis from the summand bases."""
 
@@ -462,7 +462,7 @@ def direct_sum(A: HomAlgebra, B: HomAlgebra, name: str = "") -> HomAlgebra:
                              name=name or f"{A.name}+{B.name}")
 
 
-@dataclass(frozen=True)
+@record
 class AlgebraMorphism:
     source: HomAlgebra
     target: HomAlgebra

@@ -3,12 +3,13 @@
 Exit codes: 0 success, 2 validation failure, 3 a chain-level identity
 the theory asserts failed (always surfaced, never swallowed).
 
-A request loads `algebra`, `linalg` and `errors`, and each command
-imports the modules it computes with when it runs, so that a request
-compiles no other: `check`, `twist` and `decompose` need `algebra`
-only; `dual-space` needs `coefficients`; `hh`, `hhco` and `duality`
-`hochschild`; `hc`, `hcco`, `hp`, `hpco` and `--experimental-bb`
-`cyclic`; `cocycle` `cocycles`.  Those imports name the module, as in
+A request loads `algebra`, `linalg`, `errors` and `records` (not
+`dataclasses`), and each command imports the modules it computes with
+when it runs, so that a request compiles no other: `check`, `twist`
+and `decompose` need `algebra` only; `dual-space` needs
+`coefficients`; `hh`, `hhco` and `duality` `hochschild`; `hc`,
+`hcco`, `hp`, `hpco` and `--experimental-bb` `cyclic`; `cocycle`
+`cocycles`.  Those imports name the module, as in
 `from .cyclic import x`: `from . import cyclic` asks the package first,
 and that imports the whole API.
 """
@@ -417,10 +418,11 @@ def main(argv=None) -> int:
         print(f"identity failure: {exc}", file=sys.stderr)
         return EXIT_IDENTITY
     except (ShapeError, CoefficientError, json.JSONDecodeError,
-            OSError) as exc:
-        # an input file that is missing, unreadable or not a well-formed
-        # algebra, for every subcommand; or an algebra whose dual A* is
-        # not a dual bimodule, which the cochain theories need
+            UnicodeDecodeError, OSError) as exc:
+        # an input file that is missing, unreadable, not text, not JSON or
+        # not a well-formed algebra, for every subcommand; or an algebra
+        # whose dual A* is not a dual bimodule, which the cochain
+        # theories need
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -7,7 +7,6 @@ A^{(x)(n+1)}, indexed exactly like the chain basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -16,9 +15,10 @@ from .coefficients import regular_bimodule
 from .hochschild import IdentityViolationError, cyclic_t, hochschild_b
 from .linalg import (Matrix, Subspace, ZERO, kron, solve_homogeneous,
                      vanishes)
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class Functional:
     """k-linear functional on A^{(x)(degree+1)}, dual-basis coordinates."""
 
@@ -36,7 +36,7 @@ def trace_space(A: HomAlgebra) -> Subspace:
                               for j in range(i + 1, A.dim)], A.dim)
 
 
-@dataclass(frozen=True)
+@record
 class CocycleCheck:
     is_cocycle: bool
     coboundary_residuals: tuple[Violation, ...]
@@ -68,7 +68,7 @@ def is_cyclic_cocycle(phi: Functional, A: HomAlgebra) -> CocycleCheck:
                         tuple(co_res), tuple(cyc_res))
 
 
-@dataclass(frozen=True)
+@record
 class TwistedDerivation:
     """rho with rho(ab) = rho(a)b + a rho(b) and alpha rho = rho alpha = rho.
 

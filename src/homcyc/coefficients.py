@@ -19,16 +19,16 @@ L, R, beta and the algebra's `product_matrix` and alpha, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 
 from .algebra import (HomAlgebra, Violation, axiom_violations,
                       is_centroid_element)
 from .linalg import (Matrix, NotASubspaceError, Subspace, block_matrix, kron,
                      permute_columns, restrict, solve_homogeneous)
 from .errors import CoefficientError
+from .records import record, replace
 
 
-@dataclass(frozen=True)
+@record
 class Bimodule:
     """A-bimodule data: the twisted left and right module axioms plus
     the compatibility alpha(a).(v.b) = (a.v).alpha(b).  With `dual`, the
@@ -172,7 +172,7 @@ def dualize_bimodule(V: Bimodule) -> Bimodule:
     return W
 
 
-@dataclass(frozen=True)
+@record
 class RestrictedDual:
     """A-degree dual: subspace of A* with its induced bimodule structure."""
 

@@ -16,7 +16,6 @@ induced maps are read from them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterable, Literal, Sequence
@@ -26,11 +25,12 @@ from .linalg import (Matrix, NotASubspaceError, Subspace, block_matrix,
                      rank as matrix_rank, restrict,
                      scalar_to_string, vanishes)
 from .errors import BoundarySquareError, NotStableError
+from .records import Field, record
 
 Orientation = Literal["homological", "cohomological"]
 
 
-@dataclass(frozen=True)
+@record
 class ChainComplex:
     """Finite truncation of a complex on degrees [min_degree .. max_degree].
 
@@ -46,7 +46,7 @@ class ChainComplex:
     orientation: Orientation = "homological"
     # rank of the map out of each degree, filled by `rank` and by
     # `homology_classes`
-    _ranks: dict[int, int] = field(default_factory=dict, init=False,
+    _ranks: dict[int, int] = Field(default_factory=dict, init=False,
                                    compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -165,7 +165,7 @@ def text_table(title: str, columns: Sequence[tuple[str, int]],
         for row in [[name for name, _ in columns], *rows]])
 
 
-@dataclass(frozen=True)
+@record
 class HomologyReport:
     """Betti numbers with rank bookkeeping, serializable to JSON/text."""
 
@@ -177,8 +177,8 @@ class HomologyReport:
     betti: dict[int, int]
     kernel_dims: dict[int, int]
     image_dims: dict[int, int]
-    representatives: dict[int, list[tuple[Fraction, ...]]] = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
+    representatives: dict[int, list[tuple[Fraction, ...]]] = Field(default_factory=dict)
+    metadata: dict = Field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -234,7 +234,7 @@ def report_for_complex(C: ChainComplex, degrees: Sequence[int], *,
         if representatives else {}, metadata=metadata or {})
 
 
-@dataclass(frozen=True)
+@record
 class Bicomplex:
     """Double complex with the signs baked into the stored maps.
 

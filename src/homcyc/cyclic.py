@@ -11,7 +11,6 @@ identity on coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (AlgebraMorphism, HomAlgebra, alpha_is_idempotent,
@@ -28,6 +27,7 @@ from .hochschild import (IdentityViolationError, b_prime, cyclic_t,
                          hochschild_homology, norm_N)
 from .linalg import (Matrix, NotASubspaceError, Subspace, descend, image,
                      kron, kernel, maps_into, restrict, signed_sum, vanishes)
+from .records import Field, record
 
 
 def _one_minus_t(A: HomAlgebra, n: int) -> Matrix:
@@ -141,7 +141,7 @@ def cyclic_cohomology_bicomplex(A: HomAlgebra, n_max: int) -> HomologyReport:
                               coefficient_name=f"{A.name}-coregular")
 
 
-@dataclass(frozen=True)
+@record
 class CyclicReport:
     """Cross-checked Betti numbers from both constructions.
 
@@ -194,7 +194,7 @@ def cyclic_cohomology_both(A: HomAlgebra, n_max: int) -> CyclicReport:
                         cohomology=True)
 
 
-@dataclass(frozen=True)
+@record
 class PeriodicReport:
     """Window-truncated periodic Betti numbers with stabilization flags.
 
@@ -270,14 +270,14 @@ def periodic_cohomology(A: HomAlgebra, n_max: int, *,
 # asserted but not proved by the theory in the Hom setting, so the
 # computed outcome on each input is reported, never assumed.
 
-@dataclass(frozen=True)
+@record
 class ConnesBBReport:
     algebra_name: str
     degrees: tuple[int, ...]
     b_squared_zero: bool
     bB_anticommute: bool
-    betti: dict[int, int] = field(default_factory=dict)
-    betti_cyclic: dict[int, int] = field(default_factory=dict)
+    betti: dict[int, int] = Field(default_factory=dict)
+    betti_cyclic: dict[int, int] = Field(default_factory=dict)
 
     @property
     def identities_hold(self) -> bool:

@@ -32,7 +32,9 @@ it both the differential and the (co)simplicial identities of the
 degrees it enters, holding at most two degrees' lists; each identity is
 one `linalg.vanishes` call on faces, never on cofaces.  Its checks run
 as the degrees are built, and a failing one is raised only after the
-ChainComplex has checked d o d.
+ChainComplex has checked d o d.  A degree's faces are the right factors
+of its own checks only, so their packed rows are dropped
+(`linalg.drop_packings`) once those checks are done.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ from .coefficients import (Bimodule, chain_data, dualize_bimodule,
                            regular_bimodule, validate_homology_coefficients)
 from .complexes import ChainComplex, HomologyReport, report_for_complex
 from .errors import IdentityViolationError
-from .linalg import Matrix, kron, permute_columns, signed_sum, vanishes
+from .linalg import (Matrix, drop_packings, kron, permute_columns,
+                     signed_sum, vanishes)
 
 
 class CoefficientHypothesisError(ValueError):
@@ -213,6 +216,7 @@ def build_hochschild_homology_complex(A: HomAlgebra, V: Bimodule,
         failure = _first_violation(failure, check_presimplicial, A, V, n,
                                    lower, faces)
         del lower
+        drop_packings(faces)
         diffs[n] = hochschild_b(A, V, n, faces)
     C = ChainComplex(dims=dims, diffs=diffs, orientation="homological")
     if failure is not None:
@@ -286,6 +290,7 @@ def build_hochschild_cohomology_complex(A: HomAlgebra, W: Bimodule,
             failure = _first_violation(failure, check_precosimplicial, A, W,
                                        n - 1, lower, faces)
         del lower
+        drop_packings(faces)
         diffs[n] = cochain_b(A, W, n, faces)
     C = ChainComplex(dims=dims, diffs=diffs, orientation="cohomological")
     if failure is not None:

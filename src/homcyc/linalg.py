@@ -13,13 +13,13 @@ no product, sum integers over the nonzero entries only, row by row
 entries nonzero, is instead packed by Kronecker substitution, each row
 one big integer with an entry in each 16-, 32- or 64-bit slot: once per
 matrix and slot width, kept on the matrix with the slot bound's numbers
-(`_norms`), and used by every product and check it enters.  The slots
-are the narrowest that hold the bound on the sum, so `vanishes` decides
-a row on one integer, and `@` reads the row's slots back.  Row reduction
-is sparse integer elimination on {column: integer} dicts: `rank` counts
-the pivots of the echelon form, and `rref` adds a back-substitution
-where a canonical basis is needed.  The RREF is unique, so it does not
-depend on the order of elimination.
+(`_norms`) until `drop_packings`, and used by every product and check
+it enters.  The slots are the narrowest that hold the bound on the sum,
+so `vanishes` decides a row on one integer, and `@` reads the row's
+slots back.  Row reduction is sparse integer elimination on {column:
+integer} dicts: `rank` counts the pivots of the echelon form, and
+`rref` adds a back-substitution where a canonical basis is needed.
+The RREF is unique, so it does not depend on the order of elimination.
 
 A `Subspace` is its RREF, a `Matrix` of the nonzero rows (`rows`).  Its
 `quotient`, the identity at the free columns minus the RREF entries at
@@ -36,12 +36,13 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
+
+from .records import record
 
 Scalar = Fraction
 
@@ -69,7 +70,7 @@ IntRow = tuple[int, tuple[int, ...], tuple[int, ...]]
 _ZERO_ROW: IntRow = (1, (), ())
 
 
-@dataclass(frozen=True, init=False)
+@record
 class Matrix:
     """Immutable matrix over Q, stored as one canonical `IntRow` per row.
 
@@ -87,8 +88,8 @@ class Matrix:
                  entries: Sequence[Fraction | int]):
         if len(entries) != rows * cols:
             raise ValueError(f"entry count {len(entries)} != {rows}x{cols}")
-        _init(self, rows, cols, _rows_of(entries[i * cols:(i + 1) * cols]
-                                         for i in range(rows)))
+        vars(self).update(rows=rows, cols=cols, _int_rows=_rows_of(
+            entries[i * cols:(i + 1) * cols] for i in range(rows)))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Fraction | int | str]]) -> "Matrix":
@@ -212,17 +213,10 @@ class Matrix:
         return not any(ks for _, ks, _ in self._int_rows)
 
 
-def _init(m: Matrix, rows: int, cols: int,
-          int_rows: tuple[IntRow, ...]) -> None:
-    object.__setattr__(m, "rows", rows)
-    object.__setattr__(m, "cols", cols)
-    object.__setattr__(m, "_int_rows", int_rows)
-
-
 def _matrix(rows: int, cols: int, int_rows: tuple[IntRow, ...]) -> Matrix:
     """The matrix with these canonical rows, taken as they are."""
     out = object.__new__(Matrix)
-    _init(out, rows, cols, int_rows)
+    vars(out).update(rows=rows, cols=cols, _int_rows=int_rows)
     return out
 
 
@@ -368,6 +362,12 @@ def _packing(b: Matrix, w: int):
     return packs[w]
 
 
+def drop_packings(ms: Iterable[Matrix]) -> None:
+    """Drop the packed rows that `_packing` keeps on each of ms."""
+    for m in ms:
+        vars(m).pop("_packs", None)
+
+
 def _sums(terms, read=False):
     """Row by row, sum(sign * (a @ b)) over the (sign, a, b) terms, all
     of one shape, exactly: (D, total, acc) for row i, over D, the row's
@@ -497,7 +497,7 @@ def rank(m: Matrix) -> int:
     return len(_echelon(m))
 
 
-@dataclass(frozen=True)
+@record
 class Subspace:
     """Subspace S of Q^ambient_dim, stored as its RREF: `rows` holds the
     nonzero rows, so equal subspaces have identical representations, and

@@ -226,6 +226,21 @@ def test_unreadable_algebra_file_exits_2(tmp_path, capsys, cmd, content):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "{bad}"], ["hh", "{bad}"], ["hp", "{bad}", "--max", "0"],
+    ["cocycle", "verify", "{alg}", "--functional", "{bad}"]],
+    ids=["check", "hh", "hp", "cocycle-functional"])
+def test_non_utf8_input_file_exits_2(example_file, tmp_path, capsys, argv):
+    """A file that is not UTF-8 text is not JSON: exit 2 with one
+    error line, whichever file of the request it is."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    assert main([a.format(bad=bad, alg=example_file) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("cmd,key,value", [
     ("check", ("mul", 0, 1, 0), "x"),
     ("hh", ("mul", 0, 1, 0), "x"),

@@ -62,15 +62,14 @@ def test_coregular_dual_requires_centroid():
 def test_regular_bimodule_is_kept_per_algebra_instance(monkeypatch):
     """Built and axiom-checked once per instance; an equal algebra under
     another name gets its own bimodule, and its reports keep that name."""
-    import dataclasses
-
     from homcyc import coefficients, hochschild_homology
+    from homcyc.records import replace
     checked = []
     check = coefficients.check_bimodule_axioms
     monkeypatch.setattr(coefficients, "check_bimodule_axioms",
                         lambda V: checked.append(V.name) or check(V))
     A = two_dim_unital()
-    B = dataclasses.replace(A, name="renamed")
+    B = replace(A, name="renamed")
     assert A == B
     VA, VB = regular_bimodule(A), regular_bimodule(B)
     assert regular_bimodule(A) is VA and regular_bimodule(B) is VB
@@ -85,10 +84,9 @@ def test_dual_bimodule_is_kept_per_bimodule(monkeypatch):
     """The dual of a bimodule is built and checked once per instance,
     however many cochain jobs use it.  An equal bimodule instance gets
     its own dual."""
-    import dataclasses
-
     from homcyc import (coefficients, cyclic_cohomology_both,
                         hochschild_cohomology)
+    from homcyc.records import replace
     checked = []
     check = coefficients.check_dual_bimodule_axioms
     monkeypatch.setattr(coefficients, "check_dual_bimodule_axioms",
@@ -101,7 +99,7 @@ def test_dual_bimodule_is_kept_per_bimodule(monkeypatch):
     hochschild_cohomology(A, 2)
     cyclic_cohomology_both(A, 1).require_agreement()
     assert checked == ["two_dim_unital-regular-dual"]
-    U = dataclasses.replace(V)
+    U = replace(V)
     assert U == V and U is not V
     assert dualize_bimodule(U) is not W
     assert dualize_bimodule(U) == W

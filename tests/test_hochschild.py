@@ -4,8 +4,6 @@ Everything here is an exact matrix equality over the rationals; any
 failure is either a construction bug or a misstated identity.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from homcyc import hochschild
@@ -20,6 +18,7 @@ from homcyc.hochschild import (CoefficientHypothesisError, b_prime,
                                cochain_b, coface_map, cyclic_t, face_map,
                                hochschild_b, homotopy_theta, norm_N)
 from homcyc.linalg import Matrix, image, kernel
+from homcyc.records import replace
 
 N_MAX = 5
 

@@ -12,7 +12,6 @@ in the same order, names first: the same (n, i, j), cell or degree.
 Where no identity fails, the check must pass.
 """
 
-import dataclasses
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -37,6 +36,7 @@ from homcyc.hochschild import (CoefficientHypothesisError,
                                build_hochschild_homology_complex,
                                check_precosimplicial, check_presimplicial)
 from homcyc.linalg import Matrix
+from homcyc.records import replace
 
 BASES = [two_dim_unital, dual_numbers_projection_twist, k1_plus_k2,
          k_times_k_swap_twist, truncated_polynomials]
@@ -64,10 +64,10 @@ def corrupted_algebras(draw):
         a, b, k = (draw(st.integers(0, d - 1)) for _ in range(3))
         mu = [[list(c) for c in row] for row in A.mu]
         mu[a][b][k] += delta
-        return dataclasses.replace(
+        return replace(
             A, mu=tuple(tuple(tuple(c) for c in row) for row in mu))
     i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
-    return dataclasses.replace(A, alpha=_moved(A.alpha, i, j, delta))
+    return replace(A, alpha=_moved(A.alpha, i, j, delta))
 
 
 def _moved(m: Matrix, i: int, j: int, delta) -> Matrix:
@@ -235,7 +235,7 @@ def test_bicomplex_check_names_the_first_failing_cell(make, data):
     maps[cell] = _moved(m, data.draw(st.integers(0, m.rows - 1)),
                         data.draw(st.integers(0, m.cols - 1)),
                         data.draw(st.sampled_from(CHANGES)))
-    bad = dataclasses.replace(B, **{which: maps})
+    bad = replace(B, **{which: maps})
     _raises_as(_bicomplex_failure(bad), bad.check_squares)
 
 

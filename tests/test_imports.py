@@ -2,9 +2,10 @@
 
 Each case runs in a fresh interpreter, without writing bytecode, and
 reads the `homcyc.*` entries of `sys.modules` once it is done.
-`import homcyc` loads `algebra`, which imports `linalg` and `errors`;
-each subcommand then imports the modules it computes with, and the
-first other lookup on the package imports the whole API.
+`import homcyc` loads `algebra`, which imports `linalg`, `errors` and
+`records`; each subcommand then imports the modules it computes with,
+and the first other lookup on the package imports the whole API.  No
+case loads `dataclasses` or `inspect`, which the records replace.
 """
 
 import json
@@ -20,20 +21,24 @@ from homcyc import cyclic, errors, hochschild
 from homcyc.corpus import dual_numbers, two_dim_unital
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-BASE = {"algebra", "errors", "linalg"}
+BASE = {"algebra", "errors", "linalg", "records"}
+# stdlib modules that a bare interpreter does not load, nor may homcyc
+HEAVY = ("dataclasses", "inspect")
 API = BASE | {"coefficients", "complexes", "cyclic", "cocycles",
               "hochschild"}
 HH = BASE | {"cli", "coefficients", "complexes", "hochschild"}
 
 
 def _loaded(code: str, *argv: str) -> set[str]:
-    """The homcyc submodules loaded after `code` runs in a fresh
-    interpreter with `argv`; `code` may print, the module list is
-    printed last."""
+    """The homcyc submodules, and the `HEAVY` modules, loaded after
+    `code` runs in a fresh interpreter with `argv`; `code` may print,
+    the module list is printed last.  So an exact set asserts that no
+    `HEAVY` module is loaded."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [sys.executable, "-B", "-c", code + "\nimport sys\nprint('\\n' + "
-         "' '.join(m[7:] for m in sys.modules if m.startswith('homcyc.')))",
+         "' '.join(m[7:] for m in sys.modules if m.startswith('homcyc.')), "
+         f"*sorted({{*{HEAVY}}} & {{*sys.modules}}))",
          *argv], env=env, capture_output=True, text=True, check=True).stdout
     return set(out.splitlines()[-1].split())
 
@@ -46,6 +51,12 @@ def _request(*argv: str) -> set[str]:
 
 def test_import_homcyc_loads_algebra_only():
     assert _loaded("import homcyc") == BASE
+
+
+def test_the_module_sets_show_a_heavy_import():
+    """The exact sets of the other cases would fail on `dataclasses`,
+    which imports `inspect`."""
+    assert _loaded("import dataclasses") == set(HEAVY)
 
 
 @pytest.mark.parametrize("code", [

@@ -58,16 +58,49 @@ def test_compile_weight_cli_weighs_the_modules_a_request_loads(capsys,
     alg.write_text(two_dim_unital().to_json())
     assert _script("compile_weight").main(
         ["--cli", "check", str(alg), "--format", "json"]) == 0
-    header, *rows, total = capsys.readouterr().out.splitlines()
+    weights, _ = capsys.readouterr().out.split("\n\n")
+    header, *rows, total = weights.splitlines()
     assert header.split() == ["module", "lines", "nodes", "peak_kb"]
     assert [r.split()[0] for r in rows] == [
-        "__init__.py", "algebra.py", "cli.py", "errors.py", "linalg.py"]
+        "__init__.py", "algebra.py", "cli.py", "errors.py", "linalg.py",
+        "records.py"]
     cells = [[int(x) for x in r.split()[1:4]] for r in rows]
     assert total.split()[0] == "total"
     assert [int(x) for x in total.split()[1:3]] == \
         [sum(c[0] for c in cells), sum(c[1] for c in cells)]
     # each peak is rounded to a KB, so their sum may differ by one per row
     assert abs(int(total.split()[3]) - sum(c[2] for c in cells)) <= len(rows)
+
+
+def test_compile_weight_cli_lists_the_other_imports(capsys, tmp_path):
+    """With --cli, a second table lists the modules outside the package
+    that the request imports and a bare interpreter does not, largest
+    cumulative import time first: a request of homcyc's `check` imports
+    argparse, json and fractions, but not dataclasses or inspect, and a
+    package whose cli imports dataclasses shows it and inspect."""
+    from homcyc.corpus import two_dim_unital
+    alg = tmp_path / "alg.json"
+    alg.write_text(two_dim_unital().to_json())
+
+    def other_imports(argv):
+        assert _script("compile_weight").main(argv) == 0
+        _, table = capsys.readouterr().out.split("\n\n")
+        header, *rows = table.splitlines()
+        assert header.split() == ["import", "self_us", "cumul_us"]
+        cumulative = [int(r.split()[2]) for r in rows]
+        assert cumulative == sorted(cumulative, reverse=True)
+        return {r.split()[0] for r in rows}
+
+    names = other_imports(["--cli", "check", str(alg)])
+    assert {"argparse", "json", "fractions"} <= names
+    assert not names & {"dataclasses", "inspect", "sys"}
+    assert not any(n.startswith("homcyc") for n in names)
+    package = tmp_path / "heavy"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text("import dataclasses\n")
+    assert {"dataclasses", "inspect"} <= other_imports(
+        ["--src", str(package), "--cli"])
 
 
 def test_job_peaks_prints_every_corpus_job(capsys, monkeypatch):
