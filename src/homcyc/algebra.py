@@ -17,10 +17,10 @@ sufficient.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iproduct
-from typing import Sequence
 
 from .linalg import (Matrix, Subspace, ZERO, ONE, block_matrix, image, kernel,
                      kron, restrict, scalar_from_string, scalar_to_string,
@@ -216,7 +216,7 @@ def load_algebra(path_or_dict) -> tuple[HomAlgebra | None, ValidationReport]:
         data = path_or_dict
     else:
         with open(path_or_dict) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=Fraction)  # exact, as written
     dim, basis, mu, alpha, name = raw_algebra_from_dict(data)
     return validate(dim, basis, mu, alpha, name)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from functools import partial
 
 from .algebra import (DecompositionError, HomAlgebra, alpha_is_idempotent,
@@ -166,13 +167,17 @@ def cmd_duality(args) -> int:
 
 
 def _read_json(path: str):
+    """The JSON value in path, its non-integer numbers read exactly, as
+    Fractions: 1e400 is 10^400 and 0.1 is 1/10 (a message shows such a
+    number as the string "p/q")."""
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_float=Fraction)
 
 
 def _list(x) -> list:
     if type(x) is not list:  # a JSON string is not a list of characters
-        raise TypeError(f"expected a list, got {json.dumps(x)[:40]}")
+        raise TypeError(
+            f"expected a list, got {json.dumps(x, default=str)[:40]}")
     return x
 
 
@@ -198,7 +203,8 @@ def _read_functional(path: str, alg: HomAlgebra,
     try:
         n = data["degree"] if degree is None else degree
         if type(n) is not int:
-            raise TypeError(f"degree {json.dumps(n)} is not an integer")
+            raise TypeError(
+                f"degree {json.dumps(n, default=str)} is not an integer")
         coords = tuple(scalar_from_string(str(x))
                        for x in _list(data["coords"]))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -343,11 +349,28 @@ def window(text: str) -> int:
     return value
 
 
+class _Formatter(argparse.HelpFormatter):
+    """argparse's help formatter, sized to the terminal when it formats
+    and not when it is made: a parser makes one for every argument it
+    adds, and sizing imports shutil."""
+
+    def __init__(self, prog: str):
+        super().__init__(prog, width=80)  # any width: format_help sets it
+
+    def format_help(self) -> str:
+        sized = argparse.HelpFormatter(self._prog)
+        self._width = sized._width
+        self._max_help_position = sized._max_help_position
+        return super().format_help()
+
+
 def build_parser() -> argparse.ArgumentParser:
+    parser = partial(argparse.ArgumentParser, formatter_class=_Formatter)
     # --help shows the docstring but its last paragraph, on imports
-    p = argparse.ArgumentParser(prog="homcyc",
-                                description=__doc__.rsplit("\n\n", 1)[0])
-    sub = p.add_subparsers(dest="command", required=True)
+    p = parser(prog="homcyc", description=__doc__.rsplit("\n\n", 1)[0])
+    # with prog given, no formatter formats the subcommands' usage prefix
+    sub = p.add_subparsers(dest="command", required=True, prog=p.prog,
+                           parser_class=parser)
 
     def common(sp, with_max=True):
         sp.add_argument("file", help="algebra definition JSON")

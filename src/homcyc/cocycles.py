@@ -7,8 +7,8 @@ A^{(x)(n+1)}, indexed exactly like the chain basis.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .algebra import HomAlgebra, Violation, axiom_violations
 from .coefficients import regular_bimodule

@@ -16,9 +16,9 @@ induced maps are read from them.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterable, Literal, Sequence
 
 from .linalg import (Matrix, NotASubspaceError, Subspace, block_matrix,
                      descend, image, kernel, quotient_dim,
@@ -27,7 +27,7 @@ from .linalg import (Matrix, NotASubspaceError, Subspace, block_matrix,
 from .errors import BoundarySquareError, NotStableError
 from .records import Field, record
 
-Orientation = Literal["homological", "cohomological"]
+Orientation = str  # "homological" or "cohomological"
 
 
 @record

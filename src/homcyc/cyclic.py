@@ -20,6 +20,7 @@ from .complexes import (Bicomplex, ChainComplex, HomologyReport, homology,
                         homology_classes, quotient_complex,
                         report_for_complex, representative_space,
                         sub_complex, total_complex)
+from .errors import BoundarySquareError
 from .hochschild import (IdentityViolationError, b_prime, cyclic_t,
                          build_hochschild_cohomology_complex,
                          build_hochschild_homology_complex, face_map,
@@ -314,26 +315,38 @@ def connes_bB_report(A: HomAlgebra, n_max: int) -> ConnesBBReport:
     V = regular_bimodule(A)
     bmaps = {n: hochschild_b(A, V, n) for n in range(1, n_max + 2)}
     Bmaps = {n: connes_boundary(A, unit, n) for n in range(0, n_max + 2)}
-    b2 = all(vanishes((1, Bmaps[n + 1], Bmaps[n])) for n in range(n_max + 1))
-    # b_{n+1} B_n + B_{n-1} b_n = 0 on C_n
-    anti = all(vanishes((1, bmaps[n + 1], Bmaps[n]),
-                        *([(1, Bmaps[n - 1], bmaps[n])] if n >= 1 else []))
-               for n in range(n_max + 1))
-    if not (b2 and anti):
-        return ConnesBBReport(A.name, tuple(range(n_max + 1)), b2, anti)
+    degrees = tuple(range(n_max + 1))
+
+    def flags(squares, anticommutes):
+        # B_{n+1} B_n = 0 and b_{n+1} B_n + B_{n-1} b_n = 0 on C_n
+        return (all(vanishes((1, Bmaps[n + 1], Bmaps[n])) for n in squares),
+                all(vanishes((1, bmaps[n + 1], Bmaps[n]), *(
+                    [(1, Bmaps[n - 1], bmaps[n])] if n >= 1 else []))
+                    for n in anticommutes))
+
     # Loday's (b, B)-bicomplex: cell (p, q), 0 <= p <= q, is C_{q-p}, with
-    # b down the columns and B along the rows, so Tot_n = (+)_p C_{n-2p}
+    # b down the columns and B along the rows, so Tot_n = (+)_p C_{n-2p}.
+    # `total_complex` checks its squares: B^2 = 0 on C_n for n <= n_max - 3
+    # and bB + Bb = 0 for n < n_max.  The rest are checked here first, and
+    # both flags are evaluated in full only when a check fails.
+    if not all(flags(range(max(n_max - 2, 0), n_max + 1), [n_max])):
+        return ConnesBBReport(A.name, degrees, *flags(degrees, degrees))
     cells = {(p, q): A.dim ** (q - p + 1) for q in range(n_max + 2)
              for p in range(q + 1) if p + q <= n_max + 1}
-    T = total_complex(Bicomplex(
-        cell_dims=cells,
-        vertical={(p, q): bmaps[q - p] for p, q in cells if q > p},
-        horizontal={(p, q): Bmaps[q - p] for p, q in cells if p > 0}))
-    betti = {n: homology(T, n, representatives=False)[0]
-             for n in range(n_max + 1)}
+    try:
+        T = total_complex(Bicomplex(
+            cell_dims=cells,
+            vertical={(p, q): bmaps[q - p] for p, q in cells if q > p},
+            horizontal={(p, q): Bmaps[q - p] for p, q in cells if p > 0}))
+    except BoundarySquareError:
+        b2, anti = flags(degrees, degrees)
+        if b2 and anti:  # b^2 or d^2 failed, which neither flag records
+            raise
+        return ConnesBBReport(A.name, degrees, b2, anti)
+    betti = {n: homology(T, n, representatives=False)[0] for n in degrees}
     cyc = cyclic_homology_bicomplex(A, n_max)
-    return ConnesBBReport(A.name, tuple(range(n_max + 1)), b2, anti,
-                          betti, dict(cyc.betti))
+    return ConnesBBReport(A.name, degrees, True, True, betti,
+                          dict(cyc.betti))
 
 
 # ---------------------------------------------------------------------------

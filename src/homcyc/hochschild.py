@@ -39,8 +39,8 @@ of its own checks only, so their packed rows are dropped
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from itertools import accumulate
-from typing import Iterator, Sequence
 
 from .algebra import HomAlgebra
 from .coefficients import (Bimodule, chain_data, dualize_bimodule,

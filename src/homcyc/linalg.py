@@ -6,11 +6,12 @@ All arithmetic is exact and runs on Python integers.  A `Matrix` stores
 only its rows, each as its nonzero entries, integers over one common
 denominator (`IntRow`), so a matrix that is ~99% zeros costs its nonzero
 entries alone; dense Fraction views (`entries`, `row`, `col`) are
-computed on demand and no operation reads them.  Products (`@`, `apply`)
-and `vanishes`, which tests a signed sum of products for zero and builds
-no product, sum integers over the nonzero entries only, row by row
-(`_sums`).  A dense right factor, one with at least a quarter of its
-entries nonzero, is instead packed by Kronecker substitution, each row
+computed on demand and no operation reads them; a row over 1 skips the
+gcd pass.  Products (`@`, `apply`) and `vanishes`, which tests a signed
+sum of products for zero and builds no product, sum integers over the
+nonzero entries only, row by row (`_sums`).  A dense right factor, one
+with at least a quarter of its entries nonzero (decided once per
+matrix), is instead packed by Kronecker substitution, each row
 one big integer with an entry in each 16-, 32- or 64-bit slot: once per
 matrix and slot width, kept on the matrix with the slot bound's numbers
 (`_norms`) until `drop_packings`, and used by every product and check
@@ -28,7 +29,7 @@ coordinates and has the subspace as its kernel.  Membership,
 `reduce_mod`, `kernel` and the check that a map sends one subspace into
 another are products with it; `restrict` reads m @ src.rows^T at tgt's
 pivots, and `descend` reduces m's columns at src's free columns.
-Sums of matrices go through `_add_row`: `signed_sum` (a stream of
+Sums of matrices go through `_add_rows`: `signed_sum` (a stream of
 signed matrices, one held at a time), `+`, `-` and `block_matrix`.
 """
 
@@ -36,11 +37,11 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
 
 from .records import record
 
@@ -114,8 +115,8 @@ class Matrix:
         int_rows[i] = (m, {k: x}), m > 0; zero x are dropped."""
         out = []
         for m, row in int_rows:
-            ks = sorted(k for k, x in row.items() if x)
-            out.append(_lowest(m, tuple(ks), tuple(row[k] for k in ks)))
+            ks = sorted([k for k, x in row.items() if x])
+            out.append(_lowest(m, tuple(ks), tuple([row[k] for k in ks])))
         return _matrix(len(out), ncols, tuple(out))
 
     @staticmethod
@@ -141,8 +142,7 @@ class Matrix:
                      for i, v in zip(idx, vals))
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.row(i)[j]
+        return self.row(ij[0])[ij[1]]
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return _dense(self._int_rows[i], self.cols)
@@ -188,10 +188,8 @@ class Matrix:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         m, ks, xs = _integer_terms(enumerate(vec))
-        cols = self._int_cols
-        dn = lcm(*{cols[k][0] for k in ks})
-        sums = _row_sums({}, 1, ks, xs, cols, dn)
-        return _dense((m * dn, sums.keys(), sums.values()), self.rows)
+        sums = _row_sums({}, 1, ks, xs, self._int_cols, self._dn)
+        return _dense((m * self._dn, sums.keys(), sums.values()), self.rows)
 
     @cached_property
     def _dn(self) -> int:
@@ -209,6 +207,12 @@ class Matrix:
                    default=0) or 1, max((max(map(abs, xs)) for *_, xs in
                                          self._int_rows if xs), default=0)
 
+    @cached_property
+    def _packable(self) -> bool:
+        """Whether a quarter of the entries or more are nonzero."""
+        return 4 * sum(len(ks) for _, ks, _ in self._int_rows) >= \
+            self.rows * self.cols
+
     def is_zero(self) -> bool:
         return not any(ks for _, ks, _ in self._int_rows)
 
@@ -224,7 +228,7 @@ def _rows_of(vectors: Iterable[Sequence[Fraction | int | str]]
              ) -> tuple[IntRow, ...]:
     """The canonical rows of dense vectors of Fractions, ints or strings."""
     return tuple(_integer_terms(enumerate(
-        x if type(x) is Fraction or type(x) is int else Fraction(x)
+        x if type(x) in (Fraction, int) else Fraction(x)
         for x in v)) for v in vectors)
 
 
@@ -246,8 +250,8 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
         offsets = [i * b.cols for i in ka]
         for mb, kb, xb in b._int_rows:
             rows.append(_lowest(ma * mb,
-                                tuple(i + j for i in offsets for j in kb),
-                                tuple(x * y for x in xa for y in xb)))
+                                tuple([i + j for i in offsets for j in kb]),
+                                tuple([x * y for x in xa for y in xb])))
     return _matrix(a.rows * b.rows, a.cols * b.cols, tuple(rows))
 
 
@@ -272,36 +276,35 @@ def signed_sum(terms: Iterable[tuple[int, Matrix]]) -> Matrix:
             dens, sums = [1] * m.rows, [{} for _ in range(m.rows)]
         elif shape != (m.rows, m.cols):
             raise ValueError("shape mismatch in +")
-        for i, (dn, ks, xs) in enumerate(m._int_rows):
-            dens[i] = _add_row(sums[i], dens[i], dn, ks, xs, sign)
+        _add_rows(dens, sums, m._int_rows, sign)
         del m
     return Matrix.from_integer_rows(shape[1], list(zip(dens, sums)))
 
 
-def _add_row(acc: dict[int, int], den: int, m: int, ks, xs, c: int) -> int:
-    """acc / den + c * xs / m (xs[i] in column ks[i]), written into acc
-    in place; returns the denominator of the sum, lcm(den, m)."""
-    if m != den:
-        common = lcm(den, m)
-        for k in acc:
-            acc[k] *= common // den
-        c *= common // m
-        den = common
-    get = acc.get
-    for k, x in zip(ks, xs):
-        acc[k] = get(k, 0) + c * x
-    return den
+def _add_rows(dens, sums, rows, c, roff=0):
+    """sums[i] / dens[i] += c * xs / m in place for each row xs / m of
+    rows, the first at i = roff, rescaling sums[i] unless m = dens[i]."""
+    for i, (m, ks, xs) in enumerate(rows, roff):
+        s, acc = c, sums[i]
+        if m != dens[i]:
+            common = lcm(dens[i], m)
+            for k in acc:
+                acc[k] *= common // dens[i]
+            s *= common // m
+            dens[i] = common
+        get = acc.get
+        for k, x in zip(ks, xs):
+            acc[k] = get(k, 0) + s * x
 
 
 def block_matrix(rows: int, cols: int,
                  blocks: Sequence[tuple[Matrix, int, int]]) -> Matrix:
     """rows x cols matrix with each (block, row offset, col offset) placed
-    in it and zeros elsewhere, added up by `_add_row`."""
+    in it and zeros elsewhere, added up by `_add_rows`."""
     dens, sums = [1] * rows, [{} for _ in range(rows)]
     for block, roff, coff in blocks:
-        for i, (m, ks, xs) in enumerate(block._int_rows, roff):
-            dens[i] = _add_row(sums[i], dens[i], m, [coff + k for k in ks],
-                               xs, 1)
+        _add_rows(dens, sums, [(m, [coff + k for k in ks], xs)
+                               for m, ks, xs in block._int_rows], 1, roff)
     return Matrix.from_integer_rows(cols, list(zip(dens, sums)))
 
 
@@ -318,10 +321,9 @@ def _integer_terms(pairs: Iterable[tuple[int, Fraction | int]]) -> IntRow:
 def _lowest(m: int, ks: tuple[int, ...], xs: tuple[int, ...]) -> IntRow:
     """The row xs / m with gcd(m, every x) divided out: its `IntRow`,
     whose m is the lcm of the reduced denominators."""
-    g = gcd(m, *xs)
-    if g == 1:
+    if m == 1 or (g := gcd(m, *xs)) == 1:
         return m, ks, xs
-    return m // g, ks, tuple(x // g for x in xs)
+    return m // g, ks, tuple([x // g for x in xs])
 
 
 # slot width in bits -> typecode of an unsigned array item of that width
@@ -395,14 +397,13 @@ def _sums(terms, read=False):
         shape = (a.rows, b.cols)
     if shape is None:
         return
-    dens = list(map(lcm, *([m * b._dn for m, _, _ in a._int_rows]
-                           for _, a, b in terms)))
-    dense = shape[0] > 1 and any(
-        4 * sum(len(ks) for _, ks, _ in b._int_rows) >= b.rows * b.cols
-        for *_, b in terms)
-    w = dense and next((w for w in _SLOTS if max(dens) * sum(
-        abs(s) * a._norms[0] * b._norms[1] for s, a, b in terms)
-        < 1 << (w - 1)), 0)
+    dens = [1] * shape[0] if all(
+        a._dn == b._dn == 1 for _, a, b in terms) else list(map(lcm, *(
+            [m * b._dn for m, _, _ in a._int_rows] for _, a, b in terms)))
+    w = shape[0] > 1 and any(b._packable for *_, b in terms) and next(
+        (w for w in _SLOTS if max(dens) * sum(
+            abs(s) * a._norms[0] * b._norms[1] for s, a, b in terms)
+         < 1 << (w - 1)), 0)
     terms = [(sign, a._int_rows, b._int_rows, b._dn, w and _packing(b, w))
              for sign, a, b in terms]
     for i, D in enumerate(dens):
@@ -457,11 +458,9 @@ def _echelon(m: Matrix) -> dict[int, dict[int, int]]:
 
 def _clear(row: dict[int, int], piv: dict[int, int], c: int) -> None:
     """row := a * row - b * piv in place, zeros dropped, for the least
-    a > 0 and b that make column c of row zero."""
+    a > 0 and b that make column c of row zero; piv[c] > 0."""
     g = gcd(piv[c], row[c])
     a, b = piv[c] // g, row[c] // g
-    if a < 0:
-        a, b = -a, -b
     if a != 1:
         for k in row:
             row[k] *= a

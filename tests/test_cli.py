@@ -1,10 +1,11 @@
 """Command line interface: exit codes, output formats, round trips."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from homcyc.algebra import yau_twist
+from homcyc.algebra import load_algebra, yau_twist
 from homcyc.cli import main
 from homcyc.corpus import (dual_numbers, ground_field, matrix_2x2,
                            two_dim_unital)
@@ -52,6 +53,62 @@ def test_check_malformed_shape_exits_2(tmp_path):
     p.write_text(json.dumps({"dim": 2, "basis": ["a"], "mul": [], "alpha": []}))
     assert main(["check", str(p)]) == 2
 
+
+
+ONE_DIM = ('{{"name": "n", "dim": 1, "basis": ["e"], "mul": [[[{mul}]]], '
+           '"alpha": [[{alpha}]]}}')
+
+
+def _written(tmp_path, name: str, text: str) -> str:
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def test_json_numbers_are_read_exactly(tmp_path, capsys):
+    """A structure constant written as the JSON number
+    1.00000000000000001 is that number, not the float 1: the algebra
+    equals the one written with the string "100000000000000001/10^17",
+    and `check` prints the same bytes for both."""
+    paths = [_written(tmp_path, "number.json", ONE_DIM.format(
+                 mul="1.00000000000000001", alpha="1.0")),
+             _written(tmp_path, "string.json", ONE_DIM.format(
+                 mul='"100000000000000001/100000000000000000"', alpha='"1"'))]
+    algebras = [load_algebra(p)[0] for p in paths]
+    assert algebras[0] == algebras[1]
+    assert algebras[0].mu[0][0][0] == Fraction(100000000000000001, 10 ** 17)
+    outputs = []
+    for path in paths:
+        assert main(["check", path, "--format", "json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["unit"] == \
+        ["100000000000000000/100000000000000001"]
+
+
+def test_json_number_past_the_float_range_loads_exactly(tmp_path, capsys):
+    """1e400, which a float reads as inf, is 10^400."""
+    path = _written(tmp_path, "big.json", ONE_DIM.format(mul="1e400",
+                                                         alpha="1"))
+    A, report = load_algebra(path)
+    assert report.valid and A.mu[0][0][0] == 10 ** 400
+    assert main(["check", path, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["unit"] == [f"1/{10 ** 400}"]
+
+
+def test_cli_inputs_read_json_numbers_exactly(assoc_file, tmp_path, capsys):
+    """A twist matrix with the JSON number 1.00000000000000001 gives the
+    bytes of the same matrix written with that number as a string."""
+    outputs = []
+    string = '"100000000000000001/100000000000000000"'
+    for name, x in (("number.json", "1.00000000000000001"),
+                    ("string.json", string)):
+        alpha = _written(tmp_path, name, f'[[1, 0], [0, {x}]]')
+        assert main(["twist", assoc_file, alpha]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["alpha"] == \
+        [["1", "0"], ["0", "100000000000000001/100000000000000000"]]
 
 def test_hh_betti(example_file, capsys):
     assert main(["hh", example_file, "--max", "1", "--format", "json"]) == 0

@@ -24,8 +24,9 @@ from homcyc.cyclic import (ChainMapError, cocyclic_bicomplex,
                            tensor_power_matrix, xi_map,
                            xi_induced_on_cyclic_cohomology)
 from homcyc.complexes import quotient_complex, total_complex
+from homcyc.errors import BoundarySquareError
 from homcyc.hochschild import build_hochschild_homology_complex, hochschild_b
-from homcyc.linalg import Matrix, reduce_mod
+from homcyc.linalg import Matrix, reduce_mod, vanishes
 
 F = Fraction
 
@@ -235,6 +236,59 @@ def test_connes_bB_records_failure_without_asserting():
     assert not rep.bB_anticommute
     assert rep.matches_cyclic is None
 
+
+
+def test_connes_bB_checks_each_identity_once(monkeypatch):
+    """On an algebra where the identities hold, the report checks only
+    the sums that the (b,B) bicomplex's squares do not cover, B^2 on
+    C_1..C_3 and bB + Bb on C_3 at n_max = 3, and `total_complex` checks
+    the rest with its squares and d o d: 16 distinct sums before the
+    cyclic bicomplex is built, where checking both flags first made 20."""
+    from homcyc import complexes
+    calls, seen = [], []
+    for module in (cyclic, complexes):
+        monkeypatch.setattr(module, "vanishes",
+                            lambda *terms, f=module.vanishes:
+                            calls.append(terms) or f(*terms))
+    cyc = cyclic.cyclic_homology_bicomplex
+    monkeypatch.setattr(cyclic, "cyclic_homology_bicomplex",
+                        lambda A, n: seen.append(len(calls)) or cyc(A, n))
+    assert connes_bB_report(matrix_2x2(), 3).identities_hold
+    assert seen == [16]
+    assert len({tuple((s, id(a), id(b)) for s, a, b in terms)
+                for terms in calls[:16]}) == 16
+
+
+@pytest.mark.parametrize("make", [two_dim_unital, k1_plus_k2, dual_numbers,
+                                  k2], ids=lambda f: f.__name__)
+def test_connes_bB_flags_match_every_explicit_check(make):
+    """Both flags are what checking B^2 = 0 and bB + Bb = 0 on every
+    C_n, n <= n_max, gives, wherever the first failure lies: above the
+    bicomplex's squares, as at n_max = 1 on two_dim_unital, or inside
+    them; the Betti numbers come only where both hold."""
+    A = make()
+    unit, V = find_unit(A), regular_bimodule(A)
+    b = {n: hochschild_b(A, V, n) for n in range(1, 5)}
+    B = {n: connes_boundary(A, unit, n) for n in range(5)}
+    for n_max in range(4):
+        rep = connes_bB_report(A, n_max)
+        squares = all(vanishes((1, B[n + 1], B[n]))
+                      for n in range(n_max + 1))
+        anti = all(vanishes((1, b[n + 1], B[n]),
+                            *([(1, B[n - 1], b[n])] if n else []))
+                   for n in range(n_max + 1))
+        assert (rep.b_squared_zero, rep.bB_anticommute) == (squares, anti)
+        assert bool(rep.betti) == (squares and anti)
+
+
+def test_connes_bB_raises_a_failure_the_flags_do_not_record(monkeypatch):
+    """When the total complex fails for a reason neither flag records,
+    such as b^2 != 0, the error reaches the caller."""
+    def fails(B):
+        raise BoundarySquareError("vertical^2 != 0 at (0, 2)")
+    monkeypatch.setattr(cyclic, "total_complex", fails)
+    with pytest.raises(BoundarySquareError, match="vertical"):
+        connes_bB_report(ground_field(), 2)
 
 def test_connes_bB_requires_unit():
     from homcyc.algebra import validate_or_raise

@@ -5,7 +5,9 @@ reads the `homcyc.*` entries of `sys.modules` once it is done.
 `import homcyc` loads `algebra`, which imports `linalg`, `errors` and
 `records`; each subcommand then imports the modules it computes with,
 and the first other lookup on the package imports the whole API.  No
-case loads `dataclasses` or `inspect`, which the records replace.
+case loads `dataclasses` or `inspect`, which the records replace.  Run
+without `site` (`python -S`), whose hooks may preload them, no request
+loads `typing` or `shutil` either.
 """
 
 import json
@@ -24,29 +26,36 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 BASE = {"algebra", "errors", "linalg", "records"}
 # stdlib modules that a bare interpreter does not load, nor may homcyc
 HEAVY = ("dataclasses", "inspect")
+# loaded by argparse's help formatter and by `typing` annotations; a
+# site hook may preload both, so they are read without site
+UNSITED = ("shutil", "typing")
 API = BASE | {"coefficients", "complexes", "cyclic", "cocycles",
               "hochschild"}
 HH = BASE | {"cli", "coefficients", "complexes", "hochschild"}
 
 
-def _loaded(code: str, *argv: str) -> set[str]:
+def _loaded(code: str, *argv: str, site: bool = True) -> set[str]:
     """The homcyc submodules, and the `HEAVY` modules, loaded after
     `code` runs in a fresh interpreter with `argv`; `code` may print,
     the module list is printed last.  So an exact set asserts that no
-    `HEAVY` module is loaded."""
+    `HEAVY` module is loaded.  With `site=False` the interpreter runs
+    without `site` (`-S`), and the `UNSITED` modules are read too."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
+    watched = HEAVY if site else HEAVY + UNSITED
     out = subprocess.run(
-        [sys.executable, "-B", "-c", code + "\nimport sys\nprint('\\n' + "
+        [sys.executable, "-B", *([] if site else ["-S"]), "-c",
+         code + "\nimport sys\nprint('\\n' + "
          "' '.join(m[7:] for m in sys.modules if m.startswith('homcyc.')), "
-         f"*sorted({{*{HEAVY}}} & {{*sys.modules}}))",
+         f"*sorted({{*{watched}}} & {{*sys.modules}}))",
          *argv], env=env, capture_output=True, text=True, check=True).stdout
     return set(out.splitlines()[-1].split())
 
 
-def _request(*argv: str) -> set[str]:
+def _request(*argv: str, site: bool = True) -> set[str]:
     """The modules one command-line request loads, and its exit code 0."""
     return _loaded("import sys, homcyc.cli\n"
-                   "assert homcyc.cli.main(sys.argv[1:]) == 0", *argv)
+                   "assert homcyc.cli.main(sys.argv[1:]) == 0", *argv,
+                   site=site)
 
 
 def test_import_homcyc_loads_algebra_only():
@@ -105,6 +114,28 @@ def files(tmp_path_factory):
 ], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
 def test_each_request_loads_its_subcommand_modules(files, argv, modules):
     assert _request(*(a.format(**files) for a in argv)) == modules
+
+
+def test_an_unsited_interpreter_shows_both_modules():
+    """The check can fail: an argparse argument, as argparse makes it,
+    loads shutil, and a `typing` import loads typing."""
+    assert _loaded("import argparse, typing\n"
+                   "argparse.ArgumentParser().add_argument('x')",
+                   site=False) == set(UNSITED)
+
+
+@pytest.mark.parametrize("argv,modules", [
+    (["check", "{alg}"], BASE | {"cli"}),
+    (["hh", "{alg}", "--max", "1"], HH),
+    (["hc", "{alg}", "--max", "1", "--format", "json"], HH | {"cyclic"}),
+    (["cocycle", "verify", "{alg}", "--functional", "{phi}"],
+     HH | {"cocycles"}),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+def test_a_request_loads_neither_typing_nor_shutil(files, argv, modules):
+    """Building the parser makes no formatter that sizes itself, and
+    the package's annotations name `collections.abc` types."""
+    assert _request(*(a.format(**files) for a in argv), site=False) == \
+        modules
 
 
 def test_twist_loads_algebra_only(files):

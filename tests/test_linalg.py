@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from homcyc.linalg import (Matrix, NotASubspaceError, Subspace, block_matrix,
                            descend, image, kernel, kron, quotient_dim, rank,
                            reduce_mod, restrict, rref, scalar_from_string,
-                           scalar_to_string, solve_homogeneous, vanishes)
+                           scalar_to_string, signed_sum, solve_homogeneous,
+                           vanishes)
 
 F = Fraction
 
@@ -581,6 +582,135 @@ def test_block_matrix_matches_dense_reference(case):
                                   (from_dense(r, cb, b), top, ca + gap)])
     assert_is(m, rows, cols, dense)
 
+
+
+# --- rows over denominator 1 next to rows over m > 1 --------------------
+
+UNIT_ENTRIES = st.integers(-3, 3).map(F)
+SPLIT_ENTRIES = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def mixed_entries(draw, rows, cols):
+    """Dense rows, each either all integers, a row over denominator 1,
+    or drawn with denominators up to 6, so one matrix mixes rows over
+    m = 1 with rows over m > 1 (a drawn row may still be integral)."""
+    kinds = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    return [[draw(UNIT_ENTRIES if unit else SPLIT_ENTRIES)
+             for _ in range(cols)] for unit in kinds]
+
+
+def mixed_matrices(rows, cols):
+    return mixed_entries(rows, cols).map(
+        lambda dense: from_dense(rows, cols, dense))
+
+
+def dense_sum(terms):
+    """sum(sign * dense) over (sign, rows) of one shape."""
+    (_, first), *_ = terms
+    return [[sum((c * rows[i][j] for c, rows in terms), F(0))
+             for j in range(len(first[0]) if first else 0)]
+            for i in range(len(first))]
+
+
+HALF_ROW = [[F(1), F(-2), F(0)], [F(1, 2), F(0), F(3, 2)]]
+UNIT_ROWS = [[F(1), F(0), F(-1)], [F(2), F(1), F(0)]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(shapes(3), shapes(3)).flatmap(lambda s: st.tuples(
+    st.just(s), mixed_entries(*s[0]), mixed_entries(*s[1]))))
+@example((((2, 3), (2, 3)), HALF_ROW, UNIT_ROWS))
+@example((((2, 3), (2, 3)), UNIT_ROWS, HALF_ROW))
+@example((((2, 3), (2, 3)), UNIT_ROWS, UNIT_ROWS))
+def test_mixed_denominators_through_kron_and_integer_rows(case):
+    """kron, and from_integer_rows given each row over its own m (with
+    zeros to drop, and rows over m > 1 that reduce to m = 1), give the
+    dense reference in canonical form."""
+    ((ra, ca), (rb, cb)), a, b = case
+    dense = [[a[i // rb][j // cb] * b[i % rb][j % cb]
+              for j in range(ca * cb)] for i in range(ra * rb)]
+    assert_is(kron(from_dense(ra, ca, a), from_dense(rb, cb, b)),
+              ra * rb, ca * cb, dense)
+    int_rows = []
+    for i, row in enumerate(a):
+        m = lcm(*(x.denominator for x in row)) * (1 + i % 2)
+        int_rows.append((m, {j: int(x * m) for j, x in enumerate(row)}))
+    assert_is(Matrix.from_integer_rows(ca, int_rows), ra, ca, a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shapes(3).flatmap(lambda s: st.tuples(
+    st.just(s), st.lists(st.tuples(st.sampled_from([1, -1, 2]),
+                                   mixed_entries(*s)), min_size=1,
+                         max_size=3))))
+@example(((2, 3), [(1, UNIT_ROWS), (-1, HALF_ROW), (2, UNIT_ROWS)]))
+@example(((2, 3), [(1, HALF_ROW), (-1, HALF_ROW)]))
+def test_mixed_denominators_through_sums(case):
+    """signed_sum, streamed one term at a time, and block_matrix, which
+    places the same terms side by side and on top of each other, match
+    the dense sums when rows over 1 meet rows over m > 1."""
+    (r, k), terms = case
+    mats = [(c, from_dense(r, k, rows)) for c, rows in terms]
+    assert_is(signed_sum(iter(mats)), r, k, dense_sum(terms))
+    blocks = [(m, 0, j * k) for j, (_, m) in enumerate(mats)] + \
+        [(m, 1, 0) for _, m in mats]
+    dense = [[F(0)] * (k * len(mats)) for _ in range(r + 1)]
+    for j, (_, rows) in enumerate(terms):
+        for i in range(r):
+            dense[i][j * k:(j + 1) * k] = rows[i]
+    for _, rows in terms:
+        for i in range(r):
+            for c in range(k):
+                dense[i + 1][c] += rows[i][c]
+    assert_is(block_matrix(r + 1, k * len(mats), blocks), r + 1,
+              k * len(mats), dense)
+
+
+@st.composite
+def mixed_products(draw):
+    """(a, b, c, d): a and c n x k, b and d k x m, their rows mixed."""
+    n, k, m = (draw(st.integers(0, 4)) for _ in range(3))
+    return tuple(draw(mixed_matrices(*shape))
+                 for shape in ((n, k), (k, m), (n, k), (k, m)))
+
+
+UNIT_A = Matrix.from_rows(UNIT_ROWS)
+HALF_B = Matrix.from_rows(HALF_ROW).transpose()
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_products())
+@example((UNIT_A, UNIT_A.transpose(), UNIT_A, UNIT_A.transpose()))
+@example((UNIT_A, HALF_B, UNIT_A, HALF_B))
+@example((Matrix.from_rows(HALF_ROW), UNIT_A.transpose(), UNIT_A,
+          HALF_B))
+def test_mixed_denominators_through_products_and_vanishes(case):
+    """@ against the naive Fraction product, and vanishes against the
+    built sum, with every factor over 1 (the sums skip the denominator
+    pass) or some row over m > 1, dense or sparse."""
+    a, b, c, d = case
+    for x, y in ((a, b), (c, d)):
+        assert_is(x @ y, x.rows, y.cols, naive_product(x, y))
+    for terms in ([(1, a, b), (-1, a, b)], [(1, a, b), (-1, c, d)],
+                  [(2, a, b), (-1, a.scale(2), b)], [(1, c, d)]):
+        total = signed_sum((s, x @ y) for s, x, y in terms)
+        assert vanishes(*terms) == total.is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(shapes(5).flatmap(lambda s: st.tuples(
+    st.just(s), exact_entries(*s, elements=st.sampled_from(
+        [F(0), F(0), F(0), F(1), F(-1, 2)])))))
+def test_density_decision_is_cached_per_matrix(case):
+    """A right factor is packed when at least a quarter of its entries
+    are nonzero: the decision is made once per matrix and kept on it."""
+    (r, k), dense = case
+    m = from_dense(r, k, dense)
+    nonzero = sum(1 for row in dense for x in row if x)
+    assert "_packable" not in vars(m)
+    assert m._packable == (4 * nonzero >= r * k)
+    assert vars(m)["_packable"] == m._packable
 
 @settings(max_examples=100, deadline=None)
 @given(shapes().flatmap(lambda s: st.tuples(

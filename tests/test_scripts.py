@@ -5,6 +5,7 @@ public API, so a change to that API can break them without failing any
 other test."""
 
 import importlib.util
+import shutil
 import sys
 from pathlib import Path
 
@@ -120,3 +121,44 @@ def test_job_peaks_prints_every_corpus_job(capsys, monkeypatch):
     assert sorted(r.rsplit(None, 2)[0] for r in rows) == jobs
     assert all(float(r.split()[-2]) > 0 and int(r.split()[-1]) >= 0
                for r in rows)
+
+
+def test_ab_passes_aa_run_reports_both_trees(capsys, monkeypatch):
+    """One tree against itself: both sides run and are checked, and the
+    report gives each side's times and the per-pair ratio."""
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    src = str(SCRIPTS.parent / "src")
+    assert _script("ab_passes").main([src, src, "--workload", "corpus_betti",
+                                      "--passes", "2", "--seed", "3"]) == 0
+    old, new, ratio = capsys.readouterr().out.splitlines()
+    for line, side in ((old, "OLD"), (new, "NEW")):
+        words = line.split()
+        assert words[:2] == [side, "min"] and words[3:5] == ["s", "median"]
+        assert 0 < float(words[2]) <= float(words[5])
+    words = ratio.split()
+    assert words[:3] == ["ratio", "NEW/OLD", "median"]
+    q1, median, q3 = float(words[5]), float(words[3]), float(words[6])
+    assert 0 < q1 <= median <= q3 and words[-2:] == ["(2", "pairs)"]
+
+
+def test_ab_passes_runs_each_tree_on_its_own_modules(tmp_path, capsys,
+                                                     monkeypatch):
+    """A NEW tree whose rank is off by one fails its own check, and the
+    OLD tree, which runs first, passes: so each pass runs the modules
+    of its tree, not the tree loaded last.  A directory without homcyc
+    exits 2."""
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    src = SCRIPTS.parent / "src"
+    shutil.copytree(src / "homcyc", tmp_path / "homcyc",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    linalg = tmp_path / "homcyc" / "linalg.py"
+    text = linalg.read_text()
+    assert text.count("return len(_echelon(m))") == 1
+    linalg.write_text(text.replace("return len(_echelon(m))",
+                                   "return len(_echelon(m)) + 1"))
+    ab = _script("ab_passes")
+    assert ab.main([str(src), str(tmp_path), "--passes", "1",
+                    "--seed", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"NEW ({tmp_path}) pass 0: ") and "OLD" not in err
+    assert ab.main([str(src), str(tmp_path / "none")]) == 2
