@@ -19,14 +19,13 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cached_property
 from itertools import product as iproduct
 
 from .linalg import (Matrix, Subspace, ZERO, ONE, block_matrix, image, kernel,
                      kron, restrict, scalar_from_string, scalar_to_string,
                      vanishes)
 from .errors import ShapeError
-from .records import Field, record
+from .records import Field, cached, record
 
 MuTensor = tuple[tuple[tuple[Fraction, ...], ...], ...]
 
@@ -89,7 +88,7 @@ class HomAlgebra:
     alpha: Matrix
     name: str = Field(default="", compare=False)
 
-    @cached_property
+    @cached
     def product_matrix(self) -> Matrix:
         """mu as the d x d^2 matrix whose column (a, b) is e_a e_b."""
         return Matrix.from_columns(self.dim, [c for row in self.mu

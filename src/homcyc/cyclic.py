@@ -21,20 +21,19 @@ from .complexes import (Bicomplex, ChainComplex, HomologyReport, homology,
                         report_for_complex, representative_space,
                         sub_complex, total_complex)
 from .errors import BoundarySquareError
-from .hochschild import (IdentityViolationError, b_prime, cyclic_t,
+from .hochschild import (IdentityViolationError, bar_differentials,
                          build_hochschild_cohomology_complex,
-                         build_hochschild_homology_complex, face_map,
+                         build_hochschild_homology_complex, cyclic_t,
                          hochschild_b, hochschild_cohomology,
-                         hochschild_homology, norm_N)
+                         hochschild_homology, norm_N, tensor_power_matrix)
 from .linalg import (Matrix, NotASubspaceError, Subspace, descend, image,
-                     kron, kernel, maps_into, restrict, signed_sum, vanishes)
+                     kron, kernel, maps_into, restrict, vanishes)
 from .records import Field, record
 
 
 def _one_minus_t(A: HomAlgebra, n: int) -> Matrix:
     """Id - t_n on A^{(x)(n+1)}."""
-    t = cyclic_t(A, n)
-    return Matrix.identity(t.rows) - t
+    return Matrix.identity(A.dim ** (n + 1)) - cyclic_t(A, n)
 
 
 def lambda_quotient_subspaces(A: HomAlgebra, n_max: int) -> dict[int, Subspace]:
@@ -83,28 +82,18 @@ def cyclic_bicomplex(A: HomAlgebra, n_max: int) -> Bicomplex:
     top = n_max + 1
     cells = {(p, q): A.dim ** (q + 1)
              for p in range(top + 1) for q in range(top + 1 - p)}
-    V = regular_bimodule(A)
-    # each operator is built once per row q, and only if some cell uses
-    # it; b_q = b'_q + (-1)^q delta_q adds one face to b', so each face of
-    # row q is built once and one is alive at a time
+    # each operator once per row q that uses it; b'_q from b'_{q-1}
     b, minus_bp = {}, {}
-    for q in range(1, top + 1):
-        bp = b_prime(A, q)
-        b[q] = signed_sum([(1, bp), (-1 if q % 2 else 1,
-                                     face_map(A, V, q, q))])
+    for q, (bp, b[q]) in enumerate(
+            bar_differentials(A, regular_bimodule(A), top), 1):
         if q < top:
             minus_bp[q] = -bp
     one_minus_t = {q: _one_minus_t(A, q) for q in range(top)}
     N = {q: norm_N(A, q) for q in range(top - 1)}
-    vertical = {}
-    horizontal = {}
-    for (p, q) in cells:
-        if q >= 1:
-            vertical[(p, q)] = b[q] if p % 2 == 0 else minus_bp[q]
-        if p >= 1:
-            horizontal[(p, q)] = one_minus_t[q] if p % 2 == 1 else N[q]
-    return Bicomplex(cell_dims=cells, vertical=vertical,
-                     horizontal=horizontal, orientation="homological")
+    return Bicomplex(cell_dims=cells, orientation="homological", vertical={
+        (p, q): minus_bp[q] if p % 2 else b[q] for p, q in cells if q},
+        horizontal={(p, q): one_minus_t[q] if p % 2 else N[q]
+                    for p, q in cells if p})
 
 
 def cyclic_homology_bicomplex(A: HomAlgebra, n_max: int) -> HomologyReport:
@@ -181,17 +170,15 @@ class CyclicReport:
 
 
 def cyclic_homology_both(A: HomAlgebra, n_max: int) -> CyclicReport:
-    lam = cyclic_homology_lambda(A, n_max)
-    bic = cyclic_homology_bicomplex(A, n_max)
     return CyclicReport(A.name, tuple(range(n_max + 1)),
-                        dict(lam.betti), dict(bic.betti))
+                        dict(cyclic_homology_lambda(A, n_max).betti),
+                        dict(cyclic_homology_bicomplex(A, n_max).betti))
 
 
 def cyclic_cohomology_both(A: HomAlgebra, n_max: int) -> CyclicReport:
-    lam = cyclic_cohomology_lambda(A, n_max)
-    bic = cyclic_cohomology_bicomplex(A, n_max)
     return CyclicReport(A.name, tuple(range(n_max + 1)),
-                        dict(lam.betti), dict(bic.betti),
+                        dict(cyclic_cohomology_lambda(A, n_max).betti),
+                        dict(cyclic_cohomology_bicomplex(A, n_max).betti),
                         cohomology=True)
 
 
@@ -312,8 +299,8 @@ def connes_bB_report(A: HomAlgebra, n_max: int) -> ConnesBBReport:
     unit = find_unit(A)
     if unit is None:
         raise ValueError("(b,B) machinery requires a unital algebra")
-    V = regular_bimodule(A)
-    bmaps = {n: hochschild_b(A, V, n) for n in range(1, n_max + 2)}
+    bmaps = {n: b for n, (_, b) in enumerate(
+        bar_differentials(A, regular_bimodule(A), n_max + 1), 1)}
     Bmaps = {n: connes_boundary(A, unit, n) for n in range(0, n_max + 2)}
     degrees = tuple(range(n_max + 1))
 
@@ -344,21 +331,12 @@ def connes_bB_report(A: HomAlgebra, n_max: int) -> ConnesBBReport:
             raise
         return ConnesBBReport(A.name, degrees, b2, anti)
     betti = {n: homology(T, n, representatives=False)[0] for n in degrees}
-    cyc = cyclic_homology_bicomplex(A, n_max)
-    return ConnesBBReport(A.name, degrees, True, True, betti,
-                          dict(cyc.betti))
+    return ConnesBBReport(A.name, degrees, True, True, betti, dict(
+        cyclic_homology_bicomplex(A, n_max).betti))
 
 
 # ---------------------------------------------------------------------------
 # Functoriality
-
-def tensor_power_matrix(m: Matrix, k: int) -> Matrix:
-    """Kronecker power m^{(x)k}, big-endian slot order."""
-    out = Matrix.identity(1)
-    for _ in range(k):
-        out = kron(out, m)
-    return out
-
 
 class ChainMapError(ValueError):
     pass
@@ -385,9 +363,8 @@ def induced_map_on_homology(f: AlgebraMorphism, theory: str, n: int) -> Matrix:
     if not ok:
         raise ChainMapError("not a morphism of Hom-algebras: " + str(bad[0]))
     A, Bg = f.source, f.target
-    VA, VB = regular_bimodule(A), regular_bimodule(Bg)
-    CA = build_hochschild_homology_complex(A, VA, n + 1, check_identities=False)
-    CB = build_hochschild_homology_complex(Bg, VB, n + 1, check_identities=False)
+    CA, CB = (build_hochschild_homology_complex(
+        X, regular_bimodule(X), n + 1, check_identities=False) for X in (A, Bg))
     tmaps = {k: tensor_power_matrix(f.matrix, k + 1) for k in range(n + 2)}
     for k in range(1, n + 2):
         if not vanishes((1, tmaps[k - 1], CA.differential(k)),
@@ -397,10 +374,8 @@ def induced_map_on_homology(f: AlgebraMorphism, theory: str, n: int) -> Matrix:
         return _homology_matrix(CA, CB, tmaps, n)
     if theory != "HC":
         raise ValueError("theory must be 'HH' or 'HC'")
-    subsA = lambda_quotient_subspaces(A, n + 1)
-    subsB = lambda_quotient_subspaces(Bg, n + 1)
-    QA = quotient_complex(CA, subsA)
-    QB = quotient_complex(CB, subsB)
+    subsA, subsB = (lambda_quotient_subspaces(X, n + 1) for X in (A, Bg))
+    QA, QB = quotient_complex(CA, subsA), quotient_complex(CB, subsB)
     qmaps = {}
     for k in range(n + 2):
         # the tensor-power map commutes with t, hence with Id - t
@@ -428,8 +403,8 @@ def xi_map(assoc: HomAlgebra, twisted: HomAlgebra, n: int) -> Matrix:
     if not alpha_is_idempotent(twisted):
         raise ValueError("twist endomorphism must be idempotent")
     alpha = twisted.alpha
-    xi_n = tensor_power_matrix(alpha, n + 1).transpose()
-    xi_next = tensor_power_matrix(alpha, n + 2).transpose()
+    xi_n, xi_next = (tensor_power_matrix(alpha, k).transpose()
+                     for k in (n + 1, n + 2))
     b_src = hochschild_b(assoc, regular_bimodule(assoc), n + 1).transpose()
     b_tgt = hochschild_b(twisted, regular_bimodule(twisted), n + 1).transpose()
     if not vanishes((1, b_tgt, xi_n), (-1, xi_next, b_src)):
@@ -443,12 +418,9 @@ def xi_map(assoc: HomAlgebra, twisted: HomAlgebra, n: int) -> Matrix:
 def xi_induced_on_cyclic_cohomology(assoc: HomAlgebra, twisted: HomAlgebra,
                                     n: int) -> Matrix:
     """Matrix of the map HC^n(A) -> HC^n(A_alpha) induced by xi."""
-    CA = build_hochschild_cohomology_complex(
-        assoc, dualize_bimodule(regular_bimodule(assoc)), n + 1,
-        check_identities=False)
-    CT = build_hochschild_cohomology_complex(
-        twisted, dualize_bimodule(regular_bimodule(twisted)), n + 1,
-        check_identities=False)
+    CA, CT = (build_hochschild_cohomology_complex(
+        X, dualize_bimodule(regular_bimodule(X)), n + 1,
+        check_identities=False) for X in (assoc, twisted))
     subs = cyclic_invariant_subspaces(assoc, n + 1)
     SA = sub_complex(CA, subs)
     ST = sub_complex(CT, subs)  # t is product-independent: same subspaces

@@ -19,13 +19,19 @@ alpha^k the k-th tensor power of alpha, on C_n(A, V):
     delta_i = beta (x) alpha^(i-1) (x) mu (x) alpha^(n-1-i),  0 < i < n
     delta_n = L (x) alpha^(n-1), read with the last input slot first
 
-b and b' are signed sums of faces, each added into `linalg.signed_sum`
-as it is built, so one face is alive at a time, unless the caller holds
-the list of faces already.  A dual `Bimodule` (the cochain coefficients)
-has its transposed data as chain data: a coface is a face of those,
-transposed, and the coboundary their signed sum, transposed.  t is a
-signed permutation, and N and theta are weighted sums of its powers.
-Every operator raises IndexError outside its degrees.
+A face applies alpha to every slot it does not multiply, so b' obeys the
+twisted bar recursion (Loday, Cyclic Homology, 1.1), with b'(A) that of
+the regular bimodule (R = mu, beta = alpha):
+
+    b'_n(V) = R (x) alpha^(n-1) - beta (x) b'_{n-1}(A)
+    b_n(V) = b'_n(V) + (-1)^n delta_n
+
+b and b' are built by it (two products and delta_n per degree, not n + 1
+faces) unless the caller holds the list of faces.  A dual `Bimodule`
+(the cochain coefficients) has its transposed data as chain data: a
+coface is a face of those, transposed, and the coboundary their b,
+transposed.  t is a signed permutation, and N and theta are weighted
+sums of its powers.  Every operator raises IndexError outside its degrees.
 
 A checked build builds each degree's list of faces once and reads from
 it both the differential and the (co)simplicial identities of the
@@ -55,16 +61,12 @@ class CoefficientHypothesisError(ValueError):
     """The bimodule does not satisfy the extra homology-theorem hypotheses."""
 
 
-def chain_dim(A: HomAlgebra, V, n: int) -> int:
-    return V.dim * A.dim ** n
-
-
 def _faces(A: HomAlgebra, V: Bimodule, n: int,
-           faces: Sequence[tuple[int, int]]) -> Iterator[tuple[int, Matrix]]:
-    """(sign, delta_i) on C_n(A, V) for each (i, sign) in `faces`, built
-    when asked for; IndexError unless n >= 1 and every 0 <= i <= n."""
-    if n < 1 or not all(0 <= i <= n for i, _ in faces):
-        raise IndexError(f"no faces {[i for i, _ in faces]} in degree {n}")
+           which: Sequence[int]) -> Iterator[Matrix]:
+    """delta_i on C_n(A, V) for each i in `which`, built when asked for;
+    IndexError unless n >= 1 and every 0 <= i <= n."""
+    if n < 1 or not all(0 <= i <= n for i in which):
+        raise IndexError(f"no faces {list(which)} in degree {n}")
     L, R, beta = chain_data(V)
     d, m, top = A.dim, V.dim, A.dim ** (n - 1)
     power = list(accumulate([A.alpha] * (n - 1), kron,
@@ -81,42 +83,63 @@ def _faces(A: HomAlgebra, V: Bimodule, n: int,
             (k // top % m * top + k % top) * d + k // (top * m)
             for k in range(m * d * top)])
 
-    return ((sign, face(i)) for i, sign in faces)
-
-
-def _alternating(k: int) -> list[tuple[int, int]]:
-    return [(i, -1 if i % 2 else 1) for i in range(k)]
-
-
-def _signed(A: HomAlgebra, V: Bimodule, n: int,
-            faces: list[Matrix] | None) -> Iterator[tuple[int, Matrix]]:
-    """(sign, delta_i) for i = 0..n: from `faces` when it is held, else
-    each face built as it is summed."""
-    if faces is None:
-        return _faces(A, V, n, _alternating(n + 1))
-    return ((-1 if i % 2 else 1, f) for i, f in enumerate(faces))
+    return (face(i) for i in which)
 
 
 def face_map(A: HomAlgebra, V: Bimodule, n: int, i: int | None = None
              ) -> Matrix | list[Matrix]:
     """Matrix of the i-th face C_n(A, V) -> C_{n-1}(A, V); with i
     omitted, the list of all n + 1 faces."""
-    faces = [f for _, f in _faces(A, V, n, _alternating(n + 1)
-                                  if i is None else [(i, 1)])]
+    faces = list(_faces(A, V, n, range(n + 1) if i is None else [i]))
     return faces if i is None else faces[0]
+
+
+def tensor_power_matrix(m: Matrix, k: int) -> Matrix:
+    """Kronecker power m^{(x)k}, big-endian slot order."""
+    return list(accumulate([m] * k, kron, initial=Matrix.identity(1)))[-1]
+
+
+def _prime(A: HomAlgebra, R: Matrix, beta: Matrix, n: int,
+           lower: Matrix | None) -> Matrix:
+    """b'_n of the chain data R and beta: R (x) alpha^(n-1) - beta (x)
+    b'_{n-1}(A), with `lower` as b'_{n-1}(A) when it is held."""
+    if n < 1:
+        raise IndexError(f"no b' in degree {n}")
+    return R if n == 1 else signed_sum([
+        (1, kron(R, tensor_power_matrix(A.alpha, n - 1))),
+        (-1, kron(beta, b_prime(A, n - 1) if lower is None else lower))])
 
 
 def hochschild_b(A: HomAlgebra, V: Bimodule, n: int,
                  faces: list[Matrix] | None = None) -> Matrix:
-    """Alternating sum of faces, C_n -> C_{n-1}; `faces` is
-    `face_map(A, V, n)` when the caller holds it."""
-    return signed_sum(_signed(A, V, n, faces))
+    """b = sum_i (-1)^i delta_i, C_n -> C_{n-1}: the sum of `faces`,
+    `face_map(A, V, n)`, when the caller holds it, else the last b of
+    `bar_differentials(A, V, n)`."""
+    if faces is not None:
+        return signed_sum(((-1) ** i, f) for i, f in enumerate(faces))
+    return list(bar_differentials(A, V, n))[-1][1]  # IndexError if n < 1
 
 
-def b_prime(A: HomAlgebra, n: int) -> Matrix:
-    """b' on C_n(A) = A^{(x)(n+1)}: faces 0..n-1 of the regular bimodule,
-    all but the wrap-around one."""
-    return signed_sum(_faces(A, regular_bimodule(A), n, _alternating(n)))
+def b_prime(A: HomAlgebra, n: int, lower: Matrix | None = None) -> Matrix:
+    """b' on C_n(A) = A^{(x)(n+1)}, the sum of the regular bimodule's
+    faces but the wrap-around one: mu (x) alpha^(n-1) - alpha (x)
+    b'_{n-1}, from `lower`, b'_{n-1}, when the caller holds it."""
+    return _prime(A, A.product_matrix, A.alpha, n, lower)
+
+
+def bar_differentials(A: HomAlgebra, V: Bimodule, top: int
+                      ) -> Iterator[tuple[Matrix, Matrix]]:
+    """(b'_n(V), b_n(V)) for n = 1..top by the recursion, b'_n(A) held
+    from each degree to the next.  When V's R and beta are mu and alpha,
+    as for the regular bimodule and its dual, b'_n(V) is b'_n(A)."""
+    _, R, beta = chain_data(V)
+    shared, lower = (R, beta) == (A.product_matrix, A.alpha), None
+    for n in range(1, top + 1):
+        prime = b_prime(A, n, lower) if shared else \
+            _prime(A, R, beta, n, lower)
+        yield prime, signed_sum([(1, prime),
+                                 ((-1) ** n, *_faces(A, V, n, [n]))])
+        lower = prime if shared or n == top else b_prime(A, n, lower)
 
 
 def _rotation_sum(A: HomAlgebra, n: int, weights: Sequence[int]) -> Matrix:
@@ -124,8 +147,7 @@ def _rotation_sum(A: HomAlgebra, n: int, weights: Sequence[int]) -> Matrix:
     permutation: row r holds sign^k at the k-fold inverse rotation of r."""
     if n < 0:
         raise IndexError(f"no chain space in degree {n}")
-    d = A.dim
-    size, top = d ** (n + 1), d ** n
+    d, size, top = A.dim, A.dim ** (n + 1), A.dim ** n
     sign = -1 if n % 2 else 1
     rows = []
     for r in range(size):
@@ -197,21 +219,19 @@ def build_hochschild_homology_complex(A: HomAlgebra, V: Bimodule,
     `check_identities` then raises the first presimplicial identity that
     fails, degree by degree.  A checked build builds the faces of each
     degree once, for b and for the identities at that degree and the
-    one above; an unchecked one streams them into b."""
-    verdict = vars(V).get("_homology_hypotheses")
-    if verdict is None:
-        verdict = validate_homology_coefficients(V)
-        vars(V)["_homology_hypotheses"] = verdict
-    ok, bad = verdict
+    one above; an unchecked one builds b by the recursion."""
+    if "_homology_hypotheses" not in vars(V):
+        vars(V)["_homology_hypotheses"] = validate_homology_coefficients(V)
+    ok, bad = vars(V)["_homology_hypotheses"]
     if not ok:
         raise CoefficientHypothesisError(
             "coefficients violate the homology hypotheses: " + str(bad[0]))
-    dims = {n: chain_dim(A, V, n) for n in range(n_max + 1)}
+    dims = {n: V.dim * A.dim ** n for n in range(n_max + 1)}
+    if not check_identities:
+        return ChainComplex(dims=dims, diffs={n: b for n, (_, b) in enumerate(
+            bar_differentials(A, V, n_max), 1)}, orientation="homological")
     diffs, faces, failure = {}, None, None
     for n in range(1, n_max + 1):
-        if not check_identities:
-            diffs[n] = hochschild_b(A, V, n)
-            continue
         lower, faces = faces, face_map(A, V, n)
         failure = _first_violation(failure, check_presimplicial, A, V, n,
                                    lower, faces)
@@ -237,9 +257,9 @@ def coface_map(A: HomAlgebra, W: Bimodule, n: int, i: int | None = None
 def cochain_b(A: HomAlgebra, W: Bimodule, n: int,
               faces: list[Matrix] | None = None) -> Matrix:
     """Coboundary C^n(A, W) -> C^{n+1}(A, W), alternating sum of cofaces:
-    the alternating sum of W's faces of degree n + 1, transposed once.
-    `faces` is `face_map(A, W, n + 1)` when the caller holds it."""
-    return signed_sum(_signed(A, W, n + 1, faces)).transpose()
+    W's b of degree n + 1, transposed once.  `faces` is
+    `face_map(A, W, n + 1)` when the caller holds it."""
+    return hochschild_b(A, W, n + 1, faces).transpose()
 
 
 def check_precosimplicial(A: HomAlgebra, W: Bimodule, n: int,
@@ -272,18 +292,18 @@ def build_hochschild_cohomology_complex(A: HomAlgebra, W: Bimodule,
     the first pre-cosimplicial identity that fails in a degree n <=
     n_max - 2, whose cofaces stay in the window.  A checked build builds
     W's faces of each degree once, for the coboundary and for the
-    identities they enter; an unchecked one streams them.
+    identities they enter; an unchecked one builds W's b by the
+    recursion and transposes it.
     """
-    dims = {n: chain_dim(A, W, n) for n in range(n_max + 1)}
+    dims = {n: W.dim * A.dim ** n for n in range(n_max + 1)}
+    if not check_identities:
+        return ChainComplex(dims=dims, orientation="cohomological", diffs={
+            n: b.transpose() for n, (_, b) in enumerate(
+                bar_differentials(A, W, n_max))})
     diffs, faces, failure = {}, None, None
     for n in range(n_max):
-        if not check_identities:
-            diffs[n] = cochain_b(A, W, n)
-            continue
-        # W's faces of degree 1 are read from degree 0's cofaces,
-        # transposed back (a few small matrices), so that every hhco
-        # build still calls `coface_map`: perfbench's trace requires that
-        # span by name (ROADMAP item 1 replaces the name table)
+        # degree 1's faces are degree 0's cofaces transposed back, so that
+        # every hhco build calls `coface_map`, a span perfbench requires
         lower, faces = faces, face_map(A, W, n + 1) if n else [
             c.transpose() for c in coface_map(A, W, 0)]
         if n:
@@ -322,8 +342,5 @@ def tensor_label(A: HomAlgebra, n: int, index: int) -> str:
     """The label ``e1⊗e1⊗e2`` of basis tensor `index` in degree n, with
     coefficients in A or its dual: n + 1 slots, the coefficient's the
     most significant."""
-    names = []
-    for _ in range(n + 1):
-        index, slot = divmod(index, A.dim)
-        names.append(A.basis_names[slot])
-    return "⊗".join(reversed(names))
+    return "⊗".join(A.basis_names[index // A.dim ** k % A.dim]
+                    for k in range(n, -1, -1))

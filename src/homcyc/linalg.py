@@ -39,11 +39,10 @@ import sys
 from array import array
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-from .records import record
+from .records import cached, record
 
 Scalar = Fraction
 
@@ -127,7 +126,7 @@ class Matrix:
     def identity(n: int) -> "Matrix":
         return _matrix(n, n, tuple((1, (i,), (1,)) for i in range(n)))
 
-    @cached_property
+    @cached
     def _int_cols(self) -> tuple[IntRow, ...]:
         """The integer form of the columns: the rows of the transpose,
         read over `_dn` and each put in lowest terms."""
@@ -191,12 +190,12 @@ class Matrix:
         sums = _row_sums({}, 1, ks, xs, self._int_cols, self._dn)
         return _dense((m * self._dn, sums.keys(), sums.values()), self.rows)
 
-    @cached_property
+    @cached
     def _dn(self) -> int:
         """The common denominator of the rows (a zero row's is 1)."""
         return lcm(*{m for m, _, _ in self._int_rows})
 
-    @cached_property
+    @cached
     def _norms(self) -> tuple[int, int]:
         """(l1, top): the largest l1 norm of an integer row, and at
         least 1, and the largest |integer| of a row.  Over the common
@@ -207,7 +206,7 @@ class Matrix:
                    default=0) or 1, max((max(map(abs, xs)) for *_, xs in
                                          self._int_rows if xs), default=0)
 
-    @cached_property
+    @cached
     def _packable(self) -> bool:
         """Whether a quarter of the entries or more are nonzero."""
         return 4 * sum(len(ks) for _, ks, _ in self._int_rows) >= \
@@ -376,8 +375,9 @@ def _sums(terms, read=False):
     common denominator.
 
     Term t adds sign * D / (m * dn) times the row xs / m of a @ b's rows
-    over dn, `b._dn`.  The row is summed over nonzero entries only into
-    acc, {column: integer}, and total is 0, unless a has several rows
+    over dn, `b._dn`: sign alone, with no division, when every a and b
+    has unit denominators.  The row is summed over nonzero entries only
+    into acc, {column: integer}, and total is 0, unless a has several rows
     and some b is dense, with at least a quarter of its entries nonzero.
     Then max D times |sign| * a's l1 * b's top (`Matrix._norms`), summed
     over the terms, bounds every entry of the sum, and of each b, and
@@ -397,9 +397,9 @@ def _sums(terms, read=False):
         shape = (a.rows, b.cols)
     if shape is None:
         return
-    dens = [1] * shape[0] if all(
-        a._dn == b._dn == 1 for _, a, b in terms) else list(map(lcm, *(
-            [m * b._dn for m, _, _ in a._int_rows] for _, a, b in terms)))
+    unit = all(a._dn == b._dn == 1 for _, a, b in terms)
+    dens = [1] * shape[0] if unit else list(map(lcm, *(
+        [m * b._dn for m, _, _ in a._int_rows] for _, a, b in terms)))
     w = shape[0] > 1 and any(b._packable for *_, b in terms) and next(
         (w for w in _SLOTS if max(dens) * sum(
             abs(s) * a._norms[0] * b._norms[1] for s, a, b in terms)
@@ -410,7 +410,7 @@ def _sums(terms, read=False):
         total, acc = 0, {}
         for sign, left, rows, dn, packed in terms:
             m, ks, xs = left[i]
-            c = sign * (D // (m * dn))
+            c = sign if unit else sign * (D // (m * dn))
             if w:
                 total += c * sum(map(mul, xs, map(packed[1].__getitem__, ks)))
             else:
@@ -456,7 +456,7 @@ def _echelon(m: Matrix) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def _clear(row: dict[int, int], piv: dict[int, int], c: int) -> None:
+def _clear(row, piv, c):
     """row := a * row - b * piv in place, zeros dropped, for the least
     a > 0 and b that make column c of row zero; piv[c] > 0."""
     g = gcd(piv[c], row[c])
@@ -532,7 +532,7 @@ class Subspace:
     def full(ambient_dim: int) -> "Subspace":
         return Subspace(Matrix.identity(ambient_dim))
 
-    @cached_property
+    @cached
     def pivots(self) -> tuple[int, ...]:
         """The pivot column of each row, ascending."""
         return tuple(ks[0] for _, ks, _ in self.rows._int_rows)
@@ -543,7 +543,7 @@ class Subspace:
         pivots = set(self.pivots)
         return [j for j in range(self.ambient_dim) if j not in pivots]
 
-    @cached_property
+    @cached
     def quotient(self) -> Matrix:
         """The map Q^ambient_dim -> Q^ambient_dim / S in `free_columns`
         coordinates: row f is e_f - sum_i rows[i][f] e_(pivot i).  Its

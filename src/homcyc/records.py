@@ -19,9 +19,9 @@ decorating a class compiles no code, and this module imports only
 `tokenize` and execs generated source for every class, which a fresh
 command-line process pays for on each request.
 
-Instances keep a `__dict__` (no `__slots__`): `functools.cached_property`
-and the caches the library stores in `vars(x)` need one, and they
-bypass the frozen `__setattr__`.
+Instances keep a `__dict__` (no `__slots__`): `cached` attributes and
+the caches the library stores in `vars(x)` need one, and they bypass the
+frozen `__setattr__`.
 """
 
 from operator import attrgetter
@@ -103,6 +103,18 @@ def record(cls):
         if name not in cls.__dict__:
             setattr(cls, name, method)
     return cls
+
+
+class cached:
+    """`functools.cached_property` without the lock Python 3.11's takes
+    on each first read: the value is kept in the instance's `__dict__`."""
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        return self if obj is None else \
+            vars(obj).setdefault(self.fn.__name__, self.fn(obj))
 
 
 def _assign(self, name, value):

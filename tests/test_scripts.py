@@ -5,6 +5,7 @@ public API, so a change to that API can break them without failing any
 other test."""
 
 import importlib.util
+import json
 import shutil
 import sys
 from pathlib import Path
@@ -162,3 +163,83 @@ def test_ab_passes_runs_each_tree_on_its_own_modules(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"NEW ({tmp_path}) pass 0: ") and "OLD" not in err
     assert ab.main([str(src), str(tmp_path / "none")]) == 2
+
+
+def _canned_run(wall):
+    """Standard output of one `perfbench/run.py --trace 0` run."""
+    metrics = {"setup_s": {"value": 0.1, "unit": "s"},
+               "wall_s": {"value": wall, "unit": "s"},
+               "peak_rss_mb": {"value": 19.0, "unit": "MB"}}
+    return "\n".join([
+        json.dumps({"context": {"workload": "corpus_betti", "machine": {
+            "nproc": 2, "cpu_model": "Test CPU", "python": "3.11.7"}}}),
+        *(f"{name:48} {m['value']:>14.6g} {m['unit']}"
+          for name, m in metrics.items()),
+        json.dumps({"correct": True, "attempted": 10, "failed": 0,
+                    "metrics": metrics})]) + "\n"
+
+
+def test_bench_writes_medians_quartiles_and_wins(tmp_path, monkeypatch,
+                                                 capsys):
+    """Canned run.py output in place of the benchmark: pairs alternate
+    which side runs first, each side's quartiles and the pairs won are
+    written, and unequal checkout path lengths are warned about."""
+    bench = _script("bench")
+    parent, change = tmp_path / "parent", tmp_path / "the_change"
+    for checkout in (parent, change):
+        checkout.mkdir()
+    shutil.copy(SCRIPTS.parent / "BENCHMARK.json", change)
+    walls = {"parent": [0.070, 0.060, 0.065, 0.061],
+             "the_change": [0.060, 0.062, 0.055, 0.050]}
+    calls = []
+
+    def fake(checkout, workload, seed, seconds):
+        calls.append((checkout.name, seed))
+        return bench.parse_run(_canned_run(walls[checkout.name][seed - 1]))
+
+    monkeypatch.setattr(bench, "run_once", fake)
+    assert bench.main(["--pr", "7", "--parent", str(parent), "--change",
+                       str(change), "--workload", "corpus_betti",
+                       "--seeds", "1-2,3,4", "--seconds", "5"]) == 0
+    assert "differ in length" in capsys.readouterr().err
+    assert calls == [("parent", 1), ("the_change", 1), ("the_change", 2),
+                     ("parent", 2), ("parent", 3), ("the_change", 3),
+                     ("the_change", 4), ("parent", 4)]
+    doc = json.loads((change / "BENCH_7.json").read_text())
+    assert doc["machine"]["cpu_model"] == "Test CPU"
+    assert doc["parent"]["path"] == str(parent)
+    w = doc["workloads"]["corpus_betti"]
+    assert w["seeds"] == [1, 2, 3, 4]
+    assert [p["first"] for p in w["pairs"]] == \
+        ["parent", "change", "parent", "change"]
+    wall = w["metrics"]["wall_s"]
+    assert (wall["won"], wall["lost"], wall["pairs"]) == (3, 1, 4)
+    assert wall["parent"]["median"] == pytest.approx(0.063)
+    assert wall["change"]["median"] == pytest.approx(0.0575)
+    assert wall["parent"]["q1"] <= 0.063 <= wall["parent"]["q3"]
+    assert wall["delta"] == pytest.approx(0.0575 / 0.063 - 1)
+    assert w["metrics"]["peak_rss_mb"]["won"] == 0  # ties count for neither
+    assert w["failed"] == {"parent": 0, "change": 0}
+
+
+def test_bench_stops_on_a_failed_or_unreadable_run(tmp_path, monkeypatch,
+                                                   capsys):
+    bench = _script("bench")
+    shutil.copy(SCRIPTS.parent / "BENCHMARK.json", tmp_path)
+    outputs = iter(["wrong result\n"])
+
+    def fake(checkout, workload, seed, seconds):
+        return bench.parse_run(next(outputs))
+
+    monkeypatch.setattr(bench, "run_once", fake)
+    args = ["--pr", "x", "--parent", str(tmp_path), "--change",
+            str(tmp_path), "--workload", "basis_change", "--seeds", "1"]
+    assert bench.main(args) == 1
+    assert "not the benchmark's result" in capsys.readouterr().err
+
+    def failing(checkout, workload, seed, seconds):
+        raise RuntimeError("exited 1")
+
+    monkeypatch.setattr(bench, "run_once", failing)
+    assert bench.main(args) == 1
+    assert not (tmp_path / "BENCH_x.json").exists()
