@@ -11,8 +11,9 @@ parent first for the first seed and the order swapped from seed to
 seed.  A run that exits non-zero, or whose last line is not the
 benchmark's result object, stops the script with exit code 1.
 
-Writes BENCH_<pr>.json into CHANGE (or `--out`): both commits, the
-machine from the first run's `context` line, and per workload the seeds,
+Writes BENCH_<pr>.json into CHANGE (or `--out`): both commits and the
+lengths of their checkout paths, the machine from the first run's
+`context` line, and per workload the seeds,
 every run's end-to-end metrics, and per metric each side's median and
 quartiles, the change's relative median delta, and the pairs the change
 won and lost (ties count for neither).  Whether lower or higher is
@@ -107,9 +108,10 @@ def bench(parent: Path, change: Path, workloads: list[str],
     spec = json.loads((change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     doc = {"command": f"perfbench/run.py --seconds {seconds} --trace 0",
-           "parent": {"path": str(parent), "commit": commit(parent)},
-           "change": {"path": str(change), "commit": commit(change)},
            "machine": None, "workloads": {}}
+    for side, checkout in (("parent", parent), ("change", change)):
+        doc[side] = {"commit": commit(checkout),
+                     "path_chars": len(str(checkout))}
     for workload in workloads:
         pairs = []
         for k, seed in enumerate(seeds):

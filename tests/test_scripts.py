@@ -207,7 +207,7 @@ def test_bench_writes_medians_quartiles_and_wins(tmp_path, monkeypatch,
                      ("the_change", 4), ("parent", 4)]
     doc = json.loads((change / "BENCH_7.json").read_text())
     assert doc["machine"]["cpu_model"] == "Test CPU"
-    assert doc["parent"]["path"] == str(parent)
+    assert doc["parent"]["path_chars"] == len(str(parent))
     w = doc["workloads"]["corpus_betti"]
     assert w["seeds"] == [1, 2, 3, 4]
     assert [p["first"] for p in w["pairs"]] == \
