@@ -17,13 +17,14 @@ sufficient.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import product as iproduct
 
 from .linalg import (Matrix, Subspace, ZERO, ONE, block_matrix, image, kernel,
-                     kron, restrict, scalar_from_string, scalar_to_string,
-                     vanishes)
+                     kron, restrict, scalar_to_string, vanishes)
 from .errors import ShapeError
 from .records import Field, cached, record
 
@@ -127,6 +128,35 @@ class HomAlgebra:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
+# a scalar as written: p/q, or digits with a decimal point and exponent
+_LITERAL = re.compile(r"[-+]?(\d*)(?:/(\d+)|\.?(\d*)(?:e([-+]?\d+))?)", re.I)
+
+
+def scalar_from_string(s: str) -> Fraction:
+    """The scalar that s writes, exactly: "p/q" (q omitted when 1) or a
+    decimal such as "1.5e-3".  ValueError, before any int is built, if p
+    or q, or the decimal's digits times 10^n as a fraction, would have
+    more digits than `sys.get_int_max_str_digits()` lets an int print."""
+    m = _LITERAL.fullmatch(s.strip().replace("_", ""))
+    if m and (limit := sys.get_int_max_str_digits()):
+        num, den, frac, exp = m.groups("")
+        n = int(exp or 0) - len(frac)
+        if max(len(num + frac) + max(n, 0), len(den), 1 - n) > limit:
+            raise ValueError(f"scalar {s[:20]}... has over {limit} digits")
+    return Fraction(s)
+
+
+def read_json(path: str):
+    """The JSON value in path, each number read by `scalar_from_string`
+    (1e400 is 10^400, 0.1 is 1/10); ShapeError if it is not such JSON."""
+    try:
+        with open(path) as fh:
+            return json.load(fh, parse_float=scalar_from_string,
+                             parse_int=lambda s: int(scalar_from_string(s)))
+    except (RecursionError, ValueError) as exc:  # nested too deep, not JSON
+        raise ShapeError(f"{path}: {exc}") from None
+
+
 def _is_grid(x, depth: int, dim: int) -> bool:
     """Whether x is a list of dim entries that are, below the top level,
     such lists again, depth levels in all."""
@@ -211,11 +241,8 @@ def validate_or_raise(dim, basis_names, mu, alpha, name="") -> HomAlgebra:
 
 
 def load_algebra(path_or_dict) -> tuple[HomAlgebra | None, ValidationReport]:
-    if isinstance(path_or_dict, dict):
-        data = path_or_dict
-    else:
-        with open(path_or_dict) as fh:
-            data = json.load(fh, parse_float=Fraction)  # exact, as written
+    data = path_or_dict if isinstance(path_or_dict, dict) else \
+        read_json(path_or_dict)
     dim, basis, mu, alpha, name = raw_algebra_from_dict(data)
     return validate(dim, basis, mu, alpha, name)
 

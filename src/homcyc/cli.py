@@ -19,15 +19,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import partial
 
 from .algebra import (DecompositionError, HomAlgebra, alpha_is_idempotent,
-                      find_unit, is_centroid_element, load_algebra,
-                      unital_decompose, yau_twist)
+                      find_unit, is_centroid_element, load_algebra, read_json,
+                      scalar_from_string, unital_decompose, yau_twist)
 from .errors import (BoundarySquareError, CoefficientError,
                      IdentityViolationError, NotStableError, ShapeError)
-from .linalg import Matrix, scalar_from_string, scalar_to_string
+from .linalg import Matrix, scalar_to_string
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -166,14 +165,6 @@ def cmd_duality(args) -> int:
     return EXIT_OK if all(a == b for _, a, b in rows) else EXIT_IDENTITY
 
 
-def _read_json(path: str):
-    """The JSON value in path, its non-integer numbers read exactly, as
-    Fractions: 1e400 is 10^400 and 0.1 is 1/10 (a message shows such a
-    number as the string "p/q")."""
-    with open(path) as fh:
-        return json.load(fh, parse_float=Fraction)
-
-
 def _list(x) -> list:
     if type(x) is not list:  # a JSON string is not a list of characters
         raise TypeError(
@@ -183,9 +174,10 @@ def _list(x) -> list:
 
 def _read_matrix(path: str, dim: int) -> Matrix:
     """A dim x dim matrix, given as a JSON list of rows."""
+    rows = read_json(path)
     try:
         m = Matrix.from_rows([[scalar_from_string(str(x)) for x in _list(row)]
-                              for row in _list(_read_json(path))])
+                              for row in _list(rows)])
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ShapeError(f"malformed matrix in {path}: {exc}") from exc
     if (m.rows, m.cols) != (dim, dim):
@@ -199,7 +191,7 @@ def _read_functional(path: str, alg: HomAlgebra,
     """A `cocycles.Functional` on alg^{(x)(n+1)}: a JSON object with its
     "coords" and, unless the degree n is given, its "degree"."""
     from .cocycles import Functional
-    data = _read_json(path)
+    data = read_json(path)
     try:
         n = data["degree"] if degree is None else degree
         if type(n) is not int:
@@ -440,12 +432,10 @@ def main(argv=None) -> int:
             NotStableError) as exc:
         print(f"identity failure: {exc}", file=sys.stderr)
         return EXIT_IDENTITY
-    except (ShapeError, CoefficientError, json.JSONDecodeError,
-            UnicodeDecodeError, OSError) as exc:
-        # an input file that is missing, unreadable, not text, not JSON or
-        # not a well-formed algebra, for every subcommand; or an algebra
-        # whose dual A* is not a dual bimodule, which the cochain
-        # theories need
+    except (ShapeError, CoefficientError, OSError) as exc:
+        # an input file that is missing, unreadable, not JSON (read_json)
+        # or not a well-formed algebra; or an algebra whose dual A* is
+        # not a dual bimodule, which the cochain theories need
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

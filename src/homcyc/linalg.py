@@ -7,20 +7,20 @@ only its rows, each as its nonzero entries, integers over one common
 denominator (`IntRow`), so a matrix that is ~99% zeros costs its nonzero
 entries alone; dense Fraction views (`entries`, `row`, `col`) are
 computed on demand and no operation reads them; a row over 1 skips the
-gcd pass.  Products (`@`, `apply`) and `vanishes`, which tests a signed
-sum of products for zero and builds no product, sum integers over the
-nonzero entries only, row by row (`_sums`).  A dense right factor, one
-with at least a quarter of its entries nonzero (decided once per
-matrix), is instead packed by Kronecker substitution, each row
+gcd pass.  Products (`@`, `apply`) are plain sparse row sums: integers
+summed over the nonzero entries only, row by row (`_row_sums`).
+`vanishes`, which tests a signed sum of products for zero and builds
+no product, sums the same way, unless a right factor is dense, with at
+least a quarter of its entries nonzero (decided once per matrix).  Only
+`vanishes` then packs that factor by Kronecker substitution, each row
 one big integer with an entry in each 16-, 32- or 64-bit slot: once per
 matrix and slot width, kept on the matrix with the slot bound's numbers
-(`_norms`) until `drop_packings`, and used by every product and check
-it enters.  The slots are the narrowest that hold the bound on the sum,
-so `vanishes` decides a row on one integer, and `@` reads the row's
-slots back.  Row reduction is sparse integer elimination on {column:
-integer} dicts: `rank` counts the pivots of the echelon form, and
-`rref` adds a back-substitution where a canonical basis is needed.
-The RREF is unique, so it does not depend on the order of elimination.
+(`_norms`) until `drop_packings`, and used by every check it enters.
+The slots are the narrowest that hold the bound on the sum, so a row
+is decided on one integer.  Row reduction is sparse integer
+elimination on {column: integer} dicts: `rank` counts the pivots of
+the echelon form, and `rref` adds a back-substitution where a
+canonical basis is needed; the RREF is unique, whatever the order.
 
 A `Subspace` is its RREF, a `Matrix` of the nonzero rows (`rows`).  Its
 `quotient`, the identity at the free columns minus the RREF entries at
@@ -48,11 +48,6 @@ Scalar = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def scalar_from_string(s: str) -> Fraction:
-    """Parse the wire format "p/q" (q omitted when 1)."""
-    return Fraction(s)
 
 
 def scalar_to_string(x: Fraction) -> str:
@@ -178,8 +173,11 @@ class Matrix:
             for m, ks, xs in self._int_rows])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        _shape(self, other)
+        rows, dn = other._int_rows, other._dn
         return Matrix.from_integer_rows(other.cols, [
-            (den, acc) for den, _, acc in _sums([(1, self, other)], True)])
+            (m * dn, _row_sums({}, 1, ks, xs, rows, dn))
+            for m, ks, xs in self._int_rows])
 
     def apply(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Matrix-vector product (vec as a column of coordinates): the
@@ -342,24 +340,20 @@ def _row_sums(acc, c, ks, xs, rows, dn):
     return acc
 
 
-def _packing(b: Matrix, w: int):
-    """(base, packed): b's rows by Kronecker substitution, made once per
-    slot width w and kept on b, in its `_packs`.  Row k is the integer
-    sum_j y_j 2^(w j), y_j its entry in column j over `b._dn`: the array
-    of unsigned w-bit slots y_j + 2^(w - 1), read as one integer in
-    native byte order (slot 0 at the low end on little-endian hosts and
-    at the high end otherwise), minus base, the integer of the offsets
-    2^(w - 1) alone."""
+def _packing(b: Matrix, w: int) -> list[int]:
+    """b's rows packed for `vanishes`, once per slot width w and kept on
+    b, in its `_packs`: row k is sum_j y_j 2^(w j), y_j its entry in
+    column j over `b._dn`, built as the w-bit slots y_j + 2^(w - 1) read
+    as one integer in native byte order, minus the offsets alone."""
     packs = vars(b).setdefault("_packs", {})
     if w not in packs:
         offsets = array(_SLOTS[w], [1 << (w - 1)]) * b.cols
-        base, packed = int.from_bytes(offsets, sys.byteorder), []
+        base, packs[w] = int.from_bytes(offsets, sys.byteorder), []
         for m, ks, ys in b._int_rows:
             slots, s = offsets[:], b._dn // m
             for j, y in zip(ks, ys):
                 slots[j] += y * s
-            packed.append(int.from_bytes(slots, sys.byteorder) - base)
-        packs[w] = base, packed
+            packs[w].append(int.from_bytes(slots, sys.byteorder) - base)
     return packs[w]
 
 
@@ -369,34 +363,38 @@ def drop_packings(ms: Iterable[Matrix]) -> None:
         vars(m).pop("_packs", None)
 
 
-def _sums(terms, read=False):
-    """Row by row, sum(sign * (a @ b)) over the (sign, a, b) terms, all
-    of one shape, exactly: (D, total, acc) for row i, over D, the row's
-    common denominator.
+def _shape(a: Matrix, b: Matrix) -> tuple[int, int]:
+    """The shape of a @ b; raises ValueError unless a.cols == b.rows."""
+    if a.cols != b.rows:
+        raise ValueError(
+            f"shape mismatch in @: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    return a.rows, b.cols
 
-    Term t adds sign * D / (m * dn) times the row xs / m of a @ b's rows
-    over dn, `b._dn`: sign alone, with no division, when every a and b
-    has unit denominators.  The row is summed over nonzero entries only
-    into acc, {column: integer}, and total is 0, unless a has several rows
-    and some b is dense, with at least a quarter of its entries nonzero.
-    Then max D times |sign| * a's l1 * b's top (`Matrix._norms`), summed
-    over the terms, bounds every entry of the sum, and of each b, and
-    picks the narrowest `_SLOTS` width w with bound < 2^(w - 1); past 63
-    bits there is none.  With w every b is packed (`_packing`), and the
-    row is total, one integer combination of the packed rows: each
-    w-bit slot holds one entry, so total is zero exactly when the row
-    is.  With `read`, acc holds the slots read back.
+
+def vanishes(*terms: tuple[int, Matrix, Matrix]) -> bool:
+    """Whether sum(sign * (a @ b)) over the (sign, a, b) terms, all of
+    one shape, is exactly the zero matrix; an empty sum vanishes.  No
+    product is built: row i of the sum is taken at its common
+    denominator D, term t adding sign * D / (m * dn) times a's row xs / m
+    @ b's rows over dn = `b._dn` (sign alone when every factor is over
+    1), and the first nonzero row decides.  A row is summed into one
+    {column: integer} dict (`_row_sums`), unless a has several rows and
+    some b is dense, a quarter or more of it nonzero.  Then D times
+    |sign| * a's l1 * b's top (`Matrix._norms`), summed over the terms,
+    bounds every entry of the sum and of each b.  If a `_SLOTS` width w
+    has bound < 2^(w - 1), the narrowest packs every b (`_packing`), and
+    the row is one integer combination of packed rows, with one entry in
+    each w-bit slot: zero exactly when the row is.  Every identity check
+    between products is a call to this: lhs = rhs is
+    `vanishes((1, *lhs), (-1, *rhs))`.
     """
     shape = None
-    for sign, a, b in terms:
-        if a.cols != b.rows:
-            raise ValueError(
-                f"shape mismatch in @: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-        if shape not in (None, (a.rows, b.cols)):
+    for _, a, b in terms:
+        if shape not in (None, ab := _shape(a, b)):
             raise ValueError("shape mismatch in +")
-        shape = (a.rows, b.cols)
+        shape = ab
     if shape is None:
-        return
+        return True
     unit = all(a._dn == b._dn == 1 for _, a, b in terms)
     dens = [1] * shape[0] if unit else list(map(lcm, *(
         [m * b._dn for m, _, _ in a._int_rows] for _, a, b in terms)))
@@ -412,28 +410,12 @@ def _sums(terms, read=False):
             m, ks, xs = left[i]
             c = sign if unit else sign * (D // (m * dn))
             if w:
-                total += c * sum(map(mul, xs, map(packed[1].__getitem__, ks)))
+                total += c * sum(map(mul, xs, map(packed.__getitem__, ks)))
             else:
                 _row_sums(acc, c, ks, xs, rows, dn)
-        if w and read:  # every b has the same columns, so the same base
-            half = 1 << (w - 1)
-            acc = {j: v - half for j, v in enumerate(array(_SLOTS[w], (
-                total + packed[0]).to_bytes(w // 8 * shape[1], sys.byteorder)))
-                if v != half}
-        yield D, total, acc
-
-
-def vanishes(*terms: tuple[int, Matrix, Matrix]) -> bool:
-    """Whether sum(sign * (a @ b)) over the (sign, a, b) terms is exactly
-    the zero matrix; an empty sum vanishes.  No product is built: each
-    row of the sum comes from `_sums` and is tested as it comes, as one
-    integer of packed slots when some b is dense (each b packed once,
-    at the narrowest slot width that holds the sum, and kept), else as
-    one {column: integer} dict.  Every identity check between products
-    is a call to this: lhs = rhs is `vanishes((1, *lhs), (-1, *rhs))`.
-    """
-    return not any(total or any(acc.values())
-                   for _, total, acc in _sums(terms))
+        if total or any(acc.values()):
+            return False
+    return True
 
 
 def _echelon(m: Matrix) -> dict[int, dict[int, int]]:

@@ -1,5 +1,6 @@
 """Algebra validation, units, twists, decompositions, unitalization."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from homcyc.algebra import (AlgebraMorphism, DecompositionError,
                             alpha_is_idempotent, direct_sum, find_unit,
                             idempotent_twist_decompose, is_associative,
                             is_centroid_element, load_algebra,
-                            unital_decompose, unitalize, validate,
+                            scalar_from_string, unital_decompose, unitalize,
+                            validate,
                             validate_morphism, validate_or_raise, yau_twist)
 from homcyc.corpus import (dual_numbers, dual_numbers_projection_twist,
                            ground_field, k2, k_times_k, k_times_k_swap_twist,
@@ -67,6 +69,24 @@ def test_shape_errors():
         validate(2, ("a",), dual_numbers().mu, Matrix.identity(2))
     with pytest.raises(ShapeError):
         validate(2, ("a", "b"), [[[1]]], Matrix.identity(2))
+
+
+def test_scalar_digit_limit():
+    """A literal is refused when its numerator or denominator as written
+    would pass the int-string digit limit, and read exactly at it."""
+    limit = sys.get_int_max_str_digits()
+    assert scalar_from_string(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert scalar_from_string(f"-1E-{limit - 1}") == F(-1, 10 ** (limit - 1))
+    assert scalar_from_string("0." + "5" * (limit - 1)) == \
+        F(int("5" * (limit - 1)), 10 ** (limit - 1))
+    assert scalar_from_string(f"{'7' * limit}/{'3' * limit}") == \
+        F(int("7" * limit), int("3" * limit))
+    assert scalar_from_string("1_000e1_0") == 10 ** 13
+    for s in [f"1e{limit}", f"1e-{limit}", "0." + "5" * limit,
+              "12." + "5" * (limit - 1), "7" * (limit + 1),
+              "1/" + "3" * (limit + 1), f"1e{'0' * limit}1", "1e10000000"]:
+        with pytest.raises(ValueError):
+            scalar_from_string(s)
 
 
 def test_load_algebra_round_trip(tmp_path):

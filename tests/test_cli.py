@@ -268,11 +268,27 @@ def test_json_output_is_deterministic(example_file, capsys):
     assert first == second
 
 
+def _with_first_mul(literal: str) -> str:
+    """two_dim_unital's JSON with mul[0][0][0] written as literal."""
+    text = json.dumps(json.loads(two_dim_unital().to_json()))
+    return text.replace('"mul": [[["1"', '"mul": [[[' + literal, 1)
+
+
 @pytest.mark.parametrize("cmd,content", [
     ("hh", json.dumps({"dim": 2, "basis": ["a"], "mul": [], "alpha": []})),
     ("hc", "{not json"),
     ("hh", None),
-], ids=["malformed-shape", "invalid-json", "missing-file"])
+    ("check", "[" * 100000 + "]" * 100000),
+    ("hh", "[" * 100000 + "]" * 100000),
+    ("check", _with_first_mul("1" * 5000)),
+    ("hh", _with_first_mul("1" * 5000)),
+    ("check", _with_first_mul("1e5000")),
+    ("check", _with_first_mul("1e10000000")),
+    ("hh", _with_first_mul("1e-4300")),
+], ids=["malformed-shape", "invalid-json", "missing-file",
+        "check-nested-too-deep", "hh-nested-too-deep",
+        "check-5000-digit-integer", "hh-5000-digit-integer",
+        "number-1e5000", "number-1e10000000", "number-1e-4300"])
 def test_unreadable_algebra_file_exits_2(tmp_path, capsys, cmd, content):
     p = tmp_path / "alg.json"
     if content is not None:
@@ -310,10 +326,20 @@ def test_non_utf8_input_file_exits_2(example_file, tmp_path, capsys, argv):
     ("hh", ("mul", 0, 0), "10"),
     ("check", ("dim",), 2.7),
     ("check", ("basis",), "ab"),
+    ("check", ("mul", 0, 0, 0), "1e5000"),
+    ("hh", ("mul", 0, 0, 0), "1e5000"),
+    ("check", ("alpha", 0, 0), "1e10000000"),
+    ("check", ("alpha", 1, 1), "1e-4300"),
+    ("hh", ("mul", 0, 1, 1), "1/" + "3" * 5000),
+    ("check", ("mul", 0, 1, 1), "0." + "1" * 2200 + "2" * 2200),
 ], ids=["check-mul-not-a-number", "hh-mul-not-a-number",
         "alpha-zero-denominator", "dim-not-a-number", "mul-null",
         "mul-too-shallow", "alpha-scalar", "alpha-too-shallow",
-        "mul-entry-a-string", "dim-not-an-integer", "basis-a-string"])
+        "mul-entry-a-string", "dim-not-an-integer", "basis-a-string",
+        "check-exponent-past-the-digit-limit",
+        "hh-exponent-past-the-digit-limit", "exponent-1e10000000",
+        "denominator-past-the-digit-limit",
+        "5000-digit-denominator", "4400-decimal-digits"])
 def test_bad_scalar_in_algebra_file_exits_2(tmp_path, capsys, cmd, key,
                                             value):
     data = json.loads(two_dim_unital().to_json())
@@ -362,18 +388,27 @@ def _exit_code(argv):
      {"rho": ["00", ["0", "0"]], "tr": {"coords": ["1", "0"]}}, "error: "),
     (["derive", "--derivation", "{rho}", "--trace", "{tr}"],
      {"rho": [["0", "0"], ["0", "0"]], "tr": {"coords": "10"}}, "error: "),
+    # files given as text are written as they are
+    (["verify", "--functional", "{phi}"],
+     {"phi": "[" * 100000 + "]" * 100000}, "error: "),
+    (["verify", "--functional", "{phi}"],
+     {"phi": '{"degree": 0, "coords": [%s, 0]}' % ("1" * 5000)}, "error: "),
+    (["verify", "--functional", "{phi}"],
+     {"phi": '{"degree": 0, "coords": [1e5000, 0]}'}, "error: "),
 ], ids=["verify-no-functional", "derive-no-options", "derive-no-derivation",
         "functional-wrong-length", "functional-no-degree",
         "functional-huge-degree", "ragged-derivation", "trace-wrong-length",
         "functional-coords-a-string", "functional-degree-a-bool",
         "functional-degree-a-float", "derivation-row-a-string",
-        "trace-coords-a-string"])
+        "trace-coords-a-string", "functional-nested-too-deep",
+        "functional-5000-digit-integer", "functional-1e5000"])
 def test_malformed_cocycle_input_exits_2(example_file, tmp_path, capsys,
                                          args, files, err_prefix):
     paths = {}
     for name, data in files.items():
         paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(json.dumps(data))
+        paths[name].write_text(data if type(data) is str
+                               else json.dumps(data))
     argv = ["cocycle", args[0], example_file] + \
         [a.format(**paths) for a in args[1:]]
     assert _exit_code(argv) == 2

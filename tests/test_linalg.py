@@ -8,11 +8,11 @@ import reference_operators as ref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from homcyc.algebra import scalar_from_string
 from homcyc.linalg import (Matrix, NotASubspaceError, Subspace, block_matrix,
                            descend, image, kernel, kron, quotient_dim, rank,
-                           reduce_mod, restrict, rref, scalar_from_string,
-                           scalar_to_string, signed_sum, solve_homogeneous,
-                           vanishes)
+                           reduce_mod, restrict, rref, scalar_to_string,
+                           signed_sum, solve_homogeneous, vanishes)
 
 F = Fraction
 
@@ -399,9 +399,10 @@ def test_vanishes_matches_the_sum_of_products(terms):
 def test_vanishes_takes_the_packed_product(monkeypatch):
     """A sum with a dense right factor compares packed integers: each
     right factor is packed once per slot width and kept on it, so
-    repeated checks, and products with it, reuse the packing.  Sparse
-    right factors, and sums whose slot bound passes 63 bits, take the
-    dict sums.  The verdict is exact on either path."""
+    repeated checks reuse the packing.  Sparse right factors, and sums
+    whose slot bound passes 63 bits, take the dict sums.  `@` is a plain
+    sparse row product: it packs nothing.  The verdict is exact on
+    either path."""
     import homcyc.linalg as linalg
     packed, summed = [], []
     pack, row_sums = linalg._packing, linalg._row_sums
@@ -417,7 +418,6 @@ def test_vanishes_takes_the_packed_product(monkeypatch):
     for _ in range(3):
         assert vanishes((1, a, b), (-1, a3, b3))
         assert not vanishes((1, a, b), (-1, a, b.scale(2)))
-    assert (a @ b).to_rows() == naive_product(a, b)
     assert set(packed) == {16} and not summed
     assert list(vars(b)["_packs"]) == [16] and vars(b)["_packs"][16] is kept
     # the narrowest width that holds the summed bound
@@ -437,6 +437,11 @@ def test_vanishes_takes_the_packed_product(monkeypatch):
     assert vanishes((1, sparse, sparse), (-1, sparse, sparse))
     assert not packed and summed
     assert "_packs" not in vars(sparse)
+    # a dense right factor of @ is summed row by row and left unpacked
+    dense = b.scale(5)
+    summed.clear()
+    assert (a @ dense).to_rows() == naive_product(a, dense)
+    assert not packed and summed and "_packs" not in vars(dense)
 
 
 def test_vanishes_edge_cases():
