@@ -379,7 +379,7 @@ def vanishes(*terms: tuple[int, Matrix, Matrix]) -> bool:
     @ b's rows over dn = `b._dn` (sign alone when every factor is over
     1), and the first nonzero row decides.  A row is summed into one
     {column: integer} dict (`_row_sums`), unless a has several rows and
-    some b is dense, a quarter or more of it nonzero.  Then D times
+    some b is dense, a quarter or more of it nonzero.  Then max D times
     |sign| * a's l1 * b's top (`Matrix._norms`), summed over the terms,
     bounds every entry of the sum and of each b.  If a `_SLOTS` width w
     has bound < 2^(w - 1), the narrowest packs every b (`_packing`), and
