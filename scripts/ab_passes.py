@@ -2,7 +2,7 @@
 """Interleave in-process benchmark passes of two homcyc source trees.
 
     python3 scripts/ab_passes.py OLD_SRC NEW_SRC --workload corpus_betti \\
-        --passes 10 --seed 5
+        --passes 10 --seed 5 [--jobs]
 
 OLD_SRC and NEW_SRC are directories that hold a `homcyc` package (a
 checkout's `src/`).  Both trees are imported into this one interpreter,
@@ -19,7 +19,11 @@ perfbench/reference.json; a wrong result or a failed job exits 1.
 Prints each tree's min and median pass time and the median and
 quartiles of the per-pair ratio NEW / OLD.  Passes in one interpreter
 share the host's speed drift, so the ratio spreads less than separate
-runs of perfbench/run.py do.
+runs of perfbench/run.py do.  With `--jobs`, one more line per job
+gives its median time in each tree, in ms, and their ratio NEW / OLD,
+the job that moved most in absolute time first, so a pass ratio can be
+traced to the jobs behind it.  Both trees build the same job list, in
+the same order, from the benchmark's modules.
 """
 
 import argparse
@@ -79,16 +83,18 @@ def load(src: Path) -> dict:
 
 
 def run_pass(bench, tree: dict, ref) -> float:
-    """One timed pass over the tree's jobs; its results are checked
-    afterwards, outside the time."""
+    """One timed pass over the tree's jobs, each job's time added to its
+    list in `job_times`; the results are checked afterwards, outside the
+    time."""
     use(tree["modules"])
-    results = []
-    t0 = perf_counter()
+    results, marks = [], [perf_counter()]
     for _label, _alg, fn in tree["jobs"]:
         results.append(fn())
-    elapsed = perf_counter() - t0
+        marks.append(perf_counter())
     bench.check_inprocess(ref, tree["jobs"], results)
-    return elapsed
+    for times, t0, t1 in zip(tree["job_times"], marks, marks[1:]):
+        times.append(t1 - t0)
+    return marks[-1] - marks[0]
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -105,6 +111,8 @@ def main(argv=None) -> int:
                     default="corpus_betti")
     ap.add_argument("--passes", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--jobs", action="store_true",
+                    help="also print each job's median time in both trees")
     args = ap.parse_args(argv)
     if args.passes < 1:
         ap.error("--passes must be at least 1")
@@ -120,9 +128,9 @@ def main(argv=None) -> int:
             modules = load(src)
             with tempfile.TemporaryDirectory() as work:
                 state = bench.setup(args.workload, args.seed, Path(work))
-            trees[side] = {"modules": modules, "times": [], "jobs":
-                           bench.inprocess_jobs(args.workload, state,
-                                                args.seed)}
+            jobs = bench.inprocess_jobs(args.workload, state, args.seed)
+            trees[side] = {"modules": modules, "times": [], "jobs": jobs,
+                           "job_times": [[] for _ in jobs]}
         ref = trees["OLD"]["modules"]["workloads"].load_reference()
         for p in range(args.passes):
             for side in ("OLD", "NEW") if p % 2 == 0 else ("NEW", "OLD"):
@@ -145,6 +153,14 @@ def main(argv=None) -> int:
     q1, med, q3 = quartiles(ratios)
     print(f"ratio NEW/OLD median {med:.3f}  quartiles {q1:.3f} {q3:.3f}  "
           f"({len(ratios)} pairs)")
+    if args.jobs:
+        old, new = trees["OLD"], trees["NEW"]
+        rows = [("/".join(map(str, label)), statistics.median(o),
+                 statistics.median(n)) for (label, _alg, _fn), o, n in
+                zip(old["jobs"], old["job_times"], new["job_times"])]
+        for label, o, n in sorted(rows, key=lambda r: -abs(r[2] - r[1])):
+            print(f"job {label} OLD {o * 1e3:.3f} ms  NEW {n * 1e3:.3f} ms  "
+                  f"ratio {n / o:.3f}")
     return 0
 
 

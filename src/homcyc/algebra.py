@@ -333,10 +333,11 @@ def is_centroid_element(A: HomAlgebra) -> tuple[bool, list[Violation]]:
 
 @record
 class Decomposition:
-    """A = A1 (+) A2 with the change of basis from the summand bases."""
+    """A = A1 (+) A2 with the change of basis from the summand bases; a
+    zero summand is None, with an empty basis."""
 
-    part_unital_associative: HomAlgebra
-    part_complement: HomAlgebra
+    part_unital_associative: HomAlgebra | None
+    part_complement: HomAlgebra | None
     basis_a1: tuple[tuple[Fraction, ...], ...]
     basis_a2: tuple[tuple[Fraction, ...], ...]
 
@@ -352,12 +353,15 @@ class DecompositionError(ValueError):
 
 
 def _restrict_algebra(A: HomAlgebra, sub: Subspace, alpha_sub: Matrix | None,
-                      name: str) -> HomAlgebra:
-    """Algebra structure on an ideal, in its own RREF basis coordinates.
+                      name: str) -> HomAlgebra | None:
+    """Algebra structure on an ideal, in its own RREF basis coordinates;
+    None for the zero ideal, since an algebra has dim >= 1.
 
     alpha_sub: the restricted twist in subspace coordinates; computed by
     restriction when None.
     """
+    if not sub.dim:
+        return None
     mu = tuple(tuple(sub.coordinates(A.product(u, v)) for v in sub.basis)
                for u in sub.basis)
     if alpha_sub is None:
@@ -383,14 +387,16 @@ def unital_decompose(A: HomAlgebra) -> Decomposition:
     sub2 = image(A.right_mult_matrix(y))
     a1 = _restrict_algebra(A, sub1, None, name=A.name + "_A1")
     a2 = _restrict_algebra(A, sub2, None, name=A.name + "_A2")
-    if not is_associative(a1):
+    if a1 is not None and not is_associative(a1):
         raise DecompositionError("A1 summand is not associative; contradicts "
                                  "the unital characterization")
     return Decomposition(a1, a2, sub1.basis, sub2.basis)
 
 
-def idempotent_twist_decompose(A: HomAlgebra) -> tuple[HomAlgebra, HomAlgebra]:
-    """For alpha idempotent: K = ker(alpha) with zero product, B = im(alpha).
+def idempotent_twist_decompose(A: HomAlgebra
+                               ) -> tuple[HomAlgebra | None, HomAlgebra | None]:
+    """For alpha idempotent: K = ker(alpha) with zero product, B = im(alpha);
+    a zero summand is None.
 
     Also verifies the cross terms vanish: (k + b)(k' + b') = b b'.
     """
@@ -403,21 +409,10 @@ def idempotent_twist_decompose(A: HomAlgebra) -> tuple[HomAlgebra, HomAlgebra]:
     m = A.product_matrix
     if not (vanishes((1, m, kron(K, KB))) and vanishes((1, m, kron(KB, K)))):
         raise ValueError("kernel of alpha is not a square-zero ideal")
-    k_alg = _restrict_algebra(A, ker_sub, Matrix.zero(ker_sub.dim, ker_sub.dim),
-                              name=A.name + "_K") if ker_sub.dim else None
-    b_alg = _restrict_algebra(A, im_sub, None, name=A.name + "_B") \
-        if im_sub.dim else None
-    if k_alg is None:
-        k_alg = _zero_dim_placeholder(A.name + "_K")
-    if b_alg is None:
-        b_alg = _zero_dim_placeholder(A.name + "_B")
-    return k_alg, b_alg
-
-
-def _zero_dim_placeholder(name: str) -> HomAlgebra:
-    # dim >= 1 is an invariant; a 1-dim zero algebra stands in for 0
-    return validate_or_raise(1, ("z",),
-                             (((ZERO,),),), Matrix.zero(1, 1), name=name)
+    return (_restrict_algebra(A, ker_sub,
+                              Matrix.zero(ker_sub.dim, ker_sub.dim),
+                              name=A.name + "_K"),
+            _restrict_algebra(A, im_sub, None, name=A.name + "_B"))
 
 
 def unitalize(A: HomAlgebra) -> tuple[HomAlgebra, Matrix]:

@@ -250,16 +250,17 @@ def cmd_decompose(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    a1, a2 = dec.part_unital_associative, dec.part_complement
     payload = {
         "algebra": alg.name,
-        "A1": dec.part_unital_associative.to_json_dict(),
-        "A2": dec.part_complement.to_json_dict(),
+        # a zero summand is null, with an empty basis
+        "A1": None if a1 is None else a1.to_json_dict(),
+        "A2": None if a2 is None else a2.to_json_dict(),
         "basis_A1": [[scalar_to_string(x) for x in v] for v in dec.basis_a1],
         "basis_A2": [[scalar_to_string(x) for x in v] for v in dec.basis_a2],
     }
-    text = (f"{alg.name} = A1 (+) A2 with dim A1 = "
-            f"{dec.part_unital_associative.dim}, dim A2 = "
-            f"{dec.part_complement.dim}; A1 unital associative")
+    text = (f"{alg.name} = A1 (+) A2 with dim A1 = {len(dec.basis_a1)}, "
+            f"dim A2 = {len(dec.basis_a2)}; A1 unital associative")
     _emit(payload, args.format, text)
     return EXIT_OK
 

@@ -374,7 +374,10 @@ def induced_map_on_homology(f: AlgebraMorphism, theory: str, n: int) -> Matrix:
         return _homology_matrix(CA, CB, tmaps, n)
     if theory != "HC":
         raise ValueError("theory must be 'HH' or 'HC'")
-    subsA, subsB = (lambda_quotient_subspaces(X, n + 1) for X in (A, Bg))
+    # Id - t depends on the dimension and degree alone, so algebras of one
+    # dimension share each subspace and its cached quotient map
+    subsA = lambda_quotient_subspaces(A, n + 1)
+    subsB = subsA if Bg.dim == A.dim else lambda_quotient_subspaces(Bg, n + 1)
     QA, QB = quotient_complex(CA, subsA), quotient_complex(CB, subsB)
     qmaps = {}
     for k in range(n + 2):

@@ -25,10 +25,12 @@ canonical basis is needed; the RREF is unique, whatever the order.
 A `Subspace` is its RREF, a `Matrix` of the nonzero rows (`rows`).  Its
 `quotient`, the identity at the free columns minus the RREF entries at
 the pivots, maps onto the quotient by the subspace in `free_columns`
-coordinates and has the subspace as its kernel.  Membership,
-`reduce_mod`, `kernel` and the check that a map sends one subspace into
-another are products with it; `restrict` reads m @ src.rows^T at tgt's
-pivots, and `descend` reduces m's columns at src's free columns.
+coordinates and has the subspace as its kernel.  Membership and
+`kernel` are products with it, and `reduce_mod(sub, m)` is the one
+product `sub.quotient @ m`: every column of m modulo sub at once.  The
+check that m maps src into tgt is that product vanishing on src's
+basis; `restrict` reads m @ src.rows^T at tgt's pivots, and `descend`
+reads the columns of `reduce_mod(tgt, m)` at src's free columns.
 Sums of matrices go through `_add_rows`: `signed_sum` (a stream of
 signed matrices, one held at a time), `+`, `-` and `block_matrix`.
 """
@@ -555,13 +557,13 @@ class NotASubspaceError(ValueError):
     pass
 
 
-def reduce_mod(sub: Subspace, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Canonical representative of vec modulo sub: `sub.quotient` of vec
-    at the free columns, zero at the pivots."""
-    out = [ZERO] * sub.ambient_dim
-    for f, x in zip(sub.free_columns(), sub.quotient.apply(vec)):
-        out[f] = x
-    return tuple(out)
+def reduce_mod(sub: Subspace, m: Matrix) -> Matrix:
+    """m's columns modulo sub, in sub's `free_columns` coordinates:
+    `sub.quotient @ m`, one sparse product.  Column j holds the entries
+    at the free columns of the canonical representative of m's column j,
+    which is zero at sub's pivots; it is zero exactly when that column
+    lies in sub."""
+    return sub.quotient @ m
 
 
 def _row_space(m: Matrix) -> Subspace:
@@ -582,9 +584,9 @@ def image(m: Matrix) -> Subspace:
 
 
 def maps_into(m: Matrix, src: Subspace, tgt: Subspace) -> bool:
-    """Whether m maps src into tgt: tgt's quotient map kills m on every
+    """Whether m maps src into tgt: m reduced modulo tgt kills every
     basis vector of src, one vanishing product."""
-    return vanishes((1, tgt.quotient @ m, src.rows.transpose()))
+    return vanishes((1, reduce_mod(tgt, m), src.rows.transpose()))
 
 
 def restrict(m: Matrix, src: Subspace, tgt: Subspace) -> Matrix:
@@ -600,18 +602,16 @@ def restrict(m: Matrix, src: Subspace, tgt: Subspace) -> Matrix:
 
 def descend(m: Matrix, src: Subspace, tgt: Subspace) -> Matrix:
     """The map Q^cols / src -> Q^rows / tgt induced by m, in the
-    `free_columns` coordinates of both quotients: column j is m's column
-    at the j-th free coordinate of src, reduced modulo tgt and read at
-    the free coordinates of tgt.  Raises NotASubspaceError unless m
-    maps src into tgt."""
-    if not maps_into(m, src, tgt):
+    `free_columns` coordinates of both quotients: the columns of
+    `reduce_mod(tgt, m)` at src's free columns, read as rows of its
+    transpose.  Raises NotASubspaceError unless that product kills
+    src's basis, that is unless m maps src into tgt."""
+    reduced = reduce_mod(tgt, m)
+    if not vanishes((1, reduced, src.rows.transpose())):
         raise NotASubspaceError("the map does not send src into tgt")
-    free = tgt.free_columns()
-    cols = []
-    for f in src.free_columns():
-        w = reduce_mod(tgt, m.col(f))
-        cols.append([w[j] for j in free])
-    return Matrix.from_columns(len(free), cols)
+    free = src.free_columns()
+    return _matrix(len(free), reduced.rows, tuple(
+        reduced._int_cols[f] for f in free)).transpose()
 
 
 def quotient_dim(sub: Subspace, sup: Subspace) -> int:

@@ -155,8 +155,24 @@ def test_unital_decompose_two_dim():
 
 
 def test_unital_decompose_requires_unit():
-    with pytest.raises(ValueError):
-        unital_decompose(k2())
+    zero, _ = validate(1, ("z",), [[[0]]], Matrix.zero(1, 1))
+    with pytest.raises(ValueError, match="no unit"):
+        unital_decompose(zero)
+
+
+def test_decompositions_report_a_zero_summand_as_none():
+    """alpha(1) = 1 on ground_field, so A2 = A(1 - alpha(1)) is zero;
+    alpha(1) = 0 on k2, so A1 is zero; and ground_field's alpha = Id has
+    a zero kernel.  Each zero summand is None with an empty basis, and
+    the summand dimensions add up to dim A."""
+    dec = unital_decompose(ground_field())
+    assert dec.part_complement is None and dec.basis_a2 == ()
+    assert dec.part_unital_associative.dim == 1
+    dec = unital_decompose(k2())
+    assert dec.part_unital_associative is None and dec.basis_a1 == ()
+    assert dec.part_complement.dim == 1
+    K, B = idempotent_twist_decompose(ground_field())
+    assert K is None and B.dim == 1
 
 
 def test_idempotent_twist_decompose():

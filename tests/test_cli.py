@@ -211,6 +211,29 @@ def test_decompose_command(example_file, capsys):
     assert data["A1"]["dim"] == 1 and data["A2"]["dim"] == 1
 
 
+@pytest.mark.parametrize("name, dims", [("ground_field", (1, 0)),
+                                        ("k2", (0, 1))])
+def test_decompose_reports_a_zero_summand_as_null(name, dims, tmp_path,
+                                                  capsys):
+    """alpha(1) = 1 on ground_field leaves A2 = A(1 - alpha(1)) = 0, and
+    alpha(1) = 0 on k2 leaves A1 = 0: the zero summand is null in JSON,
+    with an empty basis, and has dim 0 in text."""
+    from homcyc import corpus
+    p = tmp_path / f"{name}.json"
+    p.write_text(getattr(corpus, name)().to_json())
+    assert main(["decompose", str(p), "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    for key, dim in zip(("A1", "A2"), dims):
+        assert len(data["basis_" + key]) == dim
+        if dim:
+            assert data[key]["dim"] == dim
+        else:
+            assert data[key] is None
+    assert main(["decompose", str(p)]) == 0
+    assert f"dim A1 = {dims[0]}, dim A2 = {dims[1]};" in \
+        capsys.readouterr().out
+
+
 def test_decompose_without_unit_exits_2(tmp_path):
     from homcyc.corpus import k2
     # k2 is unital; build a zero algebra instead

@@ -68,15 +68,15 @@ def test_two_dim_lambda_boundary_value():
     V = regular_bimodule(A)
     b2 = hochschild_b(A, V, 2)
     # index of e1 (x) e1 (x) e2 with big-endian slots: (0,0,1) -> 1
-    chain = tuple(F(int(i == 1)) for i in range(8))
-    img = b2.apply(chain)
+    chain = Matrix.from_columns(8, [[int(i == 1) for i in range(8)]])
+    img = b2 @ chain
     sub = lambda_quotient_subspaces(A, 2)[1]
     reduced = reduce_mod(sub, img)
     # e1 (x) e2 has index (0,1) -> 1
-    e1e2 = tuple(F(int(i == 1)) for i in range(4))
-    expected = reduce_mod(sub, tuple(-2 * x for x in e1e2))
+    e1e2 = Matrix.from_columns(4, [[int(i == 1) for i in range(4)]])
+    expected = reduce_mod(sub, e1e2.scale(-2))
     assert reduced == expected
-    assert any(expected)
+    assert not expected.is_zero()
 
 
 def test_method_agreement_homology(algebra):
@@ -315,6 +315,29 @@ def test_induced_map_identity_is_identity():
         assert m == Matrix.identity(m.rows)
         mc = induced_map_on_homology(f, "HC", n)
         assert mc == Matrix.identity(mc.rows)
+
+
+def test_hc_induced_map_builds_one_lambda_family(monkeypatch):
+    """Id - t depends on the dimension and the degree alone, so an HC
+    map between algebras of one dimension builds the λ subspaces once,
+    for the source, and both quotient complexes share them; between
+    dimensions each side builds its own, and HH builds none."""
+    calls = []
+    build = cyclic.lambda_quotient_subspaces
+    monkeypatch.setattr(cyclic, "lambda_quotient_subspaces",
+                        lambda A, n: calls.append((A.name, n)) or build(A, n))
+    A = two_dim_unital()
+    half, _ = load_algebra(str(HALF))
+    f = AlgebraMorphism(A, half, Matrix.from_rows([[2, 0], [0, 1]]))
+    induced_map_on_homology(f, "HC", 2)
+    assert calls == [(A.name, 3)]
+    calls.clear()
+    induced_map_on_homology(f, "HH", 2)
+    assert calls == []
+    g = AlgebraMorphism(ground_field(), k_times_k(),
+                        Matrix.from_rows([[1], [1]]))
+    induced_map_on_homology(g, "HC", 1)
+    assert calls == [("ground_field", 2), ("k_times_k", 2)]
 
 
 def test_induced_map_inclusion():

@@ -135,8 +135,7 @@ def test_image_contains_columns(m):
 @given(small_matrices(max_dim=4))
 def test_reduce_mod_is_canonical(m):
     im = image(m)
-    for j in range(m.cols):
-        assert not any(reduce_mod(im, m.col(j)))
+    assert reduce_mod(im, m).is_zero()
 
 
 def test_subspace_coordinates_round_trip():
@@ -843,6 +842,54 @@ def test_restrict_gives_coordinates_in_target(case):
         assert tuple(image_v) == m.apply(v)
 
 
+@st.composite
+def descend_cases(draw, max_dim=4):
+    """(m, src, tgt): tgt spans the images under m of a drawn share of
+    src's basis, and some extra vectors, so m maps src into tgt in some
+    cases and not in others."""
+    r, k = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    m = draw(matrices(r, k, max_num=3))
+
+    def vectors(n, size):
+        return draw(st.lists(st.lists(st.fractions(-3, 3, max_denominator=3),
+                                      min_size=n, max_size=n), max_size=size))
+
+    src = Subspace.from_vectors(k, vectors(k, k))
+    kept = draw(st.lists(st.booleans(), min_size=src.dim, max_size=src.dim))
+    tgt = Subspace.from_vectors(r, [m.apply(v) for v, keep in
+                                    zip(src.basis, kept) if keep]
+                                + vectors(r, r - 1))
+    return m, src, tgt
+
+
+@settings(max_examples=150, deadline=None)
+@given(descend_cases())
+def test_descend_matches_column_by_column_reduction(case):
+    """descend is each free column of src, as a dense vector, reduced
+    modulo tgt by the reference's pivot elimination and read at tgt's
+    free columns; it raises exactly when some basis vector of src
+    leaves a residual modulo tgt."""
+    m, src, tgt = case
+    dense = m.to_rows()
+
+    def residual(vec):
+        return ref.reduce_mod(tgt.basis, vec)[1]
+
+    def free(sub):
+        pivots = ref.rref(sub.basis, sub.ambient_dim)[1]
+        return [j for j in range(sub.ambient_dim) if j not in pivots]
+
+    stable = not any(any(residual([sum((x * y for x, y in zip(row, v)), F(0))
+                                   for row in dense])) for v in src.basis)
+    if not stable:
+        with pytest.raises(NotASubspaceError):
+            descend(m, src, tgt)
+        return
+    cols = [residual([row[f] for row in dense]) for f in free(src)]
+    assert descend(m, src, tgt).to_rows() == [[c[i] for c in cols]
+                                              for i in free(tgt)]
+
+
 def test_descend_and_restrict_reject_unstable_subspaces():
     m = Matrix.from_rows([[0, 1], [0, 0]])
     line = Subspace.from_vectors(2, [(F(0), F(1))])
@@ -898,7 +945,9 @@ def test_subspace_matches_dense_elimination(case):
     assert sub.free_columns() == [j for j in range(n) if j not in pivots]
     for v in vectors:
         coords, residual = ref.reduce_mod(rows, v)
-        assert reduce_mod(sub, v) == tuple(residual)
+        assert all(residual[p] == 0 for p in sub.pivots)
+        assert reduce_mod(sub, Matrix.from_columns(n, [v])).col(0) == \
+            tuple(residual[f] for f in sub.free_columns())
         assert sub.contains(v) == (not any(residual))
         if any(residual):
             with pytest.raises(NotASubspaceError):
@@ -916,8 +965,8 @@ def test_subspace_matches_dense_elimination(case):
                          ids=["zero", "full", "line"])
 def test_subspace_rejects_wrong_length_vectors(sub):
     for vec in [(F(1), F(0)), (F(1), F(0), F(0), F(0))]:
-        with pytest.raises(ValueError, match="length"):
-            reduce_mod(sub, vec)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            reduce_mod(sub, Matrix.from_columns(len(vec), [vec]))
         with pytest.raises(ValueError, match="length"):
             sub.coordinates(vec)
         with pytest.raises(ValueError, match="length"):

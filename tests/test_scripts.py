@@ -105,6 +105,17 @@ def test_compile_weight_cli_lists_the_other_imports(capsys, tmp_path):
         ["--src", str(package), "--cli"])
 
 
+def _corpus_jobs(sep):
+    """The labels of the benchmark's corpus_betti jobs, each joined by
+    sep, sorted."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        SCRIPTS.parent / "perfbench" / "workloads.py")
+    table = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(table)
+    return sorted(sep.join(map(str, job)) for job in table.CORPUS_JOBS)
+
+
 def test_job_peaks_prints_every_corpus_job(capsys, monkeypatch):
     """One row per job of the benchmark's corpus_betti table, each with
     a time and a tracemalloc peak, after the results are checked."""
@@ -113,13 +124,7 @@ def test_job_peaks_prints_every_corpus_job(capsys, monkeypatch):
                                       "--seed", "3"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == ["job", "ms", "peak_kb"]
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads",
-        SCRIPTS.parent / "perfbench" / "workloads.py")
-    table = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(table)
-    jobs = sorted(" ".join(map(str, job)) for job in table.CORPUS_JOBS)
-    assert sorted(r.rsplit(None, 2)[0] for r in rows) == jobs
+    assert sorted(r.rsplit(None, 2)[0] for r in rows) == _corpus_jobs(" ")
     assert all(float(r.split()[-2]) > 0 and int(r.split()[-1]) >= 0
                for r in rows)
 
@@ -140,6 +145,29 @@ def test_ab_passes_aa_run_reports_both_trees(capsys, monkeypatch):
     assert words[:3] == ["ratio", "NEW/OLD", "median"]
     q1, median, q3 = float(words[5]), float(words[3]), float(words[6])
     assert 0 < q1 <= median <= q3 and words[-2:] == ["(2", "pairs)"]
+
+
+def test_ab_passes_jobs_reports_each_job_in_both_trees(capsys, monkeypatch):
+    """With --jobs, the A/A run adds one line per job: its median time
+    in each tree and their ratio, the largest absolute move first."""
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    src = str(SCRIPTS.parent / "src")
+    ab = _script("ab_passes")
+    assert ab.main([src, src, "--workload", "corpus_betti", "--passes", "2",
+                    "--seed", "3", "--jobs"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:3]] == ["OLD", "NEW", "ratio"]
+    jobs = [line.split() for line in lines[3:]]
+    assert sorted(words[1] for words in jobs) == _corpus_jobs("/")
+    moves = []
+    for words in jobs:
+        assert words[0] == "job" and words[2::3] == ["OLD", "NEW", "ratio"]
+        assert words[4] == words[7] == "ms"
+        old, new = float(words[3]), float(words[6])
+        assert 0 < old and 0 < new
+        assert float(words[9]) == pytest.approx(new / old, rel=0.02)
+        moves.append(abs(new - old))
+    assert moves == sorted(moves, reverse=True)
 
 
 def test_ab_passes_runs_each_tree_on_its_own_modules(tmp_path, capsys,
