@@ -22,7 +22,7 @@ from itertools import accumulate
 
 from .linalg import (Matrix, NotASubspaceError, Subspace, block_matrix,
                      descend, image, kernel, quotient_dim,
-                     rank as matrix_rank, restrict,
+                     rank as matrix_rank, reduce_mod, restrict,
                      scalar_to_string, vanishes)
 from .errors import BoundarySquareError, NotStableError
 from .records import Field, record
@@ -122,7 +122,7 @@ def homology_classes(C: ChainComplex, n: int) -> tuple[Subspace, Subspace]:
     Z = kernel(C.differential(n))
     C._ranks.setdefault(n, Z.ambient_dim - Z.dim)
     quotient_dim(B, Z)  # raises unless B lies in Z
-    H = image(B.quotient @ Z.rows.transpose())
+    H = image(reduce_mod(B, Z.rows.transpose()))
     if H.dim != _betti(C, n):
         raise ArithmeticError(f"{H.dim} classes for Betti number "
                               f"{_betti(C, n)} in degree {n}")

@@ -27,7 +27,7 @@ from .hochschild import (IdentityViolationError, bar_differentials,
                          hochschild_b, hochschild_cohomology,
                          hochschild_homology, norm_N, tensor_power_matrix)
 from .linalg import (Matrix, NotASubspaceError, Subspace, descend, image,
-                     kron, kernel, maps_into, restrict, vanishes)
+                     kron, kernel, maps_into, reduce_mod, restrict, vanishes)
 from .records import Field, record
 
 
@@ -348,8 +348,8 @@ def _homology_matrix(C_src: ChainComplex, C_tgt: ChainComplex,
     target's quotient by its boundaries after the chain map, restricted
     to the source representatives, read in the target classes."""
     B_tgt, H_tgt = homology_classes(C_tgt, n)
-    return restrict(B_tgt.quotient @ maps[n], representative_space(C_src, n),
-                    H_tgt)
+    return restrict(reduce_mod(B_tgt, maps[n]),
+                    representative_space(C_src, n), H_tgt)
 
 
 def induced_map_on_homology(f: AlgebraMorphism, theory: str, n: int) -> Matrix:

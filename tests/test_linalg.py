@@ -890,6 +890,29 @@ def test_descend_matches_column_by_column_reduction(case):
                                               for i in free(tgt)]
 
 
+def test_descend_is_one_reduction_without_dense_views(monkeypatch):
+    """descend makes one `reduce_mod` product and reads no dense view of
+    any matrix: no column, row, vector product or entry list."""
+    from homcyc import linalg
+    m = Matrix.from_rows([[1, 2, 0], [0, 1, 1], [1, 0, 3]])
+    src = Subspace.from_vectors(3, [(F(1), F(0), F(0))])
+    tgt = Subspace.from_vectors(3, [(F(1), F(0), F(1))])
+    expected = ref.induced_on_quotient(m, src, tgt)
+    calls, reduce_mod = [], linalg.reduce_mod
+    monkeypatch.setattr(linalg, "reduce_mod",
+                        lambda sub, x: calls.append(x) or reduce_mod(sub, x))
+
+    def dense(*_):
+        raise AssertionError("dense view read")
+
+    for name in ("col", "row", "apply", "to_rows", "__getitem__"):
+        monkeypatch.setattr(Matrix, name, dense)
+    monkeypatch.setattr(Matrix, "entries", property(dense))
+    q = descend(m, src, tgt)
+    monkeypatch.undo()
+    assert calls == [m] and q.to_rows() == expected
+
+
 def test_descend_and_restrict_reject_unstable_subspaces():
     m = Matrix.from_rows([[0, 1], [0, 0]])
     line = Subspace.from_vectors(2, [(F(0), F(1))])
