@@ -167,7 +167,9 @@ def test_ab_passes_jobs_reports_each_job_in_both_trees(capsys, monkeypatch):
         assert 0 < old and 0 < new
         assert float(words[9]) == pytest.approx(new / old, rel=0.02)
         moves.append(abs(new - old))
-    assert moves == sorted(moves, reverse=True)
+    # the moves are sorted unrounded; each printed time is rounded by
+    # up to 0.0005 ms
+    assert all(a >= b - 0.002 for a, b in zip(moves, moves[1:]))
 
 
 def test_ab_passes_runs_each_tree_on_its_own_modules(tmp_path, capsys,
