@@ -32,11 +32,11 @@ Orientation = str  # "homological" or "cohomological"
 
 @record
 class ChainComplex:
-    """Finite truncation of a complex on degrees [min_degree .. max_degree].
+    """Finite truncation of a complex on the degrees that key `dims`.
 
     dims[n] is the dimension in degree n.  For homological orientation,
-    diffs[n] maps degree n to n-1 (and diffs[min_degree] maps to 0 or out
-    of the window); for cohomological, diffs[n] maps degree n to n+1.
+    diffs[n] maps degree n to n-1 (the lowest degree's to 0 or out of
+    the window); for cohomological, diffs[n] maps degree n to n+1.
     Degrees are >= 0 (periodic windows are shifted first-quadrant
     towers) and index dicts, so a truncation need not start at 0.
     Construction raises BoundarySquareError unless d o d = 0."""
@@ -51,14 +51,6 @@ class ChainComplex:
 
     def __post_init__(self) -> None:
         self.check_d_squared()
-
-    @property
-    def min_degree(self) -> int:
-        return min(self.dims)
-
-    @property
-    def max_degree(self) -> int:
-        return max(self.dims)
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)

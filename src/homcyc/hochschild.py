@@ -29,18 +29,19 @@ the regular bimodule (R = mu, beta = alpha):
 b and b' are built by it (two products and delta_n per degree, not n + 1
 faces) unless the caller holds the list of faces.  A dual `Bimodule`
 (the cochain coefficients) has its transposed data as chain data: a
-coface is a face of those, transposed, and the coboundary their b,
-transposed.  t is a signed permutation, and N and theta are weighted
-sums of its powers.  Every operator raises IndexError outside its degrees.
+coface is a face of those, transposed, and the cochain complex their
+chain complex, transposed (Loday, 1.5).  t is a signed permutation, N
+and theta weighted sums of its powers.  Operators raise IndexError
+outside their degrees.
 
-A checked build builds each degree's list of faces once and reads from
-it both the differential and the (co)simplicial identities of the
-degrees it enters, holding at most two degrees' lists; each identity is
-one `linalg.vanishes` call on faces, never on cofaces.  Its checks run
-as the degrees are built, and a failing one is raised only after the
-ChainComplex has checked d o d.  A degree's faces are the right factors
-of its own checks only, so their packed rows are dropped
-(`linalg.drop_packings`) once those checks are done.
+Both builders run one loop over chain data.  Checked, it builds each
+degree's faces once for b and the presimplicial identities they enter,
+holding at most two degrees' lists; each identity is one
+`linalg.vanishes` call.  Pre-cosimplicial pair (i, j) on C^n is
+presimplicial pair (j, i) of W's faces in degree n + 2, transposed.  A
+failing identity is raised only after the ChainComplex has checked
+d o d.  A degree's faces are the right factors of its own checks only,
+so their packed rows are dropped (`linalg.drop_packings`) after them.
 """
 
 from __future__ import annotations
@@ -208,6 +209,27 @@ def _first_violation(found: IdentityViolationError | None, check, *args
     return found
 
 
+def _differentials(A: HomAlgebra, V: Bimodule, top: int, checked: bool,
+                   faces: list[Matrix] | None = None) -> tuple[
+                       dict[int, Matrix], IdentityViolationError | None]:
+    """{n: b_n} of V's chain data, n = 1..top, and, when `checked`, the
+    first presimplicial identity that fails.  Checked, each degree's faces
+    (degree 1's are `faces` when given) serve b and the identities they
+    enter; unchecked, b is built by the recursion."""
+    if not checked:
+        return {n: b for n, (_, b) in enumerate(
+            bar_differentials(A, V, top), 1)}, None
+    diffs, failure = {}, None
+    for n in range(1, top + 1):
+        lower, faces = faces, faces if n == 1 and faces else face_map(A, V, n)
+        failure = _first_violation(failure, check_presimplicial, A, V, n,
+                                   lower, faces)
+        del lower
+        drop_packings(faces)
+        diffs[n] = hochschild_b(A, V, n, faces)
+    return diffs, failure
+
+
 def build_hochschild_homology_complex(A: HomAlgebra, V: Bimodule,
                                       n_max: int, *,
                                       check_identities: bool = True) -> ChainComplex:
@@ -217,28 +239,16 @@ def build_hochschild_homology_complex(A: HomAlgebra, V: Bimodule,
     and the verdict is kept on it: V is immutable, so a bimodule that
     fails them raises on every build.  The ChainComplex checks b o b = 0;
     `check_identities` then raises the first presimplicial identity that
-    fails, degree by degree.  A checked build builds the faces of each
-    degree once, for b and for the identities at that degree and the
-    one above; an unchecked one builds b by the recursion."""
+    fails, degree by degree."""
     if "_homology_hypotheses" not in vars(V):
         vars(V)["_homology_hypotheses"] = validate_homology_coefficients(V)
     ok, bad = vars(V)["_homology_hypotheses"]
     if not ok:
         raise CoefficientHypothesisError(
             "coefficients violate the homology hypotheses: " + str(bad[0]))
-    dims = {n: V.dim * A.dim ** n for n in range(n_max + 1)}
-    if not check_identities:
-        return ChainComplex(dims=dims, diffs={n: b for n, (_, b) in enumerate(
-            bar_differentials(A, V, n_max), 1)}, orientation="homological")
-    diffs, faces, failure = {}, None, None
-    for n in range(1, n_max + 1):
-        lower, faces = faces, face_map(A, V, n)
-        failure = _first_violation(failure, check_presimplicial, A, V, n,
-                                   lower, faces)
-        del lower
-        drop_packings(faces)
-        diffs[n] = hochschild_b(A, V, n, faces)
-    C = ChainComplex(dims=dims, diffs=diffs, orientation="homological")
+    diffs, failure = _differentials(A, V, n_max, check_identities)
+    C = ChainComplex(dims={n: V.dim * A.dim ** n for n in range(n_max + 1)},
+                     diffs=diffs, orientation="homological")
     if failure is not None:
         raise failure
     return C
@@ -255,64 +265,30 @@ def coface_map(A: HomAlgebra, W: Bimodule, n: int, i: int | None = None
 
 
 def cochain_b(A: HomAlgebra, W: Bimodule, n: int,
-              faces: list[Matrix] | None = None) -> Matrix:
+              b: Matrix | None = None) -> Matrix:
     """Coboundary C^n(A, W) -> C^{n+1}(A, W), alternating sum of cofaces:
-    W's b of degree n + 1, transposed once.  `faces` is
-    `face_map(A, W, n + 1)` when the caller holds it."""
-    return hochschild_b(A, W, n + 1, faces).transpose()
-
-
-def check_precosimplicial(A: HomAlgebra, W: Bimodule, n: int,
-                          lower: list[Matrix] | None = None,
-                          upper: list[Matrix] | None = None) -> None:
-    """delta_i delta_j = delta_j delta_{i-1} for j < i on C^n, each pair
-    one `vanishes` call.  With F_k the faces of W's chain data of degree
-    k, pair (i, j) is the transpose of F_{n+1,j} F_{n+2,i} =
-    F_{n+1,i-1} F_{n+2,j} and is decided on those faces, whose products
-    have d^2 times fewer rows than the cofaces'.  `lower` and `upper`
-    are `face_map(A, W, n + 1)` and `face_map(A, W, n + 2)` when the
-    caller holds them."""
-    low = face_map(A, W, n + 1) if lower is None else lower
-    high = face_map(A, W, n + 2) if upper is None else upper
-    for i in range(1, n + 3):
-        for j in range(min(i, n + 2)):
-            if not vanishes((1, low[j], high[i]), (-1, low[i - 1], high[j])):
-                raise IdentityViolationError(
-                    f"pre-cosimplicial identity fails at n={n}, i={i}, j={j}")
+    W's b of degree n + 1, `b` when the caller holds it, transposed."""
+    return (hochschild_b(A, W, n + 1) if b is None else b).transpose()
 
 
 def build_hochschild_cohomology_complex(A: HomAlgebra, W: Bimodule,
                                         n_max: int, *,
                                         check_identities: bool = True
                                         ) -> ChainComplex:
-    """The cochain complex (C^*(A, W), b) truncated at n_max.
-
-    Raises BoundarySquareError unless b o b = 0 (the ChainComplex checks
-    it); then, with `check_identities`, the IdentityViolationError of
-    the first pre-cosimplicial identity that fails in a degree n <=
-    n_max - 2, whose cofaces stay in the window.  A checked build builds
-    W's faces of each degree once, for the coboundary and for the
-    identities they enter; an unchecked one builds W's b by the
-    recursion and transposes it.
-    """
-    dims = {n: W.dim * A.dim ** n for n in range(n_max + 1)}
-    if not check_identities:
-        return ChainComplex(dims=dims, orientation="cohomological", diffs={
-            n: b.transpose() for n, (_, b) in enumerate(
-                bar_differentials(A, W, n_max))})
-    diffs, faces, failure = {}, None, None
-    for n in range(n_max):
-        # degree 1's faces are degree 0's cofaces transposed back, so that
-        # every hhco build calls `coface_map`, a span perfbench requires
-        lower, faces = faces, face_map(A, W, n + 1) if n else [
-            c.transpose() for c in coface_map(A, W, 0)]
-        if n:
-            failure = _first_violation(failure, check_precosimplicial, A, W,
-                                       n - 1, lower, faces)
-        del lower
-        drop_packings(faces)
-        diffs[n] = cochain_b(A, W, n, faces)
-    C = ChainComplex(dims=dims, diffs=diffs, orientation="cohomological")
+    """The cochain complex (C^*(A, W), b) truncated at n_max: W's chain
+    complex transposed, b_{n+1} out of C^n.  Raises BoundarySquareError
+    unless b o b = 0; then, with `check_identities`, the first failing
+    presimplicial identity of W's faces in degrees up to n_max, which
+    hold the pre-cosimplicial identities of degrees up to n_max - 2."""
+    # degree 1's faces are degree 0's cofaces transposed back, so that
+    # every checked hhco build calls `coface_map`, a span perfbench requires
+    bs, failure = _differentials(A, W, n_max, check_identities, [
+        c.transpose() for c in coface_map(A, W, 0)]
+        if check_identities and n_max >= 1 else None)
+    C = ChainComplex(dims={n: W.dim * A.dim ** n for n in range(n_max + 1)},
+                     diffs={n - 1: cochain_b(A, W, n - 1, bs.pop(n))
+                            for n in range(1, n_max + 1)},
+                     orientation="cohomological")
     if failure is not None:
         raise failure
     return C

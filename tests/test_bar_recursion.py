@@ -16,6 +16,7 @@ and on corpus algebras moved to a dense unimodular basis.
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homcyc.coefficients import Bimodule, dualize_bimodule, regular_bimodule
 from homcyc.corpus import two_dim_unital
@@ -83,6 +84,37 @@ def test_recursion_on_direct_sums(A):
 def test_recursion_in_dense_bases(case):
     make, p = case
     check_recursion(moved(make, p))
+
+
+def _algebra(case):
+    """The algebra of a generated case, moved to its dense basis when
+    the case is one of `unimodular_bases`."""
+    return moved(*case) if isinstance(case, tuple) else case
+
+
+def _has_dual(A):
+    """A twisted 2x2 matrix algebra has a dual only when alpha^2 = Id."""
+    return A.alpha @ A.alpha == Matrix.identity(A.dim)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(twisted_matrices().filter(_has_dual), direct_sums(),
+                 unimodular_bases()))
+def test_cochains_of_the_dual_are_the_chains_transposed(case):
+    """For W = A*, the checked and the unchecked cochain complexes are
+    the chain complex of A transposed, the map out of C^n being b_{n+1}."""
+    A = _algebra(case)
+    top = 2 if A.dim == 4 else 3
+    V = regular_bimodule(A)
+    W = dualize_bimodule(V)
+    for checked in (True, False):
+        chains = build_hochschild_homology_complex(
+            A, V, top, check_identities=checked)
+        cochains = build_hochschild_cohomology_complex(
+            A, W, top, check_identities=checked)
+        assert cochains.dims == chains.dims
+        assert cochains.diffs == {n - 1: b.transpose()
+                                  for n, b in chains.diffs.items()}
 
 
 def test_unchecked_builds_match_checked_ones():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from homcyc.coefficients import (CoefficientError, a_circ,
+from homcyc.coefficients import (CoefficientError, a_circ, chain_data,
                                  check_bimodule_axioms,
                                  check_dual_bimodule_axioms, coregular_dual,
                                  dualize_bimodule, regular_bimodule,
@@ -34,6 +34,14 @@ def test_dual_actions_are_transposes():
         assert W.left[a] == V.right[a].transpose()
         assert W.right[a] == V.left[a].transpose()
     assert W.beta == V.beta.transpose()
+
+
+def test_the_regular_dual_has_the_regular_chain_data():
+    """The dual enters homcyc only through its transposed data, which are
+    the regular bimodule's own: so C^*(A, A*) is C_*(A, A) transposed."""
+    for A in standard_corpus():
+        V = regular_bimodule(A)
+        assert chain_data(dualize_bimodule(V)) == chain_data(V)
 
 
 def test_a_circ_full_for_unital_or_associative():

@@ -25,10 +25,10 @@ def _name(node):
     return None
 
 
-def d_squared_uses(source: str) -> list[tuple[int, str, tuple[str, ...]]]:
+def name_uses(source: str, names: tuple[str, ...]
+              ) -> list[tuple[int, str, tuple[str, ...]]]:
     """(line, name, enclosing class/function names) of every reference
-    to `check_d_squared` or `_squared_zero`: a name, an attribute or a
-    string equal to either."""
+    to one of `names`: a name, an attribute or a string equal to it."""
     out = []
 
     def walk(node, scope):
@@ -36,12 +36,17 @@ def d_squared_uses(source: str) -> list[tuple[int, str, tuple[str, ...]]]:
             inner = scope + (child.name,) if isinstance(
                 child, (ast.ClassDef, ast.FunctionDef,
                         ast.AsyncFunctionDef)) else scope
-            if _name(child) in ("check_d_squared", "_squared_zero"):
+            if _name(child) in names:
                 out.append((child.lineno, _name(child), inner))
             walk(child, inner)
 
     walk(ast.parse(source), ())
     return sorted(out)
+
+
+def d_squared_uses(source: str) -> list[tuple[int, str, tuple[str, ...]]]:
+    """The uses of `check_d_squared` or `_squared_zero`."""
+    return name_uses(source, ("check_d_squared", "_squared_zero"))
 
 
 def breaches(source: str, owner: tuple[str, ...] | None) -> list:

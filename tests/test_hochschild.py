@@ -14,11 +14,12 @@ from homcyc.corpus import (k_times_k_swap_twist, standard_corpus,
 from homcyc.hochschild import (CoefficientHypothesisError, b_prime,
                                build_hochschild_cohomology_complex,
                                build_hochschild_homology_complex,
-                               check_precosimplicial, check_presimplicial,
-                               cochain_b, coface_map, cyclic_t, face_map,
-                               hochschild_b, homotopy_theta, norm_N)
+                               check_presimplicial, cochain_b, coface_map,
+                               cyclic_t, face_map, hochschild_b,
+                               homotopy_theta, norm_N)
 from homcyc.linalg import Matrix, image, kernel
 from homcyc.records import replace
+from test_d_squared_invariant import SRC, name_uses
 
 N_MAX = 5
 
@@ -41,9 +42,10 @@ def test_presimplicial_identities(algebra):
 
 
 def test_precosimplicial_identities(algebra):
+    # on C^n they are the presimplicial identities of W's faces in n + 2
     W = dualize_bimodule(regular_bimodule(algebra))
     for n in range(0, 4):
-        check_precosimplicial(algebra, W, n)
+        check_presimplicial(algebra, W, n + 2)
 
 
 def test_b_squared_zero(algebra):
@@ -246,8 +248,6 @@ OUTSIDE = {
     "coface_map(1, 3)": lambda A, V, W: coface_map(A, W, 1, 3),
     "cochain_b(-1)": lambda A, V, W: cochain_b(A, W, -1),
     "check_presimplicial(0)": lambda A, V, W: check_presimplicial(A, V, 0),
-    "check_precosimplicial(-1)":
-        lambda A, V, W: check_precosimplicial(A, W, -1),
 }
 
 
@@ -257,3 +257,19 @@ def test_operators_raise_index_error_outside_their_degrees(call):
     V = regular_bimodule(A)
     with pytest.raises(IndexError):
         call(A, V, dualize_bimodule(V))
+
+
+def _identity_checks(source):
+    """The functions of `source` that name `vanishes`."""
+    return {scope for _, _, scope in name_uses(source, ("vanishes",))}
+
+
+def test_only_the_presimplicial_check_decides_identities():
+    """Chains and cochains share one identity check: in hochschild.py
+    only `check_presimplicial` names `vanishes`, so no second
+    (co)simplicial check decides an identity of a build."""
+    path = SRC / "hochschild.py"
+    assert _identity_checks(path.read_text()) == {("check_presimplicial",)}
+    assert _identity_checks(
+        "def check_precosimplicial(A, W, n):\n    return vanishes()") == \
+        {("check_precosimplicial",)}

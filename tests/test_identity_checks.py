@@ -34,7 +34,7 @@ from homcyc.hochschild import (CoefficientHypothesisError,
                                IdentityViolationError,
                                build_hochschild_cohomology_complex,
                                build_hochschild_homology_complex,
-                               check_precosimplicial, check_presimplicial)
+                               check_presimplicial)
 from homcyc.linalg import Matrix
 from homcyc.records import replace
 
@@ -118,12 +118,15 @@ def _presimplicial_failure(n, low, high):
 
 
 def _precosimplicial_failure(n, low, high):
-    """The same for the dense cofaces of degrees n and n + 1."""
+    """The same for the dense cofaces of degrees n and n + 1, pairs j < i
+    with i outer.  Pair (i, j) is the transpose of presimplicial pair
+    (j, i) of W's faces in degree n + 2, and homcyc checks it as that,
+    so it is named as that."""
     for i in range(1, n + 3):
         for j in range(min(i, n + 2)):
             if _mul(high[i], low[j]) != _mul(high[j], low[i - 1]):
-                return (IdentityViolationError, "pre-cosimplicial identity "
-                        f"fails at n={n}, i={i}, j={j}")
+                return (IdentityViolationError, "presimplicial identity "
+                        f"fails at n={n + 2}, i={j}, j={i}")
     return None
 
 
@@ -164,10 +167,12 @@ def test_presimplicial_check_names_the_first_failing_pair(A, n):
 @settings(max_examples=40, deadline=None)
 @given(corrupted_algebras(), st.integers(0, 1))
 def test_precosimplicial_check_names_the_first_failing_pair(A, n):
+    """The pre-cosimplicial identities on C^n are decided by the
+    presimplicial check of W's faces in degree n + 2."""
     W = _unchecked_dual(_unchecked_regular(A))
     _raises_as(_precosimplicial_failure(n, _cofaces(A, W, n),
                                         _cofaces(A, W, n + 1)),
-               lambda: check_precosimplicial(A, W, n))
+               lambda: check_presimplicial(A, W, n + 2))
 
 
 @settings(max_examples=25, deadline=None)
@@ -392,11 +397,12 @@ def test_pairs_are_checked_in_order(make, cochains, moves, balance):
     build reports d o d out of the top degree, as the reference does.
     Balanced, they break more pairs of that degree but leave b as it
     is, and the check reports the pair it reaches first in its loop
-    order (j, then i, for faces; i, then j, for cofaces)."""
+    order (j, then i, for faces; i, then j, for cofaces, which is the
+    faces' order of W, under whose (n + 2, j, i) the pair is named)."""
     A = make()
     kind, _ = _build_with_moved_entries(A, cochains, moves, 3)
     assert kind is BoundarySquareError
-    first = "pre-cosimplicial identity fails at n=1, i=2, j=1" if cochains \
-        else "presimplicial identity fails at n=3, i=1, j=2"
+    # cochain pair (i, j) = (2, 1) at n = 1 is W's face pair (1, 2) at 3
+    first = "presimplicial identity fails at n=3, i=1, j=2"
     assert _build_with_moved_entries(A, cochains, moves + balance, 3) == \
         (IdentityViolationError, first)
