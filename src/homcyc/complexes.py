@@ -2,12 +2,13 @@
 
 One ChainComplex type serves both gradings: `orientation` records whether
 the stored map at degree n goes down (homological, d_n: C_n -> C_{n-1})
-or up (cohomological, d^n: C^n -> C^{n+1}).
+or up (cohomological, d^n: C^n -> C^{n+1}); one table, `_STEP`, serves
+every complex.  A Bicomplex holds only its maps: an absent one is zero.
 
 Every square that must vanish (d o d, and v^2, h^2 and vh + hv in a
 bicomplex) is one `linalg.vanishes` call, made once for each distinct
-sum of maps.  A ChainComplex checks its d o d once, when it is built,
-so nothing that reads one checks it again.
+sum of stored maps.  A ChainComplex checks its d o d once, when it is
+built, so nothing that reads one checks it again.
 Homology classes are the cycles under the quotient map by the
 boundaries, one product (`homology_classes`); representatives and
 induced maps are read from them.
@@ -18,16 +19,17 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from itertools import accumulate
 
 from .linalg import (Matrix, NotASubspaceError, Subspace, block_matrix,
                      descend, image, kernel, quotient_dim,
                      rank as matrix_rank, reduce_mod, restrict,
                      scalar_to_string, vanishes)
 from .errors import BoundarySquareError, NotStableError
-from .records import Field, record
+from .records import Field, cached, record
 
 Orientation = str  # "homological" or "cohomological"
+# the degree a differential lands in, minus the degree it leaves
+_STEP = {"homological": -1, "cohomological": 1}
 
 
 @record
@@ -44,10 +46,12 @@ class ChainComplex:
     dims: dict[int, int]
     diffs: dict[int, Matrix]
     orientation: Orientation = "homological"
-    # rank of the map out of each degree, filled by `rank` and by
-    # `homology_classes`
-    _ranks: dict[int, int] = Field(default_factory=dict, init=False,
-                                   compare=False, repr=False)
+
+    @cached
+    def _ranks(self) -> dict[int, int]:
+        """Rank of the map out of each degree, filled by `rank` and by
+        `homology_classes`; not a field, so out of init, eq and repr."""
+        return {}
 
     def __post_init__(self) -> None:
         self.check_d_squared()
@@ -59,12 +63,11 @@ class ChainComplex:
         """The stored map out of degree n (target clipped to the window)."""
         if n in self.diffs:
             return self.diffs[n]
-        tgt = n - 1 if self.orientation == "homological" else n + 1
-        return Matrix.zero(self.dim(tgt), self.dim(n))
+        return Matrix.zero(self.dim(n + _STEP[self.orientation]), self.dim(n))
 
     def incoming(self, n: int) -> int:
         """The degree whose stored map lands in degree n."""
-        return n + 1 if self.orientation == "homological" else n - 1
+        return n - _STEP[self.orientation]
 
     def boundaries(self, n: int) -> Subspace:
         """The image of the map into degree n (zero if none is stored)."""
@@ -88,7 +91,7 @@ class ChainComplex:
     def check_d_squared(self) -> None:
         """d o d = 0 out of every degree, in ascending order, each
         composite one `vanishes` call; run once, by construction."""
-        step = -1 if self.orientation == "homological" else 1
+        step = _STEP[self.orientation]
         for n in sorted(self.dims):
             if n + step in self.dims and not vanishes(
                     (1, self.differential(n + step), self.differential(n))):
@@ -212,8 +215,7 @@ class HomologyReport:
 
 def report_for_complex(C: ChainComplex, degrees: Sequence[int], *,
                        theory: str, algebra_name: str, coefficient_name: str,
-                       representatives: bool = False,
-                       metadata: dict | None = None) -> HomologyReport:
+                       representatives: bool = False) -> HomologyReport:
     hom = {n: homology(C, n, representatives=representatives)
            for n in degrees}
     return HomologyReport(
@@ -223,7 +225,7 @@ def report_for_complex(C: ChainComplex, degrees: Sequence[int], *,
         kernel_dims={n: C.dim(n) - C.rank(n) for n in hom},
         image_dims={n: C.rank(C.incoming(n)) for n in hom},
         representatives={n: r for n, (_, r) in hom.items()}
-        if representatives else {}, metadata=metadata or {})
+        if representatives else {})
 
 
 @record
@@ -234,7 +236,8 @@ class Bicomplex:
     orientation (to (p, q+1) cohomological); horizontal[(p, q)] maps
     (p, q) to (p-1, q) (to (p+1, q) cohomological).  The total
     differential is plain vertical + horizontal, so the construction
-    requires v^2 = 0, h^2 = 0, and vh + hv = 0 cellwise.
+    requires v^2 = 0, h^2 = 0, and vh + hv = 0 cellwise.  A map absent
+    from `vertical` or `horizontal` is zero.
     """
 
     cell_dims: dict[tuple[int, int], int]
@@ -242,38 +245,26 @@ class Bicomplex:
     horizontal: dict[tuple[int, int], Matrix]
     orientation: Orientation = "homological"
 
-    def dim(self, p: int, q: int) -> int:
-        return self.cell_dims.get((p, q), 0)
-
-    def _step(self) -> int:
-        return -1 if self.orientation == "homological" else 1
-
-    def vmap(self, p: int, q: int) -> Matrix:
-        if (p, q) in self.vertical:
-            return self.vertical[(p, q)]
-        return Matrix.zero(self.dim(p, q + self._step()), self.dim(p, q))
-
-    def hmap(self, p: int, q: int) -> Matrix:
-        if (p, q) in self.horizontal:
-            return self.horizontal[(p, q)]
-        return Matrix.zero(self.dim(p + self._step(), q), self.dim(p, q))
-
     def check_squares(self) -> None:
-        """v^2 = 0, h^2 = 0 and vh + hv = 0 cell by cell.  Cells that
-        share their maps share the sum, and each distinct sum is
-        evaluated once; a repeat of a failing sum is never reached, so
-        the first error is the same as checking every cell."""
-        s, v, h = self._step(), self.vmap, self.hmap
+        """v^2 = 0, h^2 = 0 and vh + hv = 0 cell by cell, each a sum of
+        the composites whose two maps are stored, since an absent map is
+        zero.  Cells that share their maps share the sum, and each
+        distinct sum is evaluated once; a repeat of a failing sum is
+        never reached, so the first error is the same as checking every
+        cell."""
+        s, v, h = _STEP[self.orientation], self.vertical, self.horizontal
         seen: dict[tuple, list] = {}  # holds the maps, so ids stay unique
         for (p, q) in self.cell_dims:
-            for tgt, terms, error in [
-                    ((p, q + 2 * s), [(1, v(p, q + s), v(p, q))],
+            # (second map, the cell between, first map) of each composite
+            for tgt, composites, error in [
+                    ((p, q + 2 * s), [(v, (p, q + s), v)],
                      "vertical^2 != 0"),
-                    ((p + 2 * s, q), [(1, h(p + s, q), h(p, q))],
+                    ((p + 2 * s, q), [(h, (p + s, q), h)],
                      "horizontal^2 != 0"),
-                    ((p + s, q + s), [(1, v(p + s, q), h(p, q)),
-                                      (1, h(p, q + s), v(p, q))],
+                    ((p + s, q + s), [(v, (p + s, q), h), (h, (p, q + s), v)],
                      "squares do not anticommute")]:
+                terms = [(1, a[mid], b[(p, q)]) for a, mid, b in composites
+                         if mid in a and (p, q) in b]
                 key = tuple((c, id(a), id(b)) for c, a, b in terms)
                 if tgt in self.cell_dims and key not in seen:
                     seen[key] = terms
@@ -282,32 +273,25 @@ class Bicomplex:
 
 
 def total_complex(B: Bicomplex) -> ChainComplex:
-    """Direct-sum total complex of B, whose squares are checked first."""
+    """Direct-sum total complex of B, whose squares are checked first.
+    Each stored map is placed once, at its target cell's offset and its
+    source cell's, in the differential out of its source's degree."""
     B.check_squares()
-    degrees: dict[int, list[tuple[int, int]]] = {}
+    dims: dict[int, int] = {}
+    offsets: dict[tuple[int, int], int] = {}
     for (p, q) in sorted(B.cell_dims):
-        degrees.setdefault(p + q, []).append((p, q))
-    dims, offsets = {}, {}
-    for n, cells in degrees.items():
-        offs = list(accumulate((B.dim(*c) for c in cells), initial=0))
-        dims[n], offsets[n] = offs[-1], dict(zip(cells, offs))
-    step = -1 if B.orientation == "homological" else 1
-    diffs: dict[int, Matrix] = {}
-    for n in degrees:
-        tgt = n + step
-        if tgt not in degrees:
-            continue
-        blocks = []
-        for (p, q) in degrees[n]:
-            coff = offsets[n][(p, q)]
-            vcell = (p, q + step)
-            if vcell in offsets[tgt]:
-                blocks.append((B.vmap(p, q), offsets[tgt][vcell], coff))
-            hcell = (p + step, q)
-            if hcell in offsets[tgt]:
-                blocks.append((B.hmap(p, q), offsets[tgt][hcell], coff))
-        diffs[n] = block_matrix(dims[tgt], dims[n], blocks)
-    return ChainComplex(dims=dims, diffs=diffs, orientation=B.orientation)
+        offsets[(p, q)] = dims.get(p + q, 0)
+        dims[p + q] = offsets[(p, q)] + B.cell_dims[(p, q)]
+    s = _STEP[B.orientation]
+    blocks: dict[int, list] = {n: [] for n in dims if n + s in dims}
+    for maps, (dp, dq) in ((B.vertical, (0, s)), (B.horizontal, (s, 0))):
+        for (p, q), m in maps.items():
+            tgt = (p + dp, q + dq)
+            if (p, q) in offsets and tgt in offsets:
+                blocks[p + q].append((m, offsets[tgt], offsets[(p, q)]))
+    return ChainComplex(dims=dims, orientation=B.orientation, diffs={
+        n: block_matrix(dims[n + s], dims[n], placed)
+        for n, placed in blocks.items()})
 
 
 def quotient_complex(C: ChainComplex, subspaces: dict[int, Subspace]) -> ChainComplex:
@@ -336,7 +320,7 @@ def _mapped_complex(C: ChainComplex, subspaces: dict[int, Subspace],
         if sub.ambient_dim != C.dim(n):
             raise ValueError(f"subspace ambient dim mismatch in degree {n}")
     induced = descend if quotient else restrict
-    step = -1 if C.orientation == "homological" else 1
+    step = _STEP[C.orientation]
     diffs: dict[int, Matrix] = {}
     for n in C.dims:
         if n + step in C.dims:

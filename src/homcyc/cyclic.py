@@ -12,6 +12,7 @@ identity on coordinates.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from .algebra import (AlgebraMorphism, HomAlgebra, alpha_is_idempotent,
                       find_unit, is_associative, validate_morphism)
@@ -25,7 +26,7 @@ from .hochschild import (IdentityViolationError, bar_differentials,
                          build_hochschild_cohomology_complex,
                          build_hochschild_homology_complex, cyclic_t,
                          hochschild_b, hochschild_cohomology,
-                         hochschild_homology, norm_N, tensor_power_matrix)
+                         hochschild_homology, norm_N)
 from .linalg import (Matrix, NotASubspaceError, Subspace, descend, image,
                      kron, kernel, maps_into, reduce_mod, restrict, vanishes)
 from .records import Field, record
@@ -365,7 +366,8 @@ def induced_map_on_homology(f: AlgebraMorphism, theory: str, n: int) -> Matrix:
     A, Bg = f.source, f.target
     CA, CB = (build_hochschild_homology_complex(
         X, regular_bimodule(X), n + 1, check_identities=False) for X in (A, Bg))
-    tmaps = {k: tensor_power_matrix(f.matrix, k + 1) for k in range(n + 2)}
+    # f^{(x)(k+1)} for k = 0..n+1, each one product from the last
+    tmaps = dict(enumerate(accumulate([f.matrix] * (n + 2), kron)))
     for k in range(1, n + 2):
         if not vanishes((1, tmaps[k - 1], CA.differential(k)),
                         (-1, CB.differential(k), tmaps[k])):
@@ -405,14 +407,13 @@ def xi_map(assoc: HomAlgebra, twisted: HomAlgebra, n: int) -> Matrix:
         raise ValueError("source must be associative with alpha = Id")
     if not alpha_is_idempotent(twisted):
         raise ValueError("twist endomorphism must be idempotent")
-    alpha = twisted.alpha
-    xi_n, xi_next = (tensor_power_matrix(alpha, k).transpose()
-                     for k in (n + 1, n + 2))
+    # (alpha^T)^{(x)k} = (alpha^{(x)k})^T, k = 1..n+2, by running products
+    *_, xi_n, xi_next = accumulate([twisted.alpha.transpose()] * (n + 2), kron)
     b_src = hochschild_b(assoc, regular_bimodule(assoc), n + 1).transpose()
     b_tgt = hochschild_b(twisted, regular_bimodule(twisted), n + 1).transpose()
     if not vanishes((1, b_tgt, xi_n), (-1, xi_next, b_src)):
         raise IdentityViolationError("xi fails to commute with the coboundary")
-    cyc = cyclic_invariant_subspaces(assoc, n)[n]
+    cyc = kernel(_one_minus_t(assoc, n).transpose())
     if not maps_into(xi_n, cyc, cyc):
         raise IdentityViolationError("xi does not preserve cyclicity")
     return xi_n
@@ -427,8 +428,8 @@ def xi_induced_on_cyclic_cohomology(assoc: HomAlgebra, twisted: HomAlgebra,
     subs = cyclic_invariant_subspaces(assoc, n + 1)
     SA = sub_complex(CA, subs)
     ST = sub_complex(CT, subs)  # t is product-independent: same subspaces
-    maps = {k: restrict(tensor_power_matrix(twisted.alpha, k + 1).transpose(),
-                        subs[k], subs[k]) for k in range(n + 2)}
+    maps = {k: restrict(xi, subs[k], subs[k]) for k, xi in enumerate(
+        accumulate([twisted.alpha.transpose()] * (n + 2), kron))}
     for k in range(n + 1):
         if not vanishes((1, maps[k + 1], SA.differential(k)),
                         (-1, ST.differential(k), maps[k])):

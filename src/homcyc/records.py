@@ -8,9 +8,10 @@ between instances of the same class on the compared fields, and a
 fields; and a `__setattr__` and `__delattr__` that raise
 `FrozenInstanceError`.  A field whose default is a `Field(...)` spec
 may take a `default_factory`, called once per instance, or be left out
-of the `__init__` (`init=False`), of comparison and hashing
-(`compare=False`) or of the repr (`repr=False`).  A method the class
-body defines itself is kept.  `__post_init__`, if the class has one, runs last in
+of comparison and hashing (`compare=False`); every field is in the
+`__init__` and the repr.  State that is not a field, such as a memo,
+is a `cached` attribute.  A method the class body defines itself is
+kept.  `__post_init__`, if the class has one, runs last in
 `__init__`, and `replace` copies a record with some fields changed.
 
 The methods are generic closures over each class's field specs, so
@@ -35,16 +36,15 @@ class FrozenInstanceError(AttributeError):
 
 class Field:
     """One field's spec: its name, default or default factory, and
-    whether it enters `__init__`, comparison and hashing, and repr."""
+    whether it enters comparison and hashing."""
 
-    __slots__ = ("name", "default", "default_factory", "init", "compare",
-                 "repr")
+    __slots__ = ("name", "default", "default_factory", "compare")
 
     def __init__(self, *, default=MISSING, default_factory=MISSING,
-                 init=True, compare=True, repr=True):
+                 compare=True):
         self.name = None
         self.default, self.default_factory = default, default_factory
-        self.init, self.compare, self.repr = init, compare, repr
+        self.compare = compare
 
 
 def record(cls):
@@ -63,9 +63,6 @@ def record(cls):
         fields.append(spec)
     cls.__record_fields__ = fields = tuple(fields)
     names = [f.name for f in fields]
-    # the length of a call that gives every field by position, if any
-    positional = len(names) if all(f.init for f in fields) else -1
-    shown = [f.name for f in fields if f.repr]
     compared = [f.name for f in fields if f.compare]
     post = hasattr(cls, "__post_init__")
     # the compared values as a tuple, also for one field or none, so the
@@ -79,7 +76,7 @@ def record(cls):
         key = attrgetter(*compared) if compared else lambda self: ()
 
     def __init__(self, *args, **kwargs):
-        vars(self).update(zip(names, args) if len(args) == positional and
+        vars(self).update(zip(names, args) if len(args) == len(names) and
                           not kwargs else _bind(cls, args, kwargs))
         if post:
             self.__post_init__()
@@ -94,7 +91,7 @@ def record(cls):
 
     def __repr__(self):
         return f"{self.__class__.__qualname__}(" + ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in shown) + ")"
+            f"{name}={getattr(self, name)!r}" for name in names) + ")"
 
     for name, method in {"__init__": __init__, "__eq__": __eq__,
                          "__hash__": __hash__, "__repr__": __repr__,
@@ -126,16 +123,16 @@ def _delete(self, name):
 
 
 def _bind(cls, args: tuple, kwargs: dict) -> dict:
-    """{field: value} of a call cls(*args, **kwargs): the init fields
-    from the arguments, by position then by keyword, else from their
-    defaults, and the other fields from their defaults."""
-    init = [f.name for f in cls.__record_fields__ if f.init]
-    if len(args) > len(init):
-        raise TypeError(f"{cls.__qualname__}() takes {len(init)} "
+    """{field: value} of a call cls(*args, **kwargs): the fields from
+    the arguments, by position then by keyword, else from their
+    defaults."""
+    names = [f.name for f in cls.__record_fields__]
+    if len(args) > len(names):
+        raise TypeError(f"{cls.__qualname__}() takes {len(names)} "
                         f"arguments but {len(args)} were given")
-    given = dict(zip(init, args))
+    given = dict(zip(names, args))
     for name, value in kwargs.items():
-        if name in given or name not in init:
+        if name in given or name not in names:
             raise TypeError(f"{cls.__qualname__}() got an unexpected or "
                             f"repeated argument {name!r}")
         given[name] = value
@@ -147,22 +144,16 @@ def _bind(cls, args: tuple, kwargs: dict) -> dict:
             values[f.name] = f.default
         elif f.default_factory is not MISSING:
             values[f.name] = f.default_factory()
-        elif f.init:
+        else:
             raise TypeError(f"{cls.__qualname__}() missing argument "
                             f"{f.name!r}")
     return values
 
 
 def replace(obj, **changes):
-    """A new record of obj's class: obj's init fields, with `changes`
-    put in, through `__init__`.  Attributes outside the fields, such as
-    caches, are not copied."""
+    """A new record of obj's class: obj's fields, with `changes` put in,
+    through `__init__`.  Attributes outside the fields, such as caches,
+    are not copied."""
     for f in obj.__record_fields__:
-        if not f.init:
-            if f.name in changes:
-                raise ValueError(f"field {f.name} is declared with "
-                                 "init=False, it cannot be specified with "
-                                 "replace()")
-        elif f.name not in changes:
-            changes[f.name] = getattr(obj, f.name)
+        changes.setdefault(f.name, getattr(obj, f.name))
     return obj.__class__(**changes)

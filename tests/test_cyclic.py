@@ -20,12 +20,12 @@ from homcyc.cyclic import (ChainMapError, cocyclic_bicomplex,
                            cyclic_homology_lambda,
                            hochschild_cohomology, hochschild_homology,
                            induced_map_on_homology, lambda_quotient_subspaces,
-                           periodic_cohomology, periodic_homology,
-                           tensor_power_matrix, xi_map,
+                           periodic_cohomology, periodic_homology, xi_map,
                            xi_induced_on_cyclic_cohomology)
 from homcyc.complexes import quotient_complex, total_complex
 from homcyc.errors import BoundarySquareError
-from homcyc.hochschild import build_hochschild_homology_complex, hochschild_b
+from homcyc.hochschild import (build_hochschild_homology_complex,
+                               hochschild_b, tensor_power_matrix)
 from homcyc.linalg import Matrix, reduce_mod, vanishes
 
 F = Fraction
@@ -242,10 +242,14 @@ def test_connes_bB_checks_each_identity_once(monkeypatch):
     """On an algebra where the identities hold, the report checks only
     the sums that the (b,B) bicomplex's squares do not cover, B^2 on
     C_1..C_3 and bB + Bb on C_3 at n_max = 3, and `total_complex` checks
-    the rest with its squares and d o d: 16 distinct sums before the
-    cyclic bicomplex is built, where checking both flags first made 20."""
+    the rest with its squares and d o d: 15 distinct sums before the
+    cyclic bicomplex is built, where checking both flags first made 20.
+    On the diagonal cells (1, 1) and (2, 2) the anticommutation sum is
+    b_1 B_0 alone, the vertical map out of a diagonal cell being absent,
+    so the two cells share one sum.  Every composite of two stored maps
+    that lands in a cell is among the evaluated terms."""
     from homcyc import complexes
-    calls, seen = [], []
+    calls, seen, built = [], [], []
     for module in (cyclic, complexes):
         monkeypatch.setattr(module, "vanishes",
                             lambda *terms, f=module.vanishes:
@@ -253,10 +257,25 @@ def test_connes_bB_checks_each_identity_once(monkeypatch):
     cyc = cyclic.cyclic_homology_bicomplex
     monkeypatch.setattr(cyclic, "cyclic_homology_bicomplex",
                         lambda A, n: seen.append(len(calls)) or cyc(A, n))
+    monkeypatch.setattr(cyclic, "total_complex",
+                        lambda B: built.append(B) or total_complex(B))
     assert connes_bB_report(matrix_2x2(), 3).identities_hold
-    assert seen == [16]
+    assert seen == [15]
     assert len({tuple((s, id(a), id(b)) for s, a, b in terms)
-                for terms in calls[:16]}) == 16
+                for terms in calls[:15]}) == 15
+    evaluated = {(id(a), id(b)) for terms in calls[:15] for _, a, b in terms}
+    B = built[0]  # the (b,B) bicomplex; the cyclic one comes after
+    v, h = B.vertical, B.horizontal
+    composites = 0
+    for (p, q) in B.cell_dims:
+        for second, mid, first, tgt in [(v, (p, q - 1), v, (p, q - 2)),
+                                        (h, (p - 1, q), h, (p - 2, q)),
+                                        (v, (p - 1, q), h, (p - 1, q - 1)),
+                                        (h, (p, q - 1), v, (p - 1, q - 1))]:
+            if tgt in B.cell_dims and mid in second and (p, q) in first:
+                composites += 1
+                assert (id(second[mid]), id(first[(p, q)])) in evaluated
+    assert composites
 
 
 @pytest.mark.parametrize("make", [two_dim_unital, k1_plus_k2, dual_numbers,

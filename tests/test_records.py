@@ -2,8 +2,8 @@
 
 Every class that `homcyc.records.record` decorates is compared with a
 reference that `dataclasses.make_dataclass` builds from the same field
-specs (names, order, defaults, default factories and the init, compare
-and repr flags): construction, eq and ne, hash, repr, frozenness and
+specs (names, order, defaults, default factories and the compare flag):
+construction, eq and ne, hash, repr, frozenness and
 `replace`.  A sample instance of each class comes from the library.
 """
 
@@ -60,7 +60,7 @@ def _reference(cls):
     """A frozen stdlib dataclass with cls's name and field specs."""
     specs = []
     for f in cls.__record_fields__:
-        kw = {"init": f.init, "compare": f.compare, "repr": f.repr}
+        kw = {"compare": f.compare}
         if f.default is not MISSING:
             kw["default"] = f.default
         if f.default_factory is not MISSING:
@@ -87,8 +87,7 @@ def _outcome(fn):
 
 
 def _init_values(x) -> dict:
-    return {f.name: getattr(x, f.name) for f in type(x).__record_fields__
-            if f.init}
+    return {f.name: getattr(x, f.name) for f in type(x).__record_fields__}
 
 
 def test_every_record_class_has_a_sample():
@@ -149,7 +148,7 @@ def test_construction_matches_the_dataclass(cls):
                            (cls(**kw), ref(**kw))):
         assert repr(made) == repr(expected) and made == x
     required = {f.name: kw[f.name] for f in cls.__record_fields__
-                if f.init and MISSING is f.default is f.default_factory}
+                if MISSING is f.default is f.default_factory}
     assert repr(cls(**required)) == repr(ref(**required))
     first = next(iter(required))
     for a, k in [(args + [None], {}), (args, {first: None}),
@@ -168,11 +167,13 @@ def test_matrix_keeps_its_own_init_and_fast_path():
 
 
 def test_each_instance_gets_a_fresh_default_dict():
-    """default_factory fields, in init or not, get their own dict."""
+    """default_factory fields get their own dict, and so does each
+    ChainComplex's cached `_ranks`."""
     factory = {cls: [f.name for f in cls.__record_fields__
                      if f.default_factory is dict] for cls in CLASSES}
     factory = {cls: names for cls, names in factory.items() if names}
-    assert set(factory) == {ChainComplex, ConnesBBReport, HomologyReport}
+    assert set(factory) == {ConnesBBReport, HomologyReport}
+    factory[ChainComplex] = ["_ranks"]
     for cls, names in factory.items():
         kw = {n: v for n, v in _init_values(SAMPLES[cls]).items()
               if n not in names}
@@ -182,20 +183,22 @@ def test_each_instance_gets_a_fresh_default_dict():
             assert getattr(a, name) is not getattr(b, name)
 
 
-def test_init_false_field_and_post_init():
-    """ChainComplex._ranks is out of init, eq and repr, and replace
-    refuses it, as the dataclass does; __post_init__ checks d o d."""
+def test_cached_ranks_are_no_field_and_post_init():
+    """ChainComplex._ranks is a cached attribute, not a field: out of
+    the fields, init, eq and repr, and replace starts with empty ranks;
+    __post_init__ checks d o d."""
     C = SAMPLES[ChainComplex]
     C.rank(1)
+    assert "_ranks" not in [f.name for f in C.__record_fields__]
     assert C._ranks and "_ranks" not in repr(C)
+    assert C == _copy(C) and not _copy(C)._ranks
     D = replace(C)
     assert D == C and D._ranks == {} and D is not C
-    with pytest.raises(TypeError):
-        ChainComplex(C.dims, C.diffs, _ranks={})
     ref = _reference(ChainComplex)
-    for do in (lambda: replace(C, _ranks={}),
+    for do in (lambda: ChainComplex(C.dims, C.diffs, _ranks={}),
+               lambda: replace(C, _ranks={}),
                lambda: dataclasses.replace(_copy(C, ref), _ranks={})):
-        with pytest.raises(ValueError, match="init=False"):
+        with pytest.raises(TypeError):
             do()
     one = Matrix.identity(1)
     with pytest.raises(BoundarySquareError, match="d o d"):
