@@ -407,10 +407,10 @@ def xi_map(assoc: HomAlgebra, twisted: HomAlgebra, n: int) -> Matrix:
         raise ValueError("source must be associative with alpha = Id")
     if not alpha_is_idempotent(twisted):
         raise ValueError("twist endomorphism must be idempotent")
-    # (alpha^T)^{(x)k} = (alpha^{(x)k})^T, k = 1..n+2, by running products
-    *_, xi_n, xi_next = accumulate([twisted.alpha.transpose()] * (n + 2), kron)
     b_src = hochschild_b(assoc, regular_bimodule(assoc), n + 1).transpose()
     b_tgt = hochschild_b(twisted, regular_bimodule(twisted), n + 1).transpose()
+    # (alpha^T)^{(x)k} = (alpha^{(x)k})^T, k = 1..n+2, by running products
+    *_, xi_n, xi_next = accumulate([twisted.alpha.transpose()] * (n + 2), kron)
     if not vanishes((1, b_tgt, xi_n), (-1, xi_next, b_src)):
         raise IdentityViolationError("xi fails to commute with the coboundary")
     cyc = kernel(_one_minus_t(assoc, n).transpose())
