@@ -26,7 +26,7 @@ _LAZY = {
                      "validate_homology_coefficients"),
     "complexes": ("Bicomplex", "ChainComplex", "HomologyReport", "homology",
                   "quotient_complex", "sub_complex", "total_complex"),
-    "cyclic": ("CyclicReport", "PeriodicReport", "connes_bB_report",
+    "cyclic": ("CyclicReport", "PeriodicReport",
                "cyclic_cohomology_bicomplex", "cyclic_cohomology_both",
                "cyclic_cohomology_lambda", "cyclic_homology_bicomplex",
                "cyclic_homology_both", "cyclic_homology_lambda",

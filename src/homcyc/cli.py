@@ -8,10 +8,9 @@ A request loads `algebra`, `linalg`, `errors` and `records` (not
 when it runs, so that a request compiles no other: `check`, `twist`
 and `decompose` need `algebra` only; `dual-space` needs
 `coefficients`; `hh`, `hhco` and `duality` `hochschild`; `hc`,
-`hcco`, `hp`, `hpco` and `--experimental-bb` `cyclic`; `cocycle`
-`cocycles`.  Those imports name the module, as in
-`from .cyclic import x`: `from . import cyclic` asks the package first,
-and that imports the whole API.
+`hcco`, `hp` and `hpco` `cyclic`; `cocycle` `cocycles`.  Those imports
+name the module, as in `from .cyclic import x`: `from . import cyclic`
+asks the package first, and that imports the whole API.
 """
 
 from __future__ import annotations
@@ -122,8 +121,6 @@ def cmd_homology(args) -> int:
         _emit(prep.to_json_dict(), args.format, _periodic_text(prep))
     else:
         raise ValueError(theory)
-    if getattr(args, "experimental_bb", False):
-        _report_bb(alg, n, args.format)
     return EXIT_OK
 
 
@@ -265,35 +262,6 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _report_bb(alg, n_max: int, fmt: str) -> None:
-    """Experimental (b,B) check: outcomes are reported, never asserted."""
-    from .cyclic import connes_bB_report
-    try:
-        rep = connes_bB_report(alg, n_max)
-    except ValueError as exc:
-        print(f"(b,B) check skipped: {exc}", file=sys.stderr)
-        return
-    payload = {
-        "experimental_bB": {
-            "B_squared_zero": rep.b_squared_zero,
-            "bB_anticommute": rep.bB_anticommute,
-            "betti": {str(n): rep.betti.get(n) for n in rep.degrees},
-            "betti_cyclic_bicomplex": {str(n): rep.betti_cyclic.get(n)
-                                       for n in rep.degrees},
-            "matches_cyclic": rep.matches_cyclic,
-        }
-    }
-    if rep.identities_hold:
-        text = (f"(b,B) identities hold for {rep.algebra_name}; total betti "
-                f"{[rep.betti[n] for n in rep.degrees]}, "
-                f"cyclic bicomplex {[rep.betti_cyclic[n] for n in rep.degrees]}, "
-                f"match: {rep.matches_cyclic}")
-    else:
-        text = (f"(b,B) identity failure for {rep.algebra_name}: "
-                f"B^2=0 {rep.b_squared_zero}, bB+Bb=0 {rep.bB_anticommute}")
-    _emit(payload, fmt, text)
-
-
 def cmd_cocycle(args) -> int:
     need = ("functional",) if args.action == "verify" else \
         ("derivation", "trace")
@@ -389,10 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--window", type=window, default=2,
                         help="periodic truncation window (even, >= 0)")
         sp.add_argument("--representatives", action="store_true")
-        sp.add_argument("--experimental-bb", action="store_true",
-                        dest="experimental_bb",
-                        help="also run the (b,B)-bicomplex check and report "
-                             "whether its chain identities hold")
         sp.set_defaults(fn=cmd_homology, theory=theory)
 
     sp = sub.add_parser("duality",

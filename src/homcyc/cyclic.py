@@ -11,17 +11,15 @@ identity on coordinates.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 
 from .algebra import (AlgebraMorphism, HomAlgebra, alpha_is_idempotent,
-                      find_unit, is_associative, validate_morphism)
+                      is_associative, validate_morphism)
 from .coefficients import dualize_bimodule, regular_bimodule
 from .complexes import (Bicomplex, ChainComplex, HomologyReport, homology,
                         homology_classes, quotient_complex,
                         report_for_complex, representative_space,
                         sub_complex, total_complex)
-from .errors import BoundarySquareError
 from .hochschild import (IdentityViolationError, bar_differentials,
                          build_hochschild_cohomology_complex,
                          build_hochschild_homology_complex, cyclic_t,
@@ -29,7 +27,7 @@ from .hochschild import (IdentityViolationError, bar_differentials,
                          hochschild_homology, norm_N)
 from .linalg import (Matrix, NotASubspaceError, Subspace, descend, image,
                      kron, kernel, maps_into, reduce_mod, restrict, vanishes)
-from .records import Field, record
+from .records import record
 
 
 def _one_minus_t(A: HomAlgebra, n: int) -> Matrix:
@@ -252,88 +250,6 @@ def periodic_homology(A: HomAlgebra, n_max: int, *,
 def periodic_cohomology(A: HomAlgebra, n_max: int, *,
                         window: int = 2) -> PeriodicReport:
     return _periodic_report(A, n_max, window, cohomology=True)
-
-
-# ---------------------------------------------------------------------------
-# Connes (b, B) machinery -- experimental: the chain identities are
-# asserted but not proved by the theory in the Hom setting, so the
-# computed outcome on each input is reported, never assumed.
-
-@record
-class ConnesBBReport:
-    algebra_name: str
-    degrees: tuple[int, ...]
-    b_squared_zero: bool
-    bB_anticommute: bool
-    betti: dict[int, int] = Field(default_factory=dict)
-    betti_cyclic: dict[int, int] = Field(default_factory=dict)
-
-    @property
-    def identities_hold(self) -> bool:
-        return self.b_squared_zero and self.bB_anticommute
-
-    @property
-    def matches_cyclic(self) -> bool | None:
-        if not self.identities_hold:
-            return None
-        return all(self.betti[n] == self.betti_cyclic[n] for n in self.degrees)
-
-
-def extra_degeneracy(A: HomAlgebra, unit: tuple[Fraction, ...],
-                     n: int) -> Matrix:
-    """s: C_n -> C_{n+1}, a_0(x)...(x)a_n -> 1(x)a_0(x)...(x)a_n.
-
-    Its matrix is unit (x) Id, that is (unsigned rotation) o (append
-    unit); the unsigned reading of the rotation makes the associative
-    specialization reproduce the classical extra degeneracy.
-    """
-    return kron(Matrix.from_columns(A.dim, [unit]),
-                Matrix.identity(A.dim ** (n + 1)))
-
-
-def connes_boundary(A: HomAlgebra, unit: tuple[Fraction, ...], n: int) -> Matrix:
-    """B = (Id - t_{n+1}) s N : C_n -> C_{n+1}."""
-    return _one_minus_t(A, n + 1) @ extra_degeneracy(A, unit, n) @ norm_N(A, n)
-
-
-def connes_bB_report(A: HomAlgebra, n_max: int) -> ConnesBBReport:
-    unit = find_unit(A)
-    if unit is None:
-        raise ValueError("(b,B) machinery requires a unital algebra")
-    bmaps = {n: b for n, (_, b) in enumerate(
-        bar_differentials(A, regular_bimodule(A), n_max + 1), 1)}
-    Bmaps = {n: connes_boundary(A, unit, n) for n in range(0, n_max + 2)}
-    degrees = tuple(range(n_max + 1))
-
-    def flags(squares, anticommutes):
-        # B_{n+1} B_n = 0 and b_{n+1} B_n + B_{n-1} b_n = 0 on C_n
-        return (all(vanishes((1, Bmaps[n + 1], Bmaps[n])) for n in squares),
-                all(vanishes((1, bmaps[n + 1], Bmaps[n]), *(
-                    [(1, Bmaps[n - 1], bmaps[n])] if n >= 1 else []))
-                    for n in anticommutes))
-
-    # Loday's (b, B)-bicomplex: cell (p, q), 0 <= p <= q, is C_{q-p}, with
-    # b down the columns and B along the rows, so Tot_n = (+)_p C_{n-2p}.
-    # `total_complex` checks its squares: B^2 = 0 on C_n for n <= n_max - 3
-    # and bB + Bb = 0 for n < n_max.  The rest are checked here first, and
-    # both flags are evaluated in full only when a check fails.
-    if not all(flags(range(max(n_max - 2, 0), n_max + 1), [n_max])):
-        return ConnesBBReport(A.name, degrees, *flags(degrees, degrees))
-    cells = {(p, q): A.dim ** (q - p + 1) for q in range(n_max + 2)
-             for p in range(q + 1) if p + q <= n_max + 1}
-    try:
-        T = total_complex(Bicomplex(
-            cell_dims=cells,
-            vertical={(p, q): bmaps[q - p] for p, q in cells if q > p},
-            horizontal={(p, q): Bmaps[q - p] for p, q in cells if p > 0}))
-    except BoundarySquareError:
-        b2, anti = flags(degrees, degrees)
-        if b2 and anti:  # b^2 or d^2 failed, which neither flag records
-            raise
-        return ConnesBBReport(A.name, degrees, b2, anti)
-    betti = {n: homology(T, n, representatives=False)[0] for n in degrees}
-    return ConnesBBReport(A.name, degrees, True, True, betti, dict(
-        cyclic_homology_bicomplex(A, n_max).betti))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Reference builds of the Hochschild operators, for the oracle tests.
 
 These are the direct constructions homcyc used before its integer face
-kernel: each face column, and each column of the extra degeneracy, is a
-tensor product of Fraction vectors, each coface entry is the evaluation
-of a coface on one basis cochain and one basis tensor, and t, N and
-theta come from a dense rotation matrix and its powers.  They read the algebra and coefficient data entry by entry
+kernel: each face column is a tensor product of Fraction vectors, each
+coface entry is the evaluation of a coface on one basis cochain and one
+basis tensor, and t, N and theta come from a dense rotation matrix and
+its powers.  They read the algebra and coefficient data entry by entry
 and do their own Fraction arithmetic, so nothing here goes through
 `homcyc.linalg` products or the kernel under test.  Every function
 returns the matrix as a list of rows of Fractions.
@@ -21,8 +21,9 @@ per-vector homology: each kernel vector reduced modulo the image with
 `reduce_mod`, and each source class pushed through the chain map and
 read in the target classes; they are the reference for
 `complexes.homology` and the induced maps of `homcyc.cyclic`.
-`bB_total_differentials` is homcyc's earlier hand assembly of the
-(b, B) total complex, the reference for its build as a `Bicomplex`.
+`total_differentials` assembles the total complex of a first-quadrant
+bicomplex block by block from dense maps, the reference for
+`complexes.total_complex`.
 
 The axiom checks at the end are homcyc's earlier checks of the structure
 axioms, one loop over basis tuples each, evaluating both sides of every
@@ -95,20 +96,6 @@ def hochschild_b(A, V, n):
     faces = [(i, (-1) ** i) for i in range(n + 1)]
     return _transpose(list(face_columns(A, V, n, faces)),
                       V.dim * A.dim ** (n - 1))
-
-
-def extra_degeneracy(A, unit, n):
-    """s: C_n -> C_{n+1}, the column of a basis tensor e being unit (x) e."""
-    d = A.dim
-    cols = []
-    for idx in iproduct(range(d), repeat=n + 1):
-        col = [ZERO] * d ** (n + 2)
-        for k, c in _tensor_terms([unit] + [[ONE if j == i else ZERO
-                                              for j in range(d)]
-                                             for i in idx]):
-            col[k] = c
-        cols.append(col)
-    return _transpose(cols, d ** (n + 2))
 
 
 def b_prime(A, n):
@@ -312,31 +299,37 @@ def homology_matrix(src, tgt, m):
     return _transpose(cols, len(reps_tgt))
 
 
-def bB_total_differentials(b, B, dim, n_max):
-    """The (b, B) total complex assembled block by block: Tot_n is
-    C_n + C_{n-2} + ..., in that order, and d_n places b_m: C_m ->
-    C_(m-1) and B_m: C_m -> C_(m+1) at their offsets.  b and B map m to
-    dense rows, dim(m) is dim C_m.  Returns ({n: dim Tot_n}, {n: dense
-    rows of d_n}) for n up to n_max + 1."""
+def total_differentials(cells, vertical, horizontal, step):
+    """The total complex of a first-quadrant bicomplex, assembled block
+    by block.  cells maps (p, q) to its dimension; vertical and
+    horizontal map a source cell to the dense rows of its map into
+    (p, q + step), resp. (p + step, q), step being -1 (homological) or
+    +1 (cohomological); an absent map is zero.  Tot_n is the cells
+    (p, n - p) in order of increasing p, and d_n: Tot_n -> Tot_(n+step)
+    places each map at the rows of its target cell and the columns of
+    its source cell.  Returns ({n: dim Tot_n}, {n: dense rows of d_n})
+    for every n with a degree n + step."""
     dims, offsets = {}, {}
-    for n in range(n_max + 2):
-        off, offsets[n] = 0, {}
-        for m in range(n, -1, -2):
-            offsets[n][m] = off
-            off += dim(m)
+    for n in range(max(p + q for p, q in cells) + 1):
+        off = 0
+        for p in range(n + 1):
+            if (p, n - p) in cells:
+                offsets[(p, n - p)] = off
+                off += cells[(p, n - p)]
         dims[n] = off
     diffs = {}
-    for n in range(1, n_max + 2):
-        rows = [[ZERO] * dims[n] for _ in range(dims[n - 1])]
-        for m, coff in offsets[n].items():
-            blocks = []
-            if m >= 1 and m - 1 in offsets[n - 1]:
-                blocks.append((b[m], offsets[n - 1][m - 1]))
-            if m + 1 in offsets[n - 1]:
-                blocks.append((B[m], offsets[n - 1][m + 1]))
-            for block, roff in blocks:
-                for i, r in enumerate(block):
-                    rows[roff + i][coff:coff + len(r)] = r
+    for n in dims:
+        if n + step not in dims:
+            continue
+        rows = [[ZERO] * dims[n] for _ in range(dims[n + step])]
+        for p in range(n + 1):
+            src = (p, n - p)
+            for maps, tgt in ((vertical, (p, n - p + step)),
+                              (horizontal, (p + step, n - p))):
+                if src in maps and tgt in offsets:
+                    roff, coff = offsets[tgt], offsets[src]
+                    for i, r in enumerate(maps[src]):
+                        rows[roff + i][coff:coff + len(r)] = r
         diffs[n] = rows
     return dims, diffs
 

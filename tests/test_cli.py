@@ -243,10 +243,13 @@ def test_decompose_without_unit_exits_2(tmp_path):
     assert main(["decompose", str(p)]) == 2
 
 
-def test_experimental_bb_flag(example_file, capsys):
-    assert main(["hh", example_file, "--max", "1", "--experimental-bb"]) == 0
-    out = capsys.readouterr().out
-    assert "(b,B)" in out
+def test_retired_bb_flag_is_a_usage_error(example_file, capsys):
+    """The homology commands take no (b,B) flag: argparse rejects it
+    with exit 2 and nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(["hh", example_file, "--experimental-bb"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cocycle_verify(example_file, tmp_path, capsys):

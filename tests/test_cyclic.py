@@ -7,14 +7,13 @@ import pytest
 
 import reference_operators as ref
 from homcyc import cyclic
-from homcyc.algebra import AlgebraMorphism, find_unit, load_algebra
+from homcyc.algebra import AlgebraMorphism, load_algebra
 from homcyc.coefficients import regular_bimodule
 from homcyc.corpus import (dual_numbers, dual_numbers_projection_twist,
                            ground_field, k1_plus_k2, k2, k_times_k,
                            k_times_k_swap_twist, matrix_2x2, standard_corpus,
                            truncated_polynomials, two_dim_unital)
 from homcyc.cyclic import (ChainMapError, cocyclic_bicomplex,
-                           connes_boundary, connes_bB_report,
                            cyclic_bicomplex, cyclic_cohomology_both,
                            cyclic_cohomology_lambda, cyclic_homology_both,
                            cyclic_homology_lambda,
@@ -23,7 +22,6 @@ from homcyc.cyclic import (ChainMapError, cocyclic_bicomplex,
                            periodic_cohomology, periodic_homology, xi_map,
                            xi_induced_on_cyclic_cohomology)
 from homcyc.complexes import quotient_complex, total_complex
-from homcyc.errors import BoundarySquareError
 from homcyc.hochschild import (build_hochschild_homology_complex,
                                hochschild_b, tensor_power_matrix)
 from homcyc.linalg import Matrix, reduce_mod, vanishes
@@ -174,147 +172,72 @@ def test_bicomplex_squares(algebra):
 def test_check_squares_evaluates_each_distinct_sum_once(monkeypatch):
     """Each row of the cyclic bicomplex shares b, -b', Id - t and N, and
     the cocyclic one transposes each shared map once, so both make 27
-    distinct checks over their 45 cells at n_max = 5."""
+    distinct checks over their 45 cells at n_max = 5.  Every composite
+    of two stored maps that lands in a cell is among the evaluated
+    terms."""
     from homcyc import complexes
     calls = []
     vanishes = complexes.vanishes
     monkeypatch.setattr(complexes, "vanishes",
                         lambda *terms: calls.append(terms) or vanishes(*terms))
-    for build in (cyclic_bicomplex, cocyclic_bicomplex):
+    # s: the degree each map lands in, minus the degree it leaves
+    for build, s in ((cyclic_bicomplex, -1), (cocyclic_bicomplex, 1)):
         calls.clear()
-        build(two_dim_unital(), 5).check_squares()
+        B = build(two_dim_unital(), 5)
+        B.check_squares()
         assert len(calls) == 27
-        assert len({tuple((s, id(a), id(b)) for s, a, b in terms)
+        assert len({tuple((c, id(a), id(b)) for c, a, b in terms)
                     for terms in calls}) == 27
+        evaluated = {(id(a), id(b)) for terms in calls for _, a, b in terms}
+        v, h = B.vertical, B.horizontal
+        composites = 0
+        for (p, q) in B.cell_dims:
+            for second, mid, first, tgt in [
+                    (v, (p, q + s), v, (p, q + 2 * s)),
+                    (h, (p + s, q), h, (p + 2 * s, q)),
+                    (v, (p + s, q), h, (p + s, q + s)),
+                    (h, (p, q + s), v, (p + s, q + s))]:
+                if tgt in B.cell_dims and mid in second and (p, q) in first:
+                    composites += 1
+                    assert (id(second[mid]), id(first[(p, q)])) in evaluated
+        assert composites
 
 
-UNITAL = [ground_field, k2, k1_plus_k2, two_dim_unital, k_times_k,
-          dual_numbers, truncated_polynomials, matrix_2x2]
-
-
-@pytest.mark.parametrize("make", UNITAL, ids=lambda f: f.__name__)
-def test_bB_total_complex_matches_hand_assembly(make, monkeypatch):
-    """The (b,B) total complex built from its Bicomplex has the
-    dimensions and differentials of the block-by-block assembly, at
-    every n_max <= 3; where an identity fails, none is built."""
+@pytest.mark.parametrize("make", [
+    ground_field, k2, k1_plus_k2, two_dim_unital, k_times_k, dual_numbers,
+    truncated_polynomials, matrix_2x2, dual_numbers_projection_twist],
+    ids=lambda f: f.__name__)
+def test_total_complex_matches_hand_assembly(make):
+    """The total complexes of the cyclic and the cocyclic bicomplex have
+    the dimensions and differentials of the block-by-block assembly of
+    the reference b, -b', Id - t and N, at every n_max <= 3."""
     A = make()
-    unit = find_unit(A)
     V = regular_bimodule(A)
-    built = []
-    monkeypatch.setattr(cyclic, "total_complex",
-                        lambda B: built.append(total_complex(B)) or built[-1])
-    for n_max in range(4):
-        built.clear()
-        rep = connes_bB_report(A, n_max)
-        if not rep.identities_hold:
-            assert not built
-            continue
-        b = {m: hochschild_b(A, V, m).to_rows() for m in range(1, n_max + 2)}
-        B = {m: connes_boundary(A, unit, m).to_rows()
-             for m in range(n_max + 1)}
-        dims, diffs = ref.bB_total_differentials(
-            b, B, lambda m: A.dim ** (m + 1), n_max)
-        T = built[0]
-        assert T.dims == dims
-        assert {n: T.differential(n).to_rows() for n in diffs} == diffs
-
-
-def test_connes_bB_on_associative_identity_twist():
-    """At alpha = Id the (b,B) identities hold and the total homology
-    matches the cyclic bicomplex."""
-    for A in [ground_field(), k_times_k(), dual_numbers()]:
-        rep = connes_bB_report(A, 3)
-        assert rep.identities_hold
-        assert rep.matches_cyclic
-
-
-def test_connes_bB_records_failure_without_asserting():
-    """On the genuinely twisted unital example the anticommutation
-    identity fails; the report records it and computes nothing further."""
-    rep = connes_bB_report(two_dim_unital(), 2)
-    assert rep.b_squared_zero
-    assert not rep.bB_anticommute
-    assert rep.matches_cyclic is None
-
-
-
-def test_connes_bB_checks_each_identity_once(monkeypatch):
-    """On an algebra where the identities hold, the report checks only
-    the sums that the (b,B) bicomplex's squares do not cover, B^2 on
-    C_1..C_3 and bB + Bb on C_3 at n_max = 3, and `total_complex` checks
-    the rest with its squares and d o d: 15 distinct sums before the
-    cyclic bicomplex is built, where checking both flags first made 20.
-    On the diagonal cells (1, 1) and (2, 2) the anticommutation sum is
-    b_1 B_0 alone, the vertical map out of a diagonal cell being absent,
-    so the two cells share one sum.  Every composite of two stored maps
-    that lands in a cell is among the evaluated terms."""
-    from homcyc import complexes
-    calls, seen, built = [], [], []
-    for module in (cyclic, complexes):
-        monkeypatch.setattr(module, "vanishes",
-                            lambda *terms, f=module.vanishes:
-                            calls.append(terms) or f(*terms))
-    cyc = cyclic.cyclic_homology_bicomplex
-    monkeypatch.setattr(cyclic, "cyclic_homology_bicomplex",
-                        lambda A, n: seen.append(len(calls)) or cyc(A, n))
-    monkeypatch.setattr(cyclic, "total_complex",
-                        lambda B: built.append(B) or total_complex(B))
-    assert connes_bB_report(matrix_2x2(), 3).identities_hold
-    assert seen == [15]
-    assert len({tuple((s, id(a), id(b)) for s, a, b in terms)
-                for terms in calls[:15]}) == 15
-    evaluated = {(id(a), id(b)) for terms in calls[:15] for _, a, b in terms}
-    B = built[0]  # the (b,B) bicomplex; the cyclic one comes after
-    v, h = B.vertical, B.horizontal
-    composites = 0
-    for (p, q) in B.cell_dims:
-        for second, mid, first, tgt in [(v, (p, q - 1), v, (p, q - 2)),
-                                        (h, (p - 1, q), h, (p - 2, q)),
-                                        (v, (p - 1, q), h, (p - 1, q - 1)),
-                                        (h, (p, q - 1), v, (p - 1, q - 1))]:
-            if tgt in B.cell_dims and mid in second and (p, q) in first:
-                composites += 1
-                assert (id(second[mid]), id(first[(p, q)])) in evaluated
-    assert composites
-
-
-@pytest.mark.parametrize("make", [two_dim_unital, k1_plus_k2, dual_numbers,
-                                  k2], ids=lambda f: f.__name__)
-def test_connes_bB_flags_match_every_explicit_check(make):
-    """Both flags are what checking B^2 = 0 and bB + Bb = 0 on every
-    C_n, n <= n_max, gives, wherever the first failure lies: above the
-    bicomplex's squares, as at n_max = 1 on two_dim_unital, or inside
-    them; the Betti numbers come only where both hold."""
-    A = make()
-    unit, V = find_unit(A), regular_bimodule(A)
-    b = {n: hochschild_b(A, V, n) for n in range(1, 5)}
-    B = {n: connes_boundary(A, unit, n) for n in range(5)}
-    for n_max in range(4):
-        rep = connes_bB_report(A, n_max)
-        squares = all(vanishes((1, B[n + 1], B[n]))
-                      for n in range(n_max + 1))
-        anti = all(vanishes((1, b[n + 1], B[n]),
-                            *([(1, B[n - 1], b[n])] if n else []))
-                   for n in range(n_max + 1))
-        assert (rep.b_squared_zero, rep.bB_anticommute) == (squares, anti)
-        assert bool(rep.betti) == (squares and anti)
-
-
-def test_connes_bB_raises_a_failure_the_flags_do_not_record(monkeypatch):
-    """When the total complex fails for a reason neither flag records,
-    such as b^2 != 0, the error reaches the caller."""
-    def fails(B):
-        raise BoundarySquareError("vertical^2 != 0 at (0, 2)")
-    monkeypatch.setattr(cyclic, "total_complex", fails)
-    with pytest.raises(BoundarySquareError, match="vertical"):
-        connes_bB_report(ground_field(), 2)
-
-def test_connes_bB_requires_unit():
-    from homcyc.algebra import validate_or_raise
-    zero = validate_or_raise(1, ("z",), [[[0]]], Matrix.zero(1, 1),
-                             name="zero")
-    with pytest.raises(ValueError):
-        connes_bB_report(zero, 2)
+    top = 4
+    b = {q: ref.hochschild_b(A, V, q) for q in range(1, top + 1)}
+    minus_bp = {q: [[-x for x in r] for r in ref.b_prime(A, q)]
+                for q in range(1, top)}
+    one_minus_t = {q: [[(i == j) - x for j, x in enumerate(r)]
+                       for i, r in enumerate(ref.cyclic_t(A, q))]
+                   for q in range(top)}
+    N = {q: ref.rotation_power_sum(A, q, [1] * (q + 1))
+         for q in range(top - 1)}
+    for n_max in range(top):
+        cells = {(p, q): A.dim ** (q + 1)
+                 for p in range(n_max + 2) for q in range(n_max + 2 - p)}
+        v = {(p, q): minus_bp[q] if p % 2 else b[q] for p, q in cells if q}
+        h = {(p, q): one_minus_t[q] if p % 2 else N[q] for p, q in cells if p}
+        # cocyclic: every map transposed, every arrow reversed
+        co_v = {(p, q - 1): [list(c) for c in zip(*m)]
+                for (p, q), m in v.items()}
+        co_h = {(p - 1, q): [list(c) for c in zip(*m)]
+                for (p, q), m in h.items()}
+        for B, maps in [(cyclic_bicomplex(A, n_max), (v, h, -1)),
+                        (cocyclic_bicomplex(A, n_max), (co_v, co_h, 1))]:
+            dims, diffs = ref.total_differentials(cells, *maps)
+            T = total_complex(B)
+            assert T.dims == dims
+            assert {n: T.differential(n).to_rows() for n in T.diffs} == diffs
 
 
 def test_tensor_power_matrix():

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_operators as ref
-from homcyc.algebra import (find_unit, is_centroid_element, load_algebra,
+from homcyc.algebra import (is_centroid_element, load_algebra,
                             validate_or_raise)
 from homcyc.coefficients import (Bimodule, coregular_dual, dualize_bimodule,
                                  regular_bimodule)
@@ -24,7 +24,6 @@ from homcyc.corpus import (dual_numbers_projection_twist, ground_field,
                            k1_plus_k2, k_times_k_projection_twist,
                            k_times_k_swap_twist, matrix_2x2,
                            truncated_polynomials, two_dim_unital)
-from homcyc.cyclic import extra_degeneracy
 from homcyc.hochschild import (IdentityViolationError, b_prime,
                                build_hochschild_cohomology_complex, cochain_b,
                                coface_map, cyclic_t, face_map, hochschild_b,
@@ -141,16 +140,6 @@ def test_rotation_operators_match_reference(B, data):
         ref.rotation_power_sum(B, n, [1] * (n + 1))
     assert homotopy_theta(B, n).to_rows() == \
         ref.rotation_power_sum(B, n, range(n + 1, 0, -1))
-
-
-@settings(max_examples=15, deadline=None)
-@given(moved_algebras(), st.data())
-def test_extra_degeneracy_matches_reference(B, data):
-    unit = find_unit(B)
-    n = data.draw(st.integers(0, MAX_N[B.dim] - 1))
-    if unit is not None:
-        assert extra_degeneracy(B, unit, n).to_rows() == \
-            ref.extra_degeneracy(B, unit, n)
 
 
 @pytest.mark.parametrize("make", [_half_algebra, matrix_2x2],

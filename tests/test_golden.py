@@ -10,9 +10,8 @@ The corpus bases have structure constants 0 and ±1.  One more algebra,
 e1/2, e2: its constants and its operators have denominators 2 to 8, so
 exact products over a common denominator are pinned byte for byte too.
 
-`hh-bb-*.json` pin the experimental (b,B) report after the `hh` report;
-on two_dim_unital bB + Bb fails and only the failure is reported.  The
-`text-*.txt` files pin the text tables of `hh`/`hhco` with
+`hh-json-*.json` pin the `hh` report as JSON without representatives.
+The `text-*.txt` files pin the text tables of `hh`/`hhco` with
 representatives, `hc --method lambda` with representatives, `hc`/`hcco
 --method both`, `hp`/`hpco` and `duality`.
 """
@@ -60,9 +59,9 @@ def _cases():
 
 CASES = list(_cases())
 
-BB_CASES = [(f"hh-bb-{alg}.json", alg,
-             ["hh", "--max", "3", "--experimental-bb", "--format", "json"])
-            for alg in ("ground_field", "k2", "two_dim_unital")]
+JSON_CASES = [(f"hh-json-{alg}.json", alg,
+               ["hh", "--max", "3", "--format", "json"])
+              for alg in ("ground_field", "k2", "two_dim_unital")]
 
 TEXT_CASES = [
     ("text-hh-two_dim_unital.txt", "two_dim_unital",
@@ -101,9 +100,10 @@ def test_golden_cli_output(name, alg, argv, tmp_path, capsys):
     assert out == (GOLDEN / f"{name}.json").read_text()
 
 
-@pytest.mark.parametrize("name,alg,argv", BB_CASES + TEXT_CASES,
-                         ids=[c[0] for c in BB_CASES + TEXT_CASES])
+@pytest.mark.parametrize("name,alg,argv", JSON_CASES + TEXT_CASES,
+                         ids=[c[0] for c in JSON_CASES + TEXT_CASES])
 def test_golden_bb_and_text_output(name, alg, argv, tmp_path, capsys):
+    """The `hh-json-*` and `text-*` goldens, byte by byte."""
     path = tmp_path / "alg.json"
     path.write_text(ALGEBRAS[alg][0]().to_json())
     assert main([argv[0], str(path)] + argv[1:]) == 0

@@ -108,7 +108,6 @@ def files(tmp_path_factory):
     (["hc", "{alg}", "--max", "1"], HH | {"cyclic"}),
     (["hcco", "{alg}", "--max", "1", "--method", "lambda"], HH | {"cyclic"}),
     (["hp", "{alg}", "--max", "0"], HH | {"cyclic"}),
-    (["hh", "{alg}", "--max", "1", "--experimental-bb"], HH | {"cyclic"}),
     (["cocycle", "verify", "{alg}", "--functional", "{phi}"],
      HH | {"cocycles"}),
 ], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
@@ -148,7 +147,7 @@ def test_all_and_dir_are_complete():
     """Every exported name resolves and is listed by dir, which also
     lists the submodules that are bound; a star import binds exactly
     __all__."""
-    assert len(set(homcyc.__all__)) == len(homcyc.__all__) > 60
+    assert len(set(homcyc.__all__)) == len(homcyc.__all__) >= 60
     names = set(dir(homcyc))
     assert set(homcyc.__all__) <= names
     assert {"algebra", "linalg", "errors", "cyclic", "__version__"} <= names

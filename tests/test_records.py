@@ -22,8 +22,8 @@ from homcyc.coefficients import a_circ, regular_bimodule
 from homcyc.complexes import (BoundarySquareError, ChainComplex,
                                HomologyReport)
 from homcyc.corpus import two_dim_unital
-from homcyc.cyclic import (ConnesBBReport, connes_bB_report, cyclic_bicomplex,
-                           cyclic_homology_both, periodic_homology)
+from homcyc.cyclic import (cyclic_bicomplex, cyclic_homology_both,
+                           periodic_homology)
 from homcyc.hochschild import (build_hochschild_homology_complex,
                                hochschild_homology)
 from homcyc.linalg import Matrix, Subspace, _matrix
@@ -42,8 +42,7 @@ def _samples():
         build_hochschild_homology_complex(A, regular_bimodule(A), 2),
         hochschild_homology(A, 1, representatives=True),
         cyclic_bicomplex(A, 1), cyclic_homology_both(A, 1),
-        periodic_homology(A, 0), connes_bB_report(A, 1),
-        phi, is_cyclic_cocycle(phi, A),
+        periodic_homology(A, 0), phi, is_cyclic_cocycle(phi, A),
         TwistedDerivation(Matrix.zero(2, 2))]
 
 
@@ -96,7 +95,7 @@ def test_every_record_class_has_a_sample():
         module = importlib.import_module(f"homcyc.{info.name}")
         found |= {c for c in vars(module).values() if isinstance(c, type)
                   and "__record_fields__" in vars(c)}
-    assert found == set(SAMPLES) and len(found) == 18
+    assert found == set(SAMPLES) and len(found) == 17
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=_names(CLASSES))
@@ -172,7 +171,7 @@ def test_each_instance_gets_a_fresh_default_dict():
     factory = {cls: [f.name for f in cls.__record_fields__
                      if f.default_factory is dict] for cls in CLASSES}
     factory = {cls: names for cls, names in factory.items() if names}
-    assert set(factory) == {ConnesBBReport, HomologyReport}
+    assert set(factory) == {HomologyReport}
     factory[ChainComplex] = ["_ranks"]
     for cls, names in factory.items():
         kw = {n: v for n, v in _init_values(SAMPLES[cls]).items()

@@ -23,7 +23,7 @@ def _script(name):
     return module
 
 
-@pytest.mark.parametrize("name", ["run_corpus_report", "bb_survey"])
+@pytest.mark.parametrize("name", ["run_corpus_report"])
 def test_script_main_exits_0(name, capsys):
     assert _script(name).main(["--max", "1"]) == 0
     assert capsys.readouterr().out
