@@ -8,7 +8,11 @@ every complex.  A Bicomplex holds only its maps: an absent one is zero.
 Every square that must vanish (d o d, and v^2, h^2 and vh + hv in a
 bicomplex) is one `linalg.vanishes` call, made once for each distinct
 sum of stored maps.  A ChainComplex checks its d o d once, when it is
-built, so nothing that reads one checks it again.
+built, so nothing that reads one checks it again.  A total complex is
+the one made without that check: its d o d, block by block, is its
+bicomplex's squares, which `total_complex` evaluates once, in
+`Bicomplex.check_squares`; it places the blocks of each differential
+side by side (`linalg.block_matrix`) and sums none of them.
 Homology classes are the cycles under the quotient map by the
 boundaries, one product (`homology_classes`); representatives and
 induced maps are read from them.
@@ -275,7 +279,13 @@ class Bicomplex:
 def total_complex(B: Bicomplex) -> ChainComplex:
     """Direct-sum total complex of B, whose squares are checked first.
     Each stored map is placed once, at its target cell's offset and its
-    source cell's, in the differential out of its source's degree."""
+    source cell's, in the differential out of its source's degree.
+
+    Block by block, the total d o d out of a cell is the sum of the
+    composites into each cell two steps on: v^2, h^2 or vh + hv, exactly
+    the squares `check_squares` has just evaluated.  So the complex is
+    made without `__post_init__`, whose d o d check would evaluate the
+    same sums again."""
     B.check_squares()
     dims: dict[int, int] = {}
     offsets: dict[tuple[int, int], int] = {}
@@ -289,9 +299,11 @@ def total_complex(B: Bicomplex) -> ChainComplex:
             tgt = (p + dp, q + dq)
             if (p, q) in offsets and tgt in offsets:
                 blocks[p + q].append((m, offsets[tgt], offsets[(p, q)]))
-    return ChainComplex(dims=dims, orientation=B.orientation, diffs={
+    T = object.__new__(ChainComplex)
+    vars(T).update(dims=dims, orientation=B.orientation, diffs={
         n: block_matrix(dims[n + s], dims[n], placed)
         for n, placed in blocks.items()})
+    return T
 
 
 def quotient_complex(C: ChainComplex, subspaces: dict[int, Subspace]) -> ChainComplex:

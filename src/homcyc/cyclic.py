@@ -7,6 +7,13 @@ Cochain-level operators are transposes of the chain-level ones: the
 basis conventions in `hochschild` make the identification of a cochain
 with coefficients in (regular)* and a functional on A^{(x)(n+1)} the
 identity on coordinates.
+
+The λ subspaces are read off the maps Id - t by degree.  A `both`
+request builds one (co)cyclic bicomplex and reads its λ side off it:
+b (or b^T) from column 0 as the Hochschild complex, and the row maps
+Id - t (or their transposes) for the λ subspaces, so b, b', t and N
+are each built once; only Id - t in the top degree, which no row
+holds, is built apart.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from .hochschild import (IdentityViolationError, bar_differentials,
                          build_hochschild_cohomology_complex,
                          build_hochschild_homology_complex, cyclic_t,
                          hochschild_b, hochschild_cohomology,
-                         hochschild_homology, norm_N)
+                         hochschild_homology, norm_N,
+                         require_homology_hypotheses)
 from .linalg import (Matrix, NotASubspaceError, Subspace, descend, image,
                      kron, kernel, maps_into, reduce_mod, restrict, vanishes)
 from .records import record
@@ -35,15 +43,21 @@ def _one_minus_t(A: HomAlgebra, n: int) -> Matrix:
     return Matrix.identity(A.dim ** (n + 1)) - cyclic_t(A, n)
 
 
-def lambda_quotient_subspaces(A: HomAlgebra, n_max: int) -> dict[int, Subspace]:
-    """Per degree, im(Id - t_n) inside A^{(x)(n+1)}."""
-    return {n: image(_one_minus_t(A, n)) for n in range(n_max + 1)}
+def one_minus_t(A: HomAlgebra, n_max: int) -> dict[int, Matrix]:
+    """{n: Id - t_n on A^{(x)(n+1)}} for n = 0..n_max."""
+    return {n: _one_minus_t(A, n) for n in range(n_max + 1)}
 
 
-def cyclic_invariant_subspaces(A: HomAlgebra, n_max: int) -> dict[int, Subspace]:
-    """Per degree, the cyclic cochains ker(Id - t_n^T) in A^{(x)(n+1)}*."""
-    return {n: kernel(_one_minus_t(A, n).transpose())
-            for n in range(n_max + 1)}
+def lambda_quotient_subspaces(maps: dict[int, Matrix]) -> dict[int, Subspace]:
+    """Per degree n, im(Id - t_n) inside A^{(x)(n+1)}, from the maps
+    {n: Id - t_n}: `one_minus_t`, or the cyclic bicomplex's rows."""
+    return {n: image(m) for n, m in maps.items()}
+
+
+def cyclic_invariant_subspaces(maps: dict[int, Matrix]) -> dict[int, Subspace]:
+    """Per degree n, the cyclic cochains ker(Id - t_n^T) in
+    A^{(x)(n+1)}*, from the maps {n: (Id - t_n)^T}."""
+    return {n: kernel(m) for n, m in maps.items()}
 
 
 def cyclic_homology_lambda(A: HomAlgebra, n_max: int, *,
@@ -52,7 +66,7 @@ def cyclic_homology_lambda(A: HomAlgebra, n_max: int, *,
     V = regular_bimodule(A)
     C = build_hochschild_homology_complex(A, V, n_max + 1,
                                           check_identities=False)
-    subs = lambda_quotient_subspaces(A, n_max + 1)
+    subs = lambda_quotient_subspaces(one_minus_t(A, n_max + 1))
     Q = quotient_complex(C, subs)  # raises NotStableError if the lemma fails
     return report_for_complex(Q, range(n_max + 1), theory="HC-lambda",
                               algebra_name=A.name, coefficient_name=V.name,
@@ -65,7 +79,8 @@ def cyclic_cohomology_lambda(A: HomAlgebra, n_max: int, *,
     W = dualize_bimodule(regular_bimodule(A))
     C = build_hochschild_cohomology_complex(A, W, n_max + 1,
                                             check_identities=False)
-    S = sub_complex(C, cyclic_invariant_subspaces(A, n_max + 1))
+    S = sub_complex(C, cyclic_invariant_subspaces(
+        {n: m.transpose() for n, m in one_minus_t(A, n_max + 1).items()}))
     return report_for_complex(S, range(n_max + 1), theory="HC-co-lambda",
                               algebra_name=A.name, coefficient_name=W.name,
                               representatives=representatives)
@@ -87,11 +102,11 @@ def cyclic_bicomplex(A: HomAlgebra, n_max: int) -> Bicomplex:
             bar_differentials(A, regular_bimodule(A), top), 1):
         if q < top:
             minus_bp[q] = -bp
-    one_minus_t = {q: _one_minus_t(A, q) for q in range(top)}
+    rows = one_minus_t(A, top - 1)
     N = {q: norm_N(A, q) for q in range(top - 1)}
     return Bicomplex(cell_dims=cells, orientation="homological", vertical={
         (p, q): minus_bp[q] if p % 2 else b[q] for p, q in cells if q},
-        horizontal={(p, q): one_minus_t[q] if p % 2 else N[q]
+        horizontal={(p, q): rows[q] if p % 2 else N[q]
                     for p, q in cells if p})
 
 
@@ -168,17 +183,49 @@ class CyclicReport:
         }
 
 
+def _both(A: HomAlgebra, n_max: int, lam: ChainComplex, B: Bicomplex,
+          cohomology: bool) -> CyclicReport:
+    """The Betti numbers of the λ complex `lam` against those of B's
+    total complex.  `lam` is built first, so a failure on the λ side
+    is raised before B's squares are checked."""
+    degrees, T = tuple(range(n_max + 1)), total_complex(B)
+    return CyclicReport(A.name, degrees, *[
+        {n: homology(C, n, representatives=False)[0] for n in degrees}
+        for C in (lam, T)], cohomology=cohomology)
+
+
 def cyclic_homology_both(A: HomAlgebra, n_max: int) -> CyclicReport:
-    return CyclicReport(A.name, tuple(range(n_max + 1)),
-                        dict(cyclic_homology_lambda(A, n_max).betti),
-                        dict(cyclic_homology_bicomplex(A, n_max).betti))
+    """HC by both constructions from one cyclic bicomplex.  The λ side
+    is the Hochschild complex of its column 0, b, over the images of its
+    row maps Id - t; only Id - t in degree n_max + 1, which the
+    bicomplex does not hold, is built apart.  The regular bimodule's
+    homology hypotheses are checked first, as the λ side's Hochschild
+    build checks them."""
+    require_homology_hypotheses(regular_bimodule(A))
+    B, top = cyclic_bicomplex(A, n_max), n_max + 1
+    C = ChainComplex(dims={q: B.cell_dims[(0, q)] for q in range(top + 1)},
+                     diffs={q: B.vertical[(0, q)] for q in range(1, top + 1)})
+    rows = {q: B.horizontal[(1, q)] for q in range(top)}
+    rows[top] = _one_minus_t(A, top)
+    Q = quotient_complex(C, lambda_quotient_subspaces(rows))
+    return _both(A, n_max, Q, B, cohomology=False)
 
 
 def cyclic_cohomology_both(A: HomAlgebra, n_max: int) -> CyclicReport:
-    return CyclicReport(A.name, tuple(range(n_max + 1)),
-                        dict(cyclic_cohomology_lambda(A, n_max).betti),
-                        dict(cyclic_cohomology_bicomplex(A, n_max).betti),
-                        cohomology=True)
+    """HC-co by both constructions from one cocyclic bicomplex: the λ
+    side is the cochain complex of its column 0, b^T, on the kernels of
+    its row maps (Id - t)^T, with (Id - t)^T in degree n_max + 1 built
+    apart.  A* must be a dual bimodule (`dualize_bimodule`), as for the
+    λ side's cochains."""
+    dualize_bimodule(regular_bimodule(A))
+    B, top = cocyclic_bicomplex(A, n_max), n_max + 1
+    C = ChainComplex(dims={q: B.cell_dims[(0, q)] for q in range(top + 1)},
+                     diffs={q: B.vertical[(0, q)] for q in range(top)},
+                     orientation="cohomological")
+    rows = {q: B.horizontal[(0, q)] for q in range(top)}
+    rows[top] = _one_minus_t(A, top).transpose()
+    S = sub_complex(C, cyclic_invariant_subspaces(rows))
+    return _both(A, n_max, S, B, cohomology=True)
 
 
 @record
@@ -294,8 +341,9 @@ def induced_map_on_homology(f: AlgebraMorphism, theory: str, n: int) -> Matrix:
         raise ValueError("theory must be 'HH' or 'HC'")
     # Id - t depends on the dimension and degree alone, so algebras of one
     # dimension share each subspace and its cached quotient map
-    subsA = lambda_quotient_subspaces(A, n + 1)
-    subsB = subsA if Bg.dim == A.dim else lambda_quotient_subspaces(Bg, n + 1)
+    subsA = lambda_quotient_subspaces(one_minus_t(A, n + 1))
+    subsB = subsA if Bg.dim == A.dim else \
+        lambda_quotient_subspaces(one_minus_t(Bg, n + 1))
     QA, QB = quotient_complex(CA, subsA), quotient_complex(CB, subsB)
     qmaps = {}
     for k in range(n + 2):
@@ -341,7 +389,8 @@ def xi_induced_on_cyclic_cohomology(assoc: HomAlgebra, twisted: HomAlgebra,
     CA, CT = (build_hochschild_cohomology_complex(
         X, dualize_bimodule(regular_bimodule(X)), n + 1,
         check_identities=False) for X in (assoc, twisted))
-    subs = cyclic_invariant_subspaces(assoc, n + 1)
+    subs = cyclic_invariant_subspaces(
+        {k: m.transpose() for k, m in one_minus_t(assoc, n + 1).items()})
     SA = sub_complex(CA, subs)
     ST = sub_complex(CT, subs)  # t is product-independent: same subspaces
     maps = {k: restrict(xi, subs[k], subs[k]) for k, xi in enumerate(

@@ -27,7 +27,9 @@ the regular bimodule (R = mu, beta = alpha):
     b_n(V) = b'_n(V) + (-1)^n delta_n
 
 b and b' are built by it (two products and delta_n per degree, not n + 1
-faces) unless the caller holds the list of faces.  A dual `Bimodule`
+faces) unless the caller holds the list of faces.  The recursion holds
+alpha^k for every k, each one product from the last, as one list of
+faces does, so neither builds a power twice.  A dual `Bimodule`
 (the cochain coefficients) has its transposed data as chain data: a
 coface is a face of those, transposed, and the cochain complex their
 chain complex, transposed (Loday, 1.5).  t is a signed permutation, N
@@ -62,16 +64,20 @@ class CoefficientHypothesisError(ValueError):
     """The bimodule does not satisfy the extra homology-theorem hypotheses."""
 
 
-def _faces(A: HomAlgebra, V: Bimodule, n: int,
-           which: Sequence[int]) -> Iterator[Matrix]:
-    """delta_i on C_n(A, V) for each i in `which`, built when asked for;
+def _powers(m: Matrix, k: int) -> list[Matrix]:
+    """[m^{(x)j} for j = 0..k], each one Kronecker product from the last."""
+    return list(accumulate([m] * k, kron, initial=Matrix.identity(1)))
+
+
+def _faces(A: HomAlgebra, V: Bimodule, n: int, which: Sequence[int],
+           power: Sequence[Matrix]) -> Iterator[Matrix]:
+    """delta_i on C_n(A, V) for each i in `which`, built when asked for
+    from `power`, which holds alpha^(x)k at k for k = 0..n - 1;
     IndexError unless n >= 1 and every 0 <= i <= n."""
     if n < 1 or not all(0 <= i <= n for i in which):
         raise IndexError(f"no faces {list(which)} in degree {n}")
     L, R, beta = chain_data(V)
     d, m, top = A.dim, V.dim, A.dim ** (n - 1)
-    power = list(accumulate([A.alpha] * (n - 1), kron,
-                            initial=Matrix.identity(1)))  # alpha^(x)k
 
     def face(i: int) -> Matrix:
         if i == 0:
@@ -91,24 +97,25 @@ def face_map(A: HomAlgebra, V: Bimodule, n: int, i: int | None = None
              ) -> Matrix | list[Matrix]:
     """Matrix of the i-th face C_n(A, V) -> C_{n-1}(A, V); with i
     omitted, the list of all n + 1 faces."""
-    faces = list(_faces(A, V, n, range(n + 1) if i is None else [i]))
+    faces = list(_faces(A, V, n, range(n + 1) if i is None else [i],
+                        _powers(A.alpha, n - 1)))
     return faces if i is None else faces[0]
 
 
 def tensor_power_matrix(m: Matrix, k: int) -> Matrix:
     """Kronecker power m^{(x)k}, big-endian slot order."""
-    return list(accumulate([m] * k, kron, initial=Matrix.identity(1)))[-1]
+    return _powers(m, k)[-1]
 
 
-def _prime(A: HomAlgebra, R: Matrix, beta: Matrix, n: int,
-           lower: Matrix | None) -> Matrix:
-    """b'_n of the chain data R and beta: R (x) alpha^(n-1) - beta (x)
-    b'_{n-1}(A), with `lower` as b'_{n-1}(A) when it is held."""
+def _prime(R: Matrix, beta: Matrix, n: int,
+           lower: tuple[Matrix, Matrix] | None) -> Matrix:
+    """b'_n of the chain data R and beta: R in degree 1, else R (x)
+    alpha^(n-1) - beta (x) b'_{n-1}(A), from `lower`, the pair
+    (b'_{n-1}(A), alpha^(x)(n-1))."""
     if n < 1:
         raise IndexError(f"no b' in degree {n}")
-    return R if n == 1 else signed_sum([
-        (1, kron(R, tensor_power_matrix(A.alpha, n - 1))),
-        (-1, kron(beta, b_prime(A, n - 1) if lower is None else lower))])
+    return R if n == 1 else signed_sum([(1, kron(R, lower[1])),
+                                        (-1, kron(beta, lower[0]))])
 
 
 def hochschild_b(A: HomAlgebra, V: Bimodule, n: int,
@@ -121,26 +128,35 @@ def hochschild_b(A: HomAlgebra, V: Bimodule, n: int,
     return list(bar_differentials(A, V, n))[-1][1]  # IndexError if n < 1
 
 
-def b_prime(A: HomAlgebra, n: int, lower: Matrix | None = None) -> Matrix:
+def b_prime(A: HomAlgebra, n: int,
+            lower: tuple[Matrix, Matrix] | None = None) -> Matrix:
     """b' on C_n(A) = A^{(x)(n+1)}, the sum of the regular bimodule's
     faces but the wrap-around one: mu (x) alpha^(n-1) - alpha (x)
-    b'_{n-1}, from `lower`, b'_{n-1}, when the caller holds it."""
-    return _prime(A, A.product_matrix, A.alpha, n, lower)
+    b'_{n-1}.  `lower` is the pair (b'_{n-1}, alpha^(x)(n-1)) when the
+    caller holds it, as the bar recursion does; else both are built."""
+    if n > 1 and lower is None:
+        lower = b_prime(A, n - 1), tensor_power_matrix(A.alpha, n - 1)
+    return _prime(A.product_matrix, A.alpha, n, lower)
 
 
 def bar_differentials(A: HomAlgebra, V: Bimodule, top: int
                       ) -> Iterator[tuple[Matrix, Matrix]]:
-    """(b'_n(V), b_n(V)) for n = 1..top by the recursion, b'_n(A) held
-    from each degree to the next.  When V's R and beta are mu and alpha,
-    as for the regular bimodule and its dual, b'_n(V) is b'_n(A)."""
+    """(b'_n(V), b_n(V)) for n = 1..top by the recursion.  It holds
+    b'_n(A) from each degree to the next, and alpha^(x)k for every k,
+    each one Kronecker product from the last, so that b', b'(A) and
+    delta_n read each power built once.  When V's R and beta are mu and
+    alpha, as for the regular bimodule and its dual, b'_n(V) is b'_n(A)."""
     _, R, beta = chain_data(V)
     shared, lower = (R, beta) == (A.product_matrix, A.alpha), None
+    power = [Matrix.identity(1)]
     for n in range(1, top + 1):
-        prime = b_prime(A, n, lower) if shared else \
-            _prime(A, R, beta, n, lower)
+        held = None if n == 1 else (lower, power[n - 1])
+        prime = b_prime(A, n, held) if shared else _prime(R, beta, n, held)
         yield prime, signed_sum([(1, prime),
-                                 ((-1) ** n, *_faces(A, V, n, [n]))])
-        lower = prime if shared or n == top else b_prime(A, n, lower)
+                                 ((-1) ** n, *_faces(A, V, n, [n], power))])
+        if n < top:
+            lower = prime if shared else b_prime(A, n, held)
+            power.append(kron(power[-1], A.alpha))
 
 
 def _rotation_sum(A: HomAlgebra, n: int, weights: Sequence[int]) -> Matrix:
@@ -230,6 +246,18 @@ def _differentials(A: HomAlgebra, V: Bimodule, top: int, checked: bool,
     return diffs, failure
 
 
+def require_homology_hypotheses(V: Bimodule) -> None:
+    """Raise CoefficientHypothesisError unless V satisfies the homology
+    hypotheses (`validate_homology_coefficients`), checked once per
+    bimodule instance with the verdict kept on it."""
+    if "_homology_hypotheses" not in vars(V):
+        vars(V)["_homology_hypotheses"] = validate_homology_coefficients(V)
+    ok, bad = vars(V)["_homology_hypotheses"]
+    if not ok:
+        raise CoefficientHypothesisError(
+            "coefficients violate the homology hypotheses: " + str(bad[0]))
+
+
 def build_hochschild_homology_complex(A: HomAlgebra, V: Bimodule,
                                       n_max: int, *,
                                       check_identities: bool = True) -> ChainComplex:
@@ -240,12 +268,7 @@ def build_hochschild_homology_complex(A: HomAlgebra, V: Bimodule,
     fails them raises on every build.  The ChainComplex checks b o b = 0;
     `check_identities` then raises the first presimplicial identity that
     fails, degree by degree."""
-    if "_homology_hypotheses" not in vars(V):
-        vars(V)["_homology_hypotheses"] = validate_homology_coefficients(V)
-    ok, bad = vars(V)["_homology_hypotheses"]
-    if not ok:
-        raise CoefficientHypothesisError(
-            "coefficients violate the homology hypotheses: " + str(bad[0]))
+    require_homology_hypotheses(V)
     diffs, failure = _differentials(A, V, n_max, check_identities)
     C = ChainComplex(dims={n: V.dim * A.dim ** n for n in range(n_max + 1)},
                      diffs=diffs, orientation="homological")

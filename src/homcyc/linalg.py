@@ -31,8 +31,9 @@ product `sub.quotient @ m`: every column of m modulo sub at once.  The
 check that m maps src into tgt is that product vanishing on src's
 basis; `restrict` reads m @ src.rows^T at tgt's pivots, and `descend`
 reads the columns of `reduce_mod(tgt, m)` at src's free columns.
-Sums of matrices go through `_add_rows`: `signed_sum` (a stream of
-signed matrices, one held at a time), `+`, `-` and `block_matrix`.
+Sums of matrices go through `signed_sum` (a stream of signed
+matrices, one held at a time), as `+` and `-` do; `block_matrix`
+places disjoint blocks side by side and sums nothing.
 """
 
 from __future__ import annotations
@@ -53,9 +54,8 @@ ONE = Fraction(1)
 
 
 def scalar_to_string(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    """x as `n` or `n/d`, as `str` writes a Fraction."""
+    return str(x)
 
 
 # A row in integer form: (m, ks, xs), the entry xs[i] / m in column
@@ -100,7 +100,7 @@ class Matrix:
                      cols: Sequence[Sequence[Fraction | int]]) -> "Matrix":
         """The nrows x len(cols) matrix whose column j is cols[j]."""
         if any(len(c) != nrows for c in cols):
-            raise ValueError(f"column length != {nrows}")
+            raise ValueError(f"vector length != {nrows}")
         return _matrix(len(cols), nrows, _rows_of(cols)).transpose()
 
     @staticmethod
@@ -264,47 +264,50 @@ def permute_columns(m: Matrix, perm: Sequence[int]) -> Matrix:
 def signed_sum(terms: Iterable[tuple[int, Matrix]]) -> Matrix:
     """sum(sign * m) over one or more (sign, m) terms, all of one shape.
 
-    Each term is added row by row into running integer sums (`_add_row`)
-    as it arrives, and then let go: a generator of terms keeps one of
-    them alive at a time.
+    Each term is added row by row into running integer sums as it
+    arrives, sums[i] / dens[i] += sign * xs / m for each row xs / m,
+    rescaling sums[i] unless m = dens[i], and then let go: a generator
+    of terms keeps one of them alive at a time.
     """
     shape = None
-    for sign, m in terms:
+    for sign, mat in terms:
         if shape is None:
-            shape = (m.rows, m.cols)
-            dens, sums = [1] * m.rows, [{} for _ in range(m.rows)]
-        elif shape != (m.rows, m.cols):
+            shape = (mat.rows, mat.cols)
+            dens, sums = [1] * mat.rows, [{} for _ in range(mat.rows)]
+        elif shape != (mat.rows, mat.cols):
             raise ValueError("shape mismatch in +")
-        _add_rows(dens, sums, m._int_rows, sign)
-        del m
+        for i, (m, ks, xs) in enumerate(mat._int_rows):
+            s, acc = sign, sums[i]
+            if m != dens[i]:
+                common = lcm(dens[i], m)
+                for k in acc:
+                    acc[k] *= common // dens[i]
+                s *= common // m
+                dens[i] = common
+            get = acc.get
+            for k, x in zip(ks, xs):
+                acc[k] = get(k, 0) + s * x
+        del mat
     return Matrix.from_integer_rows(shape[1], list(zip(dens, sums)))
-
-
-def _add_rows(dens, sums, rows, c, roff=0):
-    """sums[i] / dens[i] += c * xs / m in place for each row xs / m of
-    rows, the first at i = roff, rescaling sums[i] unless m = dens[i]."""
-    for i, (m, ks, xs) in enumerate(rows, roff):
-        s, acc = c, sums[i]
-        if m != dens[i]:
-            common = lcm(dens[i], m)
-            for k in acc:
-                acc[k] *= common // dens[i]
-            s *= common // m
-            dens[i] = common
-        get = acc.get
-        for k, x in zip(ks, xs):
-            acc[k] = get(k, 0) + s * x
 
 
 def block_matrix(rows: int, cols: int,
                  blocks: Sequence[tuple[Matrix, int, int]]) -> Matrix:
     """rows x cols matrix with each (block, row offset, col offset) placed
-    in it and zeros elsewhere, added up by `_add_rows`."""
-    dens, sums = [1] * rows, [{} for _ in range(rows)]
-    for block, roff, coff in blocks:
-        _add_rows(dens, sums, [(m, [coff + k for k in ks], xs)
-                               for m, ks, xs in block._int_rows], 1, roff)
-    return Matrix.from_integer_rows(cols, list(zip(dens, sums)))
+    in it and zeros elsewhere.  Nothing is summed: taken left to right,
+    each block's rows are appended to the rows they meet, over the lcm
+    of the denominators; a block that overlaps one to its left raises
+    ValueError."""
+    out, ends = [_ZERO_ROW] * rows, [0] * rows
+    for b, roff, coff in sorted(blocks, key=lambda x: x[2]):
+        for i, (m, ks, xs) in enumerate(b._int_rows, roff):
+            dn, left, ys = out[i]
+            if ends[i] > coff:
+                raise ValueError("blocks overlap")
+            ends[i], d = coff + b.cols, lcm(dn, m)
+            out[i] = d, left + tuple([coff + k for k in ks]), tuple(
+                [y * (d // dn) for y in ys] + [x * (d // m) for x in xs])
+    return _matrix(rows, cols, tuple(out))
 
 
 def _integer_terms(pairs: Iterable[tuple[int, Fraction | int]]) -> IntRow:
@@ -498,15 +501,13 @@ class Subspace:
 
     @property
     def basis(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(_dense(r, self.ambient_dim) for r in self.rows._int_rows)
+        return tuple(map(tuple, self.rows.to_rows()))
 
     @staticmethod
     def from_vectors(ambient_dim: int,
                      vectors: Iterable[Sequence[Fraction]]) -> "Subspace":
-        vecs = list(vectors)
-        if any(len(v) != ambient_dim for v in vecs):
-            raise ValueError("vector length != ambient_dim")
-        return _row_space(_matrix(len(vecs), ambient_dim, _rows_of(vecs)))
+        return _row_space(Matrix.from_columns(ambient_dim,
+                                              list(vectors)).transpose())
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -625,10 +626,6 @@ def quotient_dim(sub: Subspace, sup: Subspace) -> int:
 
 def solve_homogeneous(constraints: Sequence[Sequence[Fraction]],
                       ambient_dim: int) -> Subspace:
-    """Common null space of a list of linear functionals on Q^ambient_dim."""
-    if not constraints:
-        return Subspace.full(ambient_dim)
-    m = Matrix.from_rows(constraints)
-    if m.cols != ambient_dim:
-        raise ValueError("constraint length != ambient_dim")
-    return kernel(m)
+    """Common null space of a list of linear functionals on Q^ambient_dim,
+    each a vector of its ambient_dim coefficients."""
+    return kernel(Matrix.from_columns(ambient_dim, constraints).transpose())

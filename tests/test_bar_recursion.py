@@ -14,16 +14,19 @@ and on corpus algebras moved to a dense unimodular basis.
 `test_face_golden` stays the byte-level oracle on the corpus.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homcyc.coefficients import Bimodule, dualize_bimodule, regular_bimodule
-from homcyc.corpus import two_dim_unital
+from homcyc.corpus import (dual_numbers_projection_twist, matrix_2x2,
+                           two_dim_unital)
 from homcyc.hochschild import (b_prime, bar_differentials,
                                build_hochschild_cohomology_complex,
                                build_hochschild_homology_complex, cochain_b,
-                               face_map, hochschild_b)
+                               face_map, hochschild_b, tensor_power_matrix)
 from homcyc.linalg import Matrix
 from test_face_golden import moved
 from test_generated_algebras import (direct_sums, twisted_matrices,
@@ -56,7 +59,8 @@ def check_recursion(A):
         faces = face_map(A, regular_bimodule(A), n)
         assert primes[n - 1] == face_sum(faces[:n])
         if n > 1:
-            assert b_prime(A, n, primes[n - 2]) == primes[n - 1]
+            assert b_prime(A, n, (primes[n - 2], tensor_power_matrix(
+                A.alpha, n - 1))) == primes[n - 1]
     for V in bimodules(A):
         pairs = list(bar_differentials(A, V, top))
         for n, (prime, b) in enumerate(pairs, 1):
@@ -144,3 +148,42 @@ def test_below_degree_one_raises_index_error(call, dual):
     V = regular_bimodule(A)
     with pytest.raises(IndexError):
         call(A, dualize_bimodule(V) if dual else V)
+
+
+def _alpha_powers_built(monkeypatch, A):
+    """A list that fills with k for each alpha^(x)k hochschild builds as
+    a running product alpha^(x)(k-1) (x) alpha, the one way it makes a
+    power of alpha."""
+    from homcyc import hochschild
+    built = []
+    kron = hochschild.kron
+
+    def counted(a, b):
+        if b is A.alpha:
+            built.append(round(math.log(a.rows, A.dim)) + 1)
+        return kron(a, b)
+
+    monkeypatch.setattr(hochschild, "kron", counted)
+    return built
+
+
+@pytest.mark.parametrize("make", [dual_numbers_projection_twist, matrix_2x2],
+                         ids=lambda f: f.__name__)
+def test_each_alpha_power_is_built_once(monkeypatch, make):
+    """One bar recursion to degree top, for every kind of chain data (b'
+    of V shared with b'(A) or not), builds alpha^(x)k once for each k
+    = 1..top - 1; one list of the faces of degree n builds it once for
+    each k = 1..n - 1."""
+    A = make()
+    top = 3 if A.dim == 4 else 5
+    V = regular_bimodule(A)
+    built = _alpha_powers_built(monkeypatch, A)
+    for M in bimodules(A):
+        built.clear()
+        for _ in bar_differentials(A, M, top):
+            pass
+        assert sorted(built) == list(range(1, top))
+    for n in range(1, top + 1):
+        built.clear()
+        face_map(A, V, n)
+        assert sorted(built) == list(range(1, n))

@@ -492,3 +492,25 @@ def test_cochain_theories_without_the_dual_bimodule_exit_0(shear_file,
                                                            capsys, argv):
     assert main([argv[0], shear_file, *argv[1:], "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["betti"]["0"] >= 0
+
+
+@pytest.mark.parametrize("theory,cell", [("hc", (2, 1)), ("hcco", (0, 1))])
+def test_corrupt_norm_on_the_both_path_exits_3(example_file, capsys,
+                                               monkeypatch, theory, cell):
+    """With entry (0, 1) of each N_q raised by one, `--method both`
+    still fails on the first corrupted square, h^2 = 0 in row 1, with
+    the message that names its cell and nothing on stdout."""
+    from homcyc import cyclic
+    norm_N = cyclic.norm_N
+
+    def corrupt(A, n):
+        N = norm_N(A, n)
+        return N + Matrix.from_integer_rows(N.cols, [
+            (1, {min(1, N.cols - 1): 1} if i == 0 else {})
+            for i in range(N.rows)])
+
+    monkeypatch.setattr(cyclic, "norm_N", corrupt)
+    assert main([theory, example_file, "--max", "2", "--method", "both"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip() == f"identity failure: horizontal^2 != 0 at {cell}"

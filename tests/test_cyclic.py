@@ -19,7 +19,8 @@ from homcyc.cyclic import (ChainMapError, cocyclic_bicomplex,
                            cyclic_homology_lambda,
                            hochschild_cohomology, hochschild_homology,
                            induced_map_on_homology, lambda_quotient_subspaces,
-                           periodic_cohomology, periodic_homology, xi_map,
+                           one_minus_t, periodic_cohomology,
+                           periodic_homology, xi_map,
                            xi_induced_on_cyclic_cohomology)
 from homcyc.complexes import quotient_complex, total_complex
 from homcyc.hochschild import (build_hochschild_homology_complex,
@@ -68,7 +69,7 @@ def test_two_dim_lambda_boundary_value():
     # index of e1 (x) e1 (x) e2 with big-endian slots: (0,0,1) -> 1
     chain = Matrix.from_columns(8, [[int(i == 1) for i in range(8)]])
     img = b2 @ chain
-    sub = lambda_quotient_subspaces(A, 2)[1]
+    sub = lambda_quotient_subspaces(one_minus_t(A, 2))[1]
     reduced = reduce_mod(sub, img)
     # e1 (x) e2 has index (0,1) -> 1
     e1e2 = Matrix.from_columns(4, [[int(i == 1) for i in range(4)]])
@@ -275,23 +276,26 @@ def test_hc_induced_map_builds_one_lambda_family(monkeypatch):
     """Id - t depends on the dimension and the degree alone, so an HC
     map between algebras of one dimension builds the λ subspaces once,
     for the source, and both quotient complexes share them; between
-    dimensions each side builds its own, and HH builds none."""
+    dimensions each side builds its own, and HH builds none.  A family
+    is named by its algebra's dimension, the size of Id - t_0, and its
+    top degree."""
     calls = []
     build = cyclic.lambda_quotient_subspaces
     monkeypatch.setattr(cyclic, "lambda_quotient_subspaces",
-                        lambda A, n: calls.append((A.name, n)) or build(A, n))
+                        lambda maps: calls.append((maps[0].rows, max(maps)))
+                        or build(maps))
     A = two_dim_unital()
     half, _ = load_algebra(str(HALF))
     f = AlgebraMorphism(A, half, Matrix.from_rows([[2, 0], [0, 1]]))
     induced_map_on_homology(f, "HC", 2)
-    assert calls == [(A.name, 3)]
+    assert calls == [(2, 3)]
     calls.clear()
     induced_map_on_homology(f, "HH", 2)
     assert calls == []
     g = AlgebraMorphism(ground_field(), k_times_k(),
                         Matrix.from_rows([[1], [1]]))
     induced_map_on_homology(g, "HC", 1)
-    assert calls == [("ground_field", 2), ("k_times_k", 2)]
+    assert calls == [(1, 2), (2, 2)]
 
 
 def test_induced_map_inclusion():
@@ -331,8 +335,8 @@ def test_induced_maps_match_per_vector_reference(theory):
     f = AlgebraMorphism(A, half, Matrix.from_rows([[2, 0], [0, 1]]))
     CA, CB = (build_hochschild_homology_complex(
         X, regular_bimodule(X), 4, check_identities=False) for X in (A, half))
-    subsA = lambda_quotient_subspaces(A, 4)
-    subsB = lambda_quotient_subspaces(half, 4)
+    subsA = lambda_quotient_subspaces(one_minus_t(A, 4))
+    subsB = lambda_quotient_subspaces(one_minus_t(half, 4))
     for n in range(4):
         t = tensor_power_matrix(f.matrix, n + 1)
         if theory == "HH":
@@ -380,8 +384,78 @@ def test_lambda_quotient_differentials_match_reference(algebra):
     top = 3 if algebra.dim <= 2 else 1
     C = build_hochschild_homology_complex(algebra, regular_bimodule(algebra),
                                           top, check_identities=False)
-    subs = lambda_quotient_subspaces(algebra, top)
+    subs = lambda_quotient_subspaces(one_minus_t(algebra, top))
     Q = quotient_complex(C, subs)
     for n in range(1, top + 1):
         assert Q.differential(n).to_rows() == ref.induced_on_quotient(
             C.differential(n), subs[n], subs[n - 1])
+
+
+def test_total_complex_evaluates_only_the_distinct_squares(monkeypatch):
+    """Tot's d o d is the bicomplex's squares, block by block, so the
+    total complexes of the cyclic and the cocyclic bicomplex evaluate
+    the 27 distinct sums of `check_squares` and nothing more."""
+    from homcyc import complexes
+    calls = []
+    vanishes = complexes.vanishes
+    monkeypatch.setattr(complexes, "vanishes",
+                        lambda *terms: calls.append(terms) or vanishes(*terms))
+    for build in (cyclic_bicomplex, cocyclic_bicomplex):
+        B = build(two_dim_unital(), 5)
+        calls.clear()
+        B.check_squares()
+        squares = {tuple((s, id(a), id(b)) for s, a, b in terms)
+                   for terms in calls}
+        calls.clear()
+        total_complex(B)
+        assert len(calls) == 27
+        assert {tuple((s, id(a), id(b)) for s, a, b in terms)
+                for terms in calls} == squares
+
+
+@pytest.mark.parametrize("both", [cyclic_homology_both,
+                                  cyclic_cohomology_both],
+                         ids=["homology", "cohomology"])
+def test_both_builds_each_operator_once(monkeypatch, both):
+    """One `both` request builds one (co)cyclic bicomplex and reads the
+    λ side off it: t in degrees 0..n_max + 1, N in 0..n_max - 1 and b'
+    in 1..n_max + 1, each once."""
+    from homcyc import hochschild
+    built = []
+    for module, name in [(cyclic, "cyclic_t"), (cyclic, "norm_N"),
+                         (hochschild, "b_prime")]:
+        def counted(A, n, *held, _name=name, _op=getattr(module, name)):
+            built.append((_name, n))
+            return _op(A, n, *held)
+        monkeypatch.setattr(module, name, counted)
+    n_max = 3
+    both(dual_numbers_projection_twist(), n_max).require_agreement()
+    assert sorted(built) == sorted(
+        [("cyclic_t", q) for q in range(n_max + 2)] +
+        [("norm_N", q) for q in range(n_max)] +
+        [("b_prime", q) for q in range(1, n_max + 2)])
+
+
+def test_both_checks_the_coefficients_of_the_lambda_side(monkeypatch):
+    """The λ side keeps its coefficient checks: on a fresh algebra the
+    homology request checks the regular bimodule's homology hypotheses,
+    and on the shear twist of mat2, whose A* is no dual bimodule, the
+    cohomology request raises the λ method's CoefficientError."""
+    from homcyc import hochschild
+    from homcyc.algebra import yau_twist
+    from homcyc.errors import CoefficientError
+    checked = []
+    validate = hochschild.validate_homology_coefficients
+    monkeypatch.setattr(hochschild, "validate_homology_coefficients",
+                        lambda V: checked.append(V.name) or validate(V))
+    cyclic_homology_both(k1_plus_k2(), 2)
+    assert checked == ["k1+k2-regular"]
+    g_conj = Matrix.from_columns(4, [[1, -1, 0, 0], [0, 1, 0, 0],
+                                     [1, -1, 1, -1], [0, 1, 0, 1]])
+    errors = []
+    for run in (cyclic_cohomology_lambda, cyclic_cohomology_both):
+        with pytest.raises(CoefficientError) as info:
+            run(yau_twist(matrix_2x2(), g_conj, name="mat2_shear"), 1)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert "dual-bimodule-compat fails at (1,1,1)" in errors[1]

@@ -196,9 +196,9 @@ def test_face_kernel_runs_once_per_degree(monkeypatch):
     built = []
     faces = hochschild._faces
 
-    def counted(A, V, n, which):
+    def counted(A, V, n, which, power):
         built.extend((n, i) for i in which)
-        return faces(A, V, n, which)
+        return faces(A, V, n, which, power)
 
     monkeypatch.setattr(hochschild, "_faces", counted)
     A = two_dim_unital()

@@ -652,23 +652,48 @@ def test_mixed_denominators_through_kron_and_integer_rows(case):
 @example(((2, 3), [(1, HALF_ROW), (-1, HALF_ROW)]))
 def test_mixed_denominators_through_sums(case):
     """signed_sum, streamed one term at a time, and block_matrix, which
-    places the same terms side by side and on top of each other, match
-    the dense sums when rows over 1 meet rows over m > 1."""
+    places the same terms side by side and down the diagonal, match the
+    dense reference when rows over 1 meet rows over m > 1; stacked on
+    top of each other the blocks overlap, and block_matrix refuses them."""
     (r, k), terms = case
     mats = [(c, from_dense(r, k, rows)) for c, rows in terms]
     assert_is(signed_sum(iter(mats)), r, k, dense_sum(terms))
     blocks = [(m, 0, j * k) for j, (_, m) in enumerate(mats)] + \
-        [(m, 1, 0) for _, m in mats]
-    dense = [[F(0)] * (k * len(mats)) for _ in range(r + 1)]
+        [(m, r * (j + 1), j * k) for j, (_, m) in enumerate(mats)]
+    dense = [[F(0)] * (k * len(mats)) for _ in range(r * (len(mats) + 1))]
     for j, (_, rows) in enumerate(terms):
         for i in range(r):
             dense[i][j * k:(j + 1) * k] = rows[i]
-    for _, rows in terms:
-        for i in range(r):
-            for c in range(k):
-                dense[i + 1][c] += rows[i][c]
-    assert_is(block_matrix(r + 1, k * len(mats), blocks), r + 1,
+            dense[r * (j + 1) + i][j * k:(j + 1) * k] = rows[i]
+    assert_is(block_matrix(len(dense), k * len(mats), blocks), len(dense),
               k * len(mats), dense)
+    if r and k and len(mats) > 1:
+        with pytest.raises(ValueError, match="overlap"):
+            block_matrix(r + 1, k, [(m, 1, 0) for _, m in mats])
+
+
+def test_block_matrix_places_blocks_given_in_any_order():
+    """Three blocks meet row 0 over denominators 3, 1 and 2, listed right
+    to left: the row is their entries left to right over 6."""
+    a = Matrix.from_rows([[F(1, 3), 0], [0, 1]])
+    b = Matrix.from_rows([[5]])
+    c = Matrix.from_rows([[0, F(-1, 2)]])
+    m = block_matrix(2, 6, [(c, 0, 4), (b, 0, 3), (a, 0, 0)])
+    assert_is(m, 2, 6, [[F(1, 3), 0, 0, 5, 0, F(-1, 2)],
+                        [0, 1, 0, 0, 0, 0]])
+    assert m._int_rows[0] == (6, (0, 3, 5), (2, 30, -3))
+
+
+@pytest.mark.parametrize("blocks", [
+    [(0, 0), (1, 1)], [(1, 1), (0, 0)], [(0, 0), (0, 1)], [(1, 0), (0, 1)]],
+    ids=["corner", "corner-listed-right-first", "same-rows", "one-cell"])
+def test_block_matrix_rejects_overlapping_blocks(blocks):
+    """Two 2 x 2 blocks whose rectangles share a cell raise, in either
+    order, also where both hold zeros there ("one-cell": the shared cell
+    is (1, 1), zero in both)."""
+    a = Matrix.from_rows([[F(1, 2), 0], [0, 0]])
+    with pytest.raises(ValueError, match="overlap"):
+        block_matrix(3, 3, [(a, r, c) for r, c in blocks])
 
 
 @st.composite
