@@ -183,15 +183,29 @@ class CyclicReport:
         }
 
 
+def _column_0(B: Bicomplex) -> ChainComplex:
+    """Column 0 of a (co)cyclic bicomplex, b (or b^T) on A^{(x)(q+1)}:
+    the Hochschild (co)chain complex of the regular bimodule."""
+    return ChainComplex(
+        dims={q: dim for (p, q), dim in B.cell_dims.items() if not p},
+        diffs={q: m for (p, q), m in B.vertical.items() if not p},
+        orientation=B.orientation)
+
+
 def _both(A: HomAlgebra, n_max: int, lam: ChainComplex, B: Bicomplex,
           cohomology: bool) -> CyclicReport:
     """The Betti numbers of the λ complex `lam` against those of B's
     total complex.  `lam` is built first, so a failure on the λ side
-    is raised before B's squares are checked."""
-    degrees, T = tuple(range(n_max + 1)), total_complex(B)
-    return CyclicReport(A.name, degrees, *[
-        {n: homology(C, n, representatives=False)[0] for n in degrees}
-        for C in (lam, T)], cohomology=cohomology)
+    is raised before B's squares are checked, and it is let go before
+    the total complex is built, so the two are not held at once."""
+    degrees = tuple(range(n_max + 1))
+    betti_lambda = {n: homology(lam, n, representatives=False)[0]
+                    for n in degrees}
+    del lam
+    T = total_complex(B)
+    return CyclicReport(A.name, degrees, betti_lambda, {
+        n: homology(T, n, representatives=False)[0] for n in degrees},
+        cohomology=cohomology)
 
 
 def cyclic_homology_both(A: HomAlgebra, n_max: int) -> CyclicReport:
@@ -203,12 +217,10 @@ def cyclic_homology_both(A: HomAlgebra, n_max: int) -> CyclicReport:
     build checks them."""
     require_homology_hypotheses(regular_bimodule(A))
     B, top = cyclic_bicomplex(A, n_max), n_max + 1
-    C = ChainComplex(dims={q: B.cell_dims[(0, q)] for q in range(top + 1)},
-                     diffs={q: B.vertical[(0, q)] for q in range(1, top + 1)})
     rows = {q: B.horizontal[(1, q)] for q in range(top)}
     rows[top] = _one_minus_t(A, top)
-    Q = quotient_complex(C, lambda_quotient_subspaces(rows))
-    return _both(A, n_max, Q, B, cohomology=False)
+    return _both(A, n_max, quotient_complex(
+        _column_0(B), lambda_quotient_subspaces(rows)), B, cohomology=False)
 
 
 def cyclic_cohomology_both(A: HomAlgebra, n_max: int) -> CyclicReport:
@@ -219,13 +231,10 @@ def cyclic_cohomology_both(A: HomAlgebra, n_max: int) -> CyclicReport:
     λ side's cochains."""
     dualize_bimodule(regular_bimodule(A))
     B, top = cocyclic_bicomplex(A, n_max), n_max + 1
-    C = ChainComplex(dims={q: B.cell_dims[(0, q)] for q in range(top + 1)},
-                     diffs={q: B.vertical[(0, q)] for q in range(top)},
-                     orientation="cohomological")
     rows = {q: B.horizontal[(0, q)] for q in range(top)}
     rows[top] = _one_minus_t(A, top).transpose()
-    S = sub_complex(C, cyclic_invariant_subspaces(rows))
-    return _both(A, n_max, S, B, cohomology=True)
+    return _both(A, n_max, sub_complex(
+        _column_0(B), cyclic_invariant_subspaces(rows)), B, cohomology=True)
 
 
 @record
