@@ -3,18 +3,19 @@
 
 For every module under src/homcyc: its line count, its AST node count
 and the tracemalloc peak of `compile()` on its source, in KB.  The
-largest module by compile peak is marked with `*`.  When bytecode
+largest module by compile peak is marked with `*`, and a last row sums
+every column, so the package's size is one command.  When bytecode
 caching is off, a process compiles every module it imports, and the
 largest compile peak can set a short run's peak memory.
 
 With `--cli ARGS...`, only the modules that a fresh
 `python -m homcyc.cli ARGS...` loads are weighed, the request's own
-`cli.py` included, and a last row sums them.  A second table then
-lists every other module the request imports that a bare interpreter
-(`python -c pass`) does not, with its self and cumulative import time
-in microseconds, largest cumulative first, so a heavy standard-library
-import shows.  Each interpreter runs once, without writing bytecode;
-the request's output is discarded.
+`cli.py` included.  A second table then lists every other module the
+request imports that a bare interpreter (`python -c pass`) does not,
+with its self and cumulative import time in microseconds, largest
+cumulative first, so a heavy standard-library import shows.  Each
+interpreter runs once, without writing bytecode; the request's output
+is discarded.
 
     python3 scripts/compile_weight.py
     python3 scripts/compile_weight.py --cli check A.json
@@ -97,9 +98,9 @@ def main(argv=None) -> int:
     for name, lines, nodes, peak in rows:
         mark = " *" if peak == top else ""
         print(f"{name:<18} {lines:>6} {nodes:>6} {peak / 1024:>8.0f}{mark}")
+    lines, nodes, peak = (sum(r[i] for r in rows) for i in (1, 2, 3))
+    print(f"{'total':<18} {lines:>6} {nodes:>6} {peak / 1024:>8.0f}")
     if args.cli is not None:
-        lines, nodes, peak = (sum(r[i] for r in rows) for i in (1, 2, 3))
-        print(f"{'total':<18} {lines:>6} {nodes:>6} {peak / 1024:>8.0f}")
         print(f"\n{'import':<24} {'self_us':>8} {'cumul_us':>8}")
         for name, (own, cumulative) in sorted(
                 other.items(), key=lambda kv: (-kv[1][1], kv[0])):

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .linalg import (Matrix, Subspace, ZERO, ONE, block_matrix, image, kernel,
-                     kron, restrict, scalar_to_string, vanishes)
+                     kron, restrict, vanishes)
 from .errors import ShapeError
 from .records import Field, cached, record
 
@@ -43,8 +43,8 @@ class Violation:
     def __str__(self):
         idx = ",".join(str(i + 1) for i in self.indices)
         return (f"{self.axiom} fails at ({idx}): "
-                f"lhs={[scalar_to_string(x) for x in self.lhs]} "
-                f"rhs={[scalar_to_string(x) for x in self.rhs]}")
+                f"lhs={[str(x) for x in self.lhs]} "
+                f"rhs={[str(x) for x in self.rhs]}")
 
 
 def axiom_violations(families: Sequence[tuple]) -> list[Violation]:
@@ -118,9 +118,9 @@ class HomAlgebra:
             "name": self.name,
             "dim": self.dim,
             "basis": list(self.basis_names),
-            "mul": [[[scalar_to_string(c) for c in self.mu[i][j]]
+            "mul": [[[str(c) for c in self.mu[i][j]]
                      for j in range(self.dim)] for i in range(self.dim)],
-            "alpha": [[scalar_to_string(self.alpha[i, j])
+            "alpha": [[str(self.alpha[i, j])
                        for j in range(self.dim)] for i in range(self.dim)],
         }
 

@@ -25,7 +25,7 @@ from .algebra import (DecompositionError, HomAlgebra, alpha_is_idempotent,
                       scalar_from_string, unital_decompose, yau_twist)
 from .errors import (BoundarySquareError, CoefficientError,
                      IdentityViolationError, NotStableError, ShapeError)
-from .linalg import Matrix, scalar_to_string
+from .linalg import Matrix
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -62,13 +62,13 @@ def cmd_check(args) -> int:
         "name": alg.name,
         "valid": True,
         "multiplicative": report.multiplicative,
-        "unit": [scalar_to_string(x) for x in unit] if unit else None,
+        "unit": [str(x) for x in unit] if unit else None,
         "centroid": centroid,
         "alpha_idempotent": idem,
     }
     unit_txt = "none"
     if unit is not None:
-        terms = [f"{scalar_to_string(c)}*{nm}" if c != 1 else nm
+        terms = [f"{c}*{nm}" if c != 1 else nm
                  for c, nm in zip(unit, alg.basis_names) if c]
         unit_txt = " + ".join(terms)
     text = (f"valid, {'multiplicative' if report.multiplicative else 'NOT multiplicative'}, "
@@ -93,56 +93,32 @@ def cmd_homology(args) -> int:
                                  tensor_label)
         rep = (hochschild_homology if theory == "hh"
                else hochschild_cohomology)(alg, n, representatives=reps)
-        _emit(rep.to_json_dict(), args.format,
-              rep.to_text(partial(tensor_label, alg)))
+        text = rep.to_text(partial(tensor_label, alg))
     elif theory in ("hc", "hcco"):
         from .cyclic import (cyclic_cohomology_bicomplex,
                              cyclic_cohomology_both, cyclic_cohomology_lambda,
                              cyclic_homology_bicomplex, cyclic_homology_both,
                              cyclic_homology_lambda)
         if args.method == "both":
-            both = (cyclic_homology_both if theory == "hc"
-                    else cyclic_cohomology_both)
-            cr = both(alg, n)
-            cr.require_agreement()  # raises -> exit 3
-            _emit(cr.to_json_dict(), args.format, _cyclic_text(cr))
+            rep = (cyclic_homology_both if theory == "hc"
+                   else cyclic_cohomology_both)(alg, n)
+            rep.require_agreement()  # raises -> exit 3
         elif args.method == "lambda":
             rep = (cyclic_homology_lambda if theory == "hc"
                    else cyclic_cohomology_lambda)(alg, n, representatives=reps)
-            _emit(rep.to_json_dict(), args.format, rep.to_text())
         else:
             rep = (cyclic_homology_bicomplex if theory == "hc"
                    else cyclic_cohomology_bicomplex)(alg, n)
-            _emit(rep.to_json_dict(), args.format, rep.to_text())
+        text = rep.to_text()
     elif theory in ("hp", "hpco"):
         from .cyclic import periodic_cohomology, periodic_homology
-        fn = periodic_homology if theory == "hp" else periodic_cohomology
-        prep = fn(alg, n, window=args.window)
-        _emit(prep.to_json_dict(), args.format, _periodic_text(prep))
+        rep = (periodic_homology if theory == "hp"
+               else periodic_cohomology)(alg, n, window=args.window)
+        text = rep.to_text()
     else:
         raise ValueError(theory)
+    _emit(rep.to_json_dict(), args.format, text)
     return EXIT_OK
-
-
-def _cyclic_text(cr) -> str:
-    from .complexes import text_table
-    kind = "cyclic cohomology" if cr.cohomology else "cyclic homology"
-    return text_table(
-        f"{kind} of {cr.algebra_name} (lambda vs bicomplex)",
-        [("degree", 8), ("lambda", 8), ("bicomplex", 10), ("agree", 6)],
-        [(n, cr.betti_lambda[n], cr.betti_bicomplex[n],
-          "yes" if cr.agreement[n] else "NO") for n in cr.degrees])
-
-
-def _periodic_text(pr) -> str:
-    from .complexes import text_table
-    kind = "periodic cyclic " + ("cohomology" if pr.cohomology else "homology")
-    return text_table(
-        f"{kind} of {pr.algebra_name} "
-        f"(window {pr.window} vs {pr.window + 2})",
-        [("degree", 8), ("betti", 6), ("wider", 6), ("stable", 7)],
-        [(n, pr.betti[n], pr.betti_wider[n],
-          "yes" if pr.stabilized[n] else "no") for n in pr.degrees])
 
 
 def cmd_duality(args) -> int:
@@ -229,7 +205,7 @@ def cmd_dual_space(args) -> int:
         "algebra": alg.name,
         "ambient_dim": rd.subspace.ambient_dim,
         "dim": rd.subspace.dim,
-        "basis": [[scalar_to_string(x) for x in v] for v in rd.subspace.basis],
+        "basis": [[str(x) for x in v] for v in rd.subspace.basis],
     }
     text = (f"restricted dual of {alg.name}: dimension {rd.subspace.dim} "
             f"of {rd.subspace.ambient_dim}")
@@ -253,8 +229,8 @@ def cmd_decompose(args) -> int:
         # a zero summand is null, with an empty basis
         "A1": None if a1 is None else a1.to_json_dict(),
         "A2": None if a2 is None else a2.to_json_dict(),
-        "basis_A1": [[scalar_to_string(x) for x in v] for v in dec.basis_a1],
-        "basis_A2": [[scalar_to_string(x) for x in v] for v in dec.basis_a2],
+        "basis_A1": [[str(x) for x in v] for v in dec.basis_a1],
+        "basis_A2": [[str(x) for x in v] for v in dec.basis_a2],
     }
     text = (f"{alg.name} = A1 (+) A2 with dim A1 = {len(dec.basis_a1)}, "
             f"dim A2 = {len(dec.basis_a2)}; A1 unital associative")
@@ -291,7 +267,7 @@ def cmd_cocycle(args) -> int:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return EXIT_INVALID
     payload = {"degree": 1,
-               "coords": [scalar_to_string(x) for x in phi.coords]}
+               "coords": [str(x) for x in phi.coords]}
     _emit(payload, args.format, json.dumps(payload, sort_keys=True))
     return EXIT_OK
 

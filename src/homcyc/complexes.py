@@ -20,14 +20,12 @@ induced maps are read from them.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 
 from .linalg import (Matrix, NotASubspaceError, Subspace, block_matrix,
                      descend, image, kernel, quotient_dim,
-                     rank as matrix_rank, reduce_mod, restrict,
-                     scalar_to_string, vanishes)
+                     rank as matrix_rank, reduce_mod, restrict, vanishes)
 from .errors import BoundarySquareError, NotStableError
 from .records import Field, cached, record
 
@@ -192,14 +190,11 @@ class HomologyReport:
         }
         if self.representatives:
             out["representatives"] = {
-                str(n): [[scalar_to_string(x) for x in v] for v in reps]
+                str(n): [[str(x) for x in v] for v in reps]
                 for n, reps in self.representatives.items()}
         if self.metadata:
             out["metadata"] = self.metadata
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
     def to_text(self, label_fn: Callable[[int, int], str] | None = None) -> str:
         lines = [text_table(
@@ -212,7 +207,7 @@ class HomologyReport:
         for n, reps in sorted(self.representatives.items()):
             for v in reps:
                 lines.append(f"  cycle[{n}]: " + " + ".join(
-                    f"{scalar_to_string(x)}*{label(n, i)}"
+                    f"{x}*{label(n, i)}"
                     for i, x in enumerate(v) if x))
         return "\n".join(lines)
 

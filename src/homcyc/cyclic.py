@@ -26,7 +26,7 @@ from .coefficients import dualize_bimodule, regular_bimodule
 from .complexes import (Bicomplex, ChainComplex, HomologyReport, homology,
                         homology_classes, quotient_complex,
                         report_for_complex, representative_space,
-                        sub_complex, total_complex)
+                        sub_complex, text_table, total_complex)
 from .hochschild import (IdentityViolationError, bar_differentials,
                          build_hochschild_cohomology_complex,
                          build_hochschild_homology_complex, cyclic_t,
@@ -34,7 +34,7 @@ from .hochschild import (IdentityViolationError, bar_differentials,
                          hochschild_homology, norm_N,
                          require_homology_hypotheses)
 from .linalg import (Matrix, NotASubspaceError, Subspace, descend, image,
-                     kron, kernel, maps_into, reduce_mod, restrict, vanishes)
+                     kron, kernel, reduce_mod, restrict, vanishes)
 from .records import record
 
 
@@ -182,6 +182,14 @@ class CyclicReport:
             "agreement": {str(n): self.agreement[n] for n in self.degrees},
         }
 
+    def to_text(self) -> str:
+        kind = "cohomology" if self.cohomology else "homology"
+        return text_table(
+            f"cyclic {kind} of {self.algebra_name} (lambda vs bicomplex)",
+            [("degree", 8), ("lambda", 8), ("bicomplex", 10), ("agree", 6)],
+            [(n, self.betti_lambda[n], self.betti_bicomplex[n],
+              "yes" if self.agreement[n] else "NO") for n in self.degrees])
+
 
 def _column_0(B: Bicomplex) -> ChainComplex:
     """Column 0 of a (co)cyclic bicomplex, b (or b^T) on A^{(x)(q+1)}:
@@ -279,6 +287,15 @@ class PeriodicReport:
                                    for n in self.degrees},
             "stabilized": {str(n): self.stabilized[n] for n in self.degrees},
         }
+
+    def to_text(self) -> str:
+        kind = "cohomology" if self.cohomology else "homology"
+        return text_table(
+            f"periodic cyclic {kind} of {self.algebra_name} "
+            f"(window {self.window} vs {self.window + 2})",
+            [("degree", 8), ("betti", 6), ("wider", 6), ("stable", 7)],
+            [(n, self.betti[n], self.betti_wider[n],
+              "yes" if self.stabilized[n] else "no") for n in self.degrees])
 
 
 def _periodic_report(A: HomAlgebra, n_max: int, window: int,
@@ -387,7 +404,7 @@ def xi_map(assoc: HomAlgebra, twisted: HomAlgebra, n: int) -> Matrix:
     if not vanishes((1, b_tgt, xi_n), (-1, xi_next, b_src)):
         raise IdentityViolationError("xi fails to commute with the coboundary")
     cyc = kernel(_one_minus_t(assoc, n).transpose())
-    if not maps_into(xi_n, cyc, cyc):
+    if not vanishes((1, reduce_mod(cyc, xi_n), cyc.rows.transpose())):
         raise IdentityViolationError("xi does not preserve cyclicity")
     return xi_n
 

@@ -213,18 +213,6 @@ def check_presimplicial(A: HomAlgebra, V: Bimodule, n: int,
                         f"presimplicial identity fails at n={n}, i={i}, j={j}")
 
 
-def _first_violation(found: IdentityViolationError | None, check, *args
-                     ) -> IdentityViolationError | None:
-    """`found`, or else the IdentityViolationError that check(*args)
-    raises, if any; once one is found no later check runs."""
-    if found is None:
-        try:
-            check(*args)
-        except IdentityViolationError as err:
-            return err
-    return found
-
-
 def _differentials(A: HomAlgebra, V: Bimodule, top: int, checked: bool,
                    faces: list[Matrix] | None = None) -> tuple[
                        dict[int, Matrix], IdentityViolationError | None]:
@@ -238,8 +226,11 @@ def _differentials(A: HomAlgebra, V: Bimodule, top: int, checked: bool,
     diffs, failure = {}, None
     for n in range(1, top + 1):
         lower, faces = faces, faces if n == 1 and faces else face_map(A, V, n)
-        failure = _first_violation(failure, check_presimplicial, A, V, n,
-                                   lower, faces)
+        if failure is None:  # no check runs after the first that fails
+            try:
+                check_presimplicial(A, V, n, lower, faces)
+            except IdentityViolationError as err:
+                failure = err
         del lower
         drop_packings(faces)
         diffs[n] = hochschild_b(A, V, n, faces)

@@ -53,11 +53,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def scalar_to_string(x: Fraction) -> str:
-    """x as `n` or `n/d`, as `str` writes a Fraction."""
-    return str(x)
-
-
 # A row in integer form: (m, ks, xs), the entry xs[i] / m in column
 # ks[i] for each i.  Canonical: ks ascending, every xs[i] nonzero and m
 # the lcm of the reduced denominators (so the row is in lowest terms),
@@ -582,12 +577,6 @@ def kernel(m: Matrix) -> Subspace:
 def image(m: Matrix) -> Subspace:
     """Column space, RREF-normalized."""
     return _row_space(m.transpose())
-
-
-def maps_into(m: Matrix, src: Subspace, tgt: Subspace) -> bool:
-    """Whether m maps src into tgt: m reduced modulo tgt kills every
-    basis vector of src, one vanishing product."""
-    return vanishes((1, reduce_mod(tgt, m), src.rows.transpose()))
 
 
 def restrict(m: Matrix, src: Subspace, tgt: Subspace) -> Matrix:

@@ -13,8 +13,9 @@ from homcyc.corpus import (dual_numbers, dual_numbers_projection_twist,
                            ground_field, k1_plus_k2, k2, k_times_k,
                            k_times_k_swap_twist, matrix_2x2, standard_corpus,
                            truncated_polynomials, two_dim_unital)
-from homcyc.cyclic import (ChainMapError, cocyclic_bicomplex,
-                           cyclic_bicomplex, cyclic_cohomology_both,
+from homcyc.cyclic import (ChainMapError, CyclicReport, PeriodicReport,
+                           cocyclic_bicomplex, cyclic_bicomplex,
+                           cyclic_cohomology_both,
                            cyclic_cohomology_lambda, cyclic_homology_both,
                            cyclic_homology_lambda,
                            hochschild_cohomology, hochschild_homology,
@@ -163,6 +164,27 @@ def test_periodic_k2_stabilizes():
     assert all(rep.stabilized.values())
     classes = rep.parity_classes()
     assert all(len(v) <= 1 for v in classes.values())
+
+
+def test_cyclic_report_text_marks_a_disagreement():
+    """A degree where the λ and bicomplex Betti numbers differ renders
+    as NO.  No request prints it: `require_agreement` raises first."""
+    rep = CyclicReport("A", (0, 1), {0: 1, 1: 2}, {0: 1, 1: 3},
+                       cohomology=True)
+    assert rep.to_text().splitlines() == [
+        "cyclic cohomology of A (lambda vs bicomplex)",
+        "  degree   lambda  bicomplex  agree",
+        "       0        1          1    yes",
+        "       1        2          3     NO"]
+
+
+def test_periodic_report_text_marks_an_unstable_degree():
+    rep = PeriodicReport("A", 4, (0, 1), {0: 1, 1: 2}, {0: 1, 1: 3})
+    assert rep.to_text().splitlines() == [
+        "periodic cyclic homology of A (window 4 vs 6)",
+        "  degree  betti  wider  stable",
+        "       0      1      1     yes",
+        "       1      2      3      no"]
 
 
 def test_bicomplex_squares(algebra):

@@ -3,9 +3,9 @@
 `golden/face-operators.json` holds, per algebra, the digest of each face,
 b and b' of the regular bimodule and of each coface and coboundary of
 its dual, in every degree up to the algebra's top degree.  A digest is
-the SHA-256 of the operator's rows as JSON lists of `scalar_to_string`
-entries, so an operator that changes by one entry, one sign or one
-shape changes its digest.
+the SHA-256 of the operator's rows as JSON lists of `str` entries, so
+an operator that changes by one entry, one sign or one shape changes
+its digest.
 
 The algebras are the corpus algebras at the top degrees of the
 benchmark's corpus jobs, and two_dim_unital and 2x2 matrices moved to
@@ -28,7 +28,7 @@ from homcyc.corpus import (dual_numbers_projection_twist, ground_field, k2,
                            two_dim_unital)
 from homcyc.hochschild import (b_prime, cochain_b, coface_map, face_map,
                                hochschild_b)
-from homcyc.linalg import Matrix, scalar_to_string
+from homcyc.linalg import Matrix
 
 GOLDEN = Path(__file__).parent / "golden" / "face-operators.json"
 
@@ -85,7 +85,7 @@ def _inverse(P):
 
 
 def digest(m: Matrix) -> str:
-    rows = [[scalar_to_string(x) for x in row] for row in m.to_rows()]
+    rows = [[str(x) for x in row] for row in m.to_rows()]
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 

@@ -30,11 +30,11 @@ def test_script_main_exits_0(name, capsys):
 
 
 def test_compile_weight_marks_the_largest_module(capsys, tmp_path):
-    """One row per module of homcyc, with integer counts, and the
-    module with the largest compile peak marked; a directory without
-    modules exits 2."""
+    """One row per module of homcyc, with integer counts, the module
+    with the largest compile peak marked, and an unmarked total row of
+    lines and nodes; a directory without modules exits 2."""
     assert _script("compile_weight").main([]) == 0
-    header, *rows = capsys.readouterr().out.splitlines()
+    header, *rows, total = capsys.readouterr().out.splitlines()
     assert header.split() == ["module", "lines", "nodes", "peak_kb"]
     table = {r.split()[0]: r.split() for r in rows}
     assert "linalg.py" in table and "__init__.py" in table
@@ -43,6 +43,9 @@ def test_compile_weight_marks_the_largest_module(capsys, tmp_path):
     marked = [name for name, r in table.items() if r[-1] == "*"]
     assert len(marked) == 1
     assert int(table[marked[0]][3]) == max(int(r[3]) for r in table.values())
+    assert total.split()[0] == "total" and not total.endswith("*")
+    assert [int(x) for x in total.split()[1:3]] == [
+        sum(int(r[i]) for r in table.values()) for i in (1, 2)]
     # Module, Assign, Name, Store, Constant
     (tmp_path / "one.py").write_text("x = 1\n")
     assert _script("compile_weight").main(["--src", str(tmp_path)]) == 0
