@@ -8,12 +8,12 @@ basis conventions in `hochschild` make the identification of a cochain
 with coefficients in (regular)* and a functional on A^{(x)(n+1)} the
 identity on coordinates.
 
-The λ subspaces are read off the maps Id - t by degree.  A `both`
-request builds one (co)cyclic bicomplex and reads its λ side off it:
-b (or b^T) from column 0 as the Hochschild complex, and the row maps
-Id - t (or their transposes) for the λ subspaces, so b, b', t and N
-are each built once; only Id - t in the top degree, which no row
-holds, is built apart.
+The λ side has one construction, `_lambda_side`: it builds one
+(co)cyclic bicomplex and reads b (or b^T) from column 0 as the
+Hochschild complex, and the row maps Id - t (or their transposes) for
+the λ subspaces, so a `both` request builds b, b', t and N each once;
+only Id - t in the top degree, which no row holds, is built apart.
+The λ methods and the map xi induces on HC-co read it too.
 """
 
 from __future__ import annotations
@@ -27,15 +27,13 @@ from .complexes import (Bicomplex, ChainComplex, HomologyReport, homology,
                         homology_classes, quotient_complex,
                         report_for_complex, representative_space,
                         sub_complex, text_table, total_complex)
-from .hochschild import (IdentityViolationError, bar_differentials,
-                         build_hochschild_cohomology_complex,
-                         build_hochschild_homology_complex, cyclic_t,
+from .hochschild import (IdentityViolationError, bar_differentials, cyclic_t,
                          hochschild_b, hochschild_cohomology,
                          hochschild_homology, norm_N,
                          require_homology_hypotheses)
 from .linalg import (Matrix, NotASubspaceError, Subspace, descend, image,
                      kron, kernel, reduce_mod, restrict, vanishes)
-from .records import record
+from .records import cached, record
 
 
 def _one_minus_t(A: HomAlgebra, n: int) -> Matrix:
@@ -54,36 +52,28 @@ def lambda_quotient_subspaces(maps: dict[int, Matrix]) -> dict[int, Subspace]:
     return {n: image(m) for n, m in maps.items()}
 
 
-def cyclic_invariant_subspaces(maps: dict[int, Matrix]) -> dict[int, Subspace]:
-    """Per degree n, the cyclic cochains ker(Id - t_n^T) in
-    A^{(x)(n+1)}*, from the maps {n: (Id - t_n)^T}."""
-    return {n: kernel(m) for n, m in maps.items()}
+def _lambda_report(A: HomAlgebra, n_max: int, representatives: bool,
+                   cohomology: bool) -> HomologyReport:
+    # only the λ complex is kept: the bicomplex and subspaces go at once
+    lam, V = _lambda_side(A, n_max, cohomology)[1], regular_bimodule(A)
+    return report_for_complex(
+        lam, range(n_max + 1),
+        theory="HC-co-lambda" if cohomology else "HC-lambda",
+        algebra_name=A.name,
+        coefficient_name=(dualize_bimodule(V) if cohomology else V).name,
+        representatives=representatives)
 
 
 def cyclic_homology_lambda(A: HomAlgebra, n_max: int, *,
                            representatives: bool = False) -> HomologyReport:
     """Homology of C_*(A) / im(Id - t), the cyclic-coinvariants complex."""
-    V = regular_bimodule(A)
-    C = build_hochschild_homology_complex(A, V, n_max + 1,
-                                          check_identities=False)
-    subs = lambda_quotient_subspaces(one_minus_t(A, n_max + 1))
-    Q = quotient_complex(C, subs)  # raises NotStableError if the lemma fails
-    return report_for_complex(Q, range(n_max + 1), theory="HC-lambda",
-                              algebra_name=A.name, coefficient_name=V.name,
-                              representatives=representatives)
+    return _lambda_report(A, n_max, representatives, cohomology=False)
 
 
 def cyclic_cohomology_lambda(A: HomAlgebra, n_max: int, *,
                              representatives: bool = False) -> HomologyReport:
     """Cohomology of the cyclic-invariant subcomplex ker(Id - t)."""
-    W = dualize_bimodule(regular_bimodule(A))
-    C = build_hochschild_cohomology_complex(A, W, n_max + 1,
-                                            check_identities=False)
-    S = sub_complex(C, cyclic_invariant_subspaces(
-        {n: m.transpose() for n, m in one_minus_t(A, n_max + 1).items()}))
-    return report_for_complex(S, range(n_max + 1), theory="HC-co-lambda",
-                              algebra_name=A.name, coefficient_name=W.name,
-                              representatives=representatives)
+    return _lambda_report(A, n_max, representatives, cohomology=True)
 
 
 def cyclic_bicomplex(A: HomAlgebra, n_max: int) -> Bicomplex:
@@ -98,8 +88,7 @@ def cyclic_bicomplex(A: HomAlgebra, n_max: int) -> Bicomplex:
              for p in range(top + 1) for q in range(top + 1 - p)}
     # each operator once per row q that uses it; b'_q from b'_{q-1}
     b, minus_bp = {}, {}
-    for q, (bp, b[q]) in enumerate(
-            bar_differentials(A, regular_bimodule(A), top), 1):
+    for q, (bp, b[q]) in enumerate(bar_differentials(A, top), 1):
         if q < top:
             minus_bp[q] = -bp
     rows = one_minus_t(A, top - 1)
@@ -159,7 +148,7 @@ class CyclicReport:
     betti_bicomplex: dict[int, int]
     cohomology: bool = False
 
-    @property
+    @cached
     def agreement(self) -> dict[int, bool]:
         return {n: self.betti_lambda[n] == self.betti_bicomplex[n]
                 for n in self.degrees}
@@ -191,22 +180,45 @@ class CyclicReport:
               "yes" if self.agreement[n] else "NO") for n in self.degrees])
 
 
-def _column_0(B: Bicomplex) -> ChainComplex:
-    """Column 0 of a (co)cyclic bicomplex, b (or b^T) on A^{(x)(q+1)}:
-    the Hochschild (co)chain complex of the regular bimodule."""
-    return ChainComplex(
+def _lambda_side(A: HomAlgebra, n_max: int, cohomology: bool) -> tuple[
+        Bicomplex, ChainComplex, dict[int, Subspace]]:
+    """(B, the λ complex, its subspaces) in degrees 0..n_max + 1, B the
+    (co)cyclic bicomplex of A.  The λ complex is the Hochschild complex
+    of B's column 0, b, over the images of its row maps Id - t, or for
+    cochains b^T on the kernels of (Id - t)^T; only Id - t in degree
+    n_max + 1, which B does not hold, is built apart.  First, as for a
+    Hochschild build, the regular bimodule's homology hypotheses are
+    checked, or for cochains that A* is a dual bimodule."""
+    V, top = regular_bimodule(A), n_max + 1
+    if cohomology:
+        dualize_bimodule(V)
+        B = cocyclic_bicomplex(A, n_max)
+        rows = {q: B.horizontal[(0, q)] for q in range(top)}
+        rows[top] = _one_minus_t(A, top).transpose()
+    else:
+        require_homology_hypotheses(V)
+        B = cyclic_bicomplex(A, n_max)
+        rows = {q: B.horizontal[(1, q)] for q in range(top)}
+        rows[top] = _one_minus_t(A, top)
+    column = ChainComplex(
         dims={q: dim for (p, q), dim in B.cell_dims.items() if not p},
         diffs={q: m for (p, q), m in B.vertical.items() if not p},
         orientation=B.orientation)
+    if cohomology:
+        subs = {n: kernel(m) for n, m in rows.items()}
+        return B, sub_complex(column, subs), subs
+    subs = lambda_quotient_subspaces(rows)
+    return B, quotient_complex(column, subs), subs
 
 
-def _both(A: HomAlgebra, n_max: int, lam: ChainComplex, B: Bicomplex,
-          cohomology: bool) -> CyclicReport:
-    """The Betti numbers of the λ complex `lam` against those of B's
-    total complex.  `lam` is built first, so a failure on the λ side
-    is raised before B's squares are checked, and it is let go before
-    the total complex is built, so the two are not held at once."""
+def _both(A: HomAlgebra, n_max: int, cohomology: bool) -> CyclicReport:
+    """The Betti numbers of the λ complex against those of the total
+    complex of the same bicomplex.  The λ side is built first, so a
+    failure there is raised before B's squares are checked, and it is
+    let go, subspaces and all, before the total complex is built, so
+    the two are not held at once."""
     degrees = tuple(range(n_max + 1))
+    B, lam = _lambda_side(A, n_max, cohomology)[:2]
     betti_lambda = {n: homology(lam, n, representatives=False)[0]
                     for n in degrees}
     del lam
@@ -217,32 +229,16 @@ def _both(A: HomAlgebra, n_max: int, lam: ChainComplex, B: Bicomplex,
 
 
 def cyclic_homology_both(A: HomAlgebra, n_max: int) -> CyclicReport:
-    """HC by both constructions from one cyclic bicomplex.  The λ side
-    is the Hochschild complex of its column 0, b, over the images of its
-    row maps Id - t; only Id - t in degree n_max + 1, which the
-    bicomplex does not hold, is built apart.  The regular bimodule's
-    homology hypotheses are checked first, as the λ side's Hochschild
-    build checks them."""
-    require_homology_hypotheses(regular_bimodule(A))
-    B, top = cyclic_bicomplex(A, n_max), n_max + 1
-    rows = {q: B.horizontal[(1, q)] for q in range(top)}
-    rows[top] = _one_minus_t(A, top)
-    return _both(A, n_max, quotient_complex(
-        _column_0(B), lambda_quotient_subspaces(rows)), B, cohomology=False)
+    """HC by both constructions from one cyclic bicomplex
+    (`_lambda_side`)."""
+    return _both(A, n_max, cohomology=False)
 
 
 def cyclic_cohomology_both(A: HomAlgebra, n_max: int) -> CyclicReport:
-    """HC-co by both constructions from one cocyclic bicomplex: the λ
-    side is the cochain complex of its column 0, b^T, on the kernels of
-    its row maps (Id - t)^T, with (Id - t)^T in degree n_max + 1 built
-    apart.  A* must be a dual bimodule (`dualize_bimodule`), as for the
-    λ side's cochains."""
-    dualize_bimodule(regular_bimodule(A))
-    B, top = cocyclic_bicomplex(A, n_max), n_max + 1
-    rows = {q: B.horizontal[(0, q)] for q in range(top)}
-    rows[top] = _one_minus_t(A, top).transpose()
-    return _both(A, n_max, sub_complex(
-        _column_0(B), cyclic_invariant_subspaces(rows)), B, cohomology=True)
+    """HC-co by both constructions from one cocyclic bicomplex
+    (`_lambda_side`).  A* must be a dual bimodule (`dualize_bimodule`),
+    as for the λ method."""
+    return _both(A, n_max, cohomology=True)
 
 
 @record
@@ -264,7 +260,7 @@ class PeriodicReport:
     betti_wider: dict[int, int]
     cohomology: bool = False
 
-    @property
+    @cached
     def stabilized(self) -> dict[int, bool]:
         return {n: self.betti[n] == self.betti_wider[n] for n in self.degrees}
 
@@ -353,8 +349,12 @@ def induced_map_on_homology(f: AlgebraMorphism, theory: str, n: int) -> Matrix:
     if not ok:
         raise ChainMapError("not a morphism of Hom-algebras: " + str(bad[0]))
     A, Bg = f.source, f.target
-    CA, CB = (build_hochschild_homology_complex(
-        X, regular_bimodule(X), n + 1, check_identities=False) for X in (A, Bg))
+    for X in (A, Bg):
+        require_homology_hypotheses(regular_bimodule(X))
+    CA, CB = (ChainComplex(
+        dims={k: X.dim ** (k + 1) for k in range(n + 2)},
+        diffs={k: b for k, (_, b) in enumerate(bar_differentials(X, n + 1), 1)},
+        orientation="homological") for X in (A, Bg))
     # f^{(x)(k+1)} for k = 0..n+1, each one product from the last
     tmaps = dict(enumerate(accumulate([f.matrix] * (n + 2), kron)))
     for k in range(1, n + 2):
@@ -412,13 +412,9 @@ def xi_map(assoc: HomAlgebra, twisted: HomAlgebra, n: int) -> Matrix:
 def xi_induced_on_cyclic_cohomology(assoc: HomAlgebra, twisted: HomAlgebra,
                                     n: int) -> Matrix:
     """Matrix of the map HC^n(A) -> HC^n(A_alpha) induced by xi."""
-    CA, CT = (build_hochschild_cohomology_complex(
-        X, dualize_bimodule(regular_bimodule(X)), n + 1,
-        check_identities=False) for X in (assoc, twisted))
-    subs = cyclic_invariant_subspaces(
-        {k: m.transpose() for k, m in one_minus_t(assoc, n + 1).items()})
-    SA = sub_complex(CA, subs)
-    ST = sub_complex(CT, subs)  # t is product-independent: same subspaces
+    _, SA, subs = _lambda_side(assoc, n, cohomology=True)
+    # t is product-independent: ST's subspaces, in their RREF bases, are subs
+    ST = _lambda_side(twisted, n, cohomology=True)[1]
     maps = {k: restrict(xi, subs[k], subs[k]) for k, xi in enumerate(
         accumulate([twisted.alpha.transpose()] * (n + 2), kron))}
     for k in range(n + 1):

@@ -19,26 +19,27 @@ alpha^k the k-th tensor power of alpha, on C_n(A, V):
     delta_i = beta (x) alpha^(i-1) (x) mu (x) alpha^(n-1-i),  0 < i < n
     delta_n = L (x) alpha^(n-1), read with the last input slot first
 
-A face applies alpha to every slot it does not multiply, so b' obeys the
-twisted bar recursion (Loday, Cyclic Homology, 1.1), with b'(A) that of
-the regular bimodule (R = mu, beta = alpha):
+A face applies alpha to every slot it does not multiply, so the
+regular bimodule's b' obeys the twisted bar recursion (Loday, Cyclic
+Homology, 1.1):
 
-    b'_n(V) = R (x) alpha^(n-1) - beta (x) b'_{n-1}(A)
-    b_n(V) = b'_n(V) + (-1)^n delta_n
+    b'_n = mu (x) alpha^(n-1) - alpha (x) b'_{n-1}
+    b_n = b'_n + (-1)^n delta_n
 
-b and b' are built by it (two products and delta_n per degree, not n + 1
-faces) unless the caller holds the list of faces.  The recursion holds
-alpha^k for every k, each one product from the last, as one list of
-faces does, so neither builds a power twice.  A dual `Bimodule`
-(the cochain coefficients) has its transposed data as chain data: a
-coface is a face of those, transposed, and the cochain complex their
-chain complex, transposed (Loday, 1.5).  t is a signed permutation, N
-and theta weighted sums of its powers.  Operators raise IndexError
-outside their degrees.
+`bar_differentials` builds b' and b of the regular bimodule by it (two
+products and delta_n per degree, not n + 1 faces), holding alpha^k for
+every k, each one product from the last, as one list of faces does, so
+neither builds a power twice; the cyclic bicomplex and the induced maps
+read it.  Any other b is the signed sum of its faces.  A dual
+`Bimodule` (the cochain coefficients) has its transposed data as chain
+data: a coface is a face of those, transposed, and the cochain complex
+their chain complex, transposed (Loday, 1.5).  t is a signed
+permutation, N and theta weighted sums of its powers.  Operators raise
+IndexError outside their degrees.
 
-Both builders run one loop over chain data.  Checked, it builds each
-degree's faces once for b and the presimplicial identities they enter,
-holding at most two degrees' lists; each identity is one
+Both builders check every identity: one loop over chain data builds
+each degree's faces once for b and the presimplicial identities they
+enter, holding at most two degrees' lists; each identity is one
 `linalg.vanishes` call.  Pre-cosimplicial pair (i, j) on C^n is
 presimplicial pair (j, i) of W's faces in degree n + 2, transposed.  A
 failing identity is raised only after the ChainComplex has checked
@@ -107,55 +108,43 @@ def tensor_power_matrix(m: Matrix, k: int) -> Matrix:
     return _powers(m, k)[-1]
 
 
-def _prime(R: Matrix, beta: Matrix, n: int,
-           lower: tuple[Matrix, Matrix] | None) -> Matrix:
-    """b'_n of the chain data R and beta: R in degree 1, else R (x)
-    alpha^(n-1) - beta (x) b'_{n-1}(A), from `lower`, the pair
-    (b'_{n-1}(A), alpha^(x)(n-1))."""
-    if n < 1:
-        raise IndexError(f"no b' in degree {n}")
-    return R if n == 1 else signed_sum([(1, kron(R, lower[1])),
-                                        (-1, kron(beta, lower[0]))])
-
-
 def hochschild_b(A: HomAlgebra, V: Bimodule, n: int,
                  faces: list[Matrix] | None = None) -> Matrix:
-    """b = sum_i (-1)^i delta_i, C_n -> C_{n-1}: the sum of `faces`,
-    `face_map(A, V, n)`, when the caller holds it, else the last b of
-    `bar_differentials(A, V, n)`."""
-    if faces is not None:
-        return signed_sum(((-1) ** i, f) for i, f in enumerate(faces))
-    return list(bar_differentials(A, V, n))[-1][1]  # IndexError if n < 1
+    """b = sum_i (-1)^i delta_i, C_n -> C_{n-1}, over `faces` when the
+    caller holds them, else over `face_map(A, V, n)`."""
+    return signed_sum(((-1) ** i, f) for i, f in enumerate(
+        face_map(A, V, n) if faces is None else faces))
 
 
 def b_prime(A: HomAlgebra, n: int,
             lower: tuple[Matrix, Matrix] | None = None) -> Matrix:
     """b' on C_n(A) = A^{(x)(n+1)}, the sum of the regular bimodule's
-    faces but the wrap-around one: mu (x) alpha^(n-1) - alpha (x)
-    b'_{n-1}.  `lower` is the pair (b'_{n-1}, alpha^(x)(n-1)) when the
-    caller holds it, as the bar recursion does; else both are built."""
-    if n > 1 and lower is None:
+    faces but the wrap-around one: mu in degree 1, else mu (x)
+    alpha^(n-1) - alpha (x) b'_{n-1}.  `lower` is the pair (b'_{n-1},
+    alpha^(x)(n-1)) when the caller holds it, as the bar recursion
+    does; else both are built."""
+    if n < 1:
+        raise IndexError(f"no b' in degree {n}")
+    if n == 1:
+        return A.product_matrix
+    if lower is None:
         lower = b_prime(A, n - 1), tensor_power_matrix(A.alpha, n - 1)
-    return _prime(A.product_matrix, A.alpha, n, lower)
+    return signed_sum([(1, kron(A.product_matrix, lower[1])),
+                       (-1, kron(A.alpha, lower[0]))])
 
 
-def bar_differentials(A: HomAlgebra, V: Bimodule, top: int
+def bar_differentials(A: HomAlgebra, top: int
                       ) -> Iterator[tuple[Matrix, Matrix]]:
-    """(b'_n(V), b_n(V)) for n = 1..top by the recursion.  It holds
-    b'_n(A) from each degree to the next, and alpha^(x)k for every k,
-    each one Kronecker product from the last, so that b', b'(A) and
-    delta_n read each power built once.  When V's R and beta are mu and
-    alpha, as for the regular bimodule and its dual, b'_n(V) is b'_n(A)."""
-    _, R, beta = chain_data(V)
-    shared, lower = (R, beta) == (A.product_matrix, A.alpha), None
-    power = [Matrix.identity(1)]
+    """(b'_n, b_n) of the regular bimodule for n = 1..top by the
+    recursion.  It holds b'_n from each degree to the next, and
+    alpha^(x)k for every k, each one Kronecker product from the last,
+    so that b' and delta_n read each power built once."""
+    V, prime, power = regular_bimodule(A), None, [Matrix.identity(1)]
     for n in range(1, top + 1):
-        held = None if n == 1 else (lower, power[n - 1])
-        prime = b_prime(A, n, held) if shared else _prime(R, beta, n, held)
+        prime = b_prime(A, n, None if n == 1 else (prime, power[n - 1]))
         yield prime, signed_sum([(1, prime),
                                  ((-1) ** n, *_faces(A, V, n, [n], power))])
         if n < top:
-            lower = prime if shared else b_prime(A, n, held)
             power.append(kron(power[-1], A.alpha))
 
 
@@ -213,16 +202,12 @@ def check_presimplicial(A: HomAlgebra, V: Bimodule, n: int,
                         f"presimplicial identity fails at n={n}, i={i}, j={j}")
 
 
-def _differentials(A: HomAlgebra, V: Bimodule, top: int, checked: bool,
+def _differentials(A: HomAlgebra, V: Bimodule, top: int,
                    faces: list[Matrix] | None = None) -> tuple[
                        dict[int, Matrix], IdentityViolationError | None]:
-    """{n: b_n} of V's chain data, n = 1..top, and, when `checked`, the
-    first presimplicial identity that fails.  Checked, each degree's faces
-    (degree 1's are `faces` when given) serve b and the identities they
-    enter; unchecked, b is built by the recursion."""
-    if not checked:
-        return {n: b for n, (_, b) in enumerate(
-            bar_differentials(A, V, top), 1)}, None
+    """{n: b_n} of V's chain data, n = 1..top, and the first
+    presimplicial identity that fails.  Each degree's faces (degree 1's
+    are `faces` when given) serve b and the identities they enter."""
     diffs, failure = {}, None
     for n in range(1, top + 1):
         lower, faces = faces, faces if n == 1 and faces else face_map(A, V, n)
@@ -250,17 +235,16 @@ def require_homology_hypotheses(V: Bimodule) -> None:
 
 
 def build_hochschild_homology_complex(A: HomAlgebra, V: Bimodule,
-                                      n_max: int, *,
-                                      check_identities: bool = True) -> ChainComplex:
+                                      n_max: int) -> ChainComplex:
     """The complex (C_*(A, V), b) truncated at n_max.
 
     The homology hypotheses on V are checked once per bimodule instance,
     and the verdict is kept on it: V is immutable, so a bimodule that
     fails them raises on every build.  The ChainComplex checks b o b = 0;
-    `check_identities` then raises the first presimplicial identity that
-    fails, degree by degree."""
+    then the first presimplicial identity that fails is raised, degree
+    by degree."""
     require_homology_hypotheses(V)
-    diffs, failure = _differentials(A, V, n_max, check_identities)
+    diffs, failure = _differentials(A, V, n_max)
     C = ChainComplex(dims={n: V.dim * A.dim ** n for n in range(n_max + 1)},
                      diffs=diffs, orientation="homological")
     if failure is not None:
@@ -286,19 +270,16 @@ def cochain_b(A: HomAlgebra, W: Bimodule, n: int,
 
 
 def build_hochschild_cohomology_complex(A: HomAlgebra, W: Bimodule,
-                                        n_max: int, *,
-                                        check_identities: bool = True
-                                        ) -> ChainComplex:
+                                        n_max: int) -> ChainComplex:
     """The cochain complex (C^*(A, W), b) truncated at n_max: W's chain
     complex transposed, b_{n+1} out of C^n.  Raises BoundarySquareError
-    unless b o b = 0; then, with `check_identities`, the first failing
+    unless b o b = 0; then the first failing
     presimplicial identity of W's faces in degrees up to n_max, which
     hold the pre-cosimplicial identities of degrees up to n_max - 2."""
     # degree 1's faces are degree 0's cofaces transposed back, so that
     # every checked hhco build calls `coface_map`, a span perfbench requires
-    bs, failure = _differentials(A, W, n_max, check_identities, [
-        c.transpose() for c in coface_map(A, W, 0)]
-        if check_identities and n_max >= 1 else None)
+    bs, failure = _differentials(A, W, n_max, [
+        c.transpose() for c in coface_map(A, W, 0)] if n_max >= 1 else None)
     C = ChainComplex(dims={n: W.dim * A.dim ** n for n in range(n_max + 1)},
                      diffs={n - 1: cochain_b(A, W, n - 1, bs.pop(n))
                             for n in range(1, n_max + 1)},

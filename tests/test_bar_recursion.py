@@ -1,17 +1,18 @@
 """b and b' built by the twisted bar recursion equal their sums of faces.
 
-`b_prime`, `hochschild_b`, `cochain_b` and `bar_differentials` build
+`b_prime` and `bar_differentials` build the regular bimodule's
 
-    b'_n(V) = R (x) alpha^(n-1) - beta (x) b'_{n-1}(A)
-    b_n(V) = b'_n(V) + (-1)^n delta_n
+    b'_n = mu (x) alpha^(n-1) - alpha (x) b'_{n-1}
+    b_n = b'_n + (-1)^n delta_n
 
-and sum no face list unless the caller holds one.  Here each is compared
-with the alternating sum of `face_map`'s faces, added up by `Matrix`'s
-`+` and `-`: for the regular bimodule, its dual, and a bimodule whose
-beta is 2 alpha (so that b'(V) is not b'(A)), in degrees 1..4 (1..3 on
-4-dim algebras), on the generated algebras of `test_generated_algebras`
-and on corpus algebras moved to a dense unimodular basis.
-`test_face_golden` stays the byte-level oracle on the corpus.
+and sum no face list.  Here each is compared with the alternating sum
+of `face_map`'s faces, added up by `Matrix`'s `+` and `-`, as are
+`hochschild_b` and `cochain_b`, which sum faces, for the regular
+bimodule, its dual, and a bimodule whose beta is 2 alpha, in degrees
+1..4 (1..3 on 4-dim algebras), on the generated algebras of
+`test_generated_algebras` and on corpus algebras moved to a dense
+unimodular basis.  `test_face_golden` stays the byte-level oracle on
+the corpus.
 """
 
 import math
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homcyc.coefficients import Bimodule, dualize_bimodule, regular_bimodule
+from homcyc.cyclic import cocyclic_bicomplex, cyclic_bicomplex
 from homcyc.corpus import (dual_numbers_projection_twist, matrix_2x2,
                            two_dim_unital)
 from homcyc.hochschild import (b_prime, bar_differentials,
@@ -55,19 +57,19 @@ def bimodules(A):
 def check_recursion(A):
     top = 3 if A.dim == 4 else 4
     primes = [b_prime(A, n) for n in range(1, top + 1)]
+    pairs = list(bar_differentials(A, top))
     for n in range(1, top + 1):
         faces = face_map(A, regular_bimodule(A), n)
-        assert primes[n - 1] == face_sum(faces[:n])
+        assert primes[n - 1] == pairs[n - 1][0] == face_sum(faces[:n])
+        assert pairs[n - 1][1] == face_sum(faces)
         if n > 1:
             assert b_prime(A, n, (primes[n - 2], tensor_power_matrix(
                 A.alpha, n - 1))) == primes[n - 1]
     for V in bimodules(A):
-        pairs = list(bar_differentials(A, V, top))
-        for n, (prime, b) in enumerate(pairs, 1):
+        for n in range(1, top + 1):
             faces = face_map(A, V, n)
-            assert prime == face_sum(faces[:n])
-            assert b == face_sum(faces) == hochschild_b(A, V, n)
-            assert hochschild_b(A, V, n, faces) == b
+            b = face_sum(faces)
+            assert hochschild_b(A, V, n) == hochschild_b(A, V, n, faces) == b
             assert cochain_b(A, V, n - 1) == b.transpose()
 
 
@@ -105,32 +107,31 @@ def _has_dual(A):
 @given(st.one_of(twisted_matrices().filter(_has_dual), direct_sums(),
                  unimodular_bases()))
 def test_cochains_of_the_dual_are_the_chains_transposed(case):
-    """For W = A*, the checked and the unchecked cochain complexes are
-    the chain complex of A transposed, the map out of C^n being b_{n+1}."""
+    """For W = A*, the cochain complex is the chain complex of A
+    transposed, the map out of C^n being b_{n+1}."""
     A = _algebra(case)
     top = 2 if A.dim == 4 else 3
     V = regular_bimodule(A)
-    W = dualize_bimodule(V)
-    for checked in (True, False):
-        chains = build_hochschild_homology_complex(
-            A, V, top, check_identities=checked)
-        cochains = build_hochschild_cohomology_complex(
-            A, W, top, check_identities=checked)
-        assert cochains.dims == chains.dims
-        assert cochains.diffs == {n - 1: b.transpose()
-                                  for n, b in chains.diffs.items()}
+    chains = build_hochschild_homology_complex(A, V, top)
+    cochains = build_hochschild_cohomology_complex(A, dualize_bimodule(V), top)
+    assert cochains.dims == chains.dims
+    assert cochains.diffs == {n - 1: b.transpose()
+                              for n, b in chains.diffs.items()}
 
 
 def test_unchecked_builds_match_checked_ones():
-    """The unchecked builders' differentials, built by the recursion,
-    are the checked builders', summed from the face lists."""
+    """Column 0 of the cyclic and the cocyclic bicomplex, whose b is
+    built by the recursion, holds the checked builders' differentials,
+    summed from the face lists."""
     A = two_dim_unital()
     V = regular_bimodule(A)
-    for build, M in [(build_hochschild_homology_complex, V),
-                     (build_hochschild_cohomology_complex,
-                      dualize_bimodule(V))]:
-        assert build(A, M, 5, check_identities=False).diffs == \
-            build(A, M, 5).diffs
+    for bicomplex, build, M in [
+            (cyclic_bicomplex, build_hochschild_homology_complex, V),
+            (cocyclic_bicomplex, build_hochschild_cohomology_complex,
+             dualize_bimodule(V))]:
+        column = {q: m for (p, q), m in bicomplex(A, 4).vertical.items()
+                  if not p}
+        assert column == build(A, M, 5).diffs
 
 
 @pytest.mark.parametrize("call", [
@@ -170,20 +171,16 @@ def _alpha_powers_built(monkeypatch, A):
 @pytest.mark.parametrize("make", [dual_numbers_projection_twist, matrix_2x2],
                          ids=lambda f: f.__name__)
 def test_each_alpha_power_is_built_once(monkeypatch, make):
-    """One bar recursion to degree top, for every kind of chain data (b'
-    of V shared with b'(A) or not), builds alpha^(x)k once for each k
-    = 1..top - 1; one list of the faces of degree n builds it once for
-    each k = 1..n - 1."""
+    """One bar recursion to degree top builds alpha^(x)k once for each
+    k = 1..top - 1; one list of the faces of degree n builds it once
+    for each k = 1..n - 1."""
     A = make()
     top = 3 if A.dim == 4 else 5
-    V = regular_bimodule(A)
     built = _alpha_powers_built(monkeypatch, A)
-    for M in bimodules(A):
-        built.clear()
-        for _ in bar_differentials(A, M, top):
-            pass
-        assert sorted(built) == list(range(1, top))
+    for _ in bar_differentials(A, top):
+        pass
+    assert sorted(built) == list(range(1, top))
     for n in range(1, top + 1):
         built.clear()
-        face_map(A, V, n)
+        face_map(A, regular_bimodule(A), n)
         assert sorted(built) == list(range(1, n))

@@ -187,6 +187,14 @@ def test_periodic_report_text_marks_an_unstable_degree():
         "       1      2      3      no"]
 
 
+def test_report_flags_are_built_once():
+    """Each report builds its {degree: bool} flags once, on first read."""
+    rep = CyclicReport("A", (0, 1), {0: 1, 1: 2}, {0: 1, 1: 3})
+    assert rep.agreement is rep.agreement == {0: True, 1: False}
+    per = PeriodicReport("A", 4, (0, 1), {0: 1, 1: 2}, {0: 1, 1: 3})
+    assert per.stabilized is per.stabilized == {0: True, 1: False}
+
+
 def test_bicomplex_squares(algebra):
     B = cyclic_bicomplex(algebra, 3)
     B.check_squares()
@@ -355,8 +363,8 @@ def test_induced_maps_match_per_vector_reference(theory):
     A = two_dim_unital()
     half, _ = load_algebra(str(HALF))
     f = AlgebraMorphism(A, half, Matrix.from_rows([[2, 0], [0, 1]]))
-    CA, CB = (build_hochschild_homology_complex(
-        X, regular_bimodule(X), 4, check_identities=False) for X in (A, half))
+    CA, CB = (build_hochschild_homology_complex(X, regular_bimodule(X), 4)
+              for X in (A, half))
     subsA = lambda_quotient_subspaces(one_minus_t(A, 4))
     subsB = lambda_quotient_subspaces(one_minus_t(half, 4))
     for n in range(4):
@@ -405,7 +413,7 @@ def test_lambda_quotient_differentials_match_reference(algebra):
     construction through row-reduced coset representatives."""
     top = 3 if algebra.dim <= 2 else 1
     C = build_hochschild_homology_complex(algebra, regular_bimodule(algebra),
-                                          top, check_identities=False)
+                                          top)
     subs = lambda_quotient_subspaces(one_minus_t(algebra, top))
     Q = quotient_complex(C, subs)
     for n in range(1, top + 1):
@@ -435,13 +443,15 @@ def test_total_complex_evaluates_only_the_distinct_squares(monkeypatch):
                 for terms in calls} == squares
 
 
-@pytest.mark.parametrize("both", [cyclic_homology_both,
-                                  cyclic_cohomology_both],
-                         ids=["homology", "cohomology"])
-def test_both_builds_each_operator_once(monkeypatch, both):
-    """One `both` request builds one (co)cyclic bicomplex and reads the
-    λ side off it: t in degrees 0..n_max + 1, N in 0..n_max - 1 and b'
-    in 1..n_max + 1, each once."""
+@pytest.mark.parametrize("run", [cyclic_homology_both, cyclic_cohomology_both,
+                                 cyclic_homology_lambda,
+                                 cyclic_cohomology_lambda],
+                         ids=["homology", "cohomology", "homology-lambda",
+                              "cohomology-lambda"])
+def test_both_builds_each_operator_once(monkeypatch, run):
+    """One `both` or λ request builds one (co)cyclic bicomplex and reads
+    the λ side off it: t in degrees 0..n_max + 1, N in 0..n_max - 1 and
+    b' in 1..n_max + 1, each once."""
     from homcyc import hochschild
     built = []
     for module, name in [(cyclic, "cyclic_t"), (cyclic, "norm_N"),
@@ -451,18 +461,50 @@ def test_both_builds_each_operator_once(monkeypatch, both):
             return _op(A, n, *held)
         monkeypatch.setattr(module, name, counted)
     n_max = 3
-    both(dual_numbers_projection_twist(), n_max).require_agreement()
+    rep = run(dual_numbers_projection_twist(), n_max)
+    if isinstance(rep, CyclicReport):
+        rep.require_agreement()
     assert sorted(built) == sorted(
         [("cyclic_t", q) for q in range(n_max + 2)] +
         [("norm_N", q) for q in range(n_max)] +
         [("b_prime", q) for q in range(1, n_max + 2)])
 
 
+@pytest.mark.parametrize("both", [cyclic_homology_both,
+                                  cyclic_cohomology_both],
+                         ids=["homology", "cohomology"])
+def test_both_lets_the_lambda_side_go_before_the_total_complex(
+        monkeypatch, both):
+    """When the total complex is built, the λ complex and its subspaces
+    are garbage: only the bicomplex is held through it."""
+    import gc
+    import weakref
+    refs = []
+    for name in ("quotient_complex", "sub_complex"):
+        def recorded(C, subs, _build=getattr(cyclic, name)):
+            out = _build(C, subs)
+            refs.extend([weakref.ref(out), weakref.ref(subs[1])])
+            return out
+        monkeypatch.setattr(cyclic, name, recorded)
+    alive = []
+    total = cyclic.total_complex
+
+    def checked(B):
+        gc.collect()
+        alive.extend(r() is not None for r in refs)
+        return total(B)
+
+    monkeypatch.setattr(cyclic, "total_complex", checked)
+    both(two_dim_unital(), 3).require_agreement()
+    assert alive == [False, False]
+
+
 def test_both_checks_the_coefficients_of_the_lambda_side(monkeypatch):
-    """The λ side keeps its coefficient checks: on a fresh algebra the
-    homology request checks the regular bimodule's homology hypotheses,
-    and on the shear twist of mat2, whose A* is no dual bimodule, the
-    cohomology request raises the λ method's CoefficientError."""
+    """The λ side keeps its coefficient checks: on a fresh algebra a
+    homology request, λ or both, checks the regular bimodule's homology
+    hypotheses, and on the shear twist of mat2, whose A* is no dual
+    bimodule, the cohomology request raises the λ method's
+    CoefficientError."""
     from homcyc import hochschild
     from homcyc.algebra import yau_twist
     from homcyc.errors import CoefficientError
@@ -470,8 +512,10 @@ def test_both_checks_the_coefficients_of_the_lambda_side(monkeypatch):
     validate = hochschild.validate_homology_coefficients
     monkeypatch.setattr(hochschild, "validate_homology_coefficients",
                         lambda V: checked.append(V.name) or validate(V))
-    cyclic_homology_both(k1_plus_k2(), 2)
-    assert checked == ["k1+k2-regular"]
+    for run in (cyclic_homology_lambda, cyclic_homology_both):
+        checked.clear()
+        run(k1_plus_k2(), 2)
+        assert checked == ["k1+k2-regular"]
     g_conj = Matrix.from_columns(4, [[1, -1, 0, 0], [0, 1, 0, 0],
                                      [1, -1, 1, -1], [0, 1, 0, 1]])
     errors = []

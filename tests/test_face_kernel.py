@@ -20,6 +20,7 @@ from homcyc.algebra import (is_centroid_element, load_algebra,
                             validate_or_raise)
 from homcyc.coefficients import (Bimodule, coregular_dual, dualize_bimodule,
                                  regular_bimodule)
+from homcyc.complexes import ChainComplex
 from homcyc.corpus import (dual_numbers_projection_twist, ground_field,
                            k1_plus_k2, k_times_k_projection_twist,
                            k_times_k_swap_twist, matrix_2x2,
@@ -201,5 +202,7 @@ def test_cohomology_builder_checks_precosimplicial_identities():
                  dual=True)
     with pytest.raises(IdentityViolationError):
         build_hochschild_cohomology_complex(A, W, 2)
-    C = build_hochschild_cohomology_complex(A, W, 2, check_identities=False)
+    C = ChainComplex(dims={n: 1 for n in range(3)},
+                     diffs={n: cochain_b(A, W, n) for n in (0, 1)},
+                     orientation="cohomological")
     assert all(C.differential(n).is_zero() for n in (0, 1))
