@@ -229,8 +229,7 @@ def _both(A: HomAlgebra, n_max: int, cohomology: bool) -> CyclicReport:
 
 
 def cyclic_homology_both(A: HomAlgebra, n_max: int) -> CyclicReport:
-    """HC by both constructions from one cyclic bicomplex
-    (`_lambda_side`)."""
+    """HC by both constructions from one cyclic bicomplex (`_lambda_side`)."""
     return _both(A, n_max, cohomology=False)
 
 

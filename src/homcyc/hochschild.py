@@ -111,9 +111,11 @@ def tensor_power_matrix(m: Matrix, k: int) -> Matrix:
 def hochschild_b(A: HomAlgebra, V: Bimodule, n: int,
                  faces: list[Matrix] | None = None) -> Matrix:
     """b = sum_i (-1)^i delta_i, C_n -> C_{n-1}, over `faces` when the
-    caller holds them, else over `face_map(A, V, n)`."""
-    return signed_sum(((-1) ** i, f) for i, f in enumerate(
-        face_map(A, V, n) if faces is None else faces))
+    caller holds them, else over V's faces, each built as the sum reaches
+    it and dropped once added."""
+    if faces is None:
+        faces = _faces(A, V, n, range(n + 1), _powers(A.alpha, n - 1))
+    return signed_sum(((-1) ** i, f) for i, f in enumerate(faces))
 
 
 def b_prime(A: HomAlgebra, n: int,
