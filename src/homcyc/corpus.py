@@ -81,13 +81,28 @@ def k_times_k_projection_twist() -> HomAlgebra:
 
 def truncated_polynomials() -> HomAlgebra:
     """k[x]/(x^3) with basis {1, x, x^2}, associative, alpha = Id."""
-    mu = [
-        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-        [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
-        [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
-    ]
-    return validate_or_raise(3, ("one", "x", "xx"), mu, Matrix.identity(3),
-                             name="trunc_poly3")
+    return truncated_polynomial_algebra(3)
+
+
+def truncated_polynomial_algebra(m: int) -> HomAlgebra:
+    """k[x]/(x^m) with basis one, x, xx, ..., associative, alpha = Id.
+    Over Q, HH_0 = m, HH_n = m - 1 for n >= 1, HC_2i = m and HC odd = 0
+    (Buenos Aires Cyclic Homology Group, 1991)."""
+    mu = [[[int(k == i + j) for k in range(m)] for j in range(m)]
+          for i in range(m)]
+    return validate_or_raise(
+        m, tuple("x" * i or "one" for i in range(m)), mu, Matrix.identity(m),
+        name=f"trunc_poly{m}")
+
+
+def cyclic_group_algebra(m: int) -> HomAlgebra:
+    """k[C_m] with basis g0, ..., g(m-1), g_i g_j = g_(i+j mod m),
+    alpha = Id.  Over Q, HH_0 = m, HH_n = 0 for n > 0 and HC_2i = m,
+    HC odd = 0 (Burghelea, 1985)."""
+    mu = [[[int(k == (i + j) % m) for k in range(m)] for j in range(m)]
+          for i in range(m)]
+    return validate_or_raise(m, tuple(f"g{i}" for i in range(m)), mu,
+                             Matrix.identity(m), name=f"kC{m}")
 
 
 def matrix_2x2() -> HomAlgebra:

@@ -31,14 +31,16 @@ from .hochschild import (IdentityViolationError, bar_differentials, cyclic_t,
                          hochschild_b, hochschild_cohomology,
                          hochschild_homology, norm_N,
                          require_homology_hypotheses)
-from .linalg import (Matrix, NotASubspaceError, Subspace, descend, image,
-                     kron, kernel, reduce_mod, restrict, vanishes)
+from .linalg import (Matrix, NotASubspaceError, Subspace, descend,
+                     identity_minus, image, kron, kernel, reduce_mod,
+                     restrict, vanishes)
 from .records import cached, record
 
 
 def _one_minus_t(A: HomAlgebra, n: int) -> Matrix:
-    """Id - t_n on A^{(x)(n+1)}."""
-    return Matrix.identity(A.dim ** (n + 1)) - cyclic_t(A, n)
+    """Id - t_n on A^{(x)(n+1)}: t (`cyclic_t`) is a signed permutation,
+    so Id - t is written row by row (`identity_minus`)."""
+    return identity_minus(cyclic_t(A, n))
 
 
 def one_minus_t(A: HomAlgebra, n_max: int) -> dict[int, Matrix]:

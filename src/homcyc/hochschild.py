@@ -40,7 +40,16 @@ IndexError outside their degrees.
 Both builders check every identity: one loop over chain data builds
 each degree's faces once for b and the presimplicial identities they
 enter, holding at most two degrees' lists; each identity is one
-`linalg.vanishes` call.  Pre-cosimplicial pair (i, j) on C^n is
+`linalg.vanishes` call.  Degree 1's faces come from `face_map`; in
+degree n >= 2 only delta_{n-1} and delta_n are built from the structure
+maps, and delta_i for i <= n - 2 is delta_i of degree n - 1 (x) alpha
+(`_face_lists`).  By the mixed-product rule, pair (n, i, j) with
+j <= n - 2 is then pair (n - 1, i, j) (x) alpha o alpha: it vanishes
+when that pair does, and the build stops at the first pair that does
+not.  So a build evaluates only the 2n - 1 pairs that delta_{n-1} or
+delta_n enters, and the first failure it names is the one the full
+check of every pair would name; `check_presimplicial` called on its
+own evaluates all n(n + 1)/2.  Pre-cosimplicial pair (i, j) on C^n is
 presimplicial pair (j, i) of W's faces in degree n + 2, transposed.  A
 failing identity is raised only after the ChainComplex has checked
 d o d.  A degree's faces are the right factors of its own checks only,
@@ -58,7 +67,7 @@ from .coefficients import (Bimodule, chain_data, dualize_bimodule,
 from .complexes import ChainComplex, HomologyReport, report_for_complex
 from .errors import IdentityViolationError
 from .linalg import (Matrix, drop_packings, kron, permute_columns,
-                     signed_sum, vanishes)
+                     signed_permutation, signed_sum, vanishes)
 
 
 class CoefficientHypothesisError(ValueError):
@@ -170,8 +179,13 @@ def _rotation_sum(A: HomAlgebra, n: int, weights: Sequence[int]) -> Matrix:
 
 
 def cyclic_t(A: HomAlgebra, n: int) -> Matrix:
-    """Signed cyclic rotation on A^{(x)(n+1)}: sign (-1)^n, last slot to front."""
-    return _rotation_sum(A, n, (0, 1))
+    """Signed cyclic rotation on A^{(x)(n+1)}: sign (-1)^n, last slot to
+    front; a signed permutation, row r holding the sign at r's rotation."""
+    if n < 0:
+        raise IndexError(f"no chain space in degree {n}")
+    d, top = A.dim, A.dim ** n
+    return signed_permutation([r % top * d + r // top for r in range(d * top)],
+                              -1 if n % 2 else 1)
 
 
 def norm_N(A: HomAlgebra, n: int) -> Matrix:
@@ -191,12 +205,18 @@ def check_presimplicial(A: HomAlgebra, V: Bimodule, n: int,
                         lower: list[Matrix] | None = None,
                         upper: list[Matrix] | None = None) -> None:
     """delta_i delta_j = delta_{j-1} delta_i for i < j at degree n, each
-    pair one `vanishes` call.  `lower` and `upper` are `face_map(A, V,
-    n - 1)` and `face_map(A, V, n)` when the caller holds them."""
+    pair one `vanishes` call, j ascending, then i.  Called on its own it
+    builds `face_map(A, V, n - 1)` and `face_map(A, V, n)` and evaluates
+    all n(n + 1)/2 pairs.  A build passes its own faces as `lower` and
+    `upper` (`_face_lists`), having checked degree n - 1: faces 0..n - 2
+    of degree n are those of degree n - 1 (x) alpha, so a pair with
+    j <= n - 2 is pair (n - 1, i, j) (x) alpha o alpha and vanishes with
+    it.  Only the 2n - 1 pairs that delta_{n-1} or delta_n enters are
+    then evaluated."""
     faces_n = face_map(A, V, n) if upper is None else upper
     if n >= 2:
         faces_m = face_map(A, V, n - 1) if lower is None else lower
-        for j in range(1, n + 1):
+        for j in range(1 if lower is None else n - 1, n + 1):
             for i in range(j):
                 if not vanishes((1, faces_m[i], faces_n[j]),
                                 (-1, faces_m[j - 1], faces_n[i])):
@@ -204,23 +224,43 @@ def check_presimplicial(A: HomAlgebra, V: Bimodule, n: int,
                         f"presimplicial identity fails at n={n}, i={i}, j={j}")
 
 
+def _face_lists(A: HomAlgebra, V: Bimodule, top: int,
+                faces: list[Matrix] | None = None) -> Iterator[list[Matrix]]:
+    """The faces of C_n(A, V), one list per degree n = 1..top.  Degree
+    1's are `faces` when given, else `face_map`'s.  In degree n >= 2,
+    delta_i for i <= n - 2 is delta_i of degree n - 1 (x) alpha, since a
+    face applies alpha to the last slot unless it multiplies it; only
+    delta_{n-1} and delta_n are built from the structure maps, reading
+    alpha^(x)k from one list, each power one product from the last."""
+    power = [Matrix.identity(1)]
+    for n in range(1, top + 1):
+        if n == 1:
+            faces = faces or face_map(A, V, 1)
+        else:
+            power.append(kron(power[-1], A.alpha))
+            faces = [kron(f, A.alpha) for f in faces[:-1]] + \
+                list(_faces(A, V, n, [n - 1, n], power))
+        yield faces
+
+
 def _differentials(A: HomAlgebra, V: Bimodule, top: int,
                    faces: list[Matrix] | None = None) -> tuple[
                        dict[int, Matrix], IdentityViolationError | None]:
     """{n: b_n} of V's chain data, n = 1..top, and the first
-    presimplicial identity that fails.  Each degree's faces (degree 1's
-    are `faces` when given) serve b and the identities they enter."""
-    diffs, failure = {}, None
-    for n in range(1, top + 1):
-        lower, faces = faces, faces if n == 1 and faces else face_map(A, V, n)
+    presimplicial identity that fails.  Each degree's faces
+    (`_face_lists`, from `faces` in degree 1 when given) serve b and
+    the identities they enter; the pairs they inherit from the degree
+    below are decided there (`check_presimplicial`)."""
+    diffs, failure, lower = {}, None, None
+    for n, upper in enumerate(_face_lists(A, V, top, faces), 1):
         if failure is None:  # no check runs after the first that fails
             try:
-                check_presimplicial(A, V, n, lower, faces)
+                check_presimplicial(A, V, n, lower, upper)
             except IdentityViolationError as err:
                 failure = err
-        del lower
-        drop_packings(faces)
-        diffs[n] = hochschild_b(A, V, n, faces)
+        lower = upper  # degree n - 1's faces go before b is summed
+        drop_packings(upper)
+        diffs[n] = hochschild_b(A, V, n, upper)
     return diffs, failure
 
 

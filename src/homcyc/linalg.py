@@ -33,7 +33,13 @@ basis; `restrict` reads m @ src.rows^T at tgt's pivots, and `descend`
 reads the columns of `reduce_mod(tgt, m)` at src's free columns.
 Sums of matrices go through `signed_sum` (a stream of signed
 matrices, one held at a time), as `+` and `-` do; `block_matrix`
-places disjoint blocks side by side and sums nothing.
+places disjoint blocks side by side and sums nothing, rescaling a row
+only where the denominators differ.  Nothing is summed either where
+the rows are written directly: `scale` (and `-m`) is a Kronecker
+product by a 1 x 1 matrix, `permute_columns` moves and sorts each
+row's (column, entry) pairs, a `signed_permutation` (the identity among
+them) holds one entry per row, and `identity_minus` subtracts a
+matrix with one entry per row from the identity, row by row.
 """
 
 from __future__ import annotations
@@ -116,7 +122,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return _matrix(n, n, tuple((1, (i,), (1,)) for i in range(n)))
+        return signed_permutation(range(n), 1)
 
     @cached
     def _int_cols(self) -> tuple[IntRow, ...]:
@@ -146,7 +152,7 @@ class Matrix:
     @property
     def entries(self) -> tuple[Fraction, ...]:
         """All entries, row-major."""
-        return tuple(x for r in self._int_rows for x in _dense(r, self.cols))
+        return tuple(x for r in self.to_rows() for x in r)
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(_dense(r, self.cols)) for r in self._int_rows]
@@ -164,10 +170,7 @@ class Matrix:
         return self.scale(-1)
 
     def scale(self, c: Fraction | int) -> "Matrix":
-        c = Fraction(c)
-        return Matrix.from_integer_rows(self.cols, [
-            (m * c.denominator, {k: x * c.numerator for k, x in zip(ks, xs)})
-            for m, ks, xs in self._int_rows])
+        return kron(Matrix(1, 1, [c]), self)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         _shape(self, other)
@@ -239,21 +242,36 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     """The Kronecker product a (x) b, a's indices most significant."""
     if b.cols == 1 and b._int_rows == ((1, (0,), (1,)),):
         return a  # b is the 1 x 1 identity
-    rows = []
-    for ma, ka, xa in a._int_rows:
-        offsets = [i * b.cols for i in ka]
-        for mb, kb, xb in b._int_rows:
-            rows.append(_lowest(ma * mb,
-                                tuple([i + j for i in offsets for j in kb]),
-                                tuple([x * y for x in xa for y in xb])))
-    return _matrix(a.rows * b.rows, a.cols * b.cols, tuple(rows))
+    w = b.cols
+    return _matrix(a.rows * b.rows, a.cols * w, tuple([
+        _lowest(ma * mb, tuple([i * w + j for i in ka for j in kb]),
+                tuple([x * y for x in xa for y in xb]))
+        for ma, ka, xa in a._int_rows for mb, kb, xb in b._int_rows]))
 
 
 def permute_columns(m: Matrix, perm: Sequence[int]) -> Matrix:
     """m with its column k moved to column perm[k], perm a permutation."""
-    return Matrix.from_integer_rows(m.cols, [
-        (dn, {perm[k]: x for k, x in zip(ks, xs)})
-        for dn, ks, xs in m._int_rows])
+    return _matrix(m.rows, m.cols, tuple([
+        (dn, *zip(*sorted(zip(map(perm.__getitem__, ks), xs)))) if ks
+        else _ZERO_ROW for dn, ks, xs in m._int_rows]))
+
+
+def signed_permutation(cols: Sequence[int], sign: int) -> Matrix:
+    """The square matrix whose row r holds sign, 1 or -1, at column
+    cols[r], cols a permutation."""
+    return _matrix(len(cols), len(cols),
+                   tuple([(1, (c,), (sign,)) for c in cols]))
+
+
+def identity_minus(p: Matrix) -> Matrix:
+    """Id - p for a square p with one entry in each row, such as a
+    `signed_permutation`, one row at a time: row r of p holds s / m at
+    column c, so row r of Id - p holds 1 at r and -s / m at c, or
+    1 - s / m at r when c = r.  ValueError if a row of p holds no entry
+    or more than one."""
+    return Matrix.from_integer_rows(p.cols, [
+        (m, {c: -s, r: m - s * (c == r)})
+        for r, (m, (c,), (s,)) in enumerate(p._int_rows)])
 
 
 def signed_sum(terms: Iterable[tuple[int, Matrix]]) -> Matrix:
@@ -300,8 +318,9 @@ def block_matrix(rows: int, cols: int,
             if ends[i] > coff:
                 raise ValueError("blocks overlap")
             ends[i], d = coff + b.cols, lcm(dn, m)
-            out[i] = d, left + tuple([coff + k for k in ks]), tuple(
-                [y * (d // dn) for y in ys] + [x * (d // m) for x in xs])
+            out[i] = d, left + tuple([coff + k for k in ks]), ys + xs \
+                if dn == m else tuple([y * (d // dn) for y in ys] +
+                                      [x * (d // m) for x in xs])
     return _matrix(rows, cols, tuple(out))
 
 

@@ -7,7 +7,8 @@ algebras of total dimension at most 4.  On each, up to degree 2 for
 dimension 4 and degree 3 below it:
 
 - the checked Hochschild builders pass (d^2 = 0 and the
-  (co)simplicial identities);
+  (co)simplicial identities), and the faces they derive by recurrence
+  equal `face_map`'s, for A and, where it is a dual bimodule, A*;
 - HH_n(A, A) and HH^n(A, A*) have equal Betti numbers;
 - the lambda and bicomplex constructions of HC agree;
 - HC_0 is the space of traces.
@@ -44,6 +45,7 @@ from homcyc.hochschild import (build_hochschild_cohomology_complex,
                                build_hochschild_homology_complex)
 from homcyc.linalg import Matrix
 from test_face_golden import moved
+from test_hochschild import faces_by_recurrence_match_face_map
 
 SUMMANDS = [ground_field, k2, two_dim_unital, k1_plus_k2, dual_numbers,
             dual_numbers_projection_twist, k_times_k_projection_twist,
@@ -82,8 +84,11 @@ def _check(A, has_dual=True):
     n = 2 if A.dim == 4 else 3
     V = regular_bimodule(A)
     hh = build_hochschild_homology_complex(A, V, n)
+    faces_by_recurrence_match_face_map(A, V, n)
     if has_dual:
-        hhco = build_hochschild_cohomology_complex(A, dualize_bimodule(V), n)
+        W = dualize_bimodule(V)
+        faces_by_recurrence_match_face_map(A, W, n)
+        hhco = build_hochschild_cohomology_complex(A, W, n)
         assert [homology(hh, k, representatives=False)[0]
                 for k in range(n)] == \
             [homology(hhco, k, representatives=False)[0] for k in range(n)]

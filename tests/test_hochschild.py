@@ -188,9 +188,11 @@ def test_homology_hypotheses_checked_once_per_bimodule(monkeypatch):
 
 
 def test_face_kernel_runs_once_per_degree(monkeypatch):
-    """Checked hh and hhco builds to degree N build every face (n, i) of
-    the degrees they use once: they read b (the coboundary) and the
-    identities from one list per degree.  The cyclic bicomplex builds b
+    """Checked hh and hhco builds to degree N build from the structure
+    maps both faces of degree 1 and, in each degree n >= 2, only
+    delta_{n-1} and delta_n, each once: the other faces of degree n are
+    those of degree n - 1 (x) alpha, and b (the coboundary) and the
+    identities read one list per degree.  The cyclic bicomplex builds b
     by the bar recursion from b', so the only face it builds in each
     degree is the wrap-around one, delta_n."""
     built = []
@@ -203,16 +205,56 @@ def test_face_kernel_runs_once_per_degree(monkeypatch):
     monkeypatch.setattr(hochschild, "_faces", counted)
     A = two_dim_unital()
     V = regular_bimodule(A)
-    every = sorted((n, i) for n in range(1, 6) for i in range(n + 1))
+    new = sorted([(1, 0), (1, 1)] + [(n, i) for n in range(2, 6)
+                                     for i in (n - 1, n)])
     wrap_around = [(n, n) for n in range(1, 6)]
     for build, M in [(build_hochschild_homology_complex, V),
                      (build_hochschild_cohomology_complex,
                       dualize_bimodule(V))]:
         build(A, M, 5)
-        assert sorted(built) == every
+        assert sorted(built) == new
         built.clear()
     cyclic_bicomplex(A, 4)
     assert sorted(built) == wrap_around
+
+
+def faces_by_recurrence_match_face_map(A, M, top):
+    """Every face (n, i), n = 1..top, that a checked build derives by
+    the recurrence (`hochschild._face_lists`) equals `face_map`'s."""
+    for n, faces in enumerate(hochschild._face_lists(A, M, top), 1):
+        assert faces == face_map(A, M, n), (A.name, M.name, n)
+
+
+def test_faces_by_recurrence_equal_face_map(algebra):
+    """delta_i on C_n for i <= n - 2 is delta_i on C_{n-1} (x) alpha,
+    for the regular bimodule and its dual."""
+    V = regular_bimodule(algebra)
+    for M in (V, dualize_bimodule(V)):
+        faces_by_recurrence_match_face_map(algebra, M, N_MAX)
+
+
+def test_builds_evaluate_only_the_pairs_a_new_face_enters(monkeypatch):
+    """A checked hh or hhco build to degree N makes sum_{n=2}^N (2n - 1)
+    presimplicial `vanishes` calls: the pairs (n, i, j) with j <= n - 2
+    are pair (n - 1, i, j) (x) alpha o alpha, decided one degree down.
+    `check_presimplicial` called on its own still evaluates all
+    n(n + 1)/2 pairs of degree n."""
+    calls = []
+    vanishes = hochschild.vanishes
+    monkeypatch.setattr(hochschild, "vanishes",
+                        lambda *terms: calls.append(terms) or vanishes(*terms))
+    A = two_dim_unital()
+    V = regular_bimodule(A)
+    for build, M in [(build_hochschild_homology_complex, V),
+                     (build_hochschild_cohomology_complex,
+                      dualize_bimodule(V))]:
+        build(A, M, N_MAX)
+        assert len(calls) == sum(2 * n - 1 for n in range(2, N_MAX + 1))
+        calls.clear()
+    for n in range(2, N_MAX + 1):
+        check_presimplicial(A, V, n)
+        assert len(calls) == n * (n + 1) // 2
+        calls.clear()
 
 
 def test_all_faces_at_once_equal_each_face():

@@ -305,20 +305,21 @@ def test_chain_map_check_names_the_first_failing_degree(which, n, data):
 
 
 def _with_corrupted_faces(mp, moves):
-    """Rebind hochschild.face_map so that, in its list of all faces of
-    degree n, entry (r, c) of face i is moved by delta for each
+    """Rebind hochschild._faces, which builds every face a checked build
+    takes from the structure maps (both faces of degree 1, through
+    `face_map`, and delta_{n-1} and delta_n of each degree n >= 2), so
+    that entry (r, c) of face i of degree n is moved by delta for each
     (n, i, r, c, delta) in `moves`."""
-    orig = hochschild.face_map
+    orig = hochschild._faces
 
-    def corrupted(A, V, n, i=None):
-        out = orig(A, V, n, i)
-        if i is None:
+    def corrupted(A, V, n, which, power):
+        for i, face in zip(which, orig(A, V, n, which, power)):
             for n0, i0, r, c, delta in moves:
-                if n0 == n:
-                    out[i0] = _moved(out[i0], r, c, delta)
-        return out
+                if (n0, i0) == (n, i):
+                    face = _moved(face, r, c, delta)
+            yield face
 
-    mp.setattr(hochschild, "face_map", corrupted)
+    mp.setattr(hochschild, "_faces", corrupted)
 
 
 def _alternating_sum(maps):
@@ -327,25 +328,56 @@ def _alternating_sum(maps):
              for entries in zip(*rows)] for rows in zip(*maps)]
 
 
+def _kron(a, b):
+    """The Kronecker product of dense maps, a's indices most significant."""
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def _built_maps(A, cochains, moves, top):
+    """The dense faces of degrees 1..top (or cofaces of degrees
+    0..top - 1) as a checked build takes them, with entry (r, c) of map
+    i of degree n moved by delta for each (n, i, r, c, delta) in
+    `moves`.  The first degree's maps are all built directly; after it
+    only the last two are, and map i < n (faces) or i < n + 1 (cofaces)
+    is map i one degree down (x) alpha (cofaces: (x) alpha^T), so a
+    moved entry is carried into every degree above."""
+    V = regular_bimodule(A)
+    W = dualize_bimodule(V)
+    alpha = A.alpha.to_rows()
+    if cochains:
+        alpha = [list(r) for r in zip(*alpha)]
+    degrees = range(top) if cochains else range(1, top + 1)
+    maps = {}
+    for n in degrees:
+        count = n + 2 if cochains else n + 1
+        if n == degrees[0]:
+            maps[n], new = [], range(count)
+        else:
+            maps[n] = [_kron(m, alpha) for m in maps[n - 1][:-1]]
+            new = range(count - 2, count)
+        maps[n] += [ref.coface_map(A, W, n, i) if cochains else
+                    ref.face_map(A, V, n, i) for i in new]
+        for n0, i0, r, c, delta in moves:
+            if n0 == n:
+                maps[n][i0][r][c] += delta
+    return maps
+
+
 def _build_with_moved_entries(A, cochains, moves, top):
     """Move entry (r, c) of map i of degree n by delta, for each
     (n, i, r, c, delta) in `moves`, in the dense faces (or cofaces) and
     in homcyc's, and check the checked build to degree `top` against
     the dense reference: d o d of the differentials summed from the
-    moved maps, then the identities.  A checked build reads each
-    degree's faces from one list, so a moved entry enters the
-    differential and both degrees' identities it takes part in.  The
-    cofaces are the transposed faces of degree n + 1 of W's chain data,
-    so a coface move is a move of (c, r) in one of those faces.  Returns
-    the reference's (exception type, message), or None."""
+    moved maps, then the identities.  Only the maps a build takes from
+    the structure maps are moved (`_built_maps`), and a moved entry
+    enters the differential and both degrees' identities it takes part
+    in, and the faces of every degree above.  The cofaces are the
+    transposed faces of degree n + 1 of W's chain data, so a coface
+    move is a move of (c, r) in one of those faces.  Returns the
+    reference's (exception type, message), or None."""
     V = regular_bimodule(A)
     W = dualize_bimodule(V)
-    # the check at degree n reads the maps of degrees n - 1 and n (faces)
-    # or n and n + 1 (cofaces)
-    maps = {n: _cofaces(A, W, n) for n in range(top)} if cochains else \
-        {n: _faces(A, V, n) for n in range(1, top + 1)}
-    for n0, i0, r, c, delta in moves:
-        maps[n0][i0][r][c] += delta
+    maps = _built_maps(A, cochains, moves, top)
     diffs = {n: _alternating_sum(m) for n, m in maps.items()}
     if cochains:
         expected = \
@@ -372,9 +404,10 @@ def _build_with_moved_entries(A, cochains, moves, top):
 def test_checked_builds_name_the_first_pair_corrupted_faces_break(
         make, cochains, data):
     """One or two entries of faces (or cofaces) are moved, each in one
-    map of one degree; the build fails where the reference does, on
-    d o d of the moved differentials or else at its first failing
-    (n, i, j)."""
+    map a build takes from the structure maps: any map of the first
+    degree, else one of the last two.  The build fails where the
+    reference does, on d o d of the moved differentials or else at its
+    first failing (n, i, j)."""
     A = make()
     top = 3 if A.dim == 2 else 2
     degrees = range(top) if cochains else range(1, top + 1)
@@ -382,42 +415,50 @@ def test_checked_builds_name_the_first_pair_corrupted_faces_break(
     for _ in range(data.draw(st.integers(1, 2))):
         n0 = data.draw(st.sampled_from(degrees))
         nmaps = n0 + 2 if cochains else n0 + 1
+        first = 0 if n0 == degrees[0] else nmaps - 2
         # face maps C_n -> C_{n-1} and their transposes, the cofaces
         rows, cols = A.dim ** n0, A.dim ** (n0 + 1)
         if cochains:
             rows, cols = A.dim ** (n0 + 2), A.dim ** (n0 + 1)
-        moves.append((n0, data.draw(st.integers(0, nmaps - 1)),
+        moves.append((n0, data.draw(st.integers(first, nmaps - 1)),
                       data.draw(st.integers(0, rows - 1)),
                       data.draw(st.integers(0, cols - 1)),
                       data.draw(st.sampled_from(CHANGES))))
     _build_with_moved_entries(A, cochains, moves, top)
 
 
-# the balanced cases add to each move the opposite move in face 3 at
-# the same entry, so that b is unchanged and d o d holds
-@pytest.mark.parametrize("make,cochains,moves,balance", [
-    (two_dim_unital, False, [(3, 0, 4, 0, 1), (3, 1, 2, 0, 1)],
-     [(3, 3, 4, 0, 1), (3, 3, 2, 0, -1)]),
-    (two_dim_unital, True, [(2, 0, 0, 4, 1), (2, 1, 0, 2, 1)],
-     [(2, 3, 0, 4, 1), (2, 3, 0, 2, -1)]),
-    (k1_plus_k2, False, [(3, 0, 5, 0, 1), (3, 1, 3, 1, 1)],
-     [(3, 3, 5, 0, 1), (3, 3, 3, 1, -1)]),
-    (k1_plus_k2, True, [(2, 0, 0, 5, 1), (2, 1, 2, 3, 1)],
-     [(2, 3, 0, 5, 1), (2, 3, 2, 3, -1)]),
-], ids=["faces-2dim", "cofaces-2dim", "faces-3dim", "cofaces-3dim"])
-def test_pairs_are_checked_in_order(make, cochains, moves, balance):
-    """Moves in the top maps that break two pairs of the last degree
-    checked and none before, (1, 2) and (0, 3) for faces, (2, 1) and
-    (3, 0) for cofaces.  They enter the top differential too, so the
-    build reports d o d out of the top degree, as the reference does.
-    Balanced, they break more pairs of that degree but leave b as it
-    is, and the check reports the pair it reaches first in its loop
-    order (j, then i, for faces; i, then j, for cofaces, which is the
-    faces' order of W, under whose (n + 2, j, i) the pair is named)."""
+# each case moves entries of delta_{n-1} and delta_n of the top degree, or
+# of degree 1's faces, the maps a build takes from the structure maps;
+# `square` is the d o d each move alone breaks first, `first` the pair
+# all of them together are named by
+@pytest.mark.parametrize("make,cochains,moves,square,first", [
+    (two_dim_unital, False, [(3, 2, 1, 0, 1), (3, 3, 2, 0, 1)], 3,
+     "n=3, i=1, j=2"),
+    (two_dim_unital, True, [(2, 2, 0, 1, 1), (2, 3, 0, 2, 1)], 1,
+     "n=3, i=1, j=2"),
+    (k_times_k_swap_twist, False, [(3, 2, 3, 0, 1), (3, 3, 1, 0, -1)], 3,
+     "n=3, i=1, j=2"),
+    (k_times_k_swap_twist, True, [(2, 2, 0, 3, 1), (2, 3, 0, 1, -1)], 1,
+     "n=3, i=1, j=2"),
+    (two_dim_unital, False, [(1, 0, 1, 0, 1), (1, 1, 1, 0, 1)], 2,
+     "n=3, i=0, j=2"),
+], ids=["faces-2dim", "cofaces-2dim", "faces-3dim", "cofaces-3dim",
+        "faces-degree-1"])
+def test_pairs_are_checked_in_order(make, cochains, moves, square, first):
+    """Each move alone changes the differential so that d o d fails, and
+    the build names that first, as the reference does.  Together the
+    moves leave d o d = 0 and break pairs of the last degree checked,
+    and none before.  In the first four cases they break (1, 2) and
+    (0, 3), among others but not (0, 2): the check names (1, 2), which
+    it reaches first, j outer, then i; with i outer it would name (0, 3).
+    Cofaces are named by W's face pairs (n + 2, j, i), in the same
+    order.  In the last case the moved degree-1 faces break d o d out of
+    degree 2 alone; together they pass every pair of degree 2, but the
+    recurrence carries them into delta_0 of degrees 2 and 3, and pair
+    (0, 2) of degree 3 fails."""
     A = make()
-    kind, _ = _build_with_moved_entries(A, cochains, moves, 3)
-    assert kind is BoundarySquareError
-    # cochain pair (i, j) = (2, 1) at n = 1 is W's face pair (1, 2) at 3
-    first = "presimplicial identity fails at n=3, i=1, j=2"
-    assert _build_with_moved_entries(A, cochains, moves + balance, 3) == \
-        (IdentityViolationError, first)
+    for move in moves:
+        assert _build_with_moved_entries(A, cochains, [move], 3) == \
+            (BoundarySquareError, f"d o d != 0 out of degree {square}")
+    assert _build_with_moved_entries(A, cochains, moves, 3) == \
+        (IdentityViolationError, "presimplicial identity fails at " + first)

@@ -13,8 +13,9 @@ from homcyc.complexes import total_complex
 from homcyc.corpus import two_dim_unital
 from homcyc.cyclic import cyclic_bicomplex
 from homcyc.linalg import (Matrix, NotASubspaceError, Subspace, block_matrix,
-                           descend, image, kernel, kron, quotient_dim, rank,
-                           reduce_mod, restrict, rref, signed_sum,
+                           descend, identity_minus, image, kernel, kron,
+                           permute_columns, quotient_dim, rank, reduce_mod,
+                           restrict, rref, signed_permutation, signed_sum,
                            solve_homogeneous, vanishes)
 
 F = Fraction
@@ -552,6 +553,36 @@ def test_from_columns_matches_dense_reference(case):
     (r, k), cols = case  # k columns of length r
     assert_is(Matrix.from_columns(r, cols), r, k,
               [[col[i] for col in cols] for i in range(r)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)), exact_entries(n, n),
+    st.lists(st.sampled_from([F(1), F(-1), F(2), F(-1, 3), F(5, 2)]),
+             min_size=n, max_size=n))), st.sampled_from([1, -1]))
+def test_row_by_row_builders_match_dense_reference(case, sign):
+    """`signed_permutation`, `identity_minus` of it and of any matrix
+    with one entry per row, and `permute_columns`, each written row by
+    row, against dense references."""
+    perm, a, xs = case
+    n = len(perm)
+    ident = [[F(i == j) for j in range(n)] for i in range(n)]
+    p = [[F(sign) * (j == perm[i]) for j in range(n)] for i in range(n)]
+    assert_is(signed_permutation(perm, sign), n, n, p)
+    assert_is(Matrix.identity(n), n, n, ident)
+    assert_is(identity_minus(signed_permutation(perm, sign)), n, n,
+              [[x - y for x, y in zip(r, s)] for r, s in zip(ident, p)])
+    q = [[xs[i] * (j == perm[i]) for j in range(n)] for i in range(n)]
+    assert_is(identity_minus(from_dense(n, n, q)), n, n,
+              [[x - y for x, y in zip(r, s)] for r, s in zip(ident, q)])
+    assert_is(permute_columns(from_dense(n, n, a), perm), n, n,
+              [[r[perm.index(j)] for j in range(n)] for r in a])
+
+
+def test_identity_minus_takes_one_entry_per_row():
+    for rows in ([[1, 1], [0, 1]], [[0, 0], [0, 1]]):
+        with pytest.raises(ValueError):
+            identity_minus(Matrix.from_rows(rows))
 
 
 def test_from_columns_without_columns_and_ragged():
