@@ -234,12 +234,12 @@ def _face_lists(A: HomAlgebra, V: Bimodule, top: int,
     alpha^(x)k from one list, each power one product from the last."""
     power = [Matrix.identity(1)]
     for n in range(1, top + 1):
-        if n == 1:
-            faces = faces or face_map(A, V, 1)
-        else:
+        if n > 1:
             power.append(kron(power[-1], A.alpha))
             faces = [kron(f, A.alpha) for f in faces[:-1]] + \
                 list(_faces(A, V, n, [n - 1, n], power))
+        elif faces is None:
+            faces = face_map(A, V, 1)
         yield faces
 
 
