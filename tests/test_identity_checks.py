@@ -436,9 +436,11 @@ def test_checked_builds_name_the_first_pair_corrupted_faces_break(
      "n=3, i=1, j=2"),
     (two_dim_unital, True, [(2, 2, 0, 1, 1), (2, 3, 0, 2, 1)], 1,
      "n=3, i=1, j=2"),
-    (k_times_k_swap_twist, False, [(3, 2, 3, 0, 1), (3, 3, 1, 0, -1)], 3,
+    (truncated_polynomials, False,
+     [(3, 2, 22, 0, 1), (3, 3, 8, 0, -1), (3, 3, 16, 0, 1)], 3,
      "n=3, i=1, j=2"),
-    (k_times_k_swap_twist, True, [(2, 2, 0, 3, 1), (2, 3, 0, 1, -1)], 1,
+    (truncated_polynomials, True,
+     [(2, 2, 0, 22, 1), (2, 3, 0, 8, -1), (2, 3, 0, 16, 1)], 1,
      "n=3, i=1, j=2"),
     (two_dim_unital, False, [(1, 0, 1, 0, 1), (1, 1, 1, 0, 1)], 2,
      "n=3, i=0, j=2"),
@@ -451,6 +453,8 @@ def test_pairs_are_checked_in_order(make, cochains, moves, square, first):
     and none before.  In the first four cases they break (1, 2) and
     (0, 3), among others but not (0, 2): the check names (1, 2), which
     it reaches first, j outer, then i; with i outer it would name (0, 3).
+    Over the 3-dimensional k[x]/(x^3) one entry of delta_2 is balanced
+    by two of delta_3.
     Cofaces are named by W's face pairs (n + 2, j, i), in the same
     order.  In the last case the moved degree-1 faces break d o d out of
     degree 2 alone; together they pass every pair of degree 2, but the
