@@ -379,6 +379,11 @@ def main(argv=None) -> int:
         # not a dual bimodule, which the cochain theories need
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except ValueError as exc:  # only an exact result too long to print
+        if "integer string conversion" not in str(exc):
+            raise
+        print("error: a result has too many digits to print", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -13,8 +13,8 @@ from fractions import Fraction
 from .algebra import HomAlgebra, Violation, axiom_violations
 from .coefficients import regular_bimodule
 from .hochschild import IdentityViolationError, cyclic_t, hochschild_b
-from .linalg import (Matrix, Subspace, ZERO, kron, solve_homogeneous,
-                     vanishes)
+from .linalg import (Matrix, Subspace, ZERO, kron, power_sum,
+                     solve_homogeneous, vanishes)
 from .records import record
 
 
@@ -62,8 +62,8 @@ def is_cyclic_cocycle(phi: Functional, A: HomAlgebra) -> CocycleCheck:
         ("hochschild-cocycle", row @ b, Matrix.zero(1, b.cols), tuples,
          range(n + 2))])
     cyc_res = axiom_violations([
-        ("cyclicity", row - row @ cyclic_t(A, n), Matrix.zero(1, size),
-         tuples[1:], range(n + 1))])
+        ("cyclicity", row @ power_sum(cyclic_t(A, n), (1, -1)),
+         Matrix.zero(1, size), tuples[1:], range(n + 1))])
     return CocycleCheck(not co_res and not cyc_res,
                         tuple(co_res), tuple(cyc_res))
 

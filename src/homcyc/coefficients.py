@@ -23,7 +23,7 @@ from __future__ import annotations
 from .algebra import (HomAlgebra, Violation, axiom_violations,
                       is_centroid_element)
 from .linalg import (Matrix, NotASubspaceError, Subspace, block_matrix, kron,
-                     permute_columns, restrict, solve_homogeneous)
+                     permute_columns, restrict, solve_homogeneous, swap_slots)
 from .errors import CoefficientError
 from .records import record, replace
 
@@ -64,7 +64,7 @@ def _actions(V: Bimodule) -> tuple[Matrix, Matrix]:
         L, R = (block_matrix(m, d * m, [(act[a], 0, a * m) for a in range(d)])
                 for act in (V.left, V.right))
         actions = vars(V)["_actions"] = L, permute_columns(
-            R, [k % m * d + k // m for k in range(d * m)])
+            R, swap_slots(d, m))
     return actions
 
 

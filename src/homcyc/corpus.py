@@ -6,12 +6,8 @@ operator identities and both cyclic constructions over this list.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import (HomAlgebra, direct_sum, validate_or_raise, yau_twist)
 from .linalg import Matrix
-
-F = Fraction
 
 
 def two_dim_unital() -> HomAlgebra:
@@ -105,20 +101,25 @@ def cyclic_group_algebra(m: int) -> HomAlgebra:
                              Matrix.identity(m), name=f"kC{m}")
 
 
+def _matrix_units(units: list[tuple[int, int]], name: str) -> HomAlgebra:
+    """The span of the matrix units E_ab for (a, b) in units, a subalgebra
+    of the matrices, E_ab E_ce = E_ae when b = c, else 0; alpha = Id."""
+    mu = [[[int(b == c and (a, e) == u) for u in units] for c, e in units]
+          for a, b in units]
+    return validate_or_raise(
+        len(units), tuple(f"E{a + 1}{b + 1}" for a, b in units), mu,
+        Matrix.identity(len(units)), name=name)
+
+
+def upper_triangular_algebra() -> HomAlgebra:
+    """T_2, the upper-triangular 2x2 matrices (E11, E12, E22), alpha = Id.
+    Over Q, HH_0 = 2, HH_n = 0 for n > 0, HC_2i = 2 and HC odd = 0."""
+    return _matrix_units([(0, 0), (0, 1), (1, 1)], "T2")
+
+
 def matrix_2x2() -> HomAlgebra:
     """2x2 matrices over k, basis (E11, E12, E21, E22), alpha = Id."""
-    units = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    mu = []
-    for (a, b) in units:
-        row = []
-        for (c, d) in units:
-            out = [F(0)] * 4
-            if b == c:
-                out[units.index((a, d))] = F(1)
-            row.append(out)
-        mu.append(row)
-    return validate_or_raise(4, ("E11", "E12", "E21", "E22"), mu,
-                             Matrix.identity(4), name="mat2")
+    return _matrix_units([(0, 0), (0, 1), (1, 0), (1, 1)], "mat2")
 
 
 def standard_corpus() -> list[HomAlgebra]:

@@ -6,7 +6,8 @@ and are re-exported here.
 Cochain-level operators are transposes of the chain-level ones: the
 basis conventions in `hochschild` make the identification of a cochain
 with coefficients in (regular)* and a functional on A^{(x)(n+1)} the
-identity on coordinates.
+identity on coordinates.  The one rotation is t (`hochschild.cyclic_t`),
+and N and Id - t are `linalg.power_sum`s of it.
 
 The λ side has one construction, `_lambda_side`: it builds one
 (co)cyclic bicomplex and reads b (or b^T) from column 0 as the
@@ -18,8 +19,6 @@ The λ methods and the map xi induces on HC-co read it too.
 
 from __future__ import annotations
 
-from itertools import accumulate
-
 from .algebra import (AlgebraMorphism, HomAlgebra, alpha_is_idempotent,
                       is_associative, validate_morphism)
 from .coefficients import dualize_bimodule, regular_bimodule
@@ -27,20 +26,19 @@ from .complexes import (Bicomplex, ChainComplex, HomologyReport, homology,
                         homology_classes, quotient_complex,
                         report_for_complex, representative_space,
                         sub_complex, text_table, total_complex)
-from .hochschild import (IdentityViolationError, bar_differentials, cyclic_t,
-                         hochschild_b, hochschild_cohomology,
+from .hochschild import (IdentityViolationError, _powers, bar_differentials,
+                         cyclic_t, hochschild_b, hochschild_cohomology,
                          hochschild_homology, norm_N,
                          require_homology_hypotheses)
-from .linalg import (Matrix, NotASubspaceError, Subspace, descend,
-                     identity_minus, image, kron, kernel, reduce_mod,
-                     restrict, vanishes)
+from .linalg import (Matrix, NotASubspaceError, Subspace, descend, image,
+                     kernel, power_sum, reduce_mod, restrict, vanishes)
 from .records import cached, record
 
 
 def _one_minus_t(A: HomAlgebra, n: int) -> Matrix:
     """Id - t_n on A^{(x)(n+1)}: t (`cyclic_t`) is a signed permutation,
-    so Id - t is written row by row (`identity_minus`)."""
-    return identity_minus(cyclic_t(A, n))
+    so Id - t is written row by row (`power_sum`)."""
+    return power_sum(cyclic_t(A, n), (1, -1))
 
 
 def one_minus_t(A: HomAlgebra, n_max: int) -> dict[int, Matrix]:
@@ -357,7 +355,7 @@ def induced_map_on_homology(f: AlgebraMorphism, theory: str, n: int) -> Matrix:
         diffs={k: b for k, (_, b) in enumerate(bar_differentials(X, n + 1), 1)},
         orientation="homological") for X in (A, Bg))
     # f^{(x)(k+1)} for k = 0..n+1, each one product from the last
-    tmaps = dict(enumerate(accumulate([f.matrix] * (n + 2), kron)))
+    tmaps = dict(enumerate(_powers(f.matrix, n + 2)[1:]))
     for k in range(1, n + 2):
         if not vanishes((1, tmaps[k - 1], CA.differential(k)),
                         (-1, CB.differential(k), tmaps[k])):
@@ -400,8 +398,8 @@ def xi_map(assoc: HomAlgebra, twisted: HomAlgebra, n: int) -> Matrix:
         raise ValueError("twist endomorphism must be idempotent")
     b_src = hochschild_b(assoc, regular_bimodule(assoc), n + 1).transpose()
     b_tgt = hochschild_b(twisted, regular_bimodule(twisted), n + 1).transpose()
-    # (alpha^T)^{(x)k} = (alpha^{(x)k})^T, k = 1..n+2, by running products
-    *_, xi_n, xi_next = accumulate([twisted.alpha.transpose()] * (n + 2), kron)
+    # (alpha^T)^{(x)k} = (alpha^{(x)k})^T, k = n+1 and n+2, by running products
+    *_, xi_n, xi_next = _powers(twisted.alpha.transpose(), n + 2)
     if not vanishes((1, b_tgt, xi_n), (-1, xi_next, b_src)):
         raise IdentityViolationError("xi fails to commute with the coboundary")
     cyc = kernel(_one_minus_t(assoc, n).transpose())
@@ -417,7 +415,7 @@ def xi_induced_on_cyclic_cohomology(assoc: HomAlgebra, twisted: HomAlgebra,
     # t is product-independent: ST's subspaces, in their RREF bases, are subs
     ST = _lambda_side(twisted, n, cohomology=True)[1]
     maps = {k: restrict(xi, subs[k], subs[k]) for k, xi in enumerate(
-        accumulate([twisted.alpha.transpose()] * (n + 2), kron))}
+        _powers(twisted.alpha.transpose(), n + 2)[1:])}
     for k in range(n + 1):
         if not vanishes((1, maps[k + 1], SA.differential(k)),
                         (-1, ST.differential(k), maps[k])):

@@ -27,15 +27,16 @@ Homology, 1.1):
     b_n = b'_n + (-1)^n delta_n
 
 `bar_differentials` builds b' and b of the regular bimodule by it (two
-products and delta_n per degree, not n + 1 faces), holding alpha^k for
-every k, each one product from the last, as one list of faces does, so
-neither builds a power twice; the cyclic bicomplex and the induced maps
-read it.  Any other b is the signed sum of its faces.  A dual
+products and delta_n per degree, not n + 1 faces), reading alpha^k from
+one list (`_powers`) as the face lists do; the cyclic bicomplex and the
+induced maps read it.  Any other b is the signed sum of its faces.  A dual
 `Bimodule` (the cochain coefficients) has its transposed data as chain
 data: a coface is a face of those, transposed, and the cochain complex
-their chain complex, transposed (Loday, 1.5).  t is a signed
-permutation, N and theta weighted sums of its powers.  Operators raise
-IndexError outside their degrees.
+their chain complex, transposed (Loday, 1.5).  t (`cyclic_t`) is the
+one rotation, the signed permutation that moves a tensor's first slot
+to the back (`linalg.swap_slots`, which also orders delta_n's and R's
+inputs); N, theta and `cyclic`'s Id - t are `linalg.power_sum`s of it.
+Operators raise IndexError outside their degrees.
 
 Both builders check every identity: one loop over chain data builds
 each degree's faces once for b and the presimplicial identities they
@@ -54,6 +55,9 @@ presimplicial pair (j, i) of W's faces in degree n + 2, transposed.  A
 failing identity is raised only after the ChainComplex has checked
 d o d.  A degree's faces are the right factors of its own checks only,
 so their packed rows are dropped (`linalg.drop_packings`) after them.
+A checked build sums b from the n + 1 faces it holds anyway, and b'
+stays on the left recursion: a three-term recurrence for b, and b' read
+off the face lists, both measured slower.
 """
 
 from __future__ import annotations
@@ -67,7 +71,8 @@ from .coefficients import (Bimodule, chain_data, dualize_bimodule,
 from .complexes import ChainComplex, HomologyReport, report_for_complex
 from .errors import IdentityViolationError
 from .linalg import (Matrix, drop_packings, kron, permute_columns,
-                     signed_permutation, signed_sum, vanishes)
+                     power_sum, signed_permutation, signed_sum, swap_slots,
+                     vanishes)
 
 
 class CoefficientHypothesisError(ValueError):
@@ -75,7 +80,8 @@ class CoefficientHypothesisError(ValueError):
 
 
 def _powers(m: Matrix, k: int) -> list[Matrix]:
-    """[m^{(x)j} for j = 0..k], each one Kronecker product from the last."""
+    """[m^{(x)j} for j = 0..k], each one Kronecker product from the last:
+    the one running list of tensor powers, of alpha, f or alpha^T."""
     return list(accumulate([m] * k, kron, initial=Matrix.identity(1)))
 
 
@@ -87,7 +93,6 @@ def _faces(A: HomAlgebra, V: Bimodule, n: int, which: Sequence[int],
     if n < 1 or not all(0 <= i <= n for i in which):
         raise IndexError(f"no faces {list(which)} in degree {n}")
     L, R, beta = chain_data(V)
-    d, m, top = A.dim, V.dim, A.dim ** (n - 1)
 
     def face(i: int) -> Matrix:
         if i == 0:
@@ -96,9 +101,8 @@ def _faces(A: HomAlgebra, V: Bimodule, n: int, which: Sequence[int],
             return kron(kron(kron(beta, power[i - 1]), A.product_matrix),
                         power[n - 1 - i])
         # input (a, v, rest) of L (x) alpha^(n-1) is tensor (v, rest, a)
-        return permute_columns(kron(L, power[n - 1]), [
-            (k // top % m * top + k % top) * d + k // (top * m)
-            for k in range(m * d * top)])
+        return permute_columns(kron(L, power[n - 1]),
+                               swap_slots(A.dim, V.dim * A.dim ** (n - 1)))
 
     return (face(i) for i in which)
 
@@ -147,50 +151,28 @@ def b_prime(A: HomAlgebra, n: int,
 def bar_differentials(A: HomAlgebra, top: int
                       ) -> Iterator[tuple[Matrix, Matrix]]:
     """(b'_n, b_n) of the regular bimodule for n = 1..top by the
-    recursion.  It holds b'_n from each degree to the next, and
-    alpha^(x)k for every k, each one Kronecker product from the last,
-    so that b' and delta_n read each power built once."""
-    V, prime, power = regular_bimodule(A), None, [Matrix.identity(1)]
+    recursion, holding b'_n from each degree to the next and every
+    alpha^(x)k (`_powers`), which b' and delta_n read."""
+    V, prime, power = regular_bimodule(A), None, _powers(A.alpha, top - 1)
     for n in range(1, top + 1):
         prime = b_prime(A, n, None if n == 1 else (prime, power[n - 1]))
         yield prime, signed_sum([(1, prime),
                                  ((-1) ** n, *_faces(A, V, n, [n], power))])
-        if n < top:
-            power.append(kron(power[-1], A.alpha))
-
-
-def _rotation_sum(A: HomAlgebra, n: int, weights: Sequence[int]) -> Matrix:
-    """sum_k weights[k] t^k on A^{(x)(n+1)}.  t^k is a signed
-    permutation: row r holds sign^k at the k-fold inverse rotation of r."""
-    if n < 0:
-        raise IndexError(f"no chain space in degree {n}")
-    d, size, top = A.dim, A.dim ** (n + 1), A.dim ** n
-    sign = -1 if n % 2 else 1
-    rows = []
-    for r in range(size):
-        acc: dict[int, int] = {}
-        c, s = r, 1
-        for w in weights:
-            if w:
-                acc[c] = acc.get(c, 0) + s * w
-            c, s = c % top * d + c // top, s * sign
-        rows.append((1, acc))
-    return Matrix.from_integer_rows(size, rows)
 
 
 def cyclic_t(A: HomAlgebra, n: int) -> Matrix:
     """Signed cyclic rotation on A^{(x)(n+1)}: sign (-1)^n, last slot to
-    front; a signed permutation, row r holding the sign at r's rotation."""
+    front; a signed permutation, row r holding the sign at r with its
+    first slot moved to the back (`swap_slots`)."""
     if n < 0:
         raise IndexError(f"no chain space in degree {n}")
-    d, top = A.dim, A.dim ** n
-    return signed_permutation([r % top * d + r // top for r in range(d * top)],
+    return signed_permutation(swap_slots(A.dim, A.dim ** n),
                               -1 if n % 2 else 1)
 
 
 def norm_N(A: HomAlgebra, n: int) -> Matrix:
     """N = Id + t + ... + t^n on A^{(x)(n+1)}."""
-    return _rotation_sum(A, n, (1,) * (n + 1))
+    return power_sum(cyclic_t(A, n), (1,) * (n + 1))
 
 
 def homotopy_theta(A: HomAlgebra, n: int) -> Matrix:
@@ -198,7 +180,7 @@ def homotopy_theta(A: HomAlgebra, n: int) -> Matrix:
 
     These weights satisfy N + theta(Id - t) = (n+1) Id exactly.
     """
-    return _rotation_sum(A, n, range(n + 1, 0, -1))
+    return power_sum(cyclic_t(A, n), range(n + 1, 0, -1))
 
 
 def check_presimplicial(A: HomAlgebra, V: Bimodule, n: int,
@@ -207,12 +189,9 @@ def check_presimplicial(A: HomAlgebra, V: Bimodule, n: int,
     """delta_i delta_j = delta_{j-1} delta_i for i < j at degree n, each
     pair one `vanishes` call, j ascending, then i.  Called on its own it
     builds `face_map(A, V, n - 1)` and `face_map(A, V, n)` and evaluates
-    all n(n + 1)/2 pairs.  A build passes its own faces as `lower` and
-    `upper` (`_face_lists`), having checked degree n - 1: faces 0..n - 2
-    of degree n are those of degree n - 1 (x) alpha, so a pair with
-    j <= n - 2 is pair (n - 1, i, j) (x) alpha o alpha and vanishes with
-    it.  Only the 2n - 1 pairs that delta_{n-1} or delta_n enters are
-    then evaluated."""
+    all n(n + 1)/2 pairs; a build passes its own faces as `lower` and
+    `upper` (`_face_lists`), having checked degree n - 1, and evaluates
+    the 2n - 1 pairs that delta_{n-1} or delta_n enters."""
     faces_n = face_map(A, V, n) if upper is None else upper
     if n >= 2:
         faces_m = face_map(A, V, n - 1) if lower is None else lower
@@ -226,16 +205,13 @@ def check_presimplicial(A: HomAlgebra, V: Bimodule, n: int,
 
 def _face_lists(A: HomAlgebra, V: Bimodule, top: int,
                 faces: list[Matrix] | None = None) -> Iterator[list[Matrix]]:
-    """The faces of C_n(A, V), one list per degree n = 1..top.  Degree
-    1's are `faces` when given, else `face_map`'s.  In degree n >= 2,
-    delta_i for i <= n - 2 is delta_i of degree n - 1 (x) alpha, since a
-    face applies alpha to the last slot unless it multiplies it; only
-    delta_{n-1} and delta_n are built from the structure maps, reading
-    alpha^(x)k from one list, each power one product from the last."""
-    power = [Matrix.identity(1)]
+    """The faces of C_n(A, V), one list per degree n = 1..top: degree
+    1's are `faces` when given, else `face_map`'s; in degree n >= 2,
+    delta_i of degree n - 1 (x) alpha for i <= n - 2, then delta_{n-1}
+    and delta_n from the structure maps."""
+    power = _powers(A.alpha, top - 1)
     for n in range(1, top + 1):
         if n > 1:
-            power.append(kron(power[-1], A.alpha))
             faces = [kron(f, A.alpha) for f in faces[:-1]] + \
                 list(_faces(A, V, n, [n - 1, n], power))
         elif faces is None:

@@ -38,8 +38,8 @@ only where the denominators differ.  Nothing is summed either where
 the rows are written directly: `scale` (and `-m`) is a Kronecker
 product by a 1 x 1 matrix, `permute_columns` moves and sorts each
 row's (column, entry) pairs, a `signed_permutation` (the identity among
-them) holds one entry per row, and `identity_minus` subtracts a
-matrix with one entry per row from the identity, row by row.
+them) holds one entry per row, and `power_sum` writes a weighted sum of
+its powers (Id - t, N) row by row.  `swap_slots` moves a first slot back.
 """
 
 from __future__ import annotations
@@ -263,15 +263,27 @@ def signed_permutation(cols: Sequence[int], sign: int) -> Matrix:
                    tuple([(1, (c,), (sign,)) for c in cols]))
 
 
-def identity_minus(p: Matrix) -> Matrix:
-    """Id - p for a square p with one entry in each row, such as a
-    `signed_permutation`, one row at a time: row r of p holds s / m at
-    column c, so row r of Id - p holds 1 at r and -s / m at c, or
-    1 - s / m at r when c = r.  ValueError if a row of p holds no entry
-    or more than one."""
-    return Matrix.from_integer_rows(p.cols, [
-        (m, {c: -s, r: m - s * (c == r)})
-        for r, (m, (c,), (s,)) in enumerate(p._int_rows)])
+def swap_slots(p: int, q: int) -> list[int]:
+    """The index map of Q^p (x) Q^q -> Q^q (x) Q^p: a * q + b -> b * p + a."""
+    return [k % q * p + k // q for k in range(p * q)]
+
+
+def power_sum(t: Matrix, weights: Sequence[int]) -> Matrix:
+    """sum_k weights[k] t^k, row by row, walking t's columns; ValueError
+    unless t is a signed permutation, one 1 or -1 over 1 in each row."""
+    step = [(ks[0], xs[0]) for m, ks, xs in t._int_rows
+            if m == 1 and xs in ((1,), (-1,))]
+    if len(step) != t.rows or t.rows != t.cols:
+        raise ValueError("not a signed permutation")
+    rows = []
+    for r in range(t.rows):
+        acc, c, s = {}, r, 1
+        for w in weights:
+            acc[c] = acc.get(c, 0) + s * w
+            c, x = step[c]
+            s *= x
+        rows.append((1, acc))
+    return Matrix.from_integer_rows(t.cols, rows)
 
 
 def signed_sum(terms: Iterable[tuple[int, Matrix]]) -> Matrix:

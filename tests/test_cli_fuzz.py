@@ -1,0 +1,123 @@
+"""The exit contract on generated bad input: valid algebra, matrix and
+functional files, one of them mutated (truncated, nested wrongly, a
+value of the wrong type, a huge scalar, a list too short or too long),
+given to `check`, `hh --max 1`, `twist`, `cocycle verify` and
+`cocycle derive` through `cli.main` in process.  Every run must exit
+0, 2 or 3 with no traceback, and a run that reports an `error:` exits
+2 with that one line on stderr.
+"""
+
+import json
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from homcyc.cli import main
+from homcyc.corpus import dual_numbers
+
+# dual numbers, a twist endomorphism (x -> 0), a derivation (x -> x)
+# and a trace vanishing on its image: every command exits 0 on these
+VALID = {
+    "algebra": json.loads(dual_numbers().to_json()),
+    "alpha": [["1", "0"], ["0", "0"]],
+    "derivation": [["0", "0"], ["0", "1"]],
+    "functional": {"degree": 0, "coords": ["1", "0"]},
+}
+
+COMMANDS = [
+    ["check", "{algebra}"],
+    ["hh", "{algebra}", "--max", "1"],
+    ["twist", "{algebra}", "{alpha}"],
+    ["cocycle", "verify", "{algebra}", "--functional", "{functional}"],
+    ["cocycle", "derive", "{algebra}", "--derivation", "{derivation}",
+     "--trace", "{functional}"],
+]
+
+WRONG_TYPES = [None, True, 0, -1, 1.5, "x", "1/0", [], {}, [[["1"]]],
+               {"degree": 0}]
+HUGE = [10 ** 4000, "9" * 5000, "1e5000", "1e-5000", "10**10", 2 ** 64]
+
+
+def _case(name, doc):
+    """(name, the text of every file), the file name holding doc."""
+    return name, {k: json.dumps(doc if k == name else v)
+                  for k, v in VALID.items()}
+
+
+# one * x = 10^4000 x: (one one) x and one (one x) differ by a factor
+# 10^4000, and the violation's two sides have 8001 digits
+TOO_LONG_TO_PRINT = _case("algebra", {**VALID["algebra"], "mul": [
+    [["1", "0"], ["0", 10 ** 4000]], [["0", "1"], ["0", "0"]]]})
+
+
+def _paths(doc, path=()):
+    """Every position in a JSON document, the root first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _set(doc, path, value):
+    if not path:
+        return value
+    _get(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+@st.composite
+def mutated(draw):
+    """(name of the mutated file, the text of every file)."""
+    name = draw(st.sampled_from(sorted(VALID)))
+    doc = json.loads(json.dumps(VALID[name]))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    old = _get(doc, path)
+    kind = draw(st.sampled_from(["truncate", "wrap", "unwrap", "type",
+                                 "huge", "shorter", "longer"]))
+    if kind == "wrap":
+        doc = _set(doc, path, [old])
+    elif kind == "unwrap" and isinstance(old, list) and old:
+        doc = _set(doc, path, old[0])
+    elif kind == "type":
+        doc = _set(doc, path, draw(st.sampled_from(WRONG_TYPES)))
+    elif kind == "huge":
+        doc = _set(doc, path, draw(st.sampled_from(HUGE)))
+    elif kind == "shorter" and isinstance(old, (list, dict)) and old:
+        del old[draw(st.sampled_from(list(
+            old if isinstance(old, dict) else range(len(old)))))]
+    elif kind == "longer" and isinstance(old, list) and old:
+        old.append(old[-1])
+    name, texts = _case(name, doc)
+    if kind == "truncate":
+        texts[name] = texts[name][:draw(st.integers(0, len(texts[name])))]
+    return name, texts
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated())
+@example(_case("algebra", VALID["algebra"]))
+@example(TOO_LONG_TO_PRINT)
+def test_mutated_input_keeps_the_exit_contract(tmp_path, capsys, case):
+    _, texts = case
+    paths = {}
+    for key, text in texts.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(text)
+    for argv in COMMANDS:
+        try:
+            code = main([a.format(**paths) for a in argv])
+        except SystemExit as exc:  # argparse and `_load` exit this way
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (argv, code, err)
+        assert "Traceback" not in err
+        if err.startswith("error: "):
+            assert code == 2 and len(err.strip().splitlines()) == 1

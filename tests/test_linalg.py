@@ -13,10 +13,10 @@ from homcyc.complexes import total_complex
 from homcyc.corpus import two_dim_unital
 from homcyc.cyclic import cyclic_bicomplex
 from homcyc.linalg import (Matrix, NotASubspaceError, Subspace, block_matrix,
-                           descend, identity_minus, image, kernel, kron,
-                           permute_columns, quotient_dim, rank, reduce_mod,
+                           descend, image, kernel, kron, permute_columns,
+                           power_sum, quotient_dim, rank, reduce_mod,
                            restrict, rref, signed_permutation, signed_sum,
-                           solve_homogeneous, vanishes)
+                           solve_homogeneous, swap_slots, vanishes)
 
 F = Fraction
 
@@ -561,28 +561,83 @@ def test_from_columns_matches_dense_reference(case):
     st.lists(st.sampled_from([F(1), F(-1), F(2), F(-1, 3), F(5, 2)]),
              min_size=n, max_size=n))), st.sampled_from([1, -1]))
 def test_row_by_row_builders_match_dense_reference(case, sign):
-    """`signed_permutation`, `identity_minus` of it and of any matrix
-    with one entry per row, and `permute_columns`, each written row by
-    row, against dense references."""
+    """`signed_permutation`, `power_sum` of it with weights (1, -1), which
+    is Id - p, the same of a matrix with one entry per row, which raises
+    unless each entry is 1 or -1, and `permute_columns`, each written
+    row by row, against dense references."""
     perm, a, xs = case
     n = len(perm)
     ident = [[F(i == j) for j in range(n)] for i in range(n)]
     p = [[F(sign) * (j == perm[i]) for j in range(n)] for i in range(n)]
     assert_is(signed_permutation(perm, sign), n, n, p)
     assert_is(Matrix.identity(n), n, n, ident)
-    assert_is(identity_minus(signed_permutation(perm, sign)), n, n,
+    assert_is(power_sum(signed_permutation(perm, sign), (1, -1)), n, n,
               [[x - y for x, y in zip(r, s)] for r, s in zip(ident, p)])
     q = [[xs[i] * (j == perm[i]) for j in range(n)] for i in range(n)]
-    assert_is(identity_minus(from_dense(n, n, q)), n, n,
-              [[x - y for x, y in zip(r, s)] for r, s in zip(ident, q)])
+    if all(x in (1, -1) for x in xs):
+        assert_is(power_sum(from_dense(n, n, q), (1, -1)), n, n,
+                  [[x - y for x, y in zip(r, s)] for r, s in zip(ident, q)])
+    else:
+        with pytest.raises(ValueError):
+            power_sum(from_dense(n, n, q), (1, -1))
     assert_is(permute_columns(from_dense(n, n, a), perm), n, n,
               [[r[perm.index(j)] for j in range(n)] for r in a])
 
 
-def test_identity_minus_takes_one_entry_per_row():
-    for rows in ([[1, 1], [0, 1]], [[0, 0], [0, 1]]):
+def test_power_sum_takes_one_signed_unit_per_row():
+    for rows in ([[1, 1], [0, 1]], [[0, 0], [0, 1]], [[2, 0], [0, 1]],
+                 [[F(1, 2), 0], [0, 1]], [[0, 1, 0], [1, 0, 0]]):
         with pytest.raises(ValueError):
-            identity_minus(Matrix.from_rows(rows))
+            power_sum(Matrix.from_rows(rows), (1, -1))
+
+
+@st.composite
+def signed_permutations(draw, max_n=8):
+    """(perm, signs): a permutation of range(n), n <= max_n, fixing a
+    drawn set of points and permuting the rest, and a sign per row."""
+    n = draw(st.integers(0, max_n))
+    fixed = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    image = iter(draw(st.permutations([r for r in range(n) if not fixed[r]])))
+    perm = [r if fixed[r] else next(image) for r in range(n)]
+    return perm, draw(st.lists(st.sampled_from([1, -1]), min_size=n,
+                               max_size=n))
+
+
+@settings(max_examples=120, deadline=None)
+@given(signed_permutations(), st.lists(st.integers(-4, 4), max_size=10))
+@example(([], []), [1, 2])
+@example(([0, 1, 2], [1, 1, 1]), [])
+@example(([1, 0, 2], [-1, 1, -1]), [0, 3, 0, -2])
+@example(([2, 0, 1, 3], [1, -1, 1, -1]), [1, -1])
+def test_power_sum_matches_dense_powers(case, weights):
+    """`power_sum` against the dense sum of the powers of a signed
+    permutation, with zero, negative and empty weight lists."""
+    perm, signs = case
+    n = len(perm)
+    p = [[F(signs[i]) * (j == perm[i]) for j in range(n)] for i in range(n)]
+    power = [[F(i == j) for j in range(n)] for i in range(n)]
+    total = [[F(0)] * n for _ in range(n)]
+    for w in weights:
+        total = [[x + w * y for x, y in zip(r, s)]
+                 for r, s in zip(total, power)]
+        power = [[sum((x * p[k][j] for k, x in enumerate(r)), F(0))
+                  for j in range(n)] for r in power]
+    assert_is(power_sum(from_dense(n, n, p), weights), n, n, total)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 7))
+@example(1, 5)
+@example(4, 1)
+@example(1, 1)
+def test_swap_slots_moves_the_first_slot_to_the_back(p, q):
+    """Index a * q + b of Q^p (x) Q^q goes to b * p + a of Q^q (x) Q^p,
+    decoded and encoded digit by digit."""
+    perm = swap_slots(p, q)
+    assert sorted(perm) == list(range(p * q))
+    for a in range(p):
+        for b in range(q):
+            assert perm[a * q + b] == b * p + a
 
 
 def test_from_columns_without_columns_and_ragged():
