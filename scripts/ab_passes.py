@@ -23,7 +23,10 @@ runs of perfbench/run.py do.  With `--jobs`, one more line per job
 gives its median time in each tree, in ms, and their ratio NEW / OLD,
 the job that moved most in absolute time first, so a pass ratio can be
 traced to the jobs behind it.  Both trees build the same job list, in
-the same order, from the benchmark's modules.
+the same order, from the benchmark's modules.  In a single run a
+per-job ratio within about +-10% is noise: jobs whose code is the same
+in both trees have read 0.75 and 1.06; the pass ratio's quartiles show
+when a run drifted.
 """
 
 import argparse

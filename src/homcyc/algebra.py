@@ -25,7 +25,8 @@ from itertools import product as iproduct
 
 from .linalg import (Matrix, Subspace, ZERO, ONE, block_matrix, image, kernel,
                      kron, restrict, vanishes)
-from .errors import ShapeError
+from .errors import (DecompositionError, PreconditionError, ShapeError,
+                     ValidationError)
 from .records import Field, cached, record
 
 MuTensor = tuple[tuple[tuple[Fraction, ...], ...], ...]
@@ -157,11 +158,23 @@ def read_json(path: str):
         raise ShapeError(f"{path}: {exc}") from None
 
 
-def _is_grid(x, depth: int, dim: int) -> bool:
-    """Whether x is a list of dim entries that are, below the top level,
-    such lists again, depth levels in all."""
-    return isinstance(x, list) and len(x) == dim and \
-        (depth == 1 or all(_is_grid(y, depth - 1, dim) for y in x))
+def read_grid(x, shape: Sequence[int | None], what: str) -> tuple:
+    """x, a JSON list nested len(shape) deep with shape[k] entries at
+    depth k (any number where shape[k] is None), as nested tuples of its
+    entries read by `scalar_from_string`; ShapeError naming what for
+    anything else."""
+    def read(y, depth):
+        if depth == len(shape):
+            try:
+                return scalar_from_string(str(y))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ShapeError(f"malformed scalar in {what}: {exc}") \
+                    from None
+        if type(y) is not list or shape[depth] not in (None, len(y)):
+            dims = " x ".join("n" if k is None else str(k) for k in shape)
+            raise ShapeError(f"{what} is not a list of scalars of shape {dims}")
+        return tuple(read(z, depth + 1) for z in y)
+    return read(x, 0)
 
 
 def raw_algebra_from_dict(data: dict) -> tuple[int, tuple[str, ...], MuTensor, Matrix, str]:
@@ -179,21 +192,11 @@ def raw_algebra_from_dict(data: dict) -> tuple[int, tuple[str, ...], MuTensor, M
         raise ShapeError(f"dim is not an integer: {dim!r}")
     if dim < 1:
         raise ShapeError("dim must be >= 1")
-    if not _is_grid(basis, 1, dim):
+    if type(basis) is not list or len(basis) != dim:
         raise ShapeError("basis is not a list of dim names")
-    if not _is_grid(mul, 3, dim):
-        raise ShapeError("mul tensor is not dim x dim x dim")
-    if not _is_grid(alpha, 2, dim):
-        raise ShapeError("alpha matrix is not dim x dim")
-    basis = tuple(str(b) for b in basis)
-    try:
-        mu = tuple(tuple(tuple(scalar_from_string(str(c)) for c in row)
-                         for row in plane) for plane in mul)
-        amat = Matrix.from_rows([[scalar_from_string(str(c)) for c in row]
-                                 for row in alpha])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ShapeError(f"malformed scalar in algebra data: {exc}") from exc
-    return dim, basis, mu, amat, name
+    return (dim, tuple(str(b) for b in basis),
+            read_grid(mul, (dim,) * 3, "mul"),
+            Matrix.from_rows(read_grid(alpha, (dim, dim), "alpha")), name)
 
 
 def validate(dim: int, basis_names: Sequence[str], mu, alpha: Matrix,
@@ -236,7 +239,7 @@ def validate_or_raise(dim, basis_names, mu, alpha, name="") -> HomAlgebra:
     alg, report = validate(dim, basis_names, mu, alpha, name)
     if alg is None or not report.multiplicative:
         lines = "\n".join(str(v) for v in report.violations[:10])
-        raise ValueError(f"algebra '{name}' fails validation:\n{lines}")
+        raise ValidationError(f"algebra '{name}' fails validation:\n{lines}")
     return alg
 
 
@@ -266,7 +269,7 @@ def is_algebra_endomorphism(A: HomAlgebra, endo: Matrix) -> tuple[bool, list[Vio
     return not bad, bad
 
 
-class NotAnAlgebraMapError(ValueError):
+class NotAnAlgebraMapError(PreconditionError):
     pass
 
 
@@ -277,7 +280,8 @@ def yau_twist(assoc: HomAlgebra, endo: Matrix, name: str = "") -> HomAlgebra:
     multiplicative Hom-associative algebra and is re-validated anyway.
     """
     if assoc.alpha != Matrix.identity(assoc.dim) or not is_associative(assoc):
-        raise ValueError("yau_twist input must be associative with alpha = Id")
+        raise PreconditionError(
+            "yau_twist input must be associative with alpha = Id")
     ok, bad = is_algebra_endomorphism(assoc, endo)
     if not ok:
         raise NotAnAlgebraMapError(
@@ -347,11 +351,6 @@ class Decomposition:
         return Matrix.from_columns(len(cols[0]), cols)
 
 
-class DecompositionError(ValueError):
-    """x = alpha(1) fails to be a central idempotent: contradicts the
-    unital characterization lemma, flagged rather than worked around."""
-
-
 def _restrict_algebra(A: HomAlgebra, sub: Subspace, alpha_sub: Matrix | None,
                       name: str) -> HomAlgebra | None:
     """Algebra structure on an ideal, in its own RREF basis coordinates;
@@ -374,7 +373,7 @@ def unital_decompose(A: HomAlgebra) -> Decomposition:
     """Split a unital multiplicative algebra as A x (+) A(1-x), x = alpha(1)."""
     unit = find_unit(A)
     if unit is None:
-        raise ValueError("algebra has no unit")
+        raise PreconditionError("algebra has no unit")
     x = A.apply_alpha(unit)
     if A.product(x, x) != x:
         raise DecompositionError("alpha(1) is not idempotent; contradicts "

@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 validation failure, 3 a chain-level identity
-the theory asserts failed (always surfaced, never swallowed).
+Exit codes: 0 success, 2 invalid input or a failed precondition, 3 a
+chain-level identity the theory asserts failed (always surfaced, never
+swallowed).  A refused request writes its reason to stderr and nothing
+to stdout; `_FAILURES` maps each refusal to its code.
 
 A request loads `algebra`, `linalg`, `errors` and `records` (not
 `dataclasses`), and each command imports the modules it computes with
@@ -20,24 +22,42 @@ import json
 import sys
 from functools import partial
 
-from .algebra import (DecompositionError, HomAlgebra, alpha_is_idempotent,
-                      find_unit, is_centroid_element, load_algebra, read_json,
-                      scalar_from_string, unital_decompose, yau_twist)
-from .errors import (BoundarySquareError, CoefficientError,
-                     IdentityViolationError, NotStableError, ShapeError)
+from .algebra import (HomAlgebra, alpha_is_idempotent, find_unit,
+                      is_centroid_element, load_algebra, read_grid, read_json,
+                      unital_decompose, yau_twist)
+from .errors import (BoundarySquareError, CocyclePreconditionError,
+                     CoefficientError, DecompositionError,
+                     IdentityViolationError, NotStableError,
+                     PreconditionError, ShapeError, ValidationError)
 from .linalg import Matrix
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_IDENTITY = 3
 
+# Every refusal, by exception type: its exit code and its stderr line.
+# The first type in the exception's MRO that is listed decides.  A
+# ValueError of no listed type is a refusal only when an exact result has
+# more digits than Python prints an int with; any other is a bug.
+_FAILURES = {
+    **dict.fromkeys((IdentityViolationError, BoundarySquareError,
+                     NotStableError, DecompositionError),
+                    (EXIT_IDENTITY, "identity failure: {}")),
+    # a file missing or unreadable (OSError), not JSON or not of its
+    # format (ShapeError); an algebra whose dual A* is not a dual
+    # bimodule, which the cochain theories need (CoefficientError)
+    **dict.fromkeys((ShapeError, OSError, CoefficientError,
+                     PreconditionError), (EXIT_INVALID, "error: {}")),
+    CocyclePreconditionError: (EXIT_INVALID, "precondition failure: {}"),
+    ValidationError: (EXIT_INVALID, "{}"),  # the violations, one a line
+    ValueError: (EXIT_INVALID, "error: a result has too many digits to print"),
+}
+
 
 def _load(path: str) -> HomAlgebra:
     alg, report = load_algebra(path)
     if alg is None or not report.multiplicative:
-        for v in report.violations:
-            print(str(v), file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
+        raise ValidationError("\n".join(map(str, report.violations)))
     return alg
 
 
@@ -48,13 +68,16 @@ def _emit(payload: dict, fmt: str, text: str | None = None) -> None:
         print(text if text is not None else json.dumps(payload, sort_keys=True))
 
 
-def cmd_check(args) -> int:
+# Each command returns (exit code, JSON payload, text or None, stderr
+# lines...) and writes nothing: `main` writes the result.
+
+def cmd_check(args) -> tuple:
     alg, report = load_algebra(args.file)
+    violations = [str(v) for v in report.violations]
     if alg is None:
-        print("invalid: Hom-associativity fails")
-        for v in report.violations:
-            print("  " + str(v))
-        return EXIT_INVALID
+        return (EXIT_INVALID, {"valid": False, "violations": violations},
+                "\n".join(["invalid: Hom-associativity fails"]
+                          + ["  " + v for v in violations]))
     unit = find_unit(alg)
     centroid, _ = is_centroid_element(alg)
     idem = alpha_is_idempotent(alg)
@@ -75,15 +98,12 @@ def cmd_check(args) -> int:
             f"{'unital (1=' + unit_txt + ')' if unit else 'non-unital'}, "
             f"centroid: {'yes' if centroid else 'no'}, "
             f"alpha^2=alpha: {'yes' if idem else 'no'}")
-    _emit(payload, args.format, text)
     if not report.multiplicative:
-        for v in report.violations:
-            print("  " + str(v), file=sys.stderr)
-        return EXIT_INVALID
-    return EXIT_OK
+        return (EXIT_INVALID, payload, text, *("  " + v for v in violations))
+    return EXIT_OK, payload, text
 
 
-def cmd_homology(args) -> int:
+def cmd_homology(args) -> tuple:
     alg = _load(args.file)
     theory = args.theory
     n = args.max
@@ -110,18 +130,15 @@ def cmd_homology(args) -> int:
             rep = (cyclic_homology_bicomplex if theory == "hc"
                    else cyclic_cohomology_bicomplex)(alg, n)
         text = rep.to_text()
-    elif theory in ("hp", "hpco"):
+    else:
         from .cyclic import periodic_cohomology, periodic_homology
         rep = (periodic_homology if theory == "hp"
                else periodic_cohomology)(alg, n, window=args.window)
         text = rep.to_text()
-    else:
-        raise ValueError(theory)
-    _emit(rep.to_json_dict(), args.format, text)
-    return EXIT_OK
+    return EXIT_OK, rep.to_json_dict(), text
 
 
-def cmd_duality(args) -> int:
+def cmd_duality(args) -> tuple:
     from .complexes import text_table
     from .hochschild import hochschild_cohomology, hochschild_homology
     alg = _load(args.file)
@@ -131,32 +148,18 @@ def cmd_duality(args) -> int:
     payload = {"algebra": alg.name,
                "rows": [{"degree": n, "homology": a, "cohomology": b,
                          "equal": a == b} for n, a, b in rows]}
-    _emit(payload, args.format, text_table(
+    text = text_table(
         f"duality check for {alg.name}: dim H_n(A,A) vs dim H^n(A,A*)",
         [("degree", 8), ("H_n", 6), ("H^n", 6), ("equal", 6)],
-        [(n, a, b, "yes" if a == b else "NO") for n, a, b in rows]))
-    return EXIT_OK if all(a == b for _, a, b in rows) else EXIT_IDENTITY
-
-
-def _list(x) -> list:
-    if type(x) is not list:  # a JSON string is not a list of characters
-        raise TypeError(
-            f"expected a list, got {json.dumps(x, default=str)[:40]}")
-    return x
+        [(n, a, b, "yes" if a == b else "NO") for n, a, b in rows])
+    code = EXIT_OK if all(a == b for _, a, b in rows) else EXIT_IDENTITY
+    return code, payload, text
 
 
 def _read_matrix(path: str, dim: int) -> Matrix:
     """A dim x dim matrix, given as a JSON list of rows."""
-    rows = read_json(path)
-    try:
-        m = Matrix.from_rows([[scalar_from_string(str(x)) for x in _list(row)]
-                              for row in _list(rows)])
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ShapeError(f"malformed matrix in {path}: {exc}") from exc
-    if (m.rows, m.cols) != (dim, dim):
-        raise ShapeError(f"matrix in {path} is {m.rows}x{m.cols}, "
-                         f"not {dim}x{dim}")
-    return m
+    return Matrix.from_rows(read_grid(read_json(path), (dim, dim),
+                                      f"matrix in {path}"))
 
 
 def _read_functional(path: str, alg: HomAlgebra,
@@ -165,15 +168,11 @@ def _read_functional(path: str, alg: HomAlgebra,
     "coords" and, unless the degree n is given, its "degree"."""
     from .cocycles import Functional
     data = read_json(path)
-    try:
-        n = data["degree"] if degree is None else degree
-        if type(n) is not int:
-            raise TypeError(
-                f"degree {json.dumps(n, default=str)} is not an integer")
-        coords = tuple(scalar_from_string(str(x))
-                       for x in _list(data["coords"]))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ShapeError(f"malformed functional in {path}: {exc}") from exc
+    fields = data if type(data) is dict else {}
+    n = fields.get("degree") if degree is None else degree
+    if type(n) is not int:
+        raise ShapeError(f"functional in {path} has no integer degree")
+    coords = read_grid(fields.get("coords"), (None,), f"functional in {path}")
     # dim >= 2, n >= bit length of len give dim^(n+1) > len: no huge power
     if n < 0 or (alg.dim > 1 and n >= len(coords).bit_length()) or \
             alg.dim ** (n + 1) != len(coords):
@@ -182,22 +181,14 @@ def _read_functional(path: str, alg: HomAlgebra,
     return Functional(n, coords)
 
 
-def cmd_twist(args) -> int:
+def cmd_twist(args) -> tuple:
     alg = _load(args.file)
-    endo = _read_matrix(args.alpha, alg.dim)
-    try:
-        twisted = yau_twist(alg, endo,
-                            name=args.name or (alg.name + "_twisted"))
-    except ValueError as exc:
-        # the algebra is not associative with alpha = Id, or endo is not
-        # an algebra map
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    print(twisted.to_json())
-    return EXIT_OK
+    twisted = yau_twist(alg, _read_matrix(args.alpha, alg.dim),
+                        name=args.name or (alg.name + "_twisted"))
+    return EXIT_OK, twisted.to_json_dict(), twisted.to_json()
 
 
-def cmd_dual_space(args) -> int:
+def cmd_dual_space(args) -> tuple:
     from .coefficients import a_circ
     alg = _load(args.file)
     rd = a_circ(alg)
@@ -209,20 +200,12 @@ def cmd_dual_space(args) -> int:
     }
     text = (f"restricted dual of {alg.name}: dimension {rd.subspace.dim} "
             f"of {rd.subspace.ambient_dim}")
-    _emit(payload, args.format, text)
-    return EXIT_OK
+    return EXIT_OK, payload, text
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> tuple:
     alg = _load(args.file)
-    try:
-        dec = unital_decompose(alg)
-    except DecompositionError as exc:
-        print(f"identity failure: {exc}", file=sys.stderr)
-        return EXIT_IDENTITY
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    dec = unital_decompose(alg)
     a1, a2 = dec.part_unital_associative, dec.part_complement
     payload = {
         "algebra": alg.name,
@@ -234,19 +217,18 @@ def cmd_decompose(args) -> int:
     }
     text = (f"{alg.name} = A1 (+) A2 with dim A1 = {len(dec.basis_a1)}, "
             f"dim A2 = {len(dec.basis_a2)}; A1 unital associative")
-    _emit(payload, args.format, text)
-    return EXIT_OK
+    return EXIT_OK, payload, text
 
 
-def cmd_cocycle(args) -> int:
+def cmd_cocycle(args) -> tuple:
     need = ("functional",) if args.action == "verify" else \
         ("derivation", "trace")
     missing = [f"--{o}" for o in need if getattr(args, o) is None]
     if missing:
         args.usage_error(f"cocycle {args.action} needs "
                          + " and ".join(missing))
-    from .cocycles import (CocyclePreconditionError, TwistedDerivation,
-                           derivation_cocycle, is_cyclic_cocycle)
+    from .cocycles import (TwistedDerivation, derivation_cocycle,
+                           is_cyclic_cocycle)
     alg = _load(args.file)
     if args.action == "verify":
         check = is_cyclic_cocycle(_read_functional(args.functional, alg), alg)
@@ -256,20 +238,12 @@ def cmd_cocycle(args) -> int:
         text = "cyclic cocycle: yes" if check.is_cocycle else \
             (f"cyclic cocycle: no ({len(check.coboundary_residuals)} "
              f"coboundary, {len(check.cyclicity_residuals)} cyclicity residuals)")
-        _emit(payload, args.format, text)
-        return EXIT_OK if check.is_cocycle else EXIT_INVALID
+        return EXIT_OK if check.is_cocycle else EXIT_INVALID, payload, text
     # derive
     rho = TwistedDerivation(_read_matrix(args.derivation, alg.dim))
-    tr = _read_functional(args.trace, alg, degree=0)
-    try:
-        phi = derivation_cocycle(alg, rho, tr)
-    except CocyclePreconditionError as exc:
-        print(f"precondition failure: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    payload = {"degree": 1,
-               "coords": [str(x) for x in phi.coords]}
-    _emit(payload, args.format, json.dumps(payload, sort_keys=True))
-    return EXIT_OK
+    phi = derivation_cocycle(alg, rho,
+                             _read_functional(args.trace, alg, degree=0))
+    return EXIT_OK, {"degree": 1, "coords": [str(x) for x in phi.coords]}, None
 
 
 def degree(text: str) -> int:
@@ -332,7 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default="both")
         sp.add_argument("--window", type=window, default=2,
                         help="periodic truncation window (even, >= 0)")
-        sp.add_argument("--representatives", action="store_true")
+        sp.add_argument("--representatives", action="store_true",
+                        help="print cycle representatives (hh, hhco and "
+                        "--method lambda; the others ignore it)")
         sp.set_defaults(fn=cmd_homology, theory=theory)
 
     sp = sub.add_parser("duality",
@@ -368,22 +344,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (IdentityViolationError, BoundarySquareError,
-            NotStableError) as exc:
-        print(f"identity failure: {exc}", file=sys.stderr)
-        return EXIT_IDENTITY
-    except (ShapeError, CoefficientError, OSError) as exc:
-        # an input file that is missing, unreadable, not JSON (read_json)
-        # or not a well-formed algebra; or an algebra whose dual A* is
-        # not a dual bimodule, which the cochain theories need
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:  # only an exact result too long to print
-        if "integer string conversion" not in str(exc):
+        code, payload, text, *notes = args.fn(args)
+        _emit(payload, args.format, text)
+    except Exception as exc:
+        kind = next((t for t in type(exc).__mro__ if t in _FAILURES), None)
+        if kind is None or kind is ValueError and \
+                "integer string conversion" not in str(exc):
             raise
-        print("error: a result has too many digits to print", file=sys.stderr)
-        return EXIT_INVALID
+        code, line = _FAILURES[kind]
+        notes = [line.format(exc)]
+    for line in notes:
+        print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

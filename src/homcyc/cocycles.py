@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .algebra import HomAlgebra, Violation, axiom_violations
 from .coefficients import regular_bimodule
+from .errors import CocyclePreconditionError
 from .hochschild import IdentityViolationError, cyclic_t, hochschild_b
 from .linalg import (Matrix, Subspace, ZERO, kron, power_sum,
                      solve_homogeneous, vanishes)
@@ -95,10 +96,6 @@ def validate_twisted_derivation(A: HomAlgebra, rho: TwistedDerivation
         bad.append(Violation("twist-compat alpha*rho=rho*alpha=rho", (),
                              (), ()))
     return not bad, bad
-
-
-class CocyclePreconditionError(ValueError):
-    pass
 
 
 def derivation_cocycle(A: HomAlgebra, rho: TwistedDerivation,

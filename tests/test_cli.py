@@ -40,12 +40,24 @@ def test_check_json_format(example_file, capsys):
 
 
 def test_check_invalid_exits_2(tmp_path, capsys):
+    """An algebra that fails Hom-associativity: exit 2 with the report
+    on stdout, as JSON with sorted keys under `--format json`, each
+    violation being one line of the text report."""
     bad = {"name": "bad", "dim": 2, "basis": ["a", "b"],
            "mul": [[["0", "1"], ["0", "0"]], [["0", "0"], ["1", "0"]]],
            "alpha": [["1", "0"], ["0", "1"]]}
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(bad))
+    assert main(["check", str(p), "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    data = json.loads(out)
+    assert out == json.dumps(data, sort_keys=True, indent=2) + "\n"
+    assert data["valid"] is False and len(data["violations"]) == 4
+    assert err == ""
     assert main(["check", str(p)]) == 2
+    assert capsys.readouterr() == ("\n".join(
+        ["invalid: Hom-associativity fails"]
+        + ["  " + v for v in data["violations"]]) + "\n", "")
 
 
 def test_check_malformed_shape_exits_2(tmp_path):
