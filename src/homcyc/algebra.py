@@ -235,12 +235,20 @@ def validate(dim: int, basis_names: Sequence[str], mu, alpha: Matrix,
     return (cand if ok else None), report
 
 
-def validate_or_raise(dim, basis_names, mu, alpha, name="") -> HomAlgebra:
-    alg, report = validate(dim, basis_names, mu, alpha, name)
+def require_valid(alg: HomAlgebra | None, report: ValidationReport,
+                  name: str) -> HomAlgebra:
+    """alg, when `validate` found it Hom-associative and multiplicative;
+    otherwise a one-line ValidationError naming the algebra, its first
+    violation and the number of violations."""
     if alg is None or not report.multiplicative:
-        lines = "\n".join(str(v) for v in report.violations[:10])
-        raise ValidationError(f"algebra '{name}' fails validation:\n{lines}")
+        first, count = report.violations[0], len(report.violations)
+        raise ValidationError(f"algebra '{name}' fails validation: {first} "
+                              f"({count} violations)")
     return alg
+
+
+def validate_or_raise(dim, basis_names, mu, alpha, name="") -> HomAlgebra:
+    return require_valid(*validate(dim, basis_names, mu, alpha, name), name)
 
 
 def load_algebra(path_or_dict) -> tuple[HomAlgebra | None, ValidationReport]:
@@ -351,22 +359,17 @@ class Decomposition:
         return Matrix.from_columns(len(cols[0]), cols)
 
 
-def _restrict_algebra(A: HomAlgebra, sub: Subspace, alpha_sub: Matrix | None,
+def _restrict_algebra(A: HomAlgebra, sub: Subspace,
                       name: str) -> HomAlgebra | None:
     """Algebra structure on an ideal, in its own RREF basis coordinates;
-    None for the zero ideal, since an algebra has dim >= 1.
-
-    alpha_sub: the restricted twist in subspace coordinates; computed by
-    restriction when None.
-    """
+    None for the zero ideal, since an algebra has dim >= 1."""
     if not sub.dim:
         return None
     mu = tuple(tuple(sub.coordinates(A.product(u, v)) for v in sub.basis)
                for u in sub.basis)
-    if alpha_sub is None:
-        alpha_sub = restrict(A.alpha, sub, sub)
     names = tuple(f"f{i+1}" for i in range(sub.dim))
-    return validate_or_raise(sub.dim, names, mu, alpha_sub, name=name)
+    return validate_or_raise(sub.dim, names, mu, restrict(A.alpha, sub, sub),
+                             name=name)
 
 
 def unital_decompose(A: HomAlgebra) -> Decomposition:
@@ -384,8 +387,8 @@ def unital_decompose(A: HomAlgebra) -> Decomposition:
     y = tuple(u - xi for u, xi in zip(unit, x))
     sub1 = image(A.right_mult_matrix(x))
     sub2 = image(A.right_mult_matrix(y))
-    a1 = _restrict_algebra(A, sub1, None, name=A.name + "_A1")
-    a2 = _restrict_algebra(A, sub2, None, name=A.name + "_A2")
+    a1 = _restrict_algebra(A, sub1, name=A.name + "_A1")
+    a2 = _restrict_algebra(A, sub2, name=A.name + "_A2")
     if a1 is not None and not is_associative(a1):
         raise DecompositionError("A1 summand is not associative; contradicts "
                                  "the unital characterization")
@@ -394,8 +397,8 @@ def unital_decompose(A: HomAlgebra) -> Decomposition:
 
 def idempotent_twist_decompose(A: HomAlgebra
                                ) -> tuple[HomAlgebra | None, HomAlgebra | None]:
-    """For alpha idempotent: K = ker(alpha) with zero product, B = im(alpha);
-    a zero summand is None.
+    """For alpha idempotent: K = ker(alpha) with zero product and zero
+    twist, B = im(alpha); a zero summand is None.
 
     Also verifies the cross terms vanish: (k + b)(k' + b') = b b'.
     """
@@ -408,10 +411,8 @@ def idempotent_twist_decompose(A: HomAlgebra
     m = A.product_matrix
     if not (vanishes((1, m, kron(K, KB))) and vanishes((1, m, kron(KB, K)))):
         raise ValueError("kernel of alpha is not a square-zero ideal")
-    return (_restrict_algebra(A, ker_sub,
-                              Matrix.zero(ker_sub.dim, ker_sub.dim),
-                              name=A.name + "_K"),
-            _restrict_algebra(A, im_sub, None, name=A.name + "_B"))
+    return (_restrict_algebra(A, ker_sub, name=A.name + "_K"),
+            _restrict_algebra(A, im_sub, name=A.name + "_B"))
 
 
 def unitalize(A: HomAlgebra) -> tuple[HomAlgebra, Matrix]:
@@ -427,41 +428,21 @@ def unitalize(A: HomAlgebra) -> tuple[HomAlgebra, Matrix]:
         raise ValueError("alpha is not in the centroid: " + str(bad[0]))
     if not alpha_is_idempotent(A):
         raise ValueError("alpha^2 != alpha; quotient model unavailable")
-    d = A.dim
-    n = d + 2  # basis: 1, abar, e_1..e_d
-    names = ("one", "abar") + tuple(A.basis_names)
-
-    def embed(vec):
-        return (ZERO, ZERO) + tuple(vec)
-
-    def poly_action(p0, p1, vec):
-        # (p0 + p1*abar) acting on A via abar -> alpha
-        av = A.apply_alpha(vec)
-        return tuple(p0 * x + p1 * y for x, y in zip(vec, av))
-
-    def product(u, v):
-        p0, p1, a = u[0], u[1], u[2:]
-        q0, q1, b = v[0], v[1], v[2:]
-        # (p + a)(q + b) = pq + q(alpha)(a) + p(alpha)(b) + ab
-        r0 = p0 * q0
-        r1 = p0 * q1 + p1 * q0 + p1 * q1  # abar^2 = abar
-        avec = [x + y + z for x, y, z in zip(poly_action(q0, q1, a),
-                                             poly_action(p0, p1, b),
-                                             A.product(a, b))]
-        return (r0, r1) + tuple(avec)
-
-    basis = [tuple(ONE if k == i else ZERO for k in range(n)) for i in range(n)]
-    mu = tuple(tuple(product(basis[i], basis[j]) for j in range(n))
-               for i in range(n))
-    # beta: 1 -> abar, abar -> abar, restricted to A it is alpha
-    beta_cols = [basis[1], basis[1]] + \
-        [embed(A.apply_alpha(A.basis_vector(j))) for j in range(d)]
-    beta = Matrix.from_columns(n, beta_cols)
+    d, n = A.dim, A.dim + 2  # basis: 1, abar, e_1..e_d
+    names = ("one", "abar") + A.basis_names
+    one, abar = (ONE, ZERO) + (ZERO,) * d, (ZERO, ONE) + (ZERO,) * d
+    e = [(ZERO, ZERO) + A.basis_vector(j) for j in range(d)]
+    alpha_e = [(ZERO, ZERO) + A.alpha.col(j) for j in range(d)]
+    # 1 is the unit, abar abar = abar, abar e_j = e_j abar = alpha(e_j),
+    # and e_i e_j is A's product
+    mu = [[one, abar, *e], [abar, abar, *alpha_e]] + \
+        [[e[i], alpha_e[i], *((ZERO, ZERO) + A.mu[i][j] for j in range(d))]
+         for i in range(d)]
+    beta = Matrix.from_columns(n, mu[1])  # beta(x) = abar x
     B = validate_or_raise(n, names, mu, beta, name=A.name + "_unitalized")
     if find_unit(B) is None:
         raise ValueError("unitalization failed to produce a unit")
-    emb_cols = [embed(A.basis_vector(j)) for j in range(d)]
-    embedding = Matrix.from_columns(n, emb_cols)
+    embedding = Matrix.from_columns(n, e)
     ok, bad = validate_morphism(AlgebraMorphism(A, B, embedding))
     if not ok:
         raise ValueError("embedding is not a morphism: " + str(bad[0]))

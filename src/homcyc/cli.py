@@ -24,7 +24,7 @@ from functools import partial
 
 from .algebra import (HomAlgebra, alpha_is_idempotent, find_unit,
                       is_centroid_element, load_algebra, read_grid, read_json,
-                      unital_decompose, yau_twist)
+                      require_valid, unital_decompose, yau_twist)
 from .errors import (BoundarySquareError, CocyclePreconditionError,
                      CoefficientError, DecompositionError,
                      IdentityViolationError, NotStableError,
@@ -44,21 +44,21 @@ _FAILURES = {
                      NotStableError, DecompositionError),
                     (EXIT_IDENTITY, "identity failure: {}")),
     # a file missing or unreadable (OSError), not JSON or not of its
-    # format (ShapeError); an algebra whose dual A* is not a dual
+    # format (ShapeError); an algebra that fails Hom-associativity or
+    # multiplicativity (ValidationError), or whose dual A* is not a dual
     # bimodule, which the cochain theories need (CoefficientError)
-    **dict.fromkeys((ShapeError, OSError, CoefficientError,
+    **dict.fromkeys((ShapeError, OSError, ValidationError, CoefficientError,
                      PreconditionError), (EXIT_INVALID, "error: {}")),
     CocyclePreconditionError: (EXIT_INVALID, "precondition failure: {}"),
-    ValidationError: (EXIT_INVALID, "{}"),  # the violations, one a line
     ValueError: (EXIT_INVALID, "error: a result has too many digits to print"),
 }
 
 
 def _load(path: str) -> HomAlgebra:
-    alg, report = load_algebra(path)
-    if alg is None or not report.multiplicative:
-        raise ValidationError("\n".join(map(str, report.violations)))
-    return alg
+    data = read_json(path)
+    if type(data) is not dict:
+        raise ShapeError(f"{path}: the algebra is not a JSON object")
+    return require_valid(*load_algebra(data), data.get("name", ""))
 
 
 def _emit(payload: dict, fmt: str, text: str | None = None) -> None:
@@ -165,13 +165,17 @@ def _read_matrix(path: str, dim: int) -> Matrix:
 def _read_functional(path: str, alg: HomAlgebra,
                      degree: int | None = None):
     """A `cocycles.Functional` on alg^{(x)(n+1)}: a JSON object with its
-    "coords" and, unless the degree n is given, its "degree"."""
+    "coords" and its "degree" n, which must equal degree when that is
+    given, and may then be left out."""
     from .cocycles import Functional
     data = read_json(path)
     fields = data if type(data) is dict else {}
-    n = fields.get("degree") if degree is None else degree
+    n = fields.get("degree", degree)
     if type(n) is not int:
         raise ShapeError(f"functional in {path} has no integer degree")
+    if degree not in (None, n):
+        raise ShapeError(f"functional in {path} has degree {n}, "
+                         f"not {degree}")
     coords = read_grid(fields.get("coords"), (None,), f"functional in {path}")
     # dim >= 2, n >= bit length of len give dim^(n+1) > len: no huge power
     if n < 0 or (alg.dim > 1 and n >= len(coords).bit_length()) or \

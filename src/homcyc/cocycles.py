@@ -14,8 +14,8 @@ from .algebra import HomAlgebra, Violation, axiom_violations
 from .coefficients import regular_bimodule
 from .errors import CocyclePreconditionError
 from .hochschild import IdentityViolationError, cyclic_t, hochschild_b
-from .linalg import (Matrix, Subspace, ZERO, kron, power_sum,
-                     solve_homogeneous, vanishes)
+from .linalg import (Matrix, Subspace, ZERO, kernel, kron, permute_columns,
+                     power_sum, swap_slots, vanishes)
 from .records import record
 
 
@@ -31,10 +31,9 @@ class Functional:
 
 
 def trace_space(A: HomAlgebra) -> Subspace:
-    """Solutions of phi(e_i e_j) = phi(e_j e_i) inside A*."""
-    return solve_homogeneous([[a - b for a, b in zip(A.mu[i][j], A.mu[j][i])]
-                              for i in range(A.dim)
-                              for j in range(i + 1, A.dim)], A.dim)
+    """The traces phi(xy) = phi(yx): ker (mu - mu sigma)^T, sigma = swap."""
+    mu, d = A.product_matrix, A.dim
+    return kernel((mu - permute_columns(mu, swap_slots(d, d))).transpose())
 
 
 @record

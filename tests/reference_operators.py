@@ -23,7 +23,9 @@ read in the target classes; they are the reference for
 `complexes.homology` and the induced maps of `homcyc.cyclic`.
 `total_differentials` assembles the total complex of a first-quadrant
 bicomplex block by block from dense maps, the reference for
-`complexes.total_complex`.
+`complexes.total_complex`.  `trace_space` solves homcyc's earlier
+constraints phi(e_i e_j) = phi(e_j e_i), i < j, with that `rref`, the
+reference for `cocycles.trace_space`.
 
 The axiom checks at the end are homcyc's earlier checks of the structure
 axioms, one loop over basis tuples each, evaluating both sides of every
@@ -536,3 +538,19 @@ def cocycle_residuals(A, V, n, coords):
     cyc = [Violation("cyclicity", idx, (x,), (ZERO,)) for idx, x in
            zip(iproduct(range(A.dim), repeat=n + 1), diff) if x]
     return co, cyc
+
+
+def trace_space(A):
+    """The traces phi(e_i e_j) = phi(e_j e_i), one constraint row for
+    each pair i < j as homcyc built them before `cocycles.trace_space`
+    became a kernel of mu - mu sigma: the RREF basis of the null space of
+    those rows, read off the dense `rref`, as a tuple of tuples."""
+    d = A.dim
+    rows = [[x - y for x, y in zip(A.mu[i][j], A.mu[j][i])]
+            for i in range(d) for j in range(i + 1, d)]
+    red, pivots = rref(rows, d)
+    null = [[ONE if k == f else -red[pivots.index(k)][f] if k in pivots
+             else ZERO for k in range(d)]
+            for f in range(d) if f not in pivots]
+    basis, _ = rref(null, d)
+    return tuple(map(tuple, basis))

@@ -4,7 +4,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from homcyc import corpus
 from homcyc.algebra import (AlgebraMorphism, DecompositionError,
                             NotAnAlgebraMapError, ShapeError,
                             alpha_is_idempotent, direct_sum, find_unit,
@@ -17,9 +20,18 @@ from homcyc.corpus import (dual_numbers, dual_numbers_projection_twist,
                            ground_field, k2, k_times_k, k_times_k_swap_twist,
                            matrix_2x2, standard_corpus, truncated_polynomials,
                            two_dim_unital)
-from homcyc.linalg import Matrix
+from homcyc.linalg import Matrix, image, kernel, rank
 
 F = Fraction
+
+# every corpus algebra, the closed-form families at one small size each
+CORPUS = [make() for make in (
+    corpus.two_dim_unital, corpus.ground_field, corpus.k2, corpus.k1_plus_k2,
+    corpus.k_times_k, corpus.k_times_k_swap_twist, corpus.dual_numbers,
+    corpus.dual_numbers_projection_twist, corpus.k_times_k_projection_twist,
+    corpus.truncated_polynomials, corpus.upper_triangular_algebra,
+    corpus.matrix_2x2)] + [corpus.truncated_polynomial_algebra(4),
+                           corpus.cyclic_group_algebra(3)]
 
 
 def test_corpus_all_validate():
@@ -182,6 +194,78 @@ def test_idempotent_twist_decompose():
     assert K.dim == 1 and B.dim == 1
     assert K.mu[0][0] == (F(0),)
     assert B.mu[0][0] == (F(1),)
+
+
+def _direct_sum_of(first, second):
+    """The Hom-algebra direct sum of two summands, either of which may be
+    None for a zero summand."""
+    if first is None or second is None:
+        return second if first is None else first
+    return direct_sum(first, second)
+
+
+def test_unital_splitting_is_a_hom_algebra_direct_sum():
+    """On every unital corpus algebra, the change of basis from
+    A1 (+) A2 to A keeps products and twists: the splitting is a direct
+    sum of Hom-algebras, cross products and all."""
+    unital = [A for A in CORPUS if find_unit(A) is not None]
+    assert len(unital) == 11
+    for A in unital:
+        dec = unital_decompose(A)
+        S = _direct_sum_of(dec.part_unital_associative, dec.part_complement)
+        ok, bad = validate_morphism(
+            AlgebraMorphism(S, A, dec.change_of_basis))
+        assert ok, (A.name, bad)
+        assert rank(dec.change_of_basis) == A.dim
+
+
+def test_idempotent_twist_splitting_is_a_hom_algebra_direct_sum():
+    """Where alpha^2 = alpha and ker alpha is a square-zero ideal, the
+    change of basis from K (+) B to A, K = ker alpha and B = im alpha,
+    keeps products and twists, and K's twist is zero.  The corpus
+    algebras refused are exactly those where that fails."""
+    refused = []
+    for A in CORPUS:
+        try:
+            K, B = idempotent_twist_decompose(A)
+        except ValueError:
+            refused.append(A.name)
+            continue
+        if K is not None:
+            assert K.alpha == Matrix.zero(K.dim, K.dim)
+        change = Matrix.from_columns(
+            A.dim, kernel(A.alpha).basis + image(A.alpha).basis)
+        ok, bad = validate_morphism(
+            AlgebraMorphism(_direct_sum_of(K, B), A, change))
+        assert ok, (A.name, bad)
+    assert refused == ["two_dim_unital", "k2", "k1+k2", "k_times_k_swapped"]
+
+
+UNITALIZABLE = [A for A in CORPUS if is_centroid_element(A)[0]
+                and alpha_is_idempotent(A)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_unitalization_is_its_defining_formula(data):
+    """In A+ = k[abar]/(abar^2 - abar) (+) A, with abar acting as alpha,
+    (p0 + p1 abar + a)(q0 + q1 abar + b) = p0 q0
+    + (p0 q1 + p1 q0 + p1 q1) abar + q0 a + q1 alpha(a) + p0 b
+    + p1 alpha(b) + ab; beta(p0 + p1 abar + a) = (p0 + p1) abar
+    + alpha(a); and A embeds as the last coordinates."""
+    A = data.draw(st.sampled_from(UNITALIZABLE))
+    B, embedding = unitalize(A)
+    scalar = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    vector = st.lists(scalar, min_size=A.dim + 2, max_size=A.dim + 2)
+    (p0, p1, *a), (q0, q1, *b) = data.draw(vector), data.draw(vector)
+    alpha_a, alpha_b, ab = A.apply_alpha(a), A.apply_alpha(b), A.product(a, b)
+    assert B.product((p0, p1, *a), (q0, q1, *b)) == (
+        p0 * q0, p0 * q1 + p1 * q0 + p1 * q1,
+        *(q0 * a[k] + q1 * alpha_a[k] + p0 * b[k] + p1 * alpha_b[k] + ab[k]
+          for k in range(A.dim)))
+    assert B.apply_alpha((p0, p1, *a)) == (0, p0 + p1, *alpha_a)
+    assert embedding.apply(a) == (0, 0, *a)
+    assert B.basis_names == ("one", "abar") + A.basis_names
 
 
 def test_unitalize():

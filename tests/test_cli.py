@@ -66,6 +66,30 @@ def test_check_malformed_shape_exits_2(tmp_path):
     assert main(["check", str(p)]) == 2
 
 
+# every product e1 + e2 + e3 and alpha = diag(1, 2, 3): Hom-associativity
+# and multiplicativity fail at 27 basis tuples together
+SUM_PRODUCT = {"name": "sum3", "dim": 3, "basis": ["e1", "e2", "e3"],
+               "mul": [[["1", "1", "1"]] * 3] * 3,
+               "alpha": [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["hh", "--max", "1"], ["hc"], ["hpco"], ["duality"], ["dual-space"],
+    ["decompose"]], ids=lambda argv: argv[0])
+def test_invalid_algebra_is_refused_in_one_line(tmp_path, capsys, argv):
+    """Every command but `check` refuses an algebra that fails validation
+    with one stderr line: its name, its first violation and how many
+    there are; exit 2, nothing on stdout."""
+    p = tmp_path / "sum3.json"
+    p.write_text(json.dumps(SUM_PRODUCT))
+    _, report = load_algebra(str(p))
+    assert len(report.violations) == 27
+    assert main([argv[0], str(p), *argv[1:]]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: algebra 'sum3' fails validation: "
+        f"{report.violations[0]} (27 violations)\n")
+
+
 
 ONE_DIM = ('{{"name": "n", "dim": 1, "basis": ["e"], "mul": [[[{mul}]]], '
            '"alpha": [[{alpha}]]}}')
@@ -323,10 +347,12 @@ def _with_first_mul(literal: str) -> str:
     ("check", _with_first_mul("1e5000")),
     ("check", _with_first_mul("1e10000000")),
     ("hh", _with_first_mul("1e-4300")),
+    ("hh", json.dumps([two_dim_unital().to_json_dict()])),
 ], ids=["malformed-shape", "invalid-json", "missing-file",
         "check-nested-too-deep", "hh-nested-too-deep",
         "check-5000-digit-integer", "hh-5000-digit-integer",
-        "number-1e5000", "number-1e10000000", "number-1e-4300"])
+        "number-1e5000", "number-1e10000000", "number-1e-4300",
+        "not-an-object"])
 def test_unreadable_algebra_file_exits_2(tmp_path, capsys, cmd, content):
     p = tmp_path / "alg.json"
     if content is not None:
@@ -426,6 +452,13 @@ def _exit_code(argv):
      {"rho": ["00", ["0", "0"]], "tr": {"coords": ["1", "0"]}}, "error: "),
     (["derive", "--derivation", "{rho}", "--trace", "{tr}"],
      {"rho": [["0", "0"], ["0", "0"]], "tr": {"coords": "10"}}, "error: "),
+    # a trace may leave its degree out, but a degree it gives must be 0
+    (["derive", "--derivation", "{rho}", "--trace", "{tr}"],
+     {"rho": [["0", "0"], ["0", "0"]],
+      "tr": {"degree": 5, "coords": ["1", "0"]}}, "error: "),
+    (["derive", "--derivation", "{rho}", "--trace", "{tr}"],
+     {"rho": [["0", "0"], ["0", "0"]],
+      "tr": {"degree": None, "coords": ["1", "0"]}}, "error: "),
     # files given as text are written as they are
     (["verify", "--functional", "{phi}"],
      {"phi": "[" * 100000 + "]" * 100000}, "error: "),
@@ -438,7 +471,8 @@ def _exit_code(argv):
         "functional-huge-degree", "ragged-derivation", "trace-wrong-length",
         "functional-coords-a-string", "functional-degree-a-bool",
         "functional-degree-a-float", "derivation-row-a-string",
-        "trace-coords-a-string", "functional-nested-too-deep",
+        "trace-coords-a-string", "trace-degree-5", "trace-degree-null",
+        "functional-nested-too-deep",
         "functional-5000-digit-integer", "functional-1e5000"])
 def test_malformed_cocycle_input_exits_2(example_file, tmp_path, capsys,
                                          args, files, err_prefix):

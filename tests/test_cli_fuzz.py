@@ -1,10 +1,14 @@
 """The exit contract on generated bad input: valid algebra, matrix and
 functional files, one of them mutated (truncated, nested wrongly, a
-value of the wrong type, a huge scalar, a list too short or too long),
-given to `check`, `hh --max 1`, `twist`, `cocycle verify` and
-`cocycle derive` through `cli.main` in process.  Every run must return
-0, 2 or 3 from `main` with no traceback, and a run that reports an
-`error:` exits 2 with that one line on stderr and nothing on stdout.
+value of the wrong type, a huge scalar, a list too short or too long,
+or one product of the algebra changed to another scalar), given to
+`check`, `hh --max 1`, `twist`, `cocycle verify` and `cocycle derive`
+through `cli.main` in process.  Every run must return 0, 2 or 3 from
+`main` with no traceback.  A refusal, a non-zero exit with nothing on
+stdout, writes exactly one stderr line, starting `error:`,
+`precondition failure:` or `identity failure:`, and a run that reports
+an `error:` exits 2.  Only `check` and `cocycle verify` exit non-zero
+with a report on stdout.
 """
 
 import json
@@ -36,6 +40,8 @@ COMMANDS = [
 WRONG_TYPES = [None, True, 0, -1, 1.5, "x", "1/0", [], {}, [[["1"]]],
                {"degree": 0}]
 HUGE = [10 ** 4000, "9" * 5000, "1e5000", "1e-5000", "10**10", 2 ** 64]
+SCALARS = ["0", "1", "-1", "2", "1/2", "-3/4"]
+REFUSALS = ("error: ", "precondition failure: ", "identity failure: ")
 
 
 def _case(name, doc):
@@ -55,6 +61,11 @@ NOT_HOM_ASSOCIATIVE = _case("algebra", {
     "name": "bad", "dim": 2, "basis": ["a", "b"],
     "mul": [[["0", "1"], ["0", "0"]], [["0", "0"], ["1", "0"]]],
     "alpha": [["1", "0"], ["0", "1"]]})
+
+# one one = 2 one: (one one) x = 2x but one (one x) = x, so every command
+# but `check` refuses it, in one line however many violations there are
+ONE_PRODUCT_OFF = _case("algebra", {**VALID["algebra"], "mul": [
+    [["2", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]]})
 
 
 def _paths(doc, path=()):
@@ -87,8 +98,13 @@ def mutated(draw):
     path = draw(st.sampled_from(list(_paths(doc))))
     old = _get(doc, path)
     kind = draw(st.sampled_from(["truncate", "wrap", "unwrap", "type",
-                                 "huge", "shorter", "longer"]))
-    if kind == "wrap":
+                                 "huge", "shorter", "longer", "scalar"]))
+    if kind == "scalar":  # the algebra, still well-formed, one product off
+        name, doc = "algebra", json.loads(json.dumps(VALID["algebra"]))
+        i, j, k = (draw(st.integers(0, doc["dim"] - 1)) for _ in range(3))
+        doc["mul"][i][j][k] = draw(st.sampled_from(
+            [x for x in SCALARS if x != doc["mul"][i][j][k]]))
+    elif kind == "wrap":
         doc = _set(doc, path, [old])
     elif kind == "unwrap" and isinstance(old, list) and old:
         doc = _set(doc, path, old[0])
@@ -113,6 +129,7 @@ def mutated(draw):
 @example(_case("algebra", VALID["algebra"]))
 @example(TOO_LONG_TO_PRINT)
 @example(NOT_HOM_ASSOCIATIVE)
+@example(ONE_PRODUCT_OFF)
 def test_mutated_input_keeps_the_exit_contract(tmp_path, capsys, case):
     _, texts = case
     paths = {}
@@ -127,3 +144,8 @@ def test_mutated_input_keeps_the_exit_contract(tmp_path, capsys, case):
         if err.startswith("error: "):
             assert code == 2 and len(err.strip().splitlines()) == 1
             assert out == "", (argv, err)
+        if code and not out:
+            assert len(err.splitlines()) == 1, (argv, err)
+            assert err.startswith(REFUSALS), (argv, err)
+        elif code:
+            assert argv[0] == "check" or argv[:2] == ["cocycle", "verify"]

@@ -21,6 +21,9 @@ homology checks run on them.
 A third family moves each corpus algebra of dimension at most 3 to a
 drawn unimodular integer basis: its HH, HH-co and HC (lambda and
 bicomplex) Betti numbers up to degree 2 must not change.
+
+On all three families, and on the corpus, `trace_space` is the RREF
+basis that the reference's pairwise constraints give.
 """
 
 from fractions import Fraction
@@ -30,6 +33,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import reference_operators as ref
 from homcyc.algebra import direct_sum, yau_twist
 from homcyc.cocycles import trace_space
 from homcyc.coefficients import (CoefficientError, dualize_bimodule,
@@ -38,7 +42,8 @@ from homcyc.complexes import homology
 from homcyc.corpus import (dual_numbers, dual_numbers_projection_twist,
                            ground_field, k1_plus_k2, k2,
                            k_times_k_projection_twist, k_times_k_swap_twist,
-                           matrix_2x2, truncated_polynomials, two_dim_unital)
+                           matrix_2x2, truncated_polynomials, two_dim_unital,
+                           upper_triangular_algebra)
 from homcyc.cyclic import (cyclic_homology_both, hochschild_cohomology,
                            hochschild_homology)
 from homcyc.hochschild import (build_hochschild_cohomology_complex,
@@ -147,3 +152,13 @@ def _betti_to_degree_2(A):
 def test_betti_numbers_do_not_depend_on_the_basis(case):
     make, p = case
     assert _betti_to_degree_2(moved(make, p)) == _betti_to_degree_2(make())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(twisted_matrices(), direct_sums(),
+                 unimodular_bases().map(lambda case: moved(*case)),
+                 st.sampled_from(SUMMANDS + [matrix_2x2,
+                                             upper_triangular_algebra])
+                 .map(lambda make: make())))
+def test_trace_space_is_the_pairwise_constraint_construction(A):
+    assert trace_space(A).basis == ref.trace_space(A)
