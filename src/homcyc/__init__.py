@@ -23,7 +23,7 @@ from .algebra import (AlgebraMorphism, HomAlgebra, direct_sum, find_unit,
 _LAZY = {
     "coefficients": ("Bimodule", "a_circ", "coregular_dual",
                      "dualize_bimodule", "regular_bimodule",
-                     "validate_homology_coefficients"),
+                     "solve_homogeneous", "validate_homology_coefficients"),
     "complexes": ("Bicomplex", "ChainComplex", "HomologyReport", "homology",
                   "quotient_complex", "sub_complex", "total_complex"),
     "cyclic": ("CyclicReport", "PeriodicReport",
@@ -40,7 +40,7 @@ _LAZY = {
                    "hochschild_cohomology", "hochschild_homology",
                    "homotopy_theta", "norm_N"),
     "linalg": ("Matrix", "Scalar", "Subspace", "image", "kernel",
-               "quotient_dim", "rref", "solve_homogeneous"),
+               "quotient_dim", "rref"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 

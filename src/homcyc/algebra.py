@@ -17,6 +17,8 @@ sufficient.
 from __future__ import annotations
 
 import json
+import math
+import os
 import re
 import sys
 from collections.abc import Sequence
@@ -44,8 +46,26 @@ class Violation:
     def __str__(self):
         idx = ",".join(str(i + 1) for i in self.indices)
         return (f"{self.axiom} fails at ({idx}): "
-                f"lhs={[str(x) for x in self.lhs]} "
-                f"rhs={[str(x) for x in self.rhs]}")
+                f"lhs={list(map(_written, self.lhs))} "
+                f"rhs={list(map(_written, self.rhs))}")
+
+
+def _written(x: Fraction) -> str:
+    """str(x), with a numerator or denominator that has more digits than
+    an int prints with (`sys.get_int_max_str_digits()`) written as its
+    digit count: "-<5001 digits>/3"."""
+    parts = [abs(x.numerator)] + [x.denominator] * (x.denominator > 1)
+    return "-" * (x < 0) + "/".join(map(_natural_written, parts))
+
+
+def _natural_written(n: int) -> str:
+    """str(n) for n > 0, or "<d digits>" where str would raise: d is the
+    logarithm's estimate, off by at most one, corrected."""
+    try:
+        return str(n)
+    except ValueError:
+        d = int(math.log10(n)) + 1
+        return f"<{d - (10 ** (d - 1) > n) + (10 ** d <= n)} digits>"
 
 
 def axiom_violations(families: Sequence[tuple]) -> list[Violation]:
@@ -252,8 +272,15 @@ def validate_or_raise(dim, basis_names, mu, alpha, name="") -> HomAlgebra:
 
 
 def load_algebra(path_or_dict) -> tuple[HomAlgebra | None, ValidationReport]:
-    data = path_or_dict if isinstance(path_or_dict, dict) else \
-        read_json(path_or_dict)
+    """`validate` of the algebra in a dict, or in the JSON file at a
+    path; ShapeError for any other argument."""
+    if isinstance(path_or_dict, dict):
+        data = path_or_dict
+    elif isinstance(path_or_dict, (str, bytes, os.PathLike)):
+        data = read_json(path_or_dict)
+    else:
+        raise ShapeError("an algebra is a dict or a path, not a "
+                         f"{type(path_or_dict).__name__}")
     dim, basis, mu, alpha, name = raw_algebra_from_dict(data)
     return validate(dim, basis, mu, alpha, name)
 

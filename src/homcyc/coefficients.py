@@ -19,11 +19,13 @@ L, R, beta and the algebra's `product_matrix` and alpha, and
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from fractions import Fraction
 
 from .algebra import (HomAlgebra, Violation, axiom_violations,
                       is_centroid_element)
-from .linalg import (Matrix, NotASubspaceError, Subspace, block_matrix, kron,
-                     permute_columns, restrict, solve_homogeneous, swap_slots)
+from .linalg import (Matrix, NotASubspaceError, Subspace, block_matrix,
+                     kernel, kron, permute_columns, restrict, swap_slots)
 from .errors import CoefficientError
 from .records import record, replace
 
@@ -178,6 +180,13 @@ class RestrictedDual:
 
     subspace: Subspace
     bimodule: Bimodule
+
+
+def solve_homogeneous(constraints: Sequence[Sequence[Fraction]],
+                      ambient_dim: int) -> Subspace:
+    """Common null space of a list of linear functionals on Q^ambient_dim,
+    each a vector of its ambient_dim coefficients."""
+    return kernel(Matrix.from_columns(ambient_dim, constraints).transpose())
 
 
 def a_circ(A: HomAlgebra) -> RestrictedDual:

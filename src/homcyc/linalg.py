@@ -17,10 +17,15 @@ one big integer with an entry in each 16-, 32- or 64-bit slot: once per
 matrix and slot width, kept on the matrix with the slot bound's numbers
 (`_norms`) until `drop_packings`, and used by every check it enters.
 The slots are the narrowest that hold the bound on the sum, so a row
-is decided on one integer.  Row reduction is sparse integer
-elimination on {column: integer} dicts: `rank` counts the pivots of
-the echelon form, and `rref` adds a back-substitution where a
-canonical basis is needed; the RREF is unique, whatever the order.
+is decided on one integer.  A Kronecker product keeps its innermost
+factors (`kron`), and each of its packed rows is one product of their
+packed rows, each factor packed at the width that puts its entries'
+products in their slots; every face but delta_n, and every tensor
+power, is one.  Any other row is packed by one shift sum.  Row
+reduction is sparse integer elimination on {column: integer} dicts,
+the rows taken bottom-up (`_echelon`): `rank` counts the pivots of the
+echelon form, and `rref` adds a back-substitution where a canonical
+basis is needed; the RREF is unique, whatever the order.
 
 A `Subspace` is its RREF, a `Matrix` of the nonzero rows (`rows`).  Its
 `quotient`, the identity at the free columns minus the RREF entries at
@@ -44,11 +49,9 @@ its powers (Id - t, N) row by row.  `swap_slots` moves a first slot back.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .records import cached, record
@@ -239,14 +242,22 @@ def _dense(row: IntRow, n: int) -> tuple[Fraction, ...]:
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    """The Kronecker product a (x) b, a's indices most significant."""
+    """The Kronecker product a (x) b, a's indices most significant.
+    Where `vanishes` may pack it (`_packable`) and a is not 1 x 1, it
+    keeps its `_factors`: a's, or a itself, then b's, or b itself, so a
+    product holds its innermost factors alone.  A product's density is
+    its factors', so each factor of a packable product is packable."""
     if b.cols == 1 and b._int_rows == ((1, (0,), (1,)),):
         return a  # b is the 1 x 1 identity
     w = b.cols
-    return _matrix(a.rows * b.rows, a.cols * w, tuple([
+    out = _matrix(a.rows * b.rows, a.cols * w, tuple([
         _lowest(ma * mb, tuple([i * w + j for i in ka for j in kb]),
                 tuple([x * y for x in xa for y in xb]))
         for ma, ka, xa in a._int_rows for mb, kb, xb in b._int_rows]))
+    if a.rows * a.cols != 1 and out._packable:
+        vars(out)["_factors"] = vars(a).get("_factors", (a,)) + \
+            vars(b).get("_factors", (b,))
+    return out
 
 
 def permute_columns(m: Matrix, perm: Sequence[int]) -> Matrix:
@@ -354,10 +365,6 @@ def _lowest(m: int, ks: tuple[int, ...], xs: tuple[int, ...]) -> IntRow:
     return m // g, ks, tuple([x // g for x in xs])
 
 
-# slot width in bits -> typecode of an unsigned array item of that width
-_SLOTS = {16: "H", 32: "I", 64: "Q"}
-
-
 def _row_sums(acc, c, ks, xs, rows, dn):
     """acc plus c times the row xs (xs[i] in column ks[i]) @ the rows, each
     taken over dn, a multiple of its denominator; summed into acc in place
@@ -372,19 +379,27 @@ def _row_sums(acc, c, ks, xs, rows, dn):
 
 
 def _packing(b: Matrix, w: int) -> list[int]:
-    """b's rows packed for `vanishes`, once per slot width w and kept on
-    b, in its `_packs`: row k is sum_j y_j 2^(w j), y_j its entry in
-    column j over `b._dn`, built as the w-bit slots y_j + 2^(w - 1) read
-    as one integer in native byte order, minus the offsets alone."""
+    """b's rows packed for `vanishes`: row k is sum_j y_j 2^(w j), y_j
+    its entry in column j over `b._dn`; kept on b, in its `_packs`, once
+    per slot width w.  b is the Kronecker product of its `_factors` f_1,
+    ..., f_k (of itself alone when it has none), and its row r is the
+    product over i of row r_i of f_i, packed by one shift sum at width
+    w * (f_(i+1).cols * ... * f_k.cols): that puts the product of their
+    entries in the slot of its column.  Over the factors' denominators
+    this is e = (f_1._dn * ... * f_k._dn) / b._dn times the entry over
+    b's, so the row is divided by e.  No factor's packing is kept."""
     packs = vars(b).setdefault("_packs", {})
     if w not in packs:
-        offsets = array(_SLOTS[w], [1 << (w - 1)]) * b.cols
-        base, packs[w] = int.from_bytes(offsets, sys.byteorder), []
-        for m, ks, ys in b._int_rows:
-            slots, s = offsets[:], b._dn // m
-            for j, y in zip(ks, ys):
-                slots[j] += y * s
-            packs[w].append(int.from_bytes(slots, sys.byteorder) - base)
+        factors, rows, cols = vars(b).get("_factors", (b,)), None, b.cols
+        for f in factors:
+            cols //= f.cols or 1  # a factor without columns zeroes b
+            s = w * cols
+            right = [f._dn // m * sum(y << s * j for j, y in zip(ks, ys))
+                     for m, ks, ys in f._int_rows]
+            rows = right if rows is None else \
+                [x * y for x in rows for y in right]
+        e = prod(f._dn for f in factors) // b._dn
+        packs[w] = rows if e == 1 else [x // e for x in rows]
     return packs[w]
 
 
@@ -412,12 +427,12 @@ def vanishes(*terms: tuple[int, Matrix, Matrix]) -> bool:
     {column: integer} dict (`_row_sums`), unless a has several rows and
     some b is dense, a quarter or more of it nonzero.  Then max D times
     |sign| * a's l1 * b's top (`Matrix._norms`), summed over the terms,
-    bounds every entry of the sum and of each b.  If a `_SLOTS` width w
-    has bound < 2^(w - 1), the narrowest packs every b (`_packing`), and
-    the row is one integer combination of packed rows, with one entry in
-    each w-bit slot: zero exactly when the row is.  Every identity check
-    between products is a call to this: lhs = rhs is
-    `vanishes((1, *lhs), (-1, *rhs))`.
+    bounds every entry of the sum and of each b.  If a slot width w of
+    16, 32 or 64 bits has bound < 2^(w - 1), the narrowest packs every b
+    (`_packing`), and the row is one integer combination of packed rows,
+    with one entry in each w-bit slot: zero exactly when the row is.
+    Every identity check between products is a call to this: lhs = rhs
+    is `vanishes((1, *lhs), (-1, *rhs))`.
     """
     shape = None
     for _, a, b in terms:
@@ -430,7 +445,7 @@ def vanishes(*terms: tuple[int, Matrix, Matrix]) -> bool:
     dens = [1] * shape[0] if unit else list(map(lcm, *(
         [m * b._dn for m, _, _ in a._int_rows] for _, a, b in terms)))
     w = shape[0] > 1 and any(b._packable for *_, b in terms) and next(
-        (w for w in _SLOTS if max(dens) * sum(
+        (w for w in (16, 32, 64) if max(dens) * sum(
             abs(s) * a._norms[0] * b._norms[1] for s, a, b in terms)
          < 1 << (w - 1)), 0)
     terms = [(sign, a._int_rows, b._int_rows, b._dn, w and _packing(b, w))
@@ -455,9 +470,18 @@ def _echelon(m: Matrix) -> dict[int, dict[int, int]]:
     the row space), is cleared at its lowest column against the pivot
     row there until there is none, then divided by its content, signed
     to make its pivot entry positive, and kept as that column's pivot
-    row.  Rows that reach zero drop out."""
+    row.  Rows that reach zero drop out.
+
+    The rows are taken bottom-up: the echelon form's row space is the
+    same in any order, and on the boundary maps built here this order
+    clears far less (elimination order sets the work and the fill-in,
+    as in Markowitz, 1957).  On d_10 of the total complex of
+    `two_dim_unital`'s cyclic bicomplex (2046 x 4094) `_clear` runs
+    16,301 times, not 853,599, at the same fill (13,307 pivot-row
+    nonzeros, not 13,417); on `matrix_2x2`'s d_7 (21844 x 87380) the
+    pivot rows hold 220,006 nonzeros, not 854,401."""
     pivots: dict[int, dict[int, int]] = {}
-    for _, ks, xs in m._int_rows:
+    for _, ks, xs in reversed(m._int_rows):
         row = dict(zip(ks, xs))
         while row:
             c = min(row)
@@ -642,10 +666,3 @@ def quotient_dim(sub: Subspace, sup: Subspace) -> int:
     if not vanishes((1, sup.quotient, sub.rows.transpose())):
         raise NotASubspaceError("first argument is not contained in second")
     return sup.dim - sub.dim
-
-
-def solve_homogeneous(constraints: Sequence[Sequence[Fraction]],
-                      ambient_dim: int) -> Subspace:
-    """Common null space of a list of linear functionals on Q^ambient_dim,
-    each a vector of its ambient_dim coefficients."""
-    return kernel(Matrix.from_columns(ambient_dim, constraints).transpose())

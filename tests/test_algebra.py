@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from homcyc import corpus
 from homcyc.algebra import (AlgebraMorphism, DecompositionError,
                             NotAnAlgebraMapError, ShapeError,
+                            ValidationError, Violation,
                             alpha_is_idempotent, direct_sum, find_unit,
                             idempotent_twist_decompose, is_associative,
                             is_centroid_element, load_algebra,
@@ -108,6 +109,32 @@ def test_load_algebra_round_trip(tmp_path):
     B, report = load_algebra(str(p))
     assert B is not None and report.multiplicative
     assert B.mu == A.mu and B.alpha == A.alpha
+    B, _ = load_algebra(p)  # a path object reads the same file
+    assert B.mu == A.mu and B.alpha == A.alpha
+
+
+@pytest.mark.parametrize("arg", [[1], None, 3, ("alg.json",)],
+                         ids=["list", "none", "int", "tuple"])
+def test_load_algebra_refuses_what_is_neither_dict_nor_path(arg):
+    with pytest.raises(ShapeError, match="an algebra is a dict or a path"):
+        load_algebra(arg)
+
+
+def test_validation_error_names_an_entry_too_long_to_print():
+    """A first violation whose entries have more digits than an int
+    prints with is still a ValidationError: the entry is written as its
+    digit count.  e1 e1 = 10^5000 e1 and alpha = diag(2, 1) break
+    multiplicativity at (1, 1) with 2 * 10^5000 against 4 * 10^5000."""
+    mu = [[[10 ** 5000, 0], [0, 0]], [[0, 0], [0, 0]]]
+    with pytest.raises(ValidationError) as info:
+        validate_or_raise(2, ["e1", "e2"], mu,
+                          Matrix.from_rows([[2, 0], [0, 1]]), "big")
+    assert "multiplicativity fails at (1,1): lhs=['<5001 digits>', '0'] " \
+        "rhs=['<5001 digits>', '0']" in str(info.value)
+    huge = 10 ** sys.get_int_max_str_digits()
+    assert str(Violation("a", (0,), (F(-huge, 3), F(1, 2)), (F(1, huge),))) \
+        == "a fails at (1): lhs=['-<%d digits>/3', '1/2'] " \
+        "rhs=['1/<%d digits>']" % ((sys.get_int_max_str_digits() + 1,) * 2)
 
 
 def test_yau_twist_matches_example():

@@ -74,6 +74,21 @@ def test_bicomplex_square_violation_raises():
         B.check_squares()
 
 
+def test_cells_that_share_only_their_second_map_are_both_checked():
+    """Cells (0, 2) and (1, 2) reach degree 0 through one vertical map
+    object M, after first maps 0 and 1: M o 0 vanishes, M o 1 does not.
+    The squares share the map applied second only, so they are distinct
+    sums, and the second must be evaluated and fail."""
+    M = Matrix.identity(1)
+    B = Bicomplex(cell_dims={(p, q): 1 for p in (0, 1) for q in (0, 1, 2)},
+                  vertical={(0, 1): M, (1, 1): M, (0, 2): Matrix.zero(1, 1),
+                            (1, 2): Matrix.identity(1)},
+                  horizontal={})
+    with pytest.raises(BoundarySquareError, match=r"vertical\^2 != 0 at "
+                       r"\(1, 2\)"):
+        B.check_squares()
+
+
 def test_quotient_complex_stability_check():
     d1 = Matrix.from_rows([[1, 0], [0, 1]])
     C = ChainComplex(dims={0: 2, 1: 2}, diffs={1: d1})

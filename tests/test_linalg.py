@@ -1,5 +1,6 @@
 """Exact linear algebra: rref, rank, kernel, image, subspaces."""
 
+import operator
 from fractions import Fraction
 from math import lcm
 
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homcyc.algebra import scalar_from_string
+from homcyc.coefficients import solve_homogeneous
 from homcyc.complexes import total_complex
 from homcyc.corpus import two_dim_unital
 from homcyc.cyclic import cyclic_bicomplex
@@ -16,7 +18,7 @@ from homcyc.linalg import (Matrix, NotASubspaceError, Subspace, block_matrix,
                            descend, image, kernel, kron, permute_columns,
                            power_sum, quotient_dim, rank, reduce_mod,
                            restrict, rref, signed_permutation, signed_sum,
-                           solve_homogeneous, swap_slots, vanishes)
+                           swap_slots, vanishes)
 
 F = Fraction
 
@@ -458,6 +460,119 @@ def test_vanishes_edge_cases():
         vanishes((1, a, Matrix.zero(3, 2)))
     with pytest.raises(ValueError, match="shape mismatch in \\+"):
         vanishes((1, a, a), (-1, a, Matrix.zero(2, 3)))
+
+
+# --- Kronecker products packed from their factors -------------------------
+
+def packed_reference(m, w):
+    """Row k of m packed at width w, from its Fraction rows: sum_j y_j
+    2^(w j), y_j the entry in column j times the lcm of m's
+    denominators."""
+    dn = lcm(*(x.denominator for x in m.entries))
+    return [sum(int(x * dn) << w * j for j, x in enumerate(row))
+            for row in m.to_rows()]
+
+
+def factors(max_dim=3):
+    """A drawn factor: entries with denominators up to 12 and either
+    sign, some rows and columns zero, sometimes 1 x 1."""
+    return st.one_of(shapes(max_dim), st.just((1, 1))).flatmap(
+        lambda s: exact_matrices(*s))
+
+
+@st.composite
+def kron_products(draw):
+    """kron of two drawn factors, or of three nested either way."""
+    a, b = draw(factors()), draw(factors())
+    if draw(st.booleans()):
+        return kron(a, b)
+    c = draw(factors())
+    return kron(kron(a, b), c) if draw(st.booleans()) else \
+        kron(a, kron(b, c))
+
+
+# over 2 and over 1, and their product over 1: the packed product of the
+# factors is twice the packed rows, and must be halved
+HALF_ROWS = Matrix.from_rows([[F(1, 2), F(-1, 2)], [1, 0]])
+EVEN_ROWS = Matrix.from_rows([[2, 4], [-6, 2]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(kron_products(), st.sampled_from([16, 32, 64, 21]))
+@example(kron(HALF_ROWS, EVEN_ROWS), 16)
+@example(kron(kron(HALF_ROWS, Matrix.from_rows([[F(-5, 3)]])), EVEN_ROWS),
+         21)
+@example(kron(EVEN_ROWS, kron(HALF_ROWS, EVEN_ROWS)), 64)
+def test_kron_is_packed_from_its_factors(m, w):
+    """A Kronecker product's packed rows, built from its factors, are
+    those of the same matrix rebuilt from its rows, which has none, and
+    the shift sums of its entries over their common denominator, at any
+    width."""
+    from homcyc.linalg import _packing
+    flat = Matrix.from_rows(m.to_rows())
+    assert "_factors" not in vars(flat)
+    assert _packing(m, w) == _packing(flat, w) == packed_reference(m, w)
+
+
+def test_kron_keeps_its_innermost_factors():
+    """Nested products keep their innermost factors, left to right; a
+    1 x 1 left factor, as in `scale` and `-m`, keeps none."""
+    a, b = Matrix.from_rows([[1, 2]]), Matrix.from_rows([[3], [F(1, 2)]])
+    c, one = Matrix.from_rows([[1, -1], [0, 2]]), Matrix(1, 1, [F(-3, 4)])
+    for m in (kron(kron(a, b), c), kron(a, kron(b, c))):
+        assert all(map(operator.is_, m._factors, (a, b, c)))
+    assert all(map(operator.is_, kron(c, one)._factors, (c, one)))
+    for m in (kron(one, c), kron(Matrix(1, 1, [2]), kron(a, b)), c.scale(5),
+              -c, kron(a, b).scale(F(1, 2))):
+        assert "_factors" not in vars(m)
+
+
+@st.composite
+def kron_sums(draw):
+    """Terms (sign, a, b) whose right factors are Kronecker products: b
+    alone, or against itself, or against its rows rebuilt (vanishing),
+    or against those rows with one entry moved by 1."""
+    b = draw(kron_products())
+    a = draw(exact_matrices(draw(st.integers(1, 4)), b.rows))
+    flat = Matrix(b.rows, b.cols, b.entries)
+    kind = draw(st.sampled_from(["one", "same", "flat", "nudged"]))
+    if kind == "one":
+        return [(draw(st.sampled_from([1, -1])), a, b)]
+    if kind == "nudged" and b.rows and b.cols:
+        i = draw(st.integers(0, b.rows - 1))
+        j = draw(st.integers(0, b.cols - 1))
+        flat = flat + Matrix(b.rows, b.cols, tuple(
+            int((r, s) == (i, j))
+            for r in range(b.rows) for s in range(b.cols)))
+    return [(1, a, b), (-1, a, b if kind == "same" else flat)]
+
+
+LEFT = Matrix.from_rows([[1, F(1, 3), 0, 2], [-1, 1, 1, F(1, 2)]])
+
+
+def kron_edge(terms):
+    """terms with each right factor b replaced by b (x) (1, -1): the same
+    slot bound, reached in twice the columns."""
+    pair = Matrix.from_rows([[1, -1]])
+    return [(s, a, kron(b, pair)) for s, a, b in terms]
+
+
+@settings(max_examples=200, deadline=None)
+@given(kron_sums())
+@example(kron_edge(edge_sum(2 ** 15 - 1)))
+@example(kron_edge(edge_sum(2 ** 15)))
+@example(kron_edge(edge_sum(2 ** 31)))
+@example(kron_edge(doubled_edge(7 * 4681)))
+@example(kron_edge([(1, *slot_edge(2 ** 15 - 1)),
+                    (-1, *slot_edge(2 ** 15 - 1))]))
+@example([(1, LEFT, kron(HALF_ROWS, EVEN_ROWS)),
+          (-1, LEFT, Matrix(4, 4, kron(HALF_ROWS, EVEN_ROWS).entries))])
+def test_vanishes_with_kronecker_right_factors(terms):
+    """vanishes on Kronecker right factors, packed from their factors
+    when dense, is the sum of sign * (a @ b) tested with `is_zero`, also
+    where the sum's entries reach the slot bound."""
+    total = signed_sum((s, a @ b) for s, a, b in terms)
+    assert vanishes(*terms) == total.is_zero()
 
 
 @settings(max_examples=80, deadline=None)

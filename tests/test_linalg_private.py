@@ -11,7 +11,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "homcyc"
 
 PRIVATE = {"_int_rows", "_int_cols", "_integer_terms", "_lowest", "_product",
            "_dn", "_norms", "_packs", "_packing", "_row_sums", "_sums",
-           "_packable", "_add_rows"}
+           "_packable", "_add_rows", "_factors"}
 
 
 def _names(tree):
