@@ -516,14 +516,16 @@ def test_kron_is_packed_from_its_factors(m, w):
 
 def test_kron_keeps_its_innermost_factors():
     """Nested products keep their innermost factors, left to right; a
-    1 x 1 left factor, as in `scale` and `-m`, keeps none."""
+    1 x 1 left factor, as in `scale` and `-m`, keeps none, and neither
+    does a product too sparse for `vanishes` to pack."""
     a, b = Matrix.from_rows([[1, 2]]), Matrix.from_rows([[3], [F(1, 2)]])
     c, one = Matrix.from_rows([[1, -1], [0, 2]]), Matrix(1, 1, [F(-3, 4)])
     for m in (kron(kron(a, b), c), kron(a, kron(b, c))):
         assert all(map(operator.is_, m._factors, (a, b, c)))
     assert all(map(operator.is_, kron(c, one)._factors, (c, one)))
     for m in (kron(one, c), kron(Matrix(1, 1, [2]), kron(a, b)), c.scale(5),
-              -c, kron(a, b).scale(F(1, 2))):
+              -c, kron(a, b).scale(F(1, 2)),
+              kron(Matrix.identity(4), Matrix.identity(4))):
         assert "_factors" not in vars(m)
 
 
