@@ -11,7 +11,8 @@ mu (alpha (x) mu) = mu (mu (x) alpha), multiplicativity is
 alpha mu = mu (alpha (x) alpha).  Both sides are exact matrices, and
 `axiom_violations` reports each column where they differ as a
 `Violation` at its basis tuple; bilinearity makes the basis tuples
-sufficient.
+sufficient.  What is built from a valid algebra (its Yau twists, direct
+sums, unit and splittings) is in `constructions`.
 """
 
 from __future__ import annotations
@@ -25,10 +26,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .linalg import (Matrix, Subspace, ZERO, ONE, block_matrix, image, kernel,
-                     kron, restrict, vanishes)
-from .errors import (DecompositionError, PreconditionError, ShapeError,
-                     ValidationError)
+from .linalg import Matrix, ZERO, ONE, kron, vanishes
+from .errors import ShapeError, ValidationError
 from .records import Field, cached, record
 
 MuTensor = tuple[tuple[tuple[Fraction, ...], ...], ...]
@@ -294,200 +293,6 @@ def is_associative(A: HomAlgebra) -> bool:
 def alpha_is_idempotent(A: HomAlgebra) -> bool:
     return vanishes((1, A.alpha, A.alpha),
                     (-1, Matrix.identity(A.dim), A.alpha))
-
-
-def is_algebra_endomorphism(A: HomAlgebra, endo: Matrix) -> tuple[bool, list[Violation]]:
-    """f mu = mu (f (x) f) (no twist-intertwining condition)."""
-    m = A.product_matrix
-    bad = axiom_violations([("algebra-endomorphism", endo @ m,
-                             m @ kron(endo, endo), (A.dim, A.dim), (0, 1))])
-    return not bad, bad
-
-
-class NotAnAlgebraMapError(PreconditionError):
-    pass
-
-
-def yau_twist(assoc: HomAlgebra, endo: Matrix, name: str = "") -> HomAlgebra:
-    """Twist an associative algebra (alpha = Id) by an endomorphism.
-
-    New product mu_alpha = endo o mu, twist endo; the result is always a
-    multiplicative Hom-associative algebra and is re-validated anyway.
-    """
-    if assoc.alpha != Matrix.identity(assoc.dim) or not is_associative(assoc):
-        raise PreconditionError(
-            "yau_twist input must be associative with alpha = Id")
-    ok, bad = is_algebra_endomorphism(assoc, endo)
-    if not ok:
-        raise NotAnAlgebraMapError(
-            "endomorphism is not an algebra map: " + str(bad[0]))
-    mu = tuple(tuple(endo.apply(assoc.mu[i][j]) for j in range(assoc.dim))
-               for i in range(assoc.dim))
-    return validate_or_raise(assoc.dim, assoc.basis_names, mu, endo,
-                             name=name or (assoc.name + "_twisted"))
-
-
-def find_unit(A: HomAlgebra) -> tuple[Fraction, ...] | None:
-    """Solve u e_j = e_j = e_j u for all j; None when no unit exists.
-
-    If the solution space is more than one-dimensional the algebra data
-    is inconsistent (units are unique) and a ValueError is raised.
-    """
-    constraints: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    # unknowns u_0..u_{d-1}; conditions sum_i u_i (e_i e_j)_k = delta_{jk}
-    for j in range(A.dim):
-        for k in range(A.dim):
-            constraints.append([A.mu[i][j][k] for i in range(A.dim)])
-            rhs.append(ONE if j == k else ZERO)
-            constraints.append([A.mu[j][i][k] for i in range(A.dim)])
-            rhs.append(ONE if j == k else ZERO)
-    # inhomogeneous solve via kernel of the augmented system
-    aug = Matrix.from_rows([row + [-r] for row, r in zip(constraints, rhs)])
-    sols = kernel(aug)
-    units = []
-    for v in sols.basis:
-        if v[A.dim]:
-            units.append(tuple(x / v[A.dim] for x in v[:A.dim]))
-    if not units:
-        return None
-    if len(units) > 1 or any(v[A.dim] == 0 and any(v[:A.dim]) for v in sols.basis):
-        raise ValueError("unit solution space has dimension > 1; "
-                         "algebra data inconsistent")
-    return units[0]
-
-
-def is_centroid_element(A: HomAlgebra) -> tuple[bool, list[Violation]]:
-    """alpha(x)y = x alpha(y) = alpha(xy): mu (alpha (x) Id) =
-    mu (Id (x) alpha) = alpha mu."""
-    m, alpha, ident = A.product_matrix, A.alpha, Matrix.identity(A.dim)
-    x_alpha_y = m @ kron(ident, alpha)
-    pair = (A.dim, A.dim)
-    bad = axiom_violations([
-        ("centroid alpha(x)y=xalpha(y)", m @ kron(alpha, ident), x_alpha_y,
-         pair, (0, 1)),
-        ("centroid xalpha(y)=alpha(xy)", x_alpha_y, alpha @ m, pair, (0, 1))])
-    return not bad, bad
-
-
-@record
-class Decomposition:
-    """A = A1 (+) A2 with the change of basis from the summand bases; a
-    zero summand is None, with an empty basis."""
-
-    part_unital_associative: HomAlgebra | None
-    part_complement: HomAlgebra | None
-    basis_a1: tuple[tuple[Fraction, ...], ...]
-    basis_a2: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def change_of_basis(self) -> Matrix:
-        cols = list(self.basis_a1) + list(self.basis_a2)
-        return Matrix.from_columns(len(cols[0]), cols)
-
-
-def _restrict_algebra(A: HomAlgebra, sub: Subspace,
-                      name: str) -> HomAlgebra | None:
-    """Algebra structure on an ideal, in its own RREF basis coordinates;
-    None for the zero ideal, since an algebra has dim >= 1."""
-    if not sub.dim:
-        return None
-    mu = tuple(tuple(sub.coordinates(A.product(u, v)) for v in sub.basis)
-               for u in sub.basis)
-    names = tuple(f"f{i+1}" for i in range(sub.dim))
-    return validate_or_raise(sub.dim, names, mu, restrict(A.alpha, sub, sub),
-                             name=name)
-
-
-def unital_decompose(A: HomAlgebra) -> Decomposition:
-    """Split a unital multiplicative algebra as A x (+) A(1-x), x = alpha(1)."""
-    unit = find_unit(A)
-    if unit is None:
-        raise PreconditionError("algebra has no unit")
-    x = A.apply_alpha(unit)
-    if A.product(x, x) != x:
-        raise DecompositionError("alpha(1) is not idempotent; contradicts "
-                                 "the unital characterization")
-    if A.left_mult_matrix(x) != A.right_mult_matrix(x):
-        raise DecompositionError("alpha(1) is not central; contradicts "
-                                 "the unital characterization")
-    y = tuple(u - xi for u, xi in zip(unit, x))
-    sub1 = image(A.right_mult_matrix(x))
-    sub2 = image(A.right_mult_matrix(y))
-    a1 = _restrict_algebra(A, sub1, name=A.name + "_A1")
-    a2 = _restrict_algebra(A, sub2, name=A.name + "_A2")
-    if a1 is not None and not is_associative(a1):
-        raise DecompositionError("A1 summand is not associative; contradicts "
-                                 "the unital characterization")
-    return Decomposition(a1, a2, sub1.basis, sub2.basis)
-
-
-def idempotent_twist_decompose(A: HomAlgebra
-                               ) -> tuple[HomAlgebra | None, HomAlgebra | None]:
-    """For alpha idempotent: K = ker(alpha) with zero product and zero
-    twist, B = im(alpha); a zero summand is None.
-
-    Also verifies the cross terms vanish: (k + b)(k' + b') = b b'.
-    """
-    if not alpha_is_idempotent(A):
-        raise ValueError("twist is not idempotent (alpha^2 != alpha)")
-    ker_sub = kernel(A.alpha)
-    im_sub = image(A.alpha)
-    K = Matrix.from_columns(A.dim, ker_sub.basis)
-    KB = Matrix.from_columns(A.dim, ker_sub.basis + im_sub.basis)
-    m = A.product_matrix
-    if not (vanishes((1, m, kron(K, KB))) and vanishes((1, m, kron(KB, K)))):
-        raise ValueError("kernel of alpha is not a square-zero ideal")
-    return (_restrict_algebra(A, ker_sub, name=A.name + "_K"),
-            _restrict_algebra(A, im_sub, name=A.name + "_B"))
-
-
-def unitalize(A: HomAlgebra) -> tuple[HomAlgebra, Matrix]:
-    """Embed A into a unital algebra on k[alpha]/(alpha^2-alpha) (+) A.
-
-    Requires alpha in the centroid and alpha^2 = alpha (quotient model:
-    the free polynomial algebra is infinite-dimensional, and is
-    multiplicative only under alpha^2 = alpha, so the 2-dimensional
-    quotient is the minimal finite model).  Returns (B, embedding).
-    """
-    ok, bad = is_centroid_element(A)
-    if not ok:
-        raise ValueError("alpha is not in the centroid: " + str(bad[0]))
-    if not alpha_is_idempotent(A):
-        raise ValueError("alpha^2 != alpha; quotient model unavailable")
-    d, n = A.dim, A.dim + 2  # basis: 1, abar, e_1..e_d
-    names = ("one", "abar") + A.basis_names
-    one, abar = (ONE, ZERO) + (ZERO,) * d, (ZERO, ONE) + (ZERO,) * d
-    e = [(ZERO, ZERO) + A.basis_vector(j) for j in range(d)]
-    alpha_e = [(ZERO, ZERO) + A.alpha.col(j) for j in range(d)]
-    # 1 is the unit, abar abar = abar, abar e_j = e_j abar = alpha(e_j),
-    # and e_i e_j is A's product
-    mu = [[one, abar, *e], [abar, abar, *alpha_e]] + \
-        [[e[i], alpha_e[i], *((ZERO, ZERO) + A.mu[i][j] for j in range(d))]
-         for i in range(d)]
-    beta = Matrix.from_columns(n, mu[1])  # beta(x) = abar x
-    B = validate_or_raise(n, names, mu, beta, name=A.name + "_unitalized")
-    if find_unit(B) is None:
-        raise ValueError("unitalization failed to produce a unit")
-    embedding = Matrix.from_columns(n, e)
-    ok, bad = validate_morphism(AlgebraMorphism(A, B, embedding))
-    if not ok:
-        raise ValueError("embedding is not a morphism: " + str(bad[0]))
-    return B, embedding
-
-
-def direct_sum(A: HomAlgebra, B: HomAlgebra, name: str = "") -> HomAlgebra:
-    d = A.dim + B.dim
-    names = tuple(f"a_{s}" for s in A.basis_names) + \
-        tuple(f"b_{s}" for s in B.basis_names)
-    za, zb = (ZERO,) * A.dim, (ZERO,) * B.dim
-    mu = [[A.mu[i][j] + zb for j in range(A.dim)] + [za + zb] * B.dim
-          for i in range(A.dim)] + \
-        [[za + zb] * A.dim + [za + B.mu[i][j] for j in range(B.dim)]
-         for i in range(B.dim)]
-    alpha = block_matrix(d, d, [(A.alpha, 0, 0), (B.alpha, A.dim, A.dim)])
-    return validate_or_raise(d, names, mu, alpha,
-                             name=name or f"{A.name}+{B.name}")
 
 
 @record

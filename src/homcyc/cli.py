@@ -6,13 +6,18 @@ swallowed).  A refused request writes its reason to stderr and nothing
 to stdout; `_FAILURES` maps each refusal to its code.
 
 A request loads `algebra`, `linalg`, `errors` and `records` (not
-`dataclasses`), and each command imports the modules it computes with
-when it runs, so that a request compiles no other: `check`, `twist`
-and `decompose` need `algebra` only; `dual-space` needs
-`coefficients`; `hh`, `hhco` and `duality` `hochschild`; `hc`,
-`hcco`, `hp` and `hpco` `cyclic`; `cocycle` `cocycles`.  Those imports
-name the module, as in `from .cyclic import x`: `from . import cyclic`
-asks the package first, and that imports the whole API.
+`dataclasses`) and builds the parser of its subcommand alone (of all
+twelve when its first argument names none, as for `--help`), and each
+command imports the modules it computes with when it runs, so that a
+request compiles no other: `check`, `twist` and `decompose` need
+`constructions`; `dual-space` `constructions` and `coefficients`;
+`hh`, `hhco` and `duality` `hochschild`; `hc`, `hcco`, `hp` and `hpco`
+`cyclic`; `cocycle` `cocycles`.  Those imports name the module, as in
+`from .cyclic import x`: `from . import cyclic` asks the package
+first, and that imports the whole API.  `check`, `decompose`,
+`dual-space` and `cocycle` print what their module renders
+(`constructions.check_file`, `Decomposition`, `RestrictedDual`,
+`cocycles.CocycleCheck`, `cocycles.Functional`).
 """
 
 from __future__ import annotations
@@ -22,9 +27,8 @@ import json
 import sys
 from functools import partial
 
-from .algebra import (HomAlgebra, alpha_is_idempotent, find_unit,
-                      is_centroid_element, load_algebra, read_grid, read_json,
-                      require_valid, unital_decompose, yau_twist)
+from .algebra import (HomAlgebra, load_algebra, read_grid, read_json,
+                      require_valid)
 from .errors import (BoundarySquareError, CocyclePreconditionError,
                      CoefficientError, DecompositionError,
                      IdentityViolationError, NotStableError,
@@ -72,40 +76,14 @@ def _emit(payload: dict, fmt: str, text: str | None = None) -> None:
 # lines...) and writes nothing: `main` writes the result.
 
 def cmd_check(args) -> tuple:
-    alg, report = load_algebra(args.file)
-    violations = [str(v) for v in report.violations]
-    if alg is None:
-        return (EXIT_INVALID, {"valid": False, "violations": violations},
-                "\n".join(["invalid: Hom-associativity fails"]
-                          + ["  " + v for v in violations]))
-    unit = find_unit(alg)
-    centroid, _ = is_centroid_element(alg)
-    idem = alpha_is_idempotent(alg)
-    payload = {
-        "name": alg.name,
-        "valid": True,
-        "multiplicative": report.multiplicative,
-        "unit": [str(x) for x in unit] if unit else None,
-        "centroid": centroid,
-        "alpha_idempotent": idem,
-    }
-    unit_txt = "none"
-    if unit is not None:
-        terms = [f"{c}*{nm}" if c != 1 else nm
-                 for c, nm in zip(unit, alg.basis_names) if c]
-        unit_txt = " + ".join(terms)
-    text = (f"valid, {'multiplicative' if report.multiplicative else 'NOT multiplicative'}, "
-            f"{'unital (1=' + unit_txt + ')' if unit else 'non-unital'}, "
-            f"centroid: {'yes' if centroid else 'no'}, "
-            f"alpha^2=alpha: {'yes' if idem else 'no'}")
-    if not report.multiplicative:
-        return (EXIT_INVALID, payload, text, *("  " + v for v in violations))
-    return EXIT_OK, payload, text
+    from .constructions import check_file
+    passed, *output = check_file(args.file)
+    return EXIT_OK if passed else EXIT_INVALID, *output
 
 
 def cmd_homology(args) -> tuple:
     alg = _load(args.file)
-    theory = args.theory
+    theory = args.command
     n = args.max
     reps = args.representatives
     if theory in ("hh", "hhco"):
@@ -162,30 +140,8 @@ def _read_matrix(path: str, dim: int) -> Matrix:
                                       f"matrix in {path}"))
 
 
-def _read_functional(path: str, alg: HomAlgebra,
-                     degree: int | None = None):
-    """A `cocycles.Functional` on alg^{(x)(n+1)}: a JSON object with its
-    "coords" and its "degree" n, which must equal degree when that is
-    given, and may then be left out."""
-    from .cocycles import Functional
-    data = read_json(path)
-    fields = data if type(data) is dict else {}
-    n = fields.get("degree", degree)
-    if type(n) is not int:
-        raise ShapeError(f"functional in {path} has no integer degree")
-    if degree not in (None, n):
-        raise ShapeError(f"functional in {path} has degree {n}, "
-                         f"not {degree}")
-    coords = read_grid(fields.get("coords"), (None,), f"functional in {path}")
-    # dim >= 2, n >= bit length of len give dim^(n+1) > len: no huge power
-    if n < 0 or (alg.dim > 1 and n >= len(coords).bit_length()) or \
-            alg.dim ** (n + 1) != len(coords):
-        raise ShapeError(f"functional in {path} has {len(coords)} "
-                         f"coordinates, not dim^(degree+1) for degree {n}")
-    return Functional(n, coords)
-
-
 def cmd_twist(args) -> tuple:
+    from .constructions import yau_twist
     alg = _load(args.file)
     twisted = yau_twist(alg, _read_matrix(args.alpha, alg.dim),
                         name=args.name or (alg.name + "_twisted"))
@@ -193,35 +149,15 @@ def cmd_twist(args) -> tuple:
 
 
 def cmd_dual_space(args) -> tuple:
-    from .coefficients import a_circ
-    alg = _load(args.file)
-    rd = a_circ(alg)
-    payload = {
-        "algebra": alg.name,
-        "ambient_dim": rd.subspace.ambient_dim,
-        "dim": rd.subspace.dim,
-        "basis": [[str(x) for x in v] for v in rd.subspace.basis],
-    }
-    text = (f"restricted dual of {alg.name}: dimension {rd.subspace.dim} "
-            f"of {rd.subspace.ambient_dim}")
-    return EXIT_OK, payload, text
+    from .constructions import a_circ
+    rd = a_circ(_load(args.file))
+    return EXIT_OK, rd.to_json_dict(), rd.to_text()
 
 
 def cmd_decompose(args) -> tuple:
-    alg = _load(args.file)
-    dec = unital_decompose(alg)
-    a1, a2 = dec.part_unital_associative, dec.part_complement
-    payload = {
-        "algebra": alg.name,
-        # a zero summand is null, with an empty basis
-        "A1": None if a1 is None else a1.to_json_dict(),
-        "A2": None if a2 is None else a2.to_json_dict(),
-        "basis_A1": [[str(x) for x in v] for v in dec.basis_a1],
-        "basis_A2": [[str(x) for x in v] for v in dec.basis_a2],
-    }
-    text = (f"{alg.name} = A1 (+) A2 with dim A1 = {len(dec.basis_a1)}, "
-            f"dim A2 = {len(dec.basis_a2)}; A1 unital associative")
-    return EXIT_OK, payload, text
+    from .constructions import unital_decompose
+    dec = unital_decompose(_load(args.file))
+    return EXIT_OK, dec.to_json_dict(), dec.to_text()
 
 
 def cmd_cocycle(args) -> tuple:
@@ -232,22 +168,17 @@ def cmd_cocycle(args) -> tuple:
         args.usage_error(f"cocycle {args.action} needs "
                          + " and ".join(missing))
     from .cocycles import (TwistedDerivation, derivation_cocycle,
-                           is_cyclic_cocycle)
+                           is_cyclic_cocycle, read_functional)
     alg = _load(args.file)
     if args.action == "verify":
-        check = is_cyclic_cocycle(_read_functional(args.functional, alg), alg)
-        payload = {"is_cyclic_cocycle": check.is_cocycle,
-                   "coboundary_residuals": len(check.coboundary_residuals),
-                   "cyclicity_residuals": len(check.cyclicity_residuals)}
-        text = "cyclic cocycle: yes" if check.is_cocycle else \
-            (f"cyclic cocycle: no ({len(check.coboundary_residuals)} "
-             f"coboundary, {len(check.cyclicity_residuals)} cyclicity residuals)")
-        return EXIT_OK if check.is_cocycle else EXIT_INVALID, payload, text
+        check = is_cyclic_cocycle(read_functional(args.functional, alg), alg)
+        return (EXIT_OK if check.is_cocycle else EXIT_INVALID,
+                check.to_json_dict(), check.to_text())
     # derive
     rho = TwistedDerivation(_read_matrix(args.derivation, alg.dim))
-    phi = derivation_cocycle(alg, rho,
-                             _read_functional(args.trace, alg, degree=0))
-    return EXIT_OK, {"degree": 1, "coords": [str(x) for x in phi.coords]}, None
+    phi = derivation_cocycle(alg, rho, read_functional(args.trace, alg,
+                                                       degree=0))
+    return EXIT_OK, phi.to_json_dict(), None
 
 
 def degree(text: str) -> int:
@@ -279,33 +210,37 @@ class _Formatter(argparse.HelpFormatter):
         return super().format_help()
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = partial(argparse.ArgumentParser, formatter_class=_Formatter)
-    # --help shows the docstring but its last paragraph, on imports
-    p = parser(prog="homcyc", description=__doc__.rsplit("\n\n", 1)[0])
-    # with prog given, no formatter formats the subcommands' usage prefix
-    sub = p.add_subparsers(dest="command", required=True, prog=p.prog,
-                           parser_class=parser)
+# every subcommand: its help line and its command, in the order that
+# help lists them
+_COMMANDS = {
+    "check": ("validate an algebra file", cmd_check),
+    "hh": ("Hochschild homology", cmd_homology),
+    "hc": ("cyclic homology", cmd_homology),
+    "hp": ("periodic cyclic homology", cmd_homology),
+    "hhco": ("Hochschild cohomology", cmd_homology),
+    "hcco": ("cyclic cohomology", cmd_homology),
+    "hpco": ("periodic cyclic cohomology", cmd_homology),
+    "duality": ("compare dim H_n(A,A) with dim H^n(A,A*)", cmd_duality),
+    "twist": ("Yau twist of an associative algebra", cmd_twist),
+    "dual-space": ("the functional subspace with its module structure",
+                   cmd_dual_space),
+    "decompose": ("unital decomposition A1 (+) A2", cmd_decompose),
+    "cocycle": ("verify or derive cyclic cocycles", cmd_cocycle),
+}
 
-    def common(sp, with_max=True):
-        sp.add_argument("file", help="algebra definition JSON")
-        sp.add_argument("--format", choices=("text", "json"), default="text")
-        if with_max:
-            sp.add_argument("--max", type=degree, default=3,
-                            help="maximum degree")
 
-    sp = sub.add_parser("check", help="validate an algebra file")
-    common(sp, with_max=False)
-    sp.set_defaults(fn=cmd_check)
-
-    for theory, help_txt in [("hh", "Hochschild homology"),
-                             ("hc", "cyclic homology"),
-                             ("hp", "periodic cyclic homology"),
-                             ("hhco", "Hochschild cohomology"),
-                             ("hcco", "cyclic cohomology"),
-                             ("hpco", "periodic cyclic cohomology")]:
-        sp = sub.add_parser(theory, help=help_txt)
-        common(sp)
+def _add_command(sub, name: str) -> None:
+    """Add the subcommand `name`, with its arguments, to `sub`."""
+    sp = sub.add_parser(name, help=_COMMANDS[name][0])
+    if name == "cocycle":
+        sp.add_argument("action", choices=("verify", "derive"))
+    sp.add_argument("file", help="algebra definition JSON")
+    sp.add_argument("--format", choices=("text", "json"), default="text")
+    theory = _COMMANDS[name][1] is cmd_homology
+    if theory or name == "duality":
+        sp.add_argument("--max", type=degree, default=3,
+                        help="maximum degree")
+    if theory:
         sp.add_argument("--method", choices=("lambda", "bicomplex", "both"),
                         default="both")
         sp.add_argument("--window", type=window, default=2,
@@ -313,42 +248,40 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--representatives", action="store_true",
                         help="print cycle representatives (hh, hhco and "
                         "--method lambda; the others ignore it)")
-        sp.set_defaults(fn=cmd_homology, theory=theory)
+    elif name == "twist":
+        sp.add_argument("alpha", help="endomorphism matrix JSON")
+        sp.add_argument("--name", default="")
+    elif name == "cocycle":
+        sp.add_argument("--functional", help="functional JSON (verify)")
+        sp.add_argument("--derivation", help="derivation matrix JSON (derive)")
+        sp.add_argument("--trace", help="trace functional JSON (derive)")
+        sp.set_defaults(usage_error=sp.error)
 
-    sp = sub.add_parser("duality",
-                        help="compare dim H_n(A,A) with dim H^n(A,A*)")
-    common(sp)
-    sp.set_defaults(fn=cmd_duality)
 
-    sp = sub.add_parser("twist", help="Yau twist of an associative algebra")
-    common(sp, with_max=False)
-    sp.add_argument("alpha", help="endomorphism matrix JSON")
-    sp.add_argument("--name", default="")
-    sp.set_defaults(fn=cmd_twist)
-
-    sp = sub.add_parser("dual-space",
-                        help="the functional subspace with its module structure")
-    common(sp, with_max=False)
-    sp.set_defaults(fn=cmd_dual_space)
-
-    sp = sub.add_parser("decompose", help="unital decomposition A1 (+) A2")
-    common(sp, with_max=False)
-    sp.set_defaults(fn=cmd_decompose)
-
-    sp = sub.add_parser("cocycle", help="verify or derive cyclic cocycles")
-    sp.add_argument("action", choices=("verify", "derive"))
-    common(sp, with_max=False)
-    sp.add_argument("--functional", help="functional JSON (verify)")
-    sp.add_argument("--derivation", help="derivation matrix JSON (derive)")
-    sp.add_argument("--trace", help="trace functional JSON (derive)")
-    sp.set_defaults(fn=cmd_cocycle, usage_error=sp.error)
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone.  Its usage
+    lists all twelve either way, so each prints the same bytes for a
+    command line that starts with `command`."""
+    parser = partial(argparse.ArgumentParser, formatter_class=_Formatter)
+    # --help shows the docstring but its last paragraph, on imports
+    p = parser(prog="homcyc", description=__doc__.rsplit("\n\n", 1)[0])
+    # with prog given, no formatter formats the subcommands' usage prefix;
+    # a metavar would rename the action in the full parser's errors
+    listed = {} if command is None else \
+        {"metavar": "{" + ",".join(_COMMANDS) + "}"}
+    sub = p.add_subparsers(dest="command", required=True, prog=p.prog,
+                           parser_class=parser, **listed)
+    for name in _COMMANDS if command is None else [command]:
+        _add_command(sub, name)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None
+                        ).parse_args(argv)
     try:
-        code, payload, text, *notes = args.fn(args)
+        code, payload, text, *notes = _COMMANDS[args.command][1](args)
         _emit(payload, args.format, text)
     except Exception as exc:
         kind = next((t for t in type(exc).__mro__ if t in _FAILURES), None)

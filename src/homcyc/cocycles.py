@@ -2,7 +2,8 @@
 1-cocycle built from a trace and a twisted derivation.
 
 A degree-n functional is a coordinate vector in the dual basis of
-A^{(x)(n+1)}, indexed exactly like the chain basis.
+A^{(x)(n+1)}, indexed exactly like the chain basis; `read_functional`
+reads one from a file, and the results render the `cocycle` output.
 """
 
 from __future__ import annotations
@@ -10,9 +11,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .algebra import HomAlgebra, Violation, axiom_violations
+from .algebra import (HomAlgebra, Violation, axiom_violations, read_grid,
+                      read_json)
 from .coefficients import regular_bimodule
-from .errors import CocyclePreconditionError
+from .errors import CocyclePreconditionError, ShapeError
 from .hochschild import IdentityViolationError, cyclic_t, hochschild_b
 from .linalg import (Matrix, Subspace, ZERO, kernel, kron, permute_columns,
                      power_sum, swap_slots, vanishes)
@@ -29,6 +31,31 @@ class Functional:
     def __call__(self, vec: Sequence[Fraction]) -> Fraction:
         return sum((c * v for c, v in zip(self.coords, vec) if v), ZERO)
 
+    def to_json_dict(self) -> dict:
+        return {"degree": self.degree, "coords": [str(x) for x in self.coords]}
+
+
+def read_functional(path: str, A: HomAlgebra,
+                    degree: int | None = None) -> Functional:
+    """A functional on A^{(x)(n+1)} from the file at path: a JSON object
+    with its "coords" and its "degree" n, which must equal degree when
+    that is given, and may then be left out; ShapeError otherwise."""
+    data = read_json(path)
+    fields = data if type(data) is dict else {}
+    n = fields.get("degree", degree)
+    if type(n) is not int:
+        raise ShapeError(f"functional in {path} has no integer degree")
+    if degree not in (None, n):
+        raise ShapeError(f"functional in {path} has degree {n}, "
+                         f"not {degree}")
+    coords = read_grid(fields.get("coords"), (None,), f"functional in {path}")
+    # dim >= 2, n >= bit length of len give dim^(n+1) > len: no huge power
+    if n < 0 or (A.dim > 1 and n >= len(coords).bit_length()) or \
+            A.dim ** (n + 1) != len(coords):
+        raise ShapeError(f"functional in {path} has {len(coords)} "
+                         f"coordinates, not dim^(degree+1) for degree {n}")
+    return Functional(n, coords)
+
 
 def trace_space(A: HomAlgebra) -> Subspace:
     """The traces phi(xy) = phi(yx): ker (mu - mu sigma)^T, sigma = swap."""
@@ -41,6 +68,18 @@ class CocycleCheck:
     is_cocycle: bool
     coboundary_residuals: tuple[Violation, ...]
     cyclicity_residuals: tuple[Violation, ...]
+
+    def to_json_dict(self) -> dict:
+        return {"is_cyclic_cocycle": self.is_cocycle,
+                "coboundary_residuals": len(self.coboundary_residuals),
+                "cyclicity_residuals": len(self.cyclicity_residuals)}
+
+    def to_text(self) -> str:
+        if self.is_cocycle:
+            return "cyclic cocycle: yes"
+        return (f"cyclic cocycle: no ({len(self.coboundary_residuals)} "
+                f"coboundary, {len(self.cyclicity_residuals)} cyclicity "
+                "residuals)")
 
 
 def is_cyclic_cocycle(phi: Functional, A: HomAlgebra) -> CocycleCheck:

@@ -1,4 +1,4 @@
-"""Coefficient systems: bimodules, dual bimodules, A-degree duals.
+"""Coefficient systems: bimodules and dual bimodules.
 
 A bimodule (V, beta) over (A, alpha) is stored by its action matrices:
 left[a] is the matrix of v -> e_a . v and right[a] the matrix of
@@ -14,18 +14,17 @@ products, the actions are L: A (x) V -> V, the m x dm matrix whose
 column (a, v) is e_a . e_v, and R: V (x) A -> V, the m x md matrix
 whose column (v, a) is e_v . e_a.  Each axiom equates two composites of
 L, R, beta and the algebra's `product_matrix` and alpha, and
-`axiom_violations` reports each basis tuple where they differ.
+`axiom_violations` reports each basis tuple where they differ.  The
+A-degree dual `a_circ`, which only `dual-space` builds, is in
+`constructions`; the coregular dual stays here, since it transposes a
+bimodule's data, and imports the centroid test when it runs.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from fractions import Fraction
-
-from .algebra import (HomAlgebra, Violation, axiom_violations,
-                      is_centroid_element)
-from .linalg import (Matrix, NotASubspaceError, Subspace, block_matrix,
-                     kernel, kron, permute_columns, restrict, swap_slots)
+from .algebra import HomAlgebra, Violation, axiom_violations
+from .linalg import (Matrix, block_matrix, kron, permute_columns,
+                     swap_slots)
 from .errors import CoefficientError
 from .records import record, replace
 
@@ -174,60 +173,13 @@ def dualize_bimodule(V: Bimodule) -> Bimodule:
     return W
 
 
-@record
-class RestrictedDual:
-    """A-degree dual: subspace of A* with its induced bimodule structure."""
-
-    subspace: Subspace
-    bimodule: Bimodule
-
-
-def solve_homogeneous(constraints: Sequence[Sequence[Fraction]],
-                      ambient_dim: int) -> Subspace:
-    """Common null space of a list of linear functionals on Q^ambient_dim,
-    each a vector of its ambient_dim coefficients."""
-    return kernel(Matrix.from_columns(ambient_dim, constraints).transpose())
-
-
-def a_circ(A: HomAlgebra) -> RestrictedDual:
-    """The subspace {f : f(x alpha(y)) = f(alpha(xy)) = f(alpha(x)y)} of A*
-    with actions (a.f)(b) = f(b alpha(a)), (f.a)(b) = f(alpha(a) b), beta = Id.
-    """
-    d, mu, ident = A.dim, A.product_matrix, Matrix.identity(A.dim)
-    alpha_xy = A.alpha @ mu
-    # the rows of each difference's transpose are constraints on f
-    constraints = [row for diff in (mu @ kron(ident, A.alpha) - alpha_xy,
-                                    alpha_xy - mu @ kron(A.alpha, ident))
-                   for row in diff.transpose().to_rows()]
-    sub = solve_homogeneous(constraints, d)
-    m = sub.dim
-    # actions on A*: (a.f) = (R_{alpha(a)})^T f, (f.a) = (L_{alpha(a)})^T f
-    left_amb = [A.right_mult_matrix(A.apply_alpha(A.basis_vector(a))).transpose()
-                for a in range(d)]
-    right_amb = [A.left_mult_matrix(A.apply_alpha(A.basis_vector(a))).transpose()
-                 for a in range(d)]
-
-    try:
-        left = tuple(restrict(mat, sub, sub) for mat in left_amb)
-        right = tuple(restrict(mat, sub, sub) for mat in right_amb)
-    except NotASubspaceError as exc:
-        raise CoefficientError(
-            "action does not preserve the functional subspace") from exc
-    V = Bimodule(A, m, left, right, Matrix.identity(m),
-                 name=f"{A.name}-dual-restricted")
-    bad = check_bimodule_axioms(V)
-    if bad:
-        raise CoefficientError("restricted dual fails bimodule axioms: "
-                               + str(bad[0]))
-    return RestrictedDual(sub, V)
-
-
 def coregular_dual(A: HomAlgebra) -> Bimodule:
     """A* with (a.f)(b) = f(ba), (f.a)(b) = f(ab), beta = alpha transpose.
 
     Valid only under the centroid hypothesis; refuses otherwise, since
     the coregular actions need not define a bimodule in general.
     """
+    from .constructions import is_centroid_element
     ok, bad = is_centroid_element(A)
     if not ok:
         raise CoefficientError(

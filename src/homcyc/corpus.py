@@ -6,7 +6,8 @@ operator identities and both cyclic constructions over this list.
 
 from __future__ import annotations
 
-from .algebra import (HomAlgebra, direct_sum, validate_or_raise, yau_twist)
+from .algebra import HomAlgebra, validate_or_raise
+from .constructions import direct_sum, yau_twist
 from .linalg import Matrix
 
 

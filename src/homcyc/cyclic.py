@@ -26,6 +26,7 @@ from .complexes import (Bicomplex, ChainComplex, HomologyReport, homology,
                         homology_classes, quotient_complex,
                         report_for_complex, representative_space,
                         sub_complex, text_table, total_complex)
+from .errors import ChainMapError
 from .hochschild import (IdentityViolationError, _powers, bar_differentials,
                          cyclic_t, hochschild_b, hochschild_cohomology,
                          hochschild_homology, norm_N,
@@ -322,10 +323,6 @@ def periodic_cohomology(A: HomAlgebra, n_max: int, *,
 
 # ---------------------------------------------------------------------------
 # Functoriality
-
-class ChainMapError(ValueError):
-    pass
-
 
 def _homology_matrix(C_src: ChainComplex, C_tgt: ChainComplex,
                      maps: dict[int, Matrix], n: int) -> Matrix:

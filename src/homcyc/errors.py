@@ -1,11 +1,14 @@
-"""The exceptions that the command line maps to exit codes.
+"""The library's exceptions, each a `ValueError`.
 
 They live in one small module, so that a request loads them without the
 modules that raise them.  Each is re-exported by the module that raises
 it, so `homcyc.complexes.BoundarySquareError` and
 `homcyc.errors.BoundarySquareError` are one class.  `cli._FAILURES`
-gives each its exit code, 2 for input the theory does not accept and 3
-for an identity it asserts that fails, and its stderr prefix.
+gives each that a request can raise its exit code, 2 for input the
+theory does not accept and 3 for an identity it asserts that fails, and
+its stderr prefix.  No request raises `CoefficientHypothesisError` or
+`ChainMapError`: every command takes the regular bimodule, which meets
+the homology hypotheses, and no command maps one algebra to another.
 """
 
 
@@ -42,6 +45,15 @@ class BoundarySquareError(ValueError):
 
 class NotStableError(ValueError):
     """The differential does not preserve the given family of subspaces."""
+
+
+class CoefficientHypothesisError(ValueError):
+    """The bimodule does not satisfy the extra homology-theorem hypotheses."""
+
+
+class ChainMapError(ValueError):
+    """A map given as a morphism is not one, or its induced map on
+    chains fails to commute with b or to descend to the lambda complex."""
 
 
 class DecompositionError(ValueError):

@@ -69,14 +69,10 @@ from .algebra import HomAlgebra
 from .coefficients import (Bimodule, chain_data, dualize_bimodule,
                            regular_bimodule, validate_homology_coefficients)
 from .complexes import ChainComplex, HomologyReport, report_for_complex
-from .errors import IdentityViolationError
+from .errors import CoefficientHypothesisError, IdentityViolationError
 from .linalg import (Matrix, drop_packings, kron, permute_columns,
                      power_sum, signed_permutation, signed_sum, swap_slots,
                      vanishes)
-
-
-class CoefficientHypothesisError(ValueError):
-    """The bimodule does not satisfy the extra homology-theorem hypotheses."""
 
 
 def _powers(m: Matrix, k: int) -> list[Matrix]:

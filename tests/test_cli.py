@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from homcyc.algebra import load_algebra, yau_twist
+from homcyc.algebra import load_algebra
 from homcyc.cli import main
+from homcyc.constructions import yau_twist
 from homcyc.corpus import (dual_numbers, ground_field, matrix_2x2,
                            two_dim_unital)
 from homcyc.linalg import Matrix

@@ -14,16 +14,29 @@ theories read the same numbers here.
 The Yau twist of k[C_3] by the automorphism g -> g^-1 (alpha swaps g1
 and g2) is Hom data with no closed form: its numbers are regression
 values.
+
+A split Hom-algebra A = (A1, Id) (+) (K, 0), d = dim A and d1 = dim A1,
+has a closed-form HH in degrees n >= 2: only tensors with no K slot and
+tensors with exactly two adjacent K slots carry nonzero faces, so
+HH_n(A) = HH_n(A1) + d^(n+1) - d1^(n+1) - r(n) - r(n+1), with
+r(m) = m d1^(m-1) dim K^2.  Where K^2 = 0 it holds in degree 1 too.
+`unital_decompose` splits a unital A by the central idempotent
+alpha(1), and `idempotent_twist_decompose` an A with alpha^2 = alpha.
 """
 
 import pytest
 
-from homcyc.algebra import yau_twist
-from homcyc.corpus import (cyclic_group_algebra, truncated_polynomial_algebra,
-                           truncated_polynomials, upper_triangular_algebra)
+from homcyc.constructions import (find_unit, idempotent_twist_decompose,
+                                  unital_decompose, yau_twist)
+from homcyc.corpus import (cyclic_group_algebra,
+                           dual_numbers_projection_twist,
+                           k_times_k_projection_twist,
+                           truncated_polynomial_algebra,
+                           truncated_polynomials, two_dim_unital,
+                           upper_triangular_algebra)
 from homcyc.cyclic import (cyclic_cohomology_both, cyclic_homology_both,
                            hochschild_cohomology, hochschild_homology)
-from homcyc.linalg import Matrix
+from homcyc.linalg import Matrix, rank
 
 TOP = 4
 
@@ -64,3 +77,37 @@ def test_homology_and_cohomology_read_the_same(make, top, hh, hc):
         both = cyclic(A, top)
         both.require_agreement()
         assert [both.betti_lambda[n] for n in both.degrees] == hc
+
+
+def _split(A):
+    """(A1, K) with A = (A1, Id) (+) (K, 0): by `unital_decompose` where
+    A has a unit, else by `idempotent_twist_decompose`."""
+    if find_unit(A) is not None:
+        dec = unital_decompose(A)
+        return dec.part_unital_associative, dec.part_complement
+    K, A1 = idempotent_twist_decompose(A)
+    return A1, K
+
+
+@pytest.mark.parametrize("make,low,top,closed", [
+    (two_dim_unital, 2, 7, lambda n: 2 ** (n + 1) - 2 * n - 2),
+    (dual_numbers_projection_twist, 1, 6, lambda n: 2 ** (n + 1) - 1),
+    (k_times_k_projection_twist, 1, 6, lambda n: 2 ** (n + 1) - 1),
+], ids=["two_dim_unital", "dual_numbers_twisted", "k_times_k_projected"])
+def test_split_algebras_have_closed_form_hh(make, low, top, closed):
+    """HH_n of a split algebra from its summands, for low <= n <= top,
+    and its closed form: 2^(n+1) - 2n - 2 where A1 = K = K^2 = k, and
+    2^(n+1) - 1 where A1 = k and K^2 = 0."""
+    A = make()
+    A1, K = _split(A)
+    assert A1.alpha == Matrix.identity(A1.dim)
+    assert K.alpha == Matrix.zero(K.dim, K.dim)
+    d, d1, k2 = A.dim, A1.dim, rank(K.product_matrix)
+
+    def r(m):
+        return m * d1 ** (m - 1) * k2
+
+    hh, hh1 = (hochschild_homology(B, top).betti for B in (A, A1))
+    for n in range(low, top + 1):
+        assert hh[n] == hh1[n] + d ** (n + 1) - d1 ** (n + 1) - r(n) - \
+            r(n + 1) == closed(n), n

@@ -2,11 +2,12 @@
 
 import pytest
 
-from homcyc.coefficients import (CoefficientError, a_circ, chain_data,
+from homcyc.coefficients import (CoefficientError, chain_data,
                                  check_bimodule_axioms,
                                  check_dual_bimodule_axioms, coregular_dual,
                                  dualize_bimodule, regular_bimodule,
                                  validate_homology_coefficients)
+from homcyc.constructions import a_circ
 from homcyc.corpus import (dual_numbers, ground_field, k_times_k,
                            k_times_k_swap_twist, matrix_2x2, standard_corpus,
                            two_dim_unital)

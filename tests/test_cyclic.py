@@ -506,7 +506,7 @@ def test_both_checks_the_coefficients_of_the_lambda_side(monkeypatch):
     bimodule, the cohomology request raises the λ method's
     CoefficientError."""
     from homcyc import hochschild
-    from homcyc.algebra import yau_twist
+    from homcyc.constructions import yau_twist
     from homcyc.errors import CoefficientError
     checked = []
     validate = hochschild.validate_homology_coefficients

@@ -34,10 +34,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_operators as ref
-from homcyc.algebra import direct_sum, yau_twist
 from homcyc.cocycles import trace_space
 from homcyc.coefficients import (CoefficientError, dualize_bimodule,
                                  regular_bimodule)
+from homcyc.constructions import direct_sum, yau_twist
 from homcyc.complexes import homology
 from homcyc.corpus import (dual_numbers, dual_numbers_projection_twist,
                            ground_field, k1_plus_k2, k2,

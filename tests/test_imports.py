@@ -4,7 +4,8 @@ Each case runs in a fresh interpreter, without writing bytecode, and
 reads the `homcyc.*` entries of `sys.modules` once it is done.
 `import homcyc` loads `algebra`, which imports `linalg`, `errors` and
 `records`; each subcommand then imports the modules it computes with,
-and the first other lookup on the package imports the whole API.  No
+`constructions` only for the four that print a construction, and the
+first other lookup on the package imports the whole API.  No
 case loads `dataclasses` or `inspect`, which the records replace.  Run
 without `site` (`python -S`), whose hooks may preload them, no request
 loads `typing` or `shutil` either.
@@ -29,9 +30,11 @@ HEAVY = ("dataclasses", "inspect")
 # loaded by argparse's help formatter and by `typing` annotations; a
 # site hook may preload both, so they are read without site
 UNSITED = ("shutil", "typing")
-API = BASE | {"coefficients", "complexes", "cyclic", "cocycles",
-              "hochschild"}
+API = BASE | {"coefficients", "complexes", "constructions", "cyclic",
+              "cocycles", "hochschild"}
 HH = BASE | {"cli", "coefficients", "complexes", "hochschild"}
+# check, twist and decompose
+BUILD = BASE | {"cli", "constructions"}
 
 
 def _loaded(code: str, *argv: str, site: bool = True) -> set[str]:
@@ -99,9 +102,9 @@ def files(tmp_path_factory):
 
 
 @pytest.mark.parametrize("argv,modules", [
-    (["check", "{alg}"], BASE | {"cli"}),
-    (["decompose", "{alg}"], BASE | {"cli"}),
-    (["dual-space", "{alg}"], BASE | {"cli", "coefficients"}),
+    (["check", "{alg}"], BUILD),
+    (["decompose", "{alg}"], BUILD),
+    (["dual-space", "{alg}"], BUILD | {"coefficients"}),
     (["hh", "{alg}", "--max", "1"], HH),
     (["hhco", "{alg}", "--max", "1", "--representatives"], HH),
     (["duality", "{alg}", "--max", "1"], HH),
@@ -124,7 +127,7 @@ def test_an_unsited_interpreter_shows_both_modules():
 
 
 @pytest.mark.parametrize("argv,modules", [
-    (["check", "{alg}"], BASE | {"cli"}),
+    (["check", "{alg}"], BUILD),
     (["hh", "{alg}", "--max", "1"], HH),
     (["hc", "{alg}", "--max", "1", "--format", "json"], HH | {"cyclic"}),
     (["cocycle", "verify", "{alg}", "--functional", "{phi}"],
@@ -138,9 +141,9 @@ def test_a_request_loads_neither_typing_nor_shutil(files, argv, modules):
 
 
 def test_twist_loads_algebra_only(files):
-    """twist prints the algebra it builds; it needs no other module."""
-    assert _request("twist", files["assoc"], files["alpha"]) == \
-        BASE | {"cli"}
+    """twist prints the algebra it builds; it needs no module but
+    `constructions`, which builds it."""
+    assert _request("twist", files["assoc"], files["alpha"]) == BUILD
 
 
 def test_all_and_dir_are_complete():
@@ -175,9 +178,10 @@ def test_package_names_follow_their_module(monkeypatch):
 
 
 def test_moved_names_keep_their_identity():
-    """The HH entry points live in hochschild and the exit-code
-    exceptions in errors; the modules they left re-export them."""
-    from homcyc import algebra, coefficients, complexes
+    """The HH entry points live in hochschild, the exceptions in errors
+    and the derived constructions in constructions; the modules they
+    left re-export the first two, and the package finds the third."""
+    from homcyc import algebra, coefficients, complexes, constructions
     assert cyclic.hochschild_homology is hochschild.hochschild_homology \
         is homcyc.hochschild_homology
     assert cyclic.hochschild_cohomology is hochschild.hochschild_cohomology
@@ -187,3 +191,12 @@ def test_moved_names_keep_their_identity():
     assert complexes.NotStableError is errors.NotStableError
     assert hochschild.IdentityViolationError is \
         cyclic.IdentityViolationError is errors.IdentityViolationError
+    assert hochschild.CoefficientHypothesisError is \
+        errors.CoefficientHypothesisError
+    assert cyclic.ChainMapError is errors.ChainMapError
+    for name in ("a_circ", "direct_sum", "find_unit",
+                 "is_centroid_element", "solve_homogeneous",
+                 "unital_decompose", "unitalize", "yau_twist"):
+        assert getattr(homcyc, name) is getattr(constructions, name), name
+        assert not hasattr(algebra, name) and \
+            not hasattr(coefficients, name), name

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homcyc.algebra import scalar_from_string
-from homcyc.coefficients import solve_homogeneous
 from homcyc.complexes import total_complex
+from homcyc.constructions import solve_homogeneous
 from homcyc.corpus import two_dim_unital
 from homcyc.cyclic import cyclic_bicomplex
 from homcyc.linalg import (Matrix, NotASubspaceError, Subspace, block_matrix,

@@ -15,12 +15,12 @@ from fractions import Fraction as F
 import pytest
 
 import homcyc
-from homcyc.algebra import (AlgebraMorphism, Decomposition, ValidationReport,
-                            Violation)
+from homcyc.algebra import AlgebraMorphism, ValidationReport, Violation
 from homcyc.cocycles import Functional, TwistedDerivation, is_cyclic_cocycle
-from homcyc.coefficients import a_circ, regular_bimodule
+from homcyc.coefficients import regular_bimodule
 from homcyc.complexes import (BoundarySquareError, ChainComplex,
                                HomologyReport)
+from homcyc.constructions import Decomposition, a_circ
 from homcyc.corpus import two_dim_unital
 from homcyc.cyclic import (cyclic_bicomplex, cyclic_homology_both,
                            periodic_homology)
