@@ -4,9 +4,9 @@ They live in one small module, so that a request loads them without the
 modules that raise them.  Each is re-exported by the module that raises
 it, so `homcyc.complexes.BoundarySquareError` and
 `homcyc.errors.BoundarySquareError` are one class.  `cli._FAILURES`
-gives each that a request can raise its exit code, 2 for input the
-theory does not accept and 3 for an identity it asserts that fails, and
-its stderr prefix.  No request raises `CoefficientHypothesisError` or
+gives every one that a request can raise its exit code, 2 for input
+the theory does not accept and 3 for an identity it asserts that
+fails, and its stderr prefix.  No request raises `CoefficientHypothesisError` or
 `ChainMapError`: every command takes the regular bimodule, which meets
 the homology hypotheses, and no command maps one algebra to another.
 """
