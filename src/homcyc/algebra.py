@@ -27,7 +27,8 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .linalg import Matrix, ZERO, ONE, kron, vanishes
-from .errors import ShapeError, ValidationError
+from .errors import (DecompositionError, PreconditionError,  # re-exported
+                     ShapeError, ValidationError)
 from .records import Field, cached, record
 
 MuTensor = tuple[tuple[tuple[Fraction, ...], ...], ...]
@@ -313,3 +314,18 @@ def validate_morphism(f: AlgebraMorphism) -> tuple[bool, list[Violation]]:
     bad += axiom_violations([
         ("morphism-twist", m @ A.alpha, B.alpha @ m, (A.dim,), (0,))])
     return not bad, bad
+
+
+_MOVED = frozenset({
+    "Decomposition", "NotAnAlgebraMapError", "direct_sum", "find_unit",
+    "idempotent_twist_decompose", "is_algebra_endomorphism",
+    "is_centroid_element", "unital_decompose", "unitalize", "yau_twist"})
+
+def __getattr__(name: str):
+    # what moved to `constructions`, found there when first looked up, so
+    # the old import path works and a request that needs none of it does
+    # not compile that module
+    if name in _MOVED:
+        from importlib import import_module
+        return getattr(import_module("homcyc.constructions"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

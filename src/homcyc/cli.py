@@ -6,16 +6,14 @@ swallowed).  A refused request writes its reason to stderr and nothing
 to stdout; `_FAILURES` maps each refusal to its code.
 
 A request loads `algebra`, `linalg`, `errors` and `records` (not
-`dataclasses`) and builds the parser of its subcommand alone (of all
-twelve when its first argument names none, as for `--help`), and each
-command imports the modules it computes with when it runs, so that a
-request compiles no other: `check`, `twist` and `decompose` need
-`constructions`; `dual-space` `constructions` and `coefficients`;
-`hh`, `hhco` and `duality` `hochschild`; `hc`, `hcco`, `hp` and `hpco`
-`cyclic`; `cocycle` `cocycles`.  Those imports name the module, as in
-`from .cyclic import x`: `from . import cyclic` asks the package
-first, and that imports the whole API.  `check`, `decompose`,
-`dual-space` and `cocycle` print what their module renders
+`dataclasses`), and each command imports the modules it computes with
+when it runs, so that a request compiles no other: `check`, `twist`
+and `decompose` need `constructions`; `dual-space` `constructions` and
+`coefficients`; `hh`, `hhco` and `duality` `hochschild`; `hc`, `hcco`,
+`hp` and `hpco` `cyclic`; `cocycle` `cocycles`.  Those imports name
+the module, as in `from .cyclic import x`: `from . import cyclic` asks
+the package first, and that imports the whole API.  `check`,
+`decompose`, `dual-space` and `cocycle` print what their module renders
 (`constructions.check_file`, `Decomposition`, `RestrictedDual`,
 `cocycles.CocycleCheck`, `cocycles.Functional`).
 """
@@ -83,7 +81,7 @@ def cmd_check(args) -> tuple:
 
 def cmd_homology(args) -> tuple:
     alg = _load(args.file)
-    theory = args.command
+    theory = args.theory
     n = args.max
     reps = args.representatives
     if theory in ("hh", "hhco"):
@@ -156,8 +154,9 @@ def cmd_dual_space(args) -> tuple:
 
 def cmd_decompose(args) -> tuple:
     from .constructions import unital_decompose
-    dec = unital_decompose(_load(args.file))
-    return EXIT_OK, dec.to_json_dict(), dec.to_text()
+    alg = _load(args.file)
+    dec = unital_decompose(alg)
+    return EXIT_OK, dec.to_json_dict(alg.name), dec.to_text(alg.name)
 
 
 def cmd_cocycle(args) -> tuple:
@@ -210,37 +209,33 @@ class _Formatter(argparse.HelpFormatter):
         return super().format_help()
 
 
-# every subcommand: its help line and its command, in the order that
-# help lists them
-_COMMANDS = {
-    "check": ("validate an algebra file", cmd_check),
-    "hh": ("Hochschild homology", cmd_homology),
-    "hc": ("cyclic homology", cmd_homology),
-    "hp": ("periodic cyclic homology", cmd_homology),
-    "hhco": ("Hochschild cohomology", cmd_homology),
-    "hcco": ("cyclic cohomology", cmd_homology),
-    "hpco": ("periodic cyclic cohomology", cmd_homology),
-    "duality": ("compare dim H_n(A,A) with dim H^n(A,A*)", cmd_duality),
-    "twist": ("Yau twist of an associative algebra", cmd_twist),
-    "dual-space": ("the functional subspace with its module structure",
-                   cmd_dual_space),
-    "decompose": ("unital decomposition A1 (+) A2", cmd_decompose),
-    "cocycle": ("verify or derive cyclic cocycles", cmd_cocycle),
-}
+def build_parser() -> argparse.ArgumentParser:
+    parser = partial(argparse.ArgumentParser, formatter_class=_Formatter)
+    # --help shows the docstring but its last paragraph, on imports
+    p = parser(prog="homcyc", description=__doc__.rsplit("\n\n", 1)[0])
+    # with prog given, no formatter formats the subcommands' usage prefix
+    sub = p.add_subparsers(dest="command", required=True, prog=p.prog,
+                           parser_class=parser)
 
+    def common(sp, with_max=True):
+        sp.add_argument("file", help="algebra definition JSON")
+        sp.add_argument("--format", choices=("text", "json"), default="text")
+        if with_max:
+            sp.add_argument("--max", type=degree, default=3,
+                            help="maximum degree")
 
-def _add_command(sub, name: str) -> None:
-    """Add the subcommand `name`, with its arguments, to `sub`."""
-    sp = sub.add_parser(name, help=_COMMANDS[name][0])
-    if name == "cocycle":
-        sp.add_argument("action", choices=("verify", "derive"))
-    sp.add_argument("file", help="algebra definition JSON")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    theory = _COMMANDS[name][1] is cmd_homology
-    if theory or name == "duality":
-        sp.add_argument("--max", type=degree, default=3,
-                        help="maximum degree")
-    if theory:
+    sp = sub.add_parser("check", help="validate an algebra file")
+    common(sp, with_max=False)
+    sp.set_defaults(fn=cmd_check)
+
+    for theory, help_txt in [("hh", "Hochschild homology"),
+                             ("hc", "cyclic homology"),
+                             ("hp", "periodic cyclic homology"),
+                             ("hhco", "Hochschild cohomology"),
+                             ("hcco", "cyclic cohomology"),
+                             ("hpco", "periodic cyclic cohomology")]:
+        sp = sub.add_parser(theory, help=help_txt)
+        common(sp)
         sp.add_argument("--method", choices=("lambda", "bicomplex", "both"),
                         default="both")
         sp.add_argument("--window", type=window, default=2,
@@ -248,40 +243,42 @@ def _add_command(sub, name: str) -> None:
         sp.add_argument("--representatives", action="store_true",
                         help="print cycle representatives (hh, hhco and "
                         "--method lambda; the others ignore it)")
-    elif name == "twist":
-        sp.add_argument("alpha", help="endomorphism matrix JSON")
-        sp.add_argument("--name", default="")
-    elif name == "cocycle":
-        sp.add_argument("--functional", help="functional JSON (verify)")
-        sp.add_argument("--derivation", help="derivation matrix JSON (derive)")
-        sp.add_argument("--trace", help="trace functional JSON (derive)")
-        sp.set_defaults(usage_error=sp.error)
+        sp.set_defaults(fn=cmd_homology, theory=theory)
 
+    sp = sub.add_parser("duality",
+                        help="compare dim H_n(A,A) with dim H^n(A,A*)")
+    common(sp)
+    sp.set_defaults(fn=cmd_duality)
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of `command` alone.  Its usage
-    lists all twelve either way, so each prints the same bytes for a
-    command line that starts with `command`."""
-    parser = partial(argparse.ArgumentParser, formatter_class=_Formatter)
-    # --help shows the docstring but its last paragraph, on imports
-    p = parser(prog="homcyc", description=__doc__.rsplit("\n\n", 1)[0])
-    # with prog given, no formatter formats the subcommands' usage prefix;
-    # a metavar would rename the action in the full parser's errors
-    listed = {} if command is None else \
-        {"metavar": "{" + ",".join(_COMMANDS) + "}"}
-    sub = p.add_subparsers(dest="command", required=True, prog=p.prog,
-                           parser_class=parser, **listed)
-    for name in _COMMANDS if command is None else [command]:
-        _add_command(sub, name)
+    sp = sub.add_parser("twist", help="Yau twist of an associative algebra")
+    common(sp, with_max=False)
+    sp.add_argument("alpha", help="endomorphism matrix JSON")
+    sp.add_argument("--name", default="")
+    sp.set_defaults(fn=cmd_twist)
+
+    sp = sub.add_parser("dual-space",
+                        help="the functional subspace with its module structure")
+    common(sp, with_max=False)
+    sp.set_defaults(fn=cmd_dual_space)
+
+    sp = sub.add_parser("decompose", help="unital decomposition A1 (+) A2")
+    common(sp, with_max=False)
+    sp.set_defaults(fn=cmd_decompose)
+
+    sp = sub.add_parser("cocycle", help="verify or derive cyclic cocycles")
+    sp.add_argument("action", choices=("verify", "derive"))
+    common(sp, with_max=False)
+    sp.add_argument("--functional", help="functional JSON (verify)")
+    sp.add_argument("--derivation", help="derivation matrix JSON (derive)")
+    sp.add_argument("--trace", help="trace functional JSON (derive)")
+    sp.set_defaults(fn=cmd_cocycle, usage_error=sp.error)
     return p
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None
-                        ).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code, payload, text, *notes = _COMMANDS[args.command][1](args)
+        code, payload, text, *notes = args.fn(args)
         _emit(payload, args.format, text)
     except Exception as exc:
         kind = next((t for t in type(exc).__mro__ if t in _FAILURES), None)

@@ -191,3 +191,15 @@ def coregular_dual(A: HomAlgebra) -> Bimodule:
         raise CoefficientError("coregular dual fails bimodule axioms: "
                                + str(axiom_bad[0]))
     return V
+
+
+_MOVED = frozenset({"RestrictedDual", "a_circ", "solve_homogeneous"})
+
+def __getattr__(name: str):
+    # what moved to `constructions`, found there when first looked up, so
+    # the old import path works and a request that needs none of it does
+    # not compile that module
+    if name in _MOVED:
+        from importlib import import_module
+        return getattr(import_module("homcyc.constructions"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,8 +5,10 @@ The Yau twist and the direct sum; the unit, the centroid test and the
 two splittings of an algebra with a singular twist (`unital_decompose`,
 `idempotent_twist_decompose`); the unitalization; and the A-degree dual
 `a_circ`.  Each is built from the structure constants and re-validated,
-so what it returns is a checked algebra or bimodule.  `check_file`, `Decomposition` and `RestrictedDual` render
-the `check`, `decompose` and `dual-space` output.
+so what it returns is a checked algebra or bimodule.  `check_file`,
+`Decomposition` and `RestrictedDual` render the `check`, `decompose`
+and `dual-space` output.  `algebra` and `coefficients` find the names
+that moved here from them when one is looked up.
 
 No homology computation uses this module, so it is apart from
 `algebra`, which every request loads: only `check`, `twist`,
@@ -29,7 +31,7 @@ from .errors import (CoefficientError, DecompositionError,
                      IdentityViolationError, PreconditionError)
 from .linalg import (Matrix, NotASubspaceError, Subspace, ZERO, ONE,
                      block_matrix, image, kernel, kron, restrict, vanishes)
-from .records import Field, record
+from .records import record
 
 
 def is_algebra_endomorphism(A: HomAlgebra, endo: Matrix) -> tuple[bool, list[Violation]]:
@@ -147,23 +149,23 @@ def check_file(path: str) -> tuple:
 @record
 class Decomposition:
     """A = A1 (+) A2 with the change of basis from the summand bases; a
-    zero summand is None, with an empty basis.  `name` is A's."""
+    zero summand is None, with an empty basis."""
 
     part_unital_associative: HomAlgebra | None
     part_complement: HomAlgebra | None
     basis_a1: tuple[tuple[Fraction, ...], ...]
     basis_a2: tuple[tuple[Fraction, ...], ...]
-    name: str = Field(default="", compare=False)
 
     @property
     def change_of_basis(self) -> Matrix:
         cols = list(self.basis_a1) + list(self.basis_a2)
         return Matrix.from_columns(len(cols[0]), cols)
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, name: str) -> dict:
+        """The `decompose` payload; `name` is A's."""
         a1, a2 = self.part_unital_associative, self.part_complement
         return {
-            "algebra": self.name,
+            "algebra": name,
             # a zero summand is null, with an empty basis
             "A1": None if a1 is None else a1.to_json_dict(),
             "A2": None if a2 is None else a2.to_json_dict(),
@@ -171,8 +173,8 @@ class Decomposition:
             "basis_A2": [[str(x) for x in v] for v in self.basis_a2],
         }
 
-    def to_text(self) -> str:
-        return (f"{self.name} = A1 (+) A2 with dim A1 = {len(self.basis_a1)}, "
+    def to_text(self, name: str) -> str:
+        return (f"{name} = A1 (+) A2 with dim A1 = {len(self.basis_a1)}, "
                 f"dim A2 = {len(self.basis_a2)}; A1 unital associative")
 
 
@@ -209,7 +211,7 @@ def unital_decompose(A: HomAlgebra) -> Decomposition:
     if a1 is not None and not is_associative(a1):
         raise DecompositionError("A1 summand is not associative; contradicts "
                                  "the unital characterization")
-    return Decomposition(a1, a2, sub1.basis, sub2.basis, name=A.name)
+    return Decomposition(a1, a2, sub1.basis, sub2.basis)
 
 
 def idempotent_twist_decompose(A: HomAlgebra

@@ -4,8 +4,7 @@ Each file under tests/golden/ named `help-*.txt` is the exact stdout of
 `homcyc --help` or of one subcommand's `--help`, and each `usage-*.txt`
 the exact stderr of a request that argparse refuses, all formatted at
 `COLUMNS=80` by Python 3.11's argparse, whose layout later versions
-change; on those the goldens are skipped, and the parser of one
-subcommand is still checked against the parser of all twelve.
+change; on those the goldens are skipped.
 
 Regenerate one only for an intended change of the parser:
 
@@ -18,8 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from homcyc import cli
-from homcyc.cli import build_parser, main
+from homcyc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -49,55 +47,3 @@ def test_help_and_usage_bytes(name, argv, code, monkeypatch, capsys):
     expected = (GOLDEN / name).read_text(encoding="utf-8")
     assert (out, err) == ((expected, "") if code == 0 else ("", expected))
 
-
-def _parse(parser, argv: list[str]) -> dict | int:
-    """The namespace that parsing argv gives, as a dict, or the code
-    that argparse exits with."""
-    try:
-        return vars(parser.parse_args(argv))
-    except SystemExit as exc:
-        return exc.code
-
-
-# command lines that start with a subcommand, each parsed or refused
-ONE_COMMAND = [[c, "--help"] for c in COMMANDS] + [
-    ["check"], ["check", "A.json", "extra"], ["check", "A.json", "--max", "1"],
-    ["hh", "A.json", "--max", "x"], ["hp", "A.json", "--window", "3"],
-    ["hc", "A.json", "--method", "nope"], ["hcco", "A.json", "--bogus"],
-    ["twist", "A.json"], ["cocycle", "A.json"], ["cocycle", "prove", "A.json"],
-    ["duality", "A.json", "--format", "xml"], ["decompose", "A.json", "-h"],
-    ["dual-space", "--format", "json", "A.json"],
-    ["hh", "A.json", "--max", "2", "--representatives", "--format", "json"],
-    ["cocycle", "derive", "A.json", "--derivation", "D.json"]]
-
-
-@pytest.mark.parametrize("argv", ONE_COMMAND, ids=" ".join)
-def test_one_subcommand_parses_as_all_twelve(argv, monkeypatch, capsys):
-    """A parser built for one subcommand returns the namespace, or
-    prints the help or error bytes and exits with the code, that the
-    parser of every subcommand does, on any Python version."""
-    monkeypatch.setenv("COLUMNS", "80")
-    full = _parse(build_parser(), argv), capsys.readouterr()
-    one = _parse(build_parser(argv[0]), argv), capsys.readouterr()
-    if isinstance(full[0], dict):  # the usage_error bound methods differ
-        for ns in (full[0], one[0]):
-            ns.pop("usage_error", None)
-    assert one == full
-
-
-@pytest.mark.parametrize("argv,built", [
-    (["check", "A.json"], ["check"]), (["hh", "A.json"], ["hh"]),
-    (["--help"], list(COMMANDS)), (["frobnicate"], list(COMMANDS))],
-    ids=["check", "hh", "help", "unknown"])
-def test_main_builds_the_parser_of_its_subcommand(argv, built, monkeypatch):
-    """main adds the subcommand its first argument names, or all twelve
-    when it names none; the file is missing, so a request exits 2."""
-    added = []
-    add = cli._add_command
-    monkeypatch.setattr(cli, "_add_command",
-                        lambda sub, name: (added.append(name), add(sub, name)))
-    try:
-        main(argv)
-    except SystemExit:
-        pass
-    assert added == built
