@@ -12,9 +12,8 @@ import sys
 import time
 from dataclasses import dataclass
 
-from homcyc.algebra import alpha_is_idempotent
+from homcyc.algebra import alpha_is_idempotent, find_unit, is_centroid_element
 from homcyc.cocycles import trace_space
-from homcyc.constructions import find_unit, is_centroid_element
 from homcyc.corpus import standard_corpus
 from homcyc.cyclic import (cyclic_cohomology_both, cyclic_homology_both,
                            hochschild_cohomology, hochschild_homology,

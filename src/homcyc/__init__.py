@@ -5,10 +5,10 @@ algebras over the rationals.
 `import homcyc` loads `algebra` (and with it `linalg`, `errors` and
 `records`) only, so that a command-line request compiles no module its
 subcommand does not use; none of them imports `dataclasses`.  The
-derived constructions (twists, sums, units, splittings, `a_circ`) are
-in `constructions`, which the `check`, `twist`, `decompose` and
-`dual-space` subcommands import and the homology ones do not; `cli`
-lists what each subcommand loads.
+derived constructions (twists, sums, splittings, `a_circ`) are in
+`constructions`, which the `twist`, `decompose` and `dual-space`
+subcommands import and the homology ones do not; `cli` lists what each
+subcommand loads.
 Any other lookup on the package, of an exported name or of a submodule
 name, as `from homcyc import corpus` makes, first imports the whole
 public API, so no later computation pays for an import.  An exported
@@ -19,15 +19,15 @@ the package returns.
 
 from importlib import import_module as _import_module
 
-from .algebra import (AlgebraMorphism, HomAlgebra, load_algebra, validate,
+from .algebra import (AlgebraMorphism, HomAlgebra, find_unit,
+                      is_centroid_element, load_algebra, validate,
                       validate_morphism)
 
 # every other exported name, by defining module, in import order
 _LAZY = {
     "coefficients": ("Bimodule", "coregular_dual", "dualize_bimodule",
                      "regular_bimodule", "validate_homology_coefficients"),
-    "constructions": ("a_circ", "direct_sum", "find_unit",
-                      "is_centroid_element", "solve_homogeneous",
+    "constructions": ("a_circ", "direct_sum", "solve_homogeneous",
                       "unital_decompose", "unitalize", "yau_twist"),
     "complexes": ("Bicomplex", "ChainComplex", "HomologyReport", "homology",
                   "quotient_complex", "sub_complex", "total_complex"),
@@ -49,7 +49,8 @@ _LAZY = {
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 
-__all__ = ["AlgebraMorphism", "HomAlgebra", "load_algebra", "validate",
+__all__ = ["AlgebraMorphism", "HomAlgebra", "find_unit",
+           "is_centroid_element", "load_algebra", "validate",
            "validate_morphism", *_HOME]
 __version__ = "0.1.0"
 

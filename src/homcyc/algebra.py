@@ -11,8 +11,9 @@ mu (alpha (x) mu) = mu (mu (x) alpha), multiplicativity is
 alpha mu = mu (alpha (x) alpha).  Both sides are exact matrices, and
 `axiom_violations` reports each column where they differ as a
 `Violation` at its basis tuple; bilinearity makes the basis tuples
-sufficient.  What is built from a valid algebra (its Yau twists, direct
-sums, unit and splittings) is in `constructions`.
+sufficient.  The unit and the centroid test are here, since `check`
+reports them; what is built from a valid algebra (its Yau twists,
+direct sums and splittings) is in `constructions`.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .linalg import Matrix, ZERO, ONE, kron, vanishes
+from .linalg import Matrix, ZERO, ONE, kernel, kron, vanishes
 from .errors import (DecompositionError, PreconditionError,  # re-exported
-                     ShapeError, ValidationError)
+                     IdentityViolationError, ShapeError, ValidationError)
 from .records import Field, cached, record
 
 MuTensor = tuple[tuple[tuple[Fraction, ...], ...], ...]
@@ -296,6 +297,50 @@ def alpha_is_idempotent(A: HomAlgebra) -> bool:
                     (-1, Matrix.identity(A.dim), A.alpha))
 
 
+def find_unit(A: HomAlgebra) -> tuple[Fraction, ...] | None:
+    """Solve u e_j = e_j = e_j u for all j; None when no unit exists.
+
+    If the solution space is more than one-dimensional the algebra data
+    is inconsistent (units are unique, and a unit leaves no element
+    that annihilates every e_j): IdentityViolationError.
+    """
+    constraints: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    # unknowns u_0..u_{d-1}; conditions sum_i u_i (e_i e_j)_k = delta_{jk}
+    for j in range(A.dim):
+        for k in range(A.dim):
+            constraints.append([A.mu[i][j][k] for i in range(A.dim)])
+            rhs.append(ONE if j == k else ZERO)
+            constraints.append([A.mu[j][i][k] for i in range(A.dim)])
+            rhs.append(ONE if j == k else ZERO)
+    # inhomogeneous solve via kernel of the augmented system
+    aug = Matrix.from_rows([row + [-r] for row, r in zip(constraints, rhs)])
+    sols = kernel(aug)
+    units = []
+    for v in sols.basis:
+        if v[A.dim]:
+            units.append(tuple(x / v[A.dim] for x in v[:A.dim]))
+    if not units:
+        return None
+    if len(units) > 1 or any(v[A.dim] == 0 and any(v[:A.dim]) for v in sols.basis):
+        raise IdentityViolationError("unit solution space has dimension > 1; "
+                                     "algebra data inconsistent")
+    return units[0]
+
+
+def is_centroid_element(A: HomAlgebra) -> tuple[bool, list[Violation]]:
+    """alpha(x)y = x alpha(y) = alpha(xy): mu (alpha (x) Id) =
+    mu (Id (x) alpha) = alpha mu."""
+    m, alpha, ident = A.product_matrix, A.alpha, Matrix.identity(A.dim)
+    x_alpha_y = m @ kron(ident, alpha)
+    pair = (A.dim, A.dim)
+    bad = axiom_violations([
+        ("centroid alpha(x)y=xalpha(y)", m @ kron(alpha, ident), x_alpha_y,
+         pair, (0, 1)),
+        ("centroid xalpha(y)=alpha(xy)", x_alpha_y, alpha @ m, pair, (0, 1))])
+    return not bad, bad
+
+
 @record
 class AlgebraMorphism:
     source: HomAlgebra
@@ -317,9 +362,9 @@ def validate_morphism(f: AlgebraMorphism) -> tuple[bool, list[Violation]]:
 
 
 _MOVED = frozenset({
-    "Decomposition", "NotAnAlgebraMapError", "direct_sum", "find_unit",
+    "Decomposition", "NotAnAlgebraMapError", "direct_sum",
     "idempotent_twist_decompose", "is_algebra_endomorphism",
-    "is_centroid_element", "unital_decompose", "unitalize", "yau_twist"})
+    "unital_decompose", "unitalize", "yau_twist"})
 
 def __getattr__(name: str):
     # what moved to `constructions`, found there when first looked up, so

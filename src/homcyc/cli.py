@@ -7,15 +7,16 @@ to stdout; `_FAILURES` maps each refusal to its code.
 
 A request loads `algebra`, `linalg`, `errors` and `records` (not
 `dataclasses`), and each command imports the modules it computes with
-when it runs, so that a request compiles no other: `check`, `twist`
-and `decompose` need `constructions`; `dual-space` `constructions` and
-`coefficients`; `hh`, `hhco` and `duality` `hochschild`; `hc`, `hcco`,
-`hp` and `hpco` `cyclic`; `cocycle` `cocycles`.  Those imports name
-the module, as in `from .cyclic import x`: `from . import cyclic` asks
-the package first, and that imports the whole API.  `check`,
-`decompose`, `dual-space` and `cocycle` print what their module renders
-(`constructions.check_file`, `Decomposition`, `RestrictedDual`,
-`cocycles.CocycleCheck`, `cocycles.Functional`).
+when it runs, so that a request compiles no other: `check` needs
+`algebra` only; `twist` and `decompose` `constructions`; `dual-space`
+`constructions` and `coefficients`; `hh`, `hhco` and `duality`
+`hochschild`; `hc`, `hcco`, `hp` and `hpco` `cyclic`; `cocycle`
+`cocycles`.  Those imports name the module, as in `from .cyclic import
+x`: `from . import cyclic` asks the package first, and that imports the
+whole API.  `decompose`, `dual-space` and `cocycle` print what their
+module renders (`Decomposition`, `RestrictedDual`,
+`cocycles.CocycleCheck`, `cocycles.Functional`).  A request also makes
+the parser of its own subcommand only (`_Subcommand`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import json
 import sys
 from functools import partial
 
-from .algebra import (HomAlgebra, load_algebra, read_grid, read_json,
+from .algebra import (HomAlgebra, alpha_is_idempotent, find_unit,
+                      is_centroid_element, load_algebra, read_grid, read_json,
                       require_valid)
 from .errors import (BoundarySquareError, CocyclePreconditionError,
                      CoefficientError, DecompositionError,
@@ -74,9 +76,35 @@ def _emit(payload: dict, fmt: str, text: str | None = None) -> None:
 # lines...) and writes nothing: `main` writes the result.
 
 def cmd_check(args) -> tuple:
-    from .constructions import check_file
-    passed, *output = check_file(args.file)
-    return EXIT_OK if passed else EXIT_INVALID, *output
+    alg, report = load_algebra(args.file)
+    violations = [str(v) for v in report.violations]
+    if alg is None:
+        return (EXIT_INVALID, {"valid": False, "violations": violations},
+                "\n".join(["invalid: Hom-associativity fails"]
+                          + ["  " + v for v in violations]))
+    unit = find_unit(alg)
+    centroid, _ = is_centroid_element(alg)
+    idem = alpha_is_idempotent(alg)
+    payload = {
+        "name": alg.name,
+        "valid": True,
+        "multiplicative": report.multiplicative,
+        "unit": [str(x) for x in unit] if unit else None,
+        "centroid": centroid,
+        "alpha_idempotent": idem,
+    }
+    unit_txt = "none"
+    if unit is not None:
+        terms = [f"{c}*{nm}" if c != 1 else nm
+                 for c, nm in zip(unit, alg.basis_names) if c]
+        unit_txt = " + ".join(terms)
+    text = (f"valid, {'multiplicative' if report.multiplicative else 'NOT multiplicative'}, "
+            f"{'unital (1=' + unit_txt + ')' if unit else 'non-unital'}, "
+            f"centroid: {'yes' if centroid else 'no'}, "
+            f"alpha^2=alpha: {'yes' if idem else 'no'}")
+    if not report.multiplicative:
+        return (EXIT_INVALID, payload, text, *("  " + v for v in violations))
+    return EXIT_OK, payload, text
 
 
 def cmd_homology(args) -> tuple:
@@ -209,33 +237,37 @@ class _Formatter(argparse.HelpFormatter):
         return super().format_help()
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = partial(argparse.ArgumentParser, formatter_class=_Formatter)
-    # --help shows the docstring but its last paragraph, on imports
-    p = parser(prog="homcyc", description=__doc__.rsplit("\n\n", 1)[0])
-    # with prog given, no formatter formats the subcommands' usage prefix
-    sub = p.add_subparsers(dest="command", required=True, prog=p.prog,
-                           parser_class=parser)
+# every subcommand: its help line and its command, in the order that
+# help lists them
+_COMMANDS = {
+    "check": ("validate an algebra file", cmd_check),
+    "hh": ("Hochschild homology", cmd_homology),
+    "hc": ("cyclic homology", cmd_homology),
+    "hp": ("periodic cyclic homology", cmd_homology),
+    "hhco": ("Hochschild cohomology", cmd_homology),
+    "hcco": ("cyclic cohomology", cmd_homology),
+    "hpco": ("periodic cyclic cohomology", cmd_homology),
+    "duality": ("compare dim H_n(A,A) with dim H^n(A,A*)", cmd_duality),
+    "twist": ("Yau twist of an associative algebra", cmd_twist),
+    "dual-space": ("the functional subspace with its module structure",
+                   cmd_dual_space),
+    "decompose": ("unital decomposition A1 (+) A2", cmd_decompose),
+    "cocycle": ("verify or derive cyclic cocycles", cmd_cocycle),
+}
 
-    def common(sp, with_max=True):
-        sp.add_argument("file", help="algebra definition JSON")
-        sp.add_argument("--format", choices=("text", "json"), default="text")
-        if with_max:
-            sp.add_argument("--max", type=degree, default=3,
-                            help="maximum degree")
 
-    sp = sub.add_parser("check", help="validate an algebra file")
-    common(sp, with_max=False)
-    sp.set_defaults(fn=cmd_check)
-
-    for theory, help_txt in [("hh", "Hochschild homology"),
-                             ("hc", "cyclic homology"),
-                             ("hp", "periodic cyclic homology"),
-                             ("hhco", "Hochschild cohomology"),
-                             ("hcco", "cyclic cohomology"),
-                             ("hpco", "periodic cyclic cohomology")]:
-        sp = sub.add_parser(theory, help=help_txt)
-        common(sp)
+def _add_arguments(sp: argparse.ArgumentParser, name: str) -> None:
+    """Give the parser of subcommand `name` its arguments and command."""
+    fn = _COMMANDS[name][1]
+    sp.set_defaults(fn=fn)
+    if name == "cocycle":
+        sp.add_argument("action", choices=("verify", "derive"))
+    sp.add_argument("file", help="algebra definition JSON")
+    sp.add_argument("--format", choices=("text", "json"), default="text")
+    if fn in (cmd_homology, cmd_duality):
+        sp.add_argument("--max", type=degree, default=3,
+                        help="maximum degree")
+    if fn is cmd_homology:
         sp.add_argument("--method", choices=("lambda", "bicomplex", "both"),
                         default="both")
         sp.add_argument("--window", type=window, default=2,
@@ -243,35 +275,45 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--representatives", action="store_true",
                         help="print cycle representatives (hh, hhco and "
                         "--method lambda; the others ignore it)")
-        sp.set_defaults(fn=cmd_homology, theory=theory)
+        sp.set_defaults(theory=name)
+    elif name == "twist":
+        sp.add_argument("alpha", help="endomorphism matrix JSON")
+        sp.add_argument("--name", default="")
+    elif name == "cocycle":
+        sp.add_argument("--functional", help="functional JSON (verify)")
+        sp.add_argument("--derivation", help="derivation matrix JSON (derive)")
+        sp.add_argument("--trace", help="trace functional JSON (derive)")
+        sp.set_defaults(usage_error=sp.error)
 
-    sp = sub.add_parser("duality",
-                        help="compare dim H_n(A,A) with dim H^n(A,A*)")
-    common(sp)
-    sp.set_defaults(fn=cmd_duality)
 
-    sp = sub.add_parser("twist", help="Yau twist of an associative algebra")
-    common(sp, with_max=False)
-    sp.add_argument("alpha", help="endomorphism matrix JSON")
-    sp.add_argument("--name", default="")
-    sp.set_defaults(fn=cmd_twist)
+class _Subcommand:
+    """A subcommand's parser, made when a command line names the
+    subcommand: a request runs one of the twelve, and making their
+    parsers is most of what building the command line costs.  The
+    top-level help needs only their help lines, which `add_parser`
+    keeps apart."""
 
-    sp = sub.add_parser("dual-space",
-                        help="the functional subspace with its module structure")
-    common(sp, with_max=False)
-    sp.set_defaults(fn=cmd_dual_space)
+    def __init__(self, command: str, **kwargs):
+        self._command = command
+        self._kwargs = kwargs
 
-    sp = sub.add_parser("decompose", help="unital decomposition A1 (+) A2")
-    common(sp, with_max=False)
-    sp.set_defaults(fn=cmd_decompose)
+    def parse_known_args(self, args, namespace=None):
+        sp = argparse.ArgumentParser(formatter_class=_Formatter,
+                                     **self._kwargs)
+        _add_arguments(sp, self._command)
+        return sp.parse_known_args(args, namespace)
 
-    sp = sub.add_parser("cocycle", help="verify or derive cyclic cocycles")
-    sp.add_argument("action", choices=("verify", "derive"))
-    common(sp, with_max=False)
-    sp.add_argument("--functional", help="functional JSON (verify)")
-    sp.add_argument("--derivation", help="derivation matrix JSON (derive)")
-    sp.add_argument("--trace", help="trace functional JSON (derive)")
-    sp.set_defaults(fn=cmd_cocycle, usage_error=sp.error)
+
+def build_parser() -> argparse.ArgumentParser:
+    # --help shows the docstring but its last paragraph, on imports
+    p = argparse.ArgumentParser(prog="homcyc",
+                                description=__doc__.rsplit("\n\n", 1)[0],
+                                formatter_class=_Formatter)
+    # with prog given, no formatter formats the subcommands' usage prefix
+    sub = p.add_subparsers(dest="command", required=True, prog=p.prog,
+                           parser_class=_Subcommand)
+    for name, (help_txt, _fn) in _COMMANDS.items():
+        sub.add_parser(name, help=help_txt, command=name)
     return p
 
 

@@ -17,12 +17,13 @@ L, R, beta and the algebra's `product_matrix` and alpha, and
 `axiom_violations` reports each basis tuple where they differ.  The
 A-degree dual `a_circ`, which only `dual-space` builds, is in
 `constructions`; the coregular dual stays here, since it transposes a
-bimodule's data, and imports the centroid test when it runs.
+bimodule's data.
 """
 
 from __future__ import annotations
 
-from .algebra import HomAlgebra, Violation, axiom_violations
+from .algebra import (HomAlgebra, Violation, axiom_violations,
+                      is_centroid_element)
 from .linalg import (Matrix, block_matrix, kron, permute_columns,
                      swap_slots)
 from .errors import CoefficientError
@@ -179,7 +180,6 @@ def coregular_dual(A: HomAlgebra) -> Bimodule:
     Valid only under the centroid hypothesis; refuses otherwise, since
     the coregular actions need not define a bimodule in general.
     """
-    from .constructions import is_centroid_element
     ok, bad = is_centroid_element(A)
     if not ok:
         raise CoefficientError(

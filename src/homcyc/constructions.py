@@ -1,22 +1,22 @@
 """Derived constructions on Hom-algebras, and the reports of the
 commands that print them.
 
-The Yau twist and the direct sum; the unit, the centroid test and the
-two splittings of an algebra with a singular twist (`unital_decompose`,
-`idempotent_twist_decompose`); the unitalization; and the A-degree dual
-`a_circ`.  Each is built from the structure constants and re-validated,
-so what it returns is a checked algebra or bimodule.  `check_file`,
-`Decomposition` and `RestrictedDual` render the `check`, `decompose`
-and `dual-space` output.  `algebra` and `coefficients` find the names
-that moved here from them when one is looked up.
+The Yau twist and the direct sum; the two splittings of an algebra with
+a singular twist (`unital_decompose`, `idempotent_twist_decompose`);
+the unitalization; and the A-degree dual `a_circ`.  Each is built from
+the structure constants and re-validated, so what it returns is a
+checked algebra or bimodule.  `Decomposition` and `RestrictedDual`
+render the `decompose` and `dual-space` output.  `algebra` and
+`coefficients` find the names that moved here from them when one is
+looked up.
 
 No homology computation uses this module, so it is apart from
-`algebra`, which every request loads: only `check`, `twist`,
-`decompose` and `dual-space` requests, `corpus` and the package's
-first lookup import it.  `a_circ` imports `coefficients` when it runs,
-so that `check`, `twist` and `decompose` compile no bimodule code;
-`Bimodule` in an annotation is `coefficients.Bimodule`, named and not
-imported.
+`algebra`, which every request loads: only `twist`, `decompose` and
+`dual-space` requests, `corpus` and the package's first lookup import
+it.  The unit and the centroid test, which `check` reports, stay in
+`algebra`.  `a_circ` imports `coefficients` when it runs, so that
+`twist` and `decompose` compile no bimodule code; `Bimodule` in an
+annotation is `coefficients.Bimodule`, named and not imported.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .algebra import (AlgebraMorphism, HomAlgebra, Violation,
-                      alpha_is_idempotent, axiom_violations, is_associative,
-                      load_algebra, validate_morphism, validate_or_raise)
+                      alpha_is_idempotent, axiom_violations, find_unit,
+                      is_associative, is_centroid_element, validate_morphism,
+                      validate_or_raise)
 from .errors import (CoefficientError, DecompositionError,
                      IdentityViolationError, PreconditionError)
 from .linalg import (Matrix, NotASubspaceError, Subspace, ZERO, ONE,
@@ -63,87 +64,6 @@ def yau_twist(assoc: HomAlgebra, endo: Matrix, name: str = "") -> HomAlgebra:
                for i in range(assoc.dim))
     return validate_or_raise(assoc.dim, assoc.basis_names, mu, endo,
                              name=name or (assoc.name + "_twisted"))
-
-
-def find_unit(A: HomAlgebra) -> tuple[Fraction, ...] | None:
-    """Solve u e_j = e_j = e_j u for all j; None when no unit exists.
-
-    If the solution space is more than one-dimensional the algebra data
-    is inconsistent (units are unique, and a unit leaves no element
-    that annihilates every e_j): IdentityViolationError.
-    """
-    constraints: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    # unknowns u_0..u_{d-1}; conditions sum_i u_i (e_i e_j)_k = delta_{jk}
-    for j in range(A.dim):
-        for k in range(A.dim):
-            constraints.append([A.mu[i][j][k] for i in range(A.dim)])
-            rhs.append(ONE if j == k else ZERO)
-            constraints.append([A.mu[j][i][k] for i in range(A.dim)])
-            rhs.append(ONE if j == k else ZERO)
-    # inhomogeneous solve via kernel of the augmented system
-    aug = Matrix.from_rows([row + [-r] for row, r in zip(constraints, rhs)])
-    sols = kernel(aug)
-    units = []
-    for v in sols.basis:
-        if v[A.dim]:
-            units.append(tuple(x / v[A.dim] for x in v[:A.dim]))
-    if not units:
-        return None
-    if len(units) > 1 or any(v[A.dim] == 0 and any(v[:A.dim]) for v in sols.basis):
-        raise IdentityViolationError("unit solution space has dimension > 1; "
-                                     "algebra data inconsistent")
-    return units[0]
-
-
-def is_centroid_element(A: HomAlgebra) -> tuple[bool, list[Violation]]:
-    """alpha(x)y = x alpha(y) = alpha(xy): mu (alpha (x) Id) =
-    mu (Id (x) alpha) = alpha mu."""
-    m, alpha, ident = A.product_matrix, A.alpha, Matrix.identity(A.dim)
-    x_alpha_y = m @ kron(ident, alpha)
-    pair = (A.dim, A.dim)
-    bad = axiom_violations([
-        ("centroid alpha(x)y=xalpha(y)", m @ kron(alpha, ident), x_alpha_y,
-         pair, (0, 1)),
-        ("centroid xalpha(y)=alpha(xy)", x_alpha_y, alpha @ m, pair, (0, 1))])
-    return not bad, bad
-
-
-def check_file(path: str) -> tuple:
-    """The `check` report of the algebra file at path: (passed, JSON
-    payload, text, stderr lines...).  It passes when the algebra is
-    Hom-associative and multiplicative; the payload and text then say
-    whether it is unital, alpha is in the centroid and alpha^2 = alpha,
-    and otherwise list each violation."""
-    alg, report = load_algebra(path)
-    violations = [str(v) for v in report.violations]
-    if alg is None:
-        return (False, {"valid": False, "violations": violations},
-                "\n".join(["invalid: Hom-associativity fails"]
-                          + ["  " + v for v in violations]))
-    unit = find_unit(alg)
-    centroid, _ = is_centroid_element(alg)
-    idem = alpha_is_idempotent(alg)
-    payload = {
-        "name": alg.name,
-        "valid": True,
-        "multiplicative": report.multiplicative,
-        "unit": [str(x) for x in unit] if unit else None,
-        "centroid": centroid,
-        "alpha_idempotent": idem,
-    }
-    unit_txt = "none"
-    if unit is not None:
-        terms = [f"{c}*{nm}" if c != 1 else nm
-                 for c, nm in zip(unit, alg.basis_names) if c]
-        unit_txt = " + ".join(terms)
-    text = (f"valid, {'multiplicative' if report.multiplicative else 'NOT multiplicative'}, "
-            f"{'unital (1=' + unit_txt + ')' if unit else 'non-unital'}, "
-            f"centroid: {'yes' if centroid else 'no'}, "
-            f"alpha^2=alpha: {'yes' if idem else 'no'}")
-    if not report.multiplicative:
-        return (False, payload, text, *("  " + v for v in violations))
-    return True, payload, text
 
 
 @record

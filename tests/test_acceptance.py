@@ -9,13 +9,13 @@ import time
 from fractions import Fraction
 from math import comb
 
-from homcyc.algebra import alpha_is_idempotent, validate
+from homcyc.algebra import alpha_is_idempotent, find_unit, validate
 from homcyc.cocycles import (Functional, TwistedDerivation,
                              derivation_cocycle, is_cyclic_cocycle,
                              trace_space)
 from homcyc.coefficients import (check_bimodule_axioms, dualize_bimodule,
                                  regular_bimodule)
-from homcyc.constructions import a_circ, find_unit
+from homcyc.constructions import a_circ
 from homcyc.corpus import (dual_numbers, ground_field, k1_plus_k2, k2,
                            k_times_k, k_times_k_swap_twist, matrix_2x2,
                            standard_corpus, truncated_polynomials,

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from homcyc import corpus
 from homcyc.algebra import (AlgebraMorphism, ShapeError, ValidationError,
-                            Violation, alpha_is_idempotent, is_associative,
-                            load_algebra, scalar_from_string, validate,
-                            validate_morphism, validate_or_raise)
+                            Violation, alpha_is_idempotent, find_unit,
+                            is_associative, is_centroid_element, load_algebra,
+                            scalar_from_string, validate, validate_morphism,
+                            validate_or_raise)
 from homcyc.constructions import (DecompositionError, NotAnAlgebraMapError,
-                                  direct_sum, find_unit,
-                                  idempotent_twist_decompose,
-                                  is_centroid_element, unital_decompose,
-                                  unitalize, yau_twist)
+                                  direct_sum, idempotent_twist_decompose,
+                                  unital_decompose, unitalize, yau_twist)
 from homcyc.corpus import (dual_numbers, dual_numbers_projection_twist,
                            ground_field, k2, k_times_k, k_times_k_swap_twist,
                            matrix_2x2, standard_corpus, truncated_polynomials,

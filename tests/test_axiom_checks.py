@@ -17,14 +17,14 @@ from hypothesis import strategies as st
 
 import reference_operators as ref
 from homcyc.algebra import (AlgebraMorphism, HomAlgebra, is_associative,
-                            validate, validate_morphism)
+                            is_centroid_element, validate, validate_morphism)
 from homcyc.coefficients import (Bimodule, check_bimodule_axioms,
                                  check_dual_bimodule_axioms,
                                  regular_bimodule,
                                  validate_homology_coefficients)
 from homcyc.cocycles import (Functional, TwistedDerivation, is_cyclic_cocycle,
                              validate_twisted_derivation)
-from homcyc.constructions import is_algebra_endomorphism, is_centroid_element
+from homcyc.constructions import is_algebra_endomorphism
 from homcyc.corpus import standard_corpus
 from homcyc.linalg import Matrix
 

@@ -26,7 +26,8 @@ alpha(1), and `idempotent_twist_decompose` an A with alpha^2 = alpha.
 
 import pytest
 
-from homcyc.constructions import (find_unit, idempotent_twist_decompose,
+from homcyc.algebra import find_unit
+from homcyc.constructions import (idempotent_twist_decompose,
                                   unital_decompose, yau_twist)
 from homcyc.corpus import (cyclic_group_algebra,
                            dual_numbers_projection_twist,

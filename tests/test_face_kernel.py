@@ -16,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_operators as ref
-from homcyc.algebra import load_algebra, validate_or_raise
+from homcyc.algebra import (is_centroid_element, load_algebra,
+                            validate_or_raise)
 from homcyc.coefficients import (Bimodule, coregular_dual, dualize_bimodule,
                                  regular_bimodule)
 from homcyc.complexes import ChainComplex
-from homcyc.constructions import is_centroid_element
 from homcyc.corpus import (dual_numbers_projection_twist, ground_field,
                            k1_plus_k2, k_times_k_projection_twist,
                            k_times_k_swap_twist, matrix_2x2,

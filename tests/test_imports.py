@@ -4,7 +4,7 @@ Each case runs in a fresh interpreter, without writing bytecode, and
 reads the `homcyc.*` entries of `sys.modules` once it is done.
 `import homcyc` loads `algebra`, which imports `linalg`, `errors` and
 `records`; each subcommand then imports the modules it computes with,
-`constructions` only for the four that print a construction, and the
+`constructions` only for the three that print a construction, and the
 first other lookup on the package imports the whole API.  No
 case loads `dataclasses` or `inspect`, which the records replace.  Run
 without `site` (`python -S`), whose hooks may preload them, no request
@@ -33,7 +33,7 @@ UNSITED = ("shutil", "typing")
 API = BASE | {"coefficients", "complexes", "constructions", "cyclic",
               "cocycles", "hochschild"}
 HH = BASE | {"cli", "coefficients", "complexes", "hochschild"}
-# check, twist and decompose
+# twist and decompose
 BUILD = BASE | {"cli", "constructions"}
 
 
@@ -102,7 +102,7 @@ def files(tmp_path_factory):
 
 
 @pytest.mark.parametrize("argv,modules", [
-    (["check", "{alg}"], BUILD),
+    (["check", "{alg}"], BASE | {"cli"}),
     (["decompose", "{alg}"], BUILD),
     (["dual-space", "{alg}"], BUILD | {"coefficients"}),
     (["hh", "{alg}", "--max", "1"], HH),
@@ -127,7 +127,7 @@ def test_an_unsited_interpreter_shows_both_modules():
 
 
 @pytest.mark.parametrize("argv,modules", [
-    (["check", "{alg}"], BUILD),
+    (["check", "{alg}"], BASE | {"cli"}),
     (["hh", "{alg}", "--max", "1"], HH),
     (["hc", "{alg}", "--max", "1", "--format", "json"], HH | {"cyclic"}),
     (["cocycle", "verify", "{alg}", "--functional", "{phi}"],
@@ -196,15 +196,17 @@ def test_moved_names_keep_their_identity():
         errors.CoefficientHypothesisError
     assert cyclic.ChainMapError is errors.ChainMapError
     assert algebra.DecompositionError is errors.DecompositionError
-    for name in ("a_circ", "direct_sum", "find_unit",
-                 "is_centroid_element", "solve_homogeneous",
+    for name in ("a_circ", "direct_sum", "solve_homogeneous",
                  "unital_decompose", "unitalize", "yau_twist"):
         assert getattr(homcyc, name) is getattr(constructions, name), name
+    for name in ("find_unit", "is_centroid_element"):
+        assert getattr(homcyc, name) is getattr(constructions, name) is \
+            getattr(algebra, name), name
     for module, names in [
             (algebra, ("Decomposition", "NotAnAlgebraMapError", "direct_sum",
-                       "find_unit", "idempotent_twist_decompose",
-                       "is_algebra_endomorphism", "is_centroid_element",
-                       "unital_decompose", "unitalize", "yau_twist")),
+                       "idempotent_twist_decompose",
+                       "is_algebra_endomorphism", "unital_decompose",
+                       "unitalize", "yau_twist")),
             (coefficients, ("RestrictedDual", "a_circ", "solve_homogeneous"))]:
         for name in names:
             assert getattr(module, name) is getattr(constructions, name), name

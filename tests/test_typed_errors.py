@@ -1,6 +1,7 @@
 """The derived constructions refuse with `homcyc.errors` types.
 
-Each refusal of `constructions` is a `PreconditionError` where the
+Each refusal of `constructions` and of `algebra.find_unit` is a
+`PreconditionError` where the
 construction does not apply to a valid algebra, and an
 `IdentityViolationError` where a result it asserts fails; both still
 subclass `ValueError`.  Two of the latter cannot happen with correct
@@ -9,10 +10,9 @@ code: they are reached by patching what they check.
 
 import pytest
 
-from homcyc import constructions, errors
-from homcyc.algebra import validate_or_raise
-from homcyc.constructions import (find_unit, idempotent_twist_decompose,
-                                  unitalize)
+from homcyc import algebra, constructions, errors
+from homcyc.algebra import find_unit, validate_or_raise
+from homcyc.constructions import idempotent_twist_decompose, unitalize
 from homcyc.corpus import k_times_k_swap_twist, two_dim_unital
 from homcyc.linalg import Matrix, Subspace
 
@@ -23,8 +23,8 @@ def _one_dim(product: int, alpha: int):
                              Matrix.from_rows([[alpha]]))
 
 
-def _failing(monkeypatch, name, value):
-    monkeypatch.setattr(constructions, name, lambda *args: value)
+def _failing(monkeypatch, module, name, value):
+    monkeypatch.setattr(module, name, lambda *args: value)
 
 
 @pytest.mark.parametrize("call,kind,message", [
@@ -48,7 +48,7 @@ def test_a_second_unit_is_an_identity_violation(monkeypatch):
     the solution space of u e_j = e_j = e_j u has dimension 1 at most;
     given a second solution, find_unit raises."""
     two = Subspace.from_vectors(3, [(1, 0, 1), (0, 1, 1)])
-    _failing(monkeypatch, "kernel", two)
+    _failing(monkeypatch, algebra, "kernel", two)
     with pytest.raises(errors.IdentityViolationError, match="dimension > 1"):
         find_unit(two_dim_unital())
 
@@ -58,6 +58,6 @@ def test_a_second_unit_is_an_identity_violation(monkeypatch):
     ("validate_morphism", (False, ["bad"]), "embedding is not a morphism"),
 ], ids=["unit", "morphism"])
 def test_unitalize_asserts_its_result(monkeypatch, name, value, message):
-    _failing(monkeypatch, name, value)
+    _failing(monkeypatch, constructions, name, value)
     with pytest.raises(errors.IdentityViolationError, match=message):
         unitalize(two_dim_unital())
