@@ -366,6 +366,7 @@ _MOVED = frozenset({
     "idempotent_twist_decompose", "is_algebra_endomorphism",
     "unital_decompose", "unitalize", "yau_twist"})
 
+
 def __getattr__(name: str):
     # what moved to `constructions`, found there when first looked up, so
     # the old import path works and a request that needs none of it does

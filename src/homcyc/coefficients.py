@@ -195,6 +195,7 @@ def coregular_dual(A: HomAlgebra) -> Bimodule:
 
 _MOVED = frozenset({"RestrictedDual", "a_circ", "solve_homogeneous"})
 
+
 def __getattr__(name: str):
     # what moved to `constructions`, found there when first looked up, so
     # the old import path works and a request that needs none of it does

@@ -4,7 +4,7 @@ Each refusal of `constructions` and of `algebra.find_unit` is a
 `PreconditionError` where the
 construction does not apply to a valid algebra, and an
 `IdentityViolationError` where a result it asserts fails; both still
-subclass `ValueError`.  Two of the latter cannot happen with correct
+subclass `ValueError`.  Three of the latter cannot happen with correct
 code: they are reached by patching what they check.
 """
 
