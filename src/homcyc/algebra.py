@@ -11,7 +11,8 @@ mu (alpha (x) mu) = mu (mu (x) alpha), multiplicativity is
 alpha mu = mu (alpha (x) alpha).  Both sides are exact matrices, and
 `axiom_violations` reports each column where they differ as a
 `Violation` at its basis tuple; bilinearity makes the basis tuples
-sufficient.  The unit and the centroid test are here, since `check`
+sufficient.  A construction refuses such data by `refuse`, naming the
+first.  The unit and the centroid test are here, since `check`
 reports them; what is built from a valid algebra (its Yau twists,
 direct sums and splittings) is in `constructions`.
 """
@@ -29,7 +30,7 @@ from itertools import product as iproduct
 
 from .linalg import Matrix, ZERO, ONE, kernel, kron, vanishes
 from .errors import (DecompositionError, PreconditionError,  # re-exported
-                     IdentityViolationError, ShapeError, ValidationError)
+                     ShapeError, ValidationError)
 from .records import Field, cached, record
 
 MuTensor = tuple[tuple[tuple[Fraction, ...], ...], ...]
@@ -87,6 +88,14 @@ def axiom_violations(families: Sequence[tuple]) -> list[Violation]:
                               Violation(axiom, indices, left, right)))
     found.sort(key=lambda t: t[:2])
     return [v for _, _, v in found]
+
+
+def refuse(violations: Sequence[Violation], error: type[Exception],
+           what: str) -> None:
+    """Raise error("what: <first violation>") if there is one: how a
+    construction refuses data that fail the axioms it checks."""
+    if violations:
+        raise error(f"{what}: {violations[0]}")
 
 
 @record
@@ -300,9 +309,9 @@ def alpha_is_idempotent(A: HomAlgebra) -> bool:
 def find_unit(A: HomAlgebra) -> tuple[Fraction, ...] | None:
     """Solve u e_j = e_j = e_j u for all j; None when no unit exists.
 
-    If the solution space is more than one-dimensional the algebra data
-    is inconsistent (units are unique, and a unit leaves no element
-    that annihilates every e_j): IdentityViolationError.
+    The solutions (u, 1) span the kernel of the augmented system with
+    (x, 0), where x e_j = e_j x = 0 for all j.  A unit leaves no such
+    nonzero x (x = x u), so where one exists the kernel is its line.
     """
     constraints: list[list[Fraction]] = []
     rhs: list[Fraction] = []
@@ -313,19 +322,11 @@ def find_unit(A: HomAlgebra) -> tuple[Fraction, ...] | None:
             rhs.append(ONE if j == k else ZERO)
             constraints.append([A.mu[j][i][k] for i in range(A.dim)])
             rhs.append(ONE if j == k else ZERO)
-    # inhomogeneous solve via kernel of the augmented system
     aug = Matrix.from_rows([row + [-r] for row, r in zip(constraints, rhs)])
-    sols = kernel(aug)
-    units = []
-    for v in sols.basis:
+    for v in kernel(aug).basis:
         if v[A.dim]:
-            units.append(tuple(x / v[A.dim] for x in v[:A.dim]))
-    if not units:
-        return None
-    if len(units) > 1 or any(v[A.dim] == 0 and any(v[:A.dim]) for v in sols.basis):
-        raise IdentityViolationError("unit solution space has dimension > 1; "
-                                     "algebra data inconsistent")
-    return units[0]
+            return tuple(x / v[A.dim] for x in v[:A.dim])
+    return None
 
 
 def is_centroid_element(A: HomAlgebra) -> tuple[bool, list[Violation]]:

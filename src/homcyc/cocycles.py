@@ -12,7 +12,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .algebra import (HomAlgebra, Violation, axiom_violations, read_grid,
-                      read_json)
+                      read_json, refuse)
 from .coefficients import regular_bimodule
 from .errors import CocyclePreconditionError, ShapeError
 from .hochschild import IdentityViolationError, cyclic_t, hochschild_b
@@ -92,7 +92,7 @@ def is_cyclic_cocycle(phi: Functional, A: HomAlgebra) -> CocycleCheck:
     n = phi.degree
     size = A.dim ** (n + 1)
     if len(phi.coords) != size:
-        raise ValueError("functional coordinate length mismatch")
+        raise ShapeError("functional coordinate length mismatch")
     # phi as a row: phi o b and phi o (Id - t), each zero at every tuple
     row = Matrix.from_rows([phi.coords])
     b = hochschild_b(A, regular_bimodule(A), n + 1)
@@ -124,7 +124,7 @@ def validate_twisted_derivation(A: HomAlgebra, rho: TwistedDerivation
     alpha rho = rho alpha = rho."""
     m = rho.matrix
     if (m.rows, m.cols) != (A.dim, A.dim):
-        raise ValueError("derivation matrix shape mismatch")
+        raise ShapeError("derivation matrix shape mismatch")
     mu, ident = A.product_matrix, Matrix.identity(A.dim)
     bad = axiom_violations([
         ("leibniz", m @ mu, mu @ kron(m, ident) + mu @ kron(ident, m),
@@ -146,10 +146,8 @@ def derivation_cocycle(A: HomAlgebra, rho: TwistedDerivation,
     """
     if tr.degree != 0:
         raise CocyclePreconditionError("tr must be a degree-0 functional")
-    ok, bad = validate_twisted_derivation(A, rho)
-    if not ok:
-        raise CocyclePreconditionError(
-            "rho is not a twisted derivation: " + str(bad[0]))
+    refuse(validate_twisted_derivation(A, rho)[1], CocyclePreconditionError,
+           "rho is not a twisted derivation")
     if not trace_space(A).contains(tr.coords):
         raise CocyclePreconditionError("tr is not a trace")
     for a in range(A.dim):

@@ -23,7 +23,7 @@ bimodule's data.
 from __future__ import annotations
 
 from .algebra import (HomAlgebra, Violation, axiom_violations,
-                      is_centroid_element)
+                      is_centroid_element, refuse)
 from .linalg import (Matrix, block_matrix, kron, permute_columns,
                      swap_slots)
 from .errors import CoefficientError
@@ -132,11 +132,8 @@ def regular_bimodule(A: HomAlgebra) -> Bimodule:
     left = tuple(A.left_mult_matrix(A.basis_vector(a)) for a in range(A.dim))
     right = tuple(A.right_mult_matrix(A.basis_vector(a)) for a in range(A.dim))
     V = Bimodule(A, A.dim, left, right, A.alpha, name=f"{A.name}-regular")
-    bad = check_bimodule_axioms(V)
-    if bad:
-        raise CoefficientError(
-            "regular bimodule axioms fail (algebra not validated?): "
-            + str(bad[0]))
+    refuse(check_bimodule_axioms(V), CoefficientError,
+           "regular bimodule axioms fail (algebra not validated?)")
     vars(A)["_regular_bimodule"] = V
     return V
 
@@ -166,10 +163,8 @@ def dualize_bimodule(V: Bimodule) -> Bimodule:
     if cached is not None:
         return cached
     W = _transposed(V, name=f"{V.name}-dual", dual=True)
-    bad = check_dual_bimodule_axioms(W)
-    if bad:
-        raise CoefficientError("dual of a bimodule fails dual axioms: "
-                               + str(bad[0]))
+    refuse(check_dual_bimodule_axioms(W), CoefficientError,
+           "dual of a bimodule fails dual axioms")
     vars(V)["_dual"] = W
     return W
 
@@ -180,16 +175,12 @@ def coregular_dual(A: HomAlgebra) -> Bimodule:
     Valid only under the centroid hypothesis; refuses otherwise, since
     the coregular actions need not define a bimodule in general.
     """
-    ok, bad = is_centroid_element(A)
-    if not ok:
-        raise CoefficientError(
-            "alpha is not in the centroid; coregular actions would not "
-            "give a bimodule: " + str(bad[0]))
+    refuse(is_centroid_element(A)[1], CoefficientError,
+           "alpha is not in the centroid; coregular actions would not "
+           "give a bimodule")
     V = _transposed(regular_bimodule(A), name=f"{A.name}-coregular")
-    axiom_bad = check_bimodule_axioms(V)
-    if axiom_bad:
-        raise CoefficientError("coregular dual fails bimodule axioms: "
-                               + str(axiom_bad[0]))
+    refuse(check_bimodule_axioms(V), CoefficientError,
+           "coregular dual fails bimodule axioms")
     return V
 
 

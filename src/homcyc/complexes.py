@@ -26,7 +26,7 @@ from fractions import Fraction
 from .linalg import (Matrix, NotASubspaceError, Subspace, block_matrix,
                      descend, image, kernel, quotient_dim,
                      rank as matrix_rank, reduce_mod, restrict, vanishes)
-from .errors import BoundarySquareError, NotStableError
+from .errors import BoundarySquareError, NotStableError, ShapeError
 from .records import Field, cached, record
 
 Orientation = str  # "homological" or "cohomological"
@@ -325,7 +325,7 @@ def _mapped_complex(C: ChainComplex, subspaces: dict[int, Subspace],
     subs = {n: subspaces.get(n, Subspace.zero(C.dim(n))) for n in C.dims}
     for n, sub in subs.items():
         if sub.ambient_dim != C.dim(n):
-            raise ValueError(f"subspace ambient dim mismatch in degree {n}")
+            raise ShapeError(f"subspace ambient dim mismatch in degree {n}")
     induced = descend if quotient else restrict
     step = _STEP[C.orientation]
     diffs: dict[int, Matrix] = {}

@@ -26,8 +26,8 @@ from fractions import Fraction
 
 from .algebra import (AlgebraMorphism, HomAlgebra, Violation,
                       alpha_is_idempotent, axiom_violations, find_unit,
-                      is_associative, is_centroid_element, validate_morphism,
-                      validate_or_raise)
+                      is_associative, is_centroid_element, refuse,
+                      validate_morphism, validate_or_raise)
 from .errors import (CoefficientError, DecompositionError,
                      IdentityViolationError, PreconditionError)
 from .linalg import (Matrix, NotASubspaceError, Subspace, ZERO, ONE,
@@ -56,10 +56,8 @@ def yau_twist(assoc: HomAlgebra, endo: Matrix, name: str = "") -> HomAlgebra:
     if assoc.alpha != Matrix.identity(assoc.dim) or not is_associative(assoc):
         raise PreconditionError(
             "yau_twist input must be associative with alpha = Id")
-    ok, bad = is_algebra_endomorphism(assoc, endo)
-    if not ok:
-        raise NotAnAlgebraMapError(
-            "endomorphism is not an algebra map: " + str(bad[0]))
+    refuse(is_algebra_endomorphism(assoc, endo)[1], NotAnAlgebraMapError,
+           "endomorphism is not an algebra map")
     mu = tuple(tuple(endo.apply(assoc.mu[i][j]) for j in range(assoc.dim))
                for i in range(assoc.dim))
     return validate_or_raise(assoc.dim, assoc.basis_names, mu, endo,
@@ -165,9 +163,8 @@ def unitalize(A: HomAlgebra) -> tuple[HomAlgebra, Matrix]:
     Returns (B, embedding); IdentityViolationError if B has no unit or
     the embedding is not a morphism.
     """
-    ok, bad = is_centroid_element(A)
-    if not ok:
-        raise PreconditionError("alpha is not in the centroid: " + str(bad[0]))
+    refuse(is_centroid_element(A)[1], PreconditionError,
+           "alpha is not in the centroid")
     if not alpha_is_idempotent(A):
         raise PreconditionError("alpha^2 != alpha; quotient model unavailable")
     d, n = A.dim, A.dim + 2  # basis: 1, abar, e_1..e_d
@@ -185,10 +182,8 @@ def unitalize(A: HomAlgebra) -> tuple[HomAlgebra, Matrix]:
     if find_unit(B) is None:
         raise IdentityViolationError("unitalization failed to produce a unit")
     embedding = Matrix.from_columns(n, e)
-    ok, bad = validate_morphism(AlgebraMorphism(A, B, embedding))
-    if not ok:
-        raise IdentityViolationError(
-            "embedding is not a morphism: " + str(bad[0]))
+    refuse(validate_morphism(AlgebraMorphism(A, B, embedding))[1],
+           IdentityViolationError, "embedding is not a morphism")
     return B, embedding
 
 
@@ -261,8 +256,6 @@ def a_circ(A: HomAlgebra) -> RestrictedDual:
             "action does not preserve the functional subspace") from exc
     V = Bimodule(A, m, left, right, Matrix.identity(m),
                  name=f"{A.name}-dual-restricted")
-    bad = check_bimodule_axioms(V)
-    if bad:
-        raise CoefficientError("restricted dual fails bimodule axioms: "
-                               + str(bad[0]))
+    refuse(check_bimodule_axioms(V), CoefficientError,
+           "restricted dual fails bimodule axioms")
     return RestrictedDual(sub, V)

@@ -20,13 +20,13 @@ The λ methods and the map xi induces on HC-co read it too.
 from __future__ import annotations
 
 from .algebra import (AlgebraMorphism, HomAlgebra, alpha_is_idempotent,
-                      is_associative, validate_morphism)
+                      is_associative, refuse, validate_morphism)
 from .coefficients import dualize_bimodule, regular_bimodule
 from .complexes import (Bicomplex, ChainComplex, HomologyReport, homology,
                         homology_classes, quotient_complex,
                         report_for_complex, representative_space,
                         sub_complex, text_table, total_complex)
-from .errors import ChainMapError
+from .errors import ChainMapError, PreconditionError
 from .hochschild import (IdentityViolationError, _powers, bar_differentials,
                          cyclic_t, hochschild_b, hochschild_cohomology,
                          hochschild_homology, norm_N,
@@ -297,9 +297,10 @@ class PeriodicReport:
 def _periodic_report(A: HomAlgebra, n_max: int, window: int,
                      cohomology: bool) -> PeriodicReport:
     if window < 0 or window % 2:
-        raise ValueError("window must be even and >= 0: an odd column shift "
-                         "flips the b/-b' and (Id-t)/N parities, and a "
-                         "negative one indexes HC below degree 0")
+        raise PreconditionError(
+            "window must be even and >= 0: an odd column shift flips the "
+            "b/-b' and (Id-t)/N parities, and a negative one indexes HC "
+            "below degree 0")
     build = cocyclic_bicomplex if cohomology else cyclic_bicomplex
     T = total_complex(build(A, n_max + window + 2))
     degrees = tuple(range(n_max + 1))
@@ -341,9 +342,8 @@ def induced_map_on_homology(f: AlgebraMorphism, theory: str, n: int) -> Matrix:
     to commute with b (and, for HC, to descend to the lambda quotients)
     before representatives are pushed through.
     """
-    ok, bad = validate_morphism(f)
-    if not ok:
-        raise ChainMapError("not a morphism of Hom-algebras: " + str(bad[0]))
+    refuse(validate_morphism(f)[1], ChainMapError,
+           "not a morphism of Hom-algebras")
     A, Bg = f.source, f.target
     for X in (A, Bg):
         require_homology_hypotheses(regular_bimodule(X))
@@ -360,7 +360,7 @@ def induced_map_on_homology(f: AlgebraMorphism, theory: str, n: int) -> Matrix:
     if theory == "HH":
         return _homology_matrix(CA, CB, tmaps, n)
     if theory != "HC":
-        raise ValueError("theory must be 'HH' or 'HC'")
+        raise PreconditionError("theory must be 'HH' or 'HC'")
     # Id - t depends on the dimension and degree alone, so algebras of one
     # dimension share each subspace and its cached quotient map
     subsA = lambda_quotient_subspaces(one_minus_t(A, n + 1))
@@ -390,9 +390,10 @@ def xi_map(assoc: HomAlgebra, twisted: HomAlgebra, n: int) -> Matrix:
     coboundaries and to preserve cyclicity.
     """
     if not is_associative(assoc) or assoc.alpha != Matrix.identity(assoc.dim):
-        raise ValueError("source must be associative with alpha = Id")
+        raise PreconditionError(
+            "source must be associative with alpha = Id")
     if not alpha_is_idempotent(twisted):
-        raise ValueError("twist endomorphism must be idempotent")
+        raise PreconditionError("twist endomorphism must be idempotent")
     b_src = hochschild_b(assoc, regular_bimodule(assoc), n + 1).transpose()
     b_tgt = hochschild_b(twisted, regular_bimodule(twisted), n + 1).transpose()
     # (alpha^T)^{(x)k} = (alpha^{(x)k})^T, k = n+1 and n+2, by running products

@@ -6,14 +6,18 @@ it, so `homcyc.complexes.BoundarySquareError` and
 `homcyc.errors.BoundarySquareError` are one class.  `cli._FAILURES`
 gives every one that a request can raise its exit code, 2 for input
 the theory does not accept and 3 for an identity it asserts that
-fails, and its stderr prefix.  No request raises `CoefficientHypothesisError` or
-`ChainMapError`: every command takes the regular bimodule, which meets
-the homology hypotheses, and no command maps one algebra to another.
+fails, and its stderr prefix.  No request raises
+`CoefficientHypothesisError` or `ChainMapError`: every command takes
+the regular bimodule, which meets the homology hypotheses, and no
+command maps one algebra to another.  A refusal of data that fail an
+axiom names the first failing basis tuple, through `algebra.refuse`.
+Outside `linalg` and the digit limit of `algebra.scalar_from_string`,
+no refusal is a bare `ValueError`.
 """
 
 
 class ShapeError(ValueError):
-    """Raised when raw algebra data has inconsistent tensor shapes."""
+    """Raw algebra data, or an argument, has inconsistent shapes."""
 
 
 class ValidationError(ValueError):
@@ -26,8 +30,9 @@ class CoefficientError(ValueError):
 
 
 class PreconditionError(ValueError):
-    """A valid algebra that an operation does not apply to: a Yau twist
-    of a non-associative algebra, or a decomposition without a unit."""
+    """A valid algebra or argument that an operation does not apply
+    to: a Yau twist of a non-associative algebra, a decomposition
+    without a unit, an odd periodic window."""
 
 
 class CocyclePreconditionError(PreconditionError):

@@ -65,7 +65,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from itertools import accumulate
 
-from .algebra import HomAlgebra
+from .algebra import HomAlgebra, refuse
 from .coefficients import (Bimodule, chain_data, dualize_bimodule,
                            regular_bimodule, validate_homology_coefficients)
 from .complexes import ChainComplex, HomologyReport, report_for_complex
@@ -242,10 +242,8 @@ def require_homology_hypotheses(V: Bimodule) -> None:
     bimodule instance with the verdict kept on it."""
     if "_homology_hypotheses" not in vars(V):
         vars(V)["_homology_hypotheses"] = validate_homology_coefficients(V)
-    ok, bad = vars(V)["_homology_hypotheses"]
-    if not ok:
-        raise CoefficientHypothesisError(
-            "coefficients violate the homology hypotheses: " + str(bad[0]))
+    refuse(vars(V)["_homology_hypotheses"][1], CoefficientHypothesisError,
+           "coefficients violate the homology hypotheses")
 
 
 def build_hochschild_homology_complex(A: HomAlgebra, V: Bimodule,

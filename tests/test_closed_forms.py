@@ -13,7 +13,10 @@ theories read the same numbers here.
 
 The Yau twist of k[C_3] by the automorphism g -> g^-1 (alpha swaps g1
 and g2) is Hom data with no closed form: its numbers are regression
-values.
+values.  So are those of the shift twist of k^3 (e1 -> e2 -> e3 -> 0),
+which neither splitting below takes (alpha is nilpotent, not
+idempotent, and k^3 twisted has no unit); its HH_n reads
+3^(n+1) - 2^(n+1) for 1 <= n <= 6, a pattern not derived.
 
 A split Hom-algebra A = (A1, Id) (+) (K, 0), d = dim A and d1 = dim A1,
 has a closed-form HH in degrees n >= 2: only tensors with no K slot and
@@ -27,9 +30,9 @@ alpha(1), and `idempotent_twist_decompose` an A with alpha^2 = alpha.
 import pytest
 
 from homcyc.algebra import find_unit
-from homcyc.constructions import (idempotent_twist_decompose,
+from homcyc.constructions import (direct_sum, idempotent_twist_decompose,
                                   unital_decompose, yau_twist)
-from homcyc.corpus import (cyclic_group_algebra,
+from homcyc.corpus import (cyclic_group_algebra, ground_field,
                            dual_numbers_projection_twist,
                            k_times_k_projection_twist,
                            truncated_polynomial_algebra,
@@ -78,6 +81,21 @@ def test_homology_and_cohomology_read_the_same(make, top, hh, hc):
         both = cyclic(A, top)
         both.require_agreement()
         assert [both.betti_lambda[n] for n in both.degrees] == hc
+
+
+def test_shift_twist_of_k3_regression_values():
+    k = ground_field()
+    shift = Matrix.from_columns(3, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    A = yau_twist(direct_sum(direct_sum(k, k), k), shift, name="k3_shift")
+    hh = hochschild_homology(A, 6)
+    assert [hh.betti[n] for n in hh.degrees] == [3, 5, 19, 65, 211, 665,
+                                                 2059]
+    assert all(hh.betti[n] == 3 ** (n + 1) - 2 ** (n + 1)
+               for n in range(1, 7))
+    both = cyclic_homology_both(A, 5)
+    both.require_agreement()
+    assert [both.betti_lambda[n] for n in both.degrees] == [3, 2, 9, 17, 45,
+                                                            109]
 
 
 def _split(A):

@@ -24,6 +24,12 @@ bicomplex) Betti numbers up to degree 2 must not change.
 
 On all three families, and on the corpus, `trace_space` is the RREF
 basis that the reference's pairwise constraints give.
+
+Wherever `find_unit` finds a unit u, c = alpha(u) is an idempotent with
+alpha = L_c = R_c: Hom-associativity at (1, 1, z) and (x, 1, 1) gives
+alpha(z) = cz and alpha(x) = xc, and multiplicativity c = c^2.  This
+is checked on the three families, on the corpus and on the direct sum
+of any two corpus algebras of dimension at most 2.
 """
 
 from fractions import Fraction
@@ -39,8 +45,10 @@ from homcyc.coefficients import (CoefficientError, dualize_bimodule,
                                  regular_bimodule)
 from homcyc.constructions import direct_sum, yau_twist
 from homcyc.complexes import homology
-from homcyc.corpus import (dual_numbers, dual_numbers_projection_twist,
-                           ground_field, k1_plus_k2, k2,
+from homcyc.algebra import find_unit
+from homcyc.corpus import (cyclic_group_algebra, dual_numbers,
+                           dual_numbers_projection_twist, ground_field,
+                           k1_plus_k2, k2, k_times_k,
                            k_times_k_projection_twist, k_times_k_swap_twist,
                            matrix_2x2, truncated_polynomials, two_dim_unital,
                            upper_triangular_algebra)
@@ -162,3 +170,36 @@ def test_betti_numbers_do_not_depend_on_the_basis(case):
                  .map(lambda make: make())))
 def test_trace_space_is_the_pairwise_constraint_construction(A):
     assert trace_space(A).basis == ref.trace_space(A)
+
+
+def _unit_twists_by_its_alpha(A):
+    """False where A has a unit u and c = alpha(u) fails c c = c or
+    L_c = alpha = R_c; True otherwise, including where A has no unit."""
+    u = find_unit(A)
+    if u is None:
+        return True
+    c = A.apply_alpha(u)
+    return A.product(c, c) == c and \
+        A.left_mult_matrix(c) == A.alpha == A.right_mult_matrix(c)
+
+
+CORPUS = SUMMANDS + [k_times_k, upper_triangular_algebra, matrix_2x2,
+                     lambda: cyclic_group_algebra(3)]
+
+
+def test_a_unit_twists_by_its_alpha_on_the_corpus_and_its_sums():
+    small = [make for make in CORPUS if make().dim <= 2]
+    algebras = [make() for make in CORPUS] + \
+        [direct_sum(small[i](), small[j]())
+         for i in range(len(small)) for j in range(i, len(small))]
+    assert [A.name for A in algebras if not _unit_twists_by_its_alpha(A)] \
+        == []
+    assert (len(algebras), sum(find_unit(A) is not None
+                               for A in algebras)) == (58, 31)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(twisted_matrices(), direct_sums(),
+                 unimodular_bases().map(lambda case: moved(*case))))
+def test_a_unit_twists_by_its_alpha_on_generated_algebras(A):
+    assert _unit_twists_by_its_alpha(A)
