@@ -390,8 +390,7 @@ def xi_map(assoc: HomAlgebra, twisted: HomAlgebra, n: int) -> Matrix:
     coboundaries and to preserve cyclicity.
     """
     if not is_associative(assoc) or assoc.alpha != Matrix.identity(assoc.dim):
-        raise PreconditionError(
-            "source must be associative with alpha = Id")
+        raise PreconditionError("source must be associative with alpha = Id")
     if not alpha_is_idempotent(twisted):
         raise PreconditionError("twist endomorphism must be idempotent")
     b_src = hochschild_b(assoc, regular_bimodule(assoc), n + 1).transpose()

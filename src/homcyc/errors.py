@@ -9,10 +9,9 @@ the theory does not accept and 3 for an identity it asserts that
 fails, and its stderr prefix.  No request raises
 `CoefficientHypothesisError` or `ChainMapError`: every command takes
 the regular bimodule, which meets the homology hypotheses, and no
-command maps one algebra to another.  A refusal of data that fail an
-axiom names the first failing basis tuple, through `algebra.refuse`.
-Outside `linalg` and the digit limit of `algebra.scalar_from_string`,
-no refusal is a bare `ValueError`.
+command maps one algebra to another.  A construction refuses data that
+fail an axiom it checks through `algebra.refuse`; only `linalg` and the
+digit limit raise bare `ValueError`s.
 """
 
 
@@ -30,9 +29,8 @@ class CoefficientError(ValueError):
 
 
 class PreconditionError(ValueError):
-    """A valid algebra or argument that an operation does not apply
-    to: a Yau twist of a non-associative algebra, a decomposition
-    without a unit, an odd periodic window."""
+    """A valid algebra or argument that an operation does not apply to:
+    a Yau twist of a non-associative algebra, an odd periodic window."""
 
 
 class CocyclePreconditionError(PreconditionError):
