@@ -16,8 +16,8 @@ from homcyc.algebra import alpha_is_idempotent, find_unit, is_centroid_element
 from homcyc.cocycles import trace_space
 from homcyc.corpus import standard_corpus
 from homcyc.cyclic import (cyclic_cohomology_both, cyclic_homology_both,
-                           hochschild_cohomology, hochschild_homology,
                            periodic_homology)
+from homcyc.hochschild import hochschild_cohomology, hochschild_homology
 
 
 @dataclass

@@ -29,8 +29,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .linalg import Matrix, ZERO, ONE, kernel, kron, vanishes
-from .errors import (DecompositionError, PreconditionError,  # re-exported
-                     ShapeError, ValidationError)
+from .errors import ShapeError, ValidationError
 from .records import Field, cached, record
 
 MuTensor = tuple[tuple[tuple[Fraction, ...], ...], ...]
@@ -361,18 +360,3 @@ def validate_morphism(f: AlgebraMorphism) -> tuple[bool, list[Violation]]:
         ("morphism-twist", m @ A.alpha, B.alpha @ m, (A.dim,), (0,))])
     return not bad, bad
 
-
-_MOVED = frozenset({
-    "Decomposition", "NotAnAlgebraMapError", "direct_sum",
-    "idempotent_twist_decompose", "is_algebra_endomorphism",
-    "unital_decompose", "unitalize", "yau_twist"})
-
-
-def __getattr__(name: str):
-    # what moved to `constructions`, found there when first looked up, so
-    # the old import path works and a request that needs none of it does
-    # not compile that module
-    if name in _MOVED:
-        from importlib import import_module
-        return getattr(import_module("homcyc.constructions"), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,10 +23,11 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 
-from .linalg import (Matrix, NotASubspaceError, Subspace, block_matrix,
-                     descend, image, kernel, quotient_dim,
-                     rank as matrix_rank, reduce_mod, restrict, vanishes)
-from .errors import BoundarySquareError, NotStableError, ShapeError
+from .linalg import (Matrix, Subspace, block_matrix, descend, image, kernel,
+                     quotient_dim, rank as matrix_rank, reduce_mod, restrict,
+                     vanishes)
+from .errors import (BoundarySquareError, IdentityViolationError,
+                     NotASubspaceError, NotStableError, ShapeError)
 from .records import Field, cached, record
 
 Orientation = str  # "homological" or "cohomological"
@@ -111,7 +112,8 @@ def homology_classes(C: ChainComplex, n: int) -> tuple[Subspace, Subspace]:
     """The boundaries B in degree n, and the homology classes H: the
     image of the cycles Z under B's quotient map, i.e. Z / B in B's
     `free_columns` coordinates.  Raises NotASubspaceError unless B lies
-    in Z, and ArithmeticError unless dim H is the rank Betti number.
+    in Z, and IdentityViolationError unless dim H is the rank Betti
+    number.
     The rank out of degree n, unless already known, is read off Z,
     whose elimination counted its pivots; the incoming map's rank is
     still reduced on its own, which cross-checks B."""
@@ -121,8 +123,8 @@ def homology_classes(C: ChainComplex, n: int) -> tuple[Subspace, Subspace]:
     quotient_dim(B, Z)  # raises unless B lies in Z
     H = image(reduce_mod(B, Z.rows.transpose()))
     if H.dim != _betti(C, n):
-        raise ArithmeticError(f"{H.dim} classes for Betti number "
-                              f"{_betti(C, n)} in degree {n}")
+        raise IdentityViolationError(f"{H.dim} classes for Betti number "
+                                     f"{_betti(C, n)} in degree {n}")
     return B, H
 
 

@@ -6,9 +6,8 @@ a singular twist (`unital_decompose`, `idempotent_twist_decompose`);
 the unitalization; and the A-degree dual `a_circ`.  Each is built from
 the structure constants and re-validated, so what it returns is a
 checked algebra or bimodule.  `Decomposition` and `RestrictedDual`
-render the `decompose` and `dual-space` output.  `algebra` and
-`coefficients` find the names that moved here from them when one is
-looked up.
+render the `decompose` and `dual-space` output.  Each name here is
+imported from this module or from the package.
 
 No homology computation uses this module, so it is apart from
 `algebra`, which every request loads: only `twist`, `decompose` and
@@ -29,9 +28,10 @@ from .algebra import (AlgebraMorphism, HomAlgebra, Violation,
                       is_associative, is_centroid_element, refuse,
                       validate_morphism, validate_or_raise)
 from .errors import (CoefficientError, DecompositionError,
-                     IdentityViolationError, PreconditionError)
-from .linalg import (Matrix, NotASubspaceError, Subspace, ZERO, ONE,
-                     block_matrix, image, kernel, kron, restrict, vanishes)
+                     IdentityViolationError, NotAnAlgebraMapError,
+                     NotASubspaceError, PreconditionError)
+from .linalg import (Matrix, Subspace, ZERO, ONE, block_matrix, image, kernel,
+                     kron, restrict, vanishes)
 from .records import record
 
 
@@ -41,10 +41,6 @@ def is_algebra_endomorphism(A: HomAlgebra, endo: Matrix) -> tuple[bool, list[Vio
     bad = axiom_violations([("algebra-endomorphism", endo @ m,
                              m @ kron(endo, endo), (A.dim, A.dim), (0, 1))])
     return not bad, bad
-
-
-class NotAnAlgebraMapError(PreconditionError):
-    pass
 
 
 def yau_twist(assoc: HomAlgebra, endo: Matrix, name: str = "") -> HomAlgebra:

@@ -1,7 +1,7 @@
 """Cyclic and periodic (co)homology: quotient/invariant method and the
 bicomplex method, plus the comparison and functoriality machinery.
-`hochschild_homology` and `hochschild_cohomology` live in `hochschild`
-and are re-exported here.
+The HH reports, `hochschild_homology` and `hochschild_cohomology`, are
+in `hochschild`.
 
 Cochain-level operators are transposes of the chain-level ones: the
 basis conventions in `hochschild` make the identification of a cochain
@@ -26,13 +26,12 @@ from .complexes import (Bicomplex, ChainComplex, HomologyReport, homology,
                         homology_classes, quotient_complex,
                         report_for_complex, representative_space,
                         sub_complex, text_table, total_complex)
-from .errors import ChainMapError, PreconditionError
-from .hochschild import (IdentityViolationError, _powers, bar_differentials,
-                         cyclic_t, hochschild_b, hochschild_cohomology,
-                         hochschild_homology, norm_N,
-                         require_homology_hypotheses)
-from .linalg import (Matrix, NotASubspaceError, Subspace, descend, image,
-                     kernel, power_sum, reduce_mod, restrict, vanishes)
+from .errors import (ChainMapError, IdentityViolationError, NotASubspaceError,
+                     PreconditionError)
+from .hochschild import (_powers, bar_differentials, cyclic_t, hochschild_b,
+                         norm_N, require_homology_hypotheses)
+from .linalg import (Matrix, Subspace, descend, image, kernel, power_sum,
+                     reduce_mod, restrict, vanishes)
 from .records import cached, record
 
 

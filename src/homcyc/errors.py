@@ -1,17 +1,18 @@
 """The library's exceptions, each a `ValueError`.
 
 They live in one small module, so that a request loads them without the
-modules that raise them.  Each is re-exported by the module that raises
-it, so `homcyc.complexes.BoundarySquareError` and
-`homcyc.errors.BoundarySquareError` are one class.  `cli._FAILURES`
-gives every one that a request can raise its exit code, 2 for input
-the theory does not accept and 3 for an identity it asserts that
-fails, and its stderr prefix.  No request raises
-`CoefficientHypothesisError` or `ChainMapError`: every command takes
-the regular bimodule, which meets the homology hypotheses, and no
-command maps one algebra to another.  A construction refuses data that
-fail an axiom it checks through `algebra.refuse`; only `linalg` and the
-digit limit raise bare `ValueError`s.
+modules that raise them, and every module that raises or catches one
+imports it from here.  `cli._FAILURES` gives every one that a request
+can raise its exit code, 2 for input the theory does not accept and 3
+for an identity it asserts that fails, and its stderr prefix.  No
+request raises `CoefficientHypothesisError` or `ChainMapError`: every
+command takes the regular bimodule, which meets the homology
+hypotheses, and no command maps one algebra to another.  A construction
+refuses data that fail an axiom it checks through `algebra.refuse`;
+only `linalg` and the digit limit raise bare `ValueError`s.  The one
+exception class defined elsewhere is `records.FrozenInstanceError`, an
+`AttributeError` that the record machinery raises on an assignment to
+a field, as `dataclasses` does for a frozen class.
 """
 
 
@@ -33,6 +34,11 @@ class PreconditionError(ValueError):
     a Yau twist of a non-associative algebra, an odd periodic window."""
 
 
+class NotAnAlgebraMapError(PreconditionError):
+    """A matrix given as an algebra endomorphism does not respect the
+    product."""
+
+
 class CocyclePreconditionError(PreconditionError):
     """A derivation or trace that a derivation cocycle needs is not one."""
 
@@ -48,6 +54,11 @@ class BoundarySquareError(ValueError):
 
 class NotStableError(ValueError):
     """The differential does not preserve the given family of subspaces."""
+
+
+class NotASubspaceError(ValueError):
+    """A vector, a subspace or a map's image does not lie in the
+    subspace it is taken in."""
 
 
 class CoefficientHypothesisError(ValueError):

@@ -54,6 +54,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 
+from .errors import NotASubspaceError
 from .records import cached, record
 
 Scalar = Fraction
@@ -512,18 +513,18 @@ def _clear(row, piv, c):
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Reduced row-echelon form, pivot columns, rank: `_echelon`, then
     back-substitution from the highest pivot down, which keeps each
-    pivot entry positive, then each row over its pivot entry.  The RREF
-    of a matrix is unique, so it does not depend on the order of
-    elimination."""
+    pivot entry positive, then each row over its pivot entry.  Each
+    pivot row clears only the other pivot columns it holds, highest
+    first, against rows already reduced; a reduced row holds no other
+    pivot column, so clearing adds none.  The RREF of a matrix is
+    unique, so it does not depend on the order of elimination."""
     pivots = _echelon(m)
     order = sorted(pivots)
-    rows = [pivots[p] for p in order]
-    for i in range(len(order) - 1, 0, -1):
-        p, piv = order[i], rows[i]
-        for row in rows[:i]:
-            if p in row:
-                _clear(row, piv, p)
-    out = [(row[p], row) for p, row in zip(order, rows)]
+    for p in reversed(order):
+        row = pivots[p]
+        for q in sorted(row.keys() & pivots.keys(), reverse=True)[:-1]:
+            _clear(row, pivots[q], q)
+    out = [(pivots[p][p], pivots[p]) for p in order]
     out += [(1, {})] * (m.rows - len(out))
     return Matrix.from_integer_rows(m.cols, out), tuple(order), len(order)
 
@@ -602,10 +603,6 @@ class Subspace:
         if not self.contains(vec):
             raise NotASubspaceError("vector not in subspace")
         return tuple(vec[p] for p in self.pivots)
-
-
-class NotASubspaceError(ValueError):
-    pass
 
 
 def reduce_mod(sub: Subspace, m: Matrix) -> Matrix:

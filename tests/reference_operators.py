@@ -440,7 +440,8 @@ def centroid_violations(A):
 
 
 def derivation_violations(A, rho):
-    """The Leibniz rule at every (a, b), then the twist condition."""
+    """The Leibniz rule at every (a, b), then alpha rho = rho and
+    rho alpha = rho at every e_j, both at e_j before e_{j+1}."""
     from homcyc.algebra import Violation
     bad = []
     for a, b in iproduct(range(A.dim), repeat=2):
@@ -450,13 +451,14 @@ def derivation_violations(A, rho):
                                           multiply(A, ea, _map(rho, eb))))
         if lhs != rhs:
             bad.append(Violation("leibniz", (a, b), lhs, rhs))
-    ident = [_basis(A.dim, j) for j in range(A.dim)]
-    rho_cols = [_map(rho, v) for v in ident]
-    if any(_map(A.alpha, c) != c for c in rho_cols) or \
-            any(_map(rho, _map(A.alpha, v)) != c
-                for v, c in zip(ident, rho_cols)):
-        bad.append(Violation("twist-compat alpha*rho=rho*alpha=rho", (),
-                             (), ()))
+    for j in range(A.dim):
+        ej = _basis(A.dim, j)
+        rho_ej = _map(rho, ej)
+        for axiom, lhs in [
+                ("twist-compat alpha*rho=rho", _map(A.alpha, rho_ej)),
+                ("twist-compat rho*alpha=rho", _map(rho, _map(A.alpha, ej)))]:
+            if lhs != rho_ej:
+                bad.append(Violation(axiom, (j,), lhs, rho_ej))
     return bad
 
 

@@ -22,12 +22,11 @@ from homcyc.corpus import (dual_numbers, ground_field, k1_plus_k2, k2,
                            two_dim_unital)
 from homcyc.cyclic import (cyclic_bicomplex, cyclic_cohomology_both,
                            cyclic_cohomology_lambda, cyclic_homology_both,
-                           cyclic_homology_lambda, hochschild_cohomology,
-                           hochschild_homology, lambda_quotient_subspaces,
+                           cyclic_homology_lambda, lambda_quotient_subspaces,
                            one_minus_t, periodic_homology)
 from homcyc.hochschild import (b_prime, check_presimplicial, cyclic_t,
-                               face_map, hochschild_b, homotopy_theta,
-                               norm_N)
+                               face_map, hochschild_b, hochschild_cohomology,
+                               hochschild_homology, homotopy_theta, norm_N)
 from homcyc.linalg import Matrix, image, kernel, reduce_mod
 
 F = Fraction

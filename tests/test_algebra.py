@@ -13,13 +13,13 @@ from homcyc.algebra import (AlgebraMorphism, ShapeError, ValidationError,
                             is_associative, is_centroid_element, load_algebra,
                             scalar_from_string, validate, validate_morphism,
                             validate_or_raise)
-from homcyc.constructions import (DecompositionError, NotAnAlgebraMapError,
-                                  direct_sum, idempotent_twist_decompose,
+from homcyc.constructions import (direct_sum, idempotent_twist_decompose,
                                   unital_decompose, unitalize, yau_twist)
 from homcyc.corpus import (dual_numbers, dual_numbers_projection_twist,
                            ground_field, k2, k_times_k, k_times_k_swap_twist,
                            matrix_2x2, standard_corpus, truncated_polynomials,
                            two_dim_unital)
+from homcyc.errors import DecompositionError, NotAnAlgebraMapError
 from homcyc.linalg import Matrix, image, kernel, rank
 
 F = Fraction

@@ -16,7 +16,8 @@ and g2) is Hom data with no closed form: its numbers are regression
 values.  So are those of the shift twist of k^3 (e1 -> e2 -> e3 -> 0),
 which neither splitting below takes (alpha is nilpotent, not
 idempotent, and k^3 twisted has no unit); its HH_n reads
-3^(n+1) - 2^(n+1) for 1 <= n <= 6, a pattern not derived.
+3^(n+1) - 2^(n+1) for 1 <= n <= 6, the count that
+`test_yau_twists.py` proves for every twist of k^m.
 
 A split Hom-algebra A = (A1, Id) (+) (K, 0), d = dim A and d1 = dim A1,
 has a closed-form HH in degrees n >= 2: only tensors with no K slot and
@@ -38,8 +39,8 @@ from homcyc.corpus import (cyclic_group_algebra, ground_field,
                            truncated_polynomial_algebra,
                            truncated_polynomials, two_dim_unital,
                            upper_triangular_algebra)
-from homcyc.cyclic import (cyclic_cohomology_both, cyclic_homology_both,
-                           hochschild_cohomology, hochschild_homology)
+from homcyc.cyclic import cyclic_cohomology_both, cyclic_homology_both
+from homcyc.hochschild import hochschild_cohomology, hochschild_homology
 from homcyc.linalg import Matrix, rank
 
 TOP = 4

@@ -15,9 +15,10 @@ from homcyc.complexes import (Bicomplex, BoundarySquareError, ChainComplex,
                               representative_space, sub_complex,
                               total_complex)
 from homcyc.corpus import standard_corpus
+from homcyc.errors import IdentityViolationError, NotASubspaceError
 from homcyc.hochschild import (build_hochschild_cohomology_complex,
                                build_hochschild_homology_complex)
-from homcyc.linalg import Matrix, NotASubspaceError, Subspace, kernel
+from homcyc.linalg import Matrix, Subspace, kernel
 
 F = Fraction
 OUT_OF = "^d o d != 0 out of degree %d$"
@@ -269,10 +270,11 @@ def test_homology_classes_require_boundaries_in_cycles(monkeypatch):
 
 
 def test_homology_classes_count_must_equal_rank_betti():
-    """A rank that disagrees with the classes is an ArithmeticError."""
+    """A rank that disagrees with the classes is an identity violation."""
     C = ChainComplex(dims={0: 2, 1: 1}, diffs={1: Matrix.zero(2, 1)})
     C._ranks[1] = 1  # a wrong memoised rank: Betti 0 in degree 1
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(IdentityViolationError,
+                       match=r"^1 classes for Betti number 0 in degree 1$"):
         homology_classes(C, 1)
 
 

@@ -18,14 +18,14 @@ from homcyc.cyclic import (ChainMapError, CyclicReport, PeriodicReport,
                            cyclic_cohomology_both,
                            cyclic_cohomology_lambda, cyclic_homology_both,
                            cyclic_homology_lambda,
-                           hochschild_cohomology, hochschild_homology,
                            induced_map_on_homology, lambda_quotient_subspaces,
                            one_minus_t, periodic_cohomology,
                            periodic_homology, xi_map,
                            xi_induced_on_cyclic_cohomology)
 from homcyc.complexes import quotient_complex, total_complex
 from homcyc.hochschild import (build_hochschild_homology_complex,
-                               hochschild_b, tensor_power_matrix)
+                               hochschild_b, hochschild_cohomology,
+                               hochschild_homology, tensor_power_matrix)
 from homcyc.linalg import Matrix, reduce_mod, vanishes
 
 F = Fraction

@@ -52,10 +52,10 @@ from homcyc.corpus import (cyclic_group_algebra, dual_numbers,
                            k_times_k_projection_twist, k_times_k_swap_twist,
                            matrix_2x2, truncated_polynomials, two_dim_unital,
                            upper_triangular_algebra)
-from homcyc.cyclic import (cyclic_homology_both, hochschild_cohomology,
-                           hochschild_homology)
+from homcyc.cyclic import cyclic_homology_both
 from homcyc.hochschild import (build_hochschild_cohomology_complex,
-                               build_hochschild_homology_complex)
+                               build_hochschild_homology_complex,
+                               hochschild_cohomology, hochschild_homology)
 from homcyc.linalg import Matrix
 from test_face_golden import moved
 from test_hochschild import faces_by_recurrence_match_face_map

@@ -14,11 +14,12 @@ from homcyc.complexes import total_complex
 from homcyc.constructions import solve_homogeneous
 from homcyc.corpus import two_dim_unital
 from homcyc.cyclic import cyclic_bicomplex
-from homcyc.linalg import (Matrix, NotASubspaceError, Subspace, block_matrix,
-                           descend, image, kernel, kron, permute_columns,
-                           power_sum, quotient_dim, rank, reduce_mod,
-                           restrict, rref, signed_permutation, signed_sum,
-                           swap_slots, vanishes)
+from homcyc.errors import NotASubspaceError
+from homcyc.linalg import (Matrix, Subspace, block_matrix, descend, image,
+                           kernel, kron, permute_columns, power_sum,
+                           quotient_dim, rank, reduce_mod, restrict, rref,
+                           signed_permutation, signed_sum, swap_slots,
+                           vanishes)
 
 F = Fraction
 

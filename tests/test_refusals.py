@@ -9,6 +9,7 @@ otherwise by making the check, in the module that calls it, return one
 fixed violation.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,9 @@ from homcyc.cocycles import Functional, TwistedDerivation, derivation_cocycle
 from homcyc.coefficients import (coregular_dual, dualize_bimodule,
                                  regular_bimodule)
 from homcyc.constructions import a_circ, unitalize, yau_twist
-from homcyc.corpus import (ground_field, k_times_k_swap_twist, matrix_2x2,
-                           two_dim_unital)
+from homcyc.cli import main
+from homcyc.corpus import (dual_numbers_projection_twist, ground_field,
+                           k_times_k_swap_twist, matrix_2x2, two_dim_unital)
 from homcyc.cyclic import induced_map_on_homology
 from homcyc.hochschild import require_homology_hypotheses
 from homcyc.linalg import Matrix
@@ -136,3 +138,19 @@ def test_refusal_names_the_first_violation(monkeypatch, reach, kind, message):
         reach(monkeypatch)
     assert type(info.value) is kind
     assert str(info.value) == message
+
+
+def test_cocycle_derive_names_the_first_twist_violation(tmp_path, capsys):
+    """rho = E22 on `dual_numbers_twisted` (alpha = E11) is a derivation,
+    but alpha rho = rho fails at e2; the refusal names that column."""
+    paths = {name: tmp_path / f"{name}.json"
+             for name in ("alg", "rho", "tr")}
+    paths["alg"].write_text(dual_numbers_projection_twist().to_json())
+    paths["rho"].write_text(json.dumps([["0", "0"], ["0", "1"]]))
+    paths["tr"].write_text(json.dumps({"coords": ["1", "0"]}))
+    assert main(["cocycle", "derive", str(paths["alg"]), "--derivation",
+                 str(paths["rho"]), "--trace", str(paths["tr"])]) == 2
+    assert capsys.readouterr() == (
+        "", "precondition failure: rho is not a twisted derivation: "
+        "twist-compat alpha*rho=rho fails at (2): lhs=['0', '0'] "
+        "rhs=['0', '1']\n")
